@@ -38,22 +38,13 @@ let pp_spec = function
   | QA.Relaxed -> "relaxed"
   | QA.Rank_bounded -> "rank-bounded"
 
-(* In --blocking mode a backend name selects the structure *inside* the
-   façade; tolerate the façade's own registry spelling too. *)
-let strip_bounded name =
-  let prefix = "bounded:" in
-  if String.length name >= String.length prefix
-     && String.lowercase_ascii (String.sub name 0 (String.length prefix)) = prefix
-  then String.sub name (String.length prefix) (String.length name - String.length prefix)
-  else name
-
-let blocking_defaults () =
-  [ QA.Sim.skipqueue (); QA.Sim.relaxed_skipqueue (); QA.Sim.skipqueue_lf ();
-    QA.Sim.hunt_heap (); QA.Sim.multiqueue ~procs:16 () ]
-
 (* (impl, uses-blocking-harness) pairs for the sweep. *)
 let select_impls backends broken blocking ~capacity =
-  let wrap i = (QA.Sim.bounded ~capacity i, true) in
+  (* --blocking sets every selected backend's façade to the profile's capacity *)
+  let make d =
+    if blocking then (QA.make QA.Sim { d with QA.bounded = Some capacity }, true)
+    else (QA.make QA.Sim d, false)
+  in
   match broken with
   | Some "swap" -> [ (Repro_check.Broken.skipqueue (), false) ]
   | Some "elim" -> [ (Repro_check.Broken.elim_skipqueue (), false) ]
@@ -76,19 +67,15 @@ let select_impls backends broken blocking ~capacity =
     Printf.eprintf
       "unknown mutant %S (known: swap, elim, wakeup, lf-claim, lf-free, klsm, co, all)\n" other;
     Stdlib.exit 2
-  | None when blocking -> (
-    match backends with
-    | [] -> List.map wrap (blocking_defaults ())
-    | names -> (
-      try List.map (fun n -> wrap (QA.find QA.Sim (strip_bounded n))) names
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        Stdlib.exit 2))
   | None -> (
     match backends with
-    | [] -> List.map (fun i -> (i, false)) (QA.all QA.Sim)
+    | [] ->
+      QA.registry QA.Sim
+      |> List.filter (fun d -> (not blocking) || d.QA.bounded <> None)
+      |> List.map make
     | names -> (
-      try List.map (fun n -> (QA.find QA.Sim n, false)) names
+      let parse n = match QA.parse n with Ok d -> d | Error msg -> invalid_arg msg in
+      try List.map (fun n -> make (parse n)) names
       with Invalid_argument msg ->
         Printf.eprintf "%s\n" msg;
         Stdlib.exit 2))
@@ -267,8 +254,8 @@ let blocking =
           "Sweep the blocking producer/consumer harness instead: each \
            selected backend is wrapped in the bounded façade at capacity 8 \
            and driven through $(b,insert_wait)/$(b,delete_min_wait), with \
-           the blocking-aware checkers added.  Default backends: skipqueue, \
-           relaxed skipqueue, lock-free skipqueue, heap, multiqueue.")
+           the blocking-aware checkers added.  Default backends: the \
+           registry's bounded: entries.")
 
 let replay =
   Arg.(

@@ -105,5 +105,5 @@ let () =
     frontends capacity workers;
   run_backend "bounded:SkipQueue" (QA.Sim.bounded ~capacity (QA.Sim.skipqueue ()));
   run_backend "bounded:MultiQueue"
-    (QA.Sim.bounded ~capacity (QA.Sim.multiqueue ~procs:(frontends + workers) ()));
+    (QA.Sim.bounded ~capacity (QA.Sim.make ~procs:(frontends + workers) (QA.plain QA.Multiqueue)));
   print_endline "both backends drained exactly; every job was scheduled once"

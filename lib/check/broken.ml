@@ -39,45 +39,24 @@ end
 
 module SQ = Repro_skipqueue.Skipqueue.Make (Torn_swap_runtime) (Repro_pqueue.Key.Int)
 
-(* Minimal instance plumbing for the mutants: blocking entry points fall
-   back to the same poll loop the adapter uses for unbounded backends. *)
-let mk_instance ~insert ~try_delete_min =
-  let rec poll_pop () =
-    match try_delete_min () with
-    | Some kv -> kv
-    | None ->
-      Repro_sim.Sim_runtime.yield ();
-      poll_pop ()
-  in
-  let rec drain acc n =
-    if n <= 0 then List.rev acc
-    else
-      match try_delete_min () with
-      | Some kv -> drain (kv :: acc) (n - 1)
-      | None -> List.rev acc
-  in
-  {
-    Repro_workload.Queue_adapter.insert;
-    insert_wait = insert;
-    try_delete_min;
-    delete_min_wait = poll_pop;
-    insert_batch = (fun kvs -> Array.iter (fun (k, v) -> insert k v) kvs);
-    delete_min_batch = (fun want -> drain [] want);
-    stats = (fun () -> []);
-  }
+module QA = Repro_workload.Queue_adapter
+
+(* The mutants report no structure counters of their own. *)
+let instance ~insert ~try_delete_min = QA.Sim.instance ~insert ~try_delete_min ~stats:(fun () -> [])
 
 let name = "BrokenSkipQueue"
 
 let skipqueue () =
   {
-    Repro_workload.Queue_adapter.name;
+    QA.name;
     dedups = true;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
+    rank_bound = None;
     create =
       (fun () ->
         reads := 0;
         let q = SQ.create ~mode:SQ.Strict () in
-        mk_instance
+        instance
           ~insert:(fun k v -> ignore (SQ.insert q k v))
           ~try_delete_min:(fun () -> SQ.delete_min q));
   }
@@ -117,9 +96,10 @@ let elim_name = "BrokenElimSkipQueue"
    torn-CAS races fire within a few seeds. *)
 let elim_skipqueue () =
   {
-    Repro_workload.Queue_adapter.name = elim_name;
+    QA.name = elim_name;
     dedups = true;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
+    rank_bound = None;
     create =
       (fun () ->
         reads := 0;
@@ -127,7 +107,7 @@ let elim_skipqueue () =
           Elim.create ~mode:Elim.SQ.Strict ~slots:1 ~width:1 ~window:64
             ~max_window:64 ~poll_cycles:4 ~bound_every:1 ~adaptive:false ()
         in
-        mk_instance
+        instance
           ~insert:(fun k v -> ignore (Elim.insert q k v))
           ~try_delete_min:(fun () -> Elim.delete_min q));
   }
@@ -148,14 +128,15 @@ let lf_claim_name = "BrokenLfClaimSkipQueue"
 
 let lf_claim_skipqueue () =
   {
-    Repro_workload.Queue_adapter.name = lf_claim_name;
+    QA.name = lf_claim_name;
     dedups = false;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
+    rank_bound = None;
     create =
       (fun () ->
         reads := 0;
         let q = LfTorn.create ~restructure_threshold:1 () in
-        mk_instance
+        instance
           ~insert:(fun k v -> LfTorn.insert q k v)
           ~try_delete_min:(fun () -> LfTorn.delete_min q));
   }
@@ -194,16 +175,17 @@ let lf_free_name = "BrokenLfFreeSkipQueue"
 
 let lf_free_skipqueue () =
   {
-    Repro_workload.Queue_adapter.name = lf_free_name;
+    QA.name = lf_free_name;
     dedups = false;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
+    rank_bound = None;
     create =
       (fun () ->
         reads := 0;
         let q =
           LfGood.create ~restructure_threshold:1 ~broken_premature_free:true ()
         in
-        mk_instance
+        instance
           ~insert:(fun k v -> LfGood.insert q k v)
           ~try_delete_min:(fun () -> LfGood.delete_min q));
   }
@@ -244,9 +226,10 @@ let co_name = "BrokenCoSkipQueue"
 
 let co_lockword () =
   {
-    Repro_workload.Queue_adapter.name = co_name;
+    QA.name = co_name;
     dedups = false;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
+    rank_bound = None;
     create =
       (fun () ->
         reads := 0;
@@ -254,7 +237,7 @@ let co_lockword () =
           CoTorn.create ~mode:CoTorn.Strict ~capacity:1 ~broken_torn_dec:true
             ()
         in
-        mk_instance
+        instance
           ~insert:(fun k v -> ignore (CoTorn.insert q k v))
           ~try_delete_min:(fun () -> CoTorn.delete_min q));
   }
@@ -269,8 +252,8 @@ let co_lockword () =
    the conservation checker reports "went in but never came out".  The
    configuration maximizes publish concurrency: k = 1 gives buffer
    capacity 0, so every single insert is its own torn singleton-block
-   publish.  The name embeds "klsm:1" so the rank-envelope checker also
-   holds the mutant to the k = 1 ceiling — lost small elements stay
+   publish.  Its [rank_bound] is [Some 1], so the rank-envelope checker
+   also holds the mutant to the k = 1 ceiling — lost small elements stay
    forever "live" in the envelope's replay and push later deletes over
    it. *)
 module KlsmTorn = Repro_klsm.Klsm.Make (Repro_sim.Sim_runtime)
@@ -279,14 +262,15 @@ let klsm_spill_name = "Broken klsm:1 (torn spill)"
 
 let klsm_spill () =
   {
-    Repro_workload.Queue_adapter.name = klsm_spill_name;
+    QA.name = klsm_spill_name;
     dedups = false;
-    spec = Repro_workload.Queue_adapter.Rank_bounded;
+    spec = QA.Rank_bounded;
+    rank_bound = Some 1;
     create =
       (fun () ->
         reads := 0;
         let q = KlsmTorn.create ~k:1 ~procs:6 ~broken_spill:true () in
-        mk_instance
+        instance
           ~insert:(fun k v -> KlsmTorn.insert q k v)
           ~try_delete_min:(fun () -> KlsmTorn.delete_min q));
   }
@@ -307,9 +291,10 @@ let wakeup_name = "BrokenBoundedSkipQueue"
 
 let bounded_skipqueue ?(capacity = 4) () =
   {
-    Repro_workload.Queue_adapter.name = wakeup_name;
+    QA.name = wakeup_name;
     dedups = true;
-    spec = Repro_workload.Queue_adapter.Linearizable;
+    spec = QA.Linearizable;
+    rank_bound = None;
     create =
       (fun () ->
         let q = GoodSQ.create ~mode:GoodSQ.Strict () in
@@ -320,24 +305,8 @@ let bounded_skipqueue ?(capacity = 4) () =
             ~try_delete_min:(fun () -> GoodSQ.delete_min q)
             ()
         in
-        {
-          Repro_workload.Queue_adapter.insert =
-            (fun k v -> Bounded.insert_wait b k v);
-          insert_wait = (fun k v -> Bounded.insert_wait b k v);
-          try_delete_min = (fun () -> Bounded.try_delete_min b);
-          delete_min_wait = (fun () -> Bounded.delete_min_wait b);
-          insert_batch =
-            (fun kvs -> Array.iter (fun (k, v) -> Bounded.insert_wait b k v) kvs);
-          delete_min_batch =
-            (fun want ->
-              let rec go acc n =
-                if n <= 0 then List.rev acc
-                else
-                  match Bounded.try_delete_min b with
-                  | Some kv -> go (kv :: acc) (n - 1)
-                  | None -> List.rev acc
-              in
-              go [] want);
-          stats = (fun () -> Bounded.stats b);
-        });
+        QA.facade ~insert_wait:(Bounded.insert_wait b)
+          ~try_delete_min:(fun () -> Bounded.try_delete_min b)
+          ~delete_min_wait:(fun () -> Bounded.delete_min_wait b)
+          ~stats:(fun () -> Bounded.stats b));
   }

@@ -449,27 +449,27 @@ let blocking_suite =
   [ ("blocking (park/wake)", blocking_wakeups); ("capacity-bound", capacity_bound) ]
 
 (* k-LSM histories are held to a ceiling derived from the structure's own
-   rank bound, not the MultiQueue-sized defaults: the name carries the k
-   ("klsm:64", "bounded:klsm:256", the broken "klsm:1" mutant), and the
-   envelope replaces both rank ceilings with [k + klsm_margin].  The
-   margin absorbs the slack between the structural bound (k elements may
-   be skipped inside the structure) and what the completion-order replay
-   can attribute: an insert that has linearized but not yet completed is
-   not yet live in the replay, so at the default 6-processor profile a
-   handful of in-flight operations can inflate an observed rank past k
-   itself.  The window bound is kept — it budgets the exhaustive search,
-   not the relaxation. *)
+   rank bound ([impl.rank_bound], carried through the bounded façade and
+   set by the torn-spill mutant), not the MultiQueue-sized defaults: the
+   envelope replaces both rank ceilings with [k + klsm_margin], saturating
+   at [max_int].  The margin absorbs the slack between the structural
+   bound (k elements may be skipped inside the structure) and what the
+   completion-order replay can attribute: an insert that has linearized
+   but not yet completed is not yet live in the replay, so at the default
+   6-processor profile a handful of in-flight operations can inflate an
+   observed rank past k itself.  The window bound is kept — it budgets the
+   exhaustive search, not the relaxation. *)
 let klsm_margin = 24
 
-let bounds_for ?(bounds = default_bounds) impl =
-  match QA.klsm_k_of_name impl with
+let bounds_for ?(bounds = default_bounds) rank_bound =
+  match rank_bound with
   | Some k ->
-    let ceiling = k + klsm_margin in
+    let ceiling = if k > max_int - klsm_margin then max_int else k + klsm_margin in
     { bounds with max_rank = ceiling; mean_rank = float_of_int ceiling }
   | None -> bounds
 
-let check_all ?bounds h =
-  let bounds = bounds_for ?bounds h.impl in
+let check_all ?bounds ~rank_bound h =
+  let bounds = bounds_for ?bounds rank_bound in
   let suite = for_spec ~bounds h.spec in
   let suite = if h.capacity <> None || h.spans <> [] then suite @ blocking_suite else suite in
   List.map (fun (name, f) -> (name, f h)) suite

@@ -117,19 +117,19 @@ val klsm_margin : int
     is invisible to the envelope's replay, so a few in-flight operations
     can push an observed rank past k itself. *)
 
-val bounds_for : ?bounds:bounds -> string -> bounds
-(** [bounds_for name] keys the rank-envelope ceilings to the
-    implementation, starting from [bounds] (default {!default_bounds}).
-    When [name] embeds a k-LSM rank bound
-    ({!Repro_workload.Queue_adapter.klsm_k_of_name} returns [Some k]) both
-    [max_rank] and [mean_rank] are replaced by [k + klsm_margin];
-    otherwise [bounds] is returned unchanged.  [max_window] is never
-    touched — it budgets the exhaustive search, not the relaxation. *)
+val bounds_for : ?bounds:bounds -> int option -> bounds
+(** [bounds_for rank_bound] keys the rank-envelope ceilings to the
+    implementation's {!Repro_workload.Queue_adapter.impl.rank_bound},
+    starting from [bounds] (default {!default_bounds}).  For [Some k] both
+    [max_rank] and [mean_rank] are replaced by [k + klsm_margin],
+    saturating at [max_int]; for [None] [bounds] is returned unchanged.
+    [max_window] is never touched — it budgets the exhaustive search, not
+    the relaxation. *)
 
-val check_all : ?bounds:bounds -> history -> (string * verdict) list
+val check_all : ?bounds:bounds -> rank_bound:int option -> history -> (string * verdict) list
 (** [for_spec h.spec] applied to [h] — with the rank-envelope ceilings
-    first keyed to the implementation via [bounds_for ?bounds h.impl] —
-    plus the blocking suite ({!blocking_wakeups}, {!capacity_bound})
+    first keyed to the implementation via [bounds_for ?bounds rank_bound]
+    — plus the blocking suite ({!blocking_wakeups}, {!capacity_bound})
     whenever the history carries a capacity or any parked operation. *)
 
 val failures : (string * verdict) list -> (string * string) list

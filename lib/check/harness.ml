@@ -209,7 +209,8 @@ let sweep_with ~run ?bounds ~jobs (impl : QA.impl) seed_list =
           ( List.length h.Checkers.events,
             List.map
               (fun (check, message) -> { seed; check; message })
-              (Checkers.failures (Checkers.check_all ?bounds h)) )
+              (Checkers.failures
+                 (Checkers.check_all ?bounds ~rank_bound:impl.QA.rank_bound h)) )
         | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
         | exception e ->
           (0, [ { seed; check = "execution"; message = Printexc.to_string e } ]))

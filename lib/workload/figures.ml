@@ -211,7 +211,7 @@ let comparison_figure options ~id ~title ~initial ~ops ~insert_ratio ~with_funne
     [ Queue_adapter.Sim.hunt_heap
         ~capacity:(heap_capacity options ~initial ~ops) ();
       Queue_adapter.Sim.skipqueue () ]
-    @ (if with_funnel_list then [ Queue_adapter.Sim.funnel_list () ] else [])
+    @ (if with_funnel_list then [ Queue_adapter.(Sim.make ~procs:1 (plain Funnel_list)) ] else [])
   in
   let series =
     List.map
@@ -370,7 +370,7 @@ let multiqueue options =
       ( "MultiQueue",
         sweep_per_procs options
           ~name:(Printf.sprintf "MultiQueue [%s]" tag)
-          ~impl_of:(fun procs -> Queue_adapter.Sim.multiqueue ~procs ())
+          ~impl_of:(fun procs -> Queue_adapter.(Sim.make ~procs (plain Multiqueue)))
           ~workload_of );
     ]
   in
@@ -428,7 +428,7 @@ let multiqueue options =
 
 let ablation_funnel_front options =
   let impls =
-    [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.funneled_skipqueue () ]
+    [ Queue_adapter.Sim.skipqueue (); Queue_adapter.(Sim.make ~procs:1 (plain Delete_funnel)) ]
   in
   let series =
     List.map
@@ -523,7 +523,7 @@ let ablation_reclamation options =
   let impls =
     [
       Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.Sim.skipqueue_with_reclamation ();
+      Queue_adapter.(Sim.make ~procs:1 (plain Reclamation));
     ]
   in
   let series =
@@ -565,7 +565,7 @@ let ablation_reclamation options =
 let ablation_bounded_range options =
   let sub ~range ~ops_scale =
     let impls =
-      [ Queue_adapter.Sim.bin_queue ~range (); Queue_adapter.Sim.skipqueue () ]
+      [ Queue_adapter.(Sim.make ~procs:1 (plain (Bin range))); Queue_adapter.Sim.skipqueue () ]
     in
     List.map
       (fun impl ->
@@ -695,15 +695,15 @@ let ablation_elimination options =
     series_for
       [
         Queue_adapter.Sim.skipqueue ();
-        Queue_adapter.Sim.elim_skipqueue ();
+        Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true });
         Queue_adapter.Sim.relaxed_skipqueue ();
-        Queue_adapter.Sim.relaxed_elim_skipqueue ();
+        Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with relaxed = true; elim = true });
       ]
       ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
   in
   let fig8_series =
     series_for
-      [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.elim_skipqueue () ]
+      [ Queue_adapter.Sim.skipqueue (); Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true }) ]
       ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
   in
   let top = 1 lsl options.max_procs_log2 in
@@ -759,7 +759,7 @@ let ablation_elimination options =
       (hottest_queued summary) (top8_queued summary)
   in
   let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let elim_probe = probe (Queue_adapter.Sim.elim_skipqueue ()) in
+  let elim_probe = probe (Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true })) in
   let front_counters =
     stats_line (at fig7_series "SkipQueue-elim" top).Benchmark.queue_stats
   in
@@ -818,7 +818,7 @@ let ablation_lockfree options =
   let impls () =
     [
       Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.Sim.elim_skipqueue ();
+      Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true });
       Queue_adapter.Sim.skipqueue_lf ();
     ]
   in
@@ -884,7 +884,7 @@ let ablation_lockfree options =
       (hottest_queued summary) (top8_queued summary)
   in
   let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let elim_probe = probe (Queue_adapter.Sim.elim_skipqueue ()) in
+  let elim_probe = probe (Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true })) in
   let lf_probe = probe (Queue_adapter.Sim.skipqueue_lf ()) in
   let lf_counters =
     stats_line (at fig7_series "SkipQueue-lf" top).Benchmark.queue_stats
@@ -974,7 +974,7 @@ let scheduler options =
         fun ~procs:_ ->
           Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.skipqueue_lf ()) );
       ( "bounded:MultiQueue",
-        fun ~procs -> Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.multiqueue ~procs ())
+        fun ~procs -> Queue_adapter.Sim.bounded ~capacity (Queue_adapter.(Sim.make ~procs (plain Multiqueue)))
       );
     ]
   in
@@ -1158,7 +1158,7 @@ let klsm_shootout options =
       ( "MultiQueue",
         sweep_per_procs options
           ~name:(Printf.sprintf "MultiQueue [%s]" tag)
-          ~impl_of:(fun procs -> Queue_adapter.Sim.multiqueue ~procs ())
+          ~impl_of:(fun procs -> Queue_adapter.(Sim.make ~procs (plain Multiqueue)))
           ~workload_of );
       ( "klsm:256",
         sweep_per_procs options
@@ -1267,7 +1267,7 @@ let duplicate_heavy options =
     [
       Queue_adapter.Sim.skipqueue ();
       Queue_adapter.Sim.skipqueue_co ();
-      Queue_adapter.Sim.elim_skipqueue_co ();
+      Queue_adapter.(Sim.make ~procs:1 { (plain Co) with elim = true });
       Queue_adapter.Sim.skipqueue_lf ();
     ]
   in
@@ -1340,7 +1340,7 @@ let duplicate_heavy options =
   in
   let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
   let co_probe = probe (Queue_adapter.Sim.skipqueue_co ()) in
-  let co_elim_probe = probe (Queue_adapter.Sim.elim_skipqueue_co ()) in
+  let co_elim_probe = probe (Queue_adapter.(Sim.make ~procs:1 { (plain Co) with elim = true })) in
   let lf_probe = probe (Queue_adapter.Sim.skipqueue_lf ()) in
   let series_256 = List.assoc 256 range_series in
   let co_stat series k =

@@ -14,12 +14,237 @@ type impl = {
   name : string;
   dedups : bool;
   spec : spec;
+  rank_bound : int option;
   create : unit -> instance;
 }
 
+(* ---- descriptors -------------------------------------------------------- *)
+
+type base =
+  | Skipqueue | Lf | Co | Co_dedup | Heap | Funnel_list | Multiqueue | Klsm of int | Bin of int
+  | Delete_funnel | Reclamation
+
+type descriptor = { base : base; relaxed : bool; elim : bool; bounded : int option }
+
+let plain base = { base; relaxed = false; elim = false; bounded = None }
+let default_capacity = 1024
+
+let base_name = function
+  | Skipqueue -> "SkipQueue"
+  | Lf -> "SkipQueue-lf"
+  | Co -> "SkipQueue-co"
+  | Co_dedup -> "SkipQueue-co-dedup"
+  | Heap -> "Heap"
+  | Funnel_list -> "FunnelList"
+  | Multiqueue -> "MultiQueue"
+  | Klsm k -> Printf.sprintf "klsm:%d" k
+  | Bin range -> Printf.sprintf "BinQueue(%d)" range
+  | Delete_funnel -> "SkipQueue + delete funnel"
+  | Reclamation -> "SkipQueue + reclamation"
+
+let name d =
+  (if d.bounded <> None then "bounded:" else "")
+  ^ (if d.relaxed then "Relaxed " else "")
+  ^ base_name d.base
+  ^ if d.elim then "-elim" else ""
+
+(* The validity table: the (relaxed, elim) flavors each base is built in.
+   The bounded façade wraps every base but the two ablations. *)
+let flavors = function
+  | Skipqueue -> [ (false, false); (true, false); (false, true); (true, true) ]
+  | Co -> [ (false, false); (true, false); (false, true) ]
+  | _ -> [ (false, false) ]
+
+let ablation = function Delete_funnel | Reclamation -> true | _ -> false
+
+(* The ablations and the bin queue (its key range is sized to the
+   simulator figures' workloads) are built on the simulator only. *)
+let sim_only = function Delete_funnel | Reclamation | Bin _ -> true | _ -> false
+
+let validate d =
+  let positive what n =
+    if n >= 1 then Ok () else Error (Printf.sprintf "%s must be a positive integer, got %d" what n)
+  in
+  let ( let* ) = Result.bind in
+  let* () =
+    match d.base with
+    | Klsm k -> positive "k-LSM rank bound" k
+    | Bin range -> positive "bin-queue range" range
+    | _ -> Ok ()
+  in
+  let* () = match d.bounded with Some c -> positive "bounded capacity" c | None -> Ok () in
+  let fl = flavors d.base in
+  if not (List.mem (d.relaxed, false) fl) then
+    Error (base_name d.base ^ " has no relaxed flavor")
+  else if not (List.mem (d.relaxed, d.elim) fl) then
+    Error (name { d with elim = false; bounded = None } ^ " has no elimination front end")
+  else if d.bounded <> None && ablation d.base then
+    Error (base_name d.base ^ " is an ablation and cannot be bounded")
+  else Ok ()
+
+let spec_of d =
+  if d.relaxed then Relaxed
+  else
+    match d.base with
+    (* Hunt's delete-min holds the detached "last" element in no slot before
+       re-inserting it at the root, invisible to concurrent operations; at
+       quiescence every transit has landed. *)
+    | Heap -> Quiescent
+    | Multiqueue | Klsm _ -> Rank_bounded
+    | _ -> Linearizable
+
+(* Update-in-place on a present key: the lock-based SkipQueue family (the
+   coalescing layout only in its dedup mode).  Every other structure keeps
+   duplicates as distinct elements. *)
+let dedups_of = function
+  | Skipqueue | Co_dedup | Delete_funnel | Reclamation -> true
+  | Lf | Co | Heap | Funnel_list | Multiqueue | Klsm _ | Bin _ -> false
+
+let describe d create =
+  {
+    name = name d;
+    dedups = dedups_of d.base;
+    spec = spec_of d;
+    rank_bound = (match d.base with Klsm k -> Some k | _ -> None);
+    create;
+  }
+
+(* ---- name-keyed registry ------------------------------------------------ *)
+
+type backend = Sim | Native
+
+(* default_workload concurrency: the MultiQueue and k-LSM are sized for it *)
+let registry_procs = 16
+
+let registry backend =
+  let relaxed d = { d with relaxed = true } and elim d = { d with elim = true } in
+  let bounded d = { d with bounded = Some default_capacity } in
+  let sq = plain Skipqueue and co = plain Co in
+  (* The façade entries' capacity (1024) is far above what the standard
+     mixed-ops check profile admits, so they behave as their inner backend
+     under that sweep; capacity pressure is the blocking harness's job. *)
+  [
+    sq; relaxed sq; plain Lf; co; plain Co_dedup; relaxed co; elim sq; relaxed (elim sq); elim co;
+    plain Heap; plain Funnel_list; plain Multiqueue; plain (Klsm 256); plain Delete_funnel;
+    plain Reclamation; plain (Bin 65_536); bounded sq; bounded (relaxed sq); bounded (plain Lf);
+    bounded co; bounded (plain Heap); bounded (plain Multiqueue);
+  ]
+  |> List.filter (fun d -> backend = Sim || not (sim_only d.base))
+
+let names backend = List.map name (registry backend)
+
+let unknown backend input () =
+  Printf.sprintf "unknown implementation %S (known: %s)" input
+    (String.concat ", " (List.sort String.compare (names backend)))
+
+(* ---- names -------------------------------------------------------------- *)
+
+(* Lookups tolerate case and spacing so CLI spellings like "skipqueue" or
+   "relaxedskipqueue" resolve. *)
+let normalize s = String.lowercase_ascii (String.concat "" (String.split_on_char ' ' s))
+
+let chop_prefix p s =
+  let lp = String.length p and ls = String.length s in
+  if ls >= lp && String.sub s 0 lp = p then Some (String.sub s lp (ls - lp)) else None
+
+let chop_suffix p s =
+  let lp = String.length p and ls = String.length s in
+  if ls >= lp && String.sub s (ls - lp) lp = p then Some (String.sub s 0 (ls - lp)) else None
+
+let fixed_bases =
+  [ Skipqueue; Lf; Co; Co_dedup; Heap; Funnel_list; Multiqueue; Delete_funnel; Reclamation ]
+
+(* [None] when [n] spells no base at all; [Some (Error _)] when it spells a
+   parameterized base with a malformed parameter. *)
+let base_of ~input n =
+  let param ~prefix ~suffix ~what ~expected mk =
+    match Option.bind (chop_prefix prefix n) (chop_suffix suffix) with
+    | None -> None
+    | Some digits -> (
+      match int_of_string_opt digits with
+      | Some v -> Some (Ok (mk v))
+      | None ->
+        Some
+          (Error
+             (Printf.sprintf "malformed %s %S in %S (expected %s)" what digits input expected)))
+  in
+  match List.find_opt (fun b -> normalize (base_name b) = n) fixed_bases with
+  | Some b -> Some (Ok b)
+  | None -> (
+    match param ~prefix:"klsm:" ~suffix:"" ~what:"k-LSM rank bound"
+            ~expected:"klsm:<k> with k a positive integer" (fun k -> Klsm k) with
+    | Some r -> Some r
+    | None ->
+      param ~prefix:"binqueue(" ~suffix:")" ~what:"bin-queue range"
+        ~expected:"BinQueue(<range>) with range a positive integer" (fun r -> Bin r))
+
+let parse_with ~unknown input =
+  let n = normalize input in
+  let bounded, n =
+    match chop_prefix "bounded:" n with Some rest -> (Some default_capacity, rest) | None -> (None, n)
+  in
+  let relaxed, n = match chop_prefix "relaxed" n with Some rest -> (true, rest) | None -> (false, n) in
+  let elim, n = match chop_suffix "-elim" n with Some rest -> (true, rest) | None -> (false, n) in
+  let invalid msg = Error (Printf.sprintf "%s in %S" msg input) in
+  if bounded <> None && chop_prefix "bounded:" n <> None then invalid "bounded: cannot be nested"
+  else
+    match base_of ~input n with
+    | None -> Error (unknown ())
+    | Some (Error msg) -> Error msg
+    | Some (Ok base) -> (
+      let d = { base; relaxed; elim; bounded } in
+      match validate d with Ok () -> Ok d | Error msg -> invalid msg)
+
+let parse input = parse_with ~unknown:(unknown Sim input) input
+
+(* ---- construction ------------------------------------------------------- *)
+
+module type HOST = sig
+  val walk_charges : bool
+  val spawn : ((unit -> unit) -> unit) option
+end
+
+module type S = sig
+  val make : procs:int -> descriptor -> impl
+  val skipqueue : ?p:float -> ?max_level:int -> unit -> impl
+  val relaxed_skipqueue : unit -> impl
+  val skipqueue_lf : unit -> impl
+  val skipqueue_co : unit -> impl
+  val hunt_heap : ?capacity:int -> unit -> impl
+  val klsm : k:int -> procs:int -> unit -> impl
+  val bounded : ?capacity:int -> impl -> impl
+
+  val instance :
+    insert:(int -> int -> unit) -> try_delete_min:(unit -> (int * int) option) ->
+    stats:(unit -> (string * float) list) -> instance
+end
+
+let drain try_delete_min want =
+  let rec go acc n =
+    if n <= 0 then List.rev acc
+    else match try_delete_min () with Some kv -> go (kv :: acc) (n - 1) | None -> List.rev acc
+  in
+  go [] want
+
+(* Batches thread the façade element-wise: each element must cross the
+   capacity gate individually, so an inner batch path cannot be used
+   without admitting a burst past the bound. *)
+let facade ~insert_wait ~try_delete_min ~delete_min_wait ~stats =
+  {
+    insert = insert_wait;
+    insert_wait;
+    try_delete_min;
+    delete_min_wait;
+    insert_batch = (fun kvs -> Array.iter (fun (k, v) -> insert_wait k v) kvs);
+    delete_min_batch = drain try_delete_min;
+    stats;
+  }
+
+let counts f = List.map (fun (k, v) -> (k, float_of_int v)) f
+
 module Key = Repro_pqueue.Key.Int
 
-module Over (R : Repro_runtime.Runtime_intf.S) = struct
+module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
   module SQ = Repro_skipqueue.Skipqueue.Make (R) (Key)
   module LF = Repro_skipqueue.Skipqueue_lf.Make (R) (Key)
   module CO = Repro_skipqueue.Skipqueue_co.Make (R) (Key)
@@ -39,6 +264,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
         let create ?mode ?p ?max_level ?seed ?reclamation () =
           CO.create ?mode ?p ?max_level ?seed ?reclamation ()
       end)
+
   module Heap = Repro_heap.Hunt_heap.Make (R) (Key)
   module FL = Repro_funnel.Funnel_list.Make (R) (Key)
   module Funnel = Repro_funnel.Combining_funnel.Make (R)
@@ -53,15 +279,10 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
      they need no per-backend instrumentation) and derives the blocking
      entry points of an unbounded backend.  An unbounded queue is never
      full, so [insert_wait] is [insert]; [delete_min_wait] polls — real
-     parking comes from the {!bounded} façade, which replaces both.
-
-     The bulk entry points default to element-at-a-time loops so every
-     backend gains them for free; structures with a genuine batch path
-     (the SkipQueue's [hunt_batch], the k-LSM's block publish) override
-     them via [?insert_batch]/[?delete_min_batch].  Both count [ops] per
-     element, like the loops they replace. *)
-  let instance ~insert ?insert_batch ~try_delete_min ?delete_min_batch ~stats
-      () =
+     parking comes from the {!bounded} façade, which replaces both.  The
+     bulk entry points default to element-at-a-time loops; structures with
+     a genuine batch path override them.  Both count [ops] per element. *)
+  let wire ?insert_batch ?delete_min_batch ~insert ~try_delete_min ~stats () =
     let ops = ref 0 in
     let base_acq, base_fail = R.lock_stats () in
     let rec poll_pop () =
@@ -71,698 +292,284 @@ module Over (R : Repro_runtime.Runtime_intf.S) = struct
         R.yield ();
         poll_pop ()
     in
-    let do_insert_batch =
-      match insert_batch with
-      | Some f -> f
-      | None -> fun kvs -> Array.iter (fun (k, v) -> insert k v) kvs
+    let insert_batch =
+      Option.value insert_batch ~default:(Array.iter (fun (k, v) -> insert k v))
     in
-    let do_delete_batch =
-      match delete_min_batch with
-      | Some f -> f
-      | None ->
-        fun want ->
-          let rec go acc n =
-            if n <= 0 then List.rev acc
-            else
-              match try_delete_min () with
-              | Some kv -> go (kv :: acc) (n - 1)
-              | None -> List.rev acc
-          in
-          go [] want
-    in
+    let delete_min_batch = Option.value delete_min_batch ~default:(drain try_delete_min) in
     {
-      insert =
-        (fun k v ->
-          incr ops;
-          insert k v);
-      insert_wait =
-        (fun k v ->
-          incr ops;
-          insert k v);
-      try_delete_min =
-        (fun () ->
-          incr ops;
-          try_delete_min ());
-      delete_min_wait =
-        (fun () ->
-          incr ops;
-          poll_pop ());
-      insert_batch =
-        (fun kvs ->
-          ops := !ops + Array.length kvs;
-          do_insert_batch kvs);
+      insert = (fun k v -> incr ops; insert k v);
+      insert_wait = (fun k v -> incr ops; insert k v);
+      try_delete_min = (fun () -> incr ops; try_delete_min ());
+      delete_min_wait = (fun () -> incr ops; poll_pop ());
+      insert_batch = (fun kvs -> ops := !ops + Array.length kvs; insert_batch kvs);
       delete_min_batch =
         (fun want ->
-          let r = do_delete_batch want in
+          let r = delete_min_batch want in
           ops := !ops + List.length r;
           r);
       stats =
         (fun () ->
           let acq, fail = R.lock_stats () in
-          ("ops", float_of_int !ops)
-          :: ("lock_acquisitions", float_of_int (acq - base_acq))
-          :: ("lock_try_failures", float_of_int (fail - base_fail))
-          :: stats ());
+          counts [ ("ops", !ops); ("lock_acquisitions", acq - base_acq); ("lock_try_failures", fail - base_fail) ]
+          @ stats ());
     }
 
-  let skipqueue_instance ~mode ?p ?max_level ?seed () =
-    let q = SQ.create ~mode ?p ?max_level ?seed () in
-    instance
+  let instance ~insert ~try_delete_min ~stats = wire ~insert ~try_delete_min ~stats ()
+
+  (* One bottom-level hunt claims up to [want] nodes, then one
+     physical-removal pass: the marked-prefix walk is shared. *)
+  let hunted ~hunt ~claims ~finish want =
+    if want <= 0 then []
+    else begin
+      let batch = hunt ~want in
+      let kvs = claims batch in
+      finish batch;
+      kvs
+    end
+
+  let skipqueue_instance ~mode ?p ?max_level () =
+    let q = SQ.create ~mode ?p ?max_level () in
+    wire
       ~insert:(fun k v -> ignore (SQ.insert q k v))
       ~try_delete_min:(fun () -> SQ.delete_min q)
-        (* Native bulk delete (PR 3's batch API): one bottom-level hunt
-           claims up to [want] nodes, then one physical-removal pass —
-           the marked-prefix walk is shared instead of repeated. *)
-      ~delete_min_batch:(fun want ->
-        if want <= 0 then []
-        else begin
-          let batch = SQ.hunt_batch q ~want in
-          let kvs = SQ.batch_claims batch in
-          SQ.finish_batch q batch;
-          kvs
-        end)
+      ~delete_min_batch:(hunted ~hunt:(SQ.hunt_batch q) ~claims:SQ.batch_claims ~finish:(SQ.finish_batch q))
       ~stats:(fun () ->
         let s = SQ.stats q in
-        [
-          ("hunt_steps", float_of_int s.SQ.hunt_steps);
-          ("swap_losses", float_of_int s.SQ.swap_losses);
-          ("stale_skips", float_of_int s.SQ.stale_skips);
-          ("hunt_passes", float_of_int s.SQ.hunt_passes);
-        ])
+        counts
+          [ ("hunt_steps", s.SQ.hunt_steps); ("swap_losses", s.SQ.swap_losses);
+            ("stale_skips", s.SQ.stale_skips); ("hunt_passes", s.SQ.hunt_passes) ])
       ()
-
-  let skipqueue ?p ?max_level ?seed () =
-    {
-      name = "SkipQueue";
-      dedups = true;
-      spec = Linearizable;
-      create = (fun () -> skipqueue_instance ~mode:SQ.Strict ?p ?max_level ?seed ());
-    }
-
-  (* SkipQueue with the paper's §3 reclamation protocol active and a
-     dedicated collector processor (the paper assigns one processor to
-     garbage collection in its benchmarks).  [spawn_collector] is supplied
-     by the runtime-specific wrapper since spawning differs. *)
-  let skipqueue_with_reclamation ~spawn_collector ~collector_passes
-      ~collector_period () =
-    {
-      name = "SkipQueue + reclamation";
-      dedups = true;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          let recl = SQ.Reclaim.create () in
-          let q = SQ.create ~mode:SQ.Strict ~reclamation:recl () in
-          spawn_collector (fun wait ->
-              for _ = 1 to collector_passes do
-                wait collector_period;
-                ignore (SQ.Reclaim.collect recl)
-              done;
-              (* final sweep once everything quiesced *)
-              wait (1 lsl 45);
-              ignore (SQ.Reclaim.collect recl));
-          instance
-            ~insert:(fun k v -> ignore (SQ.insert q k v))
-            ~try_delete_min:(fun () -> SQ.delete_min q)
-            ~stats:(fun () ->
-              let s = SQ.Reclaim.stats recl in
-              [
-                ("retired", float_of_int s.SQ.Reclaim.retired);
-                ("reclaimed", float_of_int s.SQ.Reclaim.reclaimed);
-                ("pending", float_of_int s.SQ.Reclaim.pending);
-              ])
-            ());
-    }
-
-  (* Lock-free SkipQueue (DESIGN.md S19): CAS-linked insert, CAS-marked
-     logical deletion, batched physical unlinking through epoch
-     reclamation.  Multiset semantics — duplicate keys are distinct
-     instances ([dedups = false]); linearizable without the paper's
-     timestamps (the claim CAS is Delete-min's linearization point). *)
-  let skipqueue_lf ?p ?max_level ?seed ?restructure_threshold ?collect_every ()
-      =
-    {
-      name = "SkipQueue-lf";
-      dedups = false;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          let q =
-            LF.create ?p ?max_level ?seed ?restructure_threshold ?collect_every
-              ()
-          in
-          instance
-            ~insert:(fun k v -> LF.insert q k v)
-            ~try_delete_min:(fun () -> LF.delete_min q)
-            ~stats:(fun () ->
-              let s = LF.stats q in
-              let ps = LF.pool_stats q in
-              let rs = LF.reclaim_stats q in
-              [
-                ("cas_failures", float_of_int s.LF.cas_failures);
-                ("marked_hops", float_of_int s.LF.marked_hops);
-                ("restructures", float_of_int s.LF.restructures);
-                ("restructure_skips", float_of_int s.LF.restructure_skips);
-                ("unlinked", float_of_int s.LF.unlinked);
-                ("pool_returned", float_of_int ps.LF.returned);
-                ("pool_recycled", float_of_int ps.LF.recycled);
-                ("reclaim_pending", float_of_int rs.LF.SL.Reclaim.pending);
-              ])
-            ());
-    }
-
-  let relaxed_skipqueue ?p ?max_level ?seed () =
-    {
-      name = "Relaxed SkipQueue";
-      dedups = true;
-      spec = Relaxed;
-      create = (fun () -> skipqueue_instance ~mode:SQ.Relaxed ?p ?max_level ?seed ());
-    }
 
   (* Coalescing SkipQueue (DESIGN.md §S21): duplicate-key multiset nodes
-     behind one packed lock word.  Same claim/batch split as the base
-     queue, so the native bulk delete carries over — and one coalesced
-     node can satisfy a whole batch in a single hunt pass. *)
-  let co_instance ~mode ~dedups ?p ?max_level ?seed ?capacity () =
-    let q = CO.create ~mode ~dedups ?p ?max_level ?seed ?capacity () in
-    instance
+     behind one packed lock word; one coalesced node can satisfy a whole
+     batch in a single hunt pass. *)
+  let co_instance ~mode ~dedups () =
+    let q = CO.create ~mode ~dedups () in
+    wire
       ~insert:(fun k v -> ignore (CO.insert q k v))
       ~try_delete_min:(fun () -> CO.delete_min q)
-      ~delete_min_batch:(fun want ->
-        if want <= 0 then []
-        else begin
-          let batch = CO.hunt_batch q ~want in
-          let kvs = CO.batch_claims batch in
-          CO.finish_batch q batch;
-          kvs
-        end)
+      ~delete_min_batch:(hunted ~hunt:(CO.hunt_batch q) ~claims:CO.batch_claims ~finish:(CO.finish_batch q))
       ~stats:(fun () ->
-        let s = CO.stats q in
-        let c = CO.co_stats q in
-        [
-          ("hunt_steps", float_of_int s.CO.hunt_steps);
-          ("swap_losses", float_of_int s.CO.swap_losses);
-          ("stale_skips", float_of_int s.CO.stale_skips);
-          ("hunt_passes", float_of_int s.CO.hunt_passes);
-          ("coalesced_inserts", float_of_int c.CO.coalesced_inserts);
-          ("node_splits", float_of_int c.CO.node_splits);
-        ])
+        let s = CO.stats q and c = CO.co_stats q in
+        counts
+          [ ("hunt_steps", s.CO.hunt_steps); ("swap_losses", s.CO.swap_losses);
+            ("stale_skips", s.CO.stale_skips); ("hunt_passes", s.CO.hunt_passes);
+            ("coalesced_inserts", c.CO.coalesced_inserts); ("node_splits", c.CO.node_splits) ])
       ()
 
-  let skipqueue_co ?p ?max_level ?seed ?capacity () =
-    {
-      name = "SkipQueue-co";
-      dedups = false;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          co_instance ~mode:CO.Strict ~dedups:false ?p ?max_level ?seed
-            ?capacity ());
-    }
-
-  (* Same layout under the PR 1 update-in-place contract: the check
-     harness then tags keys unique, exercising the join/link machinery's
-     dedup paths rather than the multiset admission. *)
-  let skipqueue_co_dedup ?p ?max_level ?seed ?capacity () =
-    {
-      name = "SkipQueue-co-dedup";
-      dedups = true;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          co_instance ~mode:CO.Strict ~dedups:true ?p ?max_level ?seed
-            ?capacity ());
-    }
-
-  let relaxed_skipqueue_co ?p ?max_level ?seed ?capacity () =
-    {
-      name = "Relaxed SkipQueue-co";
-      dedups = false;
-      spec = Relaxed;
-      create =
-        (fun () ->
-          co_instance ~mode:CO.Relaxed ~dedups:false ?p ?max_level ?seed
-            ?capacity ());
-    }
-
-  (* Elimination front end over the coalescing queue (multiset
-     semantics).  Preserves the backing contract exactly as over the base
-     queue, so the strict flavor keeps [Linearizable]. *)
-  let elim_skipqueue_co ?slots ?width ?window ?poll_cycles ?serve_cap
-      ?bound_every ?adaptive () =
-    {
-      name = "SkipQueue-co-elim";
-      dedups = false;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          let q =
-            ElimCo.create ~mode:ElimCo.SQ.Strict ?slots ?width ?window
-              ?poll_cycles ?serve_cap ?bound_every ?adaptive ()
-          in
-          instance
-            ~insert:(fun k v -> ignore (ElimCo.insert q k v))
-            ~try_delete_min:(fun () -> ElimCo.delete_min q)
-            ~stats:(fun () ->
-              let f = ElimCo.front_stats q in
-              let s = ElimCo.queue_stats q in
-              [
-                ("eliminated", float_of_int f.ElimCo.eliminated);
-                ("served", float_of_int f.ElimCo.served);
-                ("batches", float_of_int f.ElimCo.batches);
-                ("timeouts", float_of_int f.ElimCo.timeouts);
-                ("hunt_steps", float_of_int s.ElimCo.SQ.hunt_steps);
-                ("swap_losses", float_of_int s.ElimCo.SQ.swap_losses);
-                ("hunt_passes", float_of_int s.ElimCo.SQ.hunt_passes);
-              ])
-            ());
-    }
-
-  (* Elimination–combining front end over the same SkipQueue (Calciu,
-     Mendes & Herlihy): rendezvous in an adaptive array when the inserted
-     key is strictly below both the deleter's published bound and the
-     inserter's own fresh observation of the minimum; timed-out deleters
-     combine one shared bottom-level hunt.  The front end preserves the
-     backing queue's contract (DESIGN.md §S15), so the strict flavor
-     keeps [Linearizable] and the relaxed one keeps [Relaxed]. *)
-  let elim_skipqueue_instance ~mode ?p ?max_level ?seed ?slots ?width ?window
-      ?poll_cycles ?serve_cap ?bound_every ?adaptive () =
-    let q =
-      Elim.create ~mode ?p ?max_level ?seed ?slots ?width ?window ?poll_cycles
-        ?serve_cap ?bound_every ?adaptive ()
-    in
-    instance
+  (* Elimination–combining front end (Calciu, Mendes & Herlihy):
+     rendezvous in an adaptive array when the inserted key is strictly
+     below both the deleter's published bound and the inserter's own fresh
+     observation of the minimum; timed-out deleters combine one shared
+     bottom-level hunt.  The front end preserves the backing queue's
+     contract (DESIGN.md §S15). *)
+  let elim_instance ~mode () =
+    let q = Elim.create ~mode () in
+    wire
       ~insert:(fun k v -> ignore (Elim.insert q k v))
       ~try_delete_min:(fun () -> Elim.delete_min q)
       ~stats:(fun () ->
-        let f = Elim.front_stats q in
-        let s = Elim.queue_stats q in
-        [
-          ("eliminated", float_of_int f.Elim.eliminated);
-          ("fresh_refusals", float_of_int f.Elim.fresh_refusals);
-          ("served", float_of_int f.Elim.served);
-          ("handoff_empties", float_of_int f.Elim.handoff_empties);
-          ("batches", float_of_int f.Elim.batches);
-          ("timeouts", float_of_int f.Elim.timeouts);
-          ("collisions", float_of_int f.Elim.collisions);
-          ("width", float_of_int f.Elim.width);
-          ("window", float_of_int f.Elim.window);
-          ("hunt_steps", float_of_int s.Elim.SQ.hunt_steps);
-          ("swap_losses", float_of_int s.Elim.SQ.swap_losses);
-          ("stale_skips", float_of_int s.Elim.SQ.stale_skips);
-          ("hunt_passes", float_of_int s.Elim.SQ.hunt_passes);
-        ])
+        let f = Elim.front_stats q and s = Elim.queue_stats q in
+        counts
+          [ ("eliminated", f.Elim.eliminated); ("fresh_refusals", f.Elim.fresh_refusals);
+            ("served", f.Elim.served); ("handoff_empties", f.Elim.handoff_empties);
+            ("batches", f.Elim.batches); ("timeouts", f.Elim.timeouts);
+            ("collisions", f.Elim.collisions); ("width", f.Elim.width); ("window", f.Elim.window);
+            ("hunt_steps", s.Elim.SQ.hunt_steps); ("swap_losses", s.Elim.SQ.swap_losses);
+            ("stale_skips", s.Elim.SQ.stale_skips); ("hunt_passes", s.Elim.SQ.hunt_passes) ])
       ()
 
-  let elim_skipqueue ?p ?max_level ?seed ?slots ?width ?window ?poll_cycles
-      ?serve_cap ?bound_every ?adaptive () =
-    {
-      name = "SkipQueue-elim";
-      dedups = true;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          elim_skipqueue_instance ~mode:Elim.SQ.Strict ?p ?max_level ?seed
-            ?slots ?width ?window ?poll_cycles ?serve_cap ?bound_every
-            ?adaptive ());
-    }
+  let elim_co_instance () =
+    let q = ElimCo.create ~mode:ElimCo.SQ.Strict () in
+    wire
+      ~insert:(fun k v -> ignore (ElimCo.insert q k v))
+      ~try_delete_min:(fun () -> ElimCo.delete_min q)
+      ~stats:(fun () ->
+        let f = ElimCo.front_stats q and s = ElimCo.queue_stats q in
+        counts
+          [ ("eliminated", f.ElimCo.eliminated); ("served", f.ElimCo.served);
+            ("batches", f.ElimCo.batches); ("timeouts", f.ElimCo.timeouts);
+            ("hunt_steps", s.ElimCo.SQ.hunt_steps); ("swap_losses", s.ElimCo.SQ.swap_losses);
+            ("hunt_passes", s.ElimCo.SQ.hunt_passes) ])
+      ()
 
-  let relaxed_elim_skipqueue ?p ?max_level ?seed ?slots ?width ?window
-      ?poll_cycles ?serve_cap ?bound_every ?adaptive () =
-    {
-      name = "Relaxed SkipQueue-elim";
-      dedups = true;
-      spec = Relaxed;
-      create =
-        (fun () ->
-          elim_skipqueue_instance ~mode:Elim.SQ.Relaxed ?p ?max_level ?seed
-            ?slots ?width ?window ?poll_cycles ?serve_cap ?bound_every
-            ?adaptive ());
-    }
+  (* Lock-free SkipQueue (DESIGN.md S19): CAS-linked insert, CAS-marked
+     logical deletion (the claim CAS is Delete-min's linearization point),
+     batched physical unlinking through epoch reclamation. *)
+  let lf_instance () =
+    let q = LF.create () in
+    instance
+      ~insert:(fun k v -> LF.insert q k v)
+      ~try_delete_min:(fun () -> LF.delete_min q)
+      ~stats:(fun () ->
+        let s = LF.stats q and ps = LF.pool_stats q and rs = LF.reclaim_stats q in
+        counts
+          [ ("cas_failures", s.LF.cas_failures); ("marked_hops", s.LF.marked_hops);
+            ("restructures", s.LF.restructures); ("restructure_skips", s.LF.restructure_skips);
+            ("unlinked", s.LF.unlinked); ("pool_returned", ps.LF.returned);
+            ("pool_recycled", ps.LF.recycled); ("reclaim_pending", rs.LF.SL.Reclaim.pending) ])
 
-  let hunt_heap ?capacity () =
-    {
-      name = "Heap";
-      dedups = false;
-      (* Not linearizable: Hunt's delete-min carries the detached "last"
-         element in the deleting processor's hands — in no slot — before
-         re-inserting it at the root, so concurrent operations cannot see
-         it.  The schedule fuzzer exhibits histories with no Definition-1
-         serialization at all (bin/check --backend heap); at quiescence
-         every transit has landed, hence Quiescent. *)
-      spec = Quiescent;
-      create =
-        (fun () ->
-          let h = Heap.create ?capacity () in
-          instance
-            ~insert:(fun k v -> Heap.insert h k v)
-            ~try_delete_min:(fun () -> Heap.delete_min h)
-            ~stats:(fun () -> [])
-            ());
-    }
+  let heap_instance ?capacity () =
+    let h = Heap.create ?capacity () in
+    instance ~insert:(Heap.insert h) ~try_delete_min:(fun () -> Heap.delete_min h) ~stats:(fun () -> [])
 
-  let funnel_list ?layer_widths ?collision_window () =
-    {
-      name = "FunnelList";
-      dedups = false;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          let q = FL.create ?layer_widths ?collision_window () in
-          instance
-            ~insert:(fun k v -> FL.insert q k v)
-            ~try_delete_min:(fun () -> FL.delete_min q)
-            ~stats:(fun () ->
-              let s = FL.funnel_stats q in
-              let module F = Repro_funnel.Combining_funnel.Make (R) in
-              [
-                ("batches", float_of_int s.F.batches);
-                ("combines", float_of_int s.F.combines);
-                ("largest_batch", float_of_int s.F.largest_batch);
-              ])
-            ());
-    }
+  let funnel_list_instance () =
+    let q = FL.create () in
+    instance ~insert:(FL.insert q) ~try_delete_min:(fun () -> FL.delete_min q) ~stats:(fun () ->
+        let s = FL.funnel_stats q in
+        counts
+          [ ("batches", s.Funnel.batches); ("combines", s.Funnel.combines);
+            ("largest_batch", s.Funnel.largest_batch) ])
 
-  let bin_queue ~range () =
-    {
-      name = Printf.sprintf "BinQueue(%d)" range;
-      dedups = false;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          let q = Bins.create ~range () in
-          instance
-            ~insert:(fun k v -> Bins.insert q k v)
-            ~try_delete_min:(fun () -> Bins.delete_min q)
-            ~stats:(fun () -> [])
-            ());
-    }
+  let bin_instance ~range () =
+    let q = Bins.create ~range () in
+    instance ~insert:(Bins.insert q) ~try_delete_min:(fun () -> Bins.delete_min q) ~stats:(fun () -> [])
 
-  let multiqueue ?shard_factor ?shards ?choice ?stickiness ?heap_cycles_per_level
-      ?seed ~procs () =
-    {
-      name = "MultiQueue";
-      dedups = false;
-      spec = Rank_bounded;
-      create =
-        (fun () ->
-          let q =
-            MQ.create ?shard_factor ?shards ?choice ?stickiness
-              ?heap_cycles_per_level ?seed ~procs ()
-          in
-          instance
-            ~insert:(fun k v -> MQ.insert q k v)
-            ~try_delete_min:(fun () -> MQ.delete_min q)
-            ~stats:(fun () ->
-              let s = MQ.stats q in
-              [
-                ("shards", float_of_int (MQ.shards q));
-                ("lock_failures", float_of_int s.MQ.lock_failures);
-                ("empty_pops", float_of_int s.MQ.empty_pops);
-                ("full_sweeps", float_of_int s.MQ.full_sweeps);
-                ("resticks", float_of_int s.MQ.resticks);
-              ])
-            ());
-    }
+  (* Natively the walks cost real time; no simulated charge on top. *)
+  let walk_charge = if H.walk_charges then None else Some 0
 
-  (* The k-LSM relaxed backend ({!Repro_klsm.Klsm}): per-processor
-     insertion buffers merged log-structurally into a CAS-published block
-     list, rank error bounded by [k].  Both bulk entry points are native —
-     [insert_batch] publishes the (sorted) batch as one block, and
-     [delete_min_batch] claims through one per-processor state
-     acquisition. *)
-  let klsm ?seed ?search_cycles ?buffer_capacity ~k ~procs () =
-    {
-      name = Printf.sprintf "klsm:%d" k;
-      dedups = false;
-      spec = Rank_bounded;
-      create =
-        (fun () ->
-          let q = KL.create ?seed ?search_cycles ?buffer_capacity ~k ~procs () in
-          instance
-            ~insert:(fun key v -> KL.insert q key v)
-            ~insert_batch:(fun kvs -> KL.insert_batch q kvs)
-            ~try_delete_min:(fun () -> KL.delete_min q)
-            ~delete_min_batch:(fun want -> KL.delete_min_batch q ~want)
-            ~stats:(fun () ->
-              let s = KL.stats q in
-              [
-                ("flushes", float_of_int s.KL.flushes);
-                ("merges", float_of_int s.KL.merges);
-                ("spy_sweeps", float_of_int s.KL.spy_sweeps);
-                ("cas_failures", float_of_int s.KL.cas_failures);
-                ("batch_inserts", float_of_int s.KL.batch_inserts);
-                ("batch_deletes", float_of_int s.KL.batch_deletes);
-                ("blocks", float_of_int (KL.block_count q));
-              ])
-            ());
-    }
+  let multiqueue_instance ~procs () =
+    let q = MQ.create ?heap_cycles_per_level:walk_charge ~procs () in
+    instance ~insert:(MQ.insert q) ~try_delete_min:(fun () -> MQ.delete_min q) ~stats:(fun () ->
+        let s = MQ.stats q in
+        counts
+          [ ("shards", MQ.shards q); ("lock_failures", s.MQ.lock_failures);
+            ("empty_pops", s.MQ.empty_pops); ("full_sweeps", s.MQ.full_sweeps);
+            ("resticks", s.MQ.resticks) ])
+
+  (* Both bulk entry points are native: [insert_batch] publishes the
+     (sorted) batch as one block, [delete_min_batch] claims through one
+     per-processor state acquisition. *)
+  let klsm_instance ~k ~procs () =
+    let q = KL.create ?search_cycles:walk_charge ~k ~procs () in
+    wire ~insert:(KL.insert q) ~insert_batch:(KL.insert_batch q)
+      ~try_delete_min:(fun () -> KL.delete_min q)
+      ~delete_min_batch:(fun want -> KL.delete_min_batch q ~want)
+      ~stats:(fun () ->
+        let s = KL.stats q in
+        counts
+          [ ("flushes", s.KL.flushes); ("merges", s.KL.merges); ("spy_sweeps", s.KL.spy_sweeps);
+            ("cas_failures", s.KL.cas_failures); ("batch_inserts", s.KL.batch_inserts);
+            ("batch_deletes", s.KL.batch_deletes); ("blocks", KL.block_count q) ])
+      ()
 
   (* Ablation A1: Delete-mins regulated by a combining funnel in front of
      the SkipQueue (§5 "We tried using a funnel to regulate access of
      deleting processors at the bottom level of the SkipList"). *)
   type funnel_req = { mutable result : (int * int) option; mutable done_ : bool }
 
-  let funneled_skipqueue ?collision_window () =
-    {
-      name = "SkipQueue + delete funnel";
-      dedups = true;
-      spec = Linearizable;
-      create =
-        (fun () ->
-          let q = SQ.create ~mode:SQ.Strict () in
-          let funnel =
-            Funnel.create ?collision_window
-              ~apply:(fun batch ->
-                List.iter
-                  (fun req ->
-                    req.result <- SQ.delete_min q;
-                    req.done_ <- true)
-                  batch)
-              ~is_done:(fun req -> req.done_)
-              ~kind_of:(fun _ -> 0)
-              ()
-          in
-          instance
-            ~insert:(fun k v -> ignore (SQ.insert q k v))
-            ~try_delete_min:(fun () ->
-              let req = { result = None; done_ = false } in
-              Funnel.perform funnel req;
-              req.result)
-            ~stats:(fun () -> [])
-            ());
-    }
+  let delete_funnel_instance () =
+    let q = SQ.create ~mode:SQ.Strict () in
+    let serve req =
+      req.result <- SQ.delete_min q;
+      req.done_ <- true
+    in
+    let funnel =
+      Funnel.create ~apply:(List.iter serve) ~is_done:(fun req -> req.done_) ~kind_of:(fun _ -> 0) ()
+    in
+    instance
+      ~insert:(fun k v -> ignore (SQ.insert q k v))
+      ~try_delete_min:(fun () ->
+        let req = { result = None; done_ = false } in
+        Funnel.perform funnel req;
+        req.result)
+      ~stats:(fun () -> [])
 
-  (* Bounded/blocking façade over any implementation: capacity bound,
-     backpressure on insert, parking delete-min (lib/bounded).  The façade
-     serializes each side on one lock but forwards elements unchanged, so
-     the wrapped structure keeps its [spec] and [dedups] contract.  The
-     non-blocking [insert] maps to [insert_wait]: a bounded queue has no
-     silent-drop insert, and the [instance] record has no failure
-     channel. *)
-  let bounded ?(capacity = 1024) (impl : impl) =
+  (* Ablation A4: the §3 reclamation protocol live, with a dedicated
+     collector processor (the paper assigns one processor to garbage
+     collection in its benchmarks) sweeping every 20000 cycles for 500
+     passes, plus one final sweep once everything quiesced. *)
+  let reclamation_instance spawn () =
+    let recl = SQ.Reclaim.create () in
+    let q = SQ.create ~mode:SQ.Strict ~reclamation:recl () in
+    spawn (fun () ->
+        for _ = 1 to 500 do
+          R.work 20_000;
+          ignore (SQ.Reclaim.collect recl)
+        done;
+        R.work (1 lsl 45);
+        ignore (SQ.Reclaim.collect recl));
+    instance
+      ~insert:(fun k v -> ignore (SQ.insert q k v))
+      ~try_delete_min:(fun () -> SQ.delete_min q)
+      ~stats:(fun () ->
+        let s = SQ.Reclaim.stats recl in
+        counts
+          [ ("retired", s.SQ.Reclaim.retired); ("reclaimed", s.SQ.Reclaim.reclaimed);
+            ("pending", s.SQ.Reclaim.pending) ])
+
+  (* Bounded/blocking façade over any implementation (lib/bounded).  The
+     façade serializes each side on one lock but forwards elements
+     unchanged, so the wrapped structure keeps its contract.  It creates
+     its inner queue first: simulated line ids follow allocation order. *)
+  let bounded ?(capacity = default_capacity) (impl : impl) =
     {
+      impl with
       name = "bounded:" ^ impl.name;
-      dedups = impl.dedups;
-      spec = impl.spec;
       create =
         (fun () ->
           let inner = impl.create () in
           let b =
-            Bounded.create ~capacity ~dedups:impl.dedups ~name:"bounded"
-              ~insert:inner.insert ~try_delete_min:inner.try_delete_min ()
+            Bounded.create ~capacity ~dedups:impl.dedups ~name:"bounded" ~insert:inner.insert
+              ~try_delete_min:inner.try_delete_min ()
           in
-          {
-            insert = (fun k v -> Bounded.insert_wait b k v);
-            insert_wait = (fun k v -> Bounded.insert_wait b k v);
-            try_delete_min = (fun () -> Bounded.try_delete_min b);
-            delete_min_wait = (fun () -> Bounded.delete_min_wait b);
-            (* Batches thread the façade element-wise: each element must
-               cross the capacity gate individually, so the inner batch
-               path cannot be used without admitting a burst past the
-               bound. *)
-            insert_batch =
-              (fun kvs -> Array.iter (fun (k, v) -> Bounded.insert_wait b k v) kvs);
-            delete_min_batch =
-              (fun want ->
-                let rec go acc n =
-                  if n <= 0 then List.rev acc
-                  else
-                    match Bounded.try_delete_min b with
-                    | Some kv -> go (kv :: acc) (n - 1)
-                    | None -> List.rev acc
-                in
-                go [] want);
-            stats = (fun () -> Bounded.stats b @ inner.stats ());
-          });
+          facade ~insert_wait:(Bounded.insert_wait b)
+            ~try_delete_min:(fun () -> Bounded.try_delete_min b)
+            ~delete_min_wait:(fun () -> Bounded.delete_min_wait b)
+            ~stats:(fun () -> Bounded.stats b @ inner.stats ()));
     }
+
+  let create_of ~procs d =
+    match d.base with
+    | Skipqueue when d.elim ->
+      elim_instance ~mode:(if d.relaxed then Elim.SQ.Relaxed else Elim.SQ.Strict)
+    | Skipqueue -> fun () -> skipqueue_instance ~mode:(if d.relaxed then SQ.Relaxed else SQ.Strict) ()
+    | Co when d.elim -> elim_co_instance
+    | Co -> co_instance ~mode:(if d.relaxed then CO.Relaxed else CO.Strict) ~dedups:false
+    | Co_dedup -> co_instance ~mode:CO.Strict ~dedups:true
+    | Lf -> lf_instance
+    | Heap -> fun () -> heap_instance ()
+    | Funnel_list -> funnel_list_instance
+    | Multiqueue -> multiqueue_instance ~procs
+    | Klsm k -> klsm_instance ~k ~procs
+    | Bin range -> bin_instance ~range
+    | Delete_funnel -> delete_funnel_instance
+    | Reclamation -> reclamation_instance (Option.get H.spawn)
+
+  let make ~procs d =
+    (match validate d with Ok () -> () | Error msg -> invalid_arg ("Queue_adapter.make: " ^ msg));
+    if sim_only d.base && Option.is_none H.spawn then
+      invalid_arg (Printf.sprintf "Queue_adapter.make: %s is simulator-only" (name d));
+    let impl = describe { d with bounded = None } (create_of ~procs d) in
+    match d.bounded with None -> impl | Some capacity -> bounded ~capacity impl
+
+  (* [procs] sizes only the MultiQueue and the k-LSM. *)
+  let fixed d = make ~procs:1 d
+
+  let skipqueue ?p ?max_level () =
+    describe (plain Skipqueue) (fun () -> skipqueue_instance ~mode:SQ.Strict ?p ?max_level ())
+
+  let relaxed_skipqueue () = fixed { (plain Skipqueue) with relaxed = true }
+  let skipqueue_lf () = fixed (plain Lf)
+  let skipqueue_co () = fixed (plain Co)
+  let hunt_heap ?capacity () = describe (plain Heap) (heap_instance ?capacity)
+  let klsm ~k ~procs () = make ~procs (plain (Klsm k))
 end
 
-module Sim = struct
-  include Over (Repro_sim.Sim_runtime)
+module Sim =
+  Over (Repro_sim.Sim_runtime) (struct let walk_charges = true let spawn = Some Repro_sim.Machine.spawn end)
 
-  let skipqueue_with_reclamation ?(collector_passes = 500)
-      ?(collector_period = 20_000) () =
-    skipqueue_with_reclamation
-      ~spawn_collector:(fun body ->
-        Repro_sim.Machine.spawn (fun () -> body Repro_sim.Machine.work))
-      ~collector_passes ~collector_period ()
-end
+module Native =
+  Over (Repro_runtime.Native_runtime) (struct let walk_charges = false let spawn = None end)
 
-module Native = struct
-  include Over (Repro_runtime.Native_runtime)
+let make backend d =
+  match backend with
+  | Sim -> Sim.make ~procs:registry_procs d
+  | Native -> Native.make ~procs:registry_procs d
 
-  (* Real heap operations cost real time on this backend; no simulated
-     walk charge on top. *)
-  let multiqueue ?shard_factor ?shards ?choice ?stickiness ?seed ~procs () =
-    multiqueue ?shard_factor ?shards ?choice ?stickiness
-      ~heap_cycles_per_level:0 ?seed ~procs ()
+let all backend = List.map (make backend) (registry backend)
 
-  (* Same reasoning: the binary searches and merge walks are real work. *)
-  let klsm ?seed ?buffer_capacity ~k ~procs () =
-    klsm ?seed ~search_cycles:0 ?buffer_capacity ~k ~procs ()
-end
-
-(* ---- name-keyed registry ------------------------------------------------ *)
-
-type backend = Sim | Native
-
-let registry_procs = 16 (* default_workload concurrency; constructors with
-                           structural parameters take it from here *)
-
-let all = function
-  | Sim ->
-    [
-      Sim.skipqueue ();
-      Sim.relaxed_skipqueue ();
-      Sim.skipqueue_lf ();
-      Sim.skipqueue_co ();
-      Sim.skipqueue_co_dedup ();
-      Sim.relaxed_skipqueue_co ();
-      Sim.elim_skipqueue ();
-      Sim.relaxed_elim_skipqueue ();
-      Sim.elim_skipqueue_co ();
-      Sim.hunt_heap ();
-      Sim.funnel_list ();
-      Sim.multiqueue ~procs:registry_procs ();
-      Sim.klsm ~k:256 ~procs:registry_procs ();
-      Sim.funneled_skipqueue ();
-      Sim.skipqueue_with_reclamation ();
-      Sim.bin_queue ~range:65_536 ();
-      (* Bounded/blocking façade entries.  The registry capacity (1024) is
-         far above what the standard mixed-ops check profile admits, so
-         these behave as their inner backend under that sweep; capacity
-         pressure is exercised by the dedicated blocking harness. *)
-      Sim.bounded (Sim.skipqueue ());
-      Sim.bounded (Sim.relaxed_skipqueue ());
-      Sim.bounded (Sim.skipqueue_lf ());
-      Sim.bounded (Sim.skipqueue_co ());
-      Sim.bounded (Sim.hunt_heap ());
-      Sim.bounded (Sim.multiqueue ~procs:registry_procs ());
-    ]
-  | Native ->
-    [
-      Native.skipqueue ();
-      Native.relaxed_skipqueue ();
-      Native.skipqueue_lf ();
-      Native.skipqueue_co ();
-      Native.skipqueue_co_dedup ();
-      Native.relaxed_skipqueue_co ();
-      Native.elim_skipqueue ();
-      Native.relaxed_elim_skipqueue ();
-      Native.elim_skipqueue_co ();
-      Native.hunt_heap ();
-      Native.funnel_list ();
-      Native.multiqueue ~procs:registry_procs ();
-      Native.klsm ~k:256 ~procs:registry_procs ();
-      Native.bounded (Native.skipqueue ());
-      Native.bounded (Native.relaxed_skipqueue ());
-      Native.bounded (Native.skipqueue_lf ());
-      Native.bounded (Native.skipqueue_co ());
-      Native.bounded (Native.hunt_heap ());
-      Native.bounded (Native.multiqueue ~procs:registry_procs ());
-    ]
-
-let names backend = List.map (fun i -> i.name) (all backend)
-
-(* Lookups tolerate case and spacing so CLI spellings like "skipqueue" or
-   "relaxedskipqueue" resolve. *)
-let normalize name =
-  String.lowercase_ascii
-    (String.concat "" (String.split_on_char ' ' name))
-
-(* ---- klsm:<k> names ----------------------------------------------------- *)
-
-let klsm_prefix = "klsm:"
-
-let has_klsm_prefix normalized =
-  String.length normalized >= String.length klsm_prefix
-  && String.sub normalized 0 (String.length klsm_prefix) = klsm_prefix
-
-(* Parse a name of the exact form "klsm:<k>".  [Error] distinguishes a
-   malformed rank bound from a name that is not a klsm spelling at all,
-   so {!find} can report "klsm:abc" / "klsm:0" precisely instead of
-   falling through to the generic registry miss. *)
-let parse_klsm name =
-  let n = normalize name in
-  if not (has_klsm_prefix n) then
-    Error (Printf.sprintf "%S is not a klsm:<k> name" name)
-  else begin
-    let suffix = String.sub n 5 (String.length n - 5) in
-    match int_of_string_opt suffix with
-    | Some k when k >= 1 -> Ok k
-    | Some k ->
-      Error
-        (Printf.sprintf
-           "k-LSM rank bound must be a positive integer, got %d in %S" k name)
-    | None ->
-      Error
-        (Printf.sprintf
-           "malformed k-LSM rank bound %S in %S (expected klsm:<k> with k a \
-            positive integer)"
-           suffix name)
-  end
-
-(* Rank bound embedded anywhere in a backend name ("klsm:64",
-   "bounded:klsm:256", a mutant's "Broken klsm:1 ..."), for checkers that
-   key their rank envelope to k. *)
-let klsm_k_of_name name =
-  let n = normalize name in
-  let len = String.length n in
-  let rec find_at i =
-    if i + 5 > len then None
-    else if String.sub n i 5 = klsm_prefix then begin
-      let j = ref (i + 5) in
-      while !j < len && n.[!j] >= '0' && n.[!j] <= '9' do
-        incr j
-      done;
-      if !j = i + 5 then find_at (i + 1)
-      else
-        match int_of_string_opt (String.sub n (i + 5) (!j - i - 5)) with
-        | Some k when k >= 1 -> Some k
-        | _ -> find_at (i + 1)
-    end
-    else find_at (i + 1)
-  in
-  find_at 0
-
-let find backend name =
-  let target = normalize name in
-  match List.find_opt (fun i -> normalize i.name = target) (all backend) with
-  | Some impl -> impl
-  | None ->
-    if has_klsm_prefix target then begin
-      (* Any valid rank bound constructs a backend on the fly; a malformed
-         one gets a parse-specific error, not a registry miss. *)
-      match parse_klsm name with
-      | Ok k -> (
-        match backend with
-        | Sim -> Sim.klsm ~k ~procs:registry_procs ()
-        | Native -> Native.klsm ~k ~procs:registry_procs ())
-      | Error msg -> invalid_arg ("Queue_adapter.find: " ^ msg)
-    end
-    else
-      invalid_arg
-        (Printf.sprintf "Queue_adapter.find: unknown implementation %S (known: %s)"
-           name
-           (String.concat ", " (List.sort String.compare (names backend))))
+let find backend input =
+  match parse_with ~unknown:(unknown backend input) input with
+  | Ok d -> make backend d
+  | Error msg -> invalid_arg ("Queue_adapter.find: " ^ msg)

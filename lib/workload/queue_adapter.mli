@@ -5,17 +5,29 @@
     use values as element identifiers, exactly like the paper's synthetic
     benchmark.
 
-    Implementations come in two layers: parameterized constructors (the
-    [Sim]/[Native] modules, both instances of one functor over the
-    runtime) for experiments that tune structure parameters, and a
-    name-keyed registry ({!all}/{!find}) for callers — the CLI drivers,
-    the bench suite — that select implementations by string. *)
+    Every implementation is named by a {!descriptor}: a base structure and
+    the modifiers composed over it.  Names follow one grammar, matched
+    case- and space-insensitively:
+
+    {v
+    name ::= ["bounded:"] ["Relaxed "] base ["-elim"]
+    base ::= SkipQueue | SkipQueue-lf | SkipQueue-co | SkipQueue-co-dedup
+           | Heap | FunnelList | MultiQueue | klsm:<k> | BinQueue(<range>)
+           | SkipQueue + delete funnel | SkipQueue + reclamation
+    v}
+
+    ["Relaxed "] is the paper's §5.4 flavor (timestamps off) and ["-elim"]
+    the elimination–combining front end; both exist only where {!descriptor}
+    says so.  ["bounded:"] wraps any base but the two ablations in the
+    blocking façade.  {!Sim} and {!Native} build a descriptor on either
+    runtime; the registry ({!all}/{!find}) serves callers — the CLI
+    drivers, the bench suite — that select implementations by string. *)
 
 type instance = {
   insert : int -> int -> unit;
       (** non-blocking insert — on unbounded backends it always succeeds;
-          the {!Over.bounded} façade maps it to [insert_wait] (a bounded
-          queue has no silent-drop insert) *)
+          the bounded façade maps it to [insert_wait] (a bounded queue has
+          no silent-drop insert) *)
   insert_wait : int -> int -> unit;
       (** blocking insert: parks under backpressure on the bounded façade;
           identical to [insert] on unbounded backends *)
@@ -28,34 +40,23 @@ type instance = {
           unbounded structure cannot distinguish "empty now" from "empty
           forever"). *)
   insert_batch : (int * int) array -> unit;
-      (** bulk insert of [(key, value)] pairs.  Element-for-element
-          equivalent to looping {!insert} — the contract every backend
-          honors and the agreement tests pin — but structures with a
-          native bulk path do better: the k-LSM sorts the batch and
-          publishes it as a single block.  Counts one [ops] per
-          element. *)
+      (** bulk insert, element-for-element equivalent to looping {!insert}
+          (the agreement tests pin it); the k-LSM publishes the sorted
+          batch as a single block.  Counts one [ops] per element. *)
   delete_min_batch : int -> (int * int) list;
-      (** [delete_min_batch n] claims up to [n] elements, returned in
-          claim order; shorter when the structure runs (observably) empty
-          — equivalent to looping {!try_delete_min} until [None].  The
-          SkipQueue family serves the whole batch from one bottom-level
-          hunt ([hunt_batch]); the k-LSM claims through one per-processor
-          state acquisition.  Counts one [ops] per element returned. *)
+      (** claims up to [n] elements in claim order, shorter when the
+          structure runs (observably) empty — looping {!try_delete_min}.
+          The SkipQueue family serves the batch from one bottom-level hunt,
+          the k-LSM through one per-processor state acquisition.  Counts
+          one [ops] per element returned. *)
   stats : unit -> (string * float) list;
-      (** counters for the ablation reports, as structured name/value
-          pairs (render with [Printf.sprintf "%s=%.0f"]; no prose parsing
-          downstream).  Every instance built through this module reports a
-          common core, measured by the adapter itself:
-          - ["ops"] — operations invoked through this instance (all four
-            entry points);
-          - ["lock_acquisitions"] — runtime lock grants since the instance
-            was created (differenced {!Repro_runtime.Runtime_intf.S.lock_stats};
-            process-wide, so attribute it only when one instance runs at a
-            time — true in the bench/check harnesses);
-          - ["lock_try_failures"] — failed [try_acquire] attempts, same
-            caveats.
-          The bounded façade prepends its front-end counters ["parks"],
-          ["wakes"] and ["backpressure_stalls"].  Implementation-specific
+      (** name/value counters for the ablation reports.  Every instance
+          built here starts with ["ops"] (calls through the instance),
+          ["lock_acquisitions"] and ["lock_try_failures"] (differenced
+          {!Repro_runtime.Runtime_intf.S.lock_stats}: process-wide, so
+          attribute them only when one instance runs at a time, as in the
+          bench/check harnesses).  The bounded façade prepends ["parks"],
+          ["wakes"] and ["backpressure_stalls"]; structure-specific
           counters follow the core. *)
 }
 
@@ -65,8 +66,9 @@ type instance = {
 type spec =
   | Linearizable
       (** Every Delete-min returns the minimum of the definitely-present
-          elements: the timestamped SkipQueue (Definition 1), the
-          FunnelList and the bin queue. *)
+          elements: the timestamped SkipQueue (Definition 1), its
+          lock-free and coalescing variants, the FunnelList and the bin
+          queue. *)
   | Quiescent
       (** Quiescently consistent only: operations separated by a quiescent
           point take effect in order, concurrent ones may reorder freely.
@@ -76,406 +78,164 @@ type spec =
           fuzzer finds counterexamples. *)
   | Relaxed
       (** The paper's §5.4 contract: Delete-min returns [min (I - D)] or a
-          smaller element whose insert overlaps it (the Relaxed
-          SkipQueue). *)
+          smaller element whose insert overlaps it (every ["Relaxed "]
+          flavor). *)
   | Rank_bounded
-      (** No per-operation ordering promise, only a statistical rank-error
-          envelope (the MultiQueue; the k-LSM, whose envelope the checkers
-          additionally key to the [k] embedded in its registry name). *)
+      (** No per-operation ordering promise, only a rank-error envelope:
+          the MultiQueue's statistical one, and the k-LSM's hard bound
+          [k] (carried as {!impl.rank_bound}). *)
 
 type impl = {
   name : string;
   dedups : bool;
       (** [true] when [insert] of an already-present key updates in place
-          (the SkipQueue family) rather than keeping both copies (heap,
-          funnel list, bin queue, MultiQueue).  The benchmark's rank-error
-          oracle mirrors this so duplicate random priorities don't read as
-          phantom reordering. *)
+          (the SkipQueue, its dedup coalescing variant and the two
+          ablations) rather than keeping both copies.  The benchmark's
+          rank-error oracle mirrors this so duplicate random priorities
+          don't read as phantom reordering. *)
   spec : spec;
+  rank_bound : int option;
+      (** [Some k] for a k-LSM, also behind the bounded façade: the
+          structural rank bound the checkers key their envelope to. *)
   create : unit -> instance;
       (** must be called from inside the target runtime's execution context
           (e.g. within [Machine.run] for the simulator) *)
 }
 
-(** Parameterized constructors over any runtime; [Sim] and [Native] below
-    are its two instantiations. *)
-module Over (R : Repro_runtime.Runtime_intf.S) : sig
-  val skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
-  val relaxed_skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
+(** {2 Descriptors} *)
 
-  val skipqueue_lf :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?restructure_threshold:int ->
-    ?collect_every:int ->
-    unit ->
-    impl
-  (** Lock-free SkipQueue ({!Repro_skipqueue.Skipqueue_lf}, DESIGN.md S19):
-      CAS-linked insert, CAS-marked logical deletion (the claim CAS is the
-      linearization point), batched physical unlinking through epoch
-      reclamation + the node pool.  [Linearizable] without the paper's
-      timestamps; multiset semantics ([dedups = false]).  Extra stats:
-      ["cas_failures"], ["marked_hops"], ["restructures"],
-      ["restructure_skips"], ["unlinked"], ["pool_returned"],
-      ["pool_recycled"], ["reclaim_pending"]. *)
+type base =
+  | Skipqueue  (** the paper's SkipQueue; relaxed and elim flavors *)
+  | Lf  (** lock-free SkipQueue, CAS-marked claims (DESIGN.md S19) *)
+  | Co
+      (** coalescing SkipQueue (DESIGN.md §S21): bounded same-key multiset
+          nodes under one packed lock word, 4 elements per node; relaxed
+          or elim flavor, not both *)
+  | Co_dedup  (** the coalescing layout under the update-in-place contract *)
+  | Heap  (** Hunt et al.'s heap, 65536 elements *)
+  | Funnel_list  (** the combining-funnel list *)
+  | Multiqueue  (** c-way choice over try-locked sequential heaps *)
+  | Klsm of int  (** the k-LSM with rank bound [k >= 1] *)
+  | Bin of int
+      (** the bounded-priority bin queue of [39]; only valid on workloads
+          whose [key_range] does not exceed the range.  Simulator-only,
+          like the two ablations. *)
+  | Delete_funnel
+      (** ablation A1: Delete-mins regulated by a combining funnel *)
+  | Reclamation
+      (** ablation A4: the §3 reclamation protocol with a collector
+          processor *)
 
-  val elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
+type descriptor = {
+  base : base;
+  relaxed : bool;
+  elim : bool;
+  bounded : int option;  (** the façade's capacity *)
+}
 
-  val relaxed_elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-  (** Strict / relaxed SkipQueue behind the
-      {!Repro_skipqueue.Elimination} front end: insert/delete-min pairs
-      rendezvous in an adaptive array when the inserted key is at most
-      the observed minimum, and timed-out deleters combine their
-      bottom-level hunts into one shared batch.  The front end preserves
-      the backing queue's contract (DESIGN.md §S15): the strict flavor
-      stays [Linearizable], the relaxed one [Relaxed]. *)
+val plain : base -> descriptor
+(** The base with no modifier. *)
 
-  val skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-  (** Coalescing SkipQueue ({!Repro_skipqueue.Skipqueue_co}, DESIGN.md
-      §S21): nodes hold a bounded multiset of same-key elements and all
-      per-node locking lives in one bit-packed word
-      ({!Repro_skipqueue.Co_lockword}).  [Linearizable], multiset
-      semantics ([dedups = false], [capacity] defaults to 8 elements per
-      node).  Extra stats: ["coalesced_inserts"], ["node_splits"]. *)
+val name : descriptor -> string
+(** The registry name.  The façade's capacity is not part of it. *)
 
-  val skipqueue_co_dedup :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-  (** The coalescing structure under the PR 1 dedup contract: an insert of
-      a present key updates its element in place, every node count stays
-      1, and only the packed-lock-word mechanics differ from the base
-      SkipQueue. *)
+val parse : string -> (descriptor, string) result
+(** The inverse of {!name}, case- and space-insensitive; ["bounded:"]
+    parses to capacity 1024.  [Error] names the bad part: a malformed or
+    non-positive [k] or range, a modifier the base lacks, a nested
+    ["bounded:"], or an unknown base (listing the simulator's names). *)
 
-  val relaxed_skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-  (** [Relaxed] (§5.4) flavor of {!skipqueue_co}: no timestamps, a
-      delete-min may claim an element still being inserted. *)
+(** {2 Construction} *)
 
-  val elim_skipqueue_co :
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-  (** The coalescing SkipQueue behind the {!Repro_skipqueue.Elimination}
-      front end ([Elimination.Over] over the coalescing backing).  An
-      eliminated key is strictly below every settled element, so a
-      rendezvoused pair can never coalesce with the structure; everything
-      that does reach the skiplist coalesces as in {!skipqueue_co}.
-      Front-end stats plus the backing hunt counters. *)
+(** What the runtimes differ in beyond {!Repro_runtime.Runtime_intf.S}. *)
+module type HOST = sig
+  val walk_charges : bool
+  (** Charge the MultiQueue's heap walks and the k-LSM's searches
+      simulated cycles.  [false] natively, where they cost real time. *)
 
-  val funneled_skipqueue : ?collision_window:int -> unit -> impl
-  (** Ablation A1: a SkipQueue whose Delete-mins are regulated by a
-      combining funnel instead of racing SWAPs down the bottom level — the
-      design §5 reports trying and rejecting above 64 processors. *)
+  val spawn : ((unit -> unit) -> unit) option
+  (** Start an extra processor (the reclamation collector).  [None]
+      natively, which also refuses the other simulator-only bases. *)
+end
 
-  val skipqueue_with_reclamation :
-    spawn_collector:(((int -> unit) -> unit) -> unit) ->
-    collector_passes:int ->
-    collector_period:int ->
-    unit ->
-    impl
-  (** Ablation A4 building block; [Sim.skipqueue_with_reclamation] wraps it
-      with the simulator's collector-processor spawner. *)
+module type S = sig
+  val make : procs:int -> descriptor -> impl
+  (** Builds [descriptor] with every knob at the structure's default;
+      [procs] sizes the MultiQueue's shards and the k-LSM's buffers.
+      Raises [Invalid_argument] for a combination {!parse} would refuse,
+      or for a simulator-only base on a host without [spawn]. *)
+
+  val skipqueue : ?p:float -> ?max_level:int -> unit -> impl
+  (** [plain Skipqueue] with its skiplist parameters (ablation A5). *)
+
+  val relaxed_skipqueue : unit -> impl
+  val skipqueue_lf : unit -> impl
+  val skipqueue_co : unit -> impl
 
   val hunt_heap : ?capacity:int -> unit -> impl
-  val funnel_list : ?layer_widths:int list -> ?collision_window:int -> unit -> impl
+  (** [plain Heap] with its slot array sized for [capacity] elements. *)
 
-  val bin_queue : range:int -> unit -> impl
-  (** The bounded-priority bin queue of [39] — only valid on workloads
-      whose [key_range] does not exceed [range]. *)
-
-  val multiqueue :
-    ?shard_factor:int ->
-    ?shards:int ->
-    ?choice:int ->
-    ?stickiness:int ->
-    ?heap_cycles_per_level:int ->
-    ?seed:int64 ->
-    procs:int ->
-    unit ->
-    impl
-  (** The relaxed MultiQueue ({!Repro_multiqueue.Multiqueue}): c-way choice
-      over [shard_factor * procs] try-locked sequential heaps. *)
-
-  val klsm :
-    ?seed:int64 ->
-    ?search_cycles:int ->
-    ?buffer_capacity:int ->
-    k:int ->
-    procs:int ->
-    unit ->
-    impl
-  (** The k-LSM ({!Repro_klsm.Klsm}): per-processor insertion buffers
-      merged log-structurally into a CAS-published block list, rank error
-      bounded by [k] (split between the foreign-buffer blind spot and the
-      relaxed choice among block heads — see the klsm library docs).
-      Registered as ["klsm:<k>"], [Rank_bounded], multiset semantics.
-      Native [insert_batch] (one sorted block) and [delete_min_batch].
-      Extra stats: ["flushes"], ["merges"], ["spy_sweeps"],
-      ["cas_failures"], ["batch_inserts"], ["batch_deletes"],
-      ["blocks"]. *)
+  val klsm : k:int -> procs:int -> unit -> impl
 
   val bounded : ?capacity:int -> impl -> impl
-  (** [bounded ~capacity impl] wraps [impl] in the two-lock
+  (** [bounded ~capacity impl] wraps any [impl] in the two-lock
       bounded/blocking façade ({!Repro_bounded.Bounded_queue}): at most
       [capacity] (default 1024) elements admitted, [insert_wait] parks
       under backpressure, [delete_min_wait] parks on empty.  The wrapped
-      implementation keeps its [spec] and [dedups] contract; the name
-      becomes ["bounded:" ^ impl.name].  The bulk entry points thread the
-      façade element-wise (each element crosses the capacity gate
-      individually). *)
+      implementation keeps its [spec], [dedups] and [rank_bound]; the
+      name becomes ["bounded:" ^ impl.name].  The bulk entry points thread
+      the façade element-wise. *)
+
+  val instance :
+    insert:(int -> int -> unit) ->
+    try_delete_min:(unit -> (int * int) option) ->
+    stats:(unit -> (string * float) list) ->
+    instance
+  (** The adapter's instance for a structure outside the registry (a
+      mutant, a hand-configured one): the core counters, the yield-poll
+      [delete_min_wait] and element-wise batches. *)
 end
 
-(** Implementations over the simulator runtime. *)
-module Sim : sig
-  val skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
-  val relaxed_skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
+module Over (R : Repro_runtime.Runtime_intf.S) (_ : HOST) : S
 
-  val skipqueue_lf :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?restructure_threshold:int ->
-    ?collect_every:int ->
-    unit ->
-    impl
+module Sim : S
+(** Over the simulator runtime. *)
 
-  val elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
+module Native : S
+(** Over real domains. *)
 
-  val relaxed_elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
+val facade :
+  insert_wait:(int -> int -> unit) ->
+  try_delete_min:(unit -> (int * int) option) ->
+  delete_min_wait:(unit -> int * int) ->
+  stats:(unit -> (string * float) list) ->
+  instance
+(** The bounded façade's instance over its blocking entry points: [insert]
+    is [insert_wait], batches cross the capacity gate element by
+    element. *)
 
-  val skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val skipqueue_co_dedup :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val relaxed_skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val elim_skipqueue_co :
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val funneled_skipqueue : ?collision_window:int -> unit -> impl
-
-  val skipqueue_with_reclamation :
-    ?collector_passes:int -> ?collector_period:int -> unit -> impl
-  (** Ablation A4: the §3 reclamation protocol live — operations register
-      entry/exit times, deleted nodes are retired to per-processor garbage
-      lists, and a dedicated collector processor sweeps every
-      [collector_period] cycles (default 20000) for [collector_passes]
-      passes (default 500), plus one final sweep after quiescence. *)
-
-  val hunt_heap : ?capacity:int -> unit -> impl
-  val funnel_list : ?layer_widths:int list -> ?collision_window:int -> unit -> impl
-  val bin_queue : range:int -> unit -> impl
-
-  val multiqueue :
-    ?shard_factor:int ->
-    ?shards:int ->
-    ?choice:int ->
-    ?stickiness:int ->
-    ?heap_cycles_per_level:int ->
-    ?seed:int64 ->
-    procs:int ->
-    unit ->
-    impl
-
-  val klsm :
-    ?seed:int64 ->
-    ?search_cycles:int ->
-    ?buffer_capacity:int ->
-    k:int ->
-    procs:int ->
-    unit ->
-    impl
-
-  val bounded : ?capacity:int -> impl -> impl
-end
-
-(** The same implementations over real domains, for native runs. *)
-module Native : sig
-  val skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
-  val relaxed_skipqueue : ?p:float -> ?max_level:int -> ?seed:int64 -> unit -> impl
-
-  val skipqueue_lf :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?restructure_threshold:int ->
-    ?collect_every:int ->
-    unit ->
-    impl
-
-  val elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val relaxed_elim_skipqueue :
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val skipqueue_co_dedup :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val relaxed_skipqueue_co :
-    ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> impl
-
-  val elim_skipqueue_co :
-    ?slots:int ->
-    ?width:int ->
-    ?window:int ->
-    ?poll_cycles:int ->
-    ?serve_cap:int ->
-    ?bound_every:int ->
-    ?adaptive:bool ->
-    unit ->
-    impl
-
-  val hunt_heap : ?capacity:int -> unit -> impl
-  val funnel_list : ?layer_widths:int list -> ?collision_window:int -> unit -> impl
-  val bin_queue : range:int -> unit -> impl
-
-  val multiqueue :
-    ?shard_factor:int ->
-    ?shards:int ->
-    ?choice:int ->
-    ?stickiness:int ->
-    ?seed:int64 ->
-    procs:int ->
-    unit ->
-    impl
-  (** [heap_cycles_per_level] is pinned to 0: the real heap walk already
-      costs real time under this backend. *)
-
-  val klsm :
-    ?seed:int64 -> ?buffer_capacity:int -> k:int -> procs:int -> unit -> impl
-  (** [search_cycles] is pinned to 0: the binary searches and merge walks
-      cost real time under this backend. *)
-
-  val bounded : ?capacity:int -> impl -> impl
-end
-
-(** {2 Name-keyed registry}
-
-    Default-configured instances of every implementation, keyed by name —
-    how [bin/experiments.ml], [bin/profile.ml] and [bench/main.ml] select
-    implementations by string instead of hard-coded match arms. *)
+(** {2 Name-keyed registry} *)
 
 type backend = Sim | Native
 
+val registry : backend -> descriptor list
+(** The default-configured implementations, in listing order: the
+    SkipQueue family and its compositions, Heap, FunnelList, MultiQueue,
+    klsm:256, then (simulator only) the two ablations and
+    BinQueue(65536), then ["bounded:"] (capacity 1024) over the
+    SkipQueue, Relaxed SkipQueue, SkipQueue-lf, SkipQueue-co, Heap and
+    MultiQueue. *)
+
+val make : backend -> descriptor -> impl
+(** [S.make] on that backend at the registry's 16 processors. *)
+
 val all : backend -> impl list
-(** Every default-configured implementation available on that backend (the
-    simulator additionally has the funnel-front and reclamation ablation
-    variants and the bounded-range bin queue).  Both backends also expose
-    ["bounded:<name>"] façade entries (capacity 1024) over the skipqueue,
-    relaxed skipqueue, lock-free skipqueue, heap and multiqueue, and a
-    default ["klsm:256"] k-LSM. *)
+(** {!registry}, built. *)
 
 val names : backend -> string list
 
 val find : backend -> string -> impl
-(** Case- and space-insensitive lookup ("skipqueue", "Relaxed SkipQueue"
-    and "relaxedskipqueue" all resolve).  Names of the form ["klsm:<k>"]
-    construct a k-LSM for {e any} rank bound [k >= 1], not only the
-    registry default; a malformed bound ("klsm:abc", "klsm:0") raises
-    [Invalid_argument] naming the bad [k] — not a generic registry miss.
-    Any other unknown name raises [Invalid_argument] with the known
-    names, in sorted order. *)
-
-val parse_klsm : string -> (int, string) result
-(** Parse a (case/space-insensitive) name of the exact form ["klsm:<k>"].
-    [Ok k] for a positive integer bound; [Error] with a parse-specific
-    message for a malformed or non-positive bound, or for a name without
-    the prefix. *)
-
-val klsm_k_of_name : string -> int option
-(** The rank bound embedded anywhere in a backend name ("klsm:64",
-    "bounded:klsm:256", a mutant's "Broken klsm:1 ..."): how the
-    rank-envelope checker keys its ceilings to [k].  [None] when the name
-    carries no ["klsm:<digits>"] substring. *)
+(** [make] of the {!parse}d name, so any valid spelling resolves, not only
+    the listed ones ("klsm:7", "bounded:klsm:64").  An unknown name raises
+    [Invalid_argument] listing the backend's names in sorted order; any
+    other {!parse} error is raised as it is. *)

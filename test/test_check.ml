@@ -353,7 +353,7 @@ let test_blocking_sweep_clean () =
         (s.Harness.impl ^ " blocking-clean")
         []
         (List.map (fun v -> v.Harness.check ^ ": " ^ v.Harness.message) s.Harness.violations))
-    [ QA.Sim.skipqueue (); QA.Sim.multiqueue ~procs:8 () ]
+    [ QA.Sim.skipqueue (); QA.Sim.make ~procs:8 (QA.plain QA.Multiqueue) ]
 
 let test_broken_wakeup_caught () =
   (* The lost-wakeup mutant drops the chain-signals; some schedule strands

@@ -321,8 +321,8 @@ let test_registry_klsm_names () =
     "case/space tolerant" "klsm:8" (QA.find QA.Sim " KLSM:8 ").QA.name
 
 let test_registry_klsm_parse_errors () =
-  check "parse_klsm accepts" true (QA.parse_klsm "klsm:12" = Ok 12);
-  (match QA.parse_klsm "klsm:0" with
+  check "parse accepts" true (QA.parse "klsm:12" = Ok (QA.plain (QA.Klsm 12)));
+  (match QA.parse "klsm:0" with
   | Ok _ -> Alcotest.fail "klsm:0 parsed"
   | Error msg -> check "k=0 names positivity" true (contains msg "positive"));
   (match QA.find QA.Sim "klsm:0" with
@@ -341,31 +341,30 @@ let test_registry_klsm_parse_errors () =
   | exception Invalid_argument msg ->
     check "generic miss lists the registry" true (contains msg "known:")
 
-let test_klsm_k_of_name () =
-  let cases =
-    [
-      ("klsm:256", Some 256);
-      ("bounded:klsm:64", Some 64);
-      ("Broken klsm:1 (torn spill)", Some 1);
-      ("MultiQueue", None);
-      ("klsm:", None);
-      ("klsm:0", None);
-    ]
-  in
-  List.iter
-    (fun (name, expect) ->
-      check (Printf.sprintf "klsm_k_of_name %S" name) true
-        (QA.klsm_k_of_name name = expect))
-    cases;
-  (* The checker keys its envelope through the same helper. *)
+(* The rank bound travels as [impl.rank_bound] — through the bounded
+   façade and on the torn-spill mutant — and keys the checkers' envelope. *)
+let test_rank_bound_keying () =
+  let bound name = (QA.find QA.Sim name).QA.rank_bound in
+  check "klsm:256" true (bound "klsm:256" = Some 256);
+  let b64 = QA.find QA.Sim "bounded:klsm:64" in
+  check "bounded:klsm:64 resolves" true
+    (b64.QA.rank_bound = Some 64 && b64.QA.spec = QA.Rank_bounded);
+  check "mutant carries k = 1" true ((Repro_check.Broken.klsm_spill ()).QA.rank_bound = Some 1);
+  check "MultiQueue has none" true (bound "MultiQueue" = None);
   let module Check = Repro_check.Checkers in
-  let b = Check.bounds_for "klsm:64" in
+  let b = Check.bounds_for (Some 64) in
   check_int "envelope ceiling keyed to k" (64 + Check.klsm_margin) b.Check.max_rank;
   check "mean ceiling keyed to k" true
     (b.Check.mean_rank = float_of_int (64 + Check.klsm_margin));
   check_int "window untouched" Check.default_bounds.Check.max_window b.Check.max_window;
-  let d = Check.bounds_for "MultiQueue" in
-  check "non-klsm names keep the defaults" true (d = Check.default_bounds)
+  check "no bound keeps the defaults" true (Check.bounds_for None = Check.default_bounds);
+  (* A bound within klsm_margin of max_int saturates instead of wrapping. *)
+  List.iter
+    (fun k ->
+      let b = Check.bounds_for (Some k) in
+      check_int (Printf.sprintf "k = %d saturates" k) max_int b.Check.max_rank;
+      check "mean saturates" true (b.Check.mean_rank = float_of_int max_int))
+    [ max_int; max_int - 1; max_int - Check.klsm_margin + 1 ]
 
 let () =
   Alcotest.run "klsm"
@@ -402,6 +401,6 @@ let () =
           Alcotest.test_case "malformed bounds report precisely" `Quick
             test_registry_klsm_parse_errors;
           Alcotest.test_case "k extraction and envelope keying" `Quick
-            test_klsm_k_of_name;
+            test_rank_bound_keying;
         ] );
     ]

@@ -430,12 +430,8 @@ let test_batch_equals_singles () =
             ok := batch_agrees_with_singles (impl.QA.create ()) (impl.QA.create ()))
       in
       check (impl.QA.name ^ ": batch = singles") true !ok)
-    [
-      QA.Sim.skipqueue_co ();
-      QA.Sim.skipqueue_co_dedup ();
-      QA.Sim.relaxed_skipqueue_co ();
-      QA.Sim.elim_skipqueue_co ();
-    ]
+    (List.map (QA.find QA.Sim)
+       [ "SkipQueue-co"; "SkipQueue-co-dedup"; "Relaxed SkipQueue-co"; "SkipQueue-co-elim" ])
 
 let test_one_node_fulfils_batch () =
   (* Five same-key elements coalesced into one node: a want-4 batch must

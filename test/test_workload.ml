@@ -29,10 +29,10 @@ let all_sim_impls =
     QA.Sim.skipqueue ();
     QA.Sim.relaxed_skipqueue ();
     QA.Sim.hunt_heap ();
-    QA.Sim.funnel_list ();
-    QA.Sim.multiqueue ~procs:8 ();
-    QA.Sim.funneled_skipqueue ();
-    QA.Sim.skipqueue_with_reclamation ();
+    QA.Sim.make ~procs:8 (QA.plain QA.Funnel_list);
+    QA.Sim.make ~procs:8 (QA.plain QA.Multiqueue);
+    QA.Sim.make ~procs:8 (QA.plain QA.Delete_funnel);
+    QA.Sim.make ~procs:8 (QA.plain QA.Reclamation);
   ]
 
 (* --- Benchmark.run ------------------------------------------------------- *)
@@ -132,6 +132,22 @@ let test_benchmark_rejects_bad_workload () =
 
 (* --- rank-error metric ----------------------------------------------------- *)
 
+(* [choice = shards] compares every shard, so the MultiQueue is exact
+   sequentially.  The adapter builds the MultiQueue at its defaults only,
+   so this configuration goes through the exported instance builder. *)
+module MQ = Repro_multiqueue.Multiqueue.Make (Repro_sim.Sim_runtime) (Repro_pqueue.Key.Int)
+
+let four_way_multiqueue =
+  {
+    (QA.Sim.make ~procs:1 (QA.plain QA.Multiqueue)) with
+    QA.create =
+      (fun () ->
+        let q = MQ.create ~shards:4 ~choice:4 ~procs:1 () in
+        QA.Sim.instance ~insert:(MQ.insert q)
+          ~try_delete_min:(fun () -> MQ.delete_min q)
+          ~stats:(fun () -> []));
+  }
+
 let test_rank_error_sequential_exact () =
   (* With one processor every structure — even the relaxed ones — returns
      the true minimum, so the oracle must read exactly zero. *)
@@ -149,7 +165,7 @@ let test_rank_error_sequential_exact () =
       QA.Sim.skipqueue ();
       QA.Sim.relaxed_skipqueue ();
       QA.Sim.hunt_heap ();
-      QA.Sim.multiqueue ~procs:1 ~shards:4 ~choice:4 ();
+      four_way_multiqueue;
     ]
 
 let test_rank_error_orders_relaxations () =
@@ -160,7 +176,7 @@ let test_rank_error_orders_relaxations () =
     Stats.mean m.Benchmark.rank_error
   in
   let strict = mean (QA.Sim.skipqueue ()) in
-  let mq = mean (QA.Sim.multiqueue ~procs:8 ()) in
+  let mq = mean (QA.Sim.make ~procs:8 (QA.plain QA.Multiqueue)) in
   check "strict skipqueue near-exact" true (strict < 2.0);
   check "multiqueue pays a rank error" true (mq > strict);
   check "multiqueue rank error bounded" true (mq < 200.0)
@@ -281,6 +297,140 @@ let test_instance_stats_keys () =
     (QA.all QA.Sim);
   check "registry carries bounded entries" true
     (List.exists (fun i -> i.QA.name = "bounded:SkipQueue") (QA.all QA.Sim))
+
+(* The registry, pinned: listing order is part of the contract (the check
+   sweep and the native sweep print in it). *)
+let sim_names =
+  [
+    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "SkipQueue-co-dedup";
+    "Relaxed SkipQueue-co"; "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-co-elim";
+    "Heap"; "FunnelList"; "MultiQueue"; "klsm:256"; "SkipQueue + delete funnel";
+    "SkipQueue + reclamation"; "BinQueue(65536)"; "bounded:SkipQueue";
+    "bounded:Relaxed SkipQueue"; "bounded:SkipQueue-lf"; "bounded:SkipQueue-co"; "bounded:Heap";
+    "bounded:MultiQueue";
+  ]
+
+let native_names =
+  [
+    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "SkipQueue-co-dedup";
+    "Relaxed SkipQueue-co"; "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-co-elim";
+    "Heap"; "FunnelList"; "MultiQueue"; "klsm:256"; "bounded:SkipQueue";
+    "bounded:Relaxed SkipQueue"; "bounded:SkipQueue-lf"; "bounded:SkipQueue-co"; "bounded:Heap";
+    "bounded:MultiQueue";
+  ]
+
+let test_registry_names_pinned () =
+  Alcotest.(check (list string)) "simulator names" sim_names (QA.names QA.Sim);
+  Alcotest.(check (list string)) "native names" native_names (QA.names QA.Native)
+
+(* Every registry name parses, prints back byte-identical and resolves to
+   the contract each implementation has always declared; a bounded: entry
+   keeps its inner one. *)
+let contracts =
+  QA.
+    [
+      ("SkipQueue", Linearizable, true); ("Relaxed SkipQueue", Relaxed, true);
+      ("SkipQueue-lf", Linearizable, false); ("SkipQueue-co", Linearizable, false);
+      ("SkipQueue-co-dedup", Linearizable, true); ("Relaxed SkipQueue-co", Relaxed, false);
+      ("SkipQueue-elim", Linearizable, true); ("Relaxed SkipQueue-elim", Relaxed, true);
+      ("SkipQueue-co-elim", Linearizable, false); ("Heap", Quiescent, false);
+      ("FunnelList", Linearizable, false); ("MultiQueue", Rank_bounded, false);
+      ("klsm:256", Rank_bounded, false); ("SkipQueue + delete funnel", Linearizable, true);
+      ("SkipQueue + reclamation", Linearizable, true); ("BinQueue(65536)", Linearizable, false);
+    ]
+
+let test_registry_round_trip () =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun name ->
+          (match QA.parse name with
+          | Ok d -> Alcotest.(check string) "prints back" name (QA.name d)
+          | Error msg -> Alcotest.fail msg);
+          let inner =
+            if String.starts_with ~prefix:"bounded:" name then
+              String.sub name 8 (String.length name - 8)
+            else name
+          in
+          let _, spec, dedups = List.find (fun (n, _, _) -> n = inner) contracts in
+          let impl = QA.find backend name in
+          Alcotest.(check string) "resolves by name" name impl.QA.name;
+          check (name ^ " spec") true (impl.QA.spec = spec);
+          check (name ^ " dedups") dedups impl.QA.dedups;
+          check (name ^ " rank bound") true
+            (impl.QA.rank_bound = if inner = "klsm:256" then Some 256 else None))
+        (QA.names backend))
+    [ QA.Sim; QA.Native ]
+
+(* Every base under every modifier combination: the valid ones run a 4-op
+   smoke on the simulator (and natively unless simulator-only); the rest
+   are refused at construction. *)
+let test_every_composition_runs () =
+  let smoke (q : QA.instance) =
+    q.QA.insert 3 30;
+    q.QA.insert 1 10;
+    q.QA.insert 2 20;
+    match q.QA.try_delete_min () with Some (k, _) -> k >= 1 && k <= 3 | None -> false
+  in
+  let built = ref 0 and native = ref 0 in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun (relaxed, elim, bounded) ->
+          let d = { QA.base; relaxed; elim; bounded } in
+          match QA.Sim.make ~procs:4 d with
+          | exception Invalid_argument _ -> ()
+          | impl -> (
+            incr built;
+            let ok = ref false in
+            let (_ : Machine.report) = Machine.run (fun () -> ok := smoke (impl.QA.create ())) in
+            check (impl.QA.name ^ " runs (sim)") true !ok;
+            match QA.Native.make ~procs:4 d with
+            | exception Invalid_argument _ -> ()
+            | impl ->
+              incr native;
+              check (impl.QA.name ^ " runs (native)") true (smoke (impl.QA.create ()))))
+        [
+          (false, false, None); (true, false, None); (false, true, None); (true, true, None);
+          (false, false, Some 8); (true, false, Some 8); (false, true, Some 8); (true, true, Some 8);
+        ])
+    QA.
+      [
+        Skipqueue; Lf; Co; Co_dedup; Heap; Funnel_list; Multiqueue; Klsm 1; Klsm 64; Bin 256;
+        Delete_funnel; Reclamation;
+      ];
+  (* SkipQueue 4 flavors, SkipQueue-co 3, eight single-flavor bases, all
+     twice (bare and bounded), plus the two unboundable ablations. *)
+  check_int "valid compositions" 32 !built;
+  check_int "native-eligible compositions" 28 !native
+
+let test_registry_bad_spellings () =
+  let refused ~backend input expect =
+    match QA.find backend input with
+    | _ -> Alcotest.failf "%S resolved" input
+    | exception Invalid_argument msg -> Alcotest.(check string) input expect msg
+  in
+  List.iter
+    (fun (input, expect) -> refused ~backend:QA.Sim input ("Queue_adapter.find: " ^ expect))
+    [
+      ("klsm:0", {|k-LSM rank bound must be a positive integer, got 0 in "klsm:0"|});
+      ( "klsm:abc",
+        {|malformed k-LSM rank bound "abc" in "klsm:abc" (expected klsm:<k> with k a positive integer)|}
+      );
+      ("Relaxed Heap", {|Heap has no relaxed flavor in "Relaxed Heap"|});
+      ("SkipQueue-lf-elim", {|SkipQueue-lf has no elimination front end in "SkipQueue-lf-elim"|});
+      ( "Relaxed SkipQueue-co-elim",
+        {|Relaxed SkipQueue-co has no elimination front end in "Relaxed SkipQueue-co-elim"|} );
+      ("bounded:bounded:SkipQueue", {|bounded: cannot be nested in "bounded:bounded:SkipQueue"|});
+      ( "bounded:SkipQueue + reclamation",
+        {|SkipQueue + reclamation is an ablation and cannot be bounded in "bounded:SkipQueue + reclamation"|}
+      );
+      ( "nosuchqueue",
+        Printf.sprintf {|unknown implementation "nosuchqueue" (known: %s)|}
+          (String.concat ", " (List.sort String.compare sim_names)) );
+    ];
+  refused ~backend:QA.Native "BinQueue(65536)"
+    "Queue_adapter.make: BinQueue(65536) is simulator-only"
 
 (* --- figures machinery ----------------------------------------------------- *)
 
@@ -464,6 +614,10 @@ let () =
           Alcotest.test_case "specs declared" `Quick test_registry_specs;
           Alcotest.test_case "every entry runs" `Quick test_registry_instances_work;
           Alcotest.test_case "core stats keys" `Quick test_instance_stats_keys;
+          Alcotest.test_case "names pinned" `Quick test_registry_names_pinned;
+          Alcotest.test_case "names round-trip" `Quick test_registry_round_trip;
+          Alcotest.test_case "every composition runs" `Quick test_every_composition_runs;
+          Alcotest.test_case "bad spellings report exactly" `Quick test_registry_bad_spellings;
         ] );
       ( "figures",
         [
