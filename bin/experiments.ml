@@ -81,15 +81,10 @@ let run_figures ids scale max_procs_log2 domains output quiet jobs =
 
 let ids =
   let doc =
-    "Experiments to run: fig2..fig8, multiqueue, ablation-funnel-front, \
-     ablation-skiplist-params, ablation-timestamp, ablation-reclamation, \
-     ablation-bounded-range, ablation-memory-model, ablation-elimination, \
-     ablation-lockfree (CAS-marked deletion vs the locked SkipQueue), \
-     scheduler (EDF jobs through the bounded/blocking façade), \
-     klsm-shootout (Relaxed SkipQueue vs MultiQueue vs k-LSM with the \
-     rank-error oracle), duplicate-heavy (coalescing SkipQueue over a \
-     key-range x processors grid), 'native' (real-domain sweep), or \
-     'all' (every simulator experiment)."
+    Printf.sprintf
+      "Experiments to run: %s, 'native' (real-domain sweep), or 'all' (every \
+       simulator experiment)."
+      (String.concat ", " (List.map fst Repro_workload.Figures.all))
   in
   Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT" ~doc)
 

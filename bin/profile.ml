@@ -13,47 +13,37 @@ open Cmdliner
 
 let run structure procs initial ops insert_ratio work =
   let module QA = Repro_workload.Queue_adapter in
-  let impl =
-    (* Short CLI spellings on top of the adapter registry's names. *)
-    let name =
-      match String.lowercase_ascii structure with
-      | "relaxed" -> "Relaxed SkipQueue"
-      | "funneled" -> "SkipQueue + delete funnel"
-      | other -> other
-    in
-    match QA.find QA.Sim name with
-    | impl -> impl
-    | exception Invalid_argument msg ->
-      Printf.eprintf "%s\n" msg;
-      Stdlib.exit 2
+  let module Benchmark = Repro_workload.Benchmark in
+  (* Short CLI spellings on top of the adapter registry's names. *)
+  let name =
+    match String.lowercase_ascii structure with
+    | "relaxed" -> "Relaxed SkipQueue"
+    | "funneled" -> "SkipQueue + delete funnel"
+    | other -> other
   in
+  let bad_input msg =
+    Printf.eprintf "%s\n" msg;
+    2
+  in
+  match QA.parse name with
+  | Error msg -> bad_input msg
+  | Ok descriptor ->
+  (* Sized for [procs], like the figures' sweeps: the MultiQueue's shards
+     and the k-LSM's buffers scale with the processors they serve. *)
+  let impl = QA.Sim.make ~procs descriptor in
   let summary = Repro_sim.Trace.Summary.create () in
-  let latencies = Repro_util.Stats.create () in
-  match
-    Repro_sim.Machine.run ~tracer:(Repro_sim.Trace.Summary.sink summary) (fun () ->
-        let q = impl.Repro_workload.Queue_adapter.create () in
-        let rng = Repro_util.Rng.of_seed 99L in
-        for i = 0 to initial - 1 do
-          q.Repro_workload.Queue_adapter.insert
-            (Repro_util.Rng.int rng (1 lsl 20))
-            (1_000_000 + i)
-        done;
-        for p = 0 to procs - 1 do
-          let rng = Repro_util.Rng.of_seed (Int64.of_int (7_000 + p)) in
-          Repro_sim.Machine.spawn (fun () ->
-              for i = 0 to (ops / procs) - 1 do
-                Repro_sim.Machine.work work;
-                let t0 = Repro_sim.Machine.probe_time () in
-                if Repro_util.Rng.bernoulli rng insert_ratio then
-                  q.Repro_workload.Queue_adapter.insert
-                    (Repro_util.Rng.int rng (1 lsl 20))
-                    ((p * 1_000_000) + i)
-                else ignore (q.Repro_workload.Queue_adapter.try_delete_min ());
-                Repro_util.Stats.add latencies
-                  (float_of_int (Repro_sim.Machine.probe_time () - t0))
-              done)
-        done)
-  with
+  let workload =
+    {
+      Benchmark.default_workload with
+      procs;
+      initial_size = initial;
+      total_ops = ops;
+      insert_ratio;
+      work_cycles = work;
+    }
+  in
+  match Benchmark.probe ~tracer:(Repro_sim.Trace.Summary.sink summary) impl workload with
+  | exception Invalid_argument msg -> bad_input msg
   | exception Repro_sim.Machine.Deadlock msg ->
     (* A blocking backend (a bounded: façade) can legitimately strand the
        whole workload: with every processor flipping a 50/50 coin, all of
@@ -66,9 +56,9 @@ let run structure procs initial ops insert_ratio work =
        a lower --insert-ratio, fewer --ops, or more --initial headroom)\n"
       msg;
     1
-  | report ->
+  | report, latencies ->
   Printf.printf "structure: %s, %d procs, %d initial, %d ops, %.0f%% inserts\n\n"
-    impl.Repro_workload.Queue_adapter.name procs initial ops (100.0 *. insert_ratio);
+    impl.QA.name procs initial (Repro_util.Stats.count latencies) (100.0 *. insert_ratio);
   Printf.printf "mean operation latency: %.0f cycles (min %.0f, max %.0f)\n"
     (Repro_util.Stats.mean latencies)
     (Repro_util.Stats.min_value latencies)

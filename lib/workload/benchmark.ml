@@ -217,6 +217,45 @@ let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
     queue_stats = !queue_stats;
   }
 
+(* The traced contention probe's schedule: fixed streams (root seed 99,
+   processor p seeded 7000 + p), ⌊total_ops / procs⌋ operations per
+   processor, and no post-mortem processor, so a tracer sees only the
+   workload.  Latency is read with the free probe, which never touches
+   the schedule. *)
+let probe ?tracer (impl : Queue_adapter.impl) w =
+  let fail fmt = Printf.ksprintf invalid_arg ("Benchmark.probe: " ^^ fmt) in
+  let limit = Repro_sim.Memory_model.default.Repro_sim.Memory_model.max_procs - 1 in
+  if w.procs < 1 then fail "procs < 1";
+  if w.procs > limit then
+    fail "procs %d > %d (the simulator's processor limit, less the root)" w.procs limit;
+  if w.insert_ratio < 0.0 || w.insert_ratio > 1.0 then
+    fail "insert_ratio outside [0, 1]";
+  if w.total_ops < w.procs then
+    fail "total_ops %d < procs %d (every processor needs an operation)" w.total_ops w.procs;
+  let ops = w.total_ops / w.procs in
+  let latency = Stats.create () in
+  let report =
+    Machine.run ?tracer (fun () ->
+        let q = impl.Queue_adapter.create () in
+        let rng = Rng.of_seed 99L in
+        for i = 0 to w.initial_size - 1 do
+          q.Queue_adapter.insert (Rng.int rng w.key_range) (1_000_000 + i)
+        done;
+        for p = 0 to w.procs - 1 do
+          let rng = Rng.of_seed (Int64.of_int (7_000 + p)) in
+          Machine.spawn (fun () ->
+              for i = 0 to ops - 1 do
+                Machine.work w.work_cycles;
+                let t0 = Machine.probe_time () in
+                if Rng.bernoulli rng w.insert_ratio then
+                  q.Queue_adapter.insert (Rng.int rng w.key_range) ((p * 1_000_000) + i)
+                else ignore (q.Queue_adapter.try_delete_min ());
+                Stats.add latency (float_of_int (Machine.probe_time () - t0))
+              done)
+        done)
+  in
+  (report, latency)
+
 let pp_measurement ppf m =
   let quantile h q =
     if Repro_util.Histogram.count h = 0 then 0.0 else Repro_util.Histogram.quantile h q

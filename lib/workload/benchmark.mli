@@ -60,4 +60,19 @@ val run :
     run-ahead toggle — measurements are identical either way (the
     simulator-throughput bench measures the host-time difference). *)
 
+val probe :
+  ?tracer:Repro_sim.Trace.sink ->
+  Queue_adapter.impl ->
+  workload ->
+  Repro_sim.Machine.report * Repro_util.Stats.t
+(** The contention probe behind [profile.exe] and the figures' head-of-list
+    probes: the same mix as {!run}, on the probe's own fixed schedule.  The
+    prefill draws from root seed 99, processor [p] from seed [7000 + p]
+    ([seed] is not used), and each of the [procs] processors runs
+    [total_ops / procs] operations (rounded down).  There is no post-mortem
+    processor, so [tracer] sees only the workload; attaching one leaves the
+    report unchanged.  Returns the machine report and every operation's
+    latency.  Raises [Invalid_argument] for [procs] outside [1, 511],
+    [insert_ratio] outside [0, 1], or [total_ops < procs]. *)
+
 val pp_measurement : Format.formatter -> measurement -> unit

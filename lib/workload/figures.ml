@@ -1,5 +1,10 @@
+module Machine = Repro_sim.Machine
+module Plot = Repro_util.Ascii_plot
+module Rng = Repro_util.Rng
 module Stats = Repro_util.Stats
 module Table = Repro_util.Table
+module QA = Queue_adapter
+module Summary = Repro_sim.Trace.Summary
 
 type result = {
   id : string;
@@ -20,306 +25,307 @@ let default_options =
   { scale = 1.0; max_procs_log2 = 8; progress = ignore; jobs = 1 }
 
 let to_csv r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "series,x,delete_latency,insert_latency\n";
-  List.iter
-    (fun (name, rows) ->
-      List.iter
-        (fun (x, d, i) ->
-          Buffer.add_string buf (Printf.sprintf "%s,%g,%g,%g\n" name x d i))
-        rows)
-    r.data;
-  Buffer.contents buf
+  String.concat ""
+    ("series,x,delete_latency,insert_latency\n"
+    :: List.concat_map
+         (fun (name, rows) ->
+           List.map (fun (x, d, i) -> Printf.sprintf "%s,%g,%g,%g\n" name x d i) rows)
+         r.data)
 
 let render r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("== " ^ r.id ^ " — " ^ r.title ^ " ==\n\n");
-  Buffer.add_string buf r.body;
-  if r.indicators <> [] then begin
-    Buffer.add_string buf "\nShape indicators:\n";
-    List.iter
-      (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "  %-55s %8.2f\n" name v))
-      r.indicators
-  end;
-  Buffer.contents buf
+  Printf.sprintf "== %s — %s ==\n\n%s" r.id r.title r.body
+  ^
+  if r.indicators = [] then ""
+  else
+    "\nShape indicators:\n"
+    ^ String.concat ""
+        (List.map (fun (name, v) -> Printf.sprintf "  %-55s %8.2f\n" name v) r.indicators)
 
 let scaled options n = Int.max 400 (int_of_float (float_of_int n *. options.scale))
 let proc_counts options = List.init (options.max_procs_log2 + 1) (fun i -> 1 lsl i)
+let top options = 1 lsl options.max_procs_log2
 
-(* Run one implementation across the processor sweep.  Points are
-   independent simulations, so they fan out over [options.jobs] domains
-   (identical results either way — see Jobs). *)
-let sweep options ~impl ~workload_of =
-  Jobs.map ~jobs:options.jobs
-    (fun procs ->
-      options.progress (Printf.sprintf "%s @ %d procs" impl.Queue_adapter.name procs);
-      (procs, Benchmark.run impl (workload_of procs)))
-    (proc_counts options)
+(* The acceptance point of the head-of-list probes: >= 64 processors
+   (clamped so tiny smoke-test sweeps stay in range). *)
+let probe_procs options = Int.min 64 (top options)
 
 (* The paper's figures are log-log latency curves; render an ASCII
    approximation under the tables so crossovers are visible at a glance. *)
 let latency_plot ~series of_measurement ~title =
   let markers = [| '#'; 'o'; '+'; 'x'; '*'; '@' |] in
-  let plot_series =
-    List.mapi
-      (fun i (name, points) ->
-        {
-          Repro_util.Ascii_plot.label = name;
-          marker = markers.(i mod Array.length markers);
-          points =
-            List.map
-              (fun (procs, m) -> (float_of_int procs, of_measurement m))
-              points;
-        })
-      series
+  let curve i (label, points) =
+    let points = List.map (fun (procs, m) -> (float_of_int procs, of_measurement m)) points in
+    { Plot.label; marker = markers.(i mod Array.length markers); points }
   in
   title ^ "\n"
-  ^ Repro_util.Ascii_plot.render ~width:64 ~height:16
-      ~x_scale:Repro_util.Ascii_plot.Log2 ~y_scale:Repro_util.Ascii_plot.Log10
-      ~x_label:"processors" ~y_label:"cycles (log10)" plot_series
+  ^ Plot.render ~width:64 ~height:16 ~x_scale:Plot.Log2 ~y_scale:Plot.Log10 ~x_label:"processors"
+      ~y_label:"cycles (log10)" (List.mapi curve series)
 
+let del m = Stats.mean m.Benchmark.delete_latency
+let ins m = Stats.mean m.Benchmark.insert_latency
+
+let rank_of m =
+  if Stats.count m.Benchmark.rank_error = 0 then 0.0
+  else Stats.mean m.Benchmark.rank_error
+
+(* [series]: (name, (procs, measurement) list) list, rendered as one
+   table with a column per structure and a row per processor count. *)
+let procs_table ~series ~decimals of_measurement =
+  let cell n (_, points) = Table.float_cell ~decimals (of_measurement (List.assoc n points)) in
+  Table.render ~header:("procs" :: List.map fst series)
+    (List.map (fun (n, _) -> string_of_int n :: List.map (cell n) series) (snd (List.hd series)))
+
+(* Two tables in the paper's layout: deletions then insertions. *)
 let latency_tables ~series =
-  (* [series]: (name, (procs, measurement) list) list.  Two tables in the
-     paper's layout: deletions then insertions, one column per
-     structure. *)
-  let procs = List.map fst (snd (List.hd series)) in
-  let header = "procs" :: List.map fst series in
-  let table of_measurement =
-    let rows =
-      List.map
-        (fun n ->
-          string_of_int n
-          :: List.map
-               (fun (_, points) ->
-                 let m = List.assoc n points in
-                 Table.float_cell ~decimals:0 (of_measurement m))
-               series)
-        procs
-    in
-    Table.render ~header rows
-  in
-  let delete m = Stats.mean m.Benchmark.delete_latency in
-  let insert m = Stats.mean m.Benchmark.insert_latency in
-  "Average Delete-min latency (simulated cycles)\n" ^ table delete
-  ^ "\nAverage Insert latency (simulated cycles)\n" ^ table insert
+  "Average Delete-min latency (simulated cycles)\n"
+  ^ procs_table ~series ~decimals:0 del
+  ^ "\nAverage Insert latency (simulated cycles)\n"
+  ^ procs_table ~series ~decimals:0 ins
   ^ "\n"
-  ^ latency_plot ~series delete ~title:"Delete-min latency"
+  ^ latency_plot ~series del ~title:"Delete-min latency"
   ^ "\n"
-  ^ latency_plot ~series insert ~title:"Insert latency"
+  ^ latency_plot ~series ins ~title:"Insert latency"
+
+let rank_table ~series =
+  "Mean Delete-min rank error (elements ahead of the returned key)\n"
+  ^ procs_table ~series ~decimals:2 rank_of
 
 (* Structured queue counters, rendered uniformly ("name=value ..."). *)
 let stats_line stats =
   String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%.0f" k v) stats)
 
-let at series name procs =
-  let points = List.assoc name series in
-  List.assoc procs points
+let stat m k = Option.value ~default:0.0 (List.assoc_opt k m.Benchmark.queue_stats)
 
-let ratio_indicator series ~slow ~fast ~procs f label =
-  let s = f (at series slow procs) and q = f (at series fast procs) in
-  (label, if q = 0.0 then nan else s /. q)
+(* [at label procs] is one sweep point's measurement. *)
+let ratio_of at ~slow ~fast ~procs f =
+  let q = f (at fast procs) in
+  if q = 0.0 then nan else f (at slow procs) /. q
 
-let del m = Stats.mean m.Benchmark.delete_latency
-let ins m = Stats.mean m.Benchmark.insert_latency
-
-let series_data series =
-  List.map
-    (fun (name, points) ->
-      (name, List.map (fun (x, m) -> (float_of_int x, del m, ins m)) points))
-    series
+(* A named [ratio_of]; [label]'s first conversion receives [procs]. *)
+let ratio at ~slow ~fast ~procs f label =
+  Printf.ksprintf (fun label -> (label, ratio_of at ~slow ~fast ~procs f)) label procs
 
 (* Find the smallest processor count from which [fast] stays at or below
    [slow] for the rest of the sweep — the crossover the paper narrates. *)
-let crossover series ~slow ~fast f =
-  let points_slow = List.assoc slow series and points_fast = List.assoc fast series in
-  let rec scan = function
-    | [] -> nan
-    | (n, _) :: _
-      when List.for_all
-             (fun (m, mf) -> m < n || f mf <= f (List.assoc m points_slow))
-             points_fast -> float_of_int n
-    | _ :: rest -> scan rest
-  in
-  scan points_fast
+let crossover at procs ~slow ~fast f =
+  let beats n = List.for_all (fun m -> m < n || f (at fast m) <= f (at slow m)) procs in
+  Option.fold ~none:nan ~some:float_of_int (List.find_opt beats procs)
 
 (* ------------------------------------------------------------------ *)
 
-let base_workload options ~procs ~initial ~ops ~insert_ratio ~work =
+(* The paper's workloads (§5): 100 cycles of local work, keys below
+   2^20.  Sweeps set [procs] per point. *)
+let workload options ~initial ~ops ~insert_ratio =
+  let total_ops = scaled options ops in
+  { Benchmark.default_workload with initial_size = initial; total_ops; insert_ratio; seed = 42L }
+
+let fig6_load options = workload options ~initial:50 ~ops:7_000 ~insert_ratio:0.5
+let fig7_load options = workload options ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
+let fig8_load options = workload options ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
+let fig7_heading = "--- fig7 workload (1000 initial, 7000 ops, 50% inserts) ---"
+
+(* ---- the sweep engine ---------------------------------------------- *)
+
+(* One curve.  [impl] is built per processor count: the MultiQueue's
+   shards and the k-LSM's buffers scale with the processors they serve.
+   The series runs [ops_scale] of its section's operations, for
+   structures whose linear-time operations make full runs impractically
+   slow to simulate; per-operation latency is unaffected. *)
+type series = { label : string; impl : int -> QA.impl; ops_scale : float }
+
+let series ?(ops_scale = 1.0) d =
+  { label = QA.name d; impl = (fun procs -> QA.Sim.make ~procs d); ops_scale }
+
+let fixed label impl = { label; impl = (fun _ -> impl); ops_scale = 1.0 }
+
+(* One workload swept over the processor counts.  [heading] is printed
+   above its tables; [tag] keys its points and, once an experiment has
+   several sections, suffixes its CSV series ("label/tag").  [rank]
+   appends the rank-error table and [counters = Some (what, label)] the
+   named series' counters at the top of the sweep.  [indicators at] are
+   the section's shape indicators, [at label procs] one of its points. *)
+type section = {
+  heading : string;
+  tag : string;
+  workload : Benchmark.workload;
+  series : series list;
+  rank : bool;
+  counters : (string * string) option;
+  indicators : (string -> int -> Benchmark.measurement) -> (string * float) list;
+}
+
+let section ?(heading = "") ?(tag = "") ?(rank = false) ?counters ?(indicators = fun _ -> [])
+    workload series =
+  { heading; tag; workload; series; rank; counters; indicators }
+
+(* Run every point of every section — independent simulations, so they
+   fan out over [options.jobs] domains with identical results either way
+   (see Jobs) — and render the sections joined by blank lines.
+   [trailer at] gives the text appended below them and the indicators
+   following the sections'; [at ~tag label procs] is one point. *)
+let sweep options ~id ~title ?(trailer = fun _ -> ("", [])) sections =
+  let procs = proc_counts options and top = top options in
+  let name s label = if List.length sections > 1 then label ^ "/" ^ s.tag else label in
+  let results =
+    Jobs.map ~jobs:options.jobs
+      (fun (s, r, n) ->
+        options.progress (Printf.sprintf "%s @ %d procs" (name s r.label) n);
+        let w = s.workload in
+        let total_ops = Int.max 400 (int_of_float (float_of_int w.total_ops *. r.ops_scale)) in
+        ((s.tag, r.label, n), Benchmark.run (r.impl n) { w with Benchmark.procs = n; total_ops }))
+      (List.concat_map
+         (fun s -> List.concat_map (fun r -> List.map (fun n -> (s, r, n)) procs) s.series)
+         sections)
+  in
+  let at ~tag label n = List.assoc (tag, label, n) results in
+  let curves s =
+    List.map (fun r -> (r.label, List.map (fun n -> (n, at ~tag:s.tag r.label n)) procs)) s.series
+  in
+  let render_section s =
+    let series = curves s in
+    (if s.heading = "" then "" else s.heading ^ "\n")
+    ^ latency_tables ~series
+    ^ (if s.rank then "\n" ^ rank_table ~series else "")
+    ^ Option.fold s.counters ~none:"" ~some:(fun (what, label) ->
+          Printf.sprintf "%s counters @%d procs: %s\n" what top
+            (stats_line (at ~tag:s.tag label top).Benchmark.queue_stats))
+  in
+  let text, extra = trailer at in
   {
-    Benchmark.procs;
-    initial_size = initial;
-    total_ops = scaled options ops;
-    insert_ratio;
-    work_cycles = work;
-    key_range = 1 lsl 20;
-    seed = 42L;
+    id;
+    title;
+    body = String.concat "\n" (List.map render_section sections) ^ text;
+    indicators = List.concat_map (fun s -> s.indicators (at ~tag:s.tag)) sections @ extra;
+    data =
+      List.concat_map
+        (fun s ->
+          List.map
+            (fun (label, points) ->
+              (name s label, List.map (fun (x, m) -> (float_of_int x, del m, ins m)) points))
+            (curves s))
+        sections;
   }
 
-let fig2 options =
-  let works = [ 100; 1000; 2000; 3000; 4000; 5000; 6000 ] in
-  let impl = Queue_adapter.Sim.skipqueue () in
+(* The head-of-list contention probe: full tracing is too costly for a
+   whole sweep, so rerun the fig7 workload (keys below [key_range]) once
+   per structure at [probe_procs] under a Trace.Summary sink and compare
+   where the queued cycles land.  Returns the rendered lines and the
+   hottest-line queued-cycle ratio of two of the structures. *)
+let head_probe options ~what ~key_range descriptors =
+  let procs = probe_procs options in
+  let w = { (fig7_load options) with Benchmark.procs; key_range } in
+  let queued summary ~n =
+    List.fold_left (fun acc (_, _, q) -> acc + q) 0 (Summary.hottest_locations summary ~n)
+  in
+  let probes =
+    Jobs.map ~jobs:options.jobs
+      (fun d ->
+        options.progress (Printf.sprintf "head probe: %s @ %d procs" (QA.name d) procs);
+        let summary = Summary.create () in
+        ignore (Benchmark.probe ~tracer:(Summary.sink summary) (QA.Sim.make ~procs d) w);
+        (QA.name d, (queued summary ~n:1, queued summary ~n:8)))
+      descriptors
+  in
+  let probe_line (name, (hottest, top8)) =
+    Printf.sprintf "%-22s hottest line queued %9d cycles; top-8 lines %9d\n" name hottest top8
+  in
+  let hottest name = float_of_int (fst (List.assoc name probes)) in
+  ( Printf.sprintf "\nHead-of-list contention probe (%s workload, %d procs, full tracing)\n"
+      what procs
+    ^ String.concat "" (List.map probe_line probes),
+    fun ~slow ~fast -> hottest slow /. Float.max 1.0 (hottest fast) )
+
+let sq = QA.plain QA.Skipqueue
+let relaxed d = { d with QA.relaxed = true }
+let elim d = { d with QA.elim = true }
+
+(* ------------------------------------------------------------------ *)
+
+let fig2 ~id options =
+  let impl = QA.Sim.skipqueue () in
   let measurements =
     Jobs.map ~jobs:options.jobs
       (fun work ->
         options.progress (Printf.sprintf "fig2: work=%d" work);
-        let w =
-          base_workload options ~procs:(1 lsl options.max_procs_log2) ~initial:1000
-            ~ops:70_000 ~insert_ratio:0.5 ~work
-        in
-        (work, Benchmark.run impl w))
-      works
+        let w = workload options ~initial:1000 ~ops:70_000 ~insert_ratio:0.5 in
+        (work, Benchmark.run impl { w with Benchmark.procs = top options; work_cycles = work }))
+      [ 100; 1000; 2000; 3000; 4000; 5000; 6000 ]
   in
-  let rows =
-    List.map
-      (fun (work, m) ->
-        [
-          string_of_int work;
-          Table.float_cell ~decimals:0 (del m);
-          Table.float_cell ~decimals:0 (ins m);
-        ])
-      measurements
-  in
-  let body =
-    Printf.sprintf
-      "SkipQueue latency vs. amount of local work (%d processes, 1000 initial elements)\n"
-      (1 lsl options.max_procs_log2)
-    ^ Table.render ~header:[ "work"; "delete_min latency"; "insert latency" ] rows
-  in
+  let cell = Table.float_cell ~decimals:0 in
   let first = List.assoc 100 measurements and last = List.assoc 6000 measurements in
   {
-    id = "fig2";
+    id;
     title = "latency vs. local work amount";
-    body;
+    body =
+      Printf.sprintf
+        "SkipQueue latency vs. amount of local work (%d processes, 1000 initial elements)\n"
+        (top options)
+      ^ Table.render ~header:[ "work"; "delete_min latency"; "insert latency" ]
+          (List.map (fun (work, m) -> [ string_of_int work; cell (del m); cell (ins m) ])
+             measurements);
     indicators =
       [
         ("delete latency drop, work 100 -> 6000 (paper ~2.7x)", del first /. del last);
         ("insert latency drop, work 100 -> 6000 (paper ~2.5x)", ins first /. ins last);
       ];
     data =
-      [
-        ( "SkipQueue",
-          List.map (fun (work, m) -> (float_of_int work, del m, ins m)) measurements );
-      ];
+      [ ("SkipQueue", List.map (fun (work, m) -> (float_of_int work, del m, ins m)) measurements) ];
   }
 
-let heap_capacity options ~initial ~ops =
-  initial + scaled options ops + 100
-
-let comparison_figure options ~id ~title ~initial ~ops ~insert_ratio ~with_funnel_list
-    ~funnel_list_ops_scale =
-  let impls =
-    [ Queue_adapter.Sim.hunt_heap
-        ~capacity:(heap_capacity options ~initial ~ops) ();
-      Queue_adapter.Sim.skipqueue () ]
-    @ (if with_funnel_list then [ Queue_adapter.(Sim.make ~procs:1 (plain Funnel_list)) ] else [])
+(* fig3-5: the Hunt heap and the SkipQueue, plus the FunnelList measured
+   over [funnel_list] of the operations when given. *)
+let comparison_figure ~title ~initial ~ops ~insert_ratio ~funnel_list ~id options =
+  let top = top options in
+  let heap = fixed "Heap" (QA.Sim.hunt_heap ~capacity:(initial + scaled options ops + 100) ()) in
+  let funnel =
+    Option.map (fun ops_scale -> series ~ops_scale (QA.plain QA.Funnel_list)) funnel_list
   in
-  let series =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          let w = base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100 in
-          if impl.Queue_adapter.name = "FunnelList" then
-            {
-              w with
-              Benchmark.total_ops =
-                Int.max 400
-                  (int_of_float (float_of_int w.Benchmark.total_ops *. funnel_list_ops_scale));
-            }
-          else w
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  let indicators =
-    [
-      ratio_indicator series ~slow:"Heap" ~fast:"SkipQueue" ~procs:top del
-        (Printf.sprintf "Heap/SkipQueue deletion latency @%d" top);
-      ratio_indicator series ~slow:"Heap" ~fast:"SkipQueue" ~procs:top ins
-        (Printf.sprintf "Heap/SkipQueue insertion latency @%d" top);
-    ]
+  let indicators at =
+    let vs slow f what =
+      ( Printf.sprintf "%s/SkipQueue %s latency @%d" slow what top,
+        ratio_of at ~slow ~fast:"SkipQueue" ~procs:top f )
+    in
+    let beats f = crossover at (proc_counts options) ~slow:"FunnelList" ~fast:"SkipQueue" f in
+    [ vs "Heap" del "deletion"; vs "Heap" ins "insertion" ]
     @
-    if with_funnel_list then
+    if funnel_list = None then []
+    else
       [
-        ratio_indicator series ~slow:"FunnelList" ~fast:"SkipQueue" ~procs:top del
-          (Printf.sprintf "FunnelList/SkipQueue deletion latency @%d" top);
-        ( "crossover procs: SkipQueue beats FunnelList (deletions)",
-          crossover series ~slow:"FunnelList" ~fast:"SkipQueue" del );
-        ( "crossover procs: SkipQueue beats FunnelList (insertions)",
-          crossover series ~slow:"FunnelList" ~fast:"SkipQueue" ins );
+        vs "FunnelList" del "deletion";
+        ("crossover procs: SkipQueue beats FunnelList (deletions)", beats del);
+        ("crossover procs: SkipQueue beats FunnelList (insertions)", beats ins);
       ]
-    else []
   in
   let note =
-    if with_funnel_list && funnel_list_ops_scale < 1.0 then
+    match funnel_list with
+    | Some s when s < 1.0 ->
       Printf.sprintf
         "(FunnelList measured over %.0f%% of the operations — linear-time \
          operations make full runs impractically slow to simulate; per-operation \
          latency is unaffected.)\n"
-        (100.0 *. funnel_list_ops_scale)
-    else ""
+        (100.0 *. s)
+    | _ -> ""
   in
-  { id; title; body = latency_tables ~series ^ note; indicators; data = series_data series }
+  sweep options ~id ~title
+    ~trailer:(fun _ -> (note, []))
+    [
+      section ~indicators
+        (workload options ~initial ~ops ~insert_ratio)
+        (heap :: series sq :: Option.to_list funnel);
+    ]
 
-let fig3 options =
-  comparison_figure options ~id:"fig3"
-    ~title:"small structure (50 initial, 70000 ops, 50% inserts)" ~initial:50
-    ~ops:70_000 ~insert_ratio:0.5 ~with_funnel_list:true ~funnel_list_ops_scale:1.0
-
-let fig4 options =
-  comparison_figure options ~id:"fig4"
-    ~title:"large structure (1000 initial, 70000 ops, 50% inserts)" ~initial:1000
-    ~ops:70_000 ~insert_ratio:0.5 ~with_funnel_list:true ~funnel_list_ops_scale:0.1
-
-let fig5 options =
-  comparison_figure options ~id:"fig5"
-    ~title:"70% deletions (27000 initial, 60000 ops, 30% inserts)" ~initial:27_000
-    ~ops:60_000 ~insert_ratio:0.3 ~with_funnel_list:false ~funnel_list_ops_scale:1.0
-
-let relaxed_figure options ~id ~title ~initial ~ops ~insert_ratio =
-  let impls =
-    [ Queue_adapter.Sim.skipqueue (); Queue_adapter.Sim.relaxed_skipqueue () ]
-  in
-  let series =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  {
-    id;
-    title;
-    body = latency_tables ~series;
-    indicators =
-      [
-        ratio_indicator series ~slow:"SkipQueue" ~fast:"Relaxed SkipQueue" ~procs:top
-          del
-          (Printf.sprintf "strict/relaxed deletion latency @%d (paper: up to 2x)" top);
-        ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"SkipQueue" ~procs:top
-          ins
-          (Printf.sprintf "relaxed/strict insertion latency @%d (paper: >= 1)" top);
-      ];
-    data = series_data series;
-  }
-
-let fig6 options =
-  relaxed_figure options ~id:"fig6"
-    ~title:"SkipQueue vs Relaxed, small structure (50 initial, 7000 ops)" ~initial:50
-    ~ops:7_000 ~insert_ratio:0.5
-
-let fig7 options =
-  relaxed_figure options ~id:"fig7"
-    ~title:"SkipQueue vs Relaxed, large structure (1000 initial, 7000 ops)"
-    ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-
-let fig8 options =
-  relaxed_figure options ~id:"fig8"
-    ~title:"SkipQueue vs Relaxed, 70% deletions (27000 initial, 60000 ops)"
-    ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
+let relaxed_figure what load ~id options =
+  let top = top options in
+  sweep options ~id ~title:("SkipQueue vs Relaxed, " ^ what)
+    [
+      section (load options) [ series sq; series (relaxed sq) ] ~indicators:(fun at ->
+          [
+            ratio at ~slow:"SkipQueue" ~fast:"Relaxed SkipQueue" ~procs:top del
+              "strict/relaxed deletion latency @%d (paper: up to 2x)";
+            ratio at ~slow:"Relaxed SkipQueue" ~fast:"SkipQueue" ~procs:top ins
+              "relaxed/strict insertion latency @%d (paper: >= 1)";
+          ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -328,187 +334,69 @@ let fig8 options =
    SkipQueue, with the strict SkipQueue as the exactness anchor.  Reports
    both latency and Delete-min rank error, so the speed/quality trade is
    quantified instead of implied. *)
-
-let rank_of m =
-  if Stats.count m.Benchmark.rank_error = 0 then 0.0
-  else Stats.mean m.Benchmark.rank_error
-
-let rank_table ~series =
-  let procs = List.map fst (snd (List.hd series)) in
-  let header = "procs" :: List.map fst series in
-  let rows =
-    List.map
-      (fun n ->
-        string_of_int n
-        :: List.map
-             (fun (_, points) ->
-               Table.float_cell ~decimals:2 (rank_of (List.assoc n points)))
-             series)
-      procs
-  in
-  "Mean Delete-min rank error (elements ahead of the returned key)\n"
-  ^ Table.render ~header rows
-
-(* Like [sweep], but rebuilding the implementation for each processor
-   count — the MultiQueue's shard count scales with the processors it
-   serves. *)
-let sweep_per_procs options ~name ~impl_of ~workload_of =
-  Jobs.map ~jobs:options.jobs
-    (fun procs ->
-      options.progress (Printf.sprintf "%s @ %d procs" name procs);
-      (procs, Benchmark.run (impl_of procs) (workload_of procs)))
-    (proc_counts options)
-
-let multiqueue options =
-  let sub ~tag ~initial ~ops ~insert_ratio =
-    let workload_of procs =
-      base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100
-    in
+let multiqueue ~id options =
+  let top = top options in
+  let indicators tag at =
     [
-      ( "Relaxed SkipQueue",
-        sweep options ~impl:(Queue_adapter.Sim.relaxed_skipqueue ()) ~workload_of );
-      ( "MultiQueue",
-        sweep_per_procs options
-          ~name:(Printf.sprintf "MultiQueue [%s]" tag)
-          ~impl_of:(fun procs -> Queue_adapter.(Sim.make ~procs (plain Multiqueue)))
-          ~workload_of );
+      ratio at ~slow:"Relaxed SkipQueue" ~fast:"MultiQueue" ~procs:top del
+        "relaxed/multiqueue deletion latency @%d, %s" tag;
+      ratio at ~slow:"Relaxed SkipQueue" ~fast:"MultiQueue" ~procs:top ins
+        "relaxed/multiqueue insertion latency @%d, %s" tag;
+      (Printf.sprintf "multiqueue mean rank error @%d, %s" top tag, rank_of (at "MultiQueue" top));
+      ( Printf.sprintf "relaxed skipqueue mean rank error @%d, %s" top tag,
+        rank_of (at "Relaxed SkipQueue" top) );
     ]
   in
-  let workloads =
+  sweep options ~id ~title:"MultiQueue vs Relaxed SkipQueue: latency and rank error"
+    (List.map
+       (fun (tag, what, load) ->
+         section ~heading:("--- " ^ what ^ " ---") ~tag ~rank:true ~indicators:(indicators tag)
+           (load options)
+           [ series (relaxed sq); series (QA.plain QA.Multiqueue) ])
+       [
+         ("small", "small structure (50 initial, 7000 ops, 50% inserts)", fig6_load);
+         ("large", "large structure (1000 initial, 7000 ops, 50% inserts)", fig7_load);
+         ("70% deletions", "70% deletions (27000 initial, 60000 ops, 30% inserts)", fig8_load);
+       ])
+
+let ablation_funnel_front ~id options =
+  sweep options ~id ~title:"funnel-regulated Delete-min vs racing SWAPs (the design §5 rejects)"
     [
-      ("small", "small structure (50 initial, 7000 ops, 50% inserts)",
-       sub ~tag:"small" ~initial:50 ~ops:7_000 ~insert_ratio:0.5);
-      ("large", "large structure (1000 initial, 7000 ops, 50% inserts)",
-       sub ~tag:"large" ~initial:1000 ~ops:7_000 ~insert_ratio:0.5);
-      ("70% deletions", "70% deletions (27000 initial, 60000 ops, 30% inserts)",
-       sub ~tag:"70% deletions" ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3);
+      section (fig6_load options) [ series sq; series (QA.plain QA.Delete_funnel) ]
+        ~indicators:(fun at ->
+          [ ratio at ~slow:"SkipQueue + delete funnel" ~fast:"SkipQueue" ~procs:(top options) del
+              "funneled/plain deletion latency @%d (paper: > 1 at high concurrency)" ]);
     ]
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  let body =
-    String.concat "\n"
-      (List.map
-         (fun (_, title, series) ->
-           Printf.sprintf "--- %s ---\n" title
-           ^ latency_tables ~series ^ "\n" ^ rank_table ~series)
-         workloads)
-  in
-  let indicators =
-    List.concat_map
-      (fun (tag, _, series) ->
-        [
-          ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"MultiQueue"
-            ~procs:top del
-            (Printf.sprintf "relaxed/multiqueue deletion latency @%d, %s" top tag);
-          ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"MultiQueue"
-            ~procs:top ins
-            (Printf.sprintf "relaxed/multiqueue insertion latency @%d, %s" top tag);
-          ( Printf.sprintf "multiqueue mean rank error @%d, %s" top tag,
-            rank_of (at series "MultiQueue" top) );
-          ( Printf.sprintf "relaxed skipqueue mean rank error @%d, %s" top tag,
-            rank_of (at series "Relaxed SkipQueue" top) );
-        ])
-      workloads
-  in
-  let data =
-    List.concat_map
-      (fun (tag, _, series) ->
-        List.map
-          (fun (name, points) -> (Printf.sprintf "%s/%s" name tag, points))
-          (series_data series))
-      workloads
-  in
-  {
-    id = "multiqueue";
-    title = "MultiQueue vs Relaxed SkipQueue: latency and rank error";
-    body;
-    indicators;
-    data;
-  }
 
-let ablation_funnel_front options =
-  let impls =
-    [ Queue_adapter.Sim.skipqueue (); Queue_adapter.(Sim.make ~procs:1 (plain Delete_funnel)) ]
+let ablation_skiplist_params ~id options =
+  let top = top options in
+  let variant (p, max_level) =
+    fixed (Printf.sprintf "p=%.2f maxlvl=%d" p max_level) (QA.Sim.skipqueue ~p ~max_level ())
   in
-  let series =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial:50 ~ops:7_000 ~insert_ratio:0.5
-            ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  {
-    id = "ablation-funnel-front";
-    title = "funnel-regulated Delete-min vs racing SWAPs (the design §5 rejects)";
-    body = latency_tables ~series;
-    data = series_data series;
-    indicators =
-      [
-        ratio_indicator series ~slow:"SkipQueue + delete funnel" ~fast:"SkipQueue"
-          ~procs:top del
-          (Printf.sprintf "funneled/plain deletion latency @%d (paper: > 1 at high \
-                           concurrency)" top);
-      ];
-  }
-
-let ablation_skiplist_params options =
-  let variants =
+  sweep options ~id ~title:"SkipQueue sensitivity to p and max_level (1000 initial, 7000 ops)"
     [
-      ("p=0.50 maxlvl=20", Queue_adapter.Sim.skipqueue ~p:0.5 ~max_level:20 ());
-      ("p=0.25 maxlvl=20", Queue_adapter.Sim.skipqueue ~p:0.25 ~max_level:20 ());
-      ("p=0.75 maxlvl=20", Queue_adapter.Sim.skipqueue ~p:0.75 ~max_level:20 ());
-      ("p=0.50 maxlvl=10", Queue_adapter.Sim.skipqueue ~p:0.5 ~max_level:10 ());
-      ("p=0.50 maxlvl=5", Queue_adapter.Sim.skipqueue ~p:0.5 ~max_level:5 ());
+      section (fig7_load options)
+        (List.map variant [ (0.5, 20); (0.25, 20); (0.75, 20); (0.5, 10); (0.5, 5) ])
+        ~indicators:(fun at ->
+          let starved = ratio_of at ~slow:"p=0.50 maxlvl=5" ~fast:"p=0.50 maxlvl=20" in
+          [ ("insertion penalty of starving levels (maxlvl 5 vs 20)", starved ~procs:top ins) ]);
     ]
-  in
-  let series =
-    List.map
-      (fun (name, impl) ->
-        let workload_of procs =
-          base_workload options ~procs ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-            ~work:100
-        in
-        (name, sweep options ~impl ~workload_of))
-      variants
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  {
-    id = "ablation-skiplist-params";
-    title = "SkipQueue sensitivity to p and max_level (1000 initial, 7000 ops)";
-    body = latency_tables ~series;
-    data = series_data series;
-    indicators =
-      [
-        ratio_indicator series ~slow:"p=0.50 maxlvl=5" ~fast:"p=0.50 maxlvl=20"
-          ~procs:top ins
-          "insertion penalty of starving levels (maxlvl 5 vs 20)";
-      ];
-  }
 
-let ablation_timestamp options =
+let ablation_timestamp ~id options =
   (* Same workload strict vs relaxed, but report the queues' internal hunt
      statistics rather than latency. *)
   let run impl =
-    let w =
-      base_workload options ~procs:(1 lsl options.max_procs_log2) ~initial:50
-        ~ops:7_000 ~insert_ratio:0.5 ~work:100
-    in
-    options.progress (Printf.sprintf "timestamp ablation: %s" impl.Queue_adapter.name);
-    Benchmark.run impl w
+    options.progress (Printf.sprintf "timestamp ablation: %s" impl.QA.name);
+    Benchmark.run impl { (fig6_load options) with Benchmark.procs = top options }
   in
-  let strict = run (Queue_adapter.Sim.skipqueue ()) in
-  let relaxed = run (Queue_adapter.Sim.relaxed_skipqueue ()) in
+  let strict = run (QA.Sim.skipqueue ()) in
+  let relaxed = run (QA.Sim.relaxed_skipqueue ()) in
   let line name m =
-    Printf.sprintf "%-18s delete mean %8.0f  insert mean %8.0f  %s\n" name
-      (del m) (ins m)
+    Printf.sprintf "%-18s delete mean %8.0f  insert mean %8.0f  %s\n" name (del m) (ins m)
       (stats_line m.Benchmark.queue_stats)
   in
   {
-    id = "ablation-timestamp";
+    id;
     title = "cost decomposition of the timestamp mechanism (256 procs, small queue)";
     body = line "strict" strict ^ line "relaxed" relaxed;
     data = [];
@@ -519,160 +407,98 @@ let ablation_timestamp options =
       ];
   }
 
-let ablation_reclamation options =
-  let impls =
+let ablation_reclamation ~id options =
+  let top = top options and reclaiming = "SkipQueue + reclamation" in
+  sweep options ~id ~title:"overhead of the live reclamation protocol (dedicated collector, §3)"
+    ~trailer:(fun at ->
+      ( Printf.sprintf "\nreclamation at %d procs: %s\n" top
+          (stats_line (at ~tag:"" reclaiming top).Benchmark.queue_stats),
+        [] ))
     [
-      Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.(Sim.make ~procs:1 (plain Reclamation));
+      section (fig7_load options) [ series sq; series (QA.plain QA.Reclamation) ]
+        ~indicators:(fun at ->
+          [
+            ratio at ~slow:reclaiming ~fast:"SkipQueue" ~procs:top del
+              "reclamation/plain deletion latency @%d";
+            ratio at ~slow:reclaiming ~fast:"SkipQueue" ~procs:top ins
+              "reclamation/plain insertion latency @%d";
+          ]);
     ]
-  in
-  let series =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-            ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  let reclamation_stats =
-    let m = at series "SkipQueue + reclamation" top in
-    stats_line m.Benchmark.queue_stats
-  in
-  {
-    id = "ablation-reclamation";
-    data = series_data series;
-    title = "overhead of the live reclamation protocol (dedicated collector, §3)";
-    body =
-      latency_tables ~series
-      ^ Printf.sprintf "\nreclamation at %d procs: %s\n" top reclamation_stats;
-    indicators =
-      [
-        ratio_indicator series ~slow:"SkipQueue + reclamation" ~fast:"SkipQueue"
-          ~procs:top del
-          (Printf.sprintf "reclamation/plain deletion latency @%d" top);
-        ratio_indicator series ~slow:"SkipQueue + reclamation" ~fast:"SkipQueue"
-          ~procs:top ins
-          (Printf.sprintf "reclamation/plain insertion latency @%d" top);
-      ];
-  }
 
 (* The paper's §1.1/§2 positioning: bounded-range bin queues win when the
    priority set is small and known, and stop being viable as the range
    grows — which is the case the SkipQueue exists for. *)
-let ablation_bounded_range options =
-  let sub ~range ~ops_scale =
-    let impls =
-      [ Queue_adapter.(Sim.make ~procs:1 (plain (Bin range))); Queue_adapter.Sim.skipqueue () ]
-    in
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          let w =
-            base_workload options ~procs ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-              ~work:100
-          in
-          let total_ops =
-            (* The sparse bin queue's stale-hint scans make its operations
-               linear in the range; cap the operation count as for the
-               FunnelList in fig4 — per-operation latency is unaffected. *)
-            if impl.Queue_adapter.name <> "SkipQueue" then
-              Int.max 400 (int_of_float (float_of_int w.Benchmark.total_ops *. ops_scale))
-            else w.Benchmark.total_ops
-          in
-          { w with Benchmark.key_range = range; total_ops }
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
+let ablation_bounded_range ~id options =
+  let top = top options in
+  let range ~heading ~tag ~ops_scale key_range indicator =
+    section ~heading ~tag
+      ~indicators:(fun at -> [ indicator at ])
+      { (fig7_load options) with Benchmark.key_range }
+      [ series ~ops_scale (QA.plain (QA.Bin key_range)); series sq ]
   in
-  let dense = sub ~range:256 ~ops_scale:1.0 in
-  let sparse = sub ~range:65_536 ~ops_scale:0.2 in
-  let top = 1 lsl options.max_procs_log2 in
-  {
-    id = "ablation-bounded-range";
-    title = "bounded-range bin queue [39] vs SkipQueue (1000 initial, 7000 ops)";
-    data = series_data dense @ series_data sparse;
-    body =
-      "Dense priorities (range 256 — the bin queue's home turf)\n"
-      ^ latency_tables ~series:dense
-      ^ "\nSparse priorities (range 65536 — the general case)\n"
-      ^ latency_tables ~series:sparse;
-    indicators =
-      [
-        ratio_indicator dense ~slow:"SkipQueue" ~fast:"BinQueue(256)" ~procs:top del
-          (Printf.sprintf "SkipQueue/BinQueue deletion @%d, dense range" top);
-        ratio_indicator sparse ~slow:"BinQueue(65536)" ~fast:"SkipQueue" ~procs:top
-          del
-          (Printf.sprintf "BinQueue/SkipQueue deletion @%d, sparse range" top);
-      ];
-  }
+  sweep options ~id ~title:"bounded-range bin queue [39] vs SkipQueue (1000 initial, 7000 ops)"
+    [
+      range ~heading:"Dense priorities (range 256 — the bin queue's home turf)" ~tag:"dense"
+        ~ops_scale:1.0 256 (fun at ->
+          ratio at ~slow:"SkipQueue" ~fast:"BinQueue(256)" ~procs:top del
+            "SkipQueue/BinQueue deletion @%d, dense range");
+      (* The sparse bin queue's stale-hint scans make its operations
+         linear in the range; cap the operation count as for the
+         FunnelList in fig4 — per-operation latency is unaffected. *)
+      range ~heading:"Sparse priorities (range 65536 — the general case)" ~tag:"sparse"
+        ~ops_scale:0.2 65_536 (fun at ->
+          ratio at ~slow:"BinQueue(65536)" ~fast:"SkipQueue" ~procs:top del
+            "BinQueue/SkipQueue deletion @%d, sparse range");
+    ]
 
 (* Which ingredient of the memory model produces which phenomenon: rerun a
    contended workload with individual cost mechanisms switched off. *)
-let ablation_memory_model options =
+let ablation_memory_model ~id options =
   let module MM = Repro_sim.Memory_model in
-  let configs =
-    [
-      ("full model", MM.default);
-      ("no line queueing", { MM.default with MM.occupancy = 0; swap_extra = 0 });
-      ("no node bandwidth", { MM.default with MM.node_occupancy = 0 });
-      ("flat memory", MM.sequential);
-    ]
-  in
-  let procs = Int.min 64 (1 lsl options.max_procs_log2) in
-  let impls =
-    [ Queue_adapter.Sim.hunt_heap (); Queue_adapter.Sim.skipqueue () ]
-  in
-  let w = base_workload options ~procs ~initial:50 ~ops:7_000 ~insert_ratio:0.5 ~work:100 in
-  let cell = Table.float_cell ~decimals:0 in
+  let procs = probe_procs options in
+  let w = { (fig6_load options) with Benchmark.procs } in
+  (* per model: (heap, skipqueue) *)
   let measurements =
     Jobs.map ~jobs:options.jobs
       (fun (cname, config) ->
-        ( cname,
-          List.map
-            (fun impl ->
-              options.progress
-                (Printf.sprintf "memory-model ablation: %s under %s"
-                   impl.Queue_adapter.name cname);
-              (impl.Queue_adapter.name, Benchmark.run ~config impl w))
-            impls ))
-      configs
+        let run impl =
+          options.progress
+            (Printf.sprintf "memory-model ablation: %s under %s" impl.QA.name cname);
+          Benchmark.run ~config impl w
+        in
+        (cname, (run (QA.Sim.hunt_heap ()), run (QA.Sim.skipqueue ()))))
+      [
+        ("full model", MM.default);
+        ("no line queueing", { MM.default with MM.occupancy = 0; swap_extra = 0 });
+        ("no node bandwidth", { MM.default with MM.node_occupancy = 0 });
+        ("flat memory", MM.sequential);
+      ]
   in
-  let rows =
-    List.map
-      (fun (cname, ms) ->
-        let heap = List.assoc "Heap" ms and sq = List.assoc "SkipQueue" ms in
-        [ cname; cell (del heap); cell (ins heap); cell (del sq); cell (ins sq) ])
-      measurements
-  in
-  let body =
-    Printf.sprintf
-      "Heap and SkipQueue at %d processors (fig3 workload) under reduced memory models\n"
-      procs
-    ^ Table.render
-        ~align:[ Table.Left; Right; Right; Right; Right ]
-        ~header:[ "model"; "heap del"; "heap ins"; "sq del"; "sq ins" ]
-        rows
-  in
-  let get cname impl_name =
-    List.assoc impl_name (List.assoc cname measurements)
-  in
+  let cell = Table.float_cell ~decimals:0 in
+  let del_under cname pick = del (pick (List.assoc cname measurements)) in
   {
-    id = "ablation-memory-model";
+    id;
     title = "which cost-model ingredient produces which phenomenon";
-    body;
+    body =
+      Printf.sprintf
+        "Heap and SkipQueue at %d processors (fig3 workload) under reduced memory models\n"
+        procs
+      ^ Table.render
+          ~align:[ Table.Left; Right; Right; Right; Right ]
+          ~header:[ "model"; "heap del"; "heap ins"; "sq del"; "sq ins" ]
+          (List.map
+             (fun (cname, (heap, sq)) ->
+               [ cname; cell (del heap); cell (ins heap); cell (del sq); cell (ins sq) ])
+             measurements);
     data = [];
     indicators =
       [
         ( "heap deletion: full / no-line-queueing (hot-spot share)",
-          del (get "full model" "Heap") /. del (get "no line queueing" "Heap") );
+          del_under "full model" fst /. del_under "no line queueing" fst );
         ( "skipqueue deletion: full / no-node-bandwidth (bandwidth share)",
-          del (get "full model" "SkipQueue")
-          /. del (get "no node bandwidth" "SkipQueue") );
+          del_under "full model" snd /. del_under "no node bandwidth" snd );
         ( "heap/skipqueue deletion ratio surviving a flat memory",
-          del (get "flat memory" "Heap") /. del (get "flat memory" "SkipQueue") );
+          del_under "flat memory" fst /. del_under "flat memory" snd );
       ];
   }
 
@@ -681,261 +507,90 @@ let ablation_memory_model options =
    fig7/fig8 workloads, plus a fully traced run at up to 64 processors
    showing the head-of-list queueing drop: only combiners hunt the bottom
    level, waiters spin on their private rendezvous cells. *)
-let ablation_elimination options =
-  let series_for impls ~initial ~ops ~insert_ratio =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      impls
+let ablation_elimination ~id options =
+  let top = top options and probe_procs = probe_procs options in
+  let plain_vs_elim ~procs what at =
+    ratio at ~slow:"SkipQueue" ~fast:"SkipQueue-elim" ~procs del
+      "plain/elim deletion latency @%d, %s" what
   in
-  let fig7_series =
-    series_for
-      [
-        Queue_adapter.Sim.skipqueue ();
-        Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true });
-        Queue_adapter.Sim.relaxed_skipqueue ();
-        Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with relaxed = true; elim = true });
-      ]
-      ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-  in
-  let fig8_series =
-    series_for
-      [ Queue_adapter.Sim.skipqueue (); Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true }) ]
-      ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  (* The acceptance point of the paper-trail: >= 64 processors on the
-     fig7 workload (clamped so tiny smoke-test sweeps stay in range). *)
-  let probe_procs = Int.min 64 top in
-  (* Full tracing is too costly for the whole sweep; rerun the fig7
-     workload once per structure at [probe_procs] with a Trace.Summary
-     sink and compare where the queued cycles land. *)
-  let probe impl =
-    options.progress
-      (Printf.sprintf "elimination head probe: %s @ %d procs"
-         impl.Queue_adapter.name probe_procs);
-    let summary = Repro_sim.Trace.Summary.create () in
-    let ops = scaled options 7_000 in
-    let (_ : Repro_sim.Machine.report) =
-      Repro_sim.Machine.run
-        ~tracer:(Repro_sim.Trace.Summary.sink summary)
-        (fun () ->
-          let q = impl.Queue_adapter.create () in
-          let rng = Repro_util.Rng.of_seed 99L in
-          for i = 0 to 999 do
-            q.Queue_adapter.insert (Repro_util.Rng.int rng (1 lsl 20)) (1_000_000 + i)
-          done;
-          for p = 0 to probe_procs - 1 do
-            let rng = Repro_util.Rng.of_seed (Int64.of_int (7_000 + p)) in
-            Repro_sim.Machine.spawn (fun () ->
-                for i = 0 to (ops / probe_procs) - 1 do
-                  Repro_sim.Machine.work 100;
-                  if Repro_util.Rng.bernoulli rng 0.5 then
-                    q.Queue_adapter.insert
-                      (Repro_util.Rng.int rng (1 lsl 20))
-                      ((p * 1_000_000) + i)
-                  else ignore (q.Queue_adapter.try_delete_min ())
-                done)
-          done)
-    in
-    summary
-  in
-  let hottest_queued summary =
-    match Repro_sim.Trace.Summary.hottest_locations summary ~n:1 with
-    | (_, _, queued) :: _ -> queued
-    | [] -> 0
-  in
-  let top8_queued summary =
-    List.fold_left
-      (fun acc (_, _, queued) -> acc + queued)
-      0
-      (Repro_sim.Trace.Summary.hottest_locations summary ~n:8)
-  in
-  let probe_line name summary =
-    Printf.sprintf "%-22s hottest line queued %9d cycles; top-8 lines %9d\n" name
-      (hottest_queued summary) (top8_queued summary)
-  in
-  let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let elim_probe = probe (Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true })) in
-  let front_counters =
-    stats_line (at fig7_series "SkipQueue-elim" top).Benchmark.queue_stats
-  in
-  let body =
-    "--- fig7 workload (1000 initial, 7000 ops, 50% inserts) ---\n"
-    ^ latency_tables ~series:fig7_series
-    ^ "\n--- fig8 workload (27000 initial, 60000 ops, 30% inserts) ---\n"
-    ^ latency_tables ~series:fig8_series
-    ^ Printf.sprintf
-        "\nHead-of-list contention probe (fig7 workload, %d procs, full tracing)\n"
-        probe_procs
-    ^ probe_line "SkipQueue" plain_probe
-    ^ probe_line "SkipQueue-elim" elim_probe
-    ^ Printf.sprintf "\nfront-end counters @%d procs (fig7): %s\n" top front_counters
-  in
-  let rendezvous_share =
-    let stats = (at fig7_series "SkipQueue-elim" top).Benchmark.queue_stats in
-    let get k = try List.assoc k stats with Not_found -> 0.0 in
-    let answered = get "eliminated" +. get "served" +. get "handoff_empties" in
-    let deletes = answered +. get "timeouts" +. get "collisions" in
-    if deletes = 0.0 then 0.0 else answered /. deletes
-  in
-  {
-    id = "ablation-elimination";
-    title = "elimination-combining front end vs plain SkipQueue (fig7/fig8 workloads)";
-    body;
-    data = series_data fig7_series @ series_data fig8_series;
-    indicators =
-      [
-        ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim"
-          ~procs:probe_procs del
-          (Printf.sprintf "plain/elim deletion latency @%d, fig7 (want > 1)" probe_procs);
-        ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim" ~procs:top
-          del
-          (Printf.sprintf "plain/elim deletion latency @%d, fig7" top);
-        ratio_indicator fig7_series ~slow:"Relaxed SkipQueue"
-          ~fast:"Relaxed SkipQueue-elim" ~procs:top del
-          (Printf.sprintf "relaxed plain/elim deletion latency @%d, fig7" top);
-        ratio_indicator fig8_series ~slow:"SkipQueue" ~fast:"SkipQueue-elim" ~procs:top
-          del
-          (Printf.sprintf "plain/elim deletion latency @%d, fig8" top);
-        ( Printf.sprintf "plain/elim hottest-line queued cycles @%d procs" probe_procs,
-          float_of_int (hottest_queued plain_probe)
-          /. float_of_int (Int.max 1 (hottest_queued elim_probe)) );
-        ( Printf.sprintf "rendezvous share of deletes @%d (eliminated+served)" top,
-          rendezvous_share );
-      ];
-  }
+  sweep options ~id
+    ~title:"elimination-combining front end vs plain SkipQueue (fig7/fig8 workloads)"
+    ~trailer:(fun at ->
+      let probe, hottest_ratio =
+        head_probe options ~what:"fig7" ~key_range:(1 lsl 20) [ sq; elim sq ]
+      in
+      let front = at ~tag:"fig7" "SkipQueue-elim" top in
+      let answered =
+        stat front "eliminated" +. stat front "served" +. stat front "handoff_empties"
+      in
+      let deletes = answered +. stat front "timeouts" +. stat front "collisions" in
+      ( probe
+        ^ Printf.sprintf "\nfront-end counters @%d procs (fig7): %s\n" top
+            (stats_line front.Benchmark.queue_stats),
+        [
+          ( Printf.sprintf "plain/elim hottest-line queued cycles @%d procs" probe_procs,
+            hottest_ratio ~slow:"SkipQueue" ~fast:"SkipQueue-elim" );
+          ( Printf.sprintf "rendezvous share of deletes @%d (eliminated+served)" top,
+            if deletes = 0.0 then 0.0 else answered /. deletes );
+        ] ))
+    [
+      section ~heading:fig7_heading ~tag:"fig7" (fig7_load options)
+        (List.map series [ sq; elim sq; relaxed sq; relaxed (elim sq) ])
+        ~indicators:(fun at ->
+          [
+            plain_vs_elim ~procs:probe_procs "fig7 (want > 1)" at;
+            plain_vs_elim ~procs:top "fig7" at;
+            ratio at ~slow:"Relaxed SkipQueue" ~fast:"Relaxed SkipQueue-elim" ~procs:top del
+              "relaxed plain/elim deletion latency @%d, fig7";
+          ]);
+      section ~heading:"--- fig8 workload (27000 initial, 60000 ops, 30% inserts) ---"
+        ~tag:"fig8" (fig8_load options) (List.map series [ sq; elim sq ])
+        ~indicators:(fun at -> [ plain_vs_elim ~procs:top "fig8" at ]);
+    ]
 
 (* A13: the lock-free SkipQueue (CAS-marked deletion, batched physical
    unlink) against the locked original and the elimination front end, on
    the fig7 and fig5/fig8 workloads, plus the fully traced >= 64-processor
    head probe: claims touch one bottom link each, so the queued cycles on
    the head line should sit well below the locked hunt's. *)
-let ablation_lockfree options =
-  let impls () =
+let ablation_lockfree ~id options =
+  let top = top options and probe_procs = probe_procs options in
+  let structures = [ sq; elim sq; QA.plain QA.Lf ] in
+  sweep options ~id
+    ~title:"lock-free SkipQueue vs locked and elimination (fig7, fig5/fig8 workloads)"
+    ~trailer:(fun at ->
+      let probe, hottest_ratio =
+        head_probe options ~what:"fig7" ~key_range:(1 lsl 20) structures
+      in
+      let lf = at ~tag:"fig7" "SkipQueue-lf" top in
+      let per_op k = stat lf k /. Float.max 1.0 (stat lf "ops") in
+      ( probe
+        ^ Printf.sprintf "\nlock-free counters @%d procs (fig7): %s\n" top
+            (stats_line lf.Benchmark.queue_stats),
+        [
+          ( Printf.sprintf "locked/lock-free hottest-line queued cycles @%d procs" probe_procs,
+            hottest_ratio ~slow:"SkipQueue" ~fast:"SkipQueue-lf" );
+          ( Printf.sprintf "mean marked nodes hopped per op @%d (batching pressure)" top,
+            per_op "marked_hops" );
+          (Printf.sprintf "CAS failures per op @%d (retry pressure)" top, per_op "cas_failures");
+        ] ))
     [
-      Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true });
-      Queue_adapter.Sim.skipqueue_lf ();
+      section ~heading:fig7_heading ~tag:"fig7" (fig7_load options) (List.map series structures)
+        ~indicators:(fun at ->
+          [
+            ratio at ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:probe_procs del
+              "locked/lock-free deletion latency @%d, fig7 (want > 1)";
+            ratio at ~slow:"SkipQueue-elim" ~fast:"SkipQueue-lf" ~procs:probe_procs del
+              "elim/lock-free deletion latency @%d, fig7 (want >= 1)";
+            ratio at ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:top ins
+              "locked/lock-free insertion latency @%d, fig7";
+          ]);
+      section ~heading:"--- fig5/fig8 workload (27000 initial, 60000 ops, 30% inserts) ---"
+        ~tag:"fig58" (fig8_load options) (List.map series structures)
+        ~indicators:(fun at ->
+          [ ratio at ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:top del
+              "locked/lock-free deletion latency @%d, fig5/fig8" ]);
     ]
-  in
-  let series_for ~initial ~ops ~insert_ratio =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      (impls ())
-  in
-  let fig7_series = series_for ~initial:1000 ~ops:7_000 ~insert_ratio:0.5 in
-  let fig58_series = series_for ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3 in
-  let top = 1 lsl options.max_procs_log2 in
-  let probe_procs = Int.min 64 top in
-  (* Same probe as the elimination figure: rerun the fig7 workload once per
-     structure at [probe_procs] under a Trace.Summary sink and compare
-     where the queued cycles land. *)
-  let probe impl =
-    options.progress
-      (Printf.sprintf "lock-free head probe: %s @ %d procs" impl.Queue_adapter.name
-         probe_procs);
-    let summary = Repro_sim.Trace.Summary.create () in
-    let ops = scaled options 7_000 in
-    let (_ : Repro_sim.Machine.report) =
-      Repro_sim.Machine.run
-        ~tracer:(Repro_sim.Trace.Summary.sink summary)
-        (fun () ->
-          let q = impl.Queue_adapter.create () in
-          let rng = Repro_util.Rng.of_seed 99L in
-          for i = 0 to 999 do
-            q.Queue_adapter.insert (Repro_util.Rng.int rng (1 lsl 20)) (1_000_000 + i)
-          done;
-          for p = 0 to probe_procs - 1 do
-            let rng = Repro_util.Rng.of_seed (Int64.of_int (7_000 + p)) in
-            Repro_sim.Machine.spawn (fun () ->
-                for i = 0 to (ops / probe_procs) - 1 do
-                  Repro_sim.Machine.work 100;
-                  if Repro_util.Rng.bernoulli rng 0.5 then
-                    q.Queue_adapter.insert
-                      (Repro_util.Rng.int rng (1 lsl 20))
-                      ((p * 1_000_000) + i)
-                  else ignore (q.Queue_adapter.try_delete_min ())
-                done)
-          done)
-    in
-    summary
-  in
-  let hottest_queued summary =
-    match Repro_sim.Trace.Summary.hottest_locations summary ~n:1 with
-    | (_, _, queued) :: _ -> queued
-    | [] -> 0
-  in
-  let top8_queued summary =
-    List.fold_left
-      (fun acc (_, _, queued) -> acc + queued)
-      0
-      (Repro_sim.Trace.Summary.hottest_locations summary ~n:8)
-  in
-  let probe_line name summary =
-    Printf.sprintf "%-22s hottest line queued %9d cycles; top-8 lines %9d\n" name
-      (hottest_queued summary) (top8_queued summary)
-  in
-  let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let elim_probe = probe (Queue_adapter.(Sim.make ~procs:1 { (plain Skipqueue) with elim = true })) in
-  let lf_probe = probe (Queue_adapter.Sim.skipqueue_lf ()) in
-  let lf_counters =
-    stats_line (at fig7_series "SkipQueue-lf" top).Benchmark.queue_stats
-  in
-  let body =
-    "--- fig7 workload (1000 initial, 7000 ops, 50% inserts) ---\n"
-    ^ latency_tables ~series:fig7_series
-    ^ "\n--- fig5/fig8 workload (27000 initial, 60000 ops, 30% inserts) ---\n"
-    ^ latency_tables ~series:fig58_series
-    ^ Printf.sprintf
-        "\nHead-of-list contention probe (fig7 workload, %d procs, full tracing)\n"
-        probe_procs
-    ^ probe_line "SkipQueue" plain_probe
-    ^ probe_line "SkipQueue-elim" elim_probe
-    ^ probe_line "SkipQueue-lf" lf_probe
-    ^ Printf.sprintf "\nlock-free counters @%d procs (fig7): %s\n" top lf_counters
-  in
-  let lf_stat k =
-    let stats = (at fig7_series "SkipQueue-lf" top).Benchmark.queue_stats in
-    try List.assoc k stats with Not_found -> 0.0
-  in
-  {
-    id = "ablation-lockfree";
-    title = "lock-free SkipQueue vs locked and elimination (fig7, fig5/fig8 workloads)";
-    body;
-    data = series_data fig7_series @ series_data fig58_series;
-    indicators =
-      [
-        ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf"
-          ~procs:probe_procs del
-          (Printf.sprintf "locked/lock-free deletion latency @%d, fig7 (want > 1)"
-             probe_procs);
-        ratio_indicator fig7_series ~slow:"SkipQueue-elim" ~fast:"SkipQueue-lf"
-          ~procs:probe_procs del
-          (Printf.sprintf "elim/lock-free deletion latency @%d, fig7 (want >= 1)"
-             probe_procs);
-        ratio_indicator fig7_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:top ins
-          (Printf.sprintf "locked/lock-free insertion latency @%d, fig7" top);
-        ratio_indicator fig58_series ~slow:"SkipQueue" ~fast:"SkipQueue-lf" ~procs:top
-          del
-          (Printf.sprintf "locked/lock-free deletion latency @%d, fig5/fig8" top);
-        ( Printf.sprintf "locked/lock-free hottest-line queued cycles @%d procs"
-            probe_procs,
-          float_of_int (hottest_queued plain_probe)
-          /. float_of_int (Int.max 1 (hottest_queued lf_probe)) );
-        ( Printf.sprintf "mean marked nodes hopped per op @%d (batching pressure)" top,
-          lf_stat "marked_hops" /. Float.max 1.0 (lf_stat "ops") );
-        ( Printf.sprintf "CAS failures per op @%d (retry pressure)" top,
-          lf_stat "cas_failures" /. Float.max 1.0 (lf_stat "ops") );
-      ];
-  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -955,7 +610,7 @@ let ablation_lockfree options =
    Deadline keys are made unique (deadline in the high bits, a job counter
    in the low 20) so the SkipQueue's update-in-place on duplicate keys
    cannot merge two jobs; EDF order is preserved, ties break by arrival. *)
-let scheduler options =
+let scheduler ~id options =
   let user_space = 2_000_000 in
   let jobs_total = scaled options 6_000 in
   if jobs_total > 1 lsl 20 then invalid_arg "scheduler: more jobs than tag bits";
@@ -964,27 +619,16 @@ let scheduler options =
      the backlog (and the sojourn times) down. *)
   let capacity = 64 in
   let backends =
-    [
-      ( "bounded:SkipQueue",
-        fun ~procs:_ -> Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.skipqueue ()) );
-      ( "bounded:Relaxed SkipQueue",
-        fun ~procs:_ ->
-          Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.relaxed_skipqueue ()) );
-      ( "bounded:SkipQueue-lf",
-        fun ~procs:_ ->
-          Queue_adapter.Sim.bounded ~capacity (Queue_adapter.Sim.skipqueue_lf ()) );
-      ( "bounded:MultiQueue",
-        fun ~procs -> Queue_adapter.Sim.bounded ~capacity (Queue_adapter.(Sim.make ~procs (plain Multiqueue)))
-      );
-    ]
+    List.map
+      (fun d -> { d with QA.bounded = Some capacity })
+      [ sq; relaxed sq; QA.plain QA.Lf; QA.plain QA.Multiqueue ]
   in
-  let top = 1 lsl options.max_procs_log2 in
   (* 2 producers per consumer, plus root and a post-quiescence stats
      reader, against the simulator's 512-processor table. *)
   let consumer_counts =
-    List.filter (fun c -> c <= top && (3 * c) + 2 <= 512) (proc_counts options)
+    List.filter (fun c -> c <= top options && (3 * c) + 2 <= 512) (proc_counts options)
   in
-  let run_point ~mk ~consumers =
+  let run_point backend ~consumers =
     let producers = 2 * consumers in
     let insert_t = Array.make jobs_total 0 in
     let deadline = Array.make jobs_total 0 in
@@ -993,51 +637,44 @@ let scheduler options =
     let front_stats = ref [] in
     let split total parts p = (total / parts) + (if p < total mod parts then 1 else 0) in
     let offset total parts p = (p * (total / parts)) + Int.min p (total mod parts) in
-    let (_ : Repro_sim.Machine.report) =
-      Repro_sim.Machine.run (fun () ->
-          let impl = mk ~procs:(producers + consumers) in
-          let q = impl.Queue_adapter.create () in
+    let (_ : Machine.report) =
+      Machine.run (fun () ->
+          let impl = QA.Sim.make ~procs:(producers + consumers) backend in
+          let q = impl.QA.create () in
           for p = 0 to producers - 1 do
             let base = offset jobs_total producers p in
             let count = split jobs_total producers p in
-            Repro_sim.Machine.spawn (fun () ->
-                let rng =
-                  Repro_util.Rng.of_seed
-                    (Int64.logxor 0x5EED5EEDL (Int64.of_int (p + 1)))
-                in
+            Machine.spawn (fun () ->
+                let rng = Rng.of_seed (Int64.logxor 0x5EED5EEDL (Int64.of_int (p + 1))) in
                 for i = 0 to count - 1 do
                   let j = base + i in
-                  let now = Repro_sim.Machine.probe_time () in
-                  let slack = 2_000 + Repro_util.Rng.int rng 30_000 in
-                  user.(j) <- Repro_util.Rng.int rng user_space;
+                  let now = Machine.probe_time () in
+                  let slack = 2_000 + Rng.int rng 30_000 in
+                  user.(j) <- Rng.int rng user_space;
                   insert_t.(j) <- now;
                   deadline.(j) <- now + slack;
-                  q.Queue_adapter.insert_wait (((now + slack) lsl 20) lor j) j;
+                  q.QA.insert_wait (((now + slack) lsl 20) lor j) j;
                   (* bursts of 8 arrivals, then a lull *)
-                  if (i + 1) mod 8 = 0 then
-                    Repro_sim.Machine.work (1_000 + Repro_util.Rng.int rng 2_000)
-                  else Repro_sim.Machine.work (1 + Repro_util.Rng.int rng 32)
+                  if (i + 1) mod 8 = 0 then Machine.work (1_000 + Rng.int rng 2_000)
+                  else Machine.work (1 + Rng.int rng 32)
                 done)
           done;
           for c = 0 to consumers - 1 do
             let quota = split jobs_total consumers c in
-            Repro_sim.Machine.spawn (fun () ->
-                let rng =
-                  Repro_util.Rng.of_seed
-                    (Int64.logxor 0xC0FFEEL (Int64.of_int (c + 1)))
-                in
+            Machine.spawn (fun () ->
+                let rng = Rng.of_seed (Int64.logxor 0xC0FFEEL (Int64.of_int (c + 1))) in
                 for _ = 1 to quota do
-                  let _k, j = q.Queue_adapter.delete_min_wait () in
-                  pop_t.(j) <- Repro_sim.Machine.probe_time ();
+                  let _k, j = q.QA.delete_min_wait () in
+                  pop_t.(j) <- Machine.probe_time ();
                   (* service cost: the deliberate bottleneck *)
-                  Repro_sim.Machine.work (150 + Repro_util.Rng.int rng 150)
+                  Machine.work (150 + Rng.int rng 150)
                 done)
           done;
           (* façade counters read after quiescence (probing the runtime's
              lock statistics requires the simulation context) *)
-          Repro_sim.Machine.spawn (fun () ->
-              Repro_sim.Machine.work (1 lsl 50);
-              front_stats := q.Queue_adapter.stats ()))
+          Machine.spawn (fun () ->
+              Machine.work (1 lsl 50);
+              front_stats := q.QA.stats ()))
     in
     let lat = Stats.create () in
     let missed = ref 0 and users = Hashtbl.create (2 * jobs_total) in
@@ -1057,68 +694,53 @@ let scheduler options =
         method distinct_users = Hashtbl.length users
         method parks = stat "parks"
         method stalls = stat "backpressure_stalls"
-        method wakes = stat "wakes"
         method makespan = !finish (* last pop, ignoring the stats reader *)
       end )
   in
   let series =
     List.map
-      (fun (name, mk) ->
-        let points =
+      (fun backend ->
+        let name = QA.name backend in
+        ( name,
           Jobs.map ~jobs:options.jobs
             (fun consumers ->
               options.progress
                 (Printf.sprintf "scheduler: %s @ %d workers / %d frontends" name consumers
                    (2 * consumers));
-              run_point ~mk ~consumers)
-            consumer_counts
-        in
-        (name, points))
+              run_point backend ~consumers)
+            consumer_counts ))
       backends
   in
   let table (name, points) =
-    let header =
-      [ "workers"; "frontends"; "sojourn"; "miss%"; "parks"; "stalls"; "makespan" ]
-    in
-    let rows =
-      List.map
-        (fun (c, m) ->
-          [
-            string_of_int c;
-            string_of_int (2 * c);
-            Table.float_cell ~decimals:0 m#latency;
-            Table.float_cell ~decimals:2 m#miss_rate;
-            Table.float_cell ~decimals:0 m#parks;
-            Table.float_cell ~decimals:0 m#stalls;
-            string_of_int m#makespan;
-          ])
-        points
-    in
-    "--- " ^ name ^ " ---\n" ^ Table.render ~header rows
+    let cell decimals = Table.float_cell ~decimals in
+    "--- " ^ name ^ " ---\n"
+    ^ Table.render
+        ~header:[ "workers"; "frontends"; "sojourn"; "miss%"; "parks"; "stalls"; "makespan" ]
+        (List.map
+           (fun (c, m) ->
+             [ string_of_int c; string_of_int (2 * c); cell 0 m#latency; cell 2 m#miss_rate;
+               cell 0 m#parks; cell 0 m#stalls; string_of_int m#makespan ])
+           points)
   in
   let last (_, points) = snd (List.nth points (List.length points - 1)) in
-  let first_series = List.hd series in
-  let body =
-    Printf.sprintf
-      "EDF job scheduler through the bounded/blocking façade (capacity %d):\n\
-       %d jobs per point from a %d-user id space (%d distinct users at the\n\
-       last point), 2 front-end producers per worker, bursty arrivals,\n\
-       deadline = arrival + slack.  sojourn = mean insert->pop cycles;\n\
-       miss%% = jobs popped past their deadline; parks = worker waits on\n\
-       empty; stalls = producer backpressure parks.\n\n"
-      capacity jobs_total user_space (last first_series)#distinct_users
-    ^ String.concat "\n" (List.map table series)
-  in
   let top_consumers = List.nth consumer_counts (List.length consumer_counts - 1) in
   {
-    id = "scheduler";
+    id;
     title = "millions-of-users EDF task scheduler on the bounded/blocking façade";
-    body;
+    body =
+      Printf.sprintf
+        "EDF job scheduler through the bounded/blocking façade (capacity %d):\n\
+         %d jobs per point from a %d-user id space (%d distinct users at the\n\
+         last point), 2 front-end producers per worker, bursty arrivals,\n\
+         deadline = arrival + slack.  sojourn = mean insert->pop cycles;\n\
+         miss%% = jobs popped past their deadline; parks = worker waits on\n\
+         empty; stalls = producer backpressure parks.\n\n"
+        capacity jobs_total user_space (last (List.hd series))#distinct_users
+      ^ String.concat "\n" (List.map table series);
     data =
       List.map
         (fun (name, points) ->
-          ( name,
-            List.map (fun (c, m) -> (float_of_int c, m#latency, m#miss_rate)) points ))
+          (name, List.map (fun (c, m) -> (float_of_int c, m#latency, m#miss_rate)) points))
         series;
     indicators =
       List.concat_map
@@ -1144,106 +766,51 @@ let scheduler options =
    very different points of the speed/quality plane, and the k-LSM's
    flush/merge counters say where its insertion-buffer amortization
    pays. *)
-let klsm_shootout options =
-  let sub ~tag ~initial ~ops ~insert_ratio ~key_range =
-    let workload_of procs =
-      {
-        (base_workload options ~procs ~initial ~ops ~insert_ratio ~work:100) with
-        Benchmark.key_range;
-      }
-    in
+let klsm_shootout ~id options =
+  let top = top options in
+  let structures =
+    List.map series [ relaxed sq; QA.plain QA.Multiqueue; QA.plain (QA.Klsm 256) ]
+  in
+  let indicators tag at =
     [
-      ( "Relaxed SkipQueue",
-        sweep options ~impl:(Queue_adapter.Sim.relaxed_skipqueue ()) ~workload_of );
-      ( "MultiQueue",
-        sweep_per_procs options
-          ~name:(Printf.sprintf "MultiQueue [%s]" tag)
-          ~impl_of:(fun procs -> Queue_adapter.(Sim.make ~procs (plain Multiqueue)))
-          ~workload_of );
-      ( "klsm:256",
-        sweep_per_procs options
-          ~name:(Printf.sprintf "klsm:256 [%s]" tag)
-          ~impl_of:(fun procs -> Queue_adapter.Sim.klsm ~k:256 ~procs ())
-          ~workload_of );
+      ratio at ~slow:"Relaxed SkipQueue" ~fast:"klsm:256" ~procs:top del
+        "relaxed/klsm deletion latency @%d, %s" tag;
+      ratio at ~slow:"MultiQueue" ~fast:"klsm:256" ~procs:top del
+        "multiqueue/klsm deletion latency @%d, %s" tag;
+      ( Printf.sprintf "klsm mean rank error @%d, %s (bound 256)" top tag,
+        rank_of (at "klsm:256" top) );
+      (Printf.sprintf "multiqueue mean rank error @%d, %s" top tag, rank_of (at "MultiQueue" top));
     ]
   in
-  let workloads =
-    [
-      ( "fig6 small",
-        "fig6 workload: small structure (50 initial, 7000 ops, 50% inserts)",
-        sub ~tag:"fig6" ~initial:50 ~ops:7_000 ~insert_ratio:0.5
-          ~key_range:(1 lsl 20) );
-      ( "fig7 large",
-        "fig7 workload: large structure (1000 initial, 7000 ops, 50% inserts)",
-        sub ~tag:"fig7" ~initial:1000 ~ops:7_000 ~insert_ratio:0.5
-          ~key_range:(1 lsl 20) );
-      ( "fig8 70% deletions",
-        "fig8 workload: 70% deletions (27000 initial, 60000 ops, 30% inserts)",
-        sub ~tag:"fig8" ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3
-          ~key_range:(1 lsl 20) );
-      ( "duplicate-heavy",
-        "duplicate-heavy: fig7 sizes, keys from a 256-value range",
-        sub ~tag:"dups" ~initial:1000 ~ops:7_000 ~insert_ratio:0.5 ~key_range:256 );
-    ]
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  let klsm_stat series k =
-    let stats = (at series "klsm:256" top).Benchmark.queue_stats in
-    try List.assoc k stats with Not_found -> 0.0
-  in
-  let klsm_counters series =
-    Printf.sprintf "k-LSM counters @%d procs: %s\n" top
-      (stats_line (at series "klsm:256" top).Benchmark.queue_stats)
-  in
-  let body =
-    String.concat "\n"
-      (List.map
-         (fun (_, title, series) ->
-           Printf.sprintf "--- %s ---\n" title
-           ^ latency_tables ~series ^ "\n" ^ rank_table ~series
-           ^ klsm_counters series)
-         workloads)
-  in
-  let indicators =
-    List.concat_map
-      (fun (tag, _, series) ->
+  sweep options ~id
+    ~title:"three-way relaxed shoot-out: Relaxed SkipQueue vs MultiQueue vs k-LSM"
+    ~trailer:(fun at ->
+      let klsm = at ~tag:"fig7 large" "klsm:256" top in
+      ( "",
         [
-          ratio_indicator series ~slow:"Relaxed SkipQueue" ~fast:"klsm:256" ~procs:top
-            del
-            (Printf.sprintf "relaxed/klsm deletion latency @%d, %s" top tag);
-          ratio_indicator series ~slow:"MultiQueue" ~fast:"klsm:256" ~procs:top del
-            (Printf.sprintf "multiqueue/klsm deletion latency @%d, %s" top tag);
-          ( Printf.sprintf "klsm mean rank error @%d, %s (bound 256)" top tag,
-            rank_of (at series "klsm:256" top) );
-          ( Printf.sprintf "multiqueue mean rank error @%d, %s" top tag,
-            rank_of (at series "MultiQueue" top) );
-        ])
-      workloads
-    @
-    let _, _, fig7_series = List.nth workloads 1 in
-    [
-      ( Printf.sprintf "klsm buffer flushes per insert @%d, fig7" top,
-        klsm_stat fig7_series "flushes"
-        /. Float.max 1.0 (klsm_stat fig7_series "ops") );
-      ( Printf.sprintf "klsm spy sweeps @%d, fig7 (emptiness fallbacks)" top,
-        klsm_stat fig7_series "spy_sweeps" );
-    ]
-  in
-  let data =
-    List.concat_map
-      (fun (tag, _, series) ->
-        List.map
-          (fun (name, points) -> (Printf.sprintf "%s/%s" name tag, points))
-          (series_data series))
-      workloads
-  in
-  {
-    id = "klsm-shootout";
-    title = "three-way relaxed shoot-out: Relaxed SkipQueue vs MultiQueue vs k-LSM";
-    body;
-    indicators;
-    data;
-  }
+          ( Printf.sprintf "klsm buffer flushes per insert @%d, fig7" top,
+            stat klsm "flushes" /. Float.max 1.0 (stat klsm "ops") );
+          ( Printf.sprintf "klsm spy sweeps @%d, fig7 (emptiness fallbacks)" top,
+            stat klsm "spy_sweeps" );
+        ] ))
+    (List.map
+       (fun (tag, what, load) ->
+         section ~heading:("--- " ^ what ^ " ---") ~tag ~rank:true
+           ~counters:("k-LSM", "klsm:256") ~indicators:(indicators tag) load structures)
+       [
+         ( "fig6 small",
+           "fig6 workload: small structure (50 initial, 7000 ops, 50% inserts)",
+           fig6_load options );
+         ( "fig7 large",
+           "fig7 workload: large structure (1000 initial, 7000 ops, 50% inserts)",
+           fig7_load options );
+         ( "fig8 70% deletions",
+           "fig8 workload: 70% deletions (27000 initial, 60000 ops, 30% inserts)",
+           fig8_load options );
+         ( "duplicate-heavy",
+           "duplicate-heavy: fig7 sizes, keys from a 256-value range",
+           { (fig7_load options) with Benchmark.key_range = 256 } );
+       ])
 
 (* A15: the coalescing SkipQueue (DESIGN.md §S21) on duplicate-heavy
    workloads.  Keys are drawn from a narrow range, so most inserts hit a
@@ -1262,182 +829,72 @@ let klsm_shootout options =
    the queued cycles land: coalesced joins touch one packed word mid-list
    instead of walking locked level pointers at the head, so the
    coalescing queue's hottest line should sit below the locked hunt's. *)
-let duplicate_heavy options =
-  let impls () =
-    [
-      Queue_adapter.Sim.skipqueue ();
-      Queue_adapter.Sim.skipqueue_co ();
-      Queue_adapter.(Sim.make ~procs:1 { (plain Co) with elim = true });
-      Queue_adapter.Sim.skipqueue_lf ();
-    ]
-  in
-  let series_for ~key_range =
-    List.map
-      (fun impl ->
-        let workload_of procs =
-          {
-            (base_workload options ~procs ~initial:1000 ~ops:7_000
-               ~insert_ratio:0.5 ~work:100)
-            with
-            Benchmark.key_range;
-          }
-        in
-        (impl.Queue_adapter.name, sweep options ~impl ~workload_of))
-      (impls ())
-  in
-  let ranges = [ 64; 256; 4096 ] in
-  let range_series =
-    List.map (fun key_range -> (key_range, series_for ~key_range)) ranges
-  in
-  let top = 1 lsl options.max_procs_log2 in
-  let probe_procs = Int.min 64 top in
-  (* Same shape as the elimination/lock-free probes, on the 256-value key
-     range: one traced rerun per structure at [probe_procs]. *)
-  let probe impl =
-    options.progress
-      (Printf.sprintf "duplicate-heavy head probe: %s @ %d procs"
-         impl.Queue_adapter.name probe_procs);
-    let summary = Repro_sim.Trace.Summary.create () in
-    let ops = scaled options 7_000 in
-    let (_ : Repro_sim.Machine.report) =
-      Repro_sim.Machine.run
-        ~tracer:(Repro_sim.Trace.Summary.sink summary)
-        (fun () ->
-          let q = impl.Queue_adapter.create () in
-          let rng = Repro_util.Rng.of_seed 99L in
-          for i = 0 to 999 do
-            q.Queue_adapter.insert (Repro_util.Rng.int rng 256) (1_000_000 + i)
-          done;
-          for p = 0 to probe_procs - 1 do
-            let rng = Repro_util.Rng.of_seed (Int64.of_int (7_000 + p)) in
-            Repro_sim.Machine.spawn (fun () ->
-                for i = 0 to (ops / probe_procs) - 1 do
-                  Repro_sim.Machine.work 100;
-                  if Repro_util.Rng.bernoulli rng 0.5 then
-                    q.Queue_adapter.insert
-                      (Repro_util.Rng.int rng 256)
-                      ((p * 1_000_000) + i)
-                  else ignore (q.Queue_adapter.try_delete_min ())
-                done)
-          done)
-    in
-    summary
-  in
-  let hottest_queued summary =
-    match Repro_sim.Trace.Summary.hottest_locations summary ~n:1 with
-    | (_, _, queued) :: _ -> queued
-    | [] -> 0
-  in
-  let top8_queued summary =
-    List.fold_left
-      (fun acc (_, _, queued) -> acc + queued)
-      0
-      (Repro_sim.Trace.Summary.hottest_locations summary ~n:8)
-  in
-  let probe_line name summary =
-    Printf.sprintf "%-22s hottest line queued %9d cycles; top-8 lines %9d\n" name
-      (hottest_queued summary) (top8_queued summary)
-  in
-  let plain_probe = probe (Queue_adapter.Sim.skipqueue ()) in
-  let co_probe = probe (Queue_adapter.Sim.skipqueue_co ()) in
-  let co_elim_probe = probe (Queue_adapter.(Sim.make ~procs:1 { (plain Co) with elim = true })) in
-  let lf_probe = probe (Queue_adapter.Sim.skipqueue_lf ()) in
-  let series_256 = List.assoc 256 range_series in
-  let co_stat series k =
-    let stats = (at series "SkipQueue-co" top).Benchmark.queue_stats in
-    try List.assoc k stats with Not_found -> 0.0
-  in
-  let co_counters series =
-    Printf.sprintf "coalescing counters @%d procs: %s\n" top
-      (stats_line (at series "SkipQueue-co" top).Benchmark.queue_stats)
-  in
-  let body =
-    String.concat "\n"
-      (List.map
-         (fun (key_range, series) ->
-           Printf.sprintf
-             "--- key range %d (1000 initial, 7000 ops, 50%% inserts) ---\n"
-             key_range
-           ^ latency_tables ~series ^ co_counters series)
-         range_series)
-    ^ Printf.sprintf
-        "\nHead-of-list contention probe (256-range workload, %d procs, full tracing)\n"
-        probe_procs
-    ^ probe_line "SkipQueue" plain_probe
-    ^ probe_line "SkipQueue-co" co_probe
-    ^ probe_line "SkipQueue-co-elim" co_elim_probe
-    ^ probe_line "SkipQueue-lf" lf_probe
-  in
-  let indicators =
-    List.concat_map
-      (fun (key_range, series) ->
+let duplicate_heavy ~id options =
+  let top = top options and probe_procs = probe_procs options in
+  let co = QA.plain QA.Co in
+  let structures = [ sq; co; elim co; QA.plain QA.Lf ] in
+  let range key_range =
+    section ~tag:(Printf.sprintf "range%d" key_range)
+      ~heading:
+        (Printf.sprintf "--- key range %d (1000 initial, 7000 ops, 50%% inserts) ---" key_range)
+      ~counters:("coalescing", "SkipQueue-co")
+      { (fig7_load options) with Benchmark.key_range }
+      (List.map series structures)
+      ~indicators:(fun at ->
         [
-          ratio_indicator series ~slow:"SkipQueue" ~fast:"SkipQueue-co"
-            ~procs:probe_procs del
-            (Printf.sprintf
-               "plain/co deletion latency @%d, range %d (want > 1)" probe_procs
-               key_range);
-          ratio_indicator series ~slow:"SkipQueue" ~fast:"SkipQueue-co"
-            ~procs:top ins
-            (Printf.sprintf "plain/co insertion latency @%d, range %d" top
-               key_range);
+          ratio at ~slow:"SkipQueue" ~fast:"SkipQueue-co" ~procs:probe_procs del
+            "plain/co deletion latency @%d, range %d (want > 1)" key_range;
+          ratio at ~slow:"SkipQueue" ~fast:"SkipQueue-co" ~procs:top ins
+            "plain/co insertion latency @%d, range %d" key_range;
         ])
-      range_series
-    @ [
-        ratio_indicator series_256 ~slow:"SkipQueue-co" ~fast:"SkipQueue-co-elim"
-          ~procs:probe_procs del
-          (Printf.sprintf "co/co-elim deletion latency @%d, range 256"
-             probe_procs);
-        ( Printf.sprintf "plain/co hottest-line queued cycles @%d procs"
-            probe_procs,
-          float_of_int (hottest_queued plain_probe)
-          /. float_of_int (Int.max 1 (hottest_queued co_probe)) );
-        (* At a 50/50 mix, hunt passes ~ inserts, so this approximates the
-           share of inserts absorbed into an existing node's slab. *)
-        ( Printf.sprintf "coalesced inserts per insert @%d, range 256" top,
-          co_stat series_256 "coalesced_inserts"
-          /. Float.max 1.0 (co_stat series_256 "hunt_passes") );
-        ( Printf.sprintf "capacity-full node splits @%d, range 256" top,
-          co_stat series_256 "node_splits" );
-      ]
   in
-  let data =
-    List.concat_map
-      (fun (key_range, series) ->
-        List.map
-          (fun (name, points) ->
-            (Printf.sprintf "%s/range%d" name key_range, points))
-          (series_data series))
-      range_series
-  in
-  {
-    id = "duplicate-heavy";
-    title =
-      "coalescing SkipQueue on duplicate-heavy workloads (key range x processors)";
-    body;
-    indicators;
-    data;
-  }
+  sweep options ~id
+    ~title:"coalescing SkipQueue on duplicate-heavy workloads (key range x processors)"
+    ~trailer:(fun at ->
+      let probe, hottest_ratio = head_probe options ~what:"256-range" ~key_range:256 structures in
+      let at = at ~tag:"range256" in
+      let co = at "SkipQueue-co" top in
+      ( probe,
+        [
+          ratio at ~slow:"SkipQueue-co" ~fast:"SkipQueue-co-elim" ~procs:probe_procs del
+            "co/co-elim deletion latency @%d, range 256";
+          ( Printf.sprintf "plain/co hottest-line queued cycles @%d procs" probe_procs,
+            hottest_ratio ~slow:"SkipQueue" ~fast:"SkipQueue-co" );
+          (* At a 50/50 mix, hunt passes ~ inserts, so this approximates the
+             share of inserts absorbed into an existing node's slab. *)
+          ( Printf.sprintf "coalesced inserts per insert @%d, range 256" top,
+            stat co "coalesced_inserts" /. Float.max 1.0 (stat co "hunt_passes") );
+          (Printf.sprintf "capacity-full node splits @%d, range 256" top, stat co "node_splits");
+        ] ))
+    (List.map range [ 64; 256; 4096 ])
 
 let all =
-  [
-    ("fig2", fig2);
-    ("fig3", fig3);
-    ("fig4", fig4);
-    ("fig5", fig5);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("multiqueue", multiqueue);
-    ("ablation-funnel-front", ablation_funnel_front);
-    ("ablation-skiplist-params", ablation_skiplist_params);
-    ("ablation-timestamp", ablation_timestamp);
-    ("ablation-reclamation", ablation_reclamation);
-    ("ablation-bounded-range", ablation_bounded_range);
-    ("ablation-memory-model", ablation_memory_model);
-    ("ablation-elimination", ablation_elimination);
-    ("ablation-lockfree", ablation_lockfree);
-    ("scheduler", scheduler);
-    ("klsm-shootout", klsm_shootout);
-    ("duplicate-heavy", duplicate_heavy);
-  ]
+  List.map
+    (fun (id, run) -> (id, run ~id))
+    [
+      ("fig2", fig2);
+      ( "fig3",
+        comparison_figure ~title:"small structure (50 initial, 70000 ops, 50% inserts)"
+          ~initial:50 ~ops:70_000 ~insert_ratio:0.5 ~funnel_list:(Some 1.0) );
+      ( "fig4",
+        comparison_figure ~title:"large structure (1000 initial, 70000 ops, 50% inserts)"
+          ~initial:1000 ~ops:70_000 ~insert_ratio:0.5 ~funnel_list:(Some 0.1) );
+      ( "fig5",
+        comparison_figure ~title:"70% deletions (27000 initial, 60000 ops, 30% inserts)"
+          ~initial:27_000 ~ops:60_000 ~insert_ratio:0.3 ~funnel_list:None );
+      ("fig6", relaxed_figure "small structure (50 initial, 7000 ops)" fig6_load);
+      ("fig7", relaxed_figure "large structure (1000 initial, 7000 ops)" fig7_load);
+      ("fig8", relaxed_figure "70% deletions (27000 initial, 60000 ops)" fig8_load);
+      ("multiqueue", multiqueue);
+      ("ablation-funnel-front", ablation_funnel_front);
+      ("ablation-skiplist-params", ablation_skiplist_params);
+      ("ablation-timestamp", ablation_timestamp);
+      ("ablation-reclamation", ablation_reclamation);
+      ("ablation-bounded-range", ablation_bounded_range);
+      ("ablation-memory-model", ablation_memory_model);
+      ("ablation-elimination", ablation_elimination);
+      ("ablation-lockfree", ablation_lockfree);
+      ("scheduler", scheduler);
+      ("klsm-shootout", klsm_shootout);
+      ("duplicate-heavy", duplicate_heavy);
+    ]

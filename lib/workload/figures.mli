@@ -36,89 +36,68 @@ type options = {
 val default_options : options
 (** scale 1.0, 2^0..2^8, silent, 1 job. *)
 
-val fig2 : options -> result
-(** Insert/Delete-min latency vs. local work (100..6000 cycles), 256
-    processors, 1000 initial elements. *)
-
-val fig3 : options -> result
-(** Small structure: 50 initial, 70000 ops, 50% inserts; Heap vs SkipQueue
-    vs FunnelList across the whole concurrency range. *)
-
-val fig4 : options -> result
-(** Large structure: 1000 initial, otherwise as fig3. *)
-
-val fig5 : options -> result
-(** 70% deletions: 27000 initial, 60000 ops, 30% inserts; Heap vs
-    SkipQueue. *)
-
-val fig6 : options -> result
-(** SkipQueue vs Relaxed SkipQueue, small structure (50 initial, 7000
-    ops). *)
-
-val fig7 : options -> result
-(** SkipQueue vs Relaxed, large structure (1000 initial, 7000 ops). *)
-
-val fig8 : options -> result
-(** SkipQueue vs Relaxed, 70% deletions (27000 initial, 60000 ops). *)
-
-val multiqueue : options -> result
-(** Beyond the paper: the MultiQueue (c-way choice over try-locked shards,
-    PAPERS.md "Engineering MultiQueues") against the Relaxed SkipQueue on
-    the fig6/fig7/fig8 workloads, reporting both latency and Delete-min
-    rank error across the whole concurrency sweep. *)
-
-val ablation_funnel_front : options -> result
-(** A1: plain SkipQueue vs SkipQueue with a funnel-regulated Delete-min —
-    the design §5 reports rejecting. *)
-
-val ablation_skiplist_params : options -> result
-(** A2: sensitivity of the SkipQueue to the level-promotion probability
-    [p] and [max_level]. *)
-
-val ablation_timestamp : options -> result
-(** A3: cost decomposition of the timestamp mechanism — hunt lengths,
-    SWAP losses and stale skips for strict vs relaxed. *)
-
-val ablation_reclamation : options -> result
-(** A4: overhead of running the paper's §3 timestamp-based reclamation
-    protocol (entry/exit registration, retirement, a dedicated collector
-    processor) against the same queue without it. *)
-
-val ablation_bounded_range : options -> result
-(** A5: the bounded-range bin queue of Shavit & Zemach [39] against the
-    SkipQueue on dense (range 256) and sparse (range 65536) priorities —
-    the generality trade-off §1.1 and §2 describe. *)
-
-val ablation_memory_model : options -> result
-(** A6: reruns the fig3 workload under reduced memory models (no line
-    queueing, no node bandwidth, flat memory) to attribute each observed
-    phenomenon to a model ingredient — the validation a simulator-based
-    reproduction owes its reader. *)
-
-val ablation_elimination : options -> result
-(** A9: the elimination–combining front end
-    ({!Repro_skipqueue.Elimination}, after Calciu, Mendes & Herlihy)
-    against the plain SkipQueue on the fig7/fig8 workloads — latency
-    sweeps for the strict and relaxed flavors, a fully traced run at up
-    to 64 processors comparing queued cycles on the hottest (head-of-
-    list) cache line, and the front end's rendezvous counters. *)
-
-val scheduler : options -> result
-(** A12: the flagship blocking scenario — an earliest-deadline-first task
-    scheduler for a 2,000,000-user id space, built on the bounded/blocking
-    façade ({!Repro_bounded.Bounded_queue}).  Bursty front-end producers
-    push deadline-keyed jobs through [insert_wait], half as many workers
-    drain through [delete_min_wait]; sweeps the worker count over >= 2
-    backends and reports mean sojourn, deadline-miss rate, worker parks
-    and backpressure stalls.  In {!result.data} the y-columns are mean
-    sojourn (cycles) and miss rate (%), keyed by worker count. *)
-
-val klsm_shootout : options -> result
-(** A14: the three-way relaxed shoot-out — the paper's Relaxed SkipQueue,
-    the MultiQueue and the k-LSM ({!Repro_klsm.Klsm}, k = 256) on the
-    fig6/fig7/fig8 workloads plus a duplicate-heavy one (256-value key
-    range), reporting latency, the Delete-min rank-error oracle for each
-    relaxation, and the k-LSM's flush/merge/spy counters. *)
-
 val all : (string * (options -> result)) list
-(** Every runner, keyed by id, in presentation order. *)
+(** Every runner, keyed by id, in presentation order:
+
+    - ["fig2"]: Insert/Delete-min latency vs. local work (100..6000
+      cycles), 256 processors, 1000 initial elements.
+    - ["fig3"]: small structure (50 initial, 70000 ops, 50% inserts); Heap
+      vs SkipQueue vs FunnelList across the whole concurrency range.
+    - ["fig4"]: large structure (1000 initial), otherwise as fig3; the
+      FunnelList runs a tenth of the operations.
+    - ["fig5"]: 70% deletions (27000 initial, 60000 ops, 30% inserts);
+      Heap vs SkipQueue.
+    - ["fig6"], ["fig7"], ["fig8"]: SkipQueue vs Relaxed SkipQueue on the
+      small (50 initial, 7000 ops), large (1000 initial, 7000 ops) and
+      70%-deletions (27000 initial, 60000 ops) structures.
+    - ["multiqueue"]: beyond the paper, the MultiQueue (c-way choice over
+      try-locked shards, PAPERS.md "Engineering MultiQueues") against the
+      Relaxed SkipQueue on the fig6/fig7/fig8 workloads, reporting both
+      latency and Delete-min rank error.
+    - ["ablation-funnel-front"] (A1): plain SkipQueue vs a funnel-regulated
+      Delete-min — the design §5 reports rejecting.
+    - ["ablation-skiplist-params"] (A2): sensitivity of the SkipQueue to
+      the level-promotion probability [p] and [max_level].
+    - ["ablation-timestamp"] (A3): cost decomposition of the timestamp
+      mechanism — hunt lengths, SWAP losses and stale skips for strict vs
+      relaxed.
+    - ["ablation-reclamation"] (A4): overhead of the §3 timestamp-based
+      reclamation protocol (entry/exit registration, retirement, a
+      dedicated collector processor).
+    - ["ablation-bounded-range"] (A5): the bounded-range bin queue of
+      Shavit & Zemach [39] against the SkipQueue on dense (range 256) and
+      sparse (range 65536) priorities.
+    - ["ablation-memory-model"] (A6): the fig3 workload at up to 64
+      processors under reduced memory models (no line queueing, no node
+      bandwidth, flat memory), attributing each phenomenon to a model
+      ingredient.
+    - ["ablation-elimination"] (A9): the elimination–combining front end
+      ({!Repro_skipqueue.Elimination}) against the plain SkipQueue on the
+      fig7/fig8 workloads, strict and relaxed, with a traced head-of-list
+      probe ({!Benchmark.probe}) at up to 64 processors and the front
+      end's rendezvous counters.
+    - ["ablation-lockfree"] (A13): the lock-free SkipQueue against the
+      locked original and the elimination front end on the fig7 and
+      fig5/fig8 workloads, with the head-of-list probe and the lock-free
+      counters (CAS failures, marked-node hops).
+    - ["scheduler"] (A12): an earliest-deadline-first task scheduler for a
+      2,000,000-user id space on the bounded/blocking façade
+      ({!Repro_bounded.Bounded_queue}): bursty producers push
+      deadline-keyed jobs through [insert_wait], half as many workers
+      drain through [delete_min_wait].  Sweeps the worker count over four
+      backends and reports mean sojourn, deadline-miss rate, worker parks
+      and backpressure stalls; its {!result.data} y-columns are mean
+      sojourn (cycles) and miss rate (%), keyed by worker count.
+    - ["klsm-shootout"] (A14): the Relaxed SkipQueue, the MultiQueue and
+      the k-LSM ({!Repro_klsm.Klsm}, k = 256) on the fig6/fig7/fig8
+      workloads plus a duplicate-heavy one (256-value key range), with the
+      rank-error oracle per relaxation and the k-LSM's flush/merge/spy
+      counters.
+    - ["duplicate-heavy"] (A15): the coalescing SkipQueue, alone and
+      behind the elimination front end, against the locked and lock-free
+      SkipQueues at key ranges 64, 256 and 4096, with the coalescing
+      counters and the head-of-list probe on the 256 range.
+
+    Every experiment but fig2, A3, A6 and A12 is a processor sweep run by
+    one engine; one with several workloads suffixes each CSV series with
+    its workload's tag ("SkipQueue/fig7"), so series names are distinct. *)

@@ -130,6 +130,62 @@ let test_benchmark_rejects_bad_workload () =
         (Benchmark.run (QA.Sim.skipqueue ())
            { tiny_workload with Benchmark.insert_ratio = 1.5 }))
 
+(* --- Benchmark.probe ----------------------------------------------------- *)
+
+(* 403 ops over 8 processors: 50 each, the remainder dropped. *)
+let probe_workload = { tiny_workload with Benchmark.total_ops = 403 }
+
+let test_probe_deterministic () =
+  let fingerprint () =
+    let report, latency = Benchmark.probe (QA.Sim.skipqueue ()) probe_workload in
+    (report, Stats.count latency, Stats.mean latency, Stats.max_value latency)
+  in
+  check "two probes identical" true (fingerprint () = fingerprint ())
+
+let test_probe_tracer_transparent () =
+  List.iter
+    (fun impl ->
+      let summary = Trace.Summary.create () in
+      let traced, _ =
+        Benchmark.probe ~tracer:(Trace.Summary.sink summary) impl probe_workload
+      in
+      let untraced, _ = Benchmark.probe impl probe_workload in
+      check (impl.QA.name ^ ": events traced") true (Trace.Summary.events summary > 0);
+      Alcotest.(check string)
+        (impl.QA.name ^ ": report byte-equal")
+        (Marshal.to_string untraced [])
+        (Marshal.to_string traced []))
+    [ QA.Sim.skipqueue (); QA.Sim.make ~procs:8 (QA.plain QA.Multiqueue) ]
+
+let test_probe_op_count () =
+  List.iter
+    (fun (procs, total_ops) ->
+      let _, latency =
+        Benchmark.probe (QA.Sim.skipqueue ())
+          { probe_workload with Benchmark.procs; total_ops }
+      in
+      check_int
+        (Printf.sprintf "%d procs, %d ops" procs total_ops)
+        (procs * (total_ops / procs))
+        (Stats.count latency))
+    [ (8, 403); (3, 3); (511, 511) ]
+
+let test_probe_rejects_bad_input () =
+  let refused change expect =
+    match Benchmark.probe (QA.Sim.skipqueue ()) (change probe_workload) with
+    | _ -> Alcotest.failf "accepted: %s" expect
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) expect ("Benchmark.probe: " ^ expect) msg
+  in
+  refused (fun w -> { w with Benchmark.procs = 0 }) "procs < 1";
+  refused
+    (fun w -> { w with Benchmark.procs = 600 })
+    "procs 600 > 511 (the simulator's processor limit, less the root)";
+  refused
+    (fun w -> { w with Benchmark.procs = 8; total_ops = 4 })
+    "total_ops 4 < procs 8 (every processor needs an operation)";
+  refused (fun w -> { w with Benchmark.insert_ratio = 1.5 }) "insert_ratio outside [0, 1]"
+
 (* --- rank-error metric ----------------------------------------------------- *)
 
 (* [choice = shards] compares every shard, so the MultiQueue is exact
@@ -437,24 +493,42 @@ let test_registry_bad_spellings () =
 let tiny_options =
   { Figures.scale = 0.005; max_procs_log2 = 2; progress = ignore; jobs = 1 }
 
+(* Every experiment once at tiny scale, shared by the cases inspecting them. *)
+let tiny_results =
+  lazy (List.map (fun (id, runner) -> (id, runner tiny_options)) Figures.all)
+
 let test_every_figure_runs () =
   List.iter
-    (fun (id, runner) ->
-      let result = runner tiny_options in
+    (fun (id, result) ->
       check (id ^ " has a body") true (String.length result.Figures.body > 0);
       check (id ^ " has indicators") true (result.Figures.indicators <> []);
       let rendered = Figures.render result in
       check (id ^ " renders") true (String.length rendered > String.length result.Figures.body))
-    Figures.all
+    (Lazy.force tiny_results)
+
+(* A CSV row is keyed by its series name alone, so two series of one
+   experiment sharing a name (the SkipQueue on two workloads) could not
+   be told apart. *)
+let test_figure_series_distinct () =
+  List.iter
+    (fun (id, result) ->
+      let names = List.sort String.compare (List.map fst result.Figures.data) in
+      Alcotest.(check (list string))
+        (id ^ " series names distinct")
+        (List.sort_uniq String.compare names)
+        names)
+    (Lazy.force tiny_results)
+
+let figure id options = Figures.render (List.assoc id Figures.all options)
 
 let test_figure_determinism () =
-  let run () = (Figures.fig6 tiny_options).Figures.body in
+  let run () = figure "fig6" tiny_options in
   Alcotest.(check string) "fig6 deterministic" (run ()) (run ())
 
 (* DESIGN.md §S16: sweep points are independent simulations, so fanning
    them out over domains must leave the rendered figure byte-identical. *)
 let test_figure_jobs_identity () =
-  let run jobs = Figures.render (Figures.fig7 { tiny_options with Figures.jobs }) in
+  let run jobs = figure "fig7" { tiny_options with Figures.jobs } in
   Alcotest.(check string) "fig7 jobs=4 equals jobs=1" (run 1) (run 4)
 
 (* Jobs.map itself: order, identity with List.map, error propagation. *)
@@ -600,6 +674,14 @@ let () =
             test_benchmark_more_procs_more_latency;
           Alcotest.test_case "rejects bad workload" `Quick test_benchmark_rejects_bad_workload;
         ] );
+      ( "probe",
+        [
+          Alcotest.test_case "deterministic" `Quick test_probe_deterministic;
+          Alcotest.test_case "tracer leaves the report unchanged" `Quick
+            test_probe_tracer_transparent;
+          Alcotest.test_case "procs x floor(ops/procs) operations" `Quick test_probe_op_count;
+          Alcotest.test_case "rejects bad input exactly" `Quick test_probe_rejects_bad_input;
+        ] );
       ( "rank-error",
         [
           Alcotest.test_case "sequential runs are exact" `Quick
@@ -622,6 +704,7 @@ let () =
       ( "figures",
         [
           Alcotest.test_case "every figure runs" `Slow test_every_figure_runs;
+          Alcotest.test_case "series names distinct" `Slow test_figure_series_distinct;
           Alcotest.test_case "figure determinism" `Quick test_figure_determinism;
           Alcotest.test_case "parallel figure identical" `Quick test_figure_jobs_identity;
           Alcotest.test_case "jobs map semantics" `Quick test_jobs_map;
