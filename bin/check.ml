@@ -11,7 +11,7 @@
      dune exec bin/check.exe -- --broken elim   # lost-rendezvous elimination mutant
      dune exec bin/check.exe -- --broken wakeup # lost-wakeup bounded façade mutant
      dune exec bin/check.exe -- --broken lf-claim # torn two-step lock-free claim
-     dune exec bin/check.exe -- --broken lf-free  # premature free in the lock-free queue
+     dune exec bin/check.exe -- --broken lf-free  # premature free in the lock-free queue (32 workers)
      dune exec bin/check.exe -- --broken klsm   # torn k-LSM buffer-to-shared spill
      dune exec bin/check.exe -- --broken co     # torn lock-word decrement, coalescing queue
 
@@ -38,35 +38,50 @@ let pp_spec = function
   | QA.Relaxed -> "relaxed"
   | QA.Rank_bounded -> "rank-bounded"
 
-(* (impl, uses-blocking-harness) pairs for the sweep. *)
-let select_impls backends broken blocking ~capacity =
+(* How a selected implementation is swept. *)
+type harness = Plain of Harness.profile | Blocking
+
+module Broken = Repro_check.Broken
+
+(* The planted mutants, each with the harness that catches it.  The
+   premature free needs a claimant to read its victim while a restructurer
+   frees it; the default six workers reach that window on about one seed
+   in two hundred, thirty-two on about two in three. *)
+let mutants ~profile ~capacity =
+  [
+    ("swap", fun () -> (Broken.skipqueue (), Plain profile));
+    ("elim", fun () -> (Broken.elim_skipqueue (), Plain profile));
+    ("wakeup", fun () -> (Broken.bounded_skipqueue ~capacity (), Blocking));
+    ("lf-claim", fun () -> (Broken.lf_claim_skipqueue (), Plain profile));
+    ("lf-free", fun () -> (Broken.lf_free_skipqueue (), Plain { profile with Harness.procs = 32 }));
+    ("klsm", fun () -> (Broken.klsm_spill (), Plain profile));
+    ("co", fun () -> (Broken.co_lockword (), Plain profile));
+  ]
+
+(* (impl, harness, replay selector) triples for the sweep. *)
+let select_impls backends broken blocking ~profile ~capacity =
+  let mutants = mutants ~profile ~capacity in
+  let mutant (name, make) =
+    let impl, harness = make () in
+    (impl, harness, "--broken " ^ name)
+  in
   (* --blocking sets every selected backend's façade to the profile's capacity *)
   let make d =
-    if blocking then (QA.make QA.Sim { d with QA.bounded = Some capacity }, true)
-    else (QA.make QA.Sim d, false)
+    let impl, harness =
+      if blocking then (QA.make QA.Sim { d with QA.bounded = Some capacity }, Blocking)
+      else (QA.make QA.Sim d, Plain profile)
+    in
+    (impl, harness, Printf.sprintf "--backend '%s'" impl.QA.name)
   in
   match broken with
-  | Some "swap" -> [ (Repro_check.Broken.skipqueue (), false) ]
-  | Some "elim" -> [ (Repro_check.Broken.elim_skipqueue (), false) ]
-  | Some "wakeup" -> [ (Repro_check.Broken.bounded_skipqueue ~capacity (), true) ]
-  | Some "lf-claim" -> [ (Repro_check.Broken.lf_claim_skipqueue (), false) ]
-  | Some "lf-free" -> [ (Repro_check.Broken.lf_free_skipqueue (), false) ]
-  | Some "klsm" -> [ (Repro_check.Broken.klsm_spill (), false) ]
-  | Some "co" -> [ (Repro_check.Broken.co_lockword (), false) ]
-  | Some "all" ->
-    [
-      (Repro_check.Broken.skipqueue (), false);
-      (Repro_check.Broken.elim_skipqueue (), false);
-      (Repro_check.Broken.bounded_skipqueue ~capacity (), true);
-      (Repro_check.Broken.lf_claim_skipqueue (), false);
-      (Repro_check.Broken.lf_free_skipqueue (), false);
-      (Repro_check.Broken.klsm_spill (), false);
-      (Repro_check.Broken.co_lockword (), false);
-    ]
-  | Some other ->
-    Printf.eprintf
-      "unknown mutant %S (known: swap, elim, wakeup, lf-claim, lf-free, klsm, co, all)\n" other;
-    Stdlib.exit 2
+  | Some "all" -> List.map mutant mutants
+  | Some name -> (
+    match List.assoc_opt name mutants with
+    | Some make -> [ mutant (name, make) ]
+    | None ->
+      Printf.eprintf "unknown mutant %S (known: %s, all)\n" name
+        (String.concat ", " (List.map fst mutants));
+      Stdlib.exit 2)
   | None -> (
     match backends with
     | [] ->
@@ -80,16 +95,17 @@ let select_impls backends broken blocking ~capacity =
         Printf.eprintf "%s\n" msg;
         Stdlib.exit 2))
 
-let print_violation ~impl ~profile ~blocking (v : Harness.violation) =
+let print_violation ~target ~harness (v : Harness.violation) =
   Printf.printf "  VIOLATION seed=%Ld check=%s\n    %s\n" v.Harness.seed v.Harness.check
     v.Harness.message;
-  Printf.printf "    replay: dune exec bin/check.exe -- %s--backend '%s' --replay %Ld%s\n"
-    (if blocking then "--blocking " else "")
-    impl v.Harness.seed
-    (if blocking || profile = Harness.default_profile then ""
-     else
-       Printf.sprintf " --procs %d --ops %d --jitter %d" profile.Harness.procs
-         profile.Harness.ops_per_proc profile.Harness.jitter)
+  Printf.printf "    replay: dune exec bin/check.exe -- %s%s --replay %Ld%s\n"
+    (if harness = Blocking then "--blocking " else "")
+    target v.Harness.seed
+    (match harness with
+    | Plain profile when profile <> Harness.default_profile ->
+      Printf.sprintf " --procs %d --ops %d --jitter %d" profile.Harness.procs
+        profile.Harness.ops_per_proc profile.Harness.jitter
+    | Plain _ | Blocking -> "")
 
 let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mutant replay
     blocking quiet jobs =
@@ -113,7 +129,7 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
   let bounds = { Check.default_bounds with Check.max_rank; mean_rank } in
   let bprofile = { Harness.default_blocking_profile with Harness.jitter } in
   let impls =
-    select_impls backends broken blocking ~capacity:bprofile.Harness.capacity
+    select_impls backends broken blocking ~profile ~capacity:bprofile.Harness.capacity
   in
   let seed_list =
     match replay with
@@ -122,15 +138,17 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
   in
   let summaries =
     List.map
-      (fun (impl, blk) ->
-        ( (if blk then Harness.sweep_blocking ~bounds ~profile:bprofile ~jobs impl seed_list
-           else Harness.sweep_impl ~bounds ~profile ~jobs impl seed_list),
-          blk ))
+      (fun (impl, harness, target) ->
+        ( (match harness with
+          | Blocking -> Harness.sweep_blocking ~bounds ~profile:bprofile ~jobs impl seed_list
+          | Plain profile -> Harness.sweep_impl ~bounds ~profile ~jobs impl seed_list),
+          harness,
+          target ))
       impls
   in
   let total_violations = ref 0 in
   List.iter
-    (fun ((s : Harness.summary), blk) ->
+    (fun ((s : Harness.summary), harness, target) ->
       total_violations := !total_violations + List.length s.Harness.violations;
       if not quiet then
         Printf.printf "%-28s %-13s %4d seeds  %7d ops  %s\n" s.Harness.impl (pp_spec s.Harness.spec)
@@ -138,9 +156,7 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
           (match s.Harness.violations with
           | [] -> "ok"
           | vs -> Printf.sprintf "%d VIOLATIONS" (List.length vs));
-      List.iter
-        (print_violation ~impl:s.Harness.impl ~profile ~blocking:blk)
-        s.Harness.violations)
+      List.iter (print_violation ~target ~harness) s.Harness.violations)
     summaries;
   match broken with
   | Some mutant ->
@@ -235,7 +251,8 @@ let broken =
            $(b,wakeup) (lost-wakeup bounded façade, swept under the \
            blocking harness), $(b,lf-claim) (torn two-step claim in the \
            lock-free SkipQueue), $(b,lf-free) (premature physical free in \
-           the lock-free SkipQueue), $(b,klsm) (torn k-LSM buffer-to-shared \
+           the lock-free SkipQueue, swept with 32 workers whatever \
+           $(b,--procs) says), $(b,klsm) (torn k-LSM buffer-to-shared \
            block publish), $(b,co) (torn count-decrementing release of the \
            coalescing queue's packed lock word) or $(b,all).")
 

@@ -134,12 +134,23 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
      while [size > 0] therefore means, for a deduplicating backend, a
      stale credit — burn it (freeing capacity) and re-test; for a
      non-deduplicating backend it is a transient miss (e.g. a try-locked
-     shard mid-insert) that resolves under retry. *)
+     shard mid-insert) that resolves under retry.
+
+     [size <= 0] does not prove the backend empty, though: a consumer may
+     have popped an in-flight insert's element (inserted into the backend,
+     not yet credited) and spent a completed insert's credit on it, so
+     that completed insert's element is still in the backend under a zero
+     size.  A non-blocking take therefore asks the backend once before
+     answering empty, and a hit overdraws [size] below zero until the
+     in-flight insert's credit lands.  A blocking take parks instead: the
+     in-flight insert's credit will wake it. *)
   let rec take t ~block =
-    if R.read t.size = 0 then
+    if R.read t.size <= 0 then
       if not block then begin
+        let got = t.backend_pop () in
+        if Option.is_some got then ignore (fetch_add t.size (-1));
         R.release t.pop_lock;
-        None
+        got
       end
       else begin
         t.empty_waiters <- t.empty_waiters + 1;

@@ -14,7 +14,12 @@
    stay physically linked until {!try_restructure} unlinks the maximal
    marked prefix with one CAS on the head's bottom link and retires the
    nodes through the epoch reclamation + node pool of S17, so a traverser
-   that entered before the unlink can still walk them safely.
+   that entered before the unlink can still walk them safely.  Only that
+   head-adjacent run can be collected, and an insert that links in front
+   of it buries it for good; so both walks that start from the head
+   restructure once they have stepped over [restructure_threshold] of it
+   — the claim on its way to a victim, and the insert about to link at
+   the head (see {!insert}).
 
    The structural invariant is deliberately weaker than the locked
    SkipQueue's: only LIVE nodes are kept in key order along the bottom
@@ -66,7 +71,8 @@ struct
 
   type op_stats = {
     cas_failures : int; (* claim/link CAS attempts lost to a race *)
-    marked_hops : int; (* logically deleted nodes stepped over *)
+    marked_hops : int; (* bottom-level tombstones stepped over, all walks *)
+    insert_marked_hops : int; (* ... of which by insert searches *)
     restructures : int; (* batched prefix unlinks performed *)
     restructure_skips : int; (* restructures ceded to the current holder *)
     unlinked : int; (* nodes physically removed by restructures *)
@@ -97,6 +103,7 @@ struct
     mutable since_collect : int;
     mutable cas_failures : int;
     mutable marked_hops : int;
+    mutable insert_marked_hops : int;
     mutable restructures : int;
     mutable restructure_skips : int;
     mutable unlinked : int;
@@ -151,6 +158,7 @@ struct
       since_collect = 0;
       cas_failures = 0;
       marked_hops = 0;
+      insert_marked_hops = 0;
       restructures = 0;
       restructure_skips = 0;
       unlinked = 0;
@@ -160,6 +168,7 @@ struct
     {
       cas_failures = t.cas_failures;
       marked_hops = t.marked_hops;
+      insert_marked_hops = t.insert_marked_hops;
       restructures = t.restructures;
       restructure_skips = t.restructure_skips;
       unlinked = t.unlinked;
@@ -307,7 +316,8 @@ struct
      fails by record inequality and the insert retries.  At the bottom
      level the walked link doubles as the liveness bit, so the walk costs
      one shared read per hop; upper levels pay one extra read per hop for
-     the candidate's bottom link. *)
+     the candidate's bottom link.  Also returns how many tombstones the
+     bottom-level walk stepped over. *)
   let find_preds t bkey =
     let preds, plinks = scratch_for t in
     let pred = ref t.head in
@@ -337,6 +347,7 @@ struct
     done;
     let clink = ref (R.read !pred.next.(0)) in
     let cpred = ref !pred and cplink = ref !clink in
+    let hops = ref 0 in
     let continue = ref true in
     while !continue do
       let cand = !clink.succ in
@@ -345,7 +356,8 @@ struct
         let cand_link = R.read cand.next.(0) in
         if cand_link.marked || bound_compare (node_key cand) bkey < 0 then begin
           clink := cand_link;
-          if not cand_link.marked then begin
+          if cand_link.marked then incr hops
+          else begin
             cpred := cand;
             cplink := cand_link
           end
@@ -355,7 +367,9 @@ struct
     done;
     preds.(0) <- !cpred;
     plinks.(0) <- !cplink;
-    (preds, plinks)
+    t.marked_hops <- t.marked_hops + !hops;
+    t.insert_marked_hops <- t.insert_marked_hops + !hops;
+    (preds, plinks, !hops)
 
   (* --- restructure: batched physical deletion ------------------------------ *)
 
@@ -453,16 +467,27 @@ struct
      The new node goes immediately after the last live node with a
      smaller key — in front of any tombstone run that follows it, which
      keeps live nodes chain-ordered without ever linking after a marked
-     predecessor. *)
-  let insert t key value =
+     predecessor.
+
+     Linking in front of a head-adjacent tombstone run re-roots it: the
+     run stops being the prefix {!try_restructure} can unlink, and the
+     next claim hops none of it, so no delete-min ever sees the run's
+     length.  A run only grows while it is head-adjacent, so the insert
+     that is about to bury one — its bottom walk still at the head after
+     [restructure_threshold] tombstones — unlinks it first and searches
+     again.  The walk already read those tombstones; the trigger adds no
+     shared reads. *)
+  let insert ~restructure_threshold t key value =
     let bkey = Key key in
     let level = random_level t in
     let node = alloc_node t ~key:bkey ~value:(Some value) ~level in
     (* Bottom level: the linearization point of the insert. *)
     let rec link_bottom () =
-      let preds, plinks = find_preds t bkey in
+      let preds, plinks, hops = find_preds t bkey in
       let pred = preds.(0) and plink = plinks.(0) in
-      if plink.marked then begin
+      if pred == t.head && hops >= restructure_threshold && try_restructure t then
+        link_bottom ()
+      else if plink.marked then begin
         (* Only the walk's entry node can surface here: it was committed
            live at level 2 but claimed before its bottom link was read.  A
            marked record is frozen — the CAS below would SUCCEED on the
@@ -531,7 +556,7 @@ struct
     for i = 2 to level do
       let rec link_level () =
         if not (R.read node.next.(0)).marked then begin
-          let preds, plinks = find_preds t bkey in
+          let preds, plinks, _ = find_preds t bkey in
           let pred = preds.(i - 1) and plink = plinks.(i - 1) in
           let succ = plink.succ in
           if succ == t.tail || not (is_deleted succ) then begin

@@ -9,10 +9,13 @@
     never spuriously match (no ABA without tag bits).
 
     Delete-min's logical deletion is a CAS that flips [marked] in the
-    victim's own bottom link; marked nodes accumulate as a bottom-level
-    prefix until {!Make.try_restructure} unlinks the whole prefix with one
-    CAS on the head and retires the nodes through epoch reclamation and
-    the node pool, so concurrent traversers never touch freed memory.
+    victim's own bottom link; marked nodes stay linked as tombstones.
+    {!Make.try_restructure} unlinks the head-adjacent run of them (the
+    marked prefix) with one CAS on the head and retires the nodes through
+    epoch reclamation and the node pool, so concurrent traversers never
+    touch freed memory.  An insert that would link in front of that run
+    buries it behind a live node, so {!Make.insert} restructures first
+    when the run is long.
     See DESIGN.md S19. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
@@ -58,12 +61,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   (** {1 Operations} *)
 
-  val insert : 'v t -> K.t -> 'v -> unit
+  val insert : restructure_threshold:int -> 'v t -> K.t -> 'v -> unit
   (** CAS-links bottom-up; linearizes at the successful bottom-level CAS.
       Duplicate keys are kept (multiset); a new node lands before existing
       equal keys.  Only LIVE nodes are kept in key order: the new node goes
       right after the last live smaller-keyed node, in front of any
-      tombstone run that follows it (a marked node's key is dead). *)
+      tombstone run that follows it (a marked node's key is dead).  If
+      that places it right after the head, in front of at least
+      [restructure_threshold] tombstones, it first calls
+      {!try_restructure} and, if a pass ran, searches again. *)
 
   type 'v claim_result =
     | Claimed of 'v node * int  (** node, marked nodes hopped en route *)
@@ -108,7 +114,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   type op_stats = {
     cas_failures : int;
-    marked_hops : int;
+    marked_hops : int;  (** bottom-level tombstones stepped over, every walk *)
+    insert_marked_hops : int;  (** the share of [marked_hops] stepped over by inserts *)
     restructures : int;
     restructure_skips : int;
     unlinked : int;

@@ -1,10 +1,10 @@
 (* Lock-free SkipQueue: the priority-queue facade over
    [Lockfree_skiplist].  Insert CAS-links bottom-up; Delete-min claims the
-   first live node with one CAS mark (its linearization point) and, once
-   the walk has hopped over [restructure_threshold] logically deleted
-   nodes, triggers the batched physical unlink.  No operation ever takes a
-   lock on the hot path — the only lock in the structure is the
-   restructurer's try-lock, which is never waited on. *)
+   first live node with one CAS mark (its linearization point).  Either
+   walk, once it has hopped over [restructure_threshold] head-adjacent
+   logically deleted nodes, triggers the batched physical unlink.  No
+   operation ever takes a lock on the hot path — the only lock in the
+   structure is the restructurer's try-lock, which is never waited on. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
 struct
@@ -23,7 +23,7 @@ struct
 
   let insert t key value =
     SL.enter t.sl;
-    SL.insert t.sl key value;
+    SL.insert ~restructure_threshold:t.restructure_threshold t.sl key value;
     SL.exit t.sl
 
   let delete_min t =
@@ -52,6 +52,7 @@ struct
   type stats = {
     cas_failures : int;
     marked_hops : int;
+    insert_marked_hops : int;
     restructures : int;
     restructure_skips : int;
     unlinked : int;
@@ -62,6 +63,7 @@ struct
     {
       cas_failures = s.SL.cas_failures;
       marked_hops = s.SL.marked_hops;
+      insert_marked_hops = s.SL.insert_marked_hops;
       restructures = s.SL.restructures;
       restructure_skips = s.SL.restructure_skips;
       unlinked = s.SL.unlinked;

@@ -5,7 +5,8 @@
     later lock-free machinery (Sundell–Tsigas; Lindén–Jonsson): Insert
     CAS-links bottom-up, Delete-min logically deletes by CAS-marking the
     victim's bottom next link — that CAS is the linearization point — and
-    physical deletion is batched: once a delete-min walk has hopped
+    physical deletion is batched: once a walk from the head — a
+    delete-min's claim or an insert's search — has hopped
     [restructure_threshold] marked nodes, the whole marked prefix is
     unlinked with one CAS on the head and retired through the epoch
     reclamation + node pool of DESIGN.md S17.  Spec: linearizable
@@ -28,8 +29,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
     unit ->
     'v t
   (** [restructure_threshold] (default 16): a delete-min walk that hops
-      this many logically deleted nodes triggers the batched physical
-      unlink.  [collect_every] (default 4): reclamation pass cadence, in
+      this many logically deleted nodes, or an insert whose search is
+      still at the head after hopping this many, triggers the batched
+      physical unlink.  [collect_every] (default 4): reclamation pass cadence, in
       successful restructures.  [broken_premature_free] wires in the
       checker-validation mutant that frees at unlink time without waiting
       for epoch quiescence — never set it outside {!Broken}. *)
@@ -44,7 +46,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   type stats = {
     cas_failures : int;  (** claim/link CAS attempts lost to a race *)
-    marked_hops : int;  (** logically deleted nodes stepped over *)
+    marked_hops : int;  (** bottom-level tombstones stepped over, every walk *)
+    insert_marked_hops : int;  (** the share of [marked_hops] stepped over by inserts *)
     restructures : int;  (** batched prefix unlinks performed *)
     restructure_skips : int;  (** passes ceded to the current holder *)
     unlinked : int;  (** nodes physically removed *)

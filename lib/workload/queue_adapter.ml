@@ -405,7 +405,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
         let s = LF.stats q and ps = LF.pool_stats q and rs = LF.reclaim_stats q in
         counts
           [ ("cas_failures", s.LF.cas_failures); ("marked_hops", s.LF.marked_hops);
-            ("restructures", s.LF.restructures); ("restructure_skips", s.LF.restructure_skips);
+            ("insert_marked_hops", s.LF.insert_marked_hops); ("restructures", s.LF.restructures); ("restructure_skips", s.LF.restructure_skips);
             ("unlinked", s.LF.unlinked); ("pool_returned", ps.LF.returned);
             ("pool_recycled", ps.LF.recycled); ("reclaim_pending", rs.LF.SL.Reclaim.pending) ])
 

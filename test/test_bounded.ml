@@ -124,6 +124,49 @@ let test_seed_pinned_determinism () =
   check "consumers parked" true (stat "parks" > 0);
   check "every park was woken" true (stat "wakes" > 0)
 
+(* A consumer can pop an in-flight insert's element (in the backend, not
+   yet credited to [size]) and spend a completed insert's credit on it.
+   The completed insert's element then sits in the backend under a zero
+   size, and a non-blocking take must still find it: answering empty
+   there is not linearizable.  The backend here keeps no timestamps, like
+   the lock-free SkipQueue, so nothing hides the in-flight element. *)
+let test_try_take_under_zero_size () =
+  let c1 = ref None and c2 = ref None and final_size = ref (-1) in
+  let (_ : Machine.report) =
+    Machine.run (fun () ->
+        let backend = ref [] in
+        let b =
+          Bounded.create ~capacity:4 ~name:"b"
+            ~insert:(fun k v ->
+              backend := List.merge compare [ (k, v) ] !backend;
+              (* the insert of 10 stalls between the backend and its credit *)
+              if k = 10 then Machine.work 10_000)
+            ~try_delete_min:(fun () ->
+              match !backend with
+              | [] -> None
+              | kv :: rest ->
+                backend := rest;
+                Some kv)
+            ()
+        in
+        Machine.spawn (fun () -> Bounded.insert_wait b 20 2);
+        Machine.spawn (fun () ->
+            Machine.work 100;
+            Bounded.insert_wait b 10 1);
+        Machine.spawn (fun () ->
+            Machine.work 1_000;
+            c1 := Bounded.try_delete_min b);
+        Machine.spawn (fun () ->
+            Machine.work 2_000;
+            c2 := Bounded.try_delete_min b);
+        Machine.spawn (fun () ->
+            Machine.work 100_000;
+            final_size := Bounded.size b))
+  in
+  check "first take pops the in-flight element" true (!c1 = Some (10, 1));
+  check "second take finds the completed insert's element" true (!c2 = Some (20, 2));
+  check_int "size settles at zero once the credit lands" 0 !final_size
+
 let () =
   Alcotest.run "bounded"
     [
@@ -132,5 +175,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_bounded_model;
           Alcotest.test_case "rejects bad capacity" `Quick test_rejects_bad_capacity;
           Alcotest.test_case "seed-pinned determinism" `Quick test_seed_pinned_determinism;
+          Alcotest.test_case "non-blocking take under a zero size" `Quick
+            test_try_take_under_zero_size;
         ] );
     ]

@@ -274,6 +274,18 @@ let test_mini_sweep_clean () =
         (List.map (fun v -> v.Harness.check ^ ": " ^ v.Harness.message) s.Harness.violations))
     summaries
 
+(* Seeds on which the default sweep once caught the bounded façade
+   answering EMPTY over the lock-free SkipQueue while a completed insert's
+   element was still in it (DESIGN.md §S18): a consumer had popped an
+   in-flight insert's element and spent the completed insert's credit. *)
+let test_bounded_lf_overdraw_seeds () =
+  let s = Harness.sweep_impl (QA.find QA.Sim "bounded:SkipQueue-lf") [ 18L; 27L; 29L ] in
+  Alcotest.(check (list string))
+    "bounded:SkipQueue-lf clean" []
+    (List.map
+       (fun v -> Printf.sprintf "seed %Ld %s: %s" v.Harness.seed v.Harness.check v.Harness.message)
+       s.Harness.violations)
+
 (* DESIGN.md §S16: a sweep fanned out over domains must produce the very
    summary the sequential sweep does — same event counts, same verdicts,
    in the same order. *)
@@ -401,6 +413,8 @@ let () =
           Alcotest.test_case "deterministic per seed" `Quick test_harness_deterministic;
           Alcotest.test_case "records full histories" `Quick test_harness_records;
           Alcotest.test_case "mini sweep clean" `Quick test_mini_sweep_clean;
+          Alcotest.test_case "bounded lock-free overdraw seeds clean" `Quick
+            test_bounded_lf_overdraw_seeds;
           Alcotest.test_case "parallel sweep identical" `Quick test_sweep_jobs_identity;
           Alcotest.test_case "broken queue caught" `Quick test_broken_queue_caught;
           Alcotest.test_case "broken elimination caught" `Quick test_broken_elim_caught;

@@ -7,6 +7,7 @@
 module Machine = Repro_sim.Machine
 module Sim_rt = Repro_sim.Sim_runtime
 module Native_rt = Repro_runtime.Native_runtime
+module Bounded = Repro_bounded.Bounded_queue.Make (Sim_rt)
 module Rng = Repro_util.Rng
 module LF = Repro_skipqueue.Skipqueue_lf.Make (Sim_rt) (Repro_pqueue.Key.Int)
 module LF_native = Repro_skipqueue.Skipqueue_lf.Make (Native_rt) (Repro_pqueue.Key.Int)
@@ -221,6 +222,89 @@ let test_stress_eager_restructure () =
      unlink/retire path races everything constantly. *)
   stress_conservation ~procs:8 ~ops:50 ~key_range:5 ~threshold:1 ~seed:72L ()
 
+(* --- the tombstone prefix stays bounded ----------------------------------- *)
+
+(* Claimed nodes still physically linked: every claim marked one node, and
+   every node a restructure unlinked had been claimed.  [claims] counts
+   the delete-mins that returned an element. *)
+let linked_tombstones q ~claims = claims - (LF.stats q).LF.unlinked
+
+let test_alternating_prefix_bounded () =
+  (* One processor alternating insert / delete-min: every insert walks
+     from the head over the run its predecessors' claims left there.  If
+     the insert linked in front of that run without collecting it, the
+     next claim would hop nothing and the run would never be unlinked. *)
+  in_sim (fun () ->
+      let threshold = 8 in
+      let q = LF.create ~restructure_threshold:threshold () in
+      for i = 0 to 499 do
+        LF.insert q i i;
+        check "returns the element just inserted" true (LF.delete_min q = Some (i, i));
+        if LF.marked_prefix_len q > threshold then
+          Alcotest.failf "prefix of %d tombstones after %d pairs (threshold %d)"
+            (LF.marked_prefix_len q) (i + 1) threshold
+      done;
+      check "every tombstone is in the prefix" true
+        (linked_tombstones q ~claims:500 = LF.marked_prefix_len q);
+      let s = LF.stats q in
+      check "inserts restructured" true (s.LF.restructures > 0);
+      check "insert hops are counted" true
+        (s.LF.insert_marked_hops > 0 && s.LF.insert_marked_hops <= s.LF.marked_hops);
+      ok_or_fail (LF.check_invariants q))
+
+(* The EDF scheduler's shape: producers refill a bounded façade in bursts,
+   consumers drain it.  The façade parks a consumer on an empty queue
+   instead of letting its delete-min walk the tombstones to the tail (an
+   empty delete-min restructures on its own), and it serializes each side,
+   so every refill links at the head in front of the last drain's
+   tombstones.  At the end, the last insert had found fewer than
+   [threshold] tombstones at the head or collected them; at most
+   [capacity] elements were live then, so at most that many claims can
+   have followed it. *)
+let test_drain_refill_bounded () =
+  let seed = 73L and producers = 4 and consumers = 2 and items = 480 in
+  let threshold = 4 and capacity = 8 in
+  let popped = Array.make consumers [] in
+  let linked = ref (-1) and quiescent = ref false in
+  let (_ : Machine.report) =
+    Machine.run (fun () ->
+        let q = LF.create ~seed ~restructure_threshold:threshold () in
+        let b =
+          Bounded.create ~capacity ~name:"b" ~insert:(LF.insert q)
+            ~try_delete_min:(fun () -> LF.delete_min q) ()
+        in
+        let finished = ref 0 in
+        for p = 0 to producers - 1 do
+          Machine.spawn (fun () ->
+              let rng = Rng.of_seed (Int64.add seed (Int64.of_int p)) in
+              for i = 0 to (items / producers) - 1 do
+                let id = (i * producers) + p in
+                Bounded.insert_wait b id id;
+                (* a pause between bursts lets the consumers drain *)
+                if i mod 6 = 5 then Machine.work (2_000 + Rng.int rng 2_000)
+              done;
+              incr finished)
+        done;
+        for c = 0 to consumers - 1 do
+          Machine.spawn (fun () ->
+              for _ = 1 to items / consumers do
+                popped.(c) <- fst (Bounded.delete_min_wait b) :: popped.(c)
+              done;
+              incr finished)
+        done;
+        Machine.spawn (fun () ->
+            Machine.work (1 lsl 40);
+            quiescent := !finished = producers + consumers;
+            linked := linked_tombstones q ~claims:items;
+            ok_or_fail (LF.check_invariants q)))
+  in
+  check "every processor finished" true !quiescent;
+  let all = List.sort compare (List.concat (Array.to_list popped)) in
+  check "every element popped exactly once" true (all = List.init items Fun.id);
+  if !linked > threshold + capacity then
+    Alcotest.failf "%d claimed nodes still linked after the run (threshold %d)" !linked
+      threshold
+
 (* --- determinism -------------------------------------------------------- *)
 
 (* The backend must stay a deterministic function of the machine schedule:
@@ -313,6 +397,8 @@ let () =
             test_tombstones_persist_below_threshold;
           Alcotest.test_case "restructure threshold honored" `Quick
             test_restructure_threshold_honored;
+          Alcotest.test_case "alternating insert/delete-min keeps the prefix bounded"
+            `Quick test_alternating_prefix_bounded;
         ] );
       ( "simulated-concurrency",
         [
@@ -320,6 +406,7 @@ let () =
             test_stress_duplicates;
           Alcotest.test_case "eager-restructure conservation" `Quick
             test_stress_eager_restructure;
+          Alcotest.test_case "drain/refill stays bounded" `Quick test_drain_refill_bounded;
         ] );
       ( "determinism",
         [
