@@ -27,15 +27,12 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     kind_of : 'req -> int;
     token_ids : int R.shared; (* unique token ids; protected by id_lock *)
     id_lock : R.lock;
-    rngs : Repro_util.Rng.t option array;
-    rngs_mutex : Mutex.t;
+    rngs : Repro_util.Rng.t Repro_runtime.Per_proc.t; (* per-processor layer-slot streams *)
     mutable stat_batches : int;
     mutable stat_combines : int;
     mutable stat_missed : int;
     mutable stat_largest : int;
   }
-
-  let rng_slots = 4096
 
   let create ?(layer_widths = [ 16; 8; 4; 2 ]) ?(collision_window = 40)
       ?(miss_tolerance = 0) ~apply ~is_done ~kind_of () =
@@ -54,8 +51,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       kind_of;
       token_ids = R.shared 0;
       id_lock = R.lock_create ~name:"funnel-ids" ();
-      rngs = Array.make rng_slots None;
-      rngs_mutex = Mutex.create ();
+      rngs =
+        Repro_runtime.Per_proc.create (fun id ->
+            Repro_util.Rng.of_seed (Int64.of_int (0xF0_0D + id)));
       stat_batches = 0;
       stat_combines = 0;
       stat_missed = 0;
@@ -70,22 +68,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       largest_batch = t.stat_largest;
     }
 
-  let rng_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.rngs.(idx) with
-    | Some rng -> rng
-    | None ->
-      Mutex.lock t.rngs_mutex;
-      let rng =
-        match t.rngs.(idx) with
-        | Some rng -> rng
-        | None ->
-          let rng = Repro_util.Rng.of_seed (Int64.of_int (0xF0_0D + idx)) in
-          t.rngs.(idx) <- Some rng;
-          rng
-      in
-      Mutex.unlock t.rngs_mutex;
-      rng
+  let rng_for t = Repro_runtime.Per_proc.get t.rngs (R.self ())
 
   (* Try to absorb [peer]'s group into [me].  Both token locks are taken in
      id order so two tokens capturing each other cannot deadlock; the

@@ -6,7 +6,11 @@ struct
 
   type 'v outcome = Pending | Done of (K.t * 'v) option
   type 'v op = Ins of K.t * 'v | Del
-  type 'v request = { mutable op : 'v op; state : 'v outcome R.shared }
+  type 'v request = {
+    mutable op : 'v op;
+    state : 'v outcome R.shared;
+    mutable fresh : bool; (* [state] not yet used by an operation *)
+  }
 
   type 'v t = {
     first : 'v node R.shared;
@@ -17,8 +21,7 @@ struct
        can reuse the record.  The state cell is re-registered with
        [R.refresh], drawing the fresh location id the per-op allocation
        used to draw — bit-identical to allocating anew. *)
-    reqs : 'v request option array;
-    reqs_mutex : Mutex.t;
+    reqs : 'v request Repro_runtime.Per_proc.t;
   }
 
   let kind_of req = match req.op with Ins _ -> 0 | Del -> 1
@@ -85,8 +88,6 @@ struct
       in
       hand_out batch taken
 
-  let req_slots = 4096 (* power of two; processor ids fold into it *)
-
   let create ?layer_widths ?collision_window () =
     let first = R.shared Nil in
     let rec t =
@@ -97,29 +98,21 @@ struct
             Funnel.create ?layer_widths ?collision_window
               ~apply:(fun batch -> apply (Lazy.force t) batch)
               ~is_done ~kind_of ();
-          reqs = Array.make req_slots None;
-          reqs_mutex = Mutex.create ();
+          reqs =
+            Repro_runtime.Per_proc.create (fun _ ->
+                { op = Del; state = R.shared Pending; fresh = true });
         }
     in
     Lazy.force t
 
-  (* The calling processor's request record, lazily created (the mutex
-     only guards creation and is never held across a runtime operation). *)
+  (* The calling processor's request record.  Its first use takes the
+     state cell as allocated; only a reuse refreshes it, so each operation
+     draws exactly one location id. *)
   let req_for t op =
-    let idx = R.self () land (req_slots - 1) in
-    match t.reqs.(idx) with
-    | Some req ->
-      req.op <- op;
-      R.refresh req.state Pending;
-      req
-    | None ->
-      let req = { op; state = R.shared Pending } in
-      Mutex.lock t.reqs_mutex;
-      (match t.reqs.(idx) with
-      | None -> t.reqs.(idx) <- Some req
-      | Some _ -> ());
-      Mutex.unlock t.reqs_mutex;
-      req
+    let req = Repro_runtime.Per_proc.get t.reqs (R.self ()) in
+    req.op <- op;
+    if req.fresh then req.fresh <- false else R.refresh req.state Pending;
+    req
 
   let insert t key value = Funnel.perform t.funnel (req_for t (Ins (key, value)))
 

@@ -58,12 +58,10 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     k : int;
     buffer_capacity : int;
     shared_relax : int;
-    seed : int64;
     search_cycles : int;
     broken_spill : bool;
     blocks : block list R.shared;
-    pstates : pstate option array;
-    pstates_mutex : Mutex.t;
+    pstates : pstate Repro_runtime.Per_proc.t;
     mutable inserts : int;
     mutable deletes : int;
     mutable flushes : int;
@@ -74,7 +72,13 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     mutable batch_deletes : int;
   }
 
-  let pstate_slots = 4096 (* power of two; processor ids are folded into it *)
+  let fresh_buffer cap =
+    {
+      bkeys = Array.make (Int.max 1 cap) 0;
+      bvals = Array.make (Int.max 1 cap) 0;
+      btaken = Array.init cap (fun _ -> R.shared false);
+      blen = R.shared 0;
+    }
 
   let create ?(seed = 0x5EEDL) ?(search_cycles = 2) ?buffer_capacity
       ?(broken_spill = false) ~k ~procs () =
@@ -91,12 +95,16 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       k;
       buffer_capacity = capacity;
       shared_relax;
-      seed;
       search_cycles;
       broken_spill;
       blocks = R.shared ~name:"klsm-blocks" [];
-      pstates = Array.make pstate_slots None;
-      pstates_mutex = Mutex.create ();
+      pstates =
+        Repro_runtime.Per_proc.create (fun id ->
+            let rng =
+              Rng.of_seed
+                (Int64.add seed (Int64.mul 0xD1B54A32D192ED03L (Int64.of_int (id + 1))))
+            in
+            { rng; buf = R.shared (fresh_buffer capacity) });
       inserts = 0;
       deletes = 0;
       flushes = 0;
@@ -119,36 +127,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       batch_deletes = t.batch_deletes;
     }
 
-  let fresh_buffer t =
-    let cap = t.buffer_capacity in
-    {
-      bkeys = Array.make (Int.max 1 cap) 0;
-      bvals = Array.make (Int.max 1 cap) 0;
-      btaken = Array.init cap (fun _ -> R.shared false);
-      blen = R.shared 0;
-    }
-
-  let pstate_for t =
-    let idx = R.self () land (pstate_slots - 1) in
-    match t.pstates.(idx) with
-    | Some ps -> ps
-    | None ->
-      Mutex.lock t.pstates_mutex;
-      let ps =
-        match t.pstates.(idx) with
-        | Some ps -> ps
-        | None ->
-          let rng =
-            Rng.of_seed
-              (Int64.add t.seed
-                 (Int64.mul 0xD1B54A32D192ED03L (Int64.of_int (idx + 1))))
-          in
-          let ps = { rng; buf = R.shared (fresh_buffer t) } in
-          t.pstates.(idx) <- Some ps;
-          ps
-      in
-      Mutex.unlock t.pstates_mutex;
-      ps
+  let pstate_for t = Repro_runtime.Per_proc.get t.pstates (R.self ())
 
   (* Simulated charge standing in for the host-side binary searches and
      merge walks (host arrays cost no simulated memory traffic). *)
@@ -276,7 +255,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
           taken = Array.map (fun i -> buf.btaken.(i)) idxs;
           first = R.shared 0;
         };
-    R.write ps.buf (fresh_buffer t);
+    R.write ps.buf (fresh_buffer t.buffer_capacity);
     t.flushes <- t.flushes + 1
 
   (* --- insertion --------------------------------------------------------- *)
@@ -412,17 +391,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
           | Some (bk, _, _) when bk <= key -> ()
           | _ -> best := Some (key, claim, deliver)
         in
-        Array.iter
-          (function
-            | None -> ()
-            | Some ps ->
-              let buf = R.read ps.buf in
-              let len = R.read buf.blen in
-              for i = 0 to len - 1 do
-                if not (R.read buf.btaken.(i)) then
-                  consider buf.bkeys.(i) buf.btaken.(i)
-                    (buf.bkeys.(i), buf.bvals.(i))
-              done)
+        Repro_runtime.Per_proc.iter
+          (fun ps ->
+            let buf = R.read ps.buf in
+            let len = R.read buf.blen in
+            for i = 0 to len - 1 do
+              if not (R.read buf.btaken.(i)) then
+                consider buf.bkeys.(i) buf.btaken.(i)
+                  (buf.bkeys.(i), buf.bvals.(i))
+            done)
           t.pstates;
         List.iter
           (fun b ->
@@ -497,15 +474,13 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
 
   let live_length t =
     let n = ref 0 in
-    Array.iter
-      (function
-        | None -> ()
-        | Some ps ->
-          let buf = R.read ps.buf in
-          let len = R.read buf.blen in
-          for i = 0 to len - 1 do
-            if not (R.read buf.btaken.(i)) then incr n
-          done)
+    Repro_runtime.Per_proc.iter
+      (fun ps ->
+        let buf = R.read ps.buf in
+        let len = R.read buf.blen in
+        for i = 0 to len - 1 do
+          if not (R.read buf.btaken.(i)) then incr n
+        done)
       t.pstates;
     List.iter
       (fun b ->

@@ -13,8 +13,7 @@ struct
   }
 
   (* Per-processor sampling state: the sticky shard choices and the stream
-     they are drawn from.  Slots are folded by processor id, as for the
-     SkipQueue's level streams. *)
+     they are drawn from. *)
   type pstate = {
     rng : Rng.t;
     mutable ins_shard : int;
@@ -37,9 +36,7 @@ struct
     choice : int;
     stickiness : int;
     heap_cycles_per_level : int;
-    seed : int64;
-    pstates : pstate option array;
-    pstates_mutex : Mutex.t;
+    pstates : pstate Repro_runtime.Per_proc.t;
     mutable inserts : int;
     mutable deletes : int;
     mutable lock_failures : int;
@@ -47,8 +44,6 @@ struct
     mutable full_sweeps : int;
     mutable resticks : int;
   }
-
-  let pstate_slots = 4096 (* power of two; processor ids are folded into it *)
 
   let create ?(shard_factor = 2) ?shards ?(choice = 2) ?(stickiness = 8)
       ?(heap_cycles_per_level = 11) ?(seed = 0x5EEDL) ~procs () =
@@ -70,9 +65,19 @@ struct
       choice;
       stickiness;
       heap_cycles_per_level;
-      seed;
-      pstates = Array.make pstate_slots None;
-      pstates_mutex = Mutex.create ();
+      pstates =
+        Repro_runtime.Per_proc.create (fun id ->
+            let rng =
+              Rng.of_seed
+                (Int64.add seed (Int64.mul 0xD1B54A32D192ED03L (Int64.of_int (id + 1))))
+            in
+            {
+              rng;
+              ins_shard = Rng.int rng n;
+              ins_left = 0;
+              del_shards = Array.make choice 0;
+              del_left = 0;
+            });
       inserts = 0;
       deletes = 0;
       lock_failures = 0;
@@ -94,35 +99,7 @@ struct
       resticks = t.resticks;
     }
 
-  let pstate_for t =
-    let idx = R.self () land (pstate_slots - 1) in
-    match t.pstates.(idx) with
-    | Some ps -> ps
-    | None ->
-      Mutex.lock t.pstates_mutex;
-      let ps =
-        match t.pstates.(idx) with
-        | Some ps -> ps
-        | None ->
-          let rng =
-            Rng.of_seed
-              (Int64.add t.seed
-                 (Int64.mul 0xD1B54A32D192ED03L (Int64.of_int (idx + 1))))
-          in
-          let ps =
-            {
-              rng;
-              ins_shard = Rng.int rng (shards t);
-              ins_left = 0;
-              del_shards = Array.make t.choice 0;
-              del_left = 0;
-            }
-          in
-          t.pstates.(idx) <- Some ps;
-          ps
-      in
-      Mutex.unlock t.pstates_mutex;
-      ps
+  let pstate_for t = Repro_runtime.Per_proc.get t.pstates (R.self ())
 
   (* Draw [choice] distinct shard indices into [ps.del_shards]. *)
   let resample_deletes t ps =

@@ -19,29 +19,55 @@ let lock_create ?name () =
   ignore name;
   Mutex.create ()
 
-(* Process-global lock counters.  Per-domain slots (plain stores, no RMW)
-   keep the accounting off the lock fast path's contention profile; the
-   summed reading is monotonic and exact once the writing domains have
-   joined, approximate mid-run — all the stats consumers need. *)
+(* Dense processor ids: a domain takes the smallest id no live domain
+   holds on its first [self] and gives it back when it exits, so ids stay
+   below the number of live domains however many have come and gone. *)
+let ids_mutex = Mutex.create ()
+let next_id = ref 0
+let free_ids = ref [] (* ascending, all below [!next_id] *)
+
+let take_id () =
+  Mutex.protect ids_mutex (fun () ->
+      match !free_ids with
+      | id :: rest ->
+        free_ids := rest;
+        id
+      | [] ->
+        let id = !next_id in
+        incr next_id;
+        id)
+
+let give_back id =
+  Mutex.protect ids_mutex (fun () -> free_ids := List.merge Int.compare [ id ] !free_ids)
+
+let proc_key =
+  Domain.DLS.new_key (fun () ->
+      let id = take_id () in
+      Domain.at_exit (fun () -> give_back id);
+      id)
+
+let self () = Domain.DLS.get proc_key
+
+(* Process-global lock counters, one slot per dense id (OCaml caps the
+   live domains, hence the ids, well below [stat_slots]).  Per-domain
+   slots (plain stores, no RMW) keep the accounting off the lock fast
+   path's contention profile; the summed reading is monotonic and exact
+   once the writing domains have joined, approximate mid-run — all the
+   stats consumers need. *)
 let stat_slots = 256
 let acq_counts = Array.make stat_slots 0
 let try_fail_counts = Array.make stat_slots 0
 
-let proc_ids = Atomic.make 0
-let proc_key = Domain.DLS.new_key (fun () -> Atomic.fetch_and_add proc_ids 1)
-let self () = Domain.DLS.get proc_key
-let[@inline] stat_slot () = self () land (stat_slots - 1)
-
 let acquire m =
   Mutex.lock m;
-  let s = stat_slot () in
+  let s = self () in
   acq_counts.(s) <- acq_counts.(s) + 1
 
 let release = Mutex.unlock
 
 let try_acquire m =
   let got = Mutex.try_lock m in
-  let s = stat_slot () in
+  let s = self () in
   if got then acq_counts.(s) <- acq_counts.(s) + 1
   else try_fail_counts.(s) <- try_fail_counts.(s) + 1;
   got

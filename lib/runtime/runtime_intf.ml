@@ -118,7 +118,12 @@ module type S = sig
       benchmark's "local work" between queue operations). *)
 
   val self : unit -> int
-  (** Identifier of the calling (virtual) processor. *)
+  (** Identifier of the calling (virtual) processor.  Ids are dense: no
+      two live processors share one, and every id is below the number of
+      processors alive at once.  The simulator numbers its processors
+      [0 .. n-1]; natively a domain takes the smallest free id on its
+      first call and gives it back when it exits, so a later domain may
+      reuse it.  Per-processor state ({!Per_proc}) relies on this. *)
 
   val yield : unit -> unit
   (** Politeness hint while spinning (e.g. inside the combining funnel). *)

@@ -82,14 +82,15 @@ struct
     window : int;
   }
 
-  (* Per-processor adaptive state, after the elimination-backoff stacks of
-     Hendler, Shavit & Yerushalmi: each processor adapts its own view of
-     the active width and its own patience.  Keeping these thread-local
-     (host-side, never charged) matters: a single shared width cell is
-     read by every operation, so each adaptation write would invalidate
-     every processor's copy and the refill misses queue — measured as the
-     hottest line in early versions of this module. *)
-  type local = { mutable lwidth : int; mutable lwindow : int }
+  (* Per-processor state: the slot-choice stream, and the adaptive state
+     after the elimination-backoff stacks of Hendler, Shavit & Yerushalmi:
+     each processor adapts its own view of the active width and its own
+     patience.  Keeping these thread-local (host-side, never charged)
+     matters: a single shared width cell is read by every operation, so
+     each adaptation write would invalidate every processor's copy and the
+     refill misses queue — measured as the hottest line in early versions
+     of this module. *)
+  type local = { rng : Repro_util.Rng.t; mutable lwidth : int; mutable lwindow : int }
 
   type 'v t = {
     q : 'v SQ.t;
@@ -99,10 +100,7 @@ struct
     serve_cap : int;
     bound_every : int;
     adaptive : bool;
-    rngs : Repro_util.Rng.t option array; (* per-processor slot streams *)
-    locals : local array; (* per-processor width/window views *)
-    rngs_mutex : Mutex.t;
-    seed : int64;
+    locals : local Repro_runtime.Per_proc.t;
     (* Host-side counters and width/window mirrors: free on the simulator,
        approximate under native races; mirrors track the last adapted
        values so [front_stats] can run outside a runtime context. *)
@@ -116,8 +114,6 @@ struct
     mutable stat_timeouts : int;
     mutable stat_collisions : int;
   }
-
-  let rng_slots = 4096 (* power of two; processor ids are folded into it *)
 
   let create ?mode ?p ?max_level ?seed ?reclamation ?(slots = 64) ?(width = 8)
       ?(window = 32) ?(max_window = 128) ?(poll_cycles = 16) ?(serve_cap = 8)
@@ -138,11 +134,17 @@ struct
       serve_cap;
       bound_every;
       adaptive;
-      rngs = Array.make rng_slots None;
       locals =
-        Array.init rng_slots (fun _ -> { lwidth = width; lwindow = window });
-      rngs_mutex = Mutex.create ();
-      seed = Option.value seed ~default:0x5EEDL;
+        Repro_runtime.Per_proc.create (fun id ->
+            {
+              rng =
+                Repro_util.Rng.of_seed
+                  (Int64.add
+                     (Int64.mul (Option.value seed ~default:0x5EEDL) 0x2545F4914F6CDD1DL)
+                     (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (id + 1))));
+              lwidth = width;
+              lwindow = window;
+            });
       width_now = width;
       window_now = window;
       stat_eliminated = 0;
@@ -154,32 +156,7 @@ struct
       stat_collisions = 0;
     }
 
-  (* Per-processor slot-choice stream, same idiom as the skiplist's level
-     streams: the mutex only guards lazy creation and is never held across
-     a runtime operation. *)
-  let rng_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.rngs.(idx) with
-    | Some rng -> rng
-    | None ->
-      Mutex.lock t.rngs_mutex;
-      let rng =
-        match t.rngs.(idx) with
-        | Some rng -> rng
-        | None ->
-          let rng =
-            Repro_util.Rng.of_seed
-              (Int64.add
-                 (Int64.mul t.seed 0x2545F4914F6CDD1DL)
-                 (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (idx + 1))))
-          in
-          t.rngs.(idx) <- Some rng;
-          rng
-      in
-      Mutex.unlock t.rngs_mutex;
-      rng
-
-  let local_for t = t.locals.(R.self () land (rng_slots - 1))
+  let local_for t = Repro_runtime.Per_proc.get t.locals (R.self ())
 
   (* Width only grows (on publish collisions): shrinking it on timeouts
      turns out to collapse the array under load — every deleter then
@@ -247,8 +224,9 @@ struct
        slot 0, so that is where waiters concentrate).  Random start so
        concurrent combiners don't all fight over slot 0; the cap keeps a
        wide view from making combining itself expensive. *)
-    let width = (local_for t).lwidth in
-    let start = Repro_util.Rng.int (rng_for t) width in
+    let l = local_for t in
+    let width = l.lwidth in
+    let start = Repro_util.Rng.int l.rng width in
     let scan = Int.min width (3 * t.serve_cap) in
     let reserved = ref [] in
     let count = ref 0 in
@@ -307,10 +285,9 @@ struct
     | Pending | Withdrawn -> assert false
 
   let delete_min t =
-    let rng = rng_for t in
     let l = local_for t in
-    let w = { bound = observe_bound t rng; answer = R.shared Pending } in
-    let cell = t.slots.(Repro_util.Rng.int rng l.lwidth) in
+    let w = { bound = observe_bound t l.rng; answer = R.shared Pending } in
+    let cell = t.slots.(Repro_util.Rng.int l.rng l.lwidth) in
     if not (R.cas cell Free (Waiting w)) then begin
       (* Slot taken: the array is crowded — widen it and go combine. *)
       t.stat_collisions <- t.stat_collisions + 1;
@@ -376,8 +353,8 @@ struct
      read is paid only when the published bound already admits the key,
      i.e. only on actual rendezvous attempts. *)
   let insert t key value =
-    let width = (local_for t).lwidth in
-    match R.read t.slots.(Repro_util.Rng.int (rng_for t) width) with
+    let l = local_for t in
+    match R.read t.slots.(Repro_util.Rng.int l.rng l.lwidth) with
     | Waiting w when key_within key w.bound ->
       if not (key_within key (fresh_bound t)) then begin
         t.stat_fresh_refusals <- t.stat_fresh_refusals + 1;

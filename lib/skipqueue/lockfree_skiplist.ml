@@ -47,14 +47,11 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
 struct
   module Reclaim = Reclamation.Make (R)
 
-  type bound = Bottom | Key of K.t | Top
+  module B = Bound.Make (K)
 
-  let bound_compare a b =
-    match (a, b) with
-    | Bottom, Bottom | Top, Top -> 0
-    | Bottom, _ | _, Top -> -1
-    | Top, _ | _, Bottom -> 1
-    | Key x, Key y -> K.compare x y
+  type bound = B.t = Bottom | Key of K.t | Top
+
+  let bound_compare = B.compare
 
   (* The marked reference.  Never mutated: every state change writes a
      fresh record, so a CAS whose expected record was superseded — by a
@@ -78,6 +75,11 @@ struct
     unlinked : int; (* nodes physically removed by restructures *)
   }
 
+  (* Per-processor level stream and search scratch: the predecessor at
+     every level plus the exact link record read from it (the CAS expected
+     value), like the locked SkipQueue's. *)
+  type 'v proc = { rng : Repro_util.Rng.t; preds : 'v node array; plinks : 'v link array }
+
   type 'v t = {
     head : 'v node;
     tail : 'v node;
@@ -87,14 +89,8 @@ struct
     unsafe_free : bool; (* mutant: free at unlink, no quiescence wait *)
     collect_every : int; (* reclamation pass every N restructures *)
     restructure_lock : R.lock;
-    rngs : Repro_util.Rng.t option array; (* per-processor level streams *)
-    rngs_mutex : Mutex.t;
-    seed : int64;
-    scratch : ('v node array * 'v link array) option array; (* per-proc preds *)
-    pool : 'v node list array; (* free lists per height, host-side *)
-    pool_mutex : Mutex.t;
-    mutable pool_returned : int;
-    mutable pool_recycled : int;
+    procs : 'v proc Repro_runtime.Per_proc.t;
+    pool : 'v node Node_pool.t;
     highwater : int Atomic.t;
     (* Largest processor id seen by [enter].  A host atomic, bumped
        monotonically: a plain field could lose a racing update under
@@ -109,8 +105,6 @@ struct
     mutable unlinked : int;
   }
 
-  let rng_slots = 4096 (* power of two; processor ids are folded into it *)
-
   (* Registration order (key, value, next.(0..level-1)) is fixed by
      explicit lets so the pooled-reuse path in [alloc_node] can re-register
      the same cells in the same order: a recycled node then draws the same
@@ -122,8 +116,8 @@ struct
     let next = Array.init level (fun _ -> R.shared (link ())) in
     { key; value; level; next; poisoned = false }
 
-  let create ?(p = 0.5) ?(max_level = 20) ?(seed = 0x5EEDL) ?max_procs
-      ?(collect_every = 4) ?(unsafe_free = false) () =
+  let create ?(p = 0.5) ?(max_level = 20) ?(seed = 0x5EEDL) ?(collect_every = 4)
+      ?(unsafe_free = false) () =
     if p <= 0.0 || p >= 1.0 then
       invalid_arg "Lockfree_skiplist.create: p outside (0, 1)";
     if max_level < 1 then invalid_arg "Lockfree_skiplist.create: max_level < 1";
@@ -142,18 +136,20 @@ struct
       tail;
       max_level;
       p;
-      reclaim = Reclaim.create ?max_procs ();
+      reclaim = Reclaim.create ();
       unsafe_free;
       collect_every;
       restructure_lock = R.lock_create ~name:"sq-lf-restructure" ();
-      rngs = Array.make rng_slots None;
-      rngs_mutex = Mutex.create ();
-      seed;
-      scratch = Array.make rng_slots None;
-      pool = Array.make max_level [];
-      pool_mutex = Mutex.create ();
-      pool_returned = 0;
-      pool_recycled = 0;
+      procs =
+        Repro_runtime.Per_proc.create (fun id ->
+            {
+              rng =
+                Repro_util.Rng.of_seed
+                  (Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (id + 1))));
+              preds = Array.make max_level head;
+              plinks = Array.make max_level { succ = tail; marked = false };
+            });
+      pool = Node_pool.create ~max_level;
       highwater = Atomic.make 0;
       since_collect = 0;
       cas_failures = 0;
@@ -174,13 +170,9 @@ struct
       unlinked = t.unlinked;
     }
 
-  type pool_stats = { returned : int; recycled : int; pooled : int }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
-  let pool_stats t =
-    Mutex.lock t.pool_mutex;
-    let pooled = Array.fold_left (fun acc l -> acc + List.length l) 0 t.pool in
-    Mutex.unlock t.pool_mutex;
-    { returned = t.pool_returned; recycled = t.pool_recycled; pooled }
+  let pool_stats t = Node_pool.stats t.pool
 
   let reclaim_stats t = Reclaim.stats t.reclaim
 
@@ -197,49 +189,12 @@ struct
 
   let exit t = Reclaim.exit t.reclaim
 
-  (* --- per-processor lazily created state ---------------------------------- *)
+  (* --- per-processor state ------------------------------------------------- *)
 
-  let rng_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.rngs.(idx) with
-    | Some rng -> rng
-    | None ->
-      Mutex.lock t.rngs_mutex;
-      let rng =
-        match t.rngs.(idx) with
-        | Some rng -> rng
-        | None ->
-          let rng =
-            Repro_util.Rng.of_seed
-              (Int64.add t.seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (idx + 1))))
-          in
-          t.rngs.(idx) <- Some rng;
-          rng
-      in
-      Mutex.unlock t.rngs_mutex;
-      rng
+  let proc t = Repro_runtime.Per_proc.get t.procs (R.self ())
 
   let random_level t =
-    Repro_util.Rng.geometric_level (rng_for t) ~p:t.p ~max_level:t.max_level
-
-  (* Search scratch: the predecessor at every level plus the exact link
-     record read from it (the CAS expected value) — one buffer pair per
-     processor, like the locked SkipQueue's [preds_for]. *)
-  let scratch_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.scratch.(idx) with
-    | Some pair -> pair
-    | None ->
-      let pair =
-        ( Array.make t.max_level t.head,
-          Array.make t.max_level { succ = t.tail; marked = false } )
-      in
-      Mutex.lock t.rngs_mutex;
-      (match t.scratch.(idx) with
-      | None -> t.scratch.(idx) <- Some pair
-      | Some _ -> ());
-      Mutex.unlock t.rngs_mutex;
-      (match t.scratch.(idx) with Some pair -> pair | None -> assert false)
+    Repro_util.Rng.geometric_level (proc t).rng ~p:t.p ~max_level:t.max_level
 
   (* --- node pool ----------------------------------------------------------- *)
 
@@ -259,10 +214,7 @@ struct
       done
     end;
     node.poisoned <- true;
-    Mutex.lock t.pool_mutex;
-    t.pool.(node.level - 1) <- node :: t.pool.(node.level - 1);
-    t.pool_returned <- t.pool_returned + 1;
-    Mutex.unlock t.pool_mutex
+    Node_pool.put t.pool ~level:node.level node
 
   let retire t node =
     if t.unsafe_free then free_now t node
@@ -272,20 +224,7 @@ struct
      a pooled node re-registers (key, value, next cells) in exactly
      [make_node]'s registration order. *)
   let alloc_node t ~key ~value ~level =
-    let pooled =
-      Mutex.lock t.pool_mutex;
-      let n =
-        match t.pool.(level - 1) with
-        | [] -> None
-        | n :: rest ->
-          t.pool.(level - 1) <- rest;
-          t.pool_recycled <- t.pool_recycled + 1;
-          Some n
-      in
-      Mutex.unlock t.pool_mutex;
-      n
-    in
-    match pooled with
+    match Node_pool.take t.pool ~level with
     | Some n ->
       if not n.poisoned then failwith "Lockfree_skiplist: pooled node not poisoned";
       R.refresh n.key key;
@@ -319,7 +258,7 @@ struct
      the candidate's bottom link.  Also returns how many tombstones the
      bottom-level walk stepped over. *)
   let find_preds t bkey =
-    let preds, plinks = scratch_for t in
+    let { preds; plinks; _ } = proc t in
     let pred = ref t.head in
     for i = t.max_level downto 2 do
       let clink = ref (R.read !pred.next.(i - 1)) in

@@ -21,7 +21,7 @@
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
   module Reclaim : module type of Reclamation.Make (R)
 
-  type bound = Bottom | Key of K.t | Top
+  type bound = Bound.Make(K).t = Bottom | Key of K.t | Top
 
   val bound_compare : bound -> bound -> int
 
@@ -44,7 +44,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
     ?p:float ->
     ?max_level:int ->
     ?seed:int64 ->
-    ?max_procs:int ->
     ?collect_every:int ->
     ?unsafe_free:bool ->
     unit ->
@@ -123,7 +122,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   val stats : 'v t -> op_stats
 
-  type pool_stats = { returned : int; recycled : int; pooled : int }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
   val pool_stats : 'v t -> pool_stats
   val reclaim_stats : 'v t -> Reclaim.stats

@@ -6,7 +6,11 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     mutable reclaimed : int;
   }
 
-  let create ?(max_procs = 1024) () =
+  (* A fixed count: the slots are simulated cells, so a different count
+     would shift every later line id. *)
+  let max_procs = 1024
+
+  let create () =
     {
       slots = Array.init max_procs (fun _ -> R.shared max_int);
       garbage = Array.init max_procs (fun _ -> Queue.create ());

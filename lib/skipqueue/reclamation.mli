@@ -17,7 +17,9 @@
 module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type t
 
-  val create : ?max_procs:int -> unit -> t
+  val create : unit -> t
+  (** Slots for processor ids [0 .. 1023]; any other caller of {!enter},
+      {!exit} or {!retire} fails loudly. *)
 
   val enter : t -> unit
   (** Registers the calling processor as inside the structure (records the

@@ -5,14 +5,11 @@ struct
   type mode = Strict | Relaxed
 
   (* Keys extended with sentinels for the head (-oo) and tail (+oo). *)
-  type bound = Bottom | Key of K.t | Top
+  module B = Bound.Make (K)
 
-  let bound_compare a b =
-    match (a, b) with
-    | Bottom, Bottom | Top, Top -> 0
-    | Bottom, _ | _, Top -> -1
-    | Top, _ | _, Bottom -> 1
-    | Key x, Key y -> K.compare x y
+  type bound = B.t = Bottom | Key of K.t | Top
+
+  let bound_compare = B.compare
 
   type 'v node = {
     key : bound R.shared;
@@ -34,6 +31,14 @@ struct
                           delete_min_batch performs one per batch *)
   }
 
+  (* Per-processor state: the level stream, derived deterministically
+     from the queue seed and the processor id, and the [find_preds]
+     scratch.  One scratch buffer per processor suffices: an operation's
+     search result is consumed before the same processor can start
+     another search (operations on one processor are sequential, and no
+     callee of a search's consumer re-enters [find_preds]). *)
+  type 'v proc = { rng : Repro_util.Rng.t; preds : 'v node array }
+
   type 'v t = {
     head : 'v node;
     tail : 'v node;
@@ -41,26 +46,15 @@ struct
     p : float;
     mode : mode;
     reclamation : Reclaim.t option;
-    rngs : Repro_util.Rng.t option array; (* per-processor level streams *)
-    rngs_mutex : Mutex.t;
-    seed : int64;
-    preds : 'v node array option array; (* per-processor find_preds scratch *)
-    (* Free lists of physically removed nodes, one per node height, fed by
-       the reclamation finalizer (so a pooled node is guaranteed
-       unreachable) and drained by [insert].  Host-side state guarded by a
-       host mutex: never touched between simulator effects of one
-       operation, so it cannot perturb the schedule. *)
-    pool : 'v node list array;
-    pool_mutex : Mutex.t;
-    mutable pool_returned : int; (* nodes the finalizer handed back *)
-    mutable pool_recycled : int; (* pooled nodes reissued by insert *)
+    procs : 'v proc Repro_runtime.Per_proc.t;
+    (* Physically removed nodes, fed by the reclamation finalizer (so a
+       pooled node is guaranteed unreachable) and drained by [insert]. *)
+    pool : 'v node Node_pool.t;
     mutable hunt_steps : int;
     mutable swap_losses : int;
     mutable stale_skips : int;
     mutable hunt_passes : int;
   }
-
-  let rng_slots = 4096 (* power of two; processor ids are folded into it *)
 
   let make_node ?(deleted = false) ~key ~value ~level () =
     {
@@ -92,14 +86,15 @@ struct
       p;
       mode;
       reclamation;
-      rngs = Array.make rng_slots None;
-      rngs_mutex = Mutex.create ();
-      seed;
-      preds = Array.make rng_slots None;
-      pool = Array.make max_level [];
-      pool_mutex = Mutex.create ();
-      pool_returned = 0;
-      pool_recycled = 0;
+      procs =
+        Repro_runtime.Per_proc.create (fun id ->
+            {
+              rng =
+                Repro_util.Rng.of_seed
+                  (Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (id + 1))));
+              preds = Array.make max_level head;
+            });
+      pool = Node_pool.create ~max_level;
       hunt_steps = 0;
       swap_losses = 0;
       stale_skips = 0;
@@ -114,39 +109,13 @@ struct
       hunt_passes = t.hunt_passes;
     }
 
-  type pool_stats = { returned : int; recycled : int; pooled : int }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
-  let pool_stats t =
-    Mutex.lock t.pool_mutex;
-    let pooled = Array.fold_left (fun acc l -> acc + List.length l) 0 t.pool in
-    Mutex.unlock t.pool_mutex;
-    { returned = t.pool_returned; recycled = t.pool_recycled; pooled }
-
-  (* Per-processor level stream, derived deterministically from the queue
-     seed and the processor id.  The mutex only guards lazy creation and is
-     never held across a runtime operation. *)
-  let rng_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.rngs.(idx) with
-    | Some rng -> rng
-    | None ->
-      Mutex.lock t.rngs_mutex;
-      let rng =
-        match t.rngs.(idx) with
-        | Some rng -> rng
-        | None ->
-          let rng =
-            Repro_util.Rng.of_seed
-              (Int64.add t.seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (idx + 1))))
-          in
-          t.rngs.(idx) <- Some rng;
-          rng
-      in
-      Mutex.unlock t.rngs_mutex;
-      rng
+  let pool_stats t = Node_pool.stats t.pool
+  let proc t = Repro_runtime.Per_proc.get t.procs (R.self ())
 
   let random_level t =
-    Repro_util.Rng.geometric_level (rng_for t) ~p:t.p ~max_level:t.max_level
+    Repro_util.Rng.geometric_level (proc t).rng ~p:t.p ~max_level:t.max_level
 
   let read_key node = R.read node.key
   let read_next node i = R.read node.next.(i - 1)
@@ -167,10 +136,7 @@ struct
     | Some r ->
       Reclaim.retire r (fun () ->
           node.poisoned <- true;
-          Mutex.lock t.pool_mutex;
-          t.pool.(node.level - 1) <- node :: t.pool.(node.level - 1);
-          t.pool_returned <- t.pool_returned + 1;
-          Mutex.unlock t.pool_mutex)
+          Node_pool.put t.pool ~level:node.level node)
 
   (* Node arena: [insert] draws from the free list of the wanted height
      before allocating.  A recycled node is re-registered cell by cell in
@@ -178,23 +144,7 @@ struct
      fresh node's locations, so it consumes the same fresh line ids and
      the simulation stays bit-identical to one that never recycles. *)
   let alloc_node t ~key ~value ~level =
-    let pooled =
-      match t.reclamation with
-      | None -> None
-      | Some _ ->
-        Mutex.lock t.pool_mutex;
-        let n =
-          match t.pool.(level - 1) with
-          | [] -> None
-          | n :: rest ->
-            t.pool.(level - 1) <- rest;
-            t.pool_recycled <- t.pool_recycled + 1;
-            Some n
-        in
-        Mutex.unlock t.pool_mutex;
-        n
-    in
-    match pooled with
+    match Node_pool.take t.pool ~level with
     | Some n ->
       R.refresh n.key key;
       R.refresh n.value value;
@@ -233,29 +183,11 @@ struct
     done;
     !node1
 
-  (* Per-processor predecessor buffer for [find_preds], created lazily
-     like the level-stream rngs.  One buffer per processor suffices: an
-     operation's search result is consumed before the same processor can
-     start another search (operations on one processor are sequential,
-     and no callee of a search's consumer re-enters [find_preds]). *)
-  let preds_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.preds.(idx) with
-    | Some saved -> saved
-    | None ->
-      let saved = Array.make t.max_level t.head in
-      Mutex.lock t.rngs_mutex;
-      (match t.preds.(idx) with
-      | None -> t.preds.(idx) <- Some saved
-      | Some _ -> ());
-      Mutex.unlock t.rngs_mutex;
-      (match t.preds.(idx) with Some saved -> saved | None -> assert false)
-
   (* Top-down search recording the rightmost node with key < bkey at every
      level (Fig. 10 lines 1-9, Fig. 11 lines 15-23).  Fills and returns
      the calling processor's scratch buffer — no per-search allocation. *)
   let find_preds t bkey =
-    let saved = preds_for t in
+    let saved = (proc t).preds in
     let node1 = ref t.head in
     for i = t.max_level downto 1 do
       let node2 = ref (read_next !node1 i) in

@@ -133,11 +133,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   (** Cumulative since creation.  Updated with plain (unmodelled) writes —
       costs nothing on the simulator; approximate under native races. *)
 
-  type pool_stats = {
-    returned : int;  (** nodes the reclamation finalizer freed into the pool *)
-    recycled : int;  (** pooled nodes reissued by inserts *)
-    pooled : int;  (** nodes currently waiting in the free lists *)
-  }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
   val pool_stats : 'v t -> pool_stats
   (** The node arena's free-list counters.  Non-zero only when the queue

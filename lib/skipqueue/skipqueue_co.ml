@@ -68,14 +68,12 @@ struct
   type reclaim = Reclaim.t
 
   type mode = Strict | Relaxed
-  type bound = Bottom | Key of K.t | Top
 
-  let bound_compare a b =
-    match (a, b) with
-    | Bottom, Bottom | Top, Top -> 0
-    | Bottom, _ | _, Top -> -1
-    | Top, _ | _, Bottom -> 1
-    | Key x, Key y -> K.compare x y
+  module B = Bound.Make (K)
+
+  type bound = B.t = Bottom | Key of K.t | Top
+
+  let bound_compare = B.compare
 
   type 'v node = {
     key : bound R.shared;
@@ -109,6 +107,10 @@ struct
     node_splits : int; (* fresh links forced by a full live node *)
   }
 
+  (* Per-processor level stream and [find_preds] scratch, as in the base
+     queue. *)
+  type 'v proc = { rng : Repro_util.Rng.t; preds : 'v node array }
+
   type 'v t = {
     head : 'v node;
     tail : 'v node;
@@ -120,14 +122,8 @@ struct
     mode : mode;
     broken_torn_dec : bool; (* Broken.co_lockword's planted fault *)
     reclamation : Reclaim.t option;
-    rngs : Repro_util.Rng.t option array; (* per-processor level streams *)
-    rngs_mutex : Mutex.t;
-    seed : int64;
-    preds : 'v node array option array; (* per-processor find_preds scratch *)
-    pool : 'v node list array; (* per-height free lists, finalizer-fed *)
-    pool_mutex : Mutex.t;
-    mutable pool_returned : int;
-    mutable pool_recycled : int;
+    procs : 'v proc Repro_runtime.Per_proc.t;
+    pool : 'v node Node_pool.t; (* finalizer-fed *)
     mutable hunt_steps : int;
     mutable swap_losses : int;
     mutable stale_skips : int;
@@ -135,8 +131,6 @@ struct
     mutable coalesced_inserts : int;
     mutable node_splits : int;
   }
-
-  let rng_slots = 4096 (* power of two; processor ids are folded into it *)
 
   (* Registration order of a node's shared locations is part of the
      protocol: [alloc_node] refreshes a recycled node's cells in exactly
@@ -201,14 +195,16 @@ struct
       mode;
       broken_torn_dec;
       reclamation;
-      rngs = Array.make rng_slots None;
-      rngs_mutex = Mutex.create ();
-      seed;
-      preds = Array.make rng_slots None;
-      pool = Array.make max_level [];
-      pool_mutex = Mutex.create ();
-      pool_returned = 0;
-      pool_recycled = 0;
+      procs =
+        Repro_runtime.Per_proc.create (fun id ->
+            {
+              rng =
+                Repro_util.Rng.of_seed
+                  (Int64.add seed
+                     (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (id + 1))));
+              preds = Array.make max_level head;
+            });
+      pool = Node_pool.create ~max_level;
       hunt_steps = 0;
       swap_losses = 0;
       stale_skips = 0;
@@ -228,37 +224,13 @@ struct
   let co_stats t =
     { coalesced_inserts = t.coalesced_inserts; node_splits = t.node_splits }
 
-  type pool_stats = { returned : int; recycled : int; pooled : int }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
-  let pool_stats t =
-    Mutex.lock t.pool_mutex;
-    let pooled = Array.fold_left (fun acc l -> acc + List.length l) 0 t.pool in
-    Mutex.unlock t.pool_mutex;
-    { returned = t.pool_returned; recycled = t.pool_recycled; pooled }
-
-  let rng_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.rngs.(idx) with
-    | Some rng -> rng
-    | None ->
-      Mutex.lock t.rngs_mutex;
-      let rng =
-        match t.rngs.(idx) with
-        | Some rng -> rng
-        | None ->
-          let rng =
-            Repro_util.Rng.of_seed
-              (Int64.add t.seed
-                 (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (idx + 1))))
-          in
-          t.rngs.(idx) <- Some rng;
-          rng
-      in
-      Mutex.unlock t.rngs_mutex;
-      rng
+  let pool_stats t = Node_pool.stats t.pool
+  let proc t = Repro_runtime.Per_proc.get t.procs (R.self ())
 
   let random_level t =
-    Repro_util.Rng.geometric_level (rng_for t) ~p:t.p ~max_level:t.max_level
+    Repro_util.Rng.geometric_level (proc t).rng ~p:t.p ~max_level:t.max_level
 
   let read_key node = R.read node.key
   let read_next node i = R.read node.next.(i - 1)
@@ -339,38 +311,19 @@ struct
     | Some r ->
       Reclaim.retire r (fun () ->
           node.poisoned <- true;
-          Mutex.lock t.pool_mutex;
-          t.pool.(node.level - 1) <- node :: t.pool.(node.level - 1);
-          t.pool_returned <- t.pool_returned + 1;
-          Mutex.unlock t.pool_mutex)
+          Node_pool.put t.pool ~level:node.level node)
 
   (* Node arena, as in the base queue: a recycled node (value slab
      included) is re-registered cell by cell through [R.refresh] in exactly
      the order [make_node] + the [next] patch registers a fresh node, so
      pooling is invisible to the flat memory model. *)
   let alloc_node t ~key ~slab ~level =
-    let pooled =
-      match t.reclamation with
-      | None -> None
-      | Some _ ->
-        Mutex.lock t.pool_mutex;
-        let n =
-          match t.pool.(level - 1) with
-          | [] -> None
-          | n :: rest ->
-            t.pool.(level - 1) <- rest;
-            t.pool_recycled <- t.pool_recycled + 1;
-            Some n
-        in
-        Mutex.unlock t.pool_mutex;
-        n
-    in
     let born =
       (* Born holding its own full bit: the linking insert releases it
          once every level is spliced (the node-lock role of Fig. 10). *)
       W.encode t.layout { W.born = 1; claimed = 0; full = true; levels = [] }
     in
-    match pooled with
+    match Node_pool.take t.pool ~level with
     | Some n ->
       R.refresh n.key key;
       R.refresh n.slab slab;
@@ -449,21 +402,8 @@ struct
     revalidate ();
     !node1
 
-  let preds_for t =
-    let idx = R.self () land (rng_slots - 1) in
-    match t.preds.(idx) with
-    | Some saved -> saved
-    | None ->
-      let saved = Array.make t.max_level t.head in
-      Mutex.lock t.rngs_mutex;
-      (match t.preds.(idx) with
-      | None -> t.preds.(idx) <- Some saved
-      | Some _ -> ());
-      Mutex.unlock t.rngs_mutex;
-      (match t.preds.(idx) with Some saved -> saved | None -> assert false)
-
   let find_preds t bkey =
-    let saved = preds_for t in
+    let saved = (proc t).preds in
     let node1 = ref t.head in
     for i = t.max_level downto 1 do
       let node2 = ref (read_next !node1 i) in

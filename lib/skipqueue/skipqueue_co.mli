@@ -121,7 +121,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   val co_stats : 'v t -> co_stats
 
-  type pool_stats = { returned : int; recycled : int; pooled : int }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
   val pool_stats : 'v t -> pool_stats
   (** As in {!Skipqueue.Make}: non-zero only with [~reclamation]; recycled

@@ -12,12 +12,12 @@ struct
 
   type 'v t = { sl : 'v SL.t; restructure_threshold : int }
 
-  let create ?p ?max_level ?seed ?max_procs ?(restructure_threshold = 16)
+  let create ?p ?max_level ?seed ?(restructure_threshold = 16)
       ?collect_every ?broken_premature_free:(unsafe_free = false) () =
     if restructure_threshold < 1 then
       invalid_arg "Skipqueue_lf.create: restructure_threshold < 1";
     {
-      sl = SL.create ?p ?max_level ?seed ?max_procs ?collect_every ~unsafe_free ();
+      sl = SL.create ?p ?max_level ?seed ?collect_every ~unsafe_free ();
       restructure_threshold;
     }
 

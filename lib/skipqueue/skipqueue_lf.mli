@@ -22,7 +22,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
     ?p:float ->
     ?max_level:int ->
     ?seed:int64 ->
-    ?max_procs:int ->
     ?restructure_threshold:int ->
     ?collect_every:int ->
     ?broken_premature_free:bool ->

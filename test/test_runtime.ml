@@ -89,6 +89,106 @@ let test_work_is_finite () =
   Native.work 1_000_000;
   check "done" true true
 
+(* --- dense processor ids -------------------------------------------------- *)
+
+let spawn_id () = Domain.join (Domain.spawn Native.self)
+
+let test_ids_reused_by_sequential_domains () =
+  ignore (Native.self ());
+  let highest = ref 0 in
+  for _ = 1 to 2000 do
+    highest := Int.max !highest (spawn_id ())
+  done;
+  (* Only this domain is alive besides the one being spawned. *)
+  check "ids stay below the live-domain count" true (!highest <= 1)
+
+let test_raising_domain_gives_id_back () =
+  ignore (Native.self ());
+  let before = spawn_id () in
+  let d = Domain.spawn (fun () -> ignore (Native.self ()); failwith "boom") in
+  (match Domain.join d with () -> Alcotest.fail "expected a raise" | exception Failure _ -> ());
+  check_int "the raiser's id is free again" before (spawn_id ())
+
+let test_concurrent_domains_distinct_ids () =
+  let main = Native.self () in
+  let n = 8 in
+  let ids = Array.make n (-1) in
+  let arrived = Atomic.make 0 in
+  Native.run_processors n (fun p ->
+      ids.(p) <- Native.self ();
+      (* Hold every id until all domains have one. *)
+      Atomic.incr arrived;
+      while Atomic.get arrived < n do
+        Domain.cpu_relax ()
+      done);
+  let sorted = List.sort_uniq compare (main :: Array.to_list ids) in
+  check_int "all distinct" (n + 1) (List.length sorted);
+  check "dense: below the live-domain count" true
+    (List.for_all (fun id -> id >= 0 && id <= n) sorted)
+
+(* --- Per_proc -------------------------------------------------------------- *)
+
+module Per_proc = Repro_runtime.Per_proc
+
+let test_per_proc_init_gets_id () =
+  let t = Per_proc.create (fun id -> id * 10) in
+  check_int "id 0" 0 (Per_proc.get t 0);
+  check_int "id 7" 70 (Per_proc.get t 7);
+  check_int "last id" ((Per_proc.slots - 1) * 10) (Per_proc.get t (Per_proc.slots - 1));
+  let seen = ref [] in
+  Per_proc.iter (fun v -> seen := v :: !seen) t;
+  Alcotest.(check (list int))
+    "iter: created values in id order" [ 0; 70; (Per_proc.slots - 1) * 10 ] (List.rev !seen)
+
+let test_per_proc_init_once () =
+  let calls = Array.make 4 0 in
+  let t =
+    Per_proc.create (fun id ->
+        calls.(id) <- calls.(id) + 1;
+        ref id)
+  in
+  let first = Per_proc.get t 3 in
+  check "same value on every get" true (Per_proc.get t 3 == first);
+  check_int "one init for id 3" 1 calls.(3);
+  check_int "no init for an id never asked" 0 calls.(2)
+
+let test_per_proc_init_once_concurrent () =
+  (* Eight domains ask for the same fresh id at once; a slow [init] widens
+     the window in which they all find the slot empty. *)
+  for round = 1 to 20 do
+    let inits = Atomic.make 0 in
+    let t =
+      Per_proc.create (fun id ->
+          Atomic.incr inits;
+          Native.work 20_000;
+          ref id)
+    in
+    let n = 8 in
+    let got = Array.make n (ref (-1)) in
+    let ready = Atomic.make 0 in
+    Native.run_processors n (fun p ->
+        Atomic.incr ready;
+        while Atomic.get ready < n do
+          Domain.cpu_relax ()
+        done;
+        got.(p) <- Per_proc.get t round);
+    check_int "init ran once" 1 (Atomic.get inits);
+    check "every domain got the same value" true
+      (Array.for_all (fun v -> v == got.(0)) got)
+  done
+
+let test_per_proc_rejects_out_of_range () =
+  let t = Per_proc.create (fun id -> id) in
+  let expect id =
+    Alcotest.check_raises (Printf.sprintf "id %d" id)
+      (Invalid_argument
+         (Printf.sprintf "Per_proc.get: processor id %d outside [0, %d)" id Per_proc.slots))
+      (fun () -> ignore (Per_proc.get t id))
+  in
+  expect Per_proc.slots;
+  expect (-1);
+  expect (Per_proc.slots + 5)
+
 let () =
   Alcotest.run "native-runtime"
     [
@@ -105,5 +205,23 @@ let () =
           Alcotest.test_case "lock mutual exclusion" `Quick test_locks_mutual_exclusion;
           Alcotest.test_case "swap transfers tokens" `Quick test_swap_transfers_tokens;
           Alcotest.test_case "work terminates" `Quick test_work_is_finite;
+        ] );
+      ( "processor ids",
+        [
+          Alcotest.test_case "sequential domains reuse ids" `Quick
+            test_ids_reused_by_sequential_domains;
+          Alcotest.test_case "a raising domain gives its id back" `Quick
+            test_raising_domain_gives_id_back;
+          Alcotest.test_case "concurrent domains get distinct dense ids" `Quick
+            test_concurrent_domains_distinct_ids;
+        ] );
+      ( "per-proc",
+        [
+          Alcotest.test_case "init receives the id" `Quick test_per_proc_init_gets_id;
+          Alcotest.test_case "init runs once per id" `Quick test_per_proc_init_once;
+          Alcotest.test_case "init runs once under racing domains" `Quick
+            test_per_proc_init_once_concurrent;
+          Alcotest.test_case "out-of-range id names the id" `Quick
+            test_per_proc_rejects_out_of_range;
         ] );
     ]

@@ -635,6 +635,34 @@ let test_native_stress () =
   in
   check "no lost or invented elements" true (S.equal all_in all_out)
 
+(* --- node pool ------------------------------------------------------------- *)
+
+module Node_pool = Repro_skipqueue.Node_pool
+
+let pool_stats_is label (expected : Node_pool.stats) pool =
+  let s = Node_pool.stats pool in
+  Alcotest.(check (list int))
+    (label ^ ": returned, recycled, pooled")
+    [ expected.returned; expected.recycled; expected.pooled ]
+    [ s.returned; s.recycled; s.pooled ]
+
+let test_node_pool_heights () =
+  let pool = Node_pool.create ~max_level:4 in
+  check "empty pool" true (Node_pool.take pool ~level:1 = None);
+  Node_pool.put pool ~level:1 "a1";
+  Node_pool.put pool ~level:3 "c1";
+  Node_pool.put pool ~level:3 "c2";
+  pool_stats_is "after puts" { returned = 3; recycled = 0; pooled = 3 } pool;
+  check "no node of height 2" true (Node_pool.take pool ~level:2 = None);
+  check "no node of height 4" true (Node_pool.take pool ~level:4 = None);
+  let c = Node_pool.take pool ~level:3 in
+  check "height 3 gives a height-3 node" true (c = Some "c1" || c = Some "c2");
+  check "height 1 gives the height-1 node" true (Node_pool.take pool ~level:1 = Some "a1");
+  check "height 1 is drained" true (Node_pool.take pool ~level:1 = None);
+  pool_stats_is "after takes" { returned = 3; recycled = 2; pooled = 1 } pool;
+  Node_pool.put pool ~level:1 "a2";
+  pool_stats_is "after a second put" { returned = 4; recycled = 2; pooled = 2 } pool
+
 let () =
   Alcotest.run "skipqueue"
     [
@@ -677,6 +705,8 @@ let () =
             test_node_recycling_through_pool;
           Alcotest.test_case "lock-free ABA/recycle guard" `Quick
             test_lf_aba_recycle_guard;
+          Alcotest.test_case "node pool serves the requested height" `Quick
+            test_node_pool_heights;
         ] );
       ( "native",
         [

@@ -340,8 +340,6 @@ let test_trace_fingerprint_deterministic () =
 
 let test_native_multiset_stress () =
   let procs = 4 and ops = 2_000 in
-  (* no [max_procs]: native processor ids come from a global counter, so
-     the reclamation slots must keep their default headroom *)
   let q = LF_native.create ~seed:99L () in
   let inserted = Array.make procs [] in
   let deleted = Array.make procs [] in
@@ -382,6 +380,22 @@ let test_native_multiset_stress () =
   in
   check "no lost or invented elements" true (S.equal all_in all_out)
 
+(* Native processor ids are dense: a domain gives its id back when it
+   exits, so any number of domains spawned one after another stay within
+   the reclamation's processor slots. *)
+let test_native_many_sequential_domains () =
+  let q = LF_native.create ~seed:7L () in
+  for i = 1 to 1100 do
+    Native_rt.run_processors 1 (fun _ ->
+        LF_native.insert q i i;
+        match LF_native.delete_min q with
+        | Some (k, _) when k = i -> ()
+        | Some (k, _) -> Alcotest.failf "domain %d: delete-min returned %d" i k
+        | None -> Alcotest.failf "domain %d: delete-min found nothing" i)
+  done;
+  ok_or_fail (LF_native.check_invariants q);
+  check_int "empty" 0 (LF_native.size q)
+
 let () =
   Alcotest.run "skipqueue-lf"
     [
@@ -414,5 +428,9 @@ let () =
             test_trace_fingerprint_deterministic;
         ] );
       ( "native",
-        [ Alcotest.test_case "4-domain multiset stress" `Quick test_native_multiset_stress ] );
+        [
+          Alcotest.test_case "4-domain multiset stress" `Quick test_native_multiset_stress;
+          Alcotest.test_case "1100 sequential domains" `Quick
+            test_native_many_sequential_domains;
+        ] );
     ]
