@@ -8,12 +8,7 @@
      dune exec bin/check.exe -- --replay 17 --backend heap
      dune exec bin/check.exe -- --blocking --seeds 25  # bounded façade under park/wake pressure
      dune exec bin/check.exe -- --broken        # torn-SWAP mutant; exit 0 iff caught
-     dune exec bin/check.exe -- --broken elim   # lost-rendezvous elimination mutant
-     dune exec bin/check.exe -- --broken wakeup # lost-wakeup bounded façade mutant
-     dune exec bin/check.exe -- --broken lf-claim # torn two-step lock-free claim
-     dune exec bin/check.exe -- --broken lf-free  # premature free in the lock-free queue (32 workers)
-     dune exec bin/check.exe -- --broken klsm   # torn k-LSM buffer-to-shared spill
-     dune exec bin/check.exe -- --broken co     # torn lock-word decrement, coalescing queue
+     dune exec bin/check.exe -- --broken all    # every planted mutant (Repro_check.Broken.all)
 
    --blocking switches to the producer/consumer harness: each selected
    backend is wrapped in the bounded façade at the blocking profile's
@@ -23,9 +18,9 @@
    "bounded:" prefix there.
 
    Exit status: 0 all clean, 1 violations found, 2 usage error.  Under
-   --broken the meaning flips: 0 the chosen mutant (swap | elim | wakeup |
-   lf-claim | lf-free | klsm | co | all, default swap) was caught, 1 it
-   slipped through. *)
+   --broken the meaning flips: 0 every chosen mutant (a name of
+   Broken.all, or all; default swap) was caught on some seed, 1 at least
+   one escaped.  Each mutant's line says on how many seeds it was caught. *)
 
 open Cmdliner
 module QA = Repro_workload.Queue_adapter
@@ -43,27 +38,19 @@ type harness = Plain of Harness.profile | Blocking
 
 module Broken = Repro_check.Broken
 
-(* The planted mutants, each with the harness that catches it.  The
-   premature free needs a claimant to read its victim while a restructurer
-   frees it; the default six workers reach that window on about one seed
-   in two hundred, thirty-two on about two in three. *)
-let mutants ~profile ~capacity =
-  [
-    ("swap", fun () -> (Broken.skipqueue (), Plain profile));
-    ("elim", fun () -> (Broken.elim_skipqueue (), Plain profile));
-    ("wakeup", fun () -> (Broken.bounded_skipqueue ~capacity (), Blocking));
-    ("lf-claim", fun () -> (Broken.lf_claim_skipqueue (), Plain profile));
-    ("lf-free", fun () -> (Broken.lf_free_skipqueue (), Plain { profile with Harness.procs = 32 }));
-    ("klsm", fun () -> (Broken.klsm_spill (), Plain profile));
-    ("co", fun () -> (Broken.co_lockword (), Plain profile));
-  ]
+let mutant_names = String.concat ", " (List.map (fun m -> m.Broken.name) Broken.all)
 
-(* (impl, harness, replay selector) triples for the sweep. *)
+(* (impl, harness, replay selector, name) quadruples for the sweep; a
+   mutant's name is its --broken argument. *)
 let select_impls backends broken blocking ~profile ~capacity =
-  let mutants = mutants ~profile ~capacity in
-  let mutant (name, make) =
-    let impl, harness = make () in
-    (impl, harness, "--broken " ^ name)
+  let mutant (m : Broken.t) =
+    let harness =
+      match m.Broken.harness with
+      | Broken.Plain { procs = None } -> Plain profile
+      | Broken.Plain { procs = Some procs } -> Plain { profile with Harness.procs }
+      | Broken.Blocking -> Blocking
+    in
+    (m.Broken.impl ~capacity, harness, "--broken " ^ m.Broken.name, m.Broken.name)
   in
   (* --blocking sets every selected backend's façade to the profile's capacity *)
   let make d =
@@ -71,16 +58,15 @@ let select_impls backends broken blocking ~profile ~capacity =
       if blocking then (QA.make QA.Sim { d with QA.bounded = Some capacity }, Blocking)
       else (QA.make QA.Sim d, Plain profile)
     in
-    (impl, harness, Printf.sprintf "--backend '%s'" impl.QA.name)
+    (impl, harness, Printf.sprintf "--backend '%s'" impl.QA.name, impl.QA.name)
   in
   match broken with
-  | Some "all" -> List.map mutant mutants
+  | Some "all" -> List.map mutant Broken.all
   | Some name -> (
-    match List.assoc_opt name mutants with
-    | Some make -> [ mutant (name, make) ]
+    match List.find_opt (fun m -> m.Broken.name = name) Broken.all with
+    | Some m -> [ mutant m ]
     | None ->
-      Printf.eprintf "unknown mutant %S (known: %s, all)\n" name
-        (String.concat ", " (List.map fst mutants));
+      Printf.eprintf "unknown mutant %S (known: %s, all)\n" name mutant_names;
       Stdlib.exit 2)
   | None -> (
     match backends with
@@ -138,18 +124,17 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
   in
   let summaries =
     List.map
-      (fun (impl, harness, target) ->
+      (fun (impl, harness, target, name) ->
         ( (match harness with
           | Blocking -> Harness.sweep_blocking ~bounds ~profile:bprofile ~jobs impl seed_list
           | Plain profile -> Harness.sweep_impl ~bounds ~profile ~jobs impl seed_list),
           harness,
-          target ))
+          target,
+          name ))
       impls
   in
-  let total_violations = ref 0 in
   List.iter
-    (fun ((s : Harness.summary), harness, target) ->
-      total_violations := !total_violations + List.length s.Harness.violations;
+    (fun ((s : Harness.summary), harness, target, _) ->
       if not quiet then
         Printf.printf "%-28s %-13s %4d seeds  %7d ops  %s\n" s.Harness.impl (pp_spec s.Harness.spec)
           s.Harness.runs s.Harness.events
@@ -158,24 +143,41 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
           | vs -> Printf.sprintf "%d VIOLATIONS" (List.length vs));
       List.iter (print_violation ~target ~harness) s.Harness.violations)
     summaries;
+  let count (s : Harness.summary) = List.length s.Harness.violations in
   match broken with
-  | Some mutant ->
-    if !total_violations > 0 then begin
+  | Some _ ->
+    (* Each mutant must be caught on its own: a caught mutant does not
+       excuse one that escaped. *)
+    if not quiet then print_newline ();
+    let escaped =
+      List.filter_map
+        (fun ((s : Harness.summary), _, _, name) ->
+          let seeds = List.map (fun v -> v.Harness.seed) s.Harness.violations in
+          match List.sort_uniq compare seeds with
+          | [] ->
+            Printf.printf "mutant %s: ESCAPED, caught on 0 of %d seeds\n" name s.Harness.runs;
+            Some name
+          | caught ->
+            if not quiet then
+              Printf.printf "mutant %s: caught on %d of %d seeds (%d violations)\n" name
+                (List.length caught) s.Harness.runs (count s);
+            None)
+        summaries
+    in
+    if escaped = [] then begin
       if not quiet then
-        Printf.printf
-          "\nbroken-queue validation: %s mutant caught (%d violations) — fuzzer works\n"
-          mutant !total_violations;
+        Printf.printf "broken-queue validation: every mutant caught — fuzzer works\n";
       0
     end
     else begin
-      Printf.printf
-        "\nbroken-queue validation FAILED: %s mutant produced no violation — fuzzer is blind\n"
-        mutant;
+      Printf.printf "broken-queue validation FAILED: %s escaped — fuzzer is blind\n"
+        (String.concat ", " escaped);
       1
     end
   | None ->
-    if !total_violations > 0 then begin
-      Printf.printf "\n%d violation(s) — replay with the printed seeds\n" !total_violations;
+    let total = List.fold_left (fun n (s, _, _, _) -> n + count s) 0 summaries in
+    if total > 0 then begin
+      Printf.printf "\n%d violation(s) — replay with the printed seeds\n" total;
       1
     end
     else begin
@@ -244,24 +246,19 @@ let broken =
     value & flag
     & info [ "broken" ]
         ~doc:
-          "Sweep an intentionally racy mutant instead; exit 0 only if the \
-           checkers catch it (fuzzer self-test).  Takes an optional \
-           positional mutant name: $(b,swap) (torn-SWAP SkipQueue, the \
-           default), $(b,elim) (lost-rendezvous elimination front end), \
-           $(b,wakeup) (lost-wakeup bounded façade, swept under the \
-           blocking harness), $(b,lf-claim) (torn two-step claim in the \
-           lock-free SkipQueue), $(b,lf-free) (premature physical free in \
-           the lock-free SkipQueue, swept with 32 workers whatever \
-           $(b,--procs) says), $(b,klsm) (torn k-LSM buffer-to-shared \
-           block publish), $(b,co) (torn count-decrementing release of the \
-           coalescing queue's packed lock word) or $(b,all).")
+          "Sweep intentionally racy mutants instead; exit 0 only if the \
+           checkers catch every one of them on some seed (fuzzer \
+           self-test).  Takes an optional positional mutant name (see \
+           $(i,MUTANT)).  $(b,wakeup) is swept under the blocking \
+           harness, $(b,lf-free) with 32 workers whatever $(b,--procs) \
+           says.")
 
 let mutant =
   Arg.(
     value
     & pos 0 (some string) None
     & info [] ~docv:"MUTANT"
-        ~doc:"Mutant for $(b,--broken): swap, elim, wakeup, lf-claim, lf-free, klsm, co or all.")
+        ~doc:(Printf.sprintf "Mutant for $(b,--broken): %s or all (default swap)." mutant_names))
 
 let blocking =
   Arg.(

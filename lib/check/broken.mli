@@ -1,89 +1,45 @@
-(** A deliberately racy SkipQueue for validating the fuzzer.
+(** The planted mutants: deliberately broken queues that prove the
+    schedule fuzzer and the checkers catch real races.  None is part of
+    {!Repro_workload.Queue_adapter.all}; all are simulator-only, and a
+    sweep over each must produce violations ([bin/check --broken]).
 
-    Identical to the registry's strict SkipQueue except its runtime's SWAP
-    is torn into a non-atomic read-then-write (two scheduler points), so
-    racing Delete-mins can both claim one node.  A schedule sweep over it
-    must produce violations ([bin/check --broken] asserts exactly that);
-    it is not part of {!Repro_workload.Queue_adapter.all}. *)
+    Five are correct structures over a {!Faulty} runtime:
+    - [swap]: the strict SkipQueue with every SWAP torn, so two
+      Delete-mins claim one node;
+    - [elim]: the elimination front end with every CAS torn (its
+      rendezvous transitions race: lost or doubled hand-offs);
+    - [lf-claim]: the lock-free SkipQueue with every CAS torn (one claim
+      won twice, one of two splices lost);
+    - [klsm]: the k-LSM at k = 1 with a blind CAS on its block list
+      ([klsm-blocks]), so a concurrent publish is overwritten;
+    - [co]: the coalescing SkipQueue at capacity 1 with a blind CAS on
+      every node's packed lock word ([co.word]).
+
+    Two are flags of their production modules, since no runtime fault
+    reproduces them (DESIGN.md §6):
+    - [lf-free]: the lock-free SkipQueue's [broken_premature_free], which
+      frees and clobbers a node at unlink time;
+    - [wakeup]: the bounded façade's [broken_wakeup], which signals
+      without the waiter's lock and drops the chain-signals. *)
 
 exception Wedged of string
-(** Raised (from inside the simulation) when the corrupted structure sends
-    an operation into an unbounded hunt; the harness reports it as an
-    execution violation for the seed instead of hanging. *)
+(** Raised from inside the simulation by a {!Faulty} watchdog once a
+    corrupted structure has sent an operation into an unbounded hunt; the
+    harness reports it as an execution violation for the seed. *)
 
-val name : string
+type harness =
+  | Plain of { procs : int option }
+      (** the mixed-op harness, with [procs] workers when [Some] whatever
+          the profile says ([lf-free] needs 32 to reach its window) *)
+  | Blocking  (** the blocking producer/consumer harness *)
 
-val skipqueue : unit -> Repro_workload.Queue_adapter.impl
-(** Simulator-only: [create] must run inside [Machine.run]. *)
+type t = {
+  name : string;  (** the [--broken] argument *)
+  harness : harness;
+  impl : capacity:int -> Repro_workload.Queue_adapter.impl;
+      (** [capacity] is the blocking harness's façade capacity; the plain
+          mutants ignore it *)
+}
 
-val elim_name : string
-
-val elim_skipqueue : unit -> Repro_workload.Queue_adapter.impl
-(** The elimination-specific mutant: an
-    {!Repro_skipqueue.Elimination}-fronted SkipQueue over a runtime whose
-    CAS is torn into read-then-write.  The front end's rendezvous
-    transitions all race through that CAS, so lost-rendezvous schedules
-    (an insert handed to a deleter that has already withdrawn, or two
-    inserts matched to one deleter) drop elements; the conservation
-    checker catches them ([bin/check --broken elim]).  Simulator-only. *)
-
-val lf_claim_name : string
-
-val lf_claim_skipqueue : unit -> Repro_workload.Queue_adapter.impl
-(** The torn two-step-claim mutant ([bin/check --broken lf-claim]): the
-    lock-free SkipQueue over the torn-CAS runtime.  Delete-min's claim —
-    the CAS that marks the victim's bottom link — decays into a read,
-    a scheduler point and a write, so two racing claims both win one node
-    and an element is delivered twice; torn insert splices lose elements.
-    Simulator-only. *)
-
-val lf_free_name : string
-
-val lf_free_skipqueue : unit -> Repro_workload.Queue_adapter.impl
-(** The premature-free mutant ([bin/check --broken lf-free]): the correct
-    lock-free SkipQueue with [broken_premature_free] — the restructurer
-    frees and clobbers unlinked nodes immediately instead of waiting for
-    epoch quiescence, so a claimant still holding its victim reads the
-    clobbered sentinel (loud failure → execution violation) or a stale
-    traverser walks into a recycled node and loses elements.
-    Simulator-only. *)
-
-val co_name : string
-
-val co_lockword : unit -> Repro_workload.Queue_adapter.impl
-(** The torn-lockword mutant ([bin/check --broken co]): the coalescing
-    SkipQueue with [broken_torn_dec] planted — delete-min's
-    count-decrementing release of the packed single-word lock decays into
-    a read, a scheduler point and a plain write of a value computed from
-    the stale word.  A concurrent level-lock transition on the same word
-    is clobbered: a leaked bit wedges the next acquirer (access-budget
-    watchdog → execution violation), a lost bit lets two holders splice
-    one pointer (conservation violation) and trips
-    {!Repro_skipqueue.Co_lockword}'s double-release check.  Capacity 1
-    keeps every delete on the unlink path so the window is hit within a
-    few seeds.  Simulator-only. *)
-
-val klsm_spill_name : string
-
-val klsm_spill : unit -> Repro_workload.Queue_adapter.impl
-(** The torn-spill mutant ([bin/check --broken klsm]): a k-LSM whose
-    buffer-to-SLSM block publish is torn into a read of the block list
-    and, one scheduler point later, a plain write — so two concurrent
-    publishes overwrite each other and one block's elements become
-    unreachable from every view.  Configured at k = 1 (buffer capacity 0:
-    every insert is a torn singleton publish) so the race fires within a
-    few seeds; caught by conservation ("went in but never came out") and
-    by the k-keyed rank envelope (the lost small elements stay "live" in
-    its replay).  Simulator-only. *)
-
-val wakeup_name : string
-
-val bounded_skipqueue :
-  ?capacity:int -> unit -> Repro_workload.Queue_adapter.impl
-(** The lost-wakeup mutant ([bin/check --broken wakeup]): a correct strict
-    SkipQueue behind the bounded façade with [broken_wakeup] planted —
-    cross-side signals sent without the waiter's lock, chain-signals
-    dropped.  Under the blocking producer/consumer harness a consumer
-    misses its wakeup and the run ends in the simulator's deadlock
-    detector (an execution violation).  [capacity] defaults to 4 so the
-    full/empty edges are crossed constantly.  Simulator-only. *)
+val all : t list
+(** swap, elim, wakeup, lf-claim, lf-free, klsm, co. *)

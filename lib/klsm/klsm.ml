@@ -59,7 +59,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     buffer_capacity : int;
     shared_relax : int;
     search_cycles : int;
-    broken_spill : bool;
     blocks : block list R.shared;
     pstates : pstate Repro_runtime.Per_proc.t;
     mutable inserts : int;
@@ -80,8 +79,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       blen = R.shared 0;
     }
 
-  let create ?(seed = 0x5EEDL) ?(search_cycles = 2) ?buffer_capacity
-      ?(broken_spill = false) ~k ~procs () =
+  let create ?(seed = 0x5EEDL) ?(search_cycles = 2) ?buffer_capacity ~k ~procs () =
     if k < 1 then invalid_arg "Klsm.create: k < 1";
     if procs < 1 then invalid_arg "Klsm.create: procs < 1";
     let capacity =
@@ -96,7 +94,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       buffer_capacity = capacity;
       shared_relax;
       search_cycles;
-      broken_spill;
       blocks = R.shared ~name:"klsm-blocks" [];
       pstates =
         Repro_runtime.Per_proc.create (fun id ->
@@ -211,23 +208,14 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     | _ -> ()
 
   let publish_block t blk =
-    if t.broken_spill then begin
-      (* Torn publish (mutant): read then plain write, two scheduler
-         points apart — a block published in between is overwritten and
-         its elements are lost. *)
+    let rec cas_prepend () =
       let cur = R.read t.blocks in
-      R.write t.blocks (blk :: cur)
-    end
-    else begin
-      let rec cas_prepend () =
-        let cur = R.read t.blocks in
-        if not (R.cas t.blocks cur (blk :: cur)) then begin
-          t.cas_failures <- t.cas_failures + 1;
-          cas_prepend ()
-        end
-      in
-      cas_prepend ()
-    end;
+      if not (R.cas t.blocks cur (blk :: cur)) then begin
+        t.cas_failures <- t.cas_failures + 1;
+        cas_prepend ()
+      end
+    in
+    cas_prepend ();
     maybe_merge t
 
   (* Freeze the current buffer generation into a sorted block (aliasing

@@ -40,7 +40,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
     ?seed:int64 ->
     ?search_cycles:int ->
     ?buffer_capacity:int ->
-    ?broken_spill:bool ->
     k:int ->
     procs:int ->
     unit ->
@@ -53,11 +52,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
       during rank estimation and merges (host arrays cost no simulated
       memory traffic; default 2 — set 0 on the native runtime, where the
       walks cost real time).  [seed] feeds the per-processor streams for
-      the relaxed choice.  [broken_spill] plants the torn
-      buffer-to-SLSM publish used by the [Repro_check.Broken] mutant:
-      the block-list update decays from a CAS retry loop into a read
-      followed by a plain write, so a concurrently published block can be
-      overwritten and its elements lost. *)
+      the relaxed choice. *)
 
   val insert : t -> int -> int -> unit
   val delete_min : t -> (int * int) option

@@ -120,7 +120,6 @@ struct
     dedups : bool;
     p : float;
     mode : mode;
-    broken_torn_dec : bool; (* Broken.co_lockword's planted fault *)
     reclamation : Reclaim.t option;
     procs : 'v proc Repro_runtime.Per_proc.t;
     pool : 'v node Node_pool.t; (* finalizer-fed *)
@@ -141,7 +140,8 @@ struct
     let key = R.shared key in
     let slab = R.shared slab in
     let word =
-      R.shared (W.encode layout { W.born; claimed = 0; full; levels = [] })
+      R.shared ~name:"co.word"
+        (W.encode layout { W.born; claimed = 0; full; levels = [] })
     in
     let deleted = R.shared deleted in
     let stamp = R.shared max_int in
@@ -158,8 +158,7 @@ struct
     }
 
   let create ?(mode = Strict) ?(p = 0.5) ?(max_level = 20) ?(seed = 0x5EEDL)
-      ?reclamation ?(capacity = 4) ?(dedups = false)
-      ?(broken_torn_dec = false) () =
+      ?reclamation ?(capacity = 4) ?(dedups = false) () =
     if p <= 0.0 || p >= 1.0 then
       invalid_arg "Skipqueue_co.create: p outside (0, 1)";
     if max_level < 1 then invalid_arg "Skipqueue_co.create: max_level < 1";
@@ -193,7 +192,6 @@ struct
       dedups;
       p;
       mode;
-      broken_torn_dec;
       reclamation;
       procs =
         Repro_runtime.Per_proc.create (fun id ->
@@ -582,15 +580,7 @@ struct
      progress).  Only the claim that exhausts the node marks it (through
      the original SWAP, asserting sole ownership) and schedules physical
      removal.  Elements pop oldest-first, so within one key delivery is
-     FIFO.
-
-     The planted [broken_torn_dec] fault (Broken.co_lockword) decays the
-     claim CAS into a read, a few scheduler points, and a plain write
-     computed from the stale word: a level bit acquired or released in
-     between tears away — a leaked bit wedges the next acquirer
-     (watchdog), a lost one lets two processors splice the same pointer —
-     and a concurrent claim of the same ticket delivers one element
-     twice (conservation). *)
+     FIFO. *)
   (* Slab position helpers: [list_drop]/[list_take] index the bounded slab
      (length <= capacity, so the O(n) walk is cheap and lock-free). *)
   let rec list_drop n l =
@@ -664,18 +654,7 @@ struct
             t.hunt_steps <- t.hunt_steps + 1;
             let take = Int.min c (want - !got) in
             let w' = W.claim_n t.layout w take in
-            let committed =
-              if t.broken_torn_dec then begin
-                (* the planted torn claim: see the comment above *)
-                ignore (R.read !node.stamp);
-                ignore (R.read !node.stamp);
-                ignore (R.read !node.stamp);
-                R.write !node.word w';
-                true
-              end
-              else R.cas !node.word w w'
-            in
-            if committed then
+            if R.cas !node.word w w' then
               `Claimed (take, W.claimed t.layout w, W.born t.layout w)
             else `Lost
           end

@@ -47,19 +47,12 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
     ?reclamation:Reclaim.t ->
     ?capacity:int ->
     ?dedups:bool ->
-    ?broken_torn_dec:bool ->
     unit ->
     'v t
   (** [p], [max_level], [seed] and [reclamation] as in {!Skipqueue.Make}.
       [capacity] (default 4) bounds a node's multiset; it must not exceed
       {!Co_lockword.count_capacity} for the chosen [max_level].  [dedups]
-      (default [false]) selects update-in-place over multiset admission.
-      [broken_torn_dec] is {!Broken.co_lockword}'s planted fault: it tears
-      delete-min's claim CAS into a read, a few scheduler points, and a
-      plain write computed from the stale word, so a concurrent level-lock
-      transition on the same word is lost or leaked and a racing claim of
-      the same ticket delivers one element twice.  Never set it outside
-      the mutant harness. *)
+      (default [false]) selects update-in-place over multiset admission. *)
 
   val insert : 'v t -> K.t -> 'v -> [ `Inserted | `Updated ]
   (** Joins the first live equal-key node when possible ([`Updated] under

@@ -61,6 +61,8 @@ let ablation = function Delete_funnel | Reclamation -> true | _ -> false
    simulator figures' workloads) are built on the simulator only. *)
 let sim_only = function Delete_funnel | Reclamation | Bin _ -> true | _ -> false
 
+let max_bin_range = 1 lsl 20
+
 let validate d =
   let positive what n =
     if n >= 1 then Ok () else Error (Printf.sprintf "%s must be a positive integer, got %d" what n)
@@ -69,7 +71,16 @@ let validate d =
   let* () =
     match d.base with
     | Klsm k -> positive "k-LSM rank bound" k
-    | Bin range -> positive "bin-queue range" range
+    | Bin range ->
+      let* () = positive "bin-queue range" range in
+      (* one bin per key, allocated up front *)
+      if range <= max_bin_range then Ok ()
+      else
+        Error
+          (Printf.sprintf
+             "bin-queue range must be at most %d (2^20, the largest key range a workload \
+              draws), got %d"
+             max_bin_range range)
     | _ -> Ok ()
   in
   let* () = match d.bounded with Some c -> positive "bounded capacity" c | None -> Ok () in

@@ -142,7 +142,8 @@ val name : descriptor -> string
 val parse : string -> (descriptor, string) result
 (** The inverse of {!name}, case- and space-insensitive; ["bounded:"]
     parses to capacity 1024.  [Error] names the bad part: a malformed or
-    non-positive [k] or range, a modifier the base lacks, a nested
+    non-positive [k] or range, a range above 2^20 (the widest key range a
+    workload draws), a modifier the base lacks, a nested
     ["bounded:"], or an unknown base (listing the simulator's names). *)
 
 (** {2 Construction} *)

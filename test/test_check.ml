@@ -1,7 +1,7 @@
 (* Tests for lib/check: the checkers on hand-built histories (each check's
    pass, fail, and skip paths), harness determinism and replayability, a
-   clean mini-sweep over real backends, and the torn-SWAP broken queue
-   being caught with a replayable seed. *)
+   clean mini-sweep over real backends, and every planted mutant being
+   caught with a replayable seed. *)
 
 module Check = Repro_check.Checkers
 module Harness = Repro_check.Harness
@@ -302,32 +302,6 @@ let test_sweep_jobs_identity () =
   let run jobs = List.map strip (Harness.sweep ~profile:small_profile ~jobs impls seeds) in
   check "jobs=4 sweep equals jobs=1 sweep" true (run 1 = run 4)
 
-let test_broken_queue_caught () =
-  let seeds = Harness.seeds ~start:1L ~count:3 in
-  let s = Harness.sweep_impl (Broken.skipqueue ()) seeds in
-  check "torn SWAP produces violations" true (s.Harness.violations <> []);
-  (* and the reported seed replays to a violation again *)
-  match s.Harness.violations with
-  | [] -> ()
-  | v :: _ ->
-    let s' = Harness.sweep_impl (Broken.skipqueue ()) [ v.Harness.seed ] in
-    check "violation replays from its seed" true
-      (List.exists (fun v' -> v'.Harness.seed = v.Harness.seed) s'.Harness.violations)
-
-let test_broken_elim_caught () =
-  (* The torn-CAS mutant loses elimination rendezvous (withdraw-vs-match,
-     double-match, reserve-clobbers-Got races); the real SWAP is left
-     intact so any violation is specific to the front end's CAS protocol. *)
-  let seeds = Harness.seeds ~start:1L ~count:10 in
-  let s = Harness.sweep_impl (Broken.elim_skipqueue ()) seeds in
-  check "torn CAS produces violations" true (s.Harness.violations <> []);
-  match s.Harness.violations with
-  | [] -> ()
-  | v :: _ ->
-    let s' = Harness.sweep_impl (Broken.elim_skipqueue ()) [ v.Harness.seed ] in
-    check "violation replays from its seed" true
-      (List.exists (fun v' -> v'.Harness.seed = v.Harness.seed) s'.Harness.violations)
-
 (* --- blocking harness ------------------------------------------------------ *)
 
 let small_blocking =
@@ -367,29 +341,115 @@ let test_blocking_sweep_clean () =
         (List.map (fun v -> v.Harness.check ^ ": " ^ v.Harness.message) s.Harness.violations))
     [ QA.Sim.skipqueue (); QA.Sim.make ~procs:8 (QA.plain QA.Multiqueue) ]
 
+(* --- the planted mutants ------------------------------------------------- *)
+
+let contains msg sub =
+  let n = String.length msg and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+  go 0
+
+(* Every mutant of [Broken.all], under the harness check.exe gives it: each
+   is caught on seeds 1-10, and its first violation replays from the seed
+   alone.  The lost wakeup surfaces as a deadlock naming its condition. *)
+let test_every_mutant_caught () =
+  let blocking = Harness.default_blocking_profile in
+  List.iter
+    (fun (m : Broken.t) ->
+      let impl = m.Broken.impl ~capacity:blocking.Harness.capacity in
+      let sweep seeds =
+        match m.Broken.harness with
+        | Broken.Plain { procs } ->
+          let p = Harness.default_profile in
+          let profile = { p with Harness.procs = Option.value procs ~default:p.Harness.procs } in
+          Harness.sweep_impl ~profile impl seeds
+        | Broken.Blocking -> Harness.sweep_blocking ~profile:blocking impl seeds
+      in
+      let s = sweep (Harness.seeds ~start:1L ~count:10) in
+      match s.Harness.violations with
+      | [] -> Alcotest.failf "mutant %s escaped seeds 1-10" m.Broken.name
+      | v :: _ ->
+        if m.Broken.harness = Broken.Blocking then
+          check "diagnostic names a broken-bounded condition" true
+            (contains v.Harness.message "broken-bounded");
+        let s' = sweep [ v.Harness.seed ] in
+        check
+          (Printf.sprintf "%s: violation replays from seed %Ld" m.Broken.name v.Harness.seed)
+          true
+          (List.exists (fun v' -> v'.Harness.seed = v.Harness.seed) s'.Harness.violations))
+    Broken.all
+
+let mutant name = List.find (fun (m : Broken.t) -> m.Broken.name = name) Broken.all
+
+(* A violation on [seeds], and its first seed replays to a violation again;
+   returns that first violation's message. *)
+let caught_and_replays what sweep seeds =
+  let s = sweep seeds in
+  match s.Harness.violations with
+  | [] -> Alcotest.failf "%s produces no violations" what
+  | v :: _ ->
+    let s' = sweep [ v.Harness.seed ] in
+    check "violation replays from its seed" true
+      (List.exists (fun v' -> v'.Harness.seed = v.Harness.seed) s'.Harness.violations);
+    v.Harness.message
+
+let test_broken_queue_caught () =
+  let impl = (mutant "swap").Broken.impl ~capacity:0 in
+  ignore
+    (caught_and_replays "torn SWAP" (Harness.sweep_impl impl) (Harness.seeds ~start:1L ~count:3))
+
+let test_broken_elim_caught () =
+  (* The torn-CAS mutant loses elimination rendezvous (withdraw-vs-match,
+     double-match, reserve-clobbers-Got races); the real SWAP is left
+     intact so any violation is specific to the front end's CAS protocol. *)
+  let impl = (mutant "elim").Broken.impl ~capacity:0 in
+  ignore
+    (caught_and_replays "torn CAS" (Harness.sweep_impl impl) (Harness.seeds ~start:1L ~count:10))
+
 let test_broken_wakeup_caught () =
   (* The lost-wakeup mutant drops the chain-signals; some schedule strands
      a parked processor, which the simulator reports as a deadlock and the
      harness converts into an execution violation naming the condition. *)
   let profile = { small_blocking with Harness.capacity = 4 } in
-  let seeds = Harness.seeds ~start:1L ~count:5 in
-  let s = Harness.sweep_blocking ~profile (Broken.bounded_skipqueue ~capacity:4 ()) seeds in
-  check "lost wakeup produces violations" true (s.Harness.violations <> []);
-  match s.Harness.violations with
-  | [] -> ()
-  | v :: _ ->
-    let has sub =
-      let msg = v.Harness.message in
-      let n = String.length msg and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-      go 0
-    in
-    check "diagnostic names a broken-bounded condition" true (has "broken-bounded");
-    let s' =
-      Harness.sweep_blocking ~profile (Broken.bounded_skipqueue ~capacity:4 ()) [ v.Harness.seed ]
-    in
-    check "violation replays from its seed" true
-      (List.exists (fun v' -> v'.Harness.seed = v.Harness.seed) s'.Harness.violations)
+  let impl = (mutant "wakeup").Broken.impl ~capacity:4 in
+  let msg =
+    caught_and_replays "lost wakeup" (Harness.sweep_blocking ~profile impl)
+      (Harness.seeds ~start:1L ~count:5)
+  in
+  check "diagnostic names a broken-bounded condition" true (contains msg "broken-bounded")
+
+(* With no fault, the faulty runtime is the simulator runtime: the same
+   descriptors built over it measure exactly what [QA.Sim] measures. *)
+let test_faulty_without_fault_is_sim () =
+  let module F = Repro_check.Faulty in
+  let module Plain =
+    QA.Over
+      (F.Make (struct
+        let target = None
+        let wedged = Exit
+      end))
+      (struct
+        let walk_charges = true
+        let spawn = Some Repro_sim.Machine.spawn
+      end)
+  in
+  let workload =
+    {
+      Repro_workload.Benchmark.default_workload with
+      Repro_workload.Benchmark.procs = 8;
+      initial_size = 100;
+      total_ops = 400;
+      key_range = 256;
+    }
+  in
+  List.iter
+    (fun d ->
+      let run impl =
+        F.reset ();
+        Repro_workload.Benchmark.run impl workload
+      in
+      check (QA.name d ^ " measures as on Sim_runtime") true
+        (run (Plain.make ~procs:8 d) = run (QA.Sim.make ~procs:8 d)))
+    QA.[ plain Skipqueue; plain Lf; plain Co; { (plain Skipqueue) with elim = true }; plain (Klsm 4) ]
 
 let () =
   Alcotest.run "check"
@@ -425,5 +485,11 @@ let () =
             test_blocking_harness_deterministic;
           Alcotest.test_case "blocking sweep clean" `Quick test_blocking_sweep_clean;
           Alcotest.test_case "lost wakeup caught" `Quick test_broken_wakeup_caught;
+        ] );
+      ( "mutants",
+        [
+          Alcotest.test_case "every mutant caught and replays" `Quick test_every_mutant_caught;
+          Alcotest.test_case "faulty runtime without a fault is the simulator" `Quick
+            test_faulty_without_fault_is_sim;
         ] );
     ]

@@ -342,14 +342,16 @@ let test_registry_klsm_parse_errors () =
     check "generic miss lists the registry" true (contains msg "known:")
 
 (* The rank bound travels as [impl.rank_bound] — through the bounded
-   façade and on the torn-spill mutant — and keys the checkers' envelope. *)
+   façade and on the k-LSM mutant — and keys the checkers' envelope. *)
 let test_rank_bound_keying () =
   let bound name = (QA.find QA.Sim name).QA.rank_bound in
   check "klsm:256" true (bound "klsm:256" = Some 256);
   let b64 = QA.find QA.Sim "bounded:klsm:64" in
   check "bounded:klsm:64 resolves" true
     (b64.QA.rank_bound = Some 64 && b64.QA.spec = QA.Rank_bounded);
-  check "mutant carries k = 1" true ((Repro_check.Broken.klsm_spill ()).QA.rank_bound = Some 1);
+  let module Broken = Repro_check.Broken in
+  let mutant = List.find (fun m -> m.Broken.name = "klsm") Broken.all in
+  check "mutant carries k = 1" true ((mutant.Broken.impl ~capacity:0).QA.rank_bound = Some 1);
   check "MultiQueue has none" true (bound "MultiQueue" = None);
   let module Check = Repro_check.Checkers in
   let b = Check.bounds_for (Some 64) in

@@ -473,6 +473,13 @@ let test_registry_bad_spellings () =
       ( "klsm:abc",
         {|malformed k-LSM rank bound "abc" in "klsm:abc" (expected klsm:<k> with k a positive integer)|}
       );
+      ( "BinQueue(4611686018427387903)",
+        {|bin-queue range must be at most 1048576 (2^20, the largest key range a workload draws), got 4611686018427387903 in "BinQueue(4611686018427387903)"|}
+      );
+      ( "BinQueue(100000000000)",
+        {|bin-queue range must be at most 1048576 (2^20, the largest key range a workload draws), got 100000000000 in "BinQueue(100000000000)"|}
+      );
+      ("BinQueue(0)", {|bin-queue range must be a positive integer, got 0 in "BinQueue(0)"|});
       ("Relaxed Heap", {|Heap has no relaxed flavor in "Relaxed Heap"|});
       ("SkipQueue-lf-elim", {|SkipQueue-lf has no elimination front end in "SkipQueue-lf-elim"|});
       ( "Relaxed SkipQueue-co-elim",
