@@ -12,10 +12,8 @@
      the ablations).  Each test executes one scaled-down simulator run of
      that figure's workload (the full-scale regeneration is
      bin/experiments.exe); bechamel measures the wall-clock cost of the
-     simulation itself.  After the bechamel table, the same scaled-down
-     configurations are run once more and their *simulated-cycle* results
-     are printed in the paper's layout, so `dune exec bench/main.exe`
-     shows both host-time costs and the reproduced shapes.
+     simulation itself.  The simulated-cycle results of the same
+     configurations are `experiments all --scale 0.01 --max-procs 32`.
 
    - "micro": single-threaded microbenchmarks of the sequential substrate
      structures (skiplist / binary heap / pairing heap / sorted list) and
@@ -251,8 +249,7 @@ let measure_sweep ~runs ~fast_path =
 
 (* [BENCH_sim.json] is an appendable run history: a JSON array with one
    entry per bench invocation, so the perf trajectory accumulates across
-   PRs instead of being overwritten.  A pre-existing single-object file
-   (the PR 4 format) is absorbed as the history's first entry. *)
+   commits instead of being overwritten. *)
 let append_history path entry =
   let existing =
     if Sys.file_exists path then begin
@@ -266,14 +263,12 @@ let append_history path entry =
   in
   let body =
     if existing = "" || existing = "[]" then Printf.sprintf "[\n%s\n]\n" entry
-    else if existing.[0] = '[' then begin
+    else begin
       (* strip the closing bracket, append *)
       let upto = String.rindex existing ']' in
       let prefix = String.trim (String.sub existing 0 upto) in
       Printf.sprintf "%s,\n%s\n]\n" prefix entry
     end
-    else (* PR 4 single-object format *)
-      Printf.sprintf "[\n%s,\n%s\n]\n" existing entry
   in
   let oc = open_out path in
   output_string oc body;
@@ -406,13 +401,4 @@ let () =
   print_endline "=== bechamel: host-time per benchmark ===";
   print_endline "(paper/* entries each run one scaled-down simulation of that figure)";
   let results = benchmark (Test.make_grouped ~name:"" [ paper_tests; micro_tests ]) in
-  print_results results;
-  print_newline ();
-  print_endline "=== reproduced shapes (scaled-down: 1% of ops, up to 32 procs) ===";
-  print_endline "full scale: dune exec bin/experiments.exe -- all";
-  print_newline ();
-  List.iter
-    (fun (_, runner) ->
-      print_string (Repro_workload.Figures.render (runner quick_options));
-      print_newline ())
-    Repro_workload.Figures.all
+  print_results results

@@ -32,9 +32,22 @@ let run_native domains_top scale quiet =
       work_cycles = 100;
     }
   in
-  print_string
-    (Repro_workload.Native_bench.sweep ~progress impls ~procs:(domain_counts 1)
-       workload);
+  let header = "domains" :: List.map (fun i -> i.QA.name ^ " kops/s") impls in
+  let row domains =
+    string_of_int domains
+    :: List.map
+         (fun impl ->
+           progress (Printf.sprintf "%s @ %d domains" impl.QA.name domains);
+           let m =
+             Repro_workload.Benchmark.native impl
+               { workload with Repro_workload.Benchmark.procs = domains }
+           in
+           Repro_util.Table.float_cell ~decimals:1
+             (m.Repro_workload.Benchmark.throughput_ops_per_sec /. 1000.0))
+         impls
+  in
+  let table = Repro_util.Table.render ~header (List.map row (domain_counts 1)) in
+  print_string ("Native throughput (thousands of operations per second, wall clock)\n" ^ table);
   0
 
 let write_file path contents =

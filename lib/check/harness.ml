@@ -21,42 +21,31 @@ let default_profile =
    bits; raw-key order is preserved, ties are broken by insertion order. *)
 let tag_bits = 16
 
-let run_one ?(profile = default_profile) (impl : QA.impl) seed =
-  if profile.procs < 1 then invalid_arg "Harness.run_one: procs < 1";
+(* [Rng.of_seed] of [seed] mixed with stream [i]; each processor role
+   uses its own [mix] constant. *)
+let stream seed i mix = Rng.of_seed (Int64.logxor seed (Int64.mul (Int64.of_int i) mix))
+
+(* One perturbed execution: [workers hq key] runs on the root processor
+   and spawns the workload on [hq], the recorded instance, passing every
+   raw priority through [key] (the tag above, when [impl] dedups).  A
+   drain processor then empties the queue at quiescence, far in the
+   future and unrecorded, and the run's history is returned. *)
+let execute ~who ~jitter ~capacity (impl : QA.impl) seed workers =
   let history = History.create () in
   let drained = ref [] in
   let tag = ref 0 in
-  let mk_key raw =
+  let key raw =
     if impl.QA.dedups then begin
       incr tag;
-      if !tag >= 1 lsl tag_bits then invalid_arg "Harness.run_one: too many inserts for key tagging";
+      if !tag >= 1 lsl tag_bits then invalid_arg (who ^ ": too many inserts for key tagging");
       (raw lsl tag_bits) lor !tag
     end
     else raw
   in
   let _report =
-    Machine.run ~perturb:{ Machine.sched_seed = seed; jitter = profile.jitter } (fun () ->
+    Machine.run ~perturb:{ Machine.sched_seed = seed; jitter } (fun () ->
         let q = impl.QA.create () in
-        let hq = History.wrap history q in
-        (* prefill on the root processor, strictly before any worker *)
-        let rng0 = Rng.of_seed (Int64.logxor seed 0x5851F42D4C957F2DL) in
-        for i = 0 to profile.prefill - 1 do
-          hq.QA.insert (mk_key (Rng.int rng0 profile.key_range)) (900_000_000 + i)
-        done;
-        for p = 0 to profile.procs - 1 do
-          Machine.spawn (fun () ->
-              let rng =
-                Rng.of_seed
-                  (Int64.logxor seed (Int64.mul (Int64.of_int (p + 1)) 0x9E3779B97F4A7C15L))
-              in
-              for i = 0 to profile.ops_per_proc - 1 do
-                if Rng.int rng 1000 < int_of_float (profile.insert_ratio *. 1000.) then
-                  hq.QA.insert (mk_key (Rng.int rng profile.key_range)) (((p + 1) * 100_000) + i)
-                else ignore (hq.QA.try_delete_min ());
-                Machine.work (1 + Rng.int rng 96)
-              done)
-        done;
-        (* quiescent drain: far-future start, unrecorded accesses *)
+        workers (History.wrap history q) key;
         Machine.spawn (fun () ->
             Machine.work (1 lsl 55);
             let rec go () =
@@ -75,9 +64,29 @@ let run_one ?(profile = default_profile) (impl : QA.impl) seed =
     seed;
     events = History.events history;
     drained = List.rev !drained;
-    capacity = None;
+    capacity;
     spans = History.park_spans history;
   }
+
+let run_one ?(profile = default_profile) (impl : QA.impl) seed =
+  if profile.procs < 1 then invalid_arg "Harness.run_one: procs < 1";
+  execute ~who:"Harness.run_one" ~jitter:profile.jitter ~capacity:None impl seed
+    (fun hq key ->
+      (* prefill on the root processor, strictly before any worker *)
+      let rng0 = Rng.of_seed (Int64.logxor seed 0x5851F42D4C957F2DL) in
+      for i = 0 to profile.prefill - 1 do
+        hq.QA.insert (key (Rng.int rng0 profile.key_range)) (900_000_000 + i)
+      done;
+      for p = 0 to profile.procs - 1 do
+        Machine.spawn (fun () ->
+            let rng = stream seed (p + 1) 0x9E3779B97F4A7C15L in
+            for i = 0 to profile.ops_per_proc - 1 do
+              if Rng.int rng 1000 < int_of_float (profile.insert_ratio *. 1000.) then
+                hq.QA.insert (key (Rng.int rng profile.key_range)) (((p + 1) * 100_000) + i)
+              else ignore (hq.QA.try_delete_min ());
+              Machine.work (1 + Rng.int rng 96)
+            done)
+      done)
 
 (* ---- blocking producer/consumer runs ------------------------------------ *)
 
@@ -113,72 +122,29 @@ let default_blocking_profile =
 let run_blocking ?(profile = default_blocking_profile) (impl : QA.impl) seed =
   if profile.producers < 1 then invalid_arg "Harness.run_blocking: producers < 1";
   if profile.consumers < 1 then invalid_arg "Harness.run_blocking: consumers < 1";
-  let history = History.create () in
-  let drained = ref [] in
-  let tag = ref 0 in
-  let mk_key raw =
-    if impl.QA.dedups then begin
-      incr tag;
-      if !tag >= 1 lsl tag_bits then
-        invalid_arg "Harness.run_blocking: too many inserts for key tagging";
-      (raw lsl tag_bits) lor !tag
-    end
-    else raw
-  in
   let total = profile.producers * profile.items_per_producer in
   let quota c = (total / profile.consumers) + (if c < total mod profile.consumers then 1 else 0) in
-  let _report =
-    Machine.run ~perturb:{ Machine.sched_seed = seed; jitter = profile.jitter } (fun () ->
-        let q = impl.QA.create () in
-        let hq = History.wrap history q in
-        for p = 0 to profile.producers - 1 do
-          Machine.spawn (fun () ->
-              let rng =
-                Rng.of_seed
-                  (Int64.logxor seed (Int64.mul (Int64.of_int (p + 1)) 0x9E3779B97F4A7C15L))
-              in
-              for i = 0 to profile.items_per_producer - 1 do
-                hq.QA.insert_wait
-                  (mk_key (Rng.int rng profile.key_range))
-                  (((p + 1) * 100_000) + i);
-                (* a long pause between bursts, a short one within *)
-                if (i + 1) mod profile.burst = 0 then Machine.work (256 + Rng.int rng 512)
-                else Machine.work (1 + Rng.int rng 16)
-              done)
-        done;
-        for c = 0 to profile.consumers - 1 do
-          Machine.spawn (fun () ->
-              let rng =
-                Rng.of_seed
-                  (Int64.logxor seed (Int64.mul (Int64.of_int (c + 101)) 0xC2B2AE3D27D4EB4FL))
-              in
-              for _ = 1 to quota c do
-                ignore (hq.QA.delete_min_wait ());
-                Machine.work (1 + Rng.int rng 64)
-              done)
-        done;
-        (* quiescent drain (must find nothing: the quotas are exact) *)
+  (* the drain must find nothing: the quotas are exact *)
+  execute ~who:"Harness.run_blocking" ~jitter:profile.jitter
+    ~capacity:(Some profile.capacity) impl seed (fun hq key ->
+      for p = 0 to profile.producers - 1 do
         Machine.spawn (fun () ->
-            Machine.work (1 lsl 55);
-            let rec go () =
-              match q.QA.try_delete_min () with
-              | Some kv ->
-                drained := kv :: !drained;
-                go ()
-              | None -> ()
-            in
-            go ()))
-  in
-  {
-    Checkers.impl = impl.QA.name;
-    dedups = impl.QA.dedups;
-    spec = impl.QA.spec;
-    seed;
-    events = History.events history;
-    drained = List.rev !drained;
-    capacity = Some profile.capacity;
-    spans = History.park_spans history;
-  }
+            let rng = stream seed (p + 1) 0x9E3779B97F4A7C15L in
+            for i = 0 to profile.items_per_producer - 1 do
+              hq.QA.insert_wait (key (Rng.int rng profile.key_range)) (((p + 1) * 100_000) + i);
+              (* a long pause between bursts, a short one within *)
+              if (i + 1) mod profile.burst = 0 then Machine.work (256 + Rng.int rng 512)
+              else Machine.work (1 + Rng.int rng 16)
+            done)
+      done;
+      for c = 0 to profile.consumers - 1 do
+        Machine.spawn (fun () ->
+            let rng = stream seed (c + 101) 0xC2B2AE3D27D4EB4FL in
+            for _ = 1 to quota c do
+              ignore (hq.QA.delete_min_wait ());
+              Machine.work (1 + Rng.int rng 64)
+            done)
+      done)
 
 type violation = { seed : int64; check : string; message : string }
 

@@ -15,33 +15,30 @@ module Machine = Repro_sim.Machine
    sequence numbers are dense, so the flush places each event at its own
    index — the exact recording order, no sort needed. *)
 
-let slots = 4096 (* power of two; processor ids fold into it *)
 let columns = 10
 
+(* One processor's events: [len] rows of [columns] ints at the front of
+   [buf]. *)
+type row = { mutable buf : int array; mutable len : int }
+
 type t = {
-  bufs : int array array; (* per-slot rows of [columns] ints *)
-  lens : int array; (* rows used per slot *)
+  rows : row Repro_runtime.Per_proc.t;
   mutable seq : int; (* total events = next global sequence number *)
 }
 
-let create () = { bufs = Array.make slots [||]; lens = Array.make slots 0; seq = 0 }
-
-let ensure_row t idx =
-  let buf = t.bufs.(idx) in
-  let need = (t.lens.(idx) + 1) * columns in
-  if need <= Array.length buf then buf
-  else begin
-    let grown = Array.make (Int.max (64 * columns) (2 * Array.length buf)) 0 in
-    Array.blit buf 0 grown 0 (Array.length buf);
-    t.bufs.(idx) <- grown;
-    grown
-  end
+let create () =
+  { rows = Repro_runtime.Per_proc.create (fun _ -> { buf = [||]; len = 0 }); seq = 0 }
 
 let record t ~proc ~tag ~key ~id ~invoked ~responded ?(parks = 0)
     ?(parked_at = -1) ?(woken_at = -1) () =
-  let idx = proc land (slots - 1) in
-  let buf = ensure_row t idx in
-  let base = t.lens.(idx) * columns in
+  let r = Repro_runtime.Per_proc.get t.rows proc in
+  if (r.len + 1) * columns > Array.length r.buf then begin
+    let grown = Array.make (Int.max (64 * columns) (2 * Array.length r.buf)) 0 in
+    Array.blit r.buf 0 grown 0 (Array.length r.buf);
+    r.buf <- grown
+  end;
+  let buf = r.buf in
+  let base = r.len * columns in
   buf.(base) <- t.seq;
   buf.(base + 1) <- proc;
   buf.(base + 2) <- tag;
@@ -53,7 +50,7 @@ let record t ~proc ~tag ~key ~id ~invoked ~responded ?(parks = 0)
   buf.(base + 8) <- parked_at;
   buf.(base + 9) <- woken_at;
   t.seq <- t.seq + 1;
-  t.lens.(idx) <- t.lens.(idx) + 1
+  r.len <- r.len + 1
 
 let length t = t.seq
 
@@ -64,9 +61,9 @@ let events t =
       { O.proc = 0; op = O.Delete_min { result = None }; invoked = 0; responded = 0 }
     in
     let out = Array.make t.seq dummy in
-    Array.iteri
-      (fun idx buf ->
-        for row = 0 to t.lens.(idx) - 1 do
+    Repro_runtime.Per_proc.iter
+      (fun { buf; len } ->
+        for row = 0 to len - 1 do
           let b = row * columns in
           let op =
             match buf.(b + 2) with
@@ -77,7 +74,7 @@ let events t =
           out.(buf.(b)) <-
             { O.proc = buf.(b + 1); op; invoked = buf.(b + 5); responded = buf.(b + 6) }
         done)
-      t.bufs;
+      t.rows;
     Array.to_list out
   end
 
@@ -86,9 +83,9 @@ type span = { event : O.event; parks : int; parked_at : int; woken_at : int }
 
 let park_spans t =
   let out = ref [] in
-  Array.iteri
-    (fun idx buf ->
-      for row = t.lens.(idx) - 1 downto 0 do
+  Repro_runtime.Per_proc.iter
+    (fun { buf; len } ->
+      for row = len - 1 downto 0 do
         let b = row * columns in
         if buf.(b + 7) > 0 then begin
           let op =
@@ -108,7 +105,7 @@ let park_spans t =
             :: !out
         end
       done)
-    t.bufs;
+    t.rows;
   List.sort
     (fun a b ->
       compare (a.event.O.invoked, a.event.O.responded) (b.event.O.invoked, b.event.O.responded))

@@ -14,25 +14,14 @@ struct
     capacity : int; (* max element count *)
     heap_lock : R.lock;
     heap_size : int R.shared; (* protected by heap_lock *)
-    moving : tag array; (* per-processor [Moving pid] scratch, see below *)
+    (* Every insert tags its item [Moving pid]; the tag value is compared
+       structurally, never by identity, so one cached block per processor
+       serves all of that processor's inserts instead of a fresh
+       allocation per operation. *)
+    moving : tag Repro_runtime.Per_proc.t;
   }
 
   exception Full
-
-  let tag_slots = 4096 (* power of two; processor ids fold into it *)
-
-  (* Every insert tags its item [Moving pid]; the tag value is compared
-     structurally, never by identity, so one cached block per processor
-     serves all of that processor's inserts instead of a fresh
-     allocation per operation. *)
-  let moving_for t pid =
-    let idx = pid land (tag_slots - 1) in
-    match t.moving.(idx) with
-    | Moving m as tag when m = pid -> tag
-    | Empty | Available | Moving _ ->
-      let tag = Moving pid in
-      t.moving.(idx) <- tag;
-      tag
 
   let create ?(capacity = 65536) () =
     if capacity < 1 then invalid_arg "Hunt_heap.create: capacity < 1";
@@ -57,7 +46,7 @@ struct
       capacity;
       heap_lock = R.lock_create ~name:"heap" ();
       heap_size = R.shared 0;
-      moving = Array.make tag_slots Empty;
+      moving = Repro_runtime.Per_proc.create (fun pid -> Moving pid);
     }
 
   let size t = R.read t.heap_size
@@ -96,7 +85,7 @@ struct
     R.release t.heap_lock;
     R.write t.slots.(!i).key (Some key);
     R.write t.slots.(!i).value (Some value);
-    R.write t.slots.(!i).tag (moving_for t pid);
+    R.write t.slots.(!i).tag (Repro_runtime.Per_proc.get t.moving pid);
     R.release t.slots.(!i).lock;
     (* Bubble up, chasing the item if a concurrent delete moved it. *)
     while !i > 1 do

@@ -126,10 +126,48 @@ module Rank_oracle = struct
     if not (Hashtbl.mem pool t.range) then Hashtbl.add pool t.range t.tree
 end
 
-let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
-  if w.procs < 1 then invalid_arg "Benchmark.run: procs < 1";
+let validate who w =
+  if w.procs < 1 then invalid_arg (who ^ ": procs < 1");
   if w.insert_ratio < 0.0 || w.insert_ratio > 1.0 then
-    invalid_arg "Benchmark.run: insert_ratio outside [0, 1]";
+    invalid_arg (who ^ ": insert_ratio outside [0, 1]")
+
+(* [run]'s and [native]'s streams: the prefill draws from [seed],
+   processor [p] from [seed + 0x1234 + p], and [total_ops] is split as
+   evenly as possible over the processors. *)
+let proc_rng w p = Rng.of_seed (Int64.add w.seed (Int64.of_int (0x1234 + p)))
+let ops_for w p = (w.total_ops / w.procs) + (if p < w.total_ops mod w.procs then 1 else 0)
+
+let prefill (q : Queue_adapter.instance) w rng ~first_id ~inserted =
+  for i = 0 to w.initial_size - 1 do
+    let key = Rng.int rng w.key_range in
+    q.Queue_adapter.insert key (first_id + i);
+    inserted key
+  done
+
+(* Processor [p]'s share of the §5 mix: [ops] rounds of [work_cycles] of
+   local work, then one call timed with [now], an Insert with probability
+   [insert_ratio] and a Delete-min otherwise.  [inserted key dt] and
+   [deleted result dt] run at the call's completion.  On the simulator
+   [now] is the free probe and the callbacks are host code between
+   effects, so neither touches the schedule or costs a cycle. *)
+let calls ~work ~now ~inserted ~deleted (q : Queue_adapter.instance) w rng p ops =
+  for i = 0 to ops - 1 do
+    work w.work_cycles;
+    let t0 = now () in
+    if Rng.bernoulli rng w.insert_ratio then begin
+      let key = Rng.int rng w.key_range in
+      q.Queue_adapter.insert key ((p * 1_000_000) + i);
+      inserted key (now () - t0)
+    end
+    else
+      let result = q.Queue_adapter.try_delete_min () in
+      deleted result (now () - t0)
+  done
+
+let merge arr = Array.fold_left Stats.merge (Stats.create ()) arr
+
+let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
+  validate "Benchmark.run" w;
   let insert_stats = Array.init w.procs (fun _ -> Stats.create ()) in
   let delete_stats = Array.init w.procs (fun _ -> Stats.create ()) in
   let rank_stats = Array.init w.procs (fun _ -> Stats.create ()) in
@@ -146,44 +184,28 @@ let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
   let report =
     Machine.run ?config ?perturb ?fast_path (fun () ->
         let q = impl.Queue_adapter.create () in
-        let root_rng = Rng.of_seed w.seed in
-        for i = 0 to w.initial_size - 1 do
-          let key = Rng.int root_rng w.key_range in
-          q.Queue_adapter.insert key (1_000_000_000 + i);
-          Rank_oracle.insert ~dedup oracle key
-        done;
+        prefill q w (Rng.of_seed w.seed) ~first_id:1_000_000_000
+          ~inserted:(Rank_oracle.insert ~dedup oracle);
         let start_time = Machine.probe_time () in
         if start_time < !first_op_time then first_op_time := start_time;
-        let ops_for p =
-          (* split total_ops as evenly as possible *)
-          (w.total_ops / w.procs) + (if p < w.total_ops mod w.procs then 1 else 0)
-        in
         for p = 0 to w.procs - 1 do
-          let rng = Rng.of_seed (Int64.add w.seed (Int64.of_int (0x1234 + p))) in
+          let rng = proc_rng w p in
           Machine.spawn (fun () ->
-              let ops = ops_for p in
-              for i = 0 to ops - 1 do
-                Machine.work w.work_cycles;
-                let t0 = Machine.probe_time () in
-                if Rng.bernoulli rng w.insert_ratio then begin
-                  let key = Rng.int rng w.key_range in
-                  q.Queue_adapter.insert key ((p * 1_000_000) + i);
+              calls ~work:Machine.work ~now:Machine.probe_time q w rng p (ops_for w p)
+                ~inserted:(fun key dt ->
                   Rank_oracle.insert ~dedup oracle key;
-                  let dt = float_of_int (Machine.probe_time () - t0) in
+                  let dt = float_of_int dt in
                   Stats.add insert_stats.(p) dt;
-                  Repro_util.Histogram.add insert_histogram dt
-                end
-                else begin
-                  (match q.Queue_adapter.try_delete_min () with
+                  Repro_util.Histogram.add insert_histogram dt)
+                ~deleted:(fun result dt ->
+                  (match result with
                   | None -> ()
                   | Some (key, _) ->
                     Stats.add rank_stats.(p)
                       (float_of_int (Rank_oracle.delete oracle key)));
-                  let dt = float_of_int (Machine.probe_time () - t0) in
+                  let dt = float_of_int dt in
                   Stats.add delete_stats.(p) dt;
-                  Repro_util.Histogram.add delete_histogram dt
-                end
-              done;
+                  Repro_util.Histogram.add delete_histogram dt);
               let t = Machine.probe_time () in
               if t > !last_op_time then last_op_time := t)
         done;
@@ -201,7 +223,6 @@ let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
             queue_stats := q.Queue_adapter.stats ()))
   in
   Rank_oracle.release oracle;
-  let merge arr = Array.fold_left Stats.merge (Stats.create ()) arr in
   let insert_latency = merge insert_stats in
   let delete_latency = merge delete_stats in
   {
@@ -220,41 +241,56 @@ let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
 (* The traced contention probe's schedule: fixed streams (root seed 99,
    processor p seeded 7000 + p), ⌊total_ops / procs⌋ operations per
    processor, and no post-mortem processor, so a tracer sees only the
-   workload.  Latency is read with the free probe, which never touches
-   the schedule. *)
+   workload. *)
 let probe ?tracer (impl : Queue_adapter.impl) w =
   let fail fmt = Printf.ksprintf invalid_arg ("Benchmark.probe: " ^^ fmt) in
   let limit = Repro_sim.Memory_model.default.Repro_sim.Memory_model.max_procs - 1 in
-  if w.procs < 1 then fail "procs < 1";
+  validate "Benchmark.probe" w;
   if w.procs > limit then
     fail "procs %d > %d (the simulator's processor limit, less the root)" w.procs limit;
-  if w.insert_ratio < 0.0 || w.insert_ratio > 1.0 then
-    fail "insert_ratio outside [0, 1]";
   if w.total_ops < w.procs then
     fail "total_ops %d < procs %d (every processor needs an operation)" w.total_ops w.procs;
-  let ops = w.total_ops / w.procs in
   let latency = Stats.create () in
+  let sample _ dt = Stats.add latency (float_of_int dt) in
   let report =
     Machine.run ?tracer (fun () ->
         let q = impl.Queue_adapter.create () in
-        let rng = Rng.of_seed 99L in
-        for i = 0 to w.initial_size - 1 do
-          q.Queue_adapter.insert (Rng.int rng w.key_range) (1_000_000 + i)
-        done;
+        prefill q w (Rng.of_seed 99L) ~first_id:1_000_000 ~inserted:ignore;
         for p = 0 to w.procs - 1 do
           let rng = Rng.of_seed (Int64.of_int (7_000 + p)) in
           Machine.spawn (fun () ->
-              for i = 0 to ops - 1 do
-                Machine.work w.work_cycles;
-                let t0 = Machine.probe_time () in
-                if Rng.bernoulli rng w.insert_ratio then
-                  q.Queue_adapter.insert (Rng.int rng w.key_range) ((p * 1_000_000) + i)
-                else ignore (q.Queue_adapter.try_delete_min ());
-                Stats.add latency (float_of_int (Machine.probe_time () - t0))
-              done)
+              calls ~work:Machine.work ~now:Machine.probe_time q w rng p
+                (w.total_ops / w.procs) ~inserted:sample ~deleted:sample)
         done)
   in
   (report, latency)
+
+type native_measurement = {
+  insert_latency_ns : Stats.t;
+  delete_latency_ns : Stats.t;
+  wall_ns : float;
+  throughput_ops_per_sec : float;
+}
+
+let native (impl : Queue_adapter.impl) w =
+  validate "Benchmark.native" w;
+  let now () = Int64.to_int (Monotonic_clock.now ()) in
+  let q = impl.Queue_adapter.create () in
+  prefill q w (Rng.of_seed w.seed) ~first_id:1_000_000_000 ~inserted:ignore;
+  let insert_stats = Array.init w.procs (fun _ -> Stats.create ()) in
+  let delete_stats = Array.init w.procs (fun _ -> Stats.create ()) in
+  let started = now () in
+  Repro_runtime.Native_runtime.run_processors w.procs (fun p ->
+      calls ~work:Repro_runtime.Native_runtime.work ~now q w (proc_rng w p) p (ops_for w p)
+        ~inserted:(fun _ dt -> Stats.add insert_stats.(p) (float_of_int dt))
+        ~deleted:(fun _ dt -> Stats.add delete_stats.(p) (float_of_int dt)));
+  let wall_ns = float_of_int (now () - started) in
+  {
+    insert_latency_ns = merge insert_stats;
+    delete_latency_ns = merge delete_stats;
+    wall_ns;
+    throughput_ops_per_sec = float_of_int w.total_ops /. (wall_ns /. 1e9);
+  }
 
 let pp_measurement ppf m =
   let quantile h q =

@@ -1,12 +1,15 @@
-(** The paper's synthetic benchmark (§5), run on the simulator.
+(** The paper's synthetic benchmark (§5), on the simulator ({!run},
+    {!probe}) or on real domains ({!native}).
 
     Processors alternate between [work_cycles] of local work and one queue
     operation; each operation is an Insert of a uniformly random priority
     with probability [insert_ratio], a Delete-min otherwise.  The structure
     is pre-populated with [initial_size] random elements before the
     processors start, and per-operation latency (in simulated machine
-    cycles, measured with the free probe) is accumulated separately for
-    Inserts and Delete-mins. *)
+    cycles, measured with the free probe, or host nanoseconds) is
+    accumulated separately for Inserts and Delete-mins.  All three entry
+    points run one call loop, so {!run} and {!native} on the same workload
+    issue the same call sequence per processor. *)
 
 type workload = {
   procs : int;
@@ -74,5 +77,22 @@ val probe :
     report unchanged.  Returns the machine report and every operation's
     latency.  Raises [Invalid_argument] for [procs] outside [1, 511],
     [insert_ratio] outside [0, 1], or [total_ops < procs]. *)
+
+type native_measurement = {
+  insert_latency_ns : Repro_util.Stats.t;
+  delete_latency_ns : Repro_util.Stats.t;
+  wall_ns : float;  (** the processors' run, prefill excluded *)
+  throughput_ops_per_sec : float;
+}
+
+val native : Queue_adapter.impl -> workload -> native_measurement
+(** {!run}'s workload and streams on real OCaml 5 domains: [procs] is the
+    domain count (keep it near the host's core count), [work_cycles] runs
+    as {!Repro_runtime.Native_runtime.work} spins, and latencies are
+    nanoseconds from the host's monotonic clock.  On a small host this
+    measures correctness under parallelism and single-digit-domain
+    scaling, not the paper's 256-processor regime.  Raises
+    [Invalid_argument] for [procs < 1] or [insert_ratio] outside [0, 1],
+    as {!run} does. *)
 
 val pp_measurement : Format.formatter -> measurement -> unit

@@ -5,7 +5,6 @@ module Machine = Repro_sim.Machine
 module Trace = Repro_sim.Trace
 module Stats = Repro_util.Stats
 module Benchmark = Repro_workload.Benchmark
-module Native_bench = Repro_workload.Native_bench
 module Figures = Repro_workload.Figures
 module Jobs = Repro_workload.Jobs
 module QA = Repro_workload.Queue_adapter
@@ -551,19 +550,39 @@ let test_jobs_map () =
     (* the lowest-index failure wins, as a sequential run would report *)
     Alcotest.(check string) "first error re-raised" "5" msg
 
-(* --- native bench ----------------------------------------------------------- *)
+(* --- Benchmark.native ------------------------------------------------------ *)
 
 let test_native_bench_runs () =
   let m =
-    Native_bench.run (QA.Native.skipqueue ())
+    Benchmark.native (QA.Native.skipqueue ())
       { tiny_workload with Benchmark.procs = 2 }
   in
   check_int "op accounting"
     tiny_workload.Benchmark.total_ops
-    (Stats.count m.Native_bench.insert_latency_ns
-    + Stats.count m.Native_bench.delete_latency_ns);
-  check "throughput positive" true (m.Native_bench.throughput_ops_per_sec > 0.0);
-  check "wall time positive" true (m.Native_bench.wall_ns > 0.0)
+    (Stats.count m.Benchmark.insert_latency_ns
+    + Stats.count m.Benchmark.delete_latency_ns);
+  check "throughput positive" true (m.Benchmark.throughput_ops_per_sec > 0.0);
+  check "wall time positive" true (m.Benchmark.wall_ns > 0.0)
+
+(* Both runtimes run one call loop on one set of streams: each processor
+   flips the same coins, so the insert/delete split is identical. *)
+let test_native_same_calls_as_run () =
+  let w = { tiny_workload with Benchmark.procs = 2 } in
+  let sim = Benchmark.run (QA.Sim.skipqueue ()) w in
+  let native = Benchmark.native (QA.Native.skipqueue ()) w in
+  check_int "inserts"
+    (Stats.count sim.Benchmark.insert_latency)
+    (Stats.count native.Benchmark.insert_latency_ns);
+  check_int "deletes"
+    (Stats.count sim.Benchmark.delete_latency)
+    (Stats.count native.Benchmark.delete_latency_ns)
+
+let test_native_rejects_bad_workload () =
+  Alcotest.check_raises "bad ratio"
+    (Invalid_argument "Benchmark.native: insert_ratio outside [0, 1]") (fun () ->
+      ignore
+        (Benchmark.native (QA.Native.skipqueue ())
+           { tiny_workload with Benchmark.procs = 2; insert_ratio = 1.5 }))
 
 (* --- tracing ------------------------------------------------------------------ *)
 
@@ -717,7 +736,12 @@ let () =
           Alcotest.test_case "jobs map semantics" `Quick test_jobs_map;
         ] );
       ( "native-bench",
-        [ Alcotest.test_case "runs and accounts" `Quick test_native_bench_runs ] );
+        [
+          Alcotest.test_case "runs and accounts" `Quick test_native_bench_runs;
+          Alcotest.test_case "same calls as the simulator" `Quick
+            test_native_same_calls_as_run;
+          Alcotest.test_case "rejects bad workload" `Quick test_native_rejects_bad_workload;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "summary aggregates" `Quick test_trace_summary;
