@@ -176,10 +176,11 @@ let micro_tests =
 (* Host-time cost of the simulator itself on the fig7 sweep at bench scale
    (1% of the ops, processors 1..32) — the configuration the scheduler
    run-ahead fast path (DESIGN.md §S16) is gated on.  Each mode runs the
-   full SkipQueue + Relaxed sweep [runs] times and reports host seconds
-   per sweep, simulated events and memory accesses retired per host
-   second, and the host GC cost per sweep (minor words, promoted words,
-   major collections) — the flat-state metric DESIGN.md §S17 tracks.
+   full sweep of five backends (SkipQueue, Relaxed, lock-free, coalescing,
+   klsm:256) [runs] times and reports host seconds per sweep, simulated
+   events and memory accesses retired per host second, and the host GC
+   cost per sweep (minor words, promoted words, major collections) — the
+   flat-state metric DESIGN.md §S17 tracks.
    Results are byte-identical in both modes; only the host cost moves.
    [--json PATH] appends the numbers to a run-history JSON array for CI
    artifacts, so the perf trajectory accumulates across commits. *)

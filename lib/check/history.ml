@@ -136,47 +136,28 @@ let wrap t (q : Repro_workload.Queue_adapter.instance) =
     let tag, key, id = match result with Some (k, i) -> (1, k, i) | None -> (2, 0, 0) in
     finish ~proc ~parks0 ~invoked ~tag ~key ~id
   in
-  let insert key id =
-    let proc, parks0, invoked = enter () in
-    q.insert key id;
-    finish ~proc ~parks0 ~invoked ~tag:0 ~key ~id
-  in
-  let try_delete_min () =
-    let proc, parks0, invoked = enter () in
-    let result = q.try_delete_min () in
-    record_delete result ~proc ~parks0 ~invoked;
-    result
-  in
   {
     q with
-    insert;
+    insert =
+      (fun key id ->
+        let proc, parks0, invoked = enter () in
+        q.insert key id;
+        finish ~proc ~parks0 ~invoked ~tag:0 ~key ~id);
     insert_wait =
       (fun key id ->
         let proc, parks0, invoked = enter () in
         q.insert_wait key id;
         finish ~proc ~parks0 ~invoked ~tag:0 ~key ~id);
-    try_delete_min;
+    try_delete_min =
+      (fun () ->
+        let proc, parks0, invoked = enter () in
+        let result = q.try_delete_min () in
+        record_delete result ~proc ~parks0 ~invoked;
+        result);
     delete_min_wait =
       (fun () ->
         let proc, parks0, invoked = enter () in
         let kv = q.delete_min_wait () in
         record_delete (Some kv) ~proc ~parks0 ~invoked;
         kv);
-    (* The recorder serializes the bulk entry points through the recorded
-       singles: the oracle's well-formedness condition requires one
-       processor's operations not to overlap, so a batch cannot be
-       recorded as N events sharing one invocation span.  Batch
-       equivalence with the native paths is pinned by the direct bulk-API
-       tests instead. *)
-    insert_batch = (fun kvs -> Array.iter (fun (key, id) -> insert key id) kvs);
-    delete_min_batch =
-      (fun want ->
-        let rec go acc n =
-          if n <= 0 then List.rev acc
-          else
-            match try_delete_min () with
-            | Some kv -> go (kv :: acc) (n - 1)
-            | None -> List.rev acc
-        in
-        go [] want);
   }

@@ -50,8 +50,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     merges : int;
     spy_sweeps : int;
     cas_failures : int;
-    batch_inserts : int;
-    batch_deletes : int;
   }
 
   type t = {
@@ -67,8 +65,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     mutable merges : int;
     mutable spy_sweeps : int;
     mutable cas_failures : int;
-    mutable batch_inserts : int;
-    mutable batch_deletes : int;
   }
 
   let fresh_buffer cap =
@@ -108,8 +104,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       merges = 0;
       spy_sweeps = 0;
       cas_failures = 0;
-      batch_inserts = 0;
-      batch_deletes = 0;
     }
 
   let stats t =
@@ -120,8 +114,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       merges = t.merges;
       spy_sweeps = t.spy_sweeps;
       cas_failures = t.cas_failures;
-      batch_inserts = t.batch_inserts;
-      batch_deletes = t.batch_deletes;
     }
 
   let pstate_for t = Repro_runtime.Per_proc.get t.pstates (R.self ())
@@ -277,23 +269,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     end;
     t.inserts <- t.inserts + 1
 
-  let insert_batch t kvs =
-    t.batch_inserts <- t.batch_inserts + 1;
-    let n = Array.length kvs in
-    if n > 0 then begin
-      let kvs = Array.copy kvs in
-      Array.sort compare kvs;
-      charge_search t n;
-      publish_block t
-        {
-          keys = Array.map fst kvs;
-          vals = Array.map snd kvs;
-          taken = Array.init n (fun _ -> R.shared false);
-          first = R.shared 0;
-        };
-      t.inserts <- t.inserts + n
-    end
-
   (* --- deletion ---------------------------------------------------------- *)
 
   (* First untaken entry of [b] from its pivot, advancing the pivot past
@@ -441,20 +416,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     let r = claim_once t ps 0 in
     t.deletes <- t.deletes + 1;
     r
-
-  let delete_min_batch t ~want =
-    t.batch_deletes <- t.batch_deletes + 1;
-    let ps = pstate_for t in
-    let rec go acc n =
-      if n <= 0 then List.rev acc
-      else
-        match claim_once t ps 0 with
-        | Some kv ->
-          t.deletes <- t.deletes + 1;
-          go (kv :: acc) (n - 1)
-        | None -> List.rev acc
-    in
-    go [] want
 
   (* --- introspection ------------------------------------------------------ *)
 

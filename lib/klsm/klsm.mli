@@ -57,14 +57,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
   val insert : t -> int -> int -> unit
   val delete_min : t -> (int * int) option
 
-  val insert_batch : t -> (int * int) array -> unit
-  (** Sorts the batch host-side and publishes it as a single SLSM block,
-      bypassing the insertion buffer — the log-structured bulk path. *)
-
-  val delete_min_batch : t -> want:int -> (int * int) list
-  (** Up to [want] claims through one per-processor state acquisition, in
-      claim order; shorter when the structure runs (observably) empty. *)
-
   type op_stats = {
     inserts : int;
     deletes : int;
@@ -72,8 +64,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
     merges : int;  (** log-structured block merges *)
     spy_sweeps : int;  (** emptiness-triggered sweeps over foreign buffers *)
     cas_failures : int;  (** lost claim / publish / pivot races *)
-    batch_inserts : int;
-    batch_deletes : int;
   }
 
   val stats : t -> op_stats

@@ -32,32 +32,6 @@ module Make (K : Key.ORDERED) = struct
       t.length <- t.length - 1;
       Some (n.key, n.value)
 
-  let delete_min_batch t n =
-    let rec take k acc =
-      if k = 0 then List.rev acc
-      else
-        match delete_min t with
-        | None -> List.rev acc
-        | Some binding -> take (k - 1) (binding :: acc)
-    in
-    take n []
-
-  let insert_batch t bindings =
-    (* One merge pass: sort the batch, then weave it into the list. *)
-    let sorted = List.sort (fun (k1, _) (k2, _) -> K.compare k1 k2) bindings in
-    let rec weave prev current = function
-      | [] -> ()
-      | (key, value) :: rest -> (
-        match current with
-        | Node n when K.compare n.key key <= 0 -> weave current n.next ((key, value) :: rest)
-        | Nil | Node _ ->
-          let node = Node { key; value; next = current } in
-          (match prev with Nil -> t.first <- node | Node p -> p.next <- node);
-          t.length <- t.length + 1;
-          weave node current rest)
-    in
-    weave Nil t.first sorted
-
   let to_list t =
     let rec go acc = function
       | Nil -> List.rev acc

@@ -1,9 +1,6 @@
-(** Sequential sorted singly-linked list.
-
-    The data structure behind the FunnelList baseline, without the funnel:
-    linear-time insert, constant-time delete-min.  The concurrent
-    FunnelList applies batches of combined operations to exactly this
-    structure under one lock. *)
+(** Sequential sorted singly-linked list: linear-time insert,
+    constant-time delete-min.  The FunnelList tests use it as their
+    sequential model, and the bench suite times it as a baseline. *)
 
 module Make (K : Key.ORDERED) : sig
   type 'v t
@@ -17,14 +14,6 @@ module Make (K : Key.ORDERED) : sig
 
   val delete_min : 'v t -> (K.t * 'v) option
   val peek_min : 'v t -> (K.t * 'v) option
-
-  val delete_min_batch : 'v t -> int -> (K.t * 'v) list
-  (** [delete_min_batch t n] cuts the first [n] (or fewer) bindings off the
-      head in one traversal — the FunnelList's combined Delete-min. *)
-
-  val insert_batch : 'v t -> (K.t * 'v) list -> unit
-  (** Inserts all bindings in one traversal (they are sorted first) — the
-      FunnelList's combined Insert. *)
 
   val to_list : 'v t -> (K.t * 'v) list
   val check_invariants : 'v t -> (unit, string) result

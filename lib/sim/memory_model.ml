@@ -70,8 +70,6 @@ let make_system config =
     sharers = Array.make (initial_capacity * words_per_line) 0;
   }
 
-let system_config sys = sys.config
-
 type meta = int (* line id into the directory *)
 
 let home_node config ~id = id mod config.numa_nodes

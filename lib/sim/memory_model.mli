@@ -49,7 +49,6 @@ type system
     allocates (DESIGN.md §S17). *)
 
 val make_system : config -> system
-val system_config : system -> config
 
 type meta
 (** A location's handle: its line id into the system's directory.  An

@@ -106,9 +106,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   (** Length of the logically deleted prefix still physically linked at the
       bottom level (instrumentation for the batching-threshold tests). *)
 
-  val is_deleted : 'v node -> bool
-  val node_key : 'v node -> bound
-
   (** {1 Introspection} *)
 
   type op_stats = {

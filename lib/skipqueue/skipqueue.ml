@@ -27,8 +27,8 @@ struct
     hunt_steps : int;
     swap_losses : int;
     stale_skips : int;
-    hunt_passes : int; (* bottom-level hunt invocations; a native
-                          delete_min_batch performs one per batch *)
+    hunt_passes : int; (* bottom-level hunt invocations; a [hunt_batch]
+                          performs one however many it claims *)
   }
 
   (* Per-processor state: the level stream, derived deterministically

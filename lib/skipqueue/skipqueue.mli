@@ -125,8 +125,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
     hunt_passes : int;
         (** bottom-level hunt invocations: one per [delete_min], one per
             [hunt_batch] call however many claims it makes — which is how
-            the adapter's batch tests pin that a native [delete_min_batch]
-            shares a single pass *)
+            the tests pin that a batch (the elimination combiner's) shares
+            a single pass *)
   }
 
   val stats : 'v t -> op_stats

@@ -14,7 +14,6 @@ val create : ?base:float -> ?factor:float -> ?buckets:int -> unit -> t
 val add : t -> float -> unit
 val count : t -> int
 val bucket_counts : t -> int array
-val bucket_lower_bound : t -> int -> float
 val quantile : t -> float -> float
 (** [quantile t q] approximates the [q]-quantile as the lower bound of the
     bucket containing it.  Raises [Invalid_argument] when empty or [q]

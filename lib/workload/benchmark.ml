@@ -19,7 +19,7 @@ let default_workload =
     total_ops = 7_000;
     insert_ratio = 0.5;
     work_cycles = 100;
-    key_range = 1 lsl 20;
+    key_range = Queue_adapter.max_key_range;
     seed = 1L;
   }
 
@@ -127,9 +127,14 @@ module Rank_oracle = struct
 end
 
 let validate who w =
-  if w.procs < 1 then invalid_arg (who ^ ": procs < 1");
-  if w.insert_ratio < 0.0 || w.insert_ratio > 1.0 then
-    invalid_arg (who ^ ": insert_ratio outside [0, 1]")
+  let fail fmt = Printf.ksprintf invalid_arg ("%s: " ^^ fmt) who in
+  if w.procs < 1 then fail "procs < 1";
+  if w.insert_ratio < 0.0 || w.insert_ratio > 1.0 then fail "insert_ratio outside [0, 1]";
+  if w.key_range < 1 || w.key_range > Queue_adapter.max_key_range then
+    fail "key_range %d outside [1, %d]" w.key_range Queue_adapter.max_key_range;
+  if w.initial_size < 0 then fail "initial_size < 0";
+  if w.total_ops < 0 then fail "total_ops < 0";
+  if w.work_cycles < 0 then fail "work_cycles < 0"
 
 (* [run]'s and [native]'s streams: the prefill draws from [seed],
    processor [p] from [seed + 0x1234 + p], and [total_ops] is split as
@@ -291,24 +296,3 @@ let native (impl : Queue_adapter.impl) w =
     wall_ns;
     throughput_ops_per_sec = float_of_int w.total_ops /. (wall_ns /. 1e9);
   }
-
-let pp_measurement ppf m =
-  let quantile h q =
-    if Repro_util.Histogram.count h = 0 then 0.0 else Repro_util.Histogram.quantile h q
-  in
-  Format.fprintf ppf
-    "@[<v>inserts: %d ops, mean %.0f cycles (p50 %.0f, p99 %.0f)@,\
-     deletes: %d ops, mean %.0f cycles (p50 %.0f, p99 %.0f)@,\
-     rank error: mean %.2f, max %.0f@,\
-     makespan: %d cycles, final size %d@]"
-    (Stats.count m.insert_latency)
-    (Stats.mean m.insert_latency)
-    (quantile m.insert_histogram 0.5)
-    (quantile m.insert_histogram 0.99)
-    (Stats.count m.delete_latency)
-    (Stats.mean m.delete_latency)
-    (quantile m.delete_histogram 0.5)
-    (quantile m.delete_histogram 0.99)
-    (if Stats.count m.rank_error = 0 then 0.0 else Stats.mean m.rank_error)
-    (if Stats.count m.rank_error = 0 then 0.0 else Stats.max_value m.rank_error)
-    m.end_time m.final_size

@@ -9,7 +9,11 @@
     cycles, measured with the free probe, or host nanoseconds) is
     accumulated separately for Inserts and Delete-mins.  All three entry
     points run one call loop, so {!run} and {!native} on the same workload
-    issue the same call sequence per processor. *)
+    issue the same call sequence per processor.  Each raises
+    [Invalid_argument "<entry point>: <reason>"] for a workload with
+    [procs < 1], [insert_ratio] outside [0, 1], [key_range] outside
+    [1, {!Queue_adapter.max_key_range}], or a negative [initial_size],
+    [total_ops] or [work_cycles]. *)
 
 type workload = {
   procs : int;
@@ -75,8 +79,8 @@ val probe :
     [total_ops / procs] operations (rounded down).  There is no post-mortem
     processor, so [tracer] sees only the workload; attaching one leaves the
     report unchanged.  Returns the machine report and every operation's
-    latency.  Raises [Invalid_argument] for [procs] outside [1, 511],
-    [insert_ratio] outside [0, 1], or [total_ops < procs]. *)
+    latency.  Beyond the shared checks, raises [Invalid_argument] for
+    [procs] above 511 or [total_ops < procs]. *)
 
 type native_measurement = {
   insert_latency_ns : Repro_util.Stats.t;
@@ -91,8 +95,4 @@ val native : Queue_adapter.impl -> workload -> native_measurement
     as {!Repro_runtime.Native_runtime.work} spins, and latencies are
     nanoseconds from the host's monotonic clock.  On a small host this
     measures correctness under parallelism and single-digit-domain
-    scaling, not the paper's 256-processor regime.  Raises
-    [Invalid_argument] for [procs < 1] or [insert_ratio] outside [0, 1],
-    as {!run} does. *)
-
-val pp_measurement : Format.formatter -> measurement -> unit
+    scaling, not the paper's 256-processor regime. *)

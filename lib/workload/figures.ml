@@ -21,9 +21,6 @@ type options = {
   jobs : int;
 }
 
-let default_options =
-  { scale = 1.0; max_procs_log2 = 8; progress = ignore; jobs = 1 }
-
 let to_csv r =
   String.concat ""
     ("series,x,delete_latency,insert_latency\n"

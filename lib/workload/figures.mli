@@ -33,9 +33,6 @@ type options = {
           {!Jobs.map}); results are identical for any value *)
 }
 
-val default_options : options
-(** scale 1.0, 2^0..2^8, silent, 1 job. *)
-
 val all : (string * (options -> result)) list
 (** Every runner, keyed by id, in presentation order:
 

@@ -3,8 +3,6 @@ type instance = {
   insert_wait : int -> int -> unit;
   try_delete_min : unit -> (int * int) option;
   delete_min_wait : unit -> int * int;
-  insert_batch : (int * int) array -> unit;
-  delete_min_batch : int -> (int * int) list;
   stats : unit -> (string * float) list;
 }
 
@@ -61,7 +59,7 @@ let ablation = function Delete_funnel | Reclamation -> true | _ -> false
    simulator figures' workloads) are built on the simulator only. *)
 let sim_only = function Delete_funnel | Reclamation | Bin _ -> true | _ -> false
 
-let max_bin_range = 1 lsl 20
+let max_key_range = 1 lsl 20
 
 let validate d =
   let positive what n =
@@ -74,13 +72,13 @@ let validate d =
     | Bin range ->
       let* () = positive "bin-queue range" range in
       (* one bin per key, allocated up front *)
-      if range <= max_bin_range then Ok ()
+      if range <= max_key_range then Ok ()
       else
         Error
           (Printf.sprintf
              "bin-queue range must be at most %d (2^20, the largest key range a workload \
               draws), got %d"
-             max_bin_range range)
+             max_key_range range)
     | _ -> Ok ()
   in
   let* () = match d.bounded with Some c -> positive "bounded capacity" c | None -> Ok () in
@@ -230,26 +228,8 @@ module type S = sig
     stats:(unit -> (string * float) list) -> instance
 end
 
-let drain try_delete_min want =
-  let rec go acc n =
-    if n <= 0 then List.rev acc
-    else match try_delete_min () with Some kv -> go (kv :: acc) (n - 1) | None -> List.rev acc
-  in
-  go [] want
-
-(* Batches thread the façade element-wise: each element must cross the
-   capacity gate individually, so an inner batch path cannot be used
-   without admitting a burst past the bound. *)
 let facade ~insert_wait ~try_delete_min ~delete_min_wait ~stats =
-  {
-    insert = insert_wait;
-    insert_wait;
-    try_delete_min;
-    delete_min_wait;
-    insert_batch = (fun kvs -> Array.iter (fun (k, v) -> insert_wait k v) kvs);
-    delete_min_batch = drain try_delete_min;
-    stats;
-  }
+  { insert = insert_wait; insert_wait; try_delete_min; delete_min_wait; stats }
 
 let counts f = List.map (fun (k, v) -> (k, float_of_int v)) f
 
@@ -290,10 +270,8 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
      they need no per-backend instrumentation) and derives the blocking
      entry points of an unbounded backend.  An unbounded queue is never
      full, so [insert_wait] is [insert]; [delete_min_wait] polls — real
-     parking comes from the {!bounded} façade, which replaces both.  The
-     bulk entry points default to element-at-a-time loops; structures with
-     a genuine batch path override them.  Both count [ops] per element. *)
-  let wire ?insert_batch ?delete_min_batch ~insert ~try_delete_min ~stats () =
+     parking comes from the {!bounded} façade, which replaces both. *)
+  let instance ~insert ~try_delete_min ~stats =
     let ops = ref 0 in
     let base_acq, base_fail = R.lock_stats () in
     let rec poll_pop () =
@@ -303,21 +281,11 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
         R.yield ();
         poll_pop ()
     in
-    let insert_batch =
-      Option.value insert_batch ~default:(Array.iter (fun (k, v) -> insert k v))
-    in
-    let delete_min_batch = Option.value delete_min_batch ~default:(drain try_delete_min) in
     {
       insert = (fun k v -> incr ops; insert k v);
       insert_wait = (fun k v -> incr ops; insert k v);
       try_delete_min = (fun () -> incr ops; try_delete_min ());
       delete_min_wait = (fun () -> incr ops; poll_pop ());
-      insert_batch = (fun kvs -> ops := !ops + Array.length kvs; insert_batch kvs);
-      delete_min_batch =
-        (fun want ->
-          let r = delete_min_batch want in
-          ops := !ops + List.length r;
-          r);
       stats =
         (fun () ->
           let acq, fail = R.lock_stats () in
@@ -325,48 +293,30 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
           @ stats ());
     }
 
-  let instance ~insert ~try_delete_min ~stats = wire ~insert ~try_delete_min ~stats ()
-
-  (* One bottom-level hunt claims up to [want] nodes, then one
-     physical-removal pass: the marked-prefix walk is shared. *)
-  let hunted ~hunt ~claims ~finish want =
-    if want <= 0 then []
-    else begin
-      let batch = hunt ~want in
-      let kvs = claims batch in
-      finish batch;
-      kvs
-    end
-
   let skipqueue_instance ~mode ?p ?max_level () =
     let q = SQ.create ~mode ?p ?max_level () in
-    wire
+    instance
       ~insert:(fun k v -> ignore (SQ.insert q k v))
       ~try_delete_min:(fun () -> SQ.delete_min q)
-      ~delete_min_batch:(hunted ~hunt:(SQ.hunt_batch q) ~claims:SQ.batch_claims ~finish:(SQ.finish_batch q))
       ~stats:(fun () ->
         let s = SQ.stats q in
         counts
           [ ("hunt_steps", s.SQ.hunt_steps); ("swap_losses", s.SQ.swap_losses);
             ("stale_skips", s.SQ.stale_skips); ("hunt_passes", s.SQ.hunt_passes) ])
-      ()
 
   (* Coalescing SkipQueue (DESIGN.md §S21): duplicate-key multiset nodes
-     behind one packed lock word; one coalesced node can satisfy a whole
-     batch in a single hunt pass. *)
+     behind one packed lock word. *)
   let co_instance ~mode ~dedups () =
     let q = CO.create ~mode ~dedups () in
-    wire
+    instance
       ~insert:(fun k v -> ignore (CO.insert q k v))
       ~try_delete_min:(fun () -> CO.delete_min q)
-      ~delete_min_batch:(hunted ~hunt:(CO.hunt_batch q) ~claims:CO.batch_claims ~finish:(CO.finish_batch q))
       ~stats:(fun () ->
         let s = CO.stats q and c = CO.co_stats q in
         counts
           [ ("hunt_steps", s.CO.hunt_steps); ("swap_losses", s.CO.swap_losses);
             ("stale_skips", s.CO.stale_skips); ("hunt_passes", s.CO.hunt_passes);
             ("coalesced_inserts", c.CO.coalesced_inserts); ("node_splits", c.CO.node_splits) ])
-      ()
 
   (* Elimination–combining front end (Calciu, Mendes & Herlihy):
      rendezvous in an adaptive array when the inserted key is strictly
@@ -376,7 +326,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
      contract (DESIGN.md §S15). *)
   let elim_instance ~mode () =
     let q = Elim.create ~mode () in
-    wire
+    instance
       ~insert:(fun k v -> ignore (Elim.insert q k v))
       ~try_delete_min:(fun () -> Elim.delete_min q)
       ~stats:(fun () ->
@@ -388,11 +338,10 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
             ("collisions", f.Elim.collisions); ("width", f.Elim.width); ("window", f.Elim.window);
             ("hunt_steps", s.Elim.SQ.hunt_steps); ("swap_losses", s.Elim.SQ.swap_losses);
             ("stale_skips", s.Elim.SQ.stale_skips); ("hunt_passes", s.Elim.SQ.hunt_passes) ])
-      ()
 
   let elim_co_instance () =
     let q = ElimCo.create ~mode:ElimCo.SQ.Strict () in
-    wire
+    instance
       ~insert:(fun k v -> ignore (ElimCo.insert q k v))
       ~try_delete_min:(fun () -> ElimCo.delete_min q)
       ~stats:(fun () ->
@@ -402,7 +351,6 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
             ("batches", f.ElimCo.batches); ("timeouts", f.ElimCo.timeouts);
             ("hunt_steps", s.ElimCo.SQ.hunt_steps); ("swap_losses", s.ElimCo.SQ.swap_losses);
             ("hunt_passes", s.ElimCo.SQ.hunt_passes) ])
-      ()
 
   (* Lock-free SkipQueue (DESIGN.md S19): CAS-linked insert, CAS-marked
      logical deletion (the claim CAS is Delete-min's linearization point),
@@ -448,21 +396,13 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
             ("empty_pops", s.MQ.empty_pops); ("full_sweeps", s.MQ.full_sweeps);
             ("resticks", s.MQ.resticks) ])
 
-  (* Both bulk entry points are native: [insert_batch] publishes the
-     (sorted) batch as one block, [delete_min_batch] claims through one
-     per-processor state acquisition. *)
   let klsm_instance ~k ~procs () =
     let q = KL.create ?search_cycles:walk_charge ~k ~procs () in
-    wire ~insert:(KL.insert q) ~insert_batch:(KL.insert_batch q)
-      ~try_delete_min:(fun () -> KL.delete_min q)
-      ~delete_min_batch:(fun want -> KL.delete_min_batch q ~want)
-      ~stats:(fun () ->
+    instance ~insert:(KL.insert q) ~try_delete_min:(fun () -> KL.delete_min q) ~stats:(fun () ->
         let s = KL.stats q in
         counts
           [ ("flushes", s.KL.flushes); ("merges", s.KL.merges); ("spy_sweeps", s.KL.spy_sweeps);
-            ("cas_failures", s.KL.cas_failures); ("batch_inserts", s.KL.batch_inserts);
-            ("batch_deletes", s.KL.batch_deletes); ("blocks", KL.block_count q) ])
-      ()
+            ("cas_failures", s.KL.cas_failures); ("blocks", KL.block_count q) ])
 
   (* Ablation A1: Delete-mins regulated by a combining funnel in front of
      the SkipQueue (§5 "We tried using a funnel to regulate access of

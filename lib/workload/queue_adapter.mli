@@ -39,16 +39,6 @@ type instance = {
           fall back to a yield-poll loop (no condition to park on — an
           unbounded structure cannot distinguish "empty now" from "empty
           forever"). *)
-  insert_batch : (int * int) array -> unit;
-      (** bulk insert, element-for-element equivalent to looping {!insert}
-          (the agreement tests pin it); the k-LSM publishes the sorted
-          batch as a single block.  Counts one [ops] per element. *)
-  delete_min_batch : int -> (int * int) list;
-      (** claims up to [n] elements in claim order, shorter when the
-          structure runs (observably) empty — looping {!try_delete_min}.
-          The SkipQueue family serves the batch from one bottom-level hunt,
-          the k-LSM through one per-processor state acquisition.  Counts
-          one [ops] per element returned. *)
   stats : unit -> (string * float) list;
       (** name/value counters for the ablation reports.  Every instance
           built here starts with ["ops"] (calls through the instance),
@@ -101,6 +91,10 @@ type impl = {
       (** must be called from inside the target runtime's execution context
           (e.g. within [Machine.run] for the simulator) *)
 }
+
+val max_key_range : int
+(** 2^20: the widest key range a workload draws.  {!Benchmark} refuses a
+    wider one, and it caps a [Bin] range. *)
 
 (** {2 Descriptors} *)
 
@@ -184,8 +178,7 @@ module type S = sig
       [capacity] (default 1024) elements admitted, [insert_wait] parks
       under backpressure, [delete_min_wait] parks on empty.  The wrapped
       implementation keeps its [spec], [dedups] and [rank_bound]; the
-      name becomes ["bounded:" ^ impl.name].  The bulk entry points thread
-      the façade element-wise. *)
+      name becomes ["bounded:" ^ impl.name]. *)
 
   val instance :
     insert:(int -> int -> unit) ->
@@ -193,8 +186,8 @@ module type S = sig
     stats:(unit -> (string * float) list) ->
     instance
   (** The adapter's instance for a structure outside the registry (a
-      mutant, a hand-configured one): the core counters, the yield-poll
-      [delete_min_wait] and element-wise batches. *)
+      mutant, a hand-configured one): the core counters and the yield-poll
+      [delete_min_wait]. *)
 end
 
 module Over (R : Repro_runtime.Runtime_intf.S) (_ : HOST) : S
@@ -212,8 +205,7 @@ val facade :
   stats:(unit -> (string * float) list) ->
   instance
 (** The bounded façade's instance over its blocking entry points: [insert]
-    is [insert_wait], batches cross the capacity gate element by
-    element. *)
+    is [insert_wait]. *)
 
 (** {2 Name-keyed registry} *)
 

@@ -189,7 +189,7 @@ let test_funnel_list_sequential () =
       check "empty" true (FL.delete_min q = None))
 
 (* qcheck: arbitrary op sequences against the sequential sorted list from
-   lib/pqueue (the very structure the FunnelList protects).  Keys compare
+   lib/pqueue (the FunnelList's list without the funnel).  Keys compare
    only; the remaining contents must agree as key multisets. *)
 module Model = Repro_pqueue.Sorted_list.Make (Repro_pqueue.Key.Int)
 

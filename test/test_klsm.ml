@@ -1,15 +1,15 @@
 (* Tests for the k-LSM relaxed backend: qcheck model properties (multiset
    conservation, the single-processor rank envelope), the buffer-flush
-   boundary, seeded-schedule determinism, the bulk insert/delete API
-   (batch = looped singles for every registered backend, and the
-   SkipQueue's native batch path sharing one hunt pass), and the
-   klsm:<k> registry names with their parse errors. *)
+   boundary, seeded-schedule determinism, the SkipQueue's batch hunt
+   sharing one pass, and the klsm:<k> registry names with their parse
+   errors. *)
 
 module Machine = Repro_sim.Machine
 module Trace = Repro_sim.Trace
 module Rng = Repro_util.Rng
 module QA = Repro_workload.Queue_adapter
 module KL = Repro_klsm.Klsm.Make (Repro_sim.Sim_runtime)
+module SQ = Repro_skipqueue.Skipqueue.Make (Repro_sim.Sim_runtime) (Repro_pqueue.Key.Int)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -189,19 +189,6 @@ let test_capacity_zero_publishes_singletons () =
   in
   ()
 
-let test_insert_batch_single_block () =
-  let (_ : Machine.report) =
-    Machine.run (fun () ->
-        let q = KL.create ~buffer_capacity:8 ~k:64 ~procs:2 () in
-        KL.insert_batch q [| (5, 50); (1, 10); (9, 90); (3, 30) |];
-        let s = KL.stats q in
-        check_int "one batch insert" 1 s.KL.batch_inserts;
-        check_int "no buffer flush" 0 s.KL.flushes;
-        check_int "batch published one block" 1 (KL.block_count q);
-        check "batch head is the minimum" true (KL.delete_min q = Some (1, 10)))
-  in
-  ()
-
 (* --- seeded-schedule determinism ------------------------------------------ *)
 
 let test_trace_determinism () =
@@ -235,72 +222,34 @@ let test_trace_determinism () =
   check "trace event counts identical" true (fst a = fst b);
   check "delete streams identical" true (snd a = snd b)
 
-(* --- bulk API: batch = looped singles across the registries --------------- *)
+(* --- the SkipQueue's batch hunt ------------------------------------------- *)
 
-let batch_kvs = [| (5, 50); (1, 10); (9, 90); (3, 30); (7, 70); (2, 20) |]
-
-(* Insert via the batch entry point, drain via the batch entry point, and
-   compare (as multisets) with a fresh instance driven one element at a
-   time.  Keys are distinct, so dedup semantics cannot blur the check. *)
-let batch_agrees_with_singles (q_batch : QA.instance) (q_single : QA.instance) =
-  q_batch.QA.insert_batch batch_kvs;
-  let via_batch = q_batch.QA.delete_min_batch (Array.length batch_kvs + 4) in
-  Array.iter (fun (k, v) -> q_single.QA.insert k v) batch_kvs;
-  let rec drain acc =
-    match q_single.QA.try_delete_min () with
-    | Some kv -> drain (kv :: acc)
-    | None -> List.rev acc
-  in
-  let via_singles = drain [] in
-  let reference = List.sort compare (Array.to_list batch_kvs) in
-  List.sort compare via_batch = reference
-  && List.sort compare via_singles = reference
-
-let test_bulk_api_sim_backends () =
-  List.iter
-    (fun impl ->
-      let ok = ref false in
-      let (_ : Machine.report) =
-        Machine.run (fun () ->
-            ok := batch_agrees_with_singles (impl.QA.create ()) (impl.QA.create ()))
-      in
-      check (impl.QA.name ^ ": batch = singles (sim)") true !ok)
-    (QA.all QA.Sim)
-
-let test_bulk_api_native_backends () =
-  List.iter
-    (fun impl ->
-      check
-        (impl.QA.name ^ ": batch = singles (native)")
-        true
-        (batch_agrees_with_singles (impl.QA.create ()) (impl.QA.create ())))
-    (QA.all QA.Native)
-
-(* The SkipQueue's delete_min_batch must go through [hunt_batch]: one
-   bottom-level pass however many elements the batch claims, where the
-   looped singles pay one pass per element.  Pinned via the adapter's
-   "hunt_passes" stat. *)
+(* [hunt_batch] claims a whole batch in one bottom-level pass, where
+   looped delete_mins pay one pass per element: the elimination combiner
+   serves its timed-out deleters this way.  Pinned via [hunt_passes]. *)
 let test_skipqueue_batch_shares_one_hunt () =
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = (QA.Sim.skipqueue ()).QA.create () in
-        let passes () =
-          match List.assoc_opt "hunt_passes" (q.QA.stats ()) with
-          | Some f -> int_of_float f
-          | None -> Alcotest.fail "skipqueue stats lack hunt_passes"
-        in
+        let q = SQ.create () in
+        let passes () = (SQ.stats q).SQ.hunt_passes in
         for i = 1 to 8 do
-          q.QA.insert (i * 10) i
+          ignore (SQ.insert q (i * 10) i)
         done;
         let before = passes () in
-        let batch = q.QA.delete_min_batch 4 in
-        check_int "batch claimed 4" 4 (List.length batch);
+        let batch = SQ.hunt_batch q ~want:4 in
+        let claims = SQ.batch_claims batch in
+        SQ.finish_batch q batch;
+        Alcotest.(check (list (pair int int)))
+          "batch claims the four smallest, in order"
+          [ (10, 1); (20, 2); (30, 3); (40, 4) ]
+          claims;
         check_int "one hunt pass for the whole batch" (before + 1) (passes ());
         let mid = passes () in
         for _ = 1 to 4 do
-          ignore (q.QA.try_delete_min ())
+          ignore (SQ.delete_min q)
         done;
-        check_int "looped singles pay one pass each" (mid + 4) (passes ()))
+        check_int "looped singles pay one pass each" (mid + 4) (passes ());
+        check "drained" true (SQ.delete_min q = None))
   in
   ()
 
@@ -383,17 +332,11 @@ let () =
             `Quick test_log_structured_merge;
           Alcotest.test_case "capacity-0 singleton publishes" `Quick
             test_capacity_zero_publishes_singletons;
-          Alcotest.test_case "insert_batch publishes one block" `Quick
-            test_insert_batch_single_block;
         ] );
       ( "determinism",
         [ Alcotest.test_case "seeded trace fingerprint" `Quick test_trace_determinism ] );
       ( "bulk-api",
         [
-          Alcotest.test_case "batch = singles (all sim backends)" `Quick
-            test_bulk_api_sim_backends;
-          Alcotest.test_case "batch = singles (all native backends)" `Quick
-            test_bulk_api_native_backends;
           Alcotest.test_case "skipqueue batch shares one hunt pass" `Quick
             test_skipqueue_batch_shares_one_hunt;
         ] );

@@ -173,26 +173,10 @@ let test_sorted_list_basic () =
   check_int "length" 4 (Sorted.length l);
   Alcotest.(check (list (pair int int)))
     "sorted with duplicates" [ (2, 2); (2, 2); (4, 4); (9, 9) ] (Sorted.to_list l);
-  ok_or_fail (Sorted.check_invariants l)
-
-let test_sorted_list_batches () =
-  let l = Sorted.create () in
-  Sorted.insert_batch l [ (5, 5); (1, 1); (3, 3) ];
-  Sorted.insert_batch l [ (2, 2); (4, 4) ];
   ok_or_fail (Sorted.check_invariants l);
-  Alcotest.(check (list (pair int int)))
-    "batch delete" [ (1, 1); (2, 2); (3, 3) ] (Sorted.delete_min_batch l 3);
-  check_int "two left" 2 (Sorted.length l);
-  Alcotest.(check (list (pair int int)))
-    "batch overrun drains all" [ (4, 4); (5, 5) ] (Sorted.delete_min_batch l 10);
-  check_bool "empty" true (Sorted.is_empty l)
-
-let test_sorted_list_interleaved_batch () =
-  let l = Sorted.create () in
-  Sorted.insert l 10 10;
-  Sorted.insert_batch l [ (5, 5); (15, 15); (10, 100) ];
-  ok_or_fail (Sorted.check_invariants l);
-  check_int "length" 4 (Sorted.length l)
+  check_bool "head is the minimum" true (Sorted.delete_min l = Some (2, 2));
+  check_int "three left" 3 (Sorted.length l);
+  check_bool "not empty" false (Sorted.is_empty l)
 
 (* --- d-ary heap --------------------------------------------------------------- *)
 
@@ -606,8 +590,6 @@ let () =
       ( "sorted-list",
         [
           Alcotest.test_case "basic" `Quick test_sorted_list_basic;
-          Alcotest.test_case "batches" `Quick test_sorted_list_batches;
-          Alcotest.test_case "interleaved batch" `Quick test_sorted_list_interleaved_batch;
         ] );
       ( "dary-heap",
         [

@@ -11,7 +11,6 @@ module SQ_sim = Repro_skipqueue.Skipqueue.Make (Sim_rt) (Repro_pqueue.Key.Int)
 module LF_sim = Repro_skipqueue.Skipqueue_lf.Make (Sim_rt) (Repro_pqueue.Key.Int)
 module SQ_native = Repro_skipqueue.Skipqueue.Make (Native_rt) (Repro_pqueue.Key.Int)
 module Oracle = Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
-module Map_sim = Repro_skipqueue.Concurrent_skiplist.Make (Sim_rt) (Repro_pqueue.Key.Int)
 module SQ_float = Repro_skipqueue.Skipqueue.Make (Sim_rt) (Repro_pqueue.Key.Float)
 
 let check = Alcotest.(check bool)
@@ -260,24 +259,24 @@ let test_peek_min () =
       ignore (SQ_sim.delete_min q);
       check "peek after delete" true (SQ_sim.peek_min q = Some (8, 80)))
 
-(* --- concurrent ordered map view ----------------------------------------- *)
+(* --- the SkipQueue as an ordered map: insert/find/delete by key ------ *)
 
 let test_map_sequential () =
   in_sim (fun () ->
-      let m = Map_sim.create () in
-      check "inserted" true (Map_sim.insert m 2 "b" = `Inserted);
-      ignore (Map_sim.insert m 1 "a");
-      ignore (Map_sim.insert m 3 "c");
-      check "updated" true (Map_sim.insert m 2 "B" = `Updated);
-      check "find" true (Map_sim.find m 2 = Some "B");
-      check "mem" true (Map_sim.mem m 3);
-      check "min" true (Map_sim.min_binding m = Some (1, "a"));
-      check "remove" true (Map_sim.remove m 1 = Some "a");
-      check "removed" false (Map_sim.mem m 1);
-      check "remove missing" true (Map_sim.remove m 1 = None);
+      let m = SQ_sim.create () in
+      check "inserted" true (SQ_sim.insert m 2 "b" = `Inserted);
+      ignore (SQ_sim.insert m 1 "a");
+      ignore (SQ_sim.insert m 3 "c");
+      check "updated" true (SQ_sim.insert m 2 "B" = `Updated);
+      check "find" true (SQ_sim.find m 2 = Some "B");
+      check "find another" true (SQ_sim.find m 3 = Some "c");
+      check "min" true (SQ_sim.peek_min m = Some (1, "a"));
+      check "remove" true (SQ_sim.delete m 1 = Some "a");
+      check "removed" true (SQ_sim.find m 1 = None);
+      check "remove missing" true (SQ_sim.delete m 1 = None);
       Alcotest.(check (list (pair int string)))
-        "to_list" [ (2, "B"); (3, "c") ] (Map_sim.to_list m);
-      match Map_sim.check_invariants m with
+        "to_list" [ (2, "B"); (3, "c") ] (SQ_sim.to_list m);
+      match SQ_sim.check_invariants m with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
 
@@ -288,21 +287,21 @@ let test_map_concurrent_removes_unique () =
   let invariants = ref (Ok ()) in
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let m = Map_sim.create ~seed:17L () in
+        let m = SQ_sim.create ~seed:17L () in
         for k = 0 to 99 do
-          ignore (Map_sim.insert m k k)
+          ignore (SQ_sim.insert m k k)
         done;
         for _ = 1 to 16 do
           Machine.spawn (fun () ->
               for k = 0 to 99 do
-                match Map_sim.remove m k with
+                match SQ_sim.delete m k with
                 | Some _ -> removed.(k) <- removed.(k) + 1
                 | None -> ()
               done)
         done;
         Machine.spawn (fun () ->
             Machine.work 500_000_000;
-            invariants := Map_sim.check_invariants m))
+            invariants := SQ_sim.check_invariants m))
   in
   (match !invariants with Ok () -> () | Error e -> Alcotest.fail e);
   Array.iteri

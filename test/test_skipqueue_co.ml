@@ -3,8 +3,8 @@
    violations, sequential join/split/FIFO semantics in both dedups modes,
    qcheck multiset-model agreement, a seed-pinned schedule exercising both
    the join and the link-after path, node-pool recycling of value slabs,
-   and the batch API (batch = singles; one coalesced node fulfilling a
-   whole batch in a single hunt pass). *)
+   and one coalesced node fulfilling a whole batch hunt in a single
+   pass. *)
 
 module Machine = Repro_sim.Machine
 module Sim_rt = Repro_sim.Sim_runtime
@@ -403,35 +403,7 @@ let test_slab_recycling_through_pool () =
   check "recycled slabs deliver exactly the inserted bindings" true
     (List.sort compare !inserted = List.sort compare !removed)
 
-(* --- batch API ------------------------------------------------------------ *)
-
-let batch_kvs = [| (5, 50); (1, 10); (9, 90); (3, 30); (7, 70); (2, 20) |]
-
-let batch_agrees_with_singles (q_batch : QA.instance) (q_single : QA.instance) =
-  q_batch.QA.insert_batch batch_kvs;
-  let via_batch = q_batch.QA.delete_min_batch (Array.length batch_kvs + 4) in
-  Array.iter (fun (k, v) -> q_single.QA.insert k v) batch_kvs;
-  let rec drain acc =
-    match q_single.QA.try_delete_min () with
-    | Some kv -> drain (kv :: acc)
-    | None -> List.rev acc
-  in
-  let via_singles = drain [] in
-  let reference = List.sort compare (Array.to_list batch_kvs) in
-  List.sort compare via_batch = reference
-  && List.sort compare via_singles = reference
-
-let test_batch_equals_singles () =
-  List.iter
-    (fun impl ->
-      let ok = ref false in
-      let (_ : Machine.report) =
-        Machine.run (fun () ->
-            ok := batch_agrees_with_singles (impl.QA.create ()) (impl.QA.create ()))
-      in
-      check (impl.QA.name ^ ": batch = singles") true !ok)
-    (List.map (QA.find QA.Sim)
-       [ "SkipQueue-co"; "SkipQueue-co-dedup"; "Relaxed SkipQueue-co"; "SkipQueue-co-elim" ])
+(* --- batch hunt ---------------------------------------------------------- *)
 
 let test_one_node_fulfils_batch () =
   (* Five same-key elements coalesced into one node: a want-4 batch must
@@ -512,8 +484,6 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "batch = singles (co back ends)" `Quick
-            test_batch_equals_singles;
           Alcotest.test_case "one coalesced node fulfils a batch" `Quick
             test_one_node_fulfils_batch;
         ] );

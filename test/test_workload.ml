@@ -101,14 +101,7 @@ let test_benchmark_histograms () =
   let p99 = H.quantile m.Benchmark.delete_histogram 0.99 in
   check "p50 <= p99" true (p50 <= p99);
   check "p50 in plausible range" true
-    (p50 > 10.0 && p50 < 2.0 *. Stats.mean m.Benchmark.delete_latency);
-  (* pp renders with quantiles *)
-  let s = Format.asprintf "%a" Benchmark.pp_measurement m in
-  check "pp mentions p99" true
-    (let rec has i =
-       i + 3 <= String.length s && (String.sub s i 3 = "p99" || has (i + 1))
-     in
-     has 0)
+    (p50 > 10.0 && p50 < 2.0 *. Stats.mean m.Benchmark.delete_latency)
 
 let test_benchmark_more_procs_more_latency () =
   (* Contention must rise with processors for a shared structure. *)
@@ -118,16 +111,33 @@ let test_benchmark_more_procs_more_latency () =
   in
   check "2 -> 32 procs increases delete latency" true (del 32 > del 2)
 
+(* Every entry point shares these checks; [entry] names it in the
+   message.  [refuses] expects each case's exact message. *)
+let bad_workloads =
+  [
+    ((fun w -> { w with Benchmark.procs = 0 }), "procs < 1");
+    ((fun w -> { w with Benchmark.insert_ratio = 1.5 }), "insert_ratio outside [0, 1]");
+    ((fun w -> { w with Benchmark.key_range = 0 }), "key_range 0 outside [1, 1048576]");
+    ( (fun w -> { w with Benchmark.key_range = 1 lsl 40 }),
+      "key_range 1099511627776 outside [1, 1048576]" );
+    ((fun w -> { w with Benchmark.total_ops = -5 }), "total_ops < 0");
+    ((fun w -> { w with Benchmark.initial_size = -1 }), "initial_size < 0");
+    ((fun w -> { w with Benchmark.work_cycles = -1 }), "work_cycles < 0");
+  ]
+
+let refuses ~base ~entry f cases =
+  List.iter
+    (fun (change, expect) ->
+      match f (change base) with
+      | () -> Alcotest.failf "%s accepted: %s" entry expect
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) expect (entry ^ ": " ^ expect) msg)
+    cases
+
 let test_benchmark_rejects_bad_workload () =
-  Alcotest.check_raises "procs < 1" (Invalid_argument "Benchmark.run: procs < 1")
-    (fun () ->
-      ignore
-        (Benchmark.run (QA.Sim.skipqueue ()) { tiny_workload with Benchmark.procs = 0 }));
-  Alcotest.check_raises "bad ratio"
-    (Invalid_argument "Benchmark.run: insert_ratio outside [0, 1]") (fun () ->
-      ignore
-        (Benchmark.run (QA.Sim.skipqueue ())
-           { tiny_workload with Benchmark.insert_ratio = 1.5 }))
+  refuses ~base:tiny_workload ~entry:"Benchmark.run"
+    (fun w -> ignore (Benchmark.run (QA.Sim.skipqueue ()) w))
+    bad_workloads
 
 (* --- Benchmark.probe ----------------------------------------------------- *)
 
@@ -170,20 +180,15 @@ let test_probe_op_count () =
     [ (8, 403); (3, 3); (511, 511) ]
 
 let test_probe_rejects_bad_input () =
-  let refused change expect =
-    match Benchmark.probe (QA.Sim.skipqueue ()) (change probe_workload) with
-    | _ -> Alcotest.failf "accepted: %s" expect
-    | exception Invalid_argument msg ->
-      Alcotest.(check string) expect ("Benchmark.probe: " ^ expect) msg
-  in
-  refused (fun w -> { w with Benchmark.procs = 0 }) "procs < 1";
-  refused
-    (fun w -> { w with Benchmark.procs = 600 })
-    "procs 600 > 511 (the simulator's processor limit, less the root)";
-  refused
-    (fun w -> { w with Benchmark.procs = 8; total_ops = 4 })
-    "total_ops 4 < procs 8 (every processor needs an operation)";
-  refused (fun w -> { w with Benchmark.insert_ratio = 1.5 }) "insert_ratio outside [0, 1]"
+  refuses ~base:probe_workload ~entry:"Benchmark.probe"
+    (fun w -> ignore (Benchmark.probe (QA.Sim.skipqueue ()) w))
+    (bad_workloads
+    @ [
+        ( (fun w -> { w with Benchmark.procs = 600 }),
+          "procs 600 > 511 (the simulator's processor limit, less the root)" );
+        ( (fun w -> { w with Benchmark.procs = 8; total_ops = 4 }),
+          "total_ops 4 < procs 8 (every processor needs an operation)" );
+      ])
 
 (* --- rank-error metric ----------------------------------------------------- *)
 
@@ -578,11 +583,9 @@ let test_native_same_calls_as_run () =
     (Stats.count native.Benchmark.delete_latency_ns)
 
 let test_native_rejects_bad_workload () =
-  Alcotest.check_raises "bad ratio"
-    (Invalid_argument "Benchmark.native: insert_ratio outside [0, 1]") (fun () ->
-      ignore
-        (Benchmark.native (QA.Native.skipqueue ())
-           { tiny_workload with Benchmark.procs = 2; insert_ratio = 1.5 }))
+  refuses ~base:{ tiny_workload with Benchmark.procs = 2 } ~entry:"Benchmark.native"
+    (fun w -> ignore (Benchmark.native (QA.Native.skipqueue ()) w))
+    bad_workloads
 
 (* --- tracing ------------------------------------------------------------------ *)
 
