@@ -15,9 +15,9 @@
      simulation itself.  The simulated-cycle results of the same
      configurations are `experiments all --scale 0.01 --max-procs 32`.
 
-   - "micro": single-threaded microbenchmarks of the sequential substrate
-     structures (skiplist / binary heap / pairing heap / sorted list) and
-     of the simulator's primitives. *)
+   - "micro": a single-threaded churn of the binary heap under each
+     MultiQueue shard, and three small simulator runs (SkipQueue and
+     MultiQueue operation mixes, bare scheduling overhead). *)
 
 open Bechamel
 open Toolkit
@@ -42,12 +42,7 @@ let paper_tests =
 
 (* --- microbenchmarks ------------------------------------------------------ *)
 
-module Seq_skiplist = Repro_pqueue.Seq_skiplist.Make (Repro_pqueue.Key.Int)
 module Seq_heap = Repro_pqueue.Seq_heap.Make (Repro_pqueue.Key.Int)
-module Pairing = Repro_pqueue.Pairing_heap.Make (Repro_pqueue.Key.Int)
-module Dary = Repro_pqueue.Dary_heap.Make (Repro_pqueue.Key.Int)
-module Indexed = Repro_pqueue.Indexed_skiplist.Make (Repro_pqueue.Key.Int)
-module Sorted = Repro_pqueue.Sorted_list.Make (Repro_pqueue.Key.Int)
 module Machine = Repro_sim.Machine
 module Sim = Repro_sim.Sim_runtime
 module SQ = Repro_skipqueue.Skipqueue.Make (Sim) (Repro_pqueue.Key.Int)
@@ -55,62 +50,12 @@ module SQ = Repro_skipqueue.Skipqueue.Make (Sim) (Repro_pqueue.Key.Int)
 let keys = Array.init 1024 (fun i -> (i * 7919) mod 104729)
 
 let micro_tests =
-  let skiplist_churn =
-    Test.make ~name:"seq-skiplist churn 1024"
-      (Staged.stage (fun () ->
-           let t = Seq_skiplist.create () in
-           Array.iter (fun k -> ignore (Seq_skiplist.insert t k k)) keys;
-           while Seq_skiplist.delete_min t <> None do
-             ()
-           done))
-  in
   let heap_churn =
     Test.make ~name:"seq-heap churn 1024"
       (Staged.stage (fun () ->
            let t = Seq_heap.create () in
            Array.iter (fun k -> Seq_heap.insert t k k) keys;
            while Seq_heap.delete_min t <> None do
-             ()
-           done))
-  in
-  let pairing_churn =
-    Test.make ~name:"pairing-heap churn 1024"
-      (Staged.stage (fun () ->
-           let t = ref Pairing.empty in
-           Array.iter (fun k -> t := Pairing.insert !t k k) keys;
-           let rec drain () =
-             match Pairing.delete_min !t with
-             | None -> ()
-             | Some (_, rest) ->
-               t := rest;
-               drain ()
-           in
-           drain ()))
-  in
-  let dary_churn =
-    Test.make ~name:"4-ary-heap churn 1024"
-      (Staged.stage (fun () ->
-           let t = Dary.create () in
-           Array.iter (fun k -> Dary.insert t k k) keys;
-           while Dary.delete_min t <> None do
-             ()
-           done))
-  in
-  let indexed_churn =
-    Test.make ~name:"indexed-skiplist churn 1024"
-      (Staged.stage (fun () ->
-           let t = Indexed.create () in
-           Array.iter (fun k -> ignore (Indexed.insert t k k)) keys;
-           while Indexed.delete_min t <> None do
-             ()
-           done))
-  in
-  let sorted_churn =
-    Test.make ~name:"sorted-list churn 256"
-      (Staged.stage (fun () ->
-           let t = Sorted.create () in
-           Array.iteri (fun i k -> if i < 256 then Sorted.insert t k k) keys;
-           while Sorted.delete_min t <> None do
              ()
            done))
   in
@@ -159,17 +104,7 @@ let micro_tests =
                   done))))
   in
   Test.make_grouped ~name:"micro"
-    [
-      skiplist_churn;
-      heap_churn;
-      dary_churn;
-      indexed_churn;
-      pairing_churn;
-      sorted_churn;
-      sim_skipqueue;
-      sim_multiqueue;
-      sim_scheduling;
-    ]
+    [ heap_churn; sim_skipqueue; sim_multiqueue; sim_scheduling ]
 
 (* --- simulator throughput -------------------------------------------------- *)
 

@@ -17,10 +17,12 @@
    to the suite.  Backend names may be given with or without their
    "bounded:" prefix there.
 
-   Exit status: 0 all clean, 1 violations found, 2 usage error.  Under
-   --broken the meaning flips: 0 every chosen mutant (a name of
-   Broken.all, or all; default swap) was caught on some seed, 1 at least
-   one escaped.  Each mutant's line says on how many seeds it was caught. *)
+   Exit status: 0 all clean, 1 violations found, 2 usage error (an
+   unknown name, or --seeds or --procs out of range; checked before
+   anything runs).  Under --broken the meaning flips: 0 every chosen
+   mutant (a name of Broken.all, or all; default swap) was caught on some
+   seed, 1 at least one escaped.  Each mutant's line says on how many
+   seeds it was caught. *)
 
 open Cmdliner
 module QA = Repro_workload.Queue_adapter
@@ -37,6 +39,8 @@ let pp_spec = function
 type harness = Plain of Harness.profile | Blocking
 
 module Broken = Repro_check.Broken
+
+let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; Stdlib.exit 2) fmt
 
 let mutant_names = String.concat ", " (List.map (fun m -> m.Broken.name) Broken.all)
 
@@ -65,9 +69,7 @@ let select_impls backends broken blocking ~profile ~capacity =
   | Some name -> (
     match List.find_opt (fun m -> m.Broken.name = name) Broken.all with
     | Some m -> [ mutant m ]
-    | None ->
-      Printf.eprintf "unknown mutant %S (known: %s, all)\n" name mutant_names;
-      Stdlib.exit 2)
+    | None -> usage_error "unknown mutant %S (known: %s, all)" name mutant_names)
   | None -> (
     match backends with
     | [] ->
@@ -77,9 +79,7 @@ let select_impls backends broken blocking ~profile ~capacity =
     | names -> (
       let parse n = match QA.parse n with Ok d -> d | Error msg -> invalid_arg msg in
       try List.map (fun n -> make (parse n)) names
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        Stdlib.exit 2))
+      with Invalid_argument msg -> usage_error "%s" msg))
 
 let print_violation ~target ~harness (v : Harness.violation) =
   Printf.printf "  VIOLATION seed=%Ld check=%s\n    %s\n" v.Harness.seed v.Harness.check
@@ -93,16 +93,22 @@ let print_violation ~target ~harness (v : Harness.violation) =
         profile.Harness.ops_per_proc profile.Harness.jitter
     | Plain _ | Blocking -> "")
 
+(* Workers a run can spawn: the simulator's processor limit, less the
+   root (which prefills) and the drain. *)
+let max_procs = Repro_sim.Memory_model.default.Repro_sim.Memory_model.max_procs - 2
+
 let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mutant replay
     blocking quiet jobs =
+  (* A sweep of no seeds would report a pass that checked nothing. *)
+  if seeds < 1 then usage_error "--seeds %d: must be at least 1" seeds;
+  if procs < 1 || procs > max_procs then
+    usage_error "--procs %d outside [1, %d]" procs max_procs;
   let broken =
     if broken then Some (Option.value mutant ~default:"swap")
     else
       match mutant with
       | None -> None
-      | Some m ->
-        Printf.eprintf "stray argument %S (did you mean --broken %s?)\n" m m;
-        Stdlib.exit 2
+      | Some m -> usage_error "stray argument %S (did you mean --broken %s?)" m m
   in
   let profile =
     {
@@ -192,7 +198,8 @@ let seeds =
   Arg.(
     value
     & opt int 50
-    & info [ "seeds"; "n" ] ~docv:"N" ~doc:"Number of consecutive schedule seeds to sweep.")
+    & info [ "seeds"; "n" ] ~docv:"N"
+        ~doc:"Number of consecutive schedule seeds to sweep (at least 1).")
 
 let start_seed =
   Arg.(
@@ -213,7 +220,8 @@ let procs =
   Arg.(
     value
     & opt int Harness.default_profile.Harness.procs
-    & info [ "procs"; "p" ] ~docv:"P" ~doc:"Worker processors per run.")
+    & info [ "procs"; "p" ] ~docv:"P"
+        ~doc:(Printf.sprintf "Worker processors per run, 1 to %d." max_procs))
 
 let ops =
   Arg.(

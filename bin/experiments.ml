@@ -109,7 +109,7 @@ let scale =
   Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"FACTOR" ~doc)
 
 let max_procs =
-  let doc = "Top of the processor sweep (rounded down to a power of two)." in
+  let doc = "Top of the processor sweep (at least 1; rounded down to a power of two)." in
   Arg.(value & opt int 256 & info [ "max-procs" ] ~docv:"N" ~doc)
 
 let quiet =
@@ -117,7 +117,7 @@ let quiet =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc)
 
 let domains =
-  let doc = "Top of the domain sweep for the 'native' experiment." in
+  let doc = "Top of the domain sweep for the 'native' experiment (at least 1)." in
   Arg.(value & opt int 4 & info [ "domains" ] ~docv:"N" ~doc)
 
 let output =
@@ -152,9 +152,15 @@ let cmd =
   let term =
     Term.(
       const (fun ids scale max_procs domains output quiet jobs ->
+          let usage_error option value =
+            Printf.eprintf "%s %d: must be at least 1\n" option value;
+            Stdlib.exit 2
+          in
+          if max_procs < 1 then usage_error "--max-procs" max_procs;
+          if domains < 1 then usage_error "--domains" domains;
           let max_procs_log2 =
             let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-            log2 (Int.max 1 max_procs)
+            log2 max_procs
           in
           run_figures ids scale max_procs_log2 domains output quiet jobs)
       $ ids $ scale $ max_procs $ domains $ output $ quiet $ jobs)

@@ -23,14 +23,3 @@ module Float : ORDERED with type t = float = struct
   let compare = Float.compare
   let pp ppf v = Format.fprintf ppf "%g" v
 end
-
-(** Lexicographic pairs; the simulator keys its event queue by
-    [(time, sequence)] to break ties deterministically. *)
-module Int_pair : ORDERED with type t = int * int = struct
-  type t = int * int
-
-  let compare (a1, b1) (a2, b2) =
-    match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
-
-  let pp ppf (a, b) = Format.fprintf ppf "(%d, %d)" a b
-end

@@ -1,8 +1,8 @@
 (** Sequential array-based binary min-heap.
 
-    Single-threaded counterpart of the Hunt et al. concurrent heap, the
-    event queue of the Proteus-like simulator, and a single-threaded
-    baseline in the microbenchmarks.  Grows automatically. *)
+    Single-threaded counterpart of the Hunt et al. concurrent heap and the
+    per-shard queue of the MultiQueue.  (The simulator's event queue is
+    its own 4-ary heap, [lib/sim/event_queue.ml].)  Grows automatically. *)
 
 module Make (K : Key.ORDERED) : sig
   type 'v t

@@ -1,6 +1,7 @@
 (** Sequential sorted singly-linked list: linear-time insert,
-    constant-time delete-min.  The FunnelList tests use it as their
-    sequential model, and the bench suite times it as a baseline. *)
+    constant-time delete-min.  The tests' one independent sequential
+    model: the FunnelList, heap and MultiQueue tests replay their
+    operations against it. *)
 
 module Make (K : Key.ORDERED) : sig
   type 'v t

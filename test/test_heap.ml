@@ -89,10 +89,10 @@ let test_random_vs_model () =
       done;
       ok_or_fail (H_sim.check_invariants h))
 
-(* qcheck: arbitrary op sequences against the sequential d-ary heap from
+(* qcheck: arbitrary op sequences against the sequential sorted list from
    lib/pqueue.  Keys compare only (under duplicate keys either id is a
    correct answer); the final drains must agree as key multisets too. *)
-module Model = Repro_pqueue.Dary_heap.Make (Repro_pqueue.Key.Int)
+module Model = Repro_pqueue.Sorted_list.Make (Repro_pqueue.Key.Int)
 
 let qcheck_matches_model =
   let gen = QCheck.(list_of_size Gen.(int_range 0 200) (int_range (-1) 60)) in
@@ -113,7 +113,7 @@ let qcheck_matches_model =
               end)
             ops;
           ok_or_fail (H_sim.check_invariants h);
-          List.map fst (H_sim.to_sorted_list h) = List.map fst (Model.to_sorted_list m)))
+          List.map fst (H_sim.to_sorted_list h) = List.map fst (Model.to_list m)))
 
 (* --- simulated concurrency ---------------------------------------------- *)
 

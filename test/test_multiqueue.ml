@@ -144,10 +144,11 @@ let test_empty_is_definitive_and_queue_reusable () =
 (* --- qcheck properties --------------------------------------------------- *)
 
 (* choice = shards with stickiness 1 compares every cached top, so any
-   random single-processor op sequence must match a duplicate-keeping heap
-   model key-for-key (values of tied keys may associate differently). *)
+   random single-processor op sequence must match a duplicate-keeping
+   sorted-list model key-for-key (values of tied keys may associate
+   differently). *)
 let qcheck_exact_config_matches_model =
-  let module Model = Repro_pqueue.Dary_heap.Make (Repro_pqueue.Key.Int) in
+  let module Model = Repro_pqueue.Sorted_list.Make (Repro_pqueue.Key.Int) in
   let gen = QCheck.(list_of_size Gen.(int_range 0 200) (int_range (-1) 60)) in
   QCheck.Test.make ~count:60 ~name:"choice = shards matches heap model" gen
     (fun ops ->
