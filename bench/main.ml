@@ -115,7 +115,8 @@ let micro_tests =
    klsm:256) [runs] times and reports host seconds per sweep, simulated
    events and memory accesses retired per host second, and the host GC
    cost per sweep (minor words, promoted words, major collections) — the
-   flat-state metric DESIGN.md §S17 tracks.
+   flat-state metric DESIGN.md §S17 tracks — plus the GC's peak heap when
+   the sweep ends.
    Results are byte-identical in both modes; only the host cost moves.
    [--json PATH] appends the numbers to a run-history JSON array for CI
    artifacts, so the perf trajectory accumulates across commits. *)
@@ -138,6 +139,10 @@ type sweep_cost = {
   minor_words : float;  (** per sweep *)
   promoted_words : float;  (** per sweep *)
   major_collections : float;  (** per sweep *)
+  peak_heap_mb : float;
+      (** the process's [top_heap_words] when the sweep ends; it never
+          falls, so the fast-path-off sweep, run second, reports the
+          larger of the two *)
 }
 
 let measure_sweep ~runs ~fast_path =
@@ -181,6 +186,7 @@ let measure_sweep ~runs ~fast_path =
     promoted_words = per_run (gc1.Gc.promoted_words -. gc0.Gc.promoted_words);
     major_collections =
       per_run (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections));
+    peak_heap_mb = float_of_int (gc1.Gc.top_heap_words * (Sys.word_size / 8)) /. 1e6;
   }
 
 (* [BENCH_sim.json] is an appendable run history: a JSON array with one
@@ -215,13 +221,13 @@ let sim_throughput ~runs ~label ~json =
   let off = measure_sweep ~runs ~fast_path:false in
   let rate n s = float_of_int n /. s in
   print_endline "=== simulator throughput: fig7 sweep, bench scale ===";
-  Printf.printf "%-22s %12s %16s %18s %16s %10s %8s\n" "scheduler" "s/sweep"
-    "events/s" "accesses/s" "minor-w/sweep" "promoted" "majors";
+  Printf.printf "%-22s %12s %16s %18s %16s %10s %8s %12s\n" "scheduler" "s/sweep"
+    "events/s" "accesses/s" "minor-w/sweep" "promoted" "majors" "peak-heap-MB";
   let line name c =
-    Printf.printf "%-22s %12.4f %16.0f %18.0f %16.0f %10.0f %8.1f\n" name c.seconds
+    Printf.printf "%-22s %12.4f %16.0f %18.0f %16.0f %10.0f %8.1f %12.2f\n" name c.seconds
       (rate c.events c.seconds)
       (rate c.accesses c.seconds)
-      c.minor_words c.promoted_words c.major_collections
+      c.minor_words c.promoted_words c.major_collections c.peak_heap_mb
   in
   line "fast path on" on;
   line "fast path off" off;
@@ -232,9 +238,9 @@ let sim_throughput ~runs ~label ~json =
   | Some path ->
     let mode c =
       Printf.sprintf
-        {|{ "seconds_per_sweep": %.6f, "events_per_sec": %.0f, "accesses_per_sec": %.0f, "minor_words_per_sweep": %.0f, "promoted_words_per_sweep": %.0f, "major_collections_per_sweep": %.1f }|}
+        {|{ "seconds_per_sweep": %.6f, "events_per_sec": %.0f, "accesses_per_sec": %.0f, "minor_words_per_sweep": %.0f, "promoted_words_per_sweep": %.0f, "major_collections_per_sweep": %.1f, "peak_heap_mb": %.2f }|}
         c.seconds (rate c.events c.seconds) (rate c.accesses c.seconds)
-        c.minor_words c.promoted_words c.major_collections
+        c.minor_words c.promoted_words c.major_collections c.peak_heap_mb
     in
     let entry =
       Printf.sprintf

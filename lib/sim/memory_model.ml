@@ -33,94 +33,102 @@ let sequential =
     max_procs = 512;
   }
 
-(* The line directory is a structure of arrays indexed by line id: one
-   int per line for the exclusive writer (-1 when none), the home node,
-   and the line-level queue, plus [words_per_line] packed bitmap words
-   per line for the sharer set.  Registering or touching a line never
-   allocates; the columns grow geometrically when an id outruns them.
-   (Before §S17 each line was a heap record owning a Bitset — ~18 minor
-   words per [make_meta], promoted wholesale because lines live as long
-   as the structures that own them.) *)
+(* The line directory is one flat int array with one row per line id:
+   [writer; busy_until; sharer words...], stride [2 + words].  [writer]
+   is the exclusive owner (-1 when none), [busy_until] the line-level
+   queue, and the sharer words a packed bitmap of 63 processors each.
+   An access touches one row, so one or two host cache lines.  The home
+   node is not stored: it is [home_node config ~id].  [words] starts at 1
+   and widens the first time a sharer id outruns it, so a run pays for the
+   processors that ran, not for [max_procs].  Registering or touching a
+   line never allocates; the array is relaid out (one function) when an
+   id outruns the rows or a sharer outruns the words. *)
 type system = {
   config : config;
   node_busy : int array;
-  words_per_line : int;
-  mutable dir_capacity : int; (* lines the columns can hold *)
-  mutable writer : int array;
-  mutable home : int array;
-  mutable busy_until : int array;
-  mutable sharers : int array; (* dir_capacity rows of words_per_line *)
+  mutable words : int; (* sharer words per row *)
+  mutable capacity : int; (* rows *)
+  mutable dir : int array; (* [capacity] rows of [2 + words] ints *)
 }
 
-(* Large enough that the benchmark-scale workloads (tens of thousands of
-   locations per run) pay at most one or two doublings; still only a few
-   hundred KB per column at 64 procs. *)
+(* Enough rows that the benchmark-scale workloads (tens of thousands of
+   locations per run) pay at most one or two doublings: 384 KB while
+   every processor id is below 63. *)
 let initial_capacity = 16384
 
+let[@inline] stride sys = 2 + sys.words
+let[@inline] row sys line = line * stride sys
+
+(* Copies every row into a fresh array of [capacity] rows of [words]
+   sharer words each; the added sharer words are zero.  Rows past the old
+   capacity are left zero: [make_meta] writes a fresh row before any
+   access reads it. *)
+let relayout sys ~capacity ~words =
+  let old_stride = stride sys and new_stride = 2 + words in
+  let dir = Array.make (capacity * new_stride) 0 in
+  if new_stride = old_stride then Array.blit sys.dir 0 dir 0 (sys.capacity * old_stride)
+  else
+    for line = 0 to sys.capacity - 1 do
+      Array.blit sys.dir (line * old_stride) dir (line * new_stride) old_stride
+    done;
+  sys.dir <- dir;
+  sys.capacity <- capacity;
+  sys.words <- words
+
 let make_system config =
-  let words_per_line = ((config.max_procs + 62) / 63) in
-  {
-    config;
-    node_busy = Array.make config.numa_nodes 0;
-    words_per_line;
-    dir_capacity = initial_capacity;
-    writer = Array.make initial_capacity (-1);
-    home = Array.make initial_capacity 0;
-    busy_until = Array.make initial_capacity 0;
-    sharers = Array.make (initial_capacity * words_per_line) 0;
-  }
+  let fail fmt = Printf.ksprintf invalid_arg ("Memory_model.make_system: " ^^ fmt) in
+  if config.numa_nodes < 1 then fail "numa_nodes %d must be at least 1" config.numa_nodes;
+  if config.max_procs < 1 then fail "max_procs %d must be at least 1" config.max_procs;
+  let cost name cycles = if cycles < 0 then fail "%s %d must not be negative" name cycles in
+  cost "cache_hit" config.cache_hit;
+  cost "local_fetch" config.local_fetch;
+  cost "remote_fetch" config.remote_fetch;
+  cost "occupancy" config.occupancy;
+  cost "node_occupancy" config.node_occupancy;
+  cost "swap_extra" config.swap_extra;
+  let sys =
+    { config; node_busy = Array.make config.numa_nodes 0; words = 1; capacity = 0; dir = [||] }
+  in
+  relayout sys ~capacity:initial_capacity ~words:1;
+  sys
 
 type meta = int (* line id into the directory *)
 
 let home_node config ~id = id mod config.numa_nodes
 let proc_node config ~proc = proc mod config.numa_nodes
 
-let grow sys ~id =
-  let cap = ref sys.dir_capacity in
-  while !cap <= id do
-    cap := 2 * !cap
-  done;
-  let cap = !cap in
-  let extend a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 sys.dir_capacity;
-    b
-  in
-  sys.writer <- extend sys.writer (-1);
-  sys.home <- extend sys.home 0;
-  sys.busy_until <- extend sys.busy_until 0;
-  let sh = Array.make (cap * sys.words_per_line) 0 in
-  Array.blit sys.sharers 0 sh 0 (sys.dir_capacity * sys.words_per_line);
-  sys.sharers <- sh;
-  sys.dir_capacity <- cap
-
 let make_meta sys ~id =
   if id < 0 then invalid_arg "Memory_model.make_meta: negative id";
-  if id >= sys.dir_capacity then grow sys ~id;
-  sys.writer.(id) <- -1;
-  sys.home.(id) <- home_node sys.config ~id;
-  sys.busy_until.(id) <- 0;
-  Array.fill sys.sharers (id * sys.words_per_line) sys.words_per_line 0;
+  if id >= sys.capacity then begin
+    let capacity = ref sys.capacity in
+    while !capacity <= id do
+      capacity := 2 * !capacity
+    done;
+    relayout sys ~capacity:!capacity ~words:sys.words
+  end;
+  let r = row sys id in
+  sys.dir.(r) <- -1;
+  Array.fill sys.dir (r + 1) (stride sys - 1) 0;
   id
 
 let location_id (meta : meta) = meta
 
-(* Sharer-set rows: the same packed representation [Repro_util.Bitset]
-   uses, inlined over the flat column.  Processor ids are bounded by
-   [config.max_procs] (the machine enforces the spawn limit), so the
-   word index is always inside the line's row. *)
+(* Sharer words: the same packed representation [Repro_util.Bitset]
+   uses, inlined over the row.  A processor whose word lies past the
+   row's [words] has never been added, so it is not a sharer; adding one
+   widens every row first. *)
 let[@inline] sharer_mem sys line proc =
-  Array.unsafe_get sys.sharers ((line * sys.words_per_line) + (proc / 63))
-  land (1 lsl (proc mod 63))
-  <> 0
+  let w = proc / 63 in
+  w < sys.words
+  && Array.unsafe_get sys.dir (row sys line + 2 + w) land (1 lsl (proc mod 63)) <> 0
 
 let[@inline] sharer_add sys line proc =
-  let w = (line * sys.words_per_line) + (proc / 63) in
-  Array.unsafe_set sys.sharers w
-    (Array.unsafe_get sys.sharers w lor (1 lsl (proc mod 63)))
+  let w = proc / 63 in
+  if w >= sys.words then relayout sys ~capacity:sys.capacity ~words:(w + 1);
+  let i = row sys line + 2 + w in
+  Array.unsafe_set sys.dir i (Array.unsafe_get sys.dir i lor (1 lsl (proc mod 63)))
 
-let[@inline] sharer_clear sys line =
-  Array.fill sys.sharers (line * sys.words_per_line) sys.words_per_line 0
+let[@inline] sharer_clear sys line = Array.fill sys.dir (row sys line + 2) sys.words 0
 
 type kind = Read | Write | Swap
 
@@ -144,10 +152,8 @@ let[@inline] fetch_latency config ~home ~proc =
 
 (* A miss queues twice: behind other misses to the same line (hot spots)
    and behind other misses served by the same home node (bandwidth). *)
-let[@inline] miss_start sys line ~home ~now =
-  let start =
-    Int.max now (Int.max sys.busy_until.(line) sys.node_busy.(home))
-  in
+let[@inline] miss_start sys r ~home ~now =
+  let start = Int.max now (Int.max sys.dir.(r + 1) sys.node_busy.(home)) in
   sys.node_busy.(home) <- start + sys.config.node_occupancy;
   start
 
@@ -165,21 +171,23 @@ let[@inline] miss_into out ~now ~start latency =
 
 let access_into out sys (line : meta) ~proc ~now kind =
   let config = sys.config in
-  let writer = sys.writer.(line) in
+  let r = row sys line in
+  let writer = sys.dir.(r) in
   match kind with
   | Read ->
     if writer = proc || (writer = -1 && sharer_mem sys line proc) then
       (* Hit: served by the processor's cache, no module traffic. *)
       hit_into out ~now config.cache_hit
     else begin
-      let home = sys.home.(line) in
-      let start = miss_start sys line ~home ~now in
+      let home = home_node config ~id:line in
+      let start = miss_start sys r ~home ~now in
       let latency = fetch_latency config ~home ~proc in
-      sys.busy_until.(line) <- start + config.occupancy;
-      (* Line becomes shared: a previous exclusive owner is downgraded. *)
+      sys.dir.(r + 1) <- start + config.occupancy;
+      (* Line becomes shared: a previous exclusive owner is downgraded.
+         [sharer_add] may widen the rows, so [r] is stale after it. *)
       if writer >= 0 then begin
-        sharer_add sys line writer;
-        sys.writer.(line) <- -1
+        sys.dir.(r) <- -1;
+        sharer_add sys line writer
       end;
       sharer_add sys line proc;
       miss_into out ~now ~start latency
@@ -189,27 +197,27 @@ let access_into out sys (line : meta) ~proc ~now kind =
       (* Exclusive owner writes in cache. *)
       hit_into out ~now config.cache_hit
     else begin
-      let home = sys.home.(line) in
-      let start = miss_start sys line ~home ~now in
+      let home = home_node config ~id:line in
+      let start = miss_start sys r ~home ~now in
       let latency = fetch_latency config ~home ~proc in
-      sys.busy_until.(line) <- start + config.occupancy;
+      sys.dir.(r + 1) <- start + config.occupancy;
       sharer_clear sys line;
-      sys.writer.(line) <- proc;
+      sys.dir.(r) <- proc;
       miss_into out ~now ~start latency
     end
   | Swap ->
     (* RMW always serializes at the module, even for the owner: it is the
        point where concurrent SWAPs order themselves. *)
-    let home = sys.home.(line) in
-    let start = miss_start sys line ~home ~now in
+    let home = home_node config ~id:line in
+    let start = miss_start sys r ~home ~now in
     let latency =
       (if writer = proc then config.cache_hit
        else fetch_latency config ~home ~proc)
       + config.swap_extra
     in
-    sys.busy_until.(line) <- start + config.occupancy + config.swap_extra;
+    sys.dir.(r + 1) <- start + config.occupancy + config.swap_extra;
     sharer_clear sys line;
-    sys.writer.(line) <- proc;
+    sys.dir.(r) <- proc;
     miss_into out ~now ~start latency
 
 let access sys meta ~proc ~now kind =
@@ -221,12 +229,12 @@ let access sys meta ~proc ~now kind =
 
 (* Directory inspection, for the model tests: the coherence state of one
    line as plain data. *)
-let writer_of sys (line : meta) = sys.writer.(line)
-let busy_until_of sys (line : meta) = sys.busy_until.(line)
+let writer_of sys (line : meta) = sys.dir.(row sys line)
+let busy_until_of sys (line : meta) = sys.dir.(row sys line + 1)
 
 let sharers_of sys (line : meta) =
   let acc = ref [] in
-  for p = sys.config.max_procs - 1 downto 0 do
+  for p = (63 * sys.words) - 1 downto 0 do
     if sharer_mem sys line p then acc := p :: !acc
   done;
   !acc

@@ -28,7 +28,10 @@ type config = {
           that makes the whole machine saturate as processors multiply *)
   swap_extra : int;  (** additional cycles for the atomic read-modify-write *)
   numa_nodes : int;  (** locations are distributed round-robin across nodes *)
-  max_procs : int;  (** capacity of per-location sharer sets *)
+  max_procs : int;
+      (** how many processors [Machine.spawn] may start, the root
+          included; the directory's sharer sets size themselves to the
+          processor ids that actually access a line *)
 }
 
 val default : config
@@ -42,13 +45,17 @@ val sequential : config
 
 type system
 (** One simulated memory system: the config, the per-node module queues,
-    and the line directory — a structure of arrays indexed by line id
-    (writer / home / busy_until as flat int columns, sharer sets as
-    packed bitmap rows in one flat array).  The columns grow
-    geometrically; registering a line or charging an access never
-    allocates (DESIGN.md §S17). *)
+    and the line directory — one flat int array with a row per line id,
+    [writer; busy_until; sharer words], the sharer set packed 63
+    processors to a word.  The home node is computed ({!home_node}), not
+    stored.  Rows start one sharer word wide and widen, in place, the
+    first time {!access_into} adds a sharer past the current width; the
+    array grows geometrically when an id outruns it.  Registering a line
+    or charging an access otherwise never allocates (DESIGN.md §S17). *)
 
 val make_system : config -> system
+(** Raises [Invalid_argument] naming the field when [numa_nodes] or
+    [max_procs] is below 1 or any cycle cost is negative. *)
 
 type meta
 (** A location's handle: its line id into the system's directory.  An

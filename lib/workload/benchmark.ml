@@ -1,4 +1,5 @@
 module Machine = Repro_sim.Machine
+module Memory_model = Repro_sim.Memory_model
 module Rng = Repro_util.Rng
 module Stats = Repro_util.Stats
 
@@ -171,8 +172,14 @@ let calls ~work ~now ~inserted ~deleted (q : Queue_adapter.instance) w rng p ops
 
 let merge arr = Array.fold_left Stats.merge (Stats.create ()) arr
 
-let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
+let run ?(config = Memory_model.default) ?perturb ?fast_path (impl : Queue_adapter.impl) w =
   validate "Benchmark.run" w;
+  let limit = config.Memory_model.max_procs - 2 in
+  if w.procs > limit then
+    Printf.ksprintf invalid_arg
+      "Benchmark.run: procs %d > %d (the config's processor limit, less the root and the \
+       post-mortem reader)"
+      w.procs limit;
   let insert_stats = Array.init w.procs (fun _ -> Stats.create ()) in
   let delete_stats = Array.init w.procs (fun _ -> Stats.create ()) in
   let rank_stats = Array.init w.procs (fun _ -> Stats.create ()) in
@@ -187,7 +194,7 @@ let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
   let final_size = ref 0 in
   let queue_stats = ref [] in
   let report =
-    Machine.run ?config ?perturb ?fast_path (fun () ->
+    Machine.run ~config ?perturb ?fast_path (fun () ->
         let q = impl.Queue_adapter.create () in
         prefill q w (Rng.of_seed w.seed) ~first_id:1_000_000_000
           ~inserted:(Rank_oracle.insert ~dedup oracle);
@@ -249,7 +256,7 @@ let run ?config ?perturb ?fast_path (impl : Queue_adapter.impl) w =
    workload. *)
 let probe ?tracer (impl : Queue_adapter.impl) w =
   let fail fmt = Printf.ksprintf invalid_arg ("Benchmark.probe: " ^^ fmt) in
-  let limit = Repro_sim.Memory_model.default.Repro_sim.Memory_model.max_procs - 1 in
+  let limit = Memory_model.default.Memory_model.max_procs - 1 in
   validate "Benchmark.probe" w;
   if w.procs > limit then
     fail "procs %d > %d (the simulator's processor limit, less the root)" w.procs limit;

@@ -65,7 +65,10 @@ val run :
     {!Repro_sim.Machine.perturbation}) — used by the history fuzzer;
     [fast_path] (default [true]) is {!Repro_sim.Machine.run}'s scheduler
     run-ahead toggle — measurements are identical either way (the
-    simulator-throughput bench measures the host-time difference). *)
+    simulator-throughput bench measures the host-time difference).
+    Raises [Invalid_argument] before building anything when [procs]
+    exceeds [config.max_procs - 2] (the root and the post-mortem reader
+    take the other two processors). *)
 
 val probe :
   ?tracer:Repro_sim.Trace.sink ->

@@ -270,24 +270,27 @@ module Dir_reference = struct
       (start, start + latency, false, start - now)
 end
 
-let test_memory_qcheck_against_reference =
-  (* Random register/access scripts through both the flat directory and
-     the record-based reference: every charge and, afterwards, every
-     line's writer/sharers/busy-until must agree.  Line ids include two
-     far beyond the initial capacity so the script exercises the columns'
-     geometric growth. *)
-  let cfg = { Memory_model.default with max_procs = 96; numa_nodes = 7 } in
+(* Random register/access scripts through both the flat directory and
+   the record-based reference: every charge and, afterwards, every line's
+   writer/sharers/busy-until must agree.  Line ids include two far beyond
+   the initial capacity so the script exercises the rows' geometric
+   growth, and processor ids up to [cfg.max_procs - 1] exercise the
+   sharer words' widening. *)
+let memory_qcheck_against_reference ~name cfg =
   let line_ids = [| 0; 1; 2; 3; 5; 8; 13; 21; 34; 55; 20_000; 70_000 |] in
   let gen =
     QCheck.Gen.(
       list_size (int_range 1 120)
-        (triple (int_range 0 (Array.length line_ids - 1)) (int_range 0 95) (int_range 0 3)))
+        (triple
+           (int_range 0 (Array.length line_ids - 1))
+           (int_range 0 (cfg.Memory_model.max_procs - 1))
+           (int_range 0 3)))
   in
   let print script =
     String.concat ";"
       (List.map (fun (l, p, k) -> Printf.sprintf "(%d,%d,%d)" l p k) script)
   in
-  QCheck.Test.make ~count:150 ~name:"flat directory agrees with record reference"
+  QCheck.Test.make ~count:150 ~name
     (QCheck.make ~print gen)
     (fun script ->
       let sys = Memory_model.make_system cfg in
@@ -334,6 +337,78 @@ let test_memory_qcheck_against_reference =
              && Memory_model.busy_until_of sys meta = l.Dir_reference.busy_until
              && Memory_model.sharers_of sys meta = l.Dir_reference.sharers)
            registered true)
+
+let test_memory_qcheck_against_reference =
+  memory_qcheck_against_reference ~name:"flat directory agrees with record reference"
+    { Memory_model.default with max_procs = 96; numa_nodes = 7 }
+
+let test_memory_qcheck_default_config =
+  memory_qcheck_against_reference
+    ~name:"default config, procs 0-511, agrees with record reference" Memory_model.default
+
+(* Each line's sharer words start at one (processors 0-62) and widen when
+   a higher id joins; widening and growth relay every row out, so the
+   state of every line registered before must come through unchanged. *)
+let test_memory_widening_keeps_state () =
+  let sys = Memory_model.make_system Memory_model.default in
+  let access line proc now kind = Memory_model.access sys line ~proc ~now kind in
+  let coherence line = (Memory_model.writer_of sys line, Memory_model.sharers_of sys line) in
+  let state line = (coherence line, Memory_model.busy_until_of sys line) in
+  let snapshot lines = List.map (fun line -> (line, state line)) lines in
+  let unchanged what =
+    List.iter (fun (line, before) ->
+        check_bool
+          (Printf.sprintf "line %d after %s" (Memory_model.location_id line) what)
+          true (state line = before))
+  in
+  let shared = Memory_model.make_meta sys ~id:0 in
+  ignore (access shared 0 0 Memory_model.Read);
+  ignore (access shared 62 10 Memory_model.Read);
+  check_bool "shared by 0 and 62" true (coherence shared = (-1, [ 0; 62 ]));
+  let owned = Memory_model.make_meta sys ~id:1 in
+  ignore (access owned 62 20 Memory_model.Write);
+  let swapped = Memory_model.make_meta sys ~id:5 in
+  ignore (access swapped 3 30 Memory_model.Swap);
+  (* Written by 300 before any row is wide enough to hold it as a
+     sharer; the downgrade below is what adds it. *)
+  let downgraded = Memory_model.make_meta sys ~id:9 in
+  ignore (access downgraded 300 40 Memory_model.Write);
+  let untouched = snapshot [ shared; owned; swapped ] in
+  let wide = Memory_model.make_meta sys ~id:2 in
+  List.iteri
+    (fun i proc ->
+      let c = access wide proc (100 + (10 * i)) Memory_model.Read in
+      check_bool (Printf.sprintf "first read by %d misses" proc) false c.Memory_model.hit;
+      unchanged (Printf.sprintf "proc %d joined" proc) untouched)
+    [ 63; 126 ];
+  ignore (access downgraded 1 200 Memory_model.Read);
+  check_bool "downgrade widens for the old writer" true
+    (coherence downgraded = (-1, [ 1; 300 ]));
+  ignore (access wide 511 300 Memory_model.Read);
+  unchanged "proc 511 joined" untouched;
+  check_bool "wide line holds every sharer" true (coherence wide = (-1, [ 63; 126; 511 ]));
+  let every_line = snapshot [ shared; owned; swapped; downgraded; wide ] in
+  ignore (Memory_model.make_meta sys ~id:70_001);
+  unchanged "growth past 70000" every_line;
+  check_bool "re-read by 511 hits" true (access wide 511 400 Memory_model.Read).Memory_model.hit
+
+let test_memory_rejects_bad_config () =
+  let d = Memory_model.default in
+  List.iter
+    (fun (config, expect) ->
+      let expect = "Memory_model.make_system: " ^ expect in
+      Alcotest.check_raises expect (Invalid_argument expect) (fun () ->
+          ignore (Memory_model.make_system config)))
+    [
+      ({ d with numa_nodes = 0 }, "numa_nodes 0 must be at least 1");
+      ({ d with max_procs = 0 }, "max_procs 0 must be at least 1");
+      ({ d with occupancy = -5 }, "occupancy -5 must not be negative");
+      ({ d with cache_hit = -1 }, "cache_hit -1 must not be negative");
+      ({ d with swap_extra = -2 }, "swap_extra -2 must not be negative");
+    ];
+  Alcotest.check_raises "Machine.run refuses it before running"
+    (Invalid_argument "Memory_model.make_system: numa_nodes 0 must be at least 1")
+    (fun () -> ignore (Machine.run ~config:{ d with numa_nodes = 0 } (fun () -> ())))
 
 (* --- machine ------------------------------------------------------------ *)
 
@@ -1095,6 +1170,10 @@ let () =
           Alcotest.test_case "swap ordering" `Quick test_memory_swap_orders;
           Alcotest.test_case "sequential config" `Quick test_memory_sequential_config_is_flat;
           QCheck_alcotest.to_alcotest test_memory_qcheck_against_reference;
+          QCheck_alcotest.to_alcotest test_memory_qcheck_default_config;
+          Alcotest.test_case "sharer sets survive widening and growth" `Quick
+            test_memory_widening_keeps_state;
+          Alcotest.test_case "rejects bad config" `Quick test_memory_rejects_bad_config;
         ] );
       ( "machine",
         [

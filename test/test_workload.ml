@@ -135,9 +135,25 @@ let refuses ~base ~entry f cases =
     cases
 
 let test_benchmark_rejects_bad_workload () =
+  let over limit procs =
+    Printf.sprintf
+      "procs %d > %d (the config's processor limit, less the root and the post-mortem reader)"
+      procs limit
+  in
   refuses ~base:tiny_workload ~entry:"Benchmark.run"
     (fun w -> ignore (Benchmark.run (QA.Sim.skipqueue ()) w))
-    bad_workloads
+    (bad_workloads
+    @ [
+        ((fun w -> { w with Benchmark.procs = 511 }), over 510 511);
+        ((fun w -> { w with Benchmark.procs = 600 }), over 510 600);
+      ]);
+  refuses ~base:tiny_workload ~entry:"Benchmark.run"
+    (fun w ->
+      ignore
+        (Benchmark.run
+           ~config:{ Repro_sim.Memory_model.default with max_procs = 8 }
+           (QA.Sim.skipqueue ()) w))
+    [ ((fun w -> { w with Benchmark.procs = 16 }), over 6 16) ]
 
 (* --- Benchmark.probe ----------------------------------------------------- *)
 
