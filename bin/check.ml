@@ -18,11 +18,11 @@
    "bounded:" prefix there.
 
    Exit status: 0 all clean, 1 violations found, 2 usage error (an
-   unknown name, or --seeds or --procs out of range; checked before
-   anything runs).  Under --broken the meaning flips: 0 every chosen
-   mutant (a name of Broken.all, or all; default swap) was caught on some
-   seed, 1 at least one escaped.  Each mutant's line says on how many
-   seeds it was caught. *)
+   unknown name, --seeds or --procs out of range, or --procs/--ops given
+   with --blocking; checked before anything runs).  Under --broken the
+   meaning flips: 0 every chosen mutant (a name of Broken.all, or all;
+   default swap) was caught on some seed, 1 at least one escaped.  Each
+   mutant's line says on how many seeds it was caught. *)
 
 open Cmdliner
 module QA = Repro_workload.Queue_adapter
@@ -101,6 +101,16 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
     blocking quiet jobs =
   (* A sweep of no seeds would report a pass that checked nothing. *)
   if seeds < 1 then usage_error "--seeds %d: must be at least 1" seeds;
+  (* The blocking harness runs its own fixed profile; only --jitter reaches it. *)
+  if blocking && (procs <> None || ops <> None) then
+    usage_error
+      "--blocking takes no --procs or --ops: its profile fixes %d producers x %d items and %d \
+       consumers"
+      Harness.default_blocking_profile.Harness.producers
+      Harness.default_blocking_profile.Harness.items_per_producer
+      Harness.default_blocking_profile.Harness.consumers;
+  let procs = Option.value procs ~default:Harness.default_profile.Harness.procs in
+  let ops = Option.value ops ~default:Harness.default_profile.Harness.ops_per_proc in
   if procs < 1 || procs > max_procs then
     usage_error "--procs %d outside [1, %d]" procs max_procs;
   let broken =
@@ -219,15 +229,21 @@ let backends =
 let procs =
   Arg.(
     value
-    & opt int Harness.default_profile.Harness.procs
+    & opt (some int) None
     & info [ "procs"; "p" ] ~docv:"P"
-        ~doc:(Printf.sprintf "Worker processors per run, 1 to %d." max_procs))
+        ~doc:
+          (Printf.sprintf
+             "Worker processors per run, 1 to %d (default %d).  Not with $(b,--blocking)."
+             max_procs Harness.default_profile.Harness.procs))
 
 let ops =
   Arg.(
     value
-    & opt int Harness.default_profile.Harness.ops_per_proc
-    & info [ "ops" ] ~docv:"K" ~doc:"Operations per worker processor.")
+    & opt (some int) None
+    & info [ "ops" ] ~docv:"K"
+        ~doc:
+          (Printf.sprintf "Operations per worker processor (default %d).  Not with $(b,--blocking)."
+             Harness.default_profile.Harness.ops_per_proc))
 
 let jitter =
   Arg.(

@@ -1,31 +1,45 @@
-(* Two-lock bounded/blocking façade over any int-keyed priority queue.
+(* Bounded/blocking façade over any int-keyed priority queue.
 
-   Shape: the classic two-lock blocking queue (one lock per end, an atomic
-   size, and one condition per direction, each tied to its end's lock).
-   Producers serialize on [push_lock] and park on [not_full]; consumers
-   serialize on [pop_lock] and park on [not_empty].  The two invariants
-   that make this lost-wakeup-free:
+   Shape: the classic counting-semaphore bounded buffer.  Two credit
+   counters stand between producers and consumers:
 
-   - A waiter count ([full_waiters]/[empty_waiters]) is only mutated by a
-     processor holding the owning lock, and [cond_wait] releases that lock
+   - [admitted], room credits in use: a producer takes one under
+     [push_lock], waiting on [not_full] while [admitted >= capacity], and
+     a consumer returns one once its pop has removed an element;
+   - [items], item credits: a producer adds one once its element is in the
+     backend, and a consumer takes one under [pop_lock], parking on
+     [not_empty] while [items <= 0].
+
+   The end locks guard only the credits; both conditions are tied to
+   [pop_lock].  Producers queue on [push_lock] and only its holder ever
+   waits for room, so at most one producer is parked on [not_full], and
+   a consumer announces room under [pop_lock] without queueing behind
+   the producers.  The backend's insert and pop run outside every
+   façade lock, so producers insert concurrently with each other and
+   consumers pop concurrently with each other, as the backend allows.
+   The two invariants that make this lost-wakeup-free:
+
+   - A waiter mark ([room_waiter]/[empty_waiters]) is only mutated by a
+     processor holding [pop_lock], and [cond_wait] releases that lock
      only at the instant it parks — so a signaler holding the same lock
-     either sees the waiter already parked or sees the count before the
-     increment, never a half-armed waiter.
-   - Cross-side notifications ([notify_not_empty]/[notify_not_full])
-     acquire the other end's lock before signaling.  Signaling without it
-     races the other side's test-then-park window; that bug is available
-     behind [broken_wakeup] as the fuzzer's lost-wakeup mutant.
+     either sees the waiter already parked or sees the mark before it
+     is set, never a half-armed waiter.
+   - Cross-side notifications ([notify_not_empty], [return_room])
+     signal under [pop_lock], and only once the credit they announce
+     has landed.  A signal sent without that lock races the waiter's
+     test-then-park window; that bug is available behind
+     [broken_wakeup] as the fuzzer's lost-wakeup mutant.
 
-   Edge transitions signal ([old = 0] for empty->nonempty, [old =
-   capacity] for full->notfull) and same-side chain-signals propagate the
-   wake while elements/room and waiters remain — without the chains, two
-   parked consumers woken by a single empty->nonempty transition would
-   strand one of them forever (see DESIGN.md §18 for the argument).
+   Edge transitions signal ([items] leaving zero, [admitted] leaving
+   [capacity]); consumers chain-signal [not_empty] while credits and
+   waiters remain — without the chain, two parked consumers woken by a
+   single empty->nonempty transition would strand one of them forever
+   (see DESIGN.md §18 for the argument).  [not_full] needs no chain: it
+   has at most one waiter.
 
-   Lock ordering: consumers may acquire [push_lock] while holding
-   [pop_lock] (credit burn / full->notfull notification); no processor
-   ever waits for [pop_lock] while holding [push_lock] (producers notify
-   after releasing), so the nesting is acyclic. *)
+   Lock ordering: the producer waiting for room holds [push_lock] while
+   it takes [pop_lock]; no processor takes [push_lock] while holding
+   [pop_lock] (consumers never take it), so the nesting is acyclic. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) = struct
   type counters = {
@@ -42,10 +56,11 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     backend_pop : unit -> (int * int) option;
     push_lock : R.lock;
     pop_lock : R.lock;
-    not_full : R.cond; (* tied to push_lock *)
+    not_full : R.cond; (* tied to pop_lock *)
     not_empty : R.cond; (* tied to pop_lock *)
-    size : int R.shared;
-    mutable full_waiters : int; (* guarded by push_lock *)
+    admitted : int R.shared; (* room credits in use *)
+    items : int R.shared; (* item credits; below zero while overdrawn *)
+    mutable room_waiter : bool; (* guarded by pop_lock; only push_lock's holder waits *)
     mutable empty_waiters : int; (* guarded by pop_lock *)
     c : counters;
   }
@@ -63,121 +78,162 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       backend_pop = try_delete_min;
       push_lock;
       pop_lock;
-      not_full = R.cond_create ~name:(name ^ ".not_full") push_lock;
+      not_full = R.cond_create ~name:(name ^ ".not_full") pop_lock;
       not_empty = R.cond_create ~name:(name ^ ".not_empty") pop_lock;
-      size = R.shared ~name:(name ^ ".size") 0;
-      full_waiters = 0;
+      admitted = R.shared ~name:(name ^ ".admitted") 0;
+      items = R.shared ~name:(name ^ ".items") 0;
+      room_waiter = false;
       empty_waiters = 0;
       c = { parks = 0; wakes = 0; backpressure_stalls = 0 };
     }
 
   let capacity t = t.capacity
 
-  (* [size] is mutated under two different locks (increments under
-     [push_lock], decrements under [pop_lock]), so it needs a real atomic
-     read-modify-write. *)
+  (* Each counter moves under one end's lock in one direction and with no
+     lock in the other, so it needs a real atomic read-modify-write. *)
   let rec fetch_add cell d =
     let v = R.read cell in
     if R.cas cell v (v + d) then v else fetch_add cell d
 
-  let size t = R.read t.size
+  let size t = R.read t.items
 
+  (* Cross-side notifications: sent under [pop_lock], after the credit
+     they announce has landed. *)
   let notify_not_empty t =
-    if t.broken then
-      (* MUTANT: signal without holding [pop_lock].  A consumer that has
-         read [size = 0] but not yet parked misses this signal forever. *)
+    R.acquire t.pop_lock;
+    if t.empty_waiters > 0 then begin
+      t.c.wakes <- t.c.wakes + 1;
       R.cond_signal t.not_empty
-    else begin
-      R.acquire t.pop_lock;
-      if t.empty_waiters > 0 then begin
-        t.c.wakes <- t.c.wakes + 1;
-        R.cond_signal t.not_empty
-      end;
-      R.release t.pop_lock
+    end;
+    R.release t.pop_lock
+
+  let signal_room t =
+    if t.room_waiter then begin
+      t.c.wakes <- t.c.wakes + 1;
+      R.cond_signal t.not_full
     end
 
-  let notify_not_full t =
-    if t.broken then R.cond_signal t.not_full
-    else begin
-      R.acquire t.push_lock;
-      if t.full_waiters > 0 then begin
-        t.c.wakes <- t.c.wakes + 1;
-        R.cond_signal t.not_full
-      end;
-      R.release t.push_lock
-    end
+  (* Give back the room of one removed (or never-present) element; a
+     caller that holds [pop_lock] says so with [locked].  The mutant
+     announced the room already, when it took its item credit. *)
+  let return_room ?(locked = false) t =
+    if fetch_add t.admitted (-1) = t.capacity && not t.broken then
+      if locked then signal_room t
+      else begin
+        R.acquire t.pop_lock;
+        signal_room t;
+        R.release t.pop_lock
+      end
+
+  (* The caller holds [push_lock], so no other producer takes room until
+     it is done: only [admitted]'s fall can end the wait. *)
+  let wait_room t =
+    R.acquire t.pop_lock;
+    while R.read t.admitted >= t.capacity do
+      t.room_waiter <- true;
+      t.c.backpressure_stalls <- t.c.backpressure_stalls + 1;
+      R.cond_wait t.not_full;
+      t.room_waiter <- false
+    done;
+    R.release t.pop_lock
 
   let insert_wait t k v =
     R.acquire t.push_lock;
-    while R.read t.size >= t.capacity do
-      t.full_waiters <- t.full_waiters + 1;
-      t.c.backpressure_stalls <- t.c.backpressure_stalls + 1;
-      R.cond_wait t.not_full;
-      t.full_waiters <- t.full_waiters - 1
-    done;
-    t.backend_insert k v;
-    let old = fetch_add t.size 1 in
-    (* Chain-signal while room and parked producers remain: edge
-       transitions alone would strand producers woken past each other. *)
-    if (not t.broken) && t.full_waiters > 0 && old + 1 < t.capacity then begin
-      t.c.wakes <- t.c.wakes + 1;
-      R.cond_signal t.not_full
-    end;
+    if R.read t.admitted >= t.capacity then wait_room t;
+    ignore (fetch_add t.admitted 1);
+    (* MUTANT: announce the item now, under the push lock instead of the
+       consumers' pop lock, before the element or its credit exists.  A
+       consumer woken here re-tests [items], finds nothing and parks
+       again; the credit then lands with no signal behind it. *)
+    if t.broken && R.read t.items <= 0 then R.cond_signal t.not_empty;
     R.release t.push_lock;
-    if old = 0 then notify_not_empty t
+    t.backend_insert k v;
+    if fetch_add t.items 1 = 0 && not t.broken then notify_not_empty t
 
   (* Take one element; the caller holds [pop_lock] and [block] decides the
-     empty behaviour.  Under [pop_lock] all completed decrements are ours,
-     so [size > 0] means the backend holds at least [size - stale] fully
-     inserted elements, where [stale] counts inserts a deduplicating
-     backend absorbed as in-place updates.  A [None] from the backend
-     while [size > 0] therefore means, for a deduplicating backend, a
-     stale credit — burn it (freeing capacity) and re-test; for a
-     non-deduplicating backend it is a transient miss (e.g. a try-locked
-     shard mid-insert) that resolves under retry.
+     empty behaviour.  An item credit is taken under the lock and the pop
+     runs outside it; a miss is settled under the lock again ([settle]).
 
-     [size <= 0] does not prove the backend empty, though: a consumer may
-     have popped an in-flight insert's element (inserted into the backend,
-     not yet credited) and spent a completed insert's credit on it, so
-     that completed insert's element is still in the backend under a zero
-     size.  A non-blocking take therefore asks the backend once before
-     answering empty, and a hit overdraws [size] below zero until the
-     in-flight insert's credit lands.  A blocking take parks instead: the
-     in-flight insert's credit will wake it. *)
+     [items <= 0] does not prove the backend empty: an insert puts its
+     element in the backend before it credits, and a consumer may pop
+     that in-flight element on a completed insert's credit, so the
+     completed insert's element sits in the backend with no credit left
+     for it.  A non-blocking take therefore asks the backend once before
+     answering empty, and a hit overdraws [items] until the in-flight
+     credits land.  (The hit may instead be an element a credit holder
+     has yet to pop; that holder's pop then misses, and [settle] gives
+     its credit back.)  A blocking take parks instead: an in-flight
+     credit will wake it. *)
   let rec take t ~block =
-    if R.read t.size <= 0 then
-      if not block then begin
-        let got = t.backend_pop () in
-        if Option.is_some got then ignore (fetch_add t.size (-1));
-        R.release t.pop_lock;
-        got
-      end
-      else begin
-        t.empty_waiters <- t.empty_waiters + 1;
-        t.c.parks <- t.c.parks + 1;
-        R.cond_wait t.not_empty;
-        t.empty_waiters <- t.empty_waiters - 1;
-        take t ~block
-      end
-    else
-      match t.backend_pop () with
-      | Some kv ->
-        let old = fetch_add t.size (-1) in
-        if (not t.broken) && t.empty_waiters > 0 && old - 1 > 0 then begin
+    let n = R.read t.items in
+    if n > 0 then
+      if R.cas t.items n (n - 1) then begin
+        if t.empty_waiters > 0 && n > 1 then begin
           (* chain the wake to the next parked consumer *)
           t.c.wakes <- t.c.wakes + 1;
           R.cond_signal t.not_empty
         end;
         R.release t.pop_lock;
-        if old = t.capacity then notify_not_full t;
-        Some kv
-      | None when t.dedups ->
-        let old = fetch_add t.size (-1) in
-        if old = t.capacity then notify_not_full t;
-        take t ~block
-      | None ->
-        R.yield ();
-        take t ~block
+        (* MUTANT: the room announced with no lock held, before the pop *)
+        if t.broken && R.read t.admitted >= t.capacity then R.cond_signal t.not_full;
+        match t.backend_pop () with
+        | Some _ as got ->
+          return_room t;
+          got
+        | None ->
+          R.acquire t.pop_lock;
+          settle t ~block
+      end
+      else take t ~block (* a producer credited in between *)
+    else if block then begin
+      t.empty_waiters <- t.empty_waiters + 1;
+      t.c.parks <- t.c.parks + 1;
+      R.cond_wait t.not_empty;
+      t.empty_waiters <- t.empty_waiters - 1;
+      take t ~block
+    end
+    else begin
+      let got = t.backend_pop () in
+      if Option.is_some got then ignore (fetch_add t.items (-1));
+      R.release t.pop_lock;
+      if Option.is_some got then return_room t;
+      got
+    end
+
+  (* The caller holds [pop_lock] and an item credit whose pop missed.  A
+     pop outside the lock can miss for a reason that passes: a concurrent
+     consumer took the element this credit counted, while the element that
+     replaces it was not yet visible to this pop.  So the pop is retried
+     under the lock, where no consumer can take a new credit and every
+     credit already issued, stale ones aside, counts an element this pop
+     can see (DESIGN.md §18 counts them).  A miss there is read against
+     [n], the credits the lock has frozen from below (producers only
+     add):
+
+     - [n < 0]: overdrawn, so an overdrawing take may have removed the
+       element this credit counted; give the credit back and wait for
+       the next one;
+     - a deduplicating backend: a credit with no element behind it exists
+       (an insert absorbed as an in-place update) — burn one, freeing its
+       room, and take another;
+     - otherwise a transient miss (e.g. a try-locked shard mid-insert)
+       that resolves under retry. *)
+  and settle t ~block =
+    let n = R.read t.items in
+    match t.backend_pop () with
+    | Some _ as got ->
+      R.release t.pop_lock;
+      return_room t;
+      got
+    | None when n < 0 ->
+      ignore (fetch_add t.items 1);
+      take t ~block
+    | None when t.dedups ->
+      return_room ~locked:true t;
+      take t ~block
+    | None ->
+      R.yield ();
+      settle t ~block
 
   let try_delete_min t =
     R.acquire t.pop_lock;

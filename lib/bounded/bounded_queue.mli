@@ -1,23 +1,27 @@
 (** Bounded/blocking façade over any int-keyed priority queue.
 
     Wraps a backend's [insert] / [try_delete_min] closures with a capacity
-    bound and blocking entry points, in the classic two-lock shape: one
-    lock per end, an atomic size, and two condition variables —
-    [not_full] tied to the push lock, [not_empty] tied to the pop lock
-    (the bounded-queue design cited in ROADMAP.md).  Producers park when
-    the structure holds [capacity] elements; consumers park when it is
-    empty.  Signals are sent while holding the waiter's lock and chained
-    across same-side waiters, which is what makes the façade
-    lost-wakeup-free (DESIGN.md §18 gives the argument; the deliberate
-    counterexample is available as [broken_wakeup] for the fuzzer's
-    mutant sweep).
+    bound and blocking entry points, in the classic counting-semaphore
+    shape: room credits and item credits, one lock per end guarding its
+    credits, and two condition variables, [not_full] and [not_empty],
+    both tied to the pop lock (the bounded-queue design cited in
+    ROADMAP.md).  A producer takes a room credit, parking while
+    [capacity] are in use; producers queue on the push lock, so only its
+    holder ever parks for room.  A consumer takes an item credit, parking
+    while none is available.  The backend is called outside both locks.
+    Signals are sent while holding the pop lock, after the credit they
+    announce lands, and chained across parked consumers, which is what
+    makes the façade lost-wakeup-free (DESIGN.md §18 gives the argument;
+    the deliberate counterexample is available as [broken_wakeup] for
+    the fuzzer's mutant sweep).
 
-    Ordering contract: the façade serializes consumers (one [pop_lock])
-    and producers (one [push_lock]) but adds no ordering of its own — a
-    [delete_min_wait] returns whatever the backend's [try_delete_min]
-    returns, so the wrapped structure keeps its own [spec]
-    (linearizable / quiescent / relaxed / rank-bounded) over the
-    elements currently admitted. *)
+    Ordering contract: the locks order only credit-taking.  Producers'
+    backend inserts run concurrently with each other, and so do
+    consumers' backend pops, as the backend allows; the façade adds no
+    ordering of its own — a [delete_min_wait] returns whatever the
+    backend's [try_delete_min] returns, so the wrapped structure keeps
+    its own [spec] (linearizable / quiescent / relaxed / rank-bounded)
+    over the elements currently admitted. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type t
@@ -34,34 +38,43 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
   (** [create ~capacity ~insert ~try_delete_min ()] wraps the backend
       closures.  [dedups] must be [true] when the backend absorbs inserts
       of an already-present key as in-place updates (the SkipQueue
-      family): the façade then treats a backend-empty answer under a
-      positive size as a stale capacity credit and burns it, instead of
-      retrying.  [name] prefixes the internal lock/condition names
+      family): the façade then treats a backend-empty answer that no
+      concurrent take explains as a stale item credit and burns it,
+      freeing its room, instead of retrying.  [name] prefixes the internal lock/condition names
       ([name.push], [name.pop], [name.not_full], [name.not_empty]) for
       traces and deadlock diagnostics.  [broken_wakeup] (default false)
-      plants the classic lost-wakeup bug — cross-side signals sent
-      without the waiter's lock, no chain-signals — for checker
+      plants the classic lost-wakeup bug — cross-side signals sent without
+      the waiter's lock (a producer's under the push lock, a consumer's
+      under none), before the credit they announce exists — for checker
       self-tests only.  Raises [Invalid_argument] if [capacity < 1]. *)
 
   val capacity : t -> int
 
   val size : t -> int
-  (** Current element count as the façade accounts it (one shared read);
-      between operations of a quiescent moment it equals the number of
-      admitted-but-not-removed elements. *)
+  (** Item credits (one shared read): inserts whose element is in the
+      backend and that no consumer has yet claimed.  Between operations of
+      a quiescent moment it equals the number of admitted-but-not-removed
+      elements.  While inserts are in flight a non-blocking take can
+      overdraw it below zero, by at most the in-flight inserts plus the
+      consumers whose pops are outstanding; it settles as their credits
+      land. *)
 
   val insert_wait : t -> int -> int -> unit
-  (** Blocking insert: parks on [not_full] until the size drops below
-      [capacity], then inserts into the backend. *)
+  (** Blocking insert: takes the push lock and, while [capacity]
+      elements are admitted, parks on [not_full] holding it, then inserts
+      into the backend outside the façade's locks. *)
 
   val try_delete_min : t -> (int * int) option
-  (** Non-blocking delete-min: [None] when the façade is empty. *)
+  (** Non-blocking delete-min: [None] when the façade is empty.  With no
+      item credit it still asks the backend once, so an element whose
+      credit a concurrent take spent is found. *)
 
   val delete_min_wait : t -> int * int
-  (** Blocking delete-min: parks on [not_empty] until an element is
-      available.  Never returns on a façade that stays empty — on the
-      simulator a permanently parked consumer is reported by the deadlock
-      detector, naming [not_empty] and the pop lock. *)
+  (** Blocking delete-min: parks on [not_empty] until an item credit is
+      available, then pops the backend outside the façade's locks.  Never
+      returns on a façade that stays empty — on the simulator a
+      permanently parked consumer is reported by the deadlock detector,
+      naming [not_empty] and the pop lock. *)
 
   val stats : t -> (string * float) list
   (** Front-end counters: [parks] (consumer parks on [not_empty]),

@@ -135,10 +135,12 @@ let co =
     ~try_delete_min:Q.delete_min
     (fun () -> Q.create ~mode:Q.Strict ~capacity:1 ())
 
-(* [broken_wakeup]: cross-side signals sent without the waiter's lock and
-   chain-signals dropped.  A consumer that has seen [size = 0] but not yet
-   parked misses the producer's signal; once every consumer is parked and
-   the producers are done, the simulator's deadlock detector fires. *)
+(* [broken_wakeup]: cross-side signals sent without the waiter's lock (a
+   producer's under its push lock, a consumer's under no lock), before the
+   credit they announce exists.  A
+   consumer woken by one finds no credit and parks again, and the credit
+   then lands unannounced; once every consumer is parked and the
+   producers are done, the simulator's deadlock detector fires. *)
 let wakeup ~capacity =
   let module Q = Repro_skipqueue.Skipqueue.Make (Repro_sim.Sim_runtime) (Key) in
   let module B = Repro_bounded.Bounded_queue.Make (Repro_sim.Sim_runtime) in

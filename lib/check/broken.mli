@@ -19,8 +19,9 @@
     reproduces them (DESIGN.md §6):
     - [lf-free]: the lock-free SkipQueue's [broken_premature_free], which
       frees and clobbers a node at unlink time;
-    - [wakeup]: the bounded façade's [broken_wakeup], which signals
-      without the waiter's lock and drops the chain-signals. *)
+    - [wakeup]: the bounded façade's [broken_wakeup], which signals the
+      other end without the waiter's lock, before the credit it
+      announces exists. *)
 
 exception Wedged of string
 (** Raised from inside the simulation by a {!Faulty} watchdog once a

@@ -77,6 +77,25 @@ type pending =
   | Pending_int of (int, unit) Effect.Deep.continuation * int
   | Pending_bool of (bool, unit) Effect.Deep.continuation * bool
 
+(* A processor's resumption slot for the heap path.  A processor never has
+   more than one event in the heap (it is not running until that event
+   runs), so the continuation the event resumes, and its result, can sit
+   here, and the heap holds [run] — a thunk allocated once per processor
+   and slot type rather than once per event. *)
+type 'a slot = {
+  mutable k : ('a, unit) Effect.Deep.continuation;
+  mutable v : 'a;
+  run : unit -> unit;
+}
+
+(* The same for a condition waiter's wake-up, which re-acquires [wlock]
+   before resuming. *)
+type wake = {
+  mutable wk : (unit, unit) Effect.Deep.continuation;
+  mutable wlock : lock;
+  wrun : unit -> unit;
+}
+
 (* Mutable simulation state, all local to one [run] call. *)
 type state = {
   config : Memory_model.config;
@@ -116,6 +135,12 @@ type state = {
   proc_cond_parks : int array;
   proc_last_park : int array;
   proc_last_wake : int array;
+  (* Per-processor resumption slots, created on a processor's first
+     heap-path event of each kind. *)
+  unit_slots : unit slot option array;
+  int_slots : int slot option array;
+  bool_slots : bool slot option array;
+  wake_slots : wake option array;
   (* statistics *)
   mutable dispatched : int;
   mutable accesses : int;
@@ -163,23 +188,35 @@ let enqueue st ~proc ~at thunk =
    carries a later sequence number.  See DESIGN.md §S16. *)
 let[@inline] fast_ok st at = st.fast_enabled && at < Event_queue.min_time st.events
 
+(* Store [k] and [v] in processor [p]'s slot and return the slot's thunk. *)
+let slot_run slots p k v =
+  match slots.(p) with
+  | Some s ->
+    s.k <- k;
+    s.v <- v;
+    s.run
+  | None ->
+    let rec s = { k; v; run = (fun () -> Effect.Deep.continue s.k s.v) } in
+    slots.(p) <- Some s;
+    s.run
+
 let resume_unit st (k : (unit, unit) Effect.Deep.continuation) =
   let p = st.current in
   let at = st.clocks.(p) in
   if fast_ok st at then st.pending <- Pending_unit k
-  else enqueue st ~proc:p ~at (fun () -> Effect.Deep.continue k ())
+  else enqueue st ~proc:p ~at (slot_run st.unit_slots p k ())
 
 let resume_int st (k : (int, unit) Effect.Deep.continuation) v =
   let p = st.current in
   let at = st.clocks.(p) in
   if fast_ok st at then st.pending <- Pending_int (k, v)
-  else enqueue st ~proc:p ~at (fun () -> Effect.Deep.continue k v)
+  else enqueue st ~proc:p ~at (slot_run st.int_slots p k v)
 
 let resume_bool st (k : (bool, unit) Effect.Deep.continuation) v =
   let p = st.current in
   let at = st.clocks.(p) in
   if fast_ok st at then st.pending <- Pending_bool (k, v)
-  else enqueue st ~proc:p ~at (fun () -> Effect.Deep.continue k v)
+  else enqueue st ~proc:p ~at (slot_run st.bool_slots p k v)
 
 let handoff_cost st = st.config.Memory_model.remote_fetch
 
@@ -347,7 +384,7 @@ let do_release st lock =
              at = wake;
              waited = wake - park_time;
            }));
-    enqueue st ~proc:waiter ~at:wake (fun () -> Effect.Deep.continue wk ())
+    enqueue st ~proc:waiter ~at:wake (slot_run st.unit_slots waiter wk ())
 
 (* Condition wait: atomically give up the guarding lock (a full release,
    including the handoff to the next acquirer) and park on the condition's
@@ -376,6 +413,28 @@ let do_cond_wait st c (k : (unit, unit) Effect.Deep.continuation) =
   if Queue.length c.cond_waiting = 1 then
     st.waiting_conds <- c :: st.waiting_conds
 
+(* Store a woken waiter's continuation and lock in its [wake] slot and
+   return the slot's thunk, which re-acquires the lock, then resumes. *)
+let wake_run st p k lock =
+  match st.wake_slots.(p) with
+  | Some w ->
+    w.wk <- k;
+    w.wlock <- lock;
+    w.wrun
+  | None ->
+    let rec w =
+      {
+        wk = k;
+        wlock = lock;
+        wrun =
+          (fun () ->
+            if do_acquire_grant st w.wlock then Effect.Deep.continue w.wk ()
+            else park st w.wlock w.wk);
+      }
+    in
+    st.wake_slots.(p) <- Some w;
+    w.wrun
+
 (* Wake the longest-parked waiter: its clock jumps to the signal's
    delivery time (same handoff charge as a lock handoff) and the waiter
    is re-scheduled into an ordinary lock acquisition — granted on the
@@ -401,9 +460,7 @@ let wake_one st c =
         (Trace.Cond_woken
            { proc = waiter; cond = c.cond_name; lock = c.cond_lock.lock_name;
              at = wake; waited = wake - park_time }));
-    enqueue st ~proc:waiter ~at:wake (fun () ->
-        if do_acquire_grant st c.cond_lock then Effect.Deep.continue wk ()
-        else park st c.cond_lock wk)
+    enqueue st ~proc:waiter ~at:wake (wake_run st waiter wk c.cond_lock)
 
 (* Signal and broadcast are shared writes on the condition word (the
    caller need not hold the guarding lock, exactly like [Condition]). *)
@@ -486,6 +543,10 @@ let run ?(config = Memory_model.default) ?tracer ?perturb ?(fast_path = true) ma
       proc_cond_parks = Array.make config.Memory_model.max_procs 0;
       proc_last_park = Array.make config.Memory_model.max_procs (-1);
       proc_last_wake = Array.make config.Memory_model.max_procs (-1);
+      unit_slots = Array.make config.Memory_model.max_procs None;
+      int_slots = Array.make config.Memory_model.max_procs None;
+      bool_slots = Array.make config.Memory_model.max_procs None;
+      wake_slots = Array.make config.Memory_model.max_procs None;
     }
   in
   (* One handler closure per hot effect, allocated once per run; [effc]

@@ -406,9 +406,10 @@ let test_broken_elim_caught () =
     (caught_and_replays "torn CAS" (Harness.sweep_impl impl) (Harness.seeds ~start:1L ~count:10))
 
 let test_broken_wakeup_caught () =
-  (* The lost-wakeup mutant drops the chain-signals; some schedule strands
-     a parked processor, which the simulator reports as a deadlock and the
-     harness converts into an execution violation naming the condition. *)
+  (* The lost-wakeup mutant signals the other end before the credit it
+     announces exists; some schedule strands a parked processor, which the
+     simulator reports as a deadlock and the harness converts into an
+     execution violation naming the condition. *)
   let profile = { small_blocking with Harness.capacity = 4 } in
   let impl = (mutant "wakeup").Broken.impl ~capacity:4 in
   let msg =
