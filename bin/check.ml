@@ -17,12 +17,14 @@
    to the suite.  Backend names may be given with or without their
    "bounded:" prefix there.
 
-   Exit status: 0 all clean, 1 violations found, 2 usage error (an
-   unknown name, --seeds or --procs out of range, or --procs/--ops given
-   with --blocking; checked before anything runs).  Under --broken the
-   meaning flips: 0 every chosen mutant (a name of Broken.all, or all;
-   default swap) was caught on some seed, 1 at least one escaped.  Each
-   mutant's line says on how many seeds it was caught. *)
+   Exit status: 0 all clean, 1 violations found, 2 usage error: an
+   unknown name, --seeds, --procs, --ops or --jitter out of range, or
+   --procs/--ops given with --blocking (all checked before anything
+   runs), or a --jitter so large that a worker ran past the drain
+   processor, which voids the run.  Under --broken the meaning flips: 0
+   every chosen mutant (a name of Broken.all, or all; default swap) was
+   caught on some seed, 1 at least one escaped.  Each mutant's line says
+   on how many seeds it was caught. *)
 
 open Cmdliner
 module QA = Repro_workload.Queue_adapter
@@ -101,6 +103,7 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
     blocking quiet jobs =
   (* A sweep of no seeds would report a pass that checked nothing. *)
   if seeds < 1 then usage_error "--seeds %d: must be at least 1" seeds;
+  if jitter < 0 then usage_error "--jitter %d: must be at least 0" jitter;
   (* The blocking harness runs its own fixed profile; only --jitter reaches it. *)
   if blocking && (procs <> None || ops <> None) then
     usage_error
@@ -113,6 +116,8 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
   let ops = Option.value ops ~default:Harness.default_profile.Harness.ops_per_proc in
   if procs < 1 || procs > max_procs then
     usage_error "--procs %d outside [1, %d]" procs max_procs;
+  (* No operations would leave only the prefill to check. *)
+  if ops < 1 then usage_error "--ops %d: must be at least 1" ops;
   let broken =
     if broken then Some (Option.value mutant ~default:"swap")
     else
@@ -139,15 +144,21 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
     | None -> Harness.seeds ~start:start_seed ~count:seeds
   in
   let summaries =
-    List.map
-      (fun (impl, harness, target, name) ->
-        ( (match harness with
-          | Blocking -> Harness.sweep_blocking ~bounds ~profile:bprofile ~jobs impl seed_list
-          | Plain profile -> Harness.sweep_impl ~bounds ~profile ~jobs impl seed_list),
-          harness,
-          target,
-          name ))
-      impls
+    try
+      List.map
+        (fun (impl, harness, target, name) ->
+          ( (match harness with
+            | Blocking -> Harness.sweep_blocking ~bounds ~profile:bprofile ~jobs impl seed_list
+            | Plain profile -> Harness.sweep_impl ~bounds ~profile ~jobs impl seed_list),
+            harness,
+            target,
+            name ))
+        impls
+    with Harness.Drain_overtaken { seed; drain_start; last_response } ->
+      usage_error
+        "--jitter %d: too large, seed %Ld delayed an operation to cycle %d, past the drain \
+         processor's start at cycle %d"
+        jitter seed last_response drain_start
   in
   List.iter
     (fun ((s : Harness.summary), harness, target, _) ->

@@ -25,14 +25,26 @@ let tag_bits = 16
    uses its own [mix] constant. *)
 let stream seed i mix = Rng.of_seed (Int64.logxor seed (Int64.mul (Int64.of_int i) mix))
 
+exception Drain_overtaken of { seed : int64; drain_start : int; last_response : int }
+
 (* One perturbed execution: [workers hq key] runs on the root processor
    and spawns the workload on [hq], the recorded instance, passing every
    raw priority through [key] (the tag above, when [impl] dedups).  A
    drain processor then empties the queue at quiescence, far in the
-   future and unrecorded, and the run's history is returned. *)
+   future and unrecorded, and the run's history is returned.
+
+   A jitter can delay a worker past the drain's start.  The drain then
+   races live operations: its "drained at quiescence" set is not, and in
+   the blocking harness it steals items the consumers' quotas need.  So a
+   run whose drain found another processor still runnable, and which
+   recorded a response at or after the drain's start, is void whatever
+   its outcome, and [Drain_overtaken] is raised instead.  A drain that
+   finds every other processor finished or parked (a mutant's stranded
+   waiters) starts at quiescence, even if it wakes them. *)
 let execute ~who ~jitter ~capacity (impl : QA.impl) seed workers =
   let history = History.create () in
   let drained = ref [] in
+  let drain_start = ref max_int in
   let tag = ref 0 in
   let key raw =
     if impl.QA.dedups then begin
@@ -42,27 +54,39 @@ let execute ~who ~jitter ~capacity (impl : QA.impl) seed workers =
     end
     else raw
   in
-  let _report =
-    Machine.run ~perturb:{ Machine.sched_seed = seed; jitter } (fun () ->
-        let q = impl.QA.create () in
-        workers (History.wrap history q) key;
-        Machine.spawn (fun () ->
-            Machine.work (1 lsl 55);
-            let rec go () =
-              match q.QA.try_delete_min () with
-              | Some kv ->
-                drained := kv :: !drained;
-                go ()
-              | None -> ()
-            in
-            go ()))
+  let failure =
+    match
+      Machine.run ~perturb:{ Machine.sched_seed = seed; jitter } (fun () ->
+          let q = impl.QA.create () in
+          workers (History.wrap history q) key;
+          Machine.spawn (fun () ->
+              Machine.work (1 lsl 55);
+              if Machine.probe_runnable () > 0 then drain_start := Machine.probe_time ();
+              let rec go () =
+                match q.QA.try_delete_min () with
+                | Some kv ->
+                  drained := kv :: !drained;
+                  go ()
+                | None -> ()
+              in
+              go ()))
+    with
+    | _ -> None
+    | exception e -> Some e
   in
+  let events = History.events history in
+  let last_response =
+    List.fold_left (fun m (e : History.O.event) -> Int.max m e.History.O.responded) min_int events
+  in
+  if last_response >= !drain_start then
+    raise (Drain_overtaken { seed; drain_start = !drain_start; last_response });
+  Option.iter raise failure;
   {
     Checkers.impl = impl.QA.name;
     dedups = impl.QA.dedups;
     spec = impl.QA.spec;
     seed;
-    events = History.events history;
+    events;
     drained = List.rev !drained;
     capacity;
     spans = History.park_spans history;
@@ -177,7 +201,7 @@ let sweep_with ~run ?bounds ~jobs (impl : QA.impl) seed_list =
               (fun (check, message) -> { seed; check; message })
               (Checkers.failures
                  (Checkers.check_all ?bounds ~rank_bound:impl.QA.rank_bound h)) )
-        | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+        | exception ((Stack_overflow | Out_of_memory | Drain_overtaken _) as e) -> raise e
         | exception e ->
           (0, [ { seed; check = "execution"; message = Printexc.to_string e } ]))
       seed_list

@@ -23,11 +23,20 @@ val default_profile : profile
     small enough that the exhaustive Definition-1 windows usually apply,
     contended enough to explore real races. *)
 
+exception Drain_overtaken of { seed : int64; drain_start : int; last_response : int }
+(** Raised by a run (and passed through the sweeps, never reported as a
+    violation) when the jitter kept a worker runnable at [drain_start],
+    the clock at which the drain processor began emptying the queue "at
+    quiescence", and a recorded operation responded at or after it
+    ([last_response]).  Such a run checks nothing: the drain raced live
+    operations. *)
+
 val run_one : ?profile:profile -> Repro_workload.Queue_adapter.impl -> int64 -> Checkers.history
 (** One perturbed execution under the given schedule seed.  For
     implementations that update duplicate keys in place ([dedups]), raw
     keys are made unique by a low-bits insertion counter (order-preserving)
-    so id-exact conservation applies. *)
+    so id-exact conservation applies.  Raises {!Drain_overtaken} when the
+    jitter voids the run. *)
 
 type blocking_profile = {
   producers : int;  (** processors inserting through [insert_wait] *)

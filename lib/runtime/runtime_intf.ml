@@ -9,9 +9,8 @@
     - {!Native_runtime}: real parallelism — OCaml 5 [Atomic] cells,
       [Mutex] locks, domains as processors.
     - [Repro_sim.Sim_runtime]: the Proteus-like simulator — every operation
-      performs an effect handled by the machine scheduler, which charges
-      simulated cycles and interleaves virtual processors in
-      simulated-time order.
+      is a step of the machine scheduler, which charges simulated cycles
+      and interleaves virtual processors in simulated-time order.
 
     Data structures are functors over {!S} and therefore run unchanged on
     both. *)

@@ -35,56 +35,25 @@ type cond = {
   cond_waiting : (int * (unit, unit) Effect.Deep.continuation) Queue.t;
 }
 
+(* The only ways a processor reaches the scheduler.  Every public operation
+   applies its step inline; then [Yield] hands the processor back to be
+   re-enqueued at its clock, [Park] parks it on the lock in the [eff_lock]
+   mailbox and [Park_cond] on the condition in [eff_cond].  The three are
+   constant constructors, so performing them allocates nothing.  [Spawn]
+   is cold and carries the child's body. *)
 type _ Effect.t +=
-  | Work : int -> unit Effect.t
-  | Access : Memory_model.meta * Memory_model.kind -> unit Effect.t
-  | Alloc : Memory_model.meta Effect.t
-  | Acquire : lock -> unit Effect.t
-  | Try_acquire : lock -> bool Effect.t
-  | Release : lock -> unit Effect.t
-  | Get_time : int Effect.t
-  | Probe_time : int Effect.t
-  | Self : int Effect.t
-  | Spawn : (unit -> unit) -> unit Effect.t
-  (* Internal: performed by the run-ahead public operations (see the
-     elision functions at the bottom of this file) when a step's state
-     changes are already applied and the processor merely needs to yield
-     to the scheduler ([Yield]) or park on the lock in the [eff_lock]
-     mailbox ([Park]).  Both are constant constructors so performing them
-     allocates nothing. *)
   | Yield : unit Effect.t
   | Park : unit Effect.t
-  | Cond_wait : cond -> unit Effect.t
-  | Cond_signal : cond -> unit Effect.t
-  | Cond_broadcast : cond -> unit Effect.t
-  (* Constant-constructor twin of [Cond_wait] for the run-ahead public
-     operation, taking the condition from the [eff_cond] mailbox — same
-     trick as [Park] for lock acquisition. *)
   | Park_cond : unit Effect.t
+  | Spawn : (unit -> unit) -> unit Effect.t
 
-(* The run-ahead register: when the current processor's next event is
-   strictly below everything in the heap, its continuation parks here and
-   the scheduler loop resumes it directly — no heap insert, no pop, no
-   closure.  Holding the continuation (plus its result for the non-unit
-   effects) in a dedicated variant keeps the fast path allocation-light
-   and, crucially, keeps resumption inside the scheduler loop: resuming
-   from the loop (a trampoline) rather than inside the effect handler
-   bounds the native stack no matter how many consecutive events
-   fast-path. *)
-type pending =
-  | No_pending
-  | Pending_unit of (unit, unit) Effect.Deep.continuation
-  | Pending_int of (int, unit) Effect.Deep.continuation * int
-  | Pending_bool of (bool, unit) Effect.Deep.continuation * bool
-
-(* A processor's resumption slot for the heap path.  A processor never has
+(* A processor's resumption slot for the event heap.  A processor never has
    more than one event in the heap (it is not running until that event
-   runs), so the continuation the event resumes, and its result, can sit
-   here, and the heap holds [run] — a thunk allocated once per processor
-   and slot type rather than once per event. *)
-type 'a slot = {
-  mutable k : ('a, unit) Effect.Deep.continuation;
-  mutable v : 'a;
+   runs), so the continuation the event resumes can sit here, and the heap
+   holds [run] — a thunk allocated once per processor rather than once
+   per event. *)
+type slot = {
+  mutable k : (unit, unit) Effect.Deep.continuation;
   run : unit -> unit;
 }
 
@@ -107,7 +76,6 @@ type state = {
   jitter : int; (* max extra cycles per event, only when [perturbed] *)
   fast_enabled : bool; (* run-ahead legal: not perturbed, not disabled *)
   events : Event_queue.t;
-  mutable pending : pending;
   mutable seq : int;
   mutable current : int; (* running processor *)
   clocks : int array; (* local clock per processor *)
@@ -116,17 +84,10 @@ type state = {
   mutable parked : int;
   mutable waiting_locks : lock list; (* locks with at least one waiter *)
   mutable waiting_conds : cond list; (* conditions with at least one waiter *)
-  mutable finished : int;
   mutable end_time : int;
-  (* Payload mailboxes for the pre-allocated effect handlers: [effc]
-     stores the effect's argument here and returns a constant [Some
-     handler], so handling a hot effect allocates nothing (a fresh
-     closure per effect would cost ~7 words at millions of effects per
-     figure).  Safe because the runtime invokes the returned handler
-     immediately, before any other effect can overwrite the mailbox. *)
-  mutable eff_int : int;
-  mutable eff_meta : Memory_model.meta;
-  mutable eff_kind : Memory_model.kind;
+  (* Mailboxes for [Park] and [Park_cond]: the operation stores its lock or
+     condition here just before performing, and the handler reads it
+     before any other effect can overwrite it. *)
   mutable eff_lock : lock;
   mutable eff_cond : cond;
   (* Free per-processor blocking probes for harness instrumentation (the
@@ -137,9 +98,7 @@ type state = {
   proc_last_wake : int array;
   (* Per-processor resumption slots, created on a processor's first
      heap-path event of each kind. *)
-  unit_slots : unit slot option array;
-  int_slots : int slot option array;
-  bool_slots : bool slot option array;
+  slots : slot option array;
   wake_slots : wake option array;
   (* statistics *)
   mutable dispatched : int;
@@ -180,43 +139,21 @@ let enqueue st ~proc ~at thunk =
   if st.perturbed then enqueue_perturbed st ~proc ~at thunk
   else enqueue_plain st ~proc ~at thunk
 
-(* Run-ahead check for the current processor's continuation at time [at]:
-   legal exactly when [at] is strictly below the heap's minimum timestamp
-   ([min_time] is [max_int] on an empty heap), because then no pending or
-   future event can be ordered before it — strictly-smaller keys win
-   regardless of the FIFO tie-break, and every event enqueued later
-   carries a later sequence number.  See DESIGN.md §S16. *)
-let[@inline] fast_ok st at = st.fast_enabled && at < Event_queue.min_time st.events
-
-(* Store [k] and [v] in processor [p]'s slot and return the slot's thunk. *)
-let slot_run slots p k v =
-  match slots.(p) with
+(* Store [k] in processor [p]'s slot and return the slot's thunk. *)
+let slot_run st p k =
+  match st.slots.(p) with
   | Some s ->
     s.k <- k;
-    s.v <- v;
     s.run
   | None ->
-    let rec s = { k; v; run = (fun () -> Effect.Deep.continue s.k s.v) } in
-    slots.(p) <- Some s;
+    let rec s = { k; run = (fun () -> Effect.Deep.continue s.k ()) } in
+    st.slots.(p) <- Some s;
     s.run
 
-let resume_unit st (k : (unit, unit) Effect.Deep.continuation) =
+(* Re-enqueue the running processor's continuation at its clock. *)
+let resume st k =
   let p = st.current in
-  let at = st.clocks.(p) in
-  if fast_ok st at then st.pending <- Pending_unit k
-  else enqueue st ~proc:p ~at (slot_run st.unit_slots p k ())
-
-let resume_int st (k : (int, unit) Effect.Deep.continuation) v =
-  let p = st.current in
-  let at = st.clocks.(p) in
-  if fast_ok st at then st.pending <- Pending_int (k, v)
-  else enqueue st ~proc:p ~at (slot_run st.int_slots p k v)
-
-let resume_bool st (k : (bool, unit) Effect.Deep.continuation) v =
-  let p = st.current in
-  let at = st.clocks.(p) in
-  if fast_ok st at then st.pending <- Pending_bool (k, v)
-  else enqueue st ~proc:p ~at (slot_run st.bool_slots p k v)
+  enqueue st ~proc:p ~at:st.clocks.(p) (slot_run st p k)
 
 let handoff_cost st = st.config.Memory_model.remote_fetch
 
@@ -285,19 +222,20 @@ let deadlock_message st =
       (String.concat ", " parts)
   end
 
-(* --- step bodies shared between the effect handlers and the run-ahead
-   elision paths.  A public operation either performs its effect (handler
-   runs the body, then [resume_*] re-schedules the continuation) or, when
-   the simulation is unperturbed, runs the body inline and calls
-   [finish_step]; both routes apply the same mutations in the same order,
-   so the two produce bit-identical schedules. --- *)
+(* --- step bodies.  Every public operation applies its step inline on the
+   running processor, then ends in [finish_step] (or parks). --- *)
 
-(* End an inline step: if the processor is still strictly earliest it
-   keeps running (counting the dispatch the heap scheduler would have
-   made); otherwise it performs [Yield], whose handler parks the
-   continuation in the event heap like any other event. *)
+(* End a step.  Run-ahead: when the processor's clock is strictly below
+   the heap's minimum timestamp ([min_time] is [max_int] on an empty
+   heap), no pending or future event can be ordered before it —
+   strictly-smaller keys win regardless of the tie-break, and every event
+   enqueued later carries a later sequence number — so it keeps running,
+   counting the dispatch the heap scheduler would have made.  Otherwise,
+   and always under perturbation (whose jitter re-keys events) or
+   [~fast_path:false], it performs [Yield] and is re-enqueued at its
+   clock like any other event.  See DESIGN.md §S16. *)
 let[@inline] finish_step st =
-  if st.clocks.(st.current) < Event_queue.min_time st.events then
+  if st.fast_enabled && st.clocks.(st.current) < Event_queue.min_time st.events then
     st.dispatched <- st.dispatched + 1
   else Effect.perform Yield
 
@@ -384,7 +322,7 @@ let do_release st lock =
              at = wake;
              waited = wake - park_time;
            }));
-    enqueue st ~proc:waiter ~at:wake (slot_run st.unit_slots waiter wk ())
+    enqueue st ~proc:waiter ~at:wake (slot_run st waiter wk)
 
 (* Condition wait: atomically give up the guarding lock (a full release,
    including the handoff to the next acquirer) and park on the condition's
@@ -474,9 +412,9 @@ let do_cond_broadcast st c =
     wake_one st c
   done
 
-(* The running simulation on this domain, for the elision paths of the
-   public operations.  Domain-local because independent sweep points run
-   whole simulations on separate domains concurrently. *)
+(* The running simulation on this domain, which every public operation
+   looks up.  Domain-local because independent sweep points run whole
+   simulations on separate domains concurrently. *)
 let dls_state : state option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let run ?(config = Memory_model.default) ?tracer ?perturb ?(fast_path = true) main =
@@ -513,7 +451,6 @@ let run ?(config = Memory_model.default) ?tracer ?perturb ?(fast_path = true) ma
          path is only legal on the canonical schedule. *)
       fast_enabled = fast_path && not perturbed;
       events = Event_queue.create ();
-      pending = No_pending;
       seq = 0;
       current = 0;
       clocks = Array.make config.Memory_model.max_procs 0;
@@ -522,7 +459,6 @@ let run ?(config = Memory_model.default) ?tracer ?perturb ?(fast_path = true) ma
       parked = 0;
       waiting_locks = [];
       waiting_conds = [];
-      finished = 0;
       end_time = 0;
       dispatched = 0;
       accesses = 0;
@@ -535,88 +471,25 @@ let run ?(config = Memory_model.default) ?tracer ?perturb ?(fast_path = true) ma
       lock_try_failures = 0;
       cond_parkings = 0;
       cond_wait_cycles = 0;
-      eff_int = 0;
-      eff_meta = dummy_meta;
-      eff_kind = Memory_model.Read;
       eff_lock = dummy_lock;
       eff_cond = dummy_cond;
       proc_cond_parks = Array.make config.Memory_model.max_procs 0;
       proc_last_park = Array.make config.Memory_model.max_procs (-1);
       proc_last_wake = Array.make config.Memory_model.max_procs (-1);
-      unit_slots = Array.make config.Memory_model.max_procs None;
-      int_slots = Array.make config.Memory_model.max_procs None;
-      bool_slots = Array.make config.Memory_model.max_procs None;
+      slots = Array.make config.Memory_model.max_procs None;
       wake_slots = Array.make config.Memory_model.max_procs None;
     }
   in
-  (* One handler closure per hot effect, allocated once per run; [effc]
-     parks the payload in the [eff_*] mailboxes and returns the matching
-     pre-built [Some].  Cold effects (Alloc, Spawn) keep the ordinary
-     fresh-closure shape. *)
-  let h_work (k : (unit, unit) Effect.Deep.continuation) =
-    let p = st.current in
-    st.clocks.(p) <- st.clocks.(p) + Int.max 0 st.eff_int;
-    resume_unit st k
-  in
-  let some_h_work = Some h_work in
-  let h_access (k : (unit, unit) Effect.Deep.continuation) =
-    charge_access st st.eff_meta st.eff_kind;
-    resume_unit st k
-  in
-  let some_h_access = Some h_access in
-  let h_get_time (k : (int, unit) Effect.Deep.continuation) =
-    let p = st.current in
-    let t = st.clocks.(p) in
-    st.clocks.(p) <- t + st.config.Memory_model.local_fetch;
-    resume_int st k t
-  in
-  let some_h_get_time = Some h_get_time in
-  let h_probe_time (k : (int, unit) Effect.Deep.continuation) =
-    Effect.Deep.continue k st.clocks.(st.current)
-  in
-  let some_h_probe_time = Some h_probe_time in
-  let h_self (k : (int, unit) Effect.Deep.continuation) =
-    Effect.Deep.continue k st.current
-  in
-  let some_h_self = Some h_self in
-  let h_acquire (k : (unit, unit) Effect.Deep.continuation) =
-    let lock = st.eff_lock in
-    if do_acquire_grant st lock then resume_unit st k else park st lock k
-  in
-  let some_h_acquire = Some h_acquire in
-  let h_park (k : (unit, unit) Effect.Deep.continuation) = park st st.eff_lock k in
-  let some_h_park = Some h_park in
-  let h_try_acquire (k : (bool, unit) Effect.Deep.continuation) =
-    resume_bool st k (do_try_acquire st st.eff_lock)
-  in
-  let some_h_try_acquire = Some h_try_acquire in
-  let h_release (k : (unit, unit) Effect.Deep.continuation) =
-    do_release st st.eff_lock;
-    resume_unit st k
-  in
-  let some_h_release = Some h_release in
-  let h_yield (k : (unit, unit) Effect.Deep.continuation) = resume_unit st k in
-  let some_h_yield = Some h_yield in
-  let h_cond_wait (k : (unit, unit) Effect.Deep.continuation) =
-    do_cond_wait st st.eff_cond k
-  in
-  let some_h_cond_wait = Some h_cond_wait in
-  let h_cond_signal (k : (unit, unit) Effect.Deep.continuation) =
-    do_cond_signal st st.eff_cond;
-    resume_unit st k
-  in
-  let some_h_cond_signal = Some h_cond_signal in
-  let h_cond_broadcast (k : (unit, unit) Effect.Deep.continuation) =
-    do_cond_broadcast st st.eff_cond;
-    resume_unit st k
-  in
-  let some_h_cond_broadcast = Some h_cond_broadcast in
+  (* One handler closure per constant effect, allocated once per run, so
+     [effc] returns a pre-built [Some] and handling allocates nothing. *)
+  let some_h_yield = Some (fun k -> resume st k) in
+  let some_h_park = Some (fun k -> park st st.eff_lock k) in
+  let some_h_park_cond = Some (fun k -> do_cond_wait st st.eff_cond k) in
   let rec start_proc proc body =
     Effect.Deep.match_with body ()
       {
         retc =
           (fun () ->
-            st.finished <- st.finished + 1;
             st.end_time <- Int.max st.end_time st.clocks.(proc);
             match st.tracer with
             | None -> ()
@@ -625,63 +498,13 @@ let run ?(config = Memory_model.default) ?tracer ?perturb ?(fast_path = true) ma
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Work n ->
-              st.eff_int <- n;
-              (some_h_work
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Access (meta, kind) ->
-              st.eff_meta <- meta;
-              st.eff_kind <- kind;
-              (some_h_access
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Get_time ->
-              (some_h_get_time
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Probe_time ->
-              (some_h_probe_time
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Self ->
-              (some_h_self
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Acquire lock ->
-              st.eff_lock <- lock;
-              (some_h_acquire
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Try_acquire lock ->
-              st.eff_lock <- lock;
-              (some_h_try_acquire
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Release lock ->
-              st.eff_lock <- lock;
-              (some_h_release
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
             | Yield ->
-              (some_h_yield
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
+              (some_h_yield : ((a, unit) Effect.Deep.continuation -> unit) option)
             | Park ->
-              (some_h_park
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Cond_wait c ->
-              st.eff_cond <- c;
-              (some_h_cond_wait
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
+              (some_h_park : ((a, unit) Effect.Deep.continuation -> unit) option)
             | Park_cond ->
-              (some_h_cond_wait
+              (some_h_park_cond
                 : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Cond_signal c ->
-              st.eff_cond <- c;
-              (some_h_cond_signal
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Cond_broadcast c ->
-              st.eff_cond <- c;
-              (some_h_cond_broadcast
-                : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Alloc ->
-              Some
-                (fun k ->
-                  let id = st.next_loc in
-                  st.next_loc <- st.next_loc + 1;
-                  Effect.Deep.continue k (Memory_model.make_meta st.memory ~id))
             | Spawn body ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -700,51 +523,35 @@ let run ?(config = Memory_model.default) ?tracer ?perturb ?(fast_path = true) ma
                   enqueue st ~proc:child ~at:st.clocks.(child) (fun () ->
                       start_proc child body);
                   (* Spawning costs one cycle so children interleave
-                     deterministically with the parent. *)
+                     deterministically with the parent.  The child sits at
+                     the parent's old clock, so the parent never runs
+                     ahead here. *)
                   st.clocks.(p) <- st.clocks.(p) + 1;
-                  resume_unit st k)
+                  resume st k)
             | _ -> None)
       }
   in
   enqueue st ~proc:0 ~at:0 (fun () -> start_proc 0 main);
-  (* The scheduler trampoline: drain the run-ahead register first — the
-     handler that set it already proved the event precedes everything in
-     the heap — then fall back to popping the heap.  Resuming here keeps
-     the stack depth constant however long the fast-path streak. *)
+  (* The scheduler: resume the globally-earliest event until none is left.
+     A processor that runs ahead stays inside its thunk, so the stack
+     depth is constant however long the streak. *)
   let rec loop () =
-    match st.pending with
-    | Pending_unit k ->
-      st.pending <- No_pending;
+    if Event_queue.pop st.events then begin
+      let proc = Event_queue.popped_proc st.events in
+      let at = Event_queue.popped_time st.events in
+      st.current <- proc;
       st.dispatched <- st.dispatched + 1;
-      Effect.Deep.continue k ();
+      (* A parked-and-woken or jitter-delayed processor's clock may trail
+         the event key; never let clocks run backwards. *)
+      if st.clocks.(proc) < at then st.clocks.(proc) <- at;
+      (Event_queue.popped_thunk st.events) ();
       loop ()
-    | Pending_int (k, v) ->
-      st.pending <- No_pending;
-      st.dispatched <- st.dispatched + 1;
-      Effect.Deep.continue k v;
-      loop ()
-    | Pending_bool (k, v) ->
-      st.pending <- No_pending;
-      st.dispatched <- st.dispatched + 1;
-      Effect.Deep.continue k v;
-      loop ()
-    | No_pending ->
-      if Event_queue.pop st.events then begin
-        let proc = Event_queue.popped_proc st.events in
-        let at = Event_queue.popped_time st.events in
-        st.current <- proc;
-        st.dispatched <- st.dispatched + 1;
-        (* A parked-and-woken or jitter-delayed processor's clock may trail
-           the event key; never let clocks run backwards. *)
-        if st.clocks.(proc) < at then st.clocks.(proc) <- at;
-        (Event_queue.popped_thunk st.events) ();
-        loop ()
-      end
-      else if st.parked > 0 then raise (Deadlock (deadlock_message st))
+    end
+    else if st.parked > 0 then raise (Deadlock (deadlock_message st))
   in
-  (* Expose [st] to the public operations' elision paths for the duration
-     of the simulation (restoring any enclosing run's state on the way
-     out, including on exceptions). *)
+  (* Expose [st] to the public operations for the duration of the
+     simulation (restoring any enclosing run's state on the way out,
+     including on exceptions). *)
   let prev_dls = Domain.DLS.get dls_state in
   Domain.DLS.set dls_state (Some st);
   Fun.protect
@@ -768,64 +575,46 @@ let run ?(config = Memory_model.default) ?tracer ?perturb ?(fast_path = true) ma
 
 let not_in_sim () = failwith "Machine: operation used outside Machine.run"
 
-let perform_or_fail eff =
-  try Effect.perform eff with Effect.Unhandled _ -> not_in_sim ()
+(* Every public operation looks the running simulation up once, applies
+   its step inline and ends in [finish_step], [Park] or [Park_cond]. *)
+let[@inline] state () =
+  match Domain.DLS.get dls_state with Some st -> st | None -> not_in_sim ()
 
-(* The public operations elide the effect entirely when the simulation is
-   unperturbed (run-ahead): they apply the same step body the handler
-   would and only perform a [Yield]/[Park] when the processor actually
-   needs the scheduler.  Skipping the perform saves two stack switches
-   and a continuation allocation per event — the bulk of the simulator's
-   per-event host cost.  Perturbed (or [~fast_path:false]) runs take the
-   effect route for every operation, which the golden determinism test
-   pins as byte-identical. *)
-
-let spawn body = perform_or_fail (Spawn body)
+let spawn body =
+  ignore (state ());
+  Effect.perform (Spawn body)
 
 let work n =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    let p = st.current in
-    st.clocks.(p) <- st.clocks.(p) + Int.max 0 n;
-    finish_step st
-  | _ -> perform_or_fail (Work n)
+  let st = state () in
+  let p = st.current in
+  st.clocks.(p) <- st.clocks.(p) + Int.max 0 n;
+  finish_step st
 
 let get_time () =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    let p = st.current in
-    let t = st.clocks.(p) in
-    st.clocks.(p) <- t + st.config.Memory_model.local_fetch;
-    finish_step st;
-    t
-  | _ -> perform_or_fail Get_time
+  let st = state () in
+  let p = st.current in
+  let t = st.clocks.(p) in
+  st.clocks.(p) <- t + st.config.Memory_model.local_fetch;
+  finish_step st;
+  t
 
-(* [probe_time], [self] and [alloc_meta] never touch the schedule, so
-   their elision is legal even under perturbation. *)
+(* [probe_time], [self] and [alloc_meta] never touch the schedule. *)
 let probe_time () =
-  match Domain.DLS.get dls_state with
-  | Some st -> st.clocks.(st.current)
-  | None -> perform_or_fail Probe_time
+  let st = state () in
+  st.clocks.(st.current)
 
-let self () =
-  match Domain.DLS.get dls_state with
-  | Some st -> st.current
-  | None -> perform_or_fail Self
+let self () = (state ()).current
 
 let alloc_meta () =
-  match Domain.DLS.get dls_state with
-  | Some st ->
-    let id = st.next_loc in
-    st.next_loc <- id + 1;
-    Memory_model.make_meta st.memory ~id
-  | None -> perform_or_fail Alloc
+  let st = state () in
+  let id = st.next_loc in
+  st.next_loc <- id + 1;
+  Memory_model.make_meta st.memory ~id
 
 let access meta kind =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    charge_access st meta kind;
-    finish_step st
-  | _ -> perform_or_fail (Access (meta, kind))
+  let st = state () in
+  charge_access st meta kind;
+  finish_step st
 
 let lock_create ?(name = "lock") () =
   {
@@ -846,29 +635,23 @@ let lock_refresh lock =
   lock.lock_meta <- alloc_meta ()
 
 let lock_acquire lock =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    if do_acquire_grant st lock then finish_step st
-    else begin
-      st.eff_lock <- lock;
-      Effect.perform Park
-    end
-  | _ -> perform_or_fail (Acquire lock)
+  let st = state () in
+  if do_acquire_grant st lock then finish_step st
+  else begin
+    st.eff_lock <- lock;
+    Effect.perform Park
+  end
 
 let lock_try_acquire lock =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    let got = do_try_acquire st lock in
-    finish_step st;
-    got
-  | _ -> perform_or_fail (Try_acquire lock)
+  let st = state () in
+  let got = do_try_acquire st lock in
+  finish_step st;
+  got
 
 let lock_release lock =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    do_release st lock;
-    finish_step st
-  | _ -> perform_or_fail (Release lock)
+  let st = state () in
+  do_release st lock;
+  finish_step st
 
 let cond_create ?(name = "cond") lock =
   {
@@ -878,40 +661,32 @@ let cond_create ?(name = "cond") lock =
     cond_waiting = Queue.create ();
   }
 
-(* [cond_wait] always parks, so there is nothing to elide: the run-ahead
-   route merely swaps the allocating [Cond_wait c] constructor for the
-   constant [Park_cond] + mailbox, like [lock_acquire]'s park. *)
+(* [cond_wait] always parks; its handler releases the guarding lock and
+   queues the continuation on the condition. *)
 let cond_wait c =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    st.eff_cond <- c;
-    Effect.perform Park_cond
-  | _ -> perform_or_fail (Cond_wait c)
+  let st = state () in
+  st.eff_cond <- c;
+  Effect.perform Park_cond
 
 let cond_signal c =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    do_cond_signal st c;
-    finish_step st
-  | _ -> perform_or_fail (Cond_signal c)
+  let st = state () in
+  do_cond_signal st c;
+  finish_step st
 
 let cond_broadcast c =
-  match Domain.DLS.get dls_state with
-  | Some st when st.fast_enabled ->
-    do_cond_broadcast st c;
-    finish_step st
-  | _ -> perform_or_fail (Cond_broadcast c)
+  let st = state () in
+  do_cond_broadcast st c;
+  finish_step st
 
 (* Free probes (no simulated charge), for harness instrumentation. *)
 
 let probe_lock_stats () =
-  match Domain.DLS.get dls_state with
-  | Some st -> (st.lock_acquisitions, st.lock_try_failures)
-  | None -> not_in_sim ()
+  let st = state () in
+  (st.lock_acquisitions, st.lock_try_failures)
+
+let probe_runnable () = Event_queue.length (state ()).events
 
 let probe_blocking () =
-  match Domain.DLS.get dls_state with
-  | Some st ->
-    let p = st.current in
-    (st.proc_cond_parks.(p), st.proc_last_park.(p), st.proc_last_wake.(p))
-  | None -> not_in_sim ()
+  let st = state () in
+  let p = st.current in
+  (st.proc_cond_parks.(p), st.proc_last_park.(p), st.proc_last_wake.(p))

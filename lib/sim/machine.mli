@@ -2,12 +2,13 @@
 
     A {e virtual processor} is an ordinary OCaml closure executed under an
     effect handler.  Every runtime operation ({!Sim_runtime.read},
-    [write], [swap], [acquire], [work], ...) performs an effect; the
-    handler charges simulated cycles from {!Memory_model}, re-enqueues the
-    continuation keyed by the processor's local clock, and the scheduler
-    always resumes the globally-earliest runnable processor.  Between two
-    effects a processor runs uninterrupted, so memory operations are atomic
-    and interleave in simulated-time order — the same granularity at which
+    [write], [swap], [acquire], [work], ...) is one step: it charges its
+    simulated cycles from {!Memory_model} in place, then yields to the
+    scheduler (an effect whose handler re-enqueues the continuation keyed
+    by the processor's local clock) or parks, and the scheduler always
+    resumes the globally-earliest runnable processor.  Between two steps a
+    processor runs uninterrupted, so memory operations are atomic and
+    interleave in simulated-time order — the same granularity at which
     Proteus multiplexes threads.
 
     The simulation is deterministic: equal programs and seeds produce equal
@@ -80,14 +81,14 @@ val run :
     runs of the same program; with it, the schedule is perturbed as
     described at {!type-perturbation} (still deterministic per seed).
 
-    [fast_path] (default [true]) enables the scheduler's run-ahead fast
-    path: a processor whose next event is strictly below the event heap's
-    minimum timestamp is resumed directly, skipping the heap round-trip.
-    This is an optimization only — it reproduces the canonical schedule
-    exactly (DESIGN.md §S16 states the invariant) and is automatically
-    disabled under [perturb], whose jitter re-keys events.  Setting it to
-    [false] forces every event through the heap; the determinism golden
-    test pins that both modes agree to the byte. *)
+    [fast_path] (default [true]) enables run-ahead: a processor whose
+    clock after a step is strictly below the event heap's minimum
+    timestamp keeps running instead of yielding, skipping the heap
+    round-trip.  This is an optimization only — it reproduces the
+    canonical schedule exactly (DESIGN.md §S16 states the invariant) and
+    is off under [perturb], whose jitter re-keys events.  Setting it to
+    [false] makes every step yield through the heap; the determinism
+    golden tests pin that both modes agree to the byte. *)
 
 (** The operations below may only be called from inside a processor (i.e.
     during {!run}); elsewhere they raise [Failure]. *)
@@ -176,6 +177,12 @@ val probe_lock_stats : unit -> int * int
 (** [(lock_acquisitions, lock_try_failures)] so far, free of simulated
     charge — harness instrumentation (differencing two readings brackets
     a code region's lock traffic). *)
+
+val probe_runnable : unit -> int
+(** How many other processors are ready to run (spawned or woken and not
+    yet resumed), free of charge.  Zero means every other processor has
+    finished or is parked: the harness's drain checks it to tell a drain
+    at quiescence from one a jittered worker overtook. *)
 
 val probe_blocking : unit -> int * int * int
 (** [(cond_parks, last_park_at, last_wake_at)] for the calling processor,

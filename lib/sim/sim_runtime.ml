@@ -26,7 +26,7 @@ let swap cell v =
   cell.v <- v;
   old
 
-(* The compare and the conditional write happen after the access effect
+(* The compare and the conditional write happen after the access step
    returns, i.e. between two scheduler points — one atomic step, exactly
    like [swap].  Physical equality mirrors [Atomic.compare_and_set]. *)
 let cas cell expected v =

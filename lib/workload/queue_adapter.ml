@@ -450,9 +450,10 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
             ("pending", s.SQ.Reclaim.pending) ])
 
   (* Bounded/blocking façade over any implementation (lib/bounded).  The
-     façade serializes each side on one lock but forwards elements
-     unchanged, so the wrapped structure keeps its contract.  It creates
-     its inner queue first: simulated line ids follow allocation order. *)
+     façade's end locks guard only its room and item credits; it calls the
+     wrapped structure outside them and forwards elements unchanged, so
+     the structure keeps its contract.  It creates its inner queue first:
+     simulated line ids follow allocation order. *)
   let bounded ?(capacity = default_capacity) (impl : impl) =
     {
       impl with

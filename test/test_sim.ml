@@ -648,17 +648,17 @@ let mixed_workload () =
         done)
   done
 
-let trace_fingerprint_run ~fast_path =
+let trace_fingerprint_run ?perturb ~fast_path () =
   let buf = Buffer.create 4096 in
   let sink e =
     Buffer.add_string buf (Format.asprintf "%a@." Repro_sim.Trace.pp_event e)
   in
-  let report = Machine.run ~tracer:sink ~fast_path mixed_workload in
+  let report = Machine.run ?perturb ~tracer:sink ~fast_path mixed_workload in
   (Buffer.contents buf, report)
 
 let test_fast_path_golden_determinism () =
-  let trace_on, on = trace_fingerprint_run ~fast_path:true in
-  let trace_off, off = trace_fingerprint_run ~fast_path:false in
+  let trace_on, on = trace_fingerprint_run ~fast_path:true () in
+  let trace_off, off = trace_fingerprint_run ~fast_path:false () in
   Alcotest.(check string) "byte-identical traces" trace_off trace_on;
   check_bool "identical reports" true (on = off);
   (* sanity: the workload actually exercised the interesting paths *)
@@ -790,8 +790,63 @@ let test_stats_populated () =
   check_bool "some contention" true (report.Machine.lock_contentions > 0)
 
 let test_outside_run_fails () =
-  Alcotest.check_raises "work outside run"
-    (Failure "Machine: operation used outside Machine.run") (fun () -> Machine.work 1)
+  (* A lock and a condition to hand the operations that take one: built
+     inside a finished run, then used after it. *)
+  let lock = ref None and cond = ref None in
+  ignore
+    (Machine.run (fun () ->
+         let l = Machine.lock_create () in
+         lock := Some l;
+         cond := Some (Machine.cond_create l)));
+  let lock = Option.get !lock and cond = Option.get !cond in
+  let meta = Memory_model.make_meta (Memory_model.make_system Memory_model.default) ~id:0 in
+  List.iter
+    (fun (name, op) ->
+      Alcotest.check_raises (name ^ " outside run")
+        (Failure "Machine: operation used outside Machine.run") op)
+    [
+      ("spawn", fun () -> Machine.spawn ignore);
+      ("work", fun () -> Machine.work 1);
+      ("get_time", fun () -> ignore (Machine.get_time ()));
+      ("self", fun () -> ignore (Machine.self ()));
+      ("probe_time", fun () -> ignore (Machine.probe_time ()));
+      ("alloc_meta", fun () -> ignore (Machine.alloc_meta ()));
+      ("access", fun () -> Machine.access meta Memory_model.Read);
+      ("lock_create", fun () -> ignore (Machine.lock_create ()));
+      ("lock_acquire", fun () -> Machine.lock_acquire lock);
+      ("lock_try_acquire", fun () -> ignore (Machine.lock_try_acquire lock));
+      ("lock_release", fun () -> Machine.lock_release lock);
+      ("lock_refresh", fun () -> Machine.lock_refresh lock);
+      ("cond_create", fun () -> ignore (Machine.cond_create lock));
+      ("cond_wait", fun () -> Machine.cond_wait cond);
+      ("cond_signal", fun () -> Machine.cond_signal cond);
+      ("cond_broadcast", fun () -> Machine.cond_broadcast cond);
+      ("probe_lock_stats", fun () -> ignore (Machine.probe_lock_stats ()));
+      ("probe_runnable", fun () -> ignore (Machine.probe_runnable ()));
+      ("probe_blocking", fun () -> ignore (Machine.probe_blocking ()));
+    ]
+
+let test_probe_runnable_counts_ready () =
+  (* Three children still working are ready to run; one parked on the
+     root's lock is not, and finished ones are gone. *)
+  let seen = ref [] in
+  let (_ : Machine.report) =
+    Machine.run (fun () ->
+        let lock = Machine.lock_create () in
+        Machine.lock_acquire lock;
+        for _ = 1 to 3 do
+          Machine.spawn (fun () -> Machine.work 1_000)
+        done;
+        Machine.spawn (fun () ->
+            Machine.lock_acquire lock;
+            Machine.lock_release lock);
+        Machine.work 100;
+        seen := Machine.probe_runnable () :: !seen;
+        Machine.work 10_000;
+        seen := Machine.probe_runnable () :: !seen;
+        Machine.lock_release lock)
+  in
+  Alcotest.(check (list int)) "runnable while working, then none" [ 3; 0 ] (List.rev !seen)
 
 let test_get_time_reflects_work () =
   let t1 = ref 0 and t2 = ref 0 in
@@ -1137,6 +1192,29 @@ let test_cond_perturbed_determinism_pinned () =
   let t3, _ = run 8L in
   check_bool "a different seed perturbs the schedule" true (t1 <> t3)
 
+(* A trace and its report folded into one hex digest, so a literal can pin
+   a whole perturbed schedule across versions of the simulator. *)
+let schedule_digest (trace, (r : Machine.report)) =
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%s|%d %d %d %d %d %d %d %d %d %d %d %d %d" trace r.end_time
+          r.processors r.events r.accesses r.cache_hits r.queued_cycles r.swaps
+          r.lock_acquisitions r.lock_contentions r.lock_wait_cycles r.lock_try_failures
+          r.cond_parkings r.cond_wait_cycles))
+
+let test_perturbed_schedules_pinned () =
+  (* The self-comparisons above cannot see a change that moves every
+     perturbed schedule the same way; these literals can.  They pin the
+     park/wake workload at seed 7 and the mixed lock/memory workload at
+     seed 42 (both jitter 24): event order, cycle counts, every PRNG draw. *)
+  let perturb seed = { Machine.sched_seed = seed; jitter = 24 } in
+  Alcotest.(check string)
+    "cond workload, seed 7" "1df8c3ce5f5dc098477cae4a8b0d42fa"
+    (schedule_digest (cond_fingerprint_run ~perturb:(perturb 7L) ~fast_path:true ()));
+  Alcotest.(check string)
+    "mixed workload, seed 42" "2bee4ca52cee07ae185957918e9f7f47"
+    (schedule_digest (trace_fingerprint_run ~perturb:(perturb 42L) ~fast_path:true ()))
+
 let test_cond_trace_profile () =
   (* Trace.Summary must attribute parkings and waited cycles per condition
      name, consistent with the report totals. *)
@@ -1199,6 +1277,8 @@ let () =
             test_lock_wait_accounting_pinned;
           Alcotest.test_case "stats populated" `Quick test_stats_populated;
           Alcotest.test_case "outside run fails" `Quick test_outside_run_fails;
+          Alcotest.test_case "probe_runnable counts ready processors" `Quick
+            test_probe_runnable_counts_ready;
           Alcotest.test_case "get_time reflects work" `Quick test_get_time_reflects_work;
           Alcotest.test_case "hot spot slower than spread" `Quick
             test_hotspot_slower_than_spread;
@@ -1225,6 +1305,8 @@ let () =
             test_cond_fast_path_identity;
           Alcotest.test_case "perturbed determinism pinned" `Quick
             test_cond_perturbed_determinism_pinned;
+          Alcotest.test_case "perturbed schedules pinned by digest" `Quick
+            test_perturbed_schedules_pinned;
           Alcotest.test_case "trace profile" `Quick test_cond_trace_profile;
         ] );
       ( "barrier",
