@@ -18,8 +18,9 @@
    "bounded:" prefix there.
 
    Exit status: 0 all clean, 1 violations found, 2 usage error: an
-   unknown name, --seeds, --procs, --ops or --jitter out of range, or
-   --procs/--ops given with --blocking (all checked before anything
+   unknown name, --seeds, --procs, --ops or --jitter out of range (the
+   reclamation ablation's collector processor takes one --procs slot),
+   or --procs/--ops given with --blocking (all checked before anything
    runs), or a --jitter so large that a worker ran past the drain
    processor, which voids the run.  Under --broken the meaning flips: 0
    every chosen mutant (a name of Broken.all, or all; default swap) was
@@ -44,6 +45,10 @@ module Broken = Repro_check.Broken
 
 let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; Stdlib.exit 2) fmt
 
+(* Workers a run can spawn: the simulator's processor limit, less the
+   root (which prefills) and the drain. *)
+let max_procs = Repro_sim.Memory_model.default.Repro_sim.Memory_model.max_procs - 2
+
 let mutant_names = String.concat ", " (List.map (fun m -> m.Broken.name) Broken.all)
 
 (* (impl, harness, replay selector, name) quadruples for the sweep; a
@@ -64,6 +69,11 @@ let select_impls backends broken blocking ~profile ~capacity =
       if blocking then (QA.make QA.Sim { d with QA.bounded = Some capacity }, Blocking)
       else (QA.make QA.Sim d, Plain profile)
     in
+    (* The reclamation ablation spawns its collector beside the workers. *)
+    if d.QA.base = QA.Reclamation && profile.Harness.procs >= max_procs then
+      usage_error
+        "--procs %d: %s spawns a collector processor beside the workers, so it runs at most %d"
+        profile.Harness.procs impl.QA.name (max_procs - 1);
     (impl, harness, Printf.sprintf "--backend '%s'" impl.QA.name, impl.QA.name)
   in
   match broken with
@@ -94,10 +104,6 @@ let print_violation ~target ~harness (v : Harness.violation) =
       Printf.sprintf " --procs %d --ops %d --jitter %d" profile.Harness.procs
         profile.Harness.ops_per_proc profile.Harness.jitter
     | Plain _ | Blocking -> "")
-
-(* Workers a run can spawn: the simulator's processor limit, less the
-   root (which prefills) and the drain. *)
-let max_procs = Repro_sim.Memory_model.default.Repro_sim.Memory_model.max_procs - 2
 
 let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mutant replay
     blocking quiet jobs =

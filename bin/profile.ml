@@ -28,6 +28,15 @@ let run structure procs initial ops insert_ratio work =
   match QA.parse name with
   | Error msg -> bad_input msg
   | Ok descriptor ->
+  (* The probe's ceiling is the simulator's processor limit less the root;
+     the reclamation ablation also spawns its collector. *)
+  let ceiling = Repro_sim.Memory_model.default.Repro_sim.Memory_model.max_procs - 2 in
+  if descriptor.QA.base = QA.Reclamation && procs > ceiling then
+    bad_input
+      (Printf.sprintf
+         "--procs %d: %s spawns a collector processor beside the workers, so it runs at most %d"
+         procs (QA.name descriptor) ceiling)
+  else
   (* Sized for [procs], like the figures' sweeps: the MultiQueue's shards
      and the k-LSM's buffers scale with the processors they serve. *)
   let impl = QA.Sim.make ~procs descriptor in

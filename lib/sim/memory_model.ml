@@ -113,10 +113,10 @@ let make_meta sys ~id =
 
 let location_id (meta : meta) = meta
 
-(* Sharer words: the same packed representation [Repro_util.Bitset]
-   uses, inlined over the row.  A processor whose word lies past the
-   row's [words] has never been added, so it is not a sharer; adding one
-   widens every row first. *)
+(* Sharer words: 63 sharer bits per int word, packed inline in the row
+   (processor [p] is bit [p mod 63] of word [p / 63]).  A processor whose
+   word lies past the row's [words] has never been added, so it is not a
+   sharer; adding one widens every row first. *)
 let[@inline] sharer_mem sys line proc =
   let w = proc / 63 in
   w < sys.words

@@ -1,8 +1,8 @@
 (* The front end is generic in its backing queue: anything exposing the
    claim/batch half of the SkipQueue's Delete-min split (first_bound,
-   hunt_batch) composes.  [Over] is the generic functor; [Make] is the
-   historical instantiation over {!Skipqueue}; the adapter also applies
-   [Over] to the coalescing queue ({!Skipqueue_co}). *)
+   hunt_batch) composes.  [Over] is the generic functor; [Make] applies
+   it to {!Skipqueue}; the adapter also applies [Over] to the coalescing
+   queue ({!Skipqueue_co}). *)
 
 module type BACKING = sig
   type key
@@ -97,7 +97,6 @@ struct
     slots : 'v slot R.shared array;
     max_window : int;
     poll_cycles : int;
-    serve_cap : int;
     bound_every : int;
     adaptive : bool;
     locals : local Repro_runtime.Per_proc.t;
@@ -116,22 +115,20 @@ struct
   }
 
   let create ?mode ?p ?max_level ?seed ?reclamation ?(slots = 64) ?(width = 8)
-      ?(window = 32) ?(max_window = 128) ?(poll_cycles = 16) ?(serve_cap = 8)
-      ?(bound_every = 8) ?(adaptive = true) () =
+      ?(window = 32) ?(max_window = 128) ?(poll_cycles = 16) ?(bound_every = 8)
+      ?(adaptive = true) () =
     if slots < 1 then invalid_arg "Elimination.create: slots < 1";
     if width < 1 || width > slots then
       invalid_arg "Elimination.create: width outside [1, slots]";
     if window < 1 || window > max_window then
       invalid_arg "Elimination.create: window outside [1, max_window]";
     if poll_cycles < 1 then invalid_arg "Elimination.create: poll_cycles < 1";
-    if serve_cap < 0 then invalid_arg "Elimination.create: serve_cap < 0";
     if bound_every < 1 then invalid_arg "Elimination.create: bound_every < 1";
     {
       q = SQ.create ?mode ?p ?max_level ?seed ?reclamation ();
       slots = Array.init slots (fun _ -> R.shared Free);
       max_window;
       poll_cycles;
-      serve_cap;
       bound_every;
       adaptive;
       locals =
@@ -217,6 +214,9 @@ struct
 
   (* --- the direct (combining) path ------------------------------------ *)
 
+  (* Most waiters one combiner reserves. *)
+  let serve_cap = 8
+
   (* A waiter whose answer we have CAS'd to [Reserved] is ours: nobody
      else will touch the cell again, and we are obliged to deliver. *)
   let reserve_waiters t =
@@ -227,11 +227,11 @@ struct
     let l = local_for t in
     let width = l.lwidth in
     let start = Repro_util.Rng.int l.rng width in
-    let scan = Int.min width (3 * t.serve_cap) in
+    let scan = Int.min width (3 * serve_cap) in
     let reserved = ref [] in
     let count = ref 0 in
     let i = ref 0 in
-    while !i < scan && !count < t.serve_cap do
+    while !i < scan && !count < serve_cap do
       (match R.read t.slots.((start + !i) mod width) with
       | Waiting w ->
         if R.cas w.answer Pending Reserved then begin
@@ -248,7 +248,7 @@ struct
      minimum — and the tail-sentinel observation justifying an EMPTY
      hand-off — falls inside all their windows (DESIGN.md §S15). *)
   let direct_delete t =
-    let reserved = if t.serve_cap = 0 then [] else reserve_waiters t in
+    let reserved = reserve_waiters t in
     let batch = SQ.hunt_batch t.q ~want:(1 + List.length reserved) in
     let own, extras =
       match SQ.batch_claims batch with
@@ -399,16 +399,5 @@ struct
   let queue_stats t = SQ.stats t.q
 end
 
-(* {!Skipqueue.Make} as a BACKING: only the [key]/[reclaim] aliases are
-   added — no value is wrapped, so every type identity (mode constructors,
-   op_stats fields, create's arity) is the base queue's own. *)
-module Backing (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-struct
-  include Skipqueue.Make (R) (K)
-
-  type key = K.t
-  type reclaim = Reclaim.t
-end
-
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-  Over (R) (K) (Backing (R) (K))
+  Over (R) (K) (Skipqueue.Make (R) (K))

@@ -63,9 +63,9 @@
 
 (** The queue interface the front end needs: the claim/batch half of the
     SkipQueue's Delete-min split (first_bound, hunt_batch / batch_claims /
-    finish_batch) plus the plain entry points.  Both {!Skipqueue.Make}
-    (via {!Backing}) and {!Skipqueue_co.Make} satisfy it — the latter
-    directly, since it exports the [key]/[reclaim] aliases itself.
+    finish_batch) plus the plain entry points.  {!Skipqueue.Make} and
+    {!Skipqueue_co.Make} both satisfy it directly: each exports the
+    [key]/[reclaim] aliases itself.
 
     The front end's correctness argument needs one property beyond the
     signature: an eliminated key is strictly below the published {e and}
@@ -130,7 +130,6 @@ module Over
     ?window:int ->
     ?max_window:int ->
     ?poll_cycles:int ->
-    ?serve_cap:int ->
     ?bound_every:int ->
     ?adaptive:bool ->
     unit ->
@@ -144,7 +143,6 @@ module Over
         published deleter makes before withdrawing; adaptation stays in
         [\[4, max_window\]] (default [max_window = 128]);
       - [poll_cycles] (default 16): local work between polls;
-      - [serve_cap] (default 8): most waiters one combiner will reserve;
       - [bound_every] (default 8): a real elimination bound (one
         head-of-list read) is observed on one publish in [bound_every];
         the others publish a closed bound, reachable only by combiners.
@@ -198,12 +196,6 @@ module Over
   (** {!SQ.stats} of the backing queue. *)
 end
 
-module Backing (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) :
-  BACKING with type key = K.t
-(** {!Skipqueue.Make} with the [key]/[reclaim] aliases added; no value is
-    wrapped. *)
-
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) :
-  module type of Over (R) (K) (Backing (R) (K))
-(** The historical instantiation: the front end over the paper's locked
-    SkipQueue. *)
+  module type of Over (R) (K) (Skipqueue.Make (R) (K))
+(** The front end over the paper's locked SkipQueue. *)

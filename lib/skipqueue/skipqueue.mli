@@ -29,6 +29,12 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   module Reclaim : module type of Reclamation.Make (R)
 
+  type key = K.t
+  (** Alias making the module a valid {!Elimination.BACKING}. *)
+
+  type reclaim = Reclaim.t
+  (** Likewise. *)
+
   val create :
     ?mode:mode ->
     ?p:float ->

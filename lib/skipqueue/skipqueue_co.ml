@@ -744,25 +744,6 @@ struct
     exit t;
     match claims with [] -> None | kv :: _ -> Some kv
 
-  let peek_min t =
-    enter t;
-    let rec walk node =
-      match read_key node with
-      | Top -> None
-      | Bottom -> walk (read_next node 1)
-      | Key k ->
-        let w = R.read node.word in
-        if W.count t.layout w = 0 then walk (read_next node 1)
-        else
-          (* Oldest live element: position claimed + 1 from the end. *)
-          let slab = R.read node.slab in
-          let pos = W.claimed t.layout w + 1 in
-          Some (k, List.nth slab (List.length slab - pos))
-    in
-    let result = walk (read_next t.head 1) in
-    exit t;
-    result
-
   (* Quiescent views: a live node contributes its unclaimed elements,
      oldest first (matching delivery order).  The slab is append-only and
      holds every element ever admitted; the live ones are the newest

@@ -64,9 +64,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       lock-free ticket CAS (FIFO within a key); unlinks the node only on
       the claim that exhausts it. *)
 
-  val peek_min : 'v t -> (K.t * 'v) option
-  (** First live binding without claiming it; racy by nature. *)
-
   val size : 'v t -> int
   (** Number of live {e elements} (counts, not nodes).  Quiescent use. *)
 

@@ -11,10 +11,19 @@
     unlinked with one CAS on the head and retired through the epoch
     reclamation + node pool of DESIGN.md S17.  Spec: linearizable
     ([Queue_adapter] registers it as such), multiset semantics (duplicate
-    keys kept).  Design and proofs: DESIGN.md S19. *)
+    keys kept).
+
+    Where the classical algorithms steal the low bit of the successor
+    pointer to make (successor, deleted?) a single atomic word, each next
+    cell here holds an immutable link record and every state change
+    installs a fresh record — CAS by physical equality then has exactly
+    the packed word's atomicity, and a superseded expected record can
+    never spuriously match (no ABA without tag bits).  Marked nodes stay
+    linked as tombstones until the batched unlink.  Design and proofs:
+    DESIGN.md S19. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
-  module SL : module type of Lockfree_skiplist.Make (R) (K)
+  module Reclaim : module type of Reclamation.Make (R)
 
   type 'v t
 
@@ -30,18 +39,73 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   (** [restructure_threshold] (default 16): a delete-min walk that hops
       this many logically deleted nodes, or an insert whose search is
       still at the head after hopping this many, triggers the batched
-      physical unlink.  [collect_every] (default 4): reclamation pass cadence, in
-      successful restructures.  [broken_premature_free] wires in the
-      checker-validation mutant that frees at unlink time without waiting
-      for epoch quiescence — never set it outside {!Broken}. *)
+      physical unlink.  [collect_every] (default 4): reclamation pass
+      cadence, in successful restructures.  [broken_premature_free] wires
+      in the checker-validation mutant that frees and clobbers nodes at
+      unlink time without waiting for epoch quiescence — never set it
+      outside {!Broken}.  Raises [Invalid_argument] when [p] is outside
+      (0, 1) or [max_level], [restructure_threshold] or [collect_every] is
+      below 1. *)
 
   val insert : 'v t -> K.t -> 'v -> unit
+  (** CAS-links bottom-up; linearizes at the successful bottom-level CAS.
+      Duplicate keys are kept (multiset); a new node lands before existing
+      equal keys.  Only LIVE nodes are kept in key order: the new node goes
+      right after the last live smaller-keyed node, in front of any
+      tombstone run that follows it (a marked node's key is dead).  If
+      that places it right after the head, in front of at least
+      [restructure_threshold] tombstones, it first restructures and, if a
+      pass ran, searches again. *)
+
   val delete_min : 'v t -> (K.t * 'v) option
+  (** {!try_claim} inside the epoch, then the batched unlink once the walk
+      hopped [restructure_threshold] tombstones.  [None] is the paper's
+      EMPTY. *)
+
+  (** {1 Claim half of Delete-min} (white-box tests) — wrap it in
+      [enter]/[exit]. *)
+
+  type 'v node
+
+  val enter : 'v t -> unit
+  val exit : 'v t -> unit
+
+  type 'v claim_result =
+    | Claimed of 'v node * int  (** node, marked nodes hopped en route *)
+    | Empty of int
+
+  val try_claim : 'v t -> 'v claim_result
+  (** Logical delete-min: walks the bottom level hopping marked nodes and
+      claims the first live node by CAS-marking its bottom link — the
+      successful CAS is the linearization point ([Empty] linearizes at the
+      read of the tail-reaching link). *)
+
+  val claimed_binding : 'v node -> K.t * 'v
+  (** Reads a claimed node's key/value.  Safe between the claim and [exit];
+      raises (loudly, for the checker) if the node was reclaimed in flight,
+      which only the [broken_premature_free] mutant can cause. *)
+
+  val poisoned : 'v node -> bool
+  (** Whether reclamation has freed the node into the pool. *)
+
+  (** {1 Read-only views} (quiescent or best-effort) *)
 
   val peek_min : 'v t -> (K.t * 'v) option
   val size : 'v t -> int
   val to_list : 'v t -> (K.t * 'v) list
+
+  val marked_prefix_len : 'v t -> int
+  (** Length of the logically deleted prefix still physically linked at the
+      bottom level (instrumentation for the batching-threshold tests). *)
+
   val check_invariants : 'v t -> (unit, string) result
+  (** Quiescent structural check: live bottom keys non-descending
+      (duplicates allowed) with no poisoned node reachable, and every node
+      on an upper head chain present in the bottom chain.  Reachable
+      {e marked} nodes are legal anywhere — physical deletion is batched,
+      and tombstone keys do not participate in the ordering. *)
+
+  (** {1 Introspection} *)
 
   type stats = {
     cas_failures : int;  (** claim/link CAS attempts lost to a race *)
@@ -54,20 +118,12 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   val stats : 'v t -> stats
 
-  type pool_stats = SL.pool_stats = { returned : int; recycled : int; pooled : int }
+  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
 
   val pool_stats : 'v t -> pool_stats
-  val reclaim_stats : 'v t -> SL.Reclaim.stats
+  val reclaim_stats : 'v t -> Reclaim.stats
 
   val collect_garbage : 'v t -> int
-  (** Final reclamation sweep for quiescent callers (tests, drains). *)
-
-  val marked_prefix_len : 'v t -> int
-  (** Bottom-level logically-deleted prefix still physically linked
-      (instrumentation for the threshold tests). *)
-
-  val restructure_threshold : 'v t -> int
-
-  val skiplist : 'v t -> 'v SL.t
-  (** The underlying list, for white-box tests. *)
+  (** One reclamation pass over the processors seen so far (for quiescent
+      callers: tests, drains). *)
 end

@@ -479,7 +479,6 @@ let test_lf_aba_recycle_guard () =
   let (_ : Machine.report) =
     Machine.run (fun () ->
         let q = LF.create ~seed:41L ~restructure_threshold:1 ~collect_every:1 () in
-        let sl = LF.skiplist q in
         for i = 0 to 31 do
           LF.insert q i i
         done;
@@ -487,23 +486,23 @@ let test_lf_aba_recycle_guard () =
         (* Holder: claims the minimum, then sits inside its epoch while the
            churners run the unlink/retire/collect machinery underneath. *)
         Machine.spawn (fun () ->
-            LF.SL.enter sl;
-            (match LF.SL.try_claim sl with
-            | LF.SL.Claimed (node, _) ->
+            LF.enter q;
+            (match LF.try_claim q with
+            | LF.Claimed (node, _) ->
               victim := Some node;
-              let k, v = LF.SL.claimed_binding sl node in
+              let k, v = LF.claimed_binding node in
               if (k, v) <> (0, 0) then
                 errors := Printf.sprintf "claimed (%d,%d), wanted (0,0)" k v :: !errors;
               Machine.work 5_000_000;
               (* Long since unlinked and retired by the churners — but the
                  holder is still inside, so it must not be reclaimed. *)
-              if node.LF.SL.poisoned then poisoned_while_held := true;
-              let k', v' = LF.SL.claimed_binding sl node in
+              if LF.poisoned node then poisoned_while_held := true;
+              let k', v' = LF.claimed_binding node in
               if (k', v') <> (k, v) then
                 errors :=
                   Printf.sprintf "binding changed to (%d,%d) while held" k' v' :: !errors
-            | LF.SL.Empty _ -> errors := "holder found the queue empty" :: !errors);
-            LF.SL.exit sl);
+            | LF.Empty _ -> errors := "holder found the queue empty" :: !errors);
+            LF.exit q);
         (* Churners: drain past the victim; threshold 1 makes every walk
            restructure-eligible, so the marked prefix (the victim included)
            is unlinked early, and the interleaved collects keep trying to
@@ -522,7 +521,7 @@ let test_lf_aba_recycle_guard () =
             Machine.work 20_000_000;
             ignore (LF.collect_garbage q);
             (match !victim with
-            | Some node -> poisoned_after_exit := node.LF.SL.poisoned
+            | Some node -> poisoned_after_exit := LF.poisoned node
             | None -> ());
             for i = 100 to 140 do
               LF.insert q i i

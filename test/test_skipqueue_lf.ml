@@ -59,6 +59,18 @@ let test_duplicates_kept () =
       check "equal keys newest-first (1st insert)" true (LF.delete_min q = Some (4, 1));
       check "drained" true (LF.delete_min q = None))
 
+(* Every refusal names its parameter, under the one constructor's prefix. *)
+let test_create_refusals () =
+  let refuses msg create =
+    Alcotest.check_raises msg (Invalid_argument ("Skipqueue_lf.create: " ^ msg)) (fun () ->
+        ignore (create () : int LF.t))
+  in
+  refuses "p outside (0, 1)" (LF.create ~p:0.0);
+  refuses "p outside (0, 1)" (LF.create ~p:1.0);
+  refuses "max_level < 1" (LF.create ~max_level:0);
+  refuses "restructure_threshold < 1" (LF.create ~restructure_threshold:0);
+  refuses "collect_every < 1" (LF.create ~collect_every:0)
+
 (* --- qcheck multiset model --------------------------------------------- *)
 
 (* Random single-processor op sequences against a multiset model: a map
@@ -403,6 +415,7 @@ let () =
         [
           Alcotest.test_case "ordered drain" `Quick test_sequential_drain;
           Alcotest.test_case "duplicate keys kept" `Quick test_duplicates_kept;
+          Alcotest.test_case "create refuses bad parameters" `Quick test_create_refusals;
           QCheck_alcotest.to_alcotest qcheck_matches_multiset_model;
         ] );
       ( "tombstones",

@@ -1,11 +1,10 @@
 (* Tests for the utility substrate: PRNG, bit-reversal, statistics,
-   histograms, bitsets and table rendering. *)
+   histograms and table rendering. *)
 
 module Rng = Repro_util.Rng
 module Bitrev = Repro_util.Bitrev
 module Stats = Repro_util.Stats
 module Histogram = Repro_util.Histogram
-module Bitset = Repro_util.Bitset
 module Table = Repro_util.Table
 module Ascii_plot = Repro_util.Ascii_plot
 
@@ -261,37 +260,6 @@ let test_histogram_rejects_bad_config () =
     (Invalid_argument "Histogram.create: need at least one bucket") (fun () ->
       ignore (Histogram.create ~buckets:0 ()))
 
-(* --- Bitset ------------------------------------------------------------- *)
-
-let test_bitset_basic () =
-  let s = Bitset.create 200 in
-  check_bool "empty" false (Bitset.mem s 5);
-  Bitset.add s 5;
-  Bitset.add s 63;
-  Bitset.add s 64;
-  Bitset.add s 199;
-  check_bool "5" true (Bitset.mem s 5);
-  check_bool "63" true (Bitset.mem s 63);
-  check_bool "64" true (Bitset.mem s 64);
-  check_bool "199" true (Bitset.mem s 199);
-  check_int "cardinal" 4 (Bitset.cardinal s);
-  Bitset.remove s 63;
-  check_bool "63 removed" false (Bitset.mem s 63);
-  Bitset.clear s;
-  check_int "cleared" 0 (Bitset.cardinal s)
-
-let test_bitset_iter () =
-  let s = Bitset.create 100 in
-  List.iter (Bitset.add s) [ 3; 1; 99 ];
-  let got = ref [] in
-  Bitset.iter (fun i -> got := i :: !got) s;
-  Alcotest.(check (list int)) "ascending iteration" [ 1; 3; 99 ] (List.rev !got)
-
-let test_bitset_bounds () =
-  let s = Bitset.create 10 in
-  Alcotest.check_raises "out of range" (Invalid_argument "Bitset: member out of range")
-    (fun () -> Bitset.add s 10)
-
 (* --- Table -------------------------------------------------------------- *)
 
 let test_table_render () =
@@ -439,12 +407,6 @@ let () =
           Alcotest.test_case "overflow bucket" `Quick test_histogram_overflow_bucket;
           Alcotest.test_case "pp" `Quick test_histogram_pp;
           Alcotest.test_case "rejects bad config" `Quick test_histogram_rejects_bad_config;
-        ] );
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "iter" `Quick test_bitset_iter;
-          Alcotest.test_case "bounds" `Quick test_bitset_bounds;
         ] );
       ( "table",
         [
