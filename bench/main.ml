@@ -294,6 +294,8 @@ let print_results results =
     (fun (name, est, r2) -> Printf.printf "%-55s %18.0f %8.3f\n" name est r2)
     rows
 
+let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; Stdlib.exit 2) fmt
+
 let () =
   let json = ref None in
   let sim_only = ref false in
@@ -309,7 +311,9 @@ let () =
       sim_only := true;
       parse rest
     | "--sim-runs" :: n :: rest ->
-      runs := int_of_string n;
+      (match int_of_string_opt n with
+      | Some r when r >= 1 -> runs := r
+      | _ -> usage_error "--sim-runs %s: must be an integer at least 1" n);
       parse rest
     | "--label" :: l :: rest ->
       label := l;
@@ -318,7 +322,9 @@ let () =
       (* CI allocation budget: fail if the fast-path-on sweep allocates
          more minor words than this (allocation counts are stable on a
          1-core container, unlike wall time). *)
-      max_minor_words := Some (float_of_string n);
+      (match float_of_string_opt n with
+      | Some b when Float.is_finite b && b >= 0.0 -> max_minor_words := Some b
+      | _ -> usage_error "--max-minor-words %s: must be a finite number at least 0" n);
       parse rest
     | arg :: _ ->
       Printf.eprintf
@@ -330,7 +336,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let on = sim_throughput ~runs:!runs ~label:!label ~json:!json in
   (match !max_minor_words with
-  | Some budget when on.minor_words > budget ->
+  (* Written as [not (<=)] so that a non-finite measurement fails too. *)
+  | Some budget when not (on.minor_words <= budget) ->
     Printf.eprintf "allocation budget exceeded: %.0f minor words/sweep > %.0f\n"
       on.minor_words budget;
     Stdlib.exit 1

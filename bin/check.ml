@@ -110,6 +110,11 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
   (* A sweep of no seeds would report a pass that checked nothing. *)
   if seeds < 1 then usage_error "--seeds %d: must be at least 1" seeds;
   if jitter < 0 then usage_error "--jitter %d: must be at least 0" jitter;
+  if max_rank < 0 then usage_error "--max-rank %d: must be at least 0" max_rank;
+  (* [mean > nan] is false, so a NaN ceiling would pass every run. *)
+  if not (Float.is_finite mean_rank && mean_rank >= 0.0) then
+    usage_error "--mean-rank %s: must be a finite number at least 0"
+      (if Float.is_nan mean_rank then "nan" else Printf.sprintf "%g" mean_rank);
   (* The blocking harness runs its own fixed profile; only --jitter reaches it. *)
   if blocking && (procs <> None || ops <> None) then
     usage_error

@@ -156,6 +156,13 @@ let cmd =
             Printf.eprintf "%s %d: must be at least 1\n" option value;
             Stdlib.exit 2
           in
+          (* A non-positive or NaN scale would run every point at the
+             operation floor. *)
+          if not (Float.is_finite scale && scale > 0.0) then begin
+            Printf.eprintf "--scale %s: must be a finite number above 0\n"
+              (if Float.is_nan scale then "nan" else Printf.sprintf "%g" scale);
+            Stdlib.exit 2
+          end;
           if max_procs < 1 then usage_error "--max-procs" max_procs;
           if domains < 1 then usage_error "--domains" domains;
           let max_procs_log2 =

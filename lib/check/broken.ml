@@ -64,13 +64,14 @@ let swap =
    match one waiter — an element is lost.  One always-active slot and a
    long fast-polling window keep the rendezvous rate high. *)
 let elim =
+  let module SQ = Repro_skipqueue.Skipqueue.Make (Torn_cas) (Key) in
   let module E = Repro_skipqueue.Elimination.Make (Torn_cas) (Key) in
   impl ~dedups:true "BrokenElimSkipQueue"
     ~insert:(fun q k v -> ignore (E.insert q k v))
     ~try_delete_min:E.delete_min
     (fun () ->
-      E.create ~mode:E.SQ.Strict ~slots:1 ~width:1 ~window:64 ~max_window:64 ~poll_cycles:4
-        ~bound_every:1 ~adaptive:false ())
+      E.create ~slots:1 ~width:1 ~window:64 ~max_window:64 ~poll_cycles:4 ~bound_every:1
+        ~adaptive:false ~queue:(fun () -> SQ.create ~mode:SQ.Strict ()) ())
 
 (* Torn CAS under the lock-free SkipQueue: two Delete-mins both read the
    victim's bottom link unmarked and both install the mark (one element

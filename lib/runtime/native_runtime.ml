@@ -86,7 +86,6 @@ let cond_create ?name m =
 
 let cond_wait c = Condition.wait c.cv c.cmx
 let cond_signal c = Condition.signal c.cv
-let cond_broadcast c = Condition.broadcast c.cv
 
 let clock = Atomic.make 1
 

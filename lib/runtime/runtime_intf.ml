@@ -104,9 +104,6 @@ module type S = sig
       re-acquires the lock before [cond_wait] returns.  Costs one shared
       write on the condition word. *)
 
-  val cond_broadcast : cond -> unit
-  (** Wakes every current waiter; they re-acquire the lock one by one. *)
-
   val get_time : unit -> int
   (** Reads the shared clock.  Timestamps are totally ordered consistently
       with real time: if operation A's [get_time] happens before operation

@@ -373,13 +373,16 @@ let wake_run st p k lock =
     st.wake_slots.(p) <- Some w;
     w.wrun
 
-(* Wake the longest-parked waiter: its clock jumps to the signal's
-   delivery time (same handoff charge as a lock handoff) and the waiter
-   is re-scheduled into an ordinary lock acquisition — granted on the
-   spot if the guarding lock is free at that simulated instant, parked on
-   the lock's FIFO otherwise.  Waited cycles accumulate per the same
-   park-to-wake rule as locks. *)
-let wake_one st c =
+(* A signal is a shared write on the condition word (the caller need not
+   hold the guarding lock, exactly like [Condition]) that wakes the
+   longest-parked waiter: its clock jumps to the signal's delivery time
+   (same handoff charge as a lock handoff) and the waiter is re-scheduled
+   into an ordinary lock acquisition — granted on the spot if the guarding
+   lock is free at that simulated instant, parked on the lock's FIFO
+   otherwise.  Waited cycles accumulate per the same park-to-wake rule as
+   locks. *)
+let do_cond_signal st c =
+  charge_access st c.cond_meta Memory_model.Write;
   match Queue.take_opt c.cond_waiting with
   | None -> ()
   | Some (waiter, wk) ->
@@ -399,18 +402,6 @@ let wake_one st c =
            { proc = waiter; cond = c.cond_name; lock = c.cond_lock.lock_name;
              at = wake; waited = wake - park_time }));
     enqueue st ~proc:waiter ~at:wake (wake_run st waiter wk c.cond_lock)
-
-(* Signal and broadcast are shared writes on the condition word (the
-   caller need not hold the guarding lock, exactly like [Condition]). *)
-let do_cond_signal st c =
-  charge_access st c.cond_meta Memory_model.Write;
-  wake_one st c
-
-let do_cond_broadcast st c =
-  charge_access st c.cond_meta Memory_model.Write;
-  while not (Queue.is_empty c.cond_waiting) do
-    wake_one st c
-  done
 
 (* The running simulation on this domain, which every public operation
    looks up.  Domain-local because independent sweep points run whole
@@ -671,11 +662,6 @@ let cond_wait c =
 let cond_signal c =
   let st = state () in
   do_cond_signal st c;
-  finish_step st
-
-let cond_broadcast c =
-  let st = state () in
-  do_cond_broadcast st c;
   finish_step st
 
 (* Free probes (no simulated charge), for harness instrumentation. *)

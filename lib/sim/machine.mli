@@ -167,10 +167,6 @@ val cond_signal : cond -> unit
 (** Wakes the longest-parked waiter, if any.  Charged as one shared write
     on the condition word.  The caller need not hold the guarding lock. *)
 
-val cond_broadcast : cond -> unit
-(** Wakes every waiter (one shared write); they re-acquire the guarding
-    lock one by one, serialized by the lock's FIFO. *)
-
 (** {2 Free probes} *)
 
 val probe_lock_stats : unit -> int * int

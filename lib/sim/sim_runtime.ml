@@ -51,7 +51,6 @@ type cond = Machine.cond
 let cond_create ?name lock = Machine.cond_create ?name lock
 let cond_wait = Machine.cond_wait
 let cond_signal = Machine.cond_signal
-let cond_broadcast = Machine.cond_broadcast
 let get_time = Machine.get_time
 let work = Machine.work
 let self = Machine.self

@@ -31,7 +31,7 @@ type event =
       at : int;
       waited : int;
     }
-      (** a signal/broadcast delivered: [waited] cycles from park to wake
+      (** a signal delivered: [waited] cycles from park to wake
           (the guarding lock's re-acquisition may still park on the lock
           and is traced as an ordinary [Parked]/[Woken] pair) *)
 

@@ -97,8 +97,6 @@ let claim_n l w n =
     violation "claim ticket overtakes born (claim raced or tore)";
   w + (n lsl l.claimed_shift)
 
-let claim l w = claim_n l w 1
-
 (* ---- decoded view ---- *)
 
 type fields = { born : int; claimed : int; full : bool; levels : int list }

@@ -15,7 +15,7 @@
     The accounting is two monotone tickets rather than a live count:
     [born] counts elements ever admitted, [claimed] counts elements ever
     claimed by delete-mins, and the live count is their difference.  A
-    delete-min's claim is then a single lock-free CAS ([claim]): the
+    delete-min's claim is then a single lock-free CAS ([claim_n]): the
     [claimed] ticket it advances names the claimed element's position in
     the node's append-only value slab, so the claim needs neither the
     full bit nor a slab write — while still committing on the same cell
@@ -94,15 +94,12 @@ val admit : layout -> int -> int
     {!count_capacity} (ticket overflow; the structure bounds slabs far
     below this). *)
 
-val claim : layout -> int -> int
-(** One more element claimed: [claimed + 1].  The pre-claim [claimed]
-    value names the claimed element: the 1-based position, oldest first,
-    in the node's append-only slab.  Raises {!Violation} when no live
-    element remains (a claim raced or tore). *)
-
 val claim_n : layout -> int -> int -> int
-(** [claim_n l w n] claims [n] elements at once ([n >= 1]) — a batch
-    served out of one node.  Raises {!Violation} past the born ticket. *)
+(** [claim_n l w n] claims [n] elements at once ([n >= 1]; more than one
+    is a batch served out of one node): [claimed + n].  The pre-claim
+    [claimed] value names the first claimed element: the 1-based position,
+    oldest first, in the node's append-only slab.  Raises {!Violation}
+    past the born ticket (a claim raced or tore). *)
 
 (** {2 Decoded view (tests)} *)
 

@@ -1,14 +1,13 @@
 (* The front end is generic in its backing queue: anything exposing the
    claim/batch half of the SkipQueue's Delete-min split (first_bound,
-   hunt_batch) composes.  [Over] is the generic functor; [Make] applies
-   it to {!Skipqueue}; the adapter also applies [Over] to the coalescing
-   queue ({!Skipqueue_co}). *)
+   hunt_batch) composes, and [create] is handed the queue to sit in front
+   of.  [Over] is the generic functor; [Make] applies it to {!Skipqueue};
+   the adapter also applies [Over] to the coalescing queue
+   ({!Skipqueue_co}). *)
 
 module type BACKING = sig
   type key
-  type reclaim
   type 'v t
-  type mode = Strict | Relaxed
   type 'v batch
 
   type op_stats = {
@@ -17,15 +16,6 @@ module type BACKING = sig
     stale_skips : int;
     hunt_passes : int;
   }
-
-  val create :
-    ?mode:mode ->
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?reclamation:reclaim ->
-    unit ->
-    'v t
 
   val insert : 'v t -> key -> 'v -> [ `Inserted | `Updated ]
   val first_bound : 'v t -> [ `Empty | `Min_at_most of key ]
@@ -114,9 +104,8 @@ struct
     mutable stat_collisions : int;
   }
 
-  let create ?mode ?p ?max_level ?seed ?reclamation ?(slots = 64) ?(width = 8)
-      ?(window = 32) ?(max_window = 128) ?(poll_cycles = 16) ?(bound_every = 8)
-      ?(adaptive = true) () =
+  let create ?seed ?(slots = 64) ?(width = 8) ?(window = 32) ?(max_window = 128)
+      ?(poll_cycles = 16) ?(bound_every = 8) ?(adaptive = true) ~queue () =
     if slots < 1 then invalid_arg "Elimination.create: slots < 1";
     if width < 1 || width > slots then
       invalid_arg "Elimination.create: width outside [1, slots]";
@@ -124,9 +113,13 @@ struct
       invalid_arg "Elimination.create: window outside [1, max_window]";
     if poll_cycles < 1 then invalid_arg "Elimination.create: poll_cycles < 1";
     if bound_every < 1 then invalid_arg "Elimination.create: bound_every < 1";
+    (* Simulated line ids follow registration order: the slot cells come
+       first, then the queue's. *)
+    let slots = Array.init slots (fun _ -> R.shared Free) in
+    let q = queue () in
     {
-      q = SQ.create ?mode ?p ?max_level ?seed ?reclamation ();
-      slots = Array.init slots (fun _ -> R.shared Free);
+      q;
+      slots;
       max_window;
       poll_cycles;
       bound_every;

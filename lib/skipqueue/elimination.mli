@@ -63,9 +63,10 @@
 
 (** The queue interface the front end needs: the claim/batch half of the
     SkipQueue's Delete-min split (first_bound, hunt_batch / batch_claims /
-    finish_batch) plus the plain entry points.  {!Skipqueue.Make} and
-    {!Skipqueue_co.Make} both satisfy it directly: each exports the
-    [key]/[reclaim] aliases itself.
+    finish_batch) plus the plain entry points.  Construction is not part
+    of it: {!Over.create} is handed the queue.  {!Skipqueue.Make} and
+    {!Skipqueue_co.Make} both satisfy it directly: each exports the [key]
+    alias itself.
 
     The front end's correctness argument needs one property beyond the
     signature: an eliminated key is strictly below the published {e and}
@@ -74,9 +75,7 @@
     can never {e coalesce} with) anything in the structure. *)
 module type BACKING = sig
   type key
-  type reclaim
   type 'v t
-  type mode = Strict | Relaxed
   type 'v batch
 
   type op_stats = {
@@ -85,15 +84,6 @@ module type BACKING = sig
     stale_skips : int;
     hunt_passes : int;
   }
-
-  val create :
-    ?mode:mode ->
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?reclamation:reclaim ->
-    unit ->
-    'v t
 
   val insert : 'v t -> key -> 'v -> [ `Inserted | `Updated ]
   val first_bound : 'v t -> [ `Empty | `Min_at_most of key ]
@@ -111,20 +101,12 @@ module Over
     (K : Repro_pqueue.Key.ORDERED)
     (Q : BACKING with type key = K.t) : sig
   module SQ :
-    BACKING
-      with type key = K.t
-       and type reclaim = Q.reclaim
-       and type 'v t = 'v Q.t
-       and type 'v batch = 'v Q.batch
+    BACKING with type key = K.t and type 'v t = 'v Q.t and type 'v batch = 'v Q.batch
 
   type 'v t
 
   val create :
-    ?mode:SQ.mode ->
-    ?p:float ->
-    ?max_level:int ->
     ?seed:int64 ->
-    ?reclamation:SQ.reclaim ->
     ?slots:int ->
     ?width:int ->
     ?window:int ->
@@ -132,10 +114,13 @@ module Over
     ?poll_cycles:int ->
     ?bound_every:int ->
     ?adaptive:bool ->
+    queue:(unit -> 'v SQ.t) ->
     unit ->
     'v t
-  (** [mode], [p], [max_level], [seed] and [reclamation] parameterize the
-      underlying {!SQ.create}.  Front-end knobs:
+  (** [queue ()] builds the backing queue, once, after the elimination
+      array's cells (simulated line ids follow allocation order).  [seed]
+      (default [0x5EED]) seeds the per-processor slot-choice streams.
+      Front-end knobs:
       - [slots] (default 64): capacity of the elimination array;
       - [width] (default 8): each processor's initial active prefix;
         adaptation stays in [\[1, slots\]] and only grows;

@@ -2,9 +2,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
 struct
   module Reclaim = Reclamation.Make (R)
 
-  (* Aliases making the module a valid [Elimination.BACKING]. *)
+  (* Alias making the module a valid [Elimination.BACKING]. *)
   type key = K.t
-  type reclaim = Reclaim.t
 
   type mode = Strict | Relaxed
 

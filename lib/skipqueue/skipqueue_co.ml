@@ -30,10 +30,10 @@
 
    Coalescing protocol: insert first walks the run of equal-key nodes at
    the bottom level and tries to join the first live one (count > 0) under
-   its full bit — update-in-place when [dedups], multiset admission up to
-   [capacity] otherwise.  A full or logically deleted (count = 0) node
-   refuses the join; only then does the insert link a fresh node *after*
-   every equal-key node (getLock with <= instead of <).
+   its full bit, admitting the element as a distinct instance up to
+   [capacity].  A full, busy or logically deleted (count = 0) node refuses
+   the join; only then does the insert link a fresh node *after* every
+   equal-key node (getLock with <= instead of <).
 
    The delete path never takes a lock.  The word's high bits are two
    monotone tickets (born | claimed — {!Co_lockword}); a claim is ONE
@@ -50,22 +50,21 @@
    born; final — joins refuse dead nodes, and a mid-join admission aborts
    and unwinds when it finds the node died under its full bit) publishes
    the death through the original SWAP-marking of the [deleted] flag and
-   sends the node through the epoch-reclamation / node-pool path of the
-   base queue.  Joins never touch the node's completion stamp: the stamp
-   orders *nodes*, and an element joined into an old node only becomes
-   claimable earlier than a fresh node would — same key, so no smaller
-   settled element is ever skipped and Definition-1 strictness is
-   preserved (§S21 discusses why the checkers cannot tell coalescing from
-   the flat layout). *)
+   unlinks it.  No node is ever reused, so a hunter's lock-free slab read
+   after its claim needs no epoch: the GC keeps every node it can still
+   reach alive and unchanged (§S21).  Joins never touch the node's
+   completion stamp: the stamp orders *nodes*, and an element joined
+   into an old node only becomes claimable earlier than a fresh node
+   would — same key, so no smaller settled element is ever skipped and
+   Definition-1 strictness is preserved (§S21 discusses why the checkers
+   cannot tell coalescing from the flat layout). *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
 struct
-  module Reclaim = Reclamation.Make (R)
   module W = Co_lockword
 
-  (* Aliases making the module a valid [Elimination.BACKING]. *)
+  (* Alias making the module a valid [Elimination.BACKING]. *)
   type key = K.t
-  type reclaim = Reclaim.t
 
   type mode = Strict | Relaxed
 
@@ -92,7 +91,6 @@ struct
            didn't already pay. *)
     deleted : bool R.shared; (* the SWAP target, set once at count = 0 *)
     stamp : int R.shared; (* completion timestamp; max_int while in flight *)
-    mutable poisoned : bool; (* set by the reclamation finalizer *)
   }
 
   type op_stats = {
@@ -117,12 +115,9 @@ struct
     max_level : int;
     layout : W.layout;
     capacity : int;
-    dedups : bool;
     p : float;
     mode : mode;
-    reclamation : Reclaim.t option;
     procs : 'v proc Repro_runtime.Per_proc.t;
-    pool : 'v node Node_pool.t; (* finalizer-fed *)
     mutable hunt_steps : int;
     mutable swap_losses : int;
     mutable stale_skips : int;
@@ -131,11 +126,9 @@ struct
     mutable node_splits : int;
   }
 
-  (* Registration order of a node's shared locations is part of the
-     protocol: [alloc_node] refreshes a recycled node's cells in exactly
-     this sequence so recycling consumes the same fresh line ids as
-     allocation and the simulation stays bit-identical (§S17).  The
-     explicit lets pin the order against record-field evaluation order. *)
+  (* Simulated line ids follow registration order, so the explicit lets
+     pin the order of a node's shared locations against record-field
+     evaluation order. *)
   let make_node ?(deleted = false) ~layout ~key ~slab ~born ~full ~level () =
     let key = R.shared key in
     let slab = R.shared slab in
@@ -154,11 +147,10 @@ struct
       sentinel_locks = [||];
       deleted;
       stamp;
-      poisoned = false;
     }
 
   let create ?(mode = Strict) ?(p = 0.5) ?(max_level = 20) ?(seed = 0x5EEDL)
-      ?reclamation ?(capacity = 4) ?(dedups = false) () =
+      ?(capacity = 4) () =
     if p <= 0.0 || p >= 1.0 then
       invalid_arg "Skipqueue_co.create: p outside (0, 1)";
     if max_level < 1 then invalid_arg "Skipqueue_co.create: max_level < 1";
@@ -189,10 +181,8 @@ struct
       max_level;
       layout;
       capacity;
-      dedups;
       p;
       mode;
-      reclamation;
       procs =
         Repro_runtime.Per_proc.create (fun id ->
             {
@@ -202,7 +192,6 @@ struct
                      (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (id + 1))));
               preds = Array.make max_level head;
             });
-      pool = Node_pool.create ~max_level;
       hunt_steps = 0;
       swap_losses = 0;
       stale_skips = 0;
@@ -222,9 +211,6 @@ struct
   let co_stats t =
     { coalesced_inserts = t.coalesced_inserts; node_splits = t.node_splits }
 
-  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
-
-  let pool_stats t = Node_pool.stats t.pool
   let proc t = Repro_runtime.Per_proc.get t.procs (R.self ())
 
   let random_level t =
@@ -285,59 +271,24 @@ struct
     let w' = W.unlock_full t.layout w in
     if not (R.cas node.word w w') then release_full t node
 
-  (* Release the full bit and commit [transition] (a ticket move — admit,
-     or claim+admit for a dedup update) in the same CAS: a join's
+  (* Release the full bit and admit one element in the same CAS: a join's
      admission and its lock release are one atomic word transition.  The
      claim path is lock-free, so the node can die (claimed catches born)
      even while we hold the full bit; death is final, so the loop refuses
      with [false] — WITHOUT releasing the bit, because the caller must
      unwind its slab append before any other join can see the slab. *)
-  let rec release_full_committing t node ~transition =
+  let rec release_full_admitting t node =
     let w = R.read node.word in
     if W.count t.layout w = 0 then false
     else
-      let w' = W.unlock_full t.layout (transition w) in
-      if R.cas node.word w w' then true
-      else release_full_committing t node ~transition
+      let w' = W.unlock_full t.layout (W.admit t.layout w) in
+      R.cas node.word w w' || release_full_admitting t node
 
-  let enter t = match t.reclamation with None -> () | Some r -> Reclaim.enter r
-  let exit t = match t.reclamation with None -> () | Some r -> Reclaim.exit r
-
-  let retire t node =
-    match t.reclamation with
-    | None -> ()
-    | Some r ->
-      Reclaim.retire r (fun () ->
-          node.poisoned <- true;
-          Node_pool.put t.pool ~level:node.level node)
-
-  (* Node arena, as in the base queue: a recycled node (value slab
-     included) is re-registered cell by cell through [R.refresh] in exactly
-     the order [make_node] + the [next] patch registers a fresh node, so
-     pooling is invisible to the flat memory model. *)
+  (* Born holding its own full bit: the linking insert releases it once
+     every level is spliced (the node-lock role of Fig. 10). *)
   let alloc_node t ~key ~slab ~level =
-    let born =
-      (* Born holding its own full bit: the linking insert releases it
-         once every level is spliced (the node-lock role of Fig. 10). *)
-      W.encode t.layout { W.born = 1; claimed = 0; full = true; levels = [] }
-    in
-    match Node_pool.take t.pool ~level with
-    | Some n ->
-      R.refresh n.key key;
-      R.refresh n.slab slab;
-      R.refresh n.word born;
-      R.refresh n.deleted false;
-      R.refresh n.stamp max_int;
-      for i = 1 to level do
-        R.refresh n.next.(i - 1) t.tail
-      done;
-      n.poisoned <- false;
-      n
-    | None ->
-      let n =
-        make_node ~layout:t.layout ~key ~slab ~born:1 ~full:true ~level ()
-      in
-      { n with next = Array.init level (fun _ -> R.shared t.tail) }
+    let n = make_node ~layout:t.layout ~key ~slab ~born:1 ~full:true ~level () in
+    { n with next = Array.init level (fun _ -> R.shared t.tail) }
 
   (* Fig. 9's getLock on the packed word: lock the level-[i] pointer of
      the rightmost node whose key is below [bkey], revalidating after
@@ -431,142 +382,95 @@ struct
       release_level t node2 i;
       release_level t node1 i
     done;
-    release_full t node2;
-    retire t node2
+    release_full t node2
 
   (* The join pass: walk the bottom-level run of equal-key nodes and try
-     to coalesce into the first live admissible one.  Inside the
-     reclamation critical section a node's key cell cannot be recycled
-     under us, so the key read before the full-bit acquisition stays
-     valid.  Death (claimed = born) is final — joining would revive a node
-     whose exhausting claimant already serialized its emptiness — so a
-     dead node just refuses and the walk continues; because tickets are
-     monotone, so does a node whose born ticket reached [capacity], even
-     if claims have since drained part of it.  A join appends its value to
-     the slab FIRST and only then commits the admit in the full-bit
-     release CAS ([release_full_committing]); claims are lock-free, so the
-     node can die under our held full bit, in which case the commit
-     refuses and the join unwinds the append and walks on.  Under
-     [dedups] the commit is claim+admit in one CAS: the superseded element
-     is discarded and the replacement admitted atomically, which is what
-     keeps a concurrent delete-min from delivering a value the update
-     believes it replaced.  Returns [`Link (saw_full, superseded)] when a
+     to coalesce into the first live admissible one.  No node is reused,
+     so the key read before the full-bit acquisition stays valid.  Death
+     (claimed = born) is final — joining would revive a node whose
+     exhausting claimant already serialized its emptiness — so a dead node
+     just refuses and the walk continues; because tickets are monotone, so
+     does a node whose born ticket reached [capacity], even if claims have
+     since drained part of it.  A join appends its value to the slab FIRST
+     and only then commits the admit in the full-bit release CAS
+     ([release_full_admitting]); claims are lock-free, so the node can die
+     under our held full bit, in which case the commit refuses and the
+     join unwinds the append and walks on.  Returns [`Link saw_full] when a
      fresh node is needed; [saw_full] records whether a live node whose
-     tickets ran out forced the split (the [node_splits] counter), and
-     [superseded] whether the walk discarded a present element on the way
-     (the fresh link is then still an [`Updated] for the caller). *)
-  let rec try_join t bkey value node ~saw_full ~superseded =
+     tickets ran out (or whose full bit was busy) forced the split (the
+     [node_splits] counter). *)
+  let rec try_join t bkey value node ~saw_full =
     match bound_compare (read_key node) bkey with
-    | c when c > 0 -> `Link (saw_full, superseded)
+    | c when c > 0 -> `Link saw_full
     | c when c < 0 ->
       (* Concurrent motion: a backward pointer of a removed node, or a
          smaller-key node linked since our search.  Walk on. *)
-      try_join t bkey value (read_next node 1) ~saw_full ~superseded
+      try_join t bkey value (read_next node 1) ~saw_full
     | _ ->
       let peek = R.read node.word in
       if W.count t.layout peek = 0 then
         (* Dead (or mid-removal): refuse with ONE read, without touching
            the full bit — its remover may be holding the bit across the
            whole unlink, and queueing behind it would stall both. *)
-        try_join t bkey value (read_next node 1) ~saw_full ~superseded
-      else if W.born t.layout peek >= t.capacity && not t.dedups then begin
+        try_join t bkey value (read_next node 1) ~saw_full
+      else if W.born t.layout peek >= t.capacity then
         (* Monotone tickets: born at capacity can never admit again, so
            no need to take the lock to confirm. *)
-        try_join t bkey value (read_next node 1) ~saw_full:true ~superseded
-      end
-      else if not t.dedups && not (try_acquire_full t node) then
-        (* Multiset mode: joining is an optimization, not an obligation —
-           a busy full bit means another join (or this node's unlinking
-           remover) already owns the hottest line in the neighbourhood,
-           and walking on to link fresh is cheaper than spinning there.
-           Dedup mode cannot skip: update-in-place is a semantic
-           obligation, so it takes the blocking acquire below. *)
-        try_join t bkey value (read_next node 1) ~saw_full:true ~superseded
+        try_join t bkey value (read_next node 1) ~saw_full:true
+      else if not (try_acquire_full t node) then
+        (* Joining is an optimization, not an obligation: a busy full bit
+           means another join (or this node's unlinking remover) already
+           owns the hottest line in the neighbourhood, and walking on to
+           link fresh is cheaper than spinning there. *)
+        try_join t bkey value (read_next node 1) ~saw_full:true
       else begin
-        if t.dedups then acquire_full t node;
         let w = R.read node.word in
         if W.count t.layout w = 0 then begin
           release_full t node;
-          try_join t bkey value (read_next node 1) ~saw_full ~superseded
+          try_join t bkey value (read_next node 1) ~saw_full
         end
-        else if W.born t.layout w >= t.capacity then
-          if not t.dedups then begin
-            release_full t node;
-            try_join t bkey value (read_next node 1) ~saw_full:true ~superseded
-          end
-          else begin
-            (* The replacement cannot be admitted here.  Discard the
-               superseded element (a bare claim) and link the replacement
-               fresh; exhausting the node makes us its sole owner exactly
-               as a winning delete-min claim does. *)
-            let superseded =
-              if release_full_committing t node ~transition:(W.claim t.layout)
-              then begin
-                let marked = R.swap node.deleted true in
-                assert (not marked);
-                physically_remove t node bkey;
-                true
-              end
-              else begin
-                release_full t node;
-                superseded
-              end
-            in
-            try_join t bkey value (read_next node 1) ~saw_full:true ~superseded
-          end
+        else if W.born t.layout w >= t.capacity then begin
+          release_full t node;
+          try_join t bkey value (read_next node 1) ~saw_full:true
+        end
         else begin
           let old_slab = R.read node.slab in
           R.write node.slab (value :: old_slab);
-          let transition w =
-            if t.dedups then W.claim t.layout (W.admit t.layout w)
-            else W.admit t.layout w
-          in
-          if release_full_committing t node ~transition then begin
-            if t.dedups then `Joined `Updated
-            else begin
-              t.coalesced_inserts <- t.coalesced_inserts + 1;
-              `Joined `Inserted
-            end
+          if release_full_admitting t node then begin
+            t.coalesced_inserts <- t.coalesced_inserts + 1;
+            `Joined
           end
           else begin
             R.write node.slab old_slab;
             release_full t node;
-            try_join t bkey value (read_next node 1) ~saw_full ~superseded
+            try_join t bkey value (read_next node 1) ~saw_full
           end
         end
       end
 
   let insert t key value =
-    enter t;
     let bkey = Key key in
     let saved = find_preds t bkey in
-    let result =
-      match
-        try_join t bkey value (read_next saved.(0) 1) ~saw_full:false
-          ~superseded:false
-      with
-      | `Joined r -> r
-      | `Link (saw_full, superseded) ->
-        if saw_full then t.node_splits <- t.node_splits + 1;
-        let level = random_level t in
-        let new_node = alloc_node t ~key:bkey ~slab:[ value ] ~level in
-        (* Born holding its own full bit (node-lock role); link bottom-up
-           after all equal keys, then open for joins and claims. *)
-        let node1 = ref (get_lock t bkey saved.(0) 1 ~le:true) in
-        for i = 1 to level do
-          if i <> 1 then node1 := get_lock t bkey saved.(i - 1) i ~le:true;
-          write_next new_node i (read_next !node1 i);
-          write_next !node1 i new_node;
-          release_level t !node1 i
-        done;
-        release_full t new_node;
-        (match t.mode with
-        | Strict -> R.write new_node.stamp (R.get_time ())
-        | Relaxed -> ());
-        if superseded then `Updated else `Inserted
-    in
-    exit t;
-    result
+    match try_join t bkey value (read_next saved.(0) 1) ~saw_full:false with
+    | `Joined -> `Inserted
+    | `Link saw_full ->
+      if saw_full then t.node_splits <- t.node_splits + 1;
+      let level = random_level t in
+      let new_node = alloc_node t ~key:bkey ~slab:[ value ] ~level in
+      (* Born holding its own full bit (node-lock role); link bottom-up
+         after all equal keys, then open for joins and claims. *)
+      let node1 = ref (get_lock t bkey saved.(0) 1 ~le:true) in
+      for i = 1 to level do
+        if i <> 1 then node1 := get_lock t bkey saved.(i - 1) i ~le:true;
+        write_next new_node i (read_next !node1 i);
+        write_next !node1 i new_node;
+        release_level t !node1 i
+      done;
+      release_full t new_node;
+      (match t.mode with
+      | Strict -> R.write new_node.stamp (R.get_time ())
+      | Relaxed -> ());
+      `Inserted
 
   (* The hunt, generalized twice: up to [want] *elements* (not nodes), and
      a claim is ONE lock-free CAS advancing the claimed ticket — possibly
@@ -608,7 +512,7 @@ struct
        within the run — spreading the hunters racing for a hot key over
        the run's words instead of convoying on one line — and only
        loops back to the run's head once the run ends claimless.  Keys
-       are stable while our epoch pins the nodes, so the loop caches
+       are stable (no node is reused), so the loop caches
        each step's key read in [bk]. *)
     let run_start = ref !node in
     let run_key = ref !bk in
@@ -716,32 +620,21 @@ struct
   }
 
   let hunt_batch t ~want =
-    enter t;
     let claims, dead = hunt t ~want in
     { bclaims = claims; bdead = dead }
 
   let batch_claims b = b.bclaims
-
-  let finish_batch t b =
-    List.iter (fun (n, bk) -> physically_remove t n bk) b.bdead;
-    exit t
+  let finish_batch t b = List.iter (fun (n, bk) -> physically_remove t n bk) b.bdead
 
   let first_bound t =
-    enter t;
-    let result =
-      match read_key (read_next t.head 1) with
-      | Top -> `Empty
-      | Key k -> `Min_at_most k
-      | Bottom -> assert false (* head is the only Bottom node *)
-    in
-    exit t;
-    result
+    match read_key (read_next t.head 1) with
+    | Top -> `Empty
+    | Key k -> `Min_at_most k
+    | Bottom -> assert false (* head is the only Bottom node *)
 
   let delete_min t =
-    enter t;
     let claims, dead = hunt t ~want:1 in
     List.iter (fun (n, bk) -> physically_remove t n bk) dead;
-    exit t;
     match claims with [] -> None | kv :: _ -> Some kv
 
   (* Quiescent views: a live node contributes its unclaimed elements,
@@ -775,40 +668,35 @@ struct
        splits), every reachable node live, word quiescent (no lock bits),
        slab length equal to the born ticket, born within capacity. *)
     let rec check_bottom prev node =
-      if node.poisoned then
-        Error "reachable node is poisoned (reclaimed too early)"
-      else
-        match read_key node with
-        | Top -> Ok ()
-        | key ->
-          let* () =
-            if bound_compare prev key <= 0 then Ok ()
-            else Error "bottom level keys decreasing"
-          in
-          let w = R.read node.word in
-          let decoded = W.decode t.layout w in
-          let* () =
-            if decoded.W.full || decoded.W.levels <> [] then
-              Error "lock bits held at quiescence"
+      match read_key node with
+      | Top -> Ok ()
+      | key ->
+        let* () =
+          if bound_compare prev key <= 0 then Ok ()
+          else Error "bottom level keys decreasing"
+        in
+        let w = R.read node.word in
+        let decoded = W.decode t.layout w in
+        let* () =
+          if decoded.W.full || decoded.W.levels <> [] then
+            Error "lock bits held at quiescence"
+          else Ok ()
+        in
+        let* () =
+          match key with
+          | Key _ ->
+            if decoded.W.born = decoded.W.claimed then
+              Error "empty (logically deleted) node still linked"
+            else if decoded.W.born > t.capacity then
+              Error "born ticket above capacity"
+            else if List.length (R.read node.slab) <> decoded.W.born then
+              Error "slab length disagrees with the born ticket"
+            else if R.read node.deleted then
+              Error "marked node still reachable at quiescence"
             else Ok ()
-          in
-          let* () =
-            match key with
-            | Key _ ->
-              let c = decoded.W.born - decoded.W.claimed in
-              if c = 0 then Error "empty (logically deleted) node still linked"
-              else if decoded.W.born > t.capacity then
-                Error "born ticket above capacity"
-              else if List.length (R.read node.slab) <> decoded.W.born then
-                Error "slab length disagrees with the born ticket"
-              else if R.read node.deleted then
-                Error "marked node still reachable at quiescence"
-              else if t.dedups && c <> 1 then
-                Error "dedup-mode node holds more than one live element"
-              else Ok ()
-            | Bottom | Top -> Ok ()
-          in
-          check_bottom key (read_next node 1)
+          | Bottom | Top -> Ok ()
+        in
+        check_bottom key (read_next node 1)
     in
     let* () = check_bottom Bottom (read_next t.head 1) in
     (* Upper levels: every linked node must be tall enough, appear in the

@@ -13,51 +13,36 @@
     advancing the claimed ticket, which also names the claimed element's
     slab position.
 
-    Semantics per the PR 1 [dedups] flag: with [~dedups:true] an insert of
-    a present key updates the element in place (the base SkipQueue's
-    contract); with the default multiset semantics it is admitted as a
+    Multiset semantics: an insert of a present key is admitted as a
     distinct instance, coalesced into a live equal-key node while the
     node's capacity allows and linked as a fresh node {e after} every
     equal-key node otherwise.  Delete-min decrements the count and
-    physically unlinks only at zero, through the original SWAP-marking and
-    the epoch-reclamation / node-pool path.  Both modes of the base queue
-    are supported and keep their contracts: [Strict] stays Definition-1
-    linearizable (joins never touch a node's completion stamp; an element
-    joined into an older node shares its key, so no smaller settled
-    element is ever skipped), [Relaxed] stays §5.4-relaxed. *)
+    physically unlinks only at zero, through the original SWAP-marking.
+    Nodes are never reused, so the lock-free claim path needs no
+    epoch protection.  Both modes of the base queue are supported and
+    keep their contracts: [Strict] stays Definition-1 linearizable (joins
+    never touch a node's completion stamp; an element joined into an
+    older node shares its key, so no smaller settled element is ever
+    skipped), [Relaxed] stays §5.4-relaxed. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
   type 'v t
 
   type mode = Strict | Relaxed
 
-  module Reclaim : module type of Reclamation.Make (R)
-
   type key = K.t
   (** Alias making the module a valid {!Elimination.BACKING}. *)
 
-  type reclaim = Reclaim.t
-  (** Likewise. *)
-
   val create :
-    ?mode:mode ->
-    ?p:float ->
-    ?max_level:int ->
-    ?seed:int64 ->
-    ?reclamation:Reclaim.t ->
-    ?capacity:int ->
-    ?dedups:bool ->
-    unit ->
-    'v t
-  (** [p], [max_level], [seed] and [reclamation] as in {!Skipqueue.Make}.
-      [capacity] (default 4) bounds a node's multiset; it must not exceed
-      {!Co_lockword.count_capacity} for the chosen [max_level].  [dedups]
-      (default [false]) selects update-in-place over multiset admission. *)
+    ?mode:mode -> ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> 'v t
+  (** [p], [max_level] and [seed] as in {!Skipqueue.Make}.  [capacity]
+      (default 4) bounds a node's multiset; it must not exceed
+      {!Co_lockword.count_capacity} for the chosen [max_level]. *)
 
   val insert : 'v t -> K.t -> 'v -> [ `Inserted | `Updated ]
-  (** Joins the first live equal-key node when possible ([`Updated] under
-      [dedups], [`Inserted] for a multiset admission); links a fresh node
-      after every equal-key node otherwise. *)
+  (** Joins the first live equal-key node when possible; links a fresh
+      node after every equal-key node otherwise.  Always [`Inserted]: the
+      type is {!Elimination.BACKING}'s. *)
 
   val delete_min : 'v t -> (K.t * 'v) option
   (** Claims one element of the first eligible node with a single
@@ -75,7 +60,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   (** Quiescent structural check: non-decreasing bottom keys; every
       reachable node live, unmarked, count within capacity and equal to
       its slab length; no lock bit held; upper-level nodes present in the
-      bottom list.  Dedup mode additionally pins every count to 1. *)
+      bottom list. *)
 
   (** {2 Front-end hooks} — same contract as {!Skipqueue.Make}; a batch
       may be satisfied by several elements of one coalesced node in a
@@ -110,12 +95,4 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   }
 
   val co_stats : 'v t -> co_stats
-
-  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
-
-  val pool_stats : 'v t -> pool_stats
-  (** As in {!Skipqueue.Make}: non-zero only with [~reclamation]; recycled
-      nodes (value slab included) are re-registered through [R.refresh] in
-      fresh-allocation order, so pooling never changes simulated cycle
-      counts. *)
 end

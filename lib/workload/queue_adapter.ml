@@ -19,7 +19,7 @@ type impl = {
 (* ---- descriptors -------------------------------------------------------- *)
 
 type base =
-  | Skipqueue | Lf | Co | Co_dedup | Heap | Funnel_list | Multiqueue | Klsm of int | Bin of int
+  | Skipqueue | Lf | Co | Heap | Funnel_list | Multiqueue | Klsm of int | Bin of int
   | Delete_funnel | Reclamation
 
 type descriptor = { base : base; relaxed : bool; elim : bool; bounded : int option }
@@ -31,7 +31,6 @@ let base_name = function
   | Skipqueue -> "SkipQueue"
   | Lf -> "SkipQueue-lf"
   | Co -> "SkipQueue-co"
-  | Co_dedup -> "SkipQueue-co-dedup"
   | Heap -> "Heap"
   | Funnel_list -> "FunnelList"
   | Multiqueue -> "MultiQueue"
@@ -102,11 +101,11 @@ let spec_of d =
     | Multiqueue | Klsm _ -> Rank_bounded
     | _ -> Linearizable
 
-(* Update-in-place on a present key: the lock-based SkipQueue family (the
-   coalescing layout only in its dedup mode).  Every other structure keeps
-   duplicates as distinct elements. *)
+(* Update-in-place on a present key: the paper's lock-based SkipQueue and
+   its two ablations.  Every other structure, the coalescing layout
+   included, keeps duplicates as distinct elements. *)
 let dedups_of = function
-  | Skipqueue | Co_dedup | Delete_funnel | Reclamation -> true
+  | Skipqueue | Delete_funnel | Reclamation -> true
   | Lf | Co | Heap | Funnel_list | Multiqueue | Klsm _ | Bin _ -> false
 
 let describe d create =
@@ -133,7 +132,7 @@ let registry backend =
      mixed-ops check profile admits, so they behave as their inner backend
      under that sweep; capacity pressure is the blocking harness's job. *)
   [
-    sq; relaxed sq; plain Lf; co; plain Co_dedup; relaxed co; elim sq; relaxed (elim sq); elim co;
+    sq; relaxed sq; plain Lf; co; relaxed co; elim sq; relaxed (elim sq); elim co;
     plain Heap; plain Funnel_list; plain Multiqueue; plain (Klsm 256); plain Delete_funnel;
     plain Reclamation; plain (Bin 65_536); bounded sq; bounded (relaxed sq); bounded (plain Lf);
     bounded co; bounded (plain Heap); bounded (plain Multiqueue);
@@ -161,7 +160,7 @@ let chop_suffix p s =
   if ls >= lp && String.sub s (ls - lp) lp = p then Some (String.sub s 0 (ls - lp)) else None
 
 let fixed_bases =
-  [ Skipqueue; Lf; Co; Co_dedup; Heap; Funnel_list; Multiqueue; Delete_funnel; Reclamation ]
+  [ Skipqueue; Lf; Co; Heap; Funnel_list; Multiqueue; Delete_funnel; Reclamation ]
 
 (* [None] when [n] spells no base at all; [Some (Error _)] when it spells a
    parameterized base with a malformed parameter. *)
@@ -241,21 +240,6 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
   module CO = Repro_skipqueue.Skipqueue_co.Make (R) (Key)
   module Elim = Repro_skipqueue.Elimination.Make (R) (Key)
 
-  (* The elimination front end over the coalescing queue: [Over] needs
-     BACKING's create arity, so the wrapper pins the coalescing knobs to
-     their defaults (multiset semantics, default capacity).  An eliminated
-     pair never reaches the structure, so it can never also coalesce —
-     strict-below-bound admission keeps the exchanged key distinct from
-     every settled element (see Elimination.BACKING). *)
-  module ElimCo =
-    Repro_skipqueue.Elimination.Over (R) (Key)
-      (struct
-        include CO
-
-        let create ?mode ?p ?max_level ?seed ?reclamation () =
-          CO.create ?mode ?p ?max_level ?seed ?reclamation ()
-      end)
-
   module Heap = Repro_heap.Hunt_heap.Make (R) (Key)
   module FL = Repro_funnel.Funnel_list.Make (R) (Key)
   module Funnel = Repro_funnel.Combining_funnel.Make (R)
@@ -306,8 +290,8 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
 
   (* Coalescing SkipQueue (DESIGN.md §S21): duplicate-key multiset nodes
      behind one packed lock word. *)
-  let co_instance ~mode ~dedups () =
-    let q = CO.create ~mode ~dedups () in
+  let co_instance ~mode () =
+    let q = CO.create ~mode () in
     instance
       ~insert:(fun k v -> ignore (CO.insert q k v))
       ~try_delete_min:(fun () -> CO.delete_min q)
@@ -325,7 +309,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
      bottom-level hunt.  The front end preserves the backing queue's
      contract (DESIGN.md §S15). *)
   let elim_instance ~mode () =
-    let q = Elim.create ~mode () in
+    let q = Elim.create ~queue:(fun () -> SQ.create ~mode ()) () in
     instance
       ~insert:(fun k v -> ignore (Elim.insert q k v))
       ~try_delete_min:(fun () -> Elim.delete_min q)
@@ -339,18 +323,22 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
             ("hunt_steps", s.Elim.SQ.hunt_steps); ("swap_losses", s.Elim.SQ.swap_losses);
             ("stale_skips", s.Elim.SQ.stale_skips); ("hunt_passes", s.Elim.SQ.hunt_passes) ])
 
+  (* The same front end over the coalescing queue.  An eliminated pair
+     never reaches the structure, so it can never also coalesce:
+     strict-below-bound admission keeps the exchanged key distinct from
+     every settled element (see Elimination.BACKING). *)
   let elim_co_instance () =
-    let q = ElimCo.create ~mode:ElimCo.SQ.Strict () in
+    let module E = Repro_skipqueue.Elimination.Over (R) (Key) (CO) in
+    let q = E.create ~queue:(fun () -> CO.create ()) () in
     instance
-      ~insert:(fun k v -> ignore (ElimCo.insert q k v))
-      ~try_delete_min:(fun () -> ElimCo.delete_min q)
+      ~insert:(fun k v -> ignore (E.insert q k v))
+      ~try_delete_min:(fun () -> E.delete_min q)
       ~stats:(fun () ->
-        let f = ElimCo.front_stats q and s = ElimCo.queue_stats q in
+        let f = E.front_stats q and s = E.queue_stats q in
         counts
-          [ ("eliminated", f.ElimCo.eliminated); ("served", f.ElimCo.served);
-            ("batches", f.ElimCo.batches); ("timeouts", f.ElimCo.timeouts);
-            ("hunt_steps", s.ElimCo.SQ.hunt_steps); ("swap_losses", s.ElimCo.SQ.swap_losses);
-            ("hunt_passes", s.ElimCo.SQ.hunt_passes) ])
+          [ ("eliminated", f.E.eliminated); ("served", f.E.served); ("batches", f.E.batches);
+            ("timeouts", f.E.timeouts); ("hunt_steps", s.E.SQ.hunt_steps);
+            ("swap_losses", s.E.SQ.swap_losses); ("hunt_passes", s.E.SQ.hunt_passes) ])
 
   (* Lock-free SkipQueue (DESIGN.md S19): CAS-linked insert, CAS-marked
      logical deletion (the claim CAS is Delete-min's linearization point),
@@ -473,12 +461,10 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
 
   let create_of ~procs d =
     match d.base with
-    | Skipqueue when d.elim ->
-      elim_instance ~mode:(if d.relaxed then Elim.SQ.Relaxed else Elim.SQ.Strict)
+    | Skipqueue when d.elim -> elim_instance ~mode:(if d.relaxed then SQ.Relaxed else SQ.Strict)
     | Skipqueue -> fun () -> skipqueue_instance ~mode:(if d.relaxed then SQ.Relaxed else SQ.Strict) ()
     | Co when d.elim -> elim_co_instance
-    | Co -> co_instance ~mode:(if d.relaxed then CO.Relaxed else CO.Strict) ~dedups:false
-    | Co_dedup -> co_instance ~mode:CO.Strict ~dedups:true
+    | Co -> co_instance ~mode:(if d.relaxed then CO.Relaxed else CO.Strict)
     | Lf -> lf_instance
     | Heap -> fun () -> heap_instance ()
     | Funnel_list -> funnel_list_instance

@@ -11,7 +11,7 @@
 
     {v
     name ::= ["bounded:"] ["Relaxed "] base ["-elim"]
-    base ::= SkipQueue | SkipQueue-lf | SkipQueue-co | SkipQueue-co-dedup
+    base ::= SkipQueue | SkipQueue-lf | SkipQueue-co
            | Heap | FunnelList | MultiQueue | klsm:<k> | BinQueue(<range>)
            | SkipQueue + delete funnel | SkipQueue + reclamation
     v}
@@ -79,8 +79,8 @@ type impl = {
   name : string;
   dedups : bool;
       (** [true] when [insert] of an already-present key updates in place
-          (the SkipQueue, its dedup coalescing variant and the two
-          ablations) rather than keeping both copies.  The benchmark's
+          (the SkipQueue and its two ablations) rather than keeping both
+          copies.  The benchmark's
           rank-error oracle mirrors this so duplicate random priorities
           don't read as phantom reordering. *)
   spec : spec;
@@ -105,7 +105,6 @@ type base =
       (** coalescing SkipQueue (DESIGN.md §S21): bounded same-key multiset
           nodes under one packed lock word, 4 elements per node; relaxed
           or elim flavor, not both *)
-  | Co_dedup  (** the coalescing layout under the update-in-place contract *)
   | Heap  (** Hunt et al.'s heap, 65536 elements *)
   | Funnel_list  (** the combining-funnel list *)
   | Multiqueue  (** c-way choice over try-locked sequential heaps *)

@@ -820,7 +820,6 @@ let test_outside_run_fails () =
       ("cond_create", fun () -> ignore (Machine.cond_create lock));
       ("cond_wait", fun () -> Machine.cond_wait cond);
       ("cond_signal", fun () -> Machine.cond_signal cond);
-      ("cond_broadcast", fun () -> Machine.cond_broadcast cond);
       ("probe_lock_stats", fun () -> ignore (Machine.probe_lock_stats ()));
       ("probe_runnable", fun () -> ignore (Machine.probe_runnable ()));
       ("probe_blocking", fun () -> ignore (Machine.probe_blocking ()));
@@ -1056,32 +1055,6 @@ let test_cond_fifo_wake_order () =
   in
   Alcotest.(check (list int)) "FIFO wake order" [ 1; 2; 3; 4; 5; 6 ] (List.rev !order)
 
-let test_cond_broadcast_wakes_all () =
-  let woken = ref 0 in
-  let report =
-    Machine.run (fun () ->
-        let lock = Machine.lock_create () in
-        let cv = Machine.cond_create lock in
-        let go = Sim_rt.shared 0 in
-        for _ = 1 to 5 do
-          Machine.spawn (fun () ->
-              Machine.lock_acquire lock;
-              while Sim_rt.read go = 0 do
-                Machine.cond_wait cv
-              done;
-              incr woken;
-              Machine.lock_release lock)
-        done;
-        Machine.spawn (fun () ->
-            Machine.work 20_000;
-            Machine.lock_acquire lock;
-            Sim_rt.write go 1;
-            Machine.cond_broadcast cv;
-            Machine.lock_release lock))
-  in
-  check_int "all waiters woken" 5 !woken;
-  check_int "five parkings" 5 report.Machine.cond_parkings
-
 let test_cond_wait_without_lock_fails () =
   Alcotest.check_raises "wait without holding the guarding lock"
     (Failure "Machine: processor 0 waits on condition cv without holding lock m")
@@ -1296,7 +1269,6 @@ let () =
         [
           Alcotest.test_case "wait/signal handoff" `Quick test_cond_wait_signal;
           Alcotest.test_case "FIFO wake order" `Quick test_cond_fifo_wake_order;
-          Alcotest.test_case "broadcast wakes all" `Quick test_cond_broadcast_wakes_all;
           Alcotest.test_case "wait without lock fails" `Quick
             test_cond_wait_without_lock_fails;
           Alcotest.test_case "deadlock diagnostic names conditions" `Quick

@@ -1,10 +1,9 @@
 (* Tests for the coalescing SkipQueue (DESIGN.md §S21) and its packed
    lock word: qcheck encode/decode round-trips with the locking-discipline
-   violations, sequential join/split/FIFO semantics in both dedups modes,
-   qcheck multiset-model agreement, a seed-pinned schedule exercising both
-   the join and the link-after path, node-pool recycling of value slabs,
-   and one coalesced node fulfilling a whole batch hunt in a single
-   pass. *)
+   violations, sequential join/split/FIFO semantics, qcheck multiset
+   conservation, a seed-pinned schedule exercising both the join and the
+   link-after path, the strict/relaxed timestamp switch, and one coalesced
+   node fulfilling a whole batch hunt in a single pass. *)
 
 module Machine = Repro_sim.Machine
 module Sim_rt = Repro_sim.Sim_runtime
@@ -112,9 +111,9 @@ let ticket_prop =
          && LW.claimed l w' = f.LW.claimed
          && LW.count l w' = live + 1
          && locks_untouched w')
-      && (if live = 0 then violates (fun () -> LW.claim l w)
+      && (if live = 0 then violates (fun () -> LW.claim_n l w 1)
           else
-            let w' = LW.claim l w in
+            let w' = LW.claim_n l w 1 in
             LW.claimed l w' = f.LW.claimed + 1
             && LW.born l w' = f.LW.born
             && LW.count l w' = live - 1
@@ -172,17 +171,6 @@ let test_join_then_split_at_capacity () =
         [ (3, 30); (5, 10); (5, 11); (5, 12) ]
         (List.filter_map (fun () -> CO.delete_min q) [ (); (); (); () ]);
       check "then empty" true (CO.delete_min q = None))
-
-let test_dedup_updates_in_place () =
-  in_sim (fun () ->
-      let q = CO.create ~dedups:true ~capacity:4 () in
-      check "first" true (CO.insert q 42 1 = `Inserted);
-      check "second updates" true (CO.insert q 42 2 = `Updated);
-      check_int "size 1" 1 (CO.size q);
-      check_int "no multiset admission" 0 (CO.co_stats q).CO.coalesced_inserts;
-      ok_or_fail (CO.check_invariants q);
-      check "updated value" true (CO.delete_min q = Some (42, 2));
-      check "gone" true (CO.delete_min q = None))
 
 let test_reinsert_after_node_drained () =
   (* Draining a node to zero marks and unlinks it; the next equal-key
@@ -260,61 +248,33 @@ let conservation_prop =
       Result.is_ok !structural
       && List.sort compare !inserted = List.sort compare (!deleted @ !drained))
 
-(* Dedup-mode agreement against a sequential map model: same results,
-   op for op, on a single virtual processor. *)
-let dedup_model_prop =
-  QCheck.Test.make ~name:"dedup mode agrees with the map model" ~count:60
-    arbitrary_scenario (fun s ->
-      in_sim (fun () ->
-          let q = CO.create ~dedups:true ~capacity:3 () in
-          let model = ref [] in
-          let rng = Rng.of_seed (Int64.of_int (s.seed + 7)) in
-          let ok = ref true in
-          for i = 0 to (4 * s.ops) - 1 do
-            if Rng.int rng 100 < 55 then begin
-              let k = Rng.int rng s.range in
-              let expect = if List.mem_assoc k !model then `Updated else `Inserted in
-              if CO.insert q k i <> expect then ok := false;
-              model := (k, i) :: List.remove_assoc k !model
-            end
-            else begin
-              let expect =
-                List.fold_left
-                  (fun acc (k, v) ->
-                    match acc with
-                    | Some (bk, _) when bk <= k -> acc
-                    | _ -> Some (k, v))
-                  None !model
-              in
-              if CO.delete_min q <> expect then ok := false;
-              match expect with
-              | Some (k, _) -> model := List.remove_assoc k !model
-              | None -> ()
-            end
-          done;
-          !ok && Result.is_ok (CO.check_invariants q)))
-
 (* --- seed-pinned join-vs-link schedule ----------------------------------- *)
 
 (* One pinned perturbation seed, duplicate-heavy keys, capacity 2: the
    schedule must drive inserts down BOTH paths — joining a live equal-key
    node and linking fresh past a full one — and twice through the same
-   seed must be bit-identical (stats included). *)
-let run_pinned () =
-  let deleted = ref [] in
+   seed must be bit-identical (stats included).  After the stats are
+   taken a final process checks the invariants on the populated queue,
+   drains it and checks them again on the empty one, so callers can also
+   check that every inserted element came back out exactly once. *)
+let run_pinned ?(mode = CO.Strict) () =
+  let inserted = ref [] and deleted = ref [] and drained = ref [] in
   let stats = ref None in
   let structural = ref (Ok ()) in
   let (_ : Machine.report) =
     Machine.run
       ~perturb:{ Machine.sched_seed = 1234L; jitter = 32 }
       (fun () ->
-        let q = CO.create ~seed:5L ~capacity:2 () in
+        let q = CO.create ~mode ~seed:5L ~capacity:2 () in
         for p = 0 to 3 do
           Machine.spawn (fun () ->
               let rng = Rng.of_seed (Int64.of_int (p + 1)) in
               for i = 0 to 39 do
-                if Rng.int rng 100 < 65 then
-                  ignore (CO.insert q (Rng.int rng 6) (((p + 1) * 1000) + i))
+                if Rng.int rng 100 < 65 then begin
+                  let kv = (Rng.int rng 6, ((p + 1) * 1000) + i) in
+                  inserted := kv :: !inserted;
+                  ignore (CO.insert q (fst kv) (snd kv))
+                end
                 else begin
                   match CO.delete_min q with
                   | Some kv -> deleted := kv :: !deleted
@@ -325,83 +285,43 @@ let run_pinned () =
         done;
         Machine.spawn (fun () ->
             Machine.work (1 lsl 55);
-            stats := Some (CO.co_stats q);
-            structural := CO.check_invariants q))
+            stats := Some (CO.co_stats q, CO.stats q);
+            let populated = CO.check_invariants q in
+            let rec go () =
+              match CO.delete_min q with
+              | Some kv ->
+                drained := kv :: !drained;
+                go ()
+              | None -> ()
+            in
+            go ();
+            structural :=
+              Result.bind populated (fun () -> CO.check_invariants q)))
   in
   ok_or_fail !structural;
+  check "every inserted element delivered exactly once" true
+    (List.sort compare !inserted = List.sort compare (!deleted @ !drained));
   (Option.get !stats, !deleted)
 
 let test_pinned_join_and_link () =
-  let s, deleted = run_pinned () in
+  let (s, _), deleted = run_pinned () in
   check "schedule exercised the join path" true (s.CO.coalesced_inserts > 0);
   check "schedule exercised the capacity-split path" true (s.CO.node_splits > 0);
-  let s', deleted' = run_pinned () in
+  let (s', _), deleted' = run_pinned () in
   check "pinned seed replays bit-identically" true
     (s = s' && deleted = deleted')
 
-(* --- node-pool recycling of value slabs ---------------------------------- *)
+(* --- timestamped delete-min ---------------------------------------------- *)
 
-let test_slab_recycling_through_pool () =
-  (* Churn duplicate keys with reclamation live so drained nodes retire,
-     collect, pool and get drawn back out.  Recycled slabs must deliver
-     the NEW values: every binding that comes out was put in (values are
-     globally unique), nothing is lost, nothing resurrects. *)
-  let inserted = ref [] and removed = ref [] in
-  let pool = ref None in
-  let structural = ref (Ok ()) in
-  let (_ : Machine.report) =
-    Machine.run (fun () ->
-        let recl = CO.Reclaim.create () in
-        let q = CO.create ~seed:99L ~reclamation:recl ~capacity:2 () in
-        for i = 0 to 31 do
-          let kv = (i mod 8, i) in
-          inserted := kv :: !inserted;
-          ignore (CO.insert q (fst kv) (snd kv))
-        done;
-        for p = 0 to 3 do
-          Machine.spawn (fun () ->
-              let rng = Rng.of_seed (Int64.of_int (100 + p)) in
-              for round = 0 to 119 do
-                Machine.work (Rng.int rng 2_000);
-                if round land 1 = 0 then begin
-                  match CO.delete_min q with
-                  | Some kv -> removed := kv :: !removed
-                  | None -> ()
-                end
-                else begin
-                  let kv = (round mod 8, ((p + 1) * 10_000) + round) in
-                  inserted := kv :: !inserted;
-                  ignore (CO.insert q (fst kv) (snd kv))
-                end
-              done)
-        done;
-        (* Collector passes interleave with the churn. *)
-        Machine.spawn (fun () ->
-            for _ = 0 to 59 do
-              Machine.work 2_000;
-              ignore (CO.Reclaim.collect recl)
-            done;
-            Machine.work (1 lsl 45);
-            ignore (CO.Reclaim.collect recl);
-            let rec drain () =
-              match CO.delete_min q with
-              | Some kv ->
-                removed := kv :: !removed;
-                drain ()
-              | None -> ()
-            in
-            drain ();
-            structural := CO.check_invariants q;
-            pool := Some (CO.pool_stats q)))
-  in
-  ok_or_fail !structural;
-  let pool = Option.get !pool in
-  check "finalizer fed the pool" true (pool.CO.returned > 0);
-  check "inserts drew recycled nodes" true (pool.CO.recycled > 0);
-  check "pool accounting consistent" true
-    (pool.CO.pooled = pool.CO.returned - pool.CO.recycled);
-  check "recycled slabs deliver exactly the inserted bindings" true
-    (List.sort compare !inserted = List.sort compare !removed)
+(* The same pinned schedule in both modes: a strict delete-min skips nodes
+   stamped no earlier than its own start (here some nodes are caught that
+   young), a relaxed one never reads a stamp and so never skips; both
+   deliver every element exactly once. *)
+let test_strict_skips_relaxed_does_not () =
+  let (_, strict), _ = run_pinned ~mode:CO.Strict () in
+  check "strict mode skipped a too-young node" true (strict.CO.stale_skips > 0);
+  let (_, relaxed), _ = run_pinned ~mode:CO.Relaxed () in
+  check_int "relaxed mode never skips" 0 relaxed.CO.stale_skips
 
 (* --- batch hunt ---------------------------------------------------------- *)
 
@@ -439,12 +359,9 @@ let test_registry_names () =
       check (Printf.sprintf "native registry lists %s" name) true
         (List.mem name (QA.names QA.Native)))
     [
-      "SkipQueue-co"; "SkipQueue-co-dedup"; "Relaxed SkipQueue-co";
-      "SkipQueue-co-elim"; "bounded:SkipQueue-co";
+      "SkipQueue-co"; "Relaxed SkipQueue-co"; "SkipQueue-co-elim"; "bounded:SkipQueue-co";
     ];
-  check "dedup flag split across the pair" true
-    (not (QA.find QA.Sim "SkipQueue-co").QA.dedups
-    && (QA.find QA.Sim "SkipQueue-co-dedup").QA.dedups)
+  check "SkipQueue-co keeps duplicates" false (QA.find QA.Sim "SkipQueue-co").QA.dedups
 
 let () =
   Alcotest.run "skipqueue_co"
@@ -462,25 +379,22 @@ let () =
         [
           Alcotest.test_case "join then split at capacity" `Quick
             test_join_then_split_at_capacity;
-          Alcotest.test_case "dedup updates in place" `Quick
-            test_dedup_updates_in_place;
           Alcotest.test_case "re-insert after a node drains" `Quick
             test_reinsert_after_node_drained;
         ] );
       ( "model",
         [
           QCheck_alcotest.to_alcotest conservation_prop;
-          QCheck_alcotest.to_alcotest dedup_model_prop;
         ] );
       ( "schedule",
         [
           Alcotest.test_case "pinned seed joins and links" `Quick
             test_pinned_join_and_link;
         ] );
-      ( "reclamation",
+      ( "timestamped",
         [
-          Alcotest.test_case "value slabs recycle through the pool" `Quick
-            test_slab_recycling_through_pool;
+          Alcotest.test_case "strict mode skips, relaxed never" `Quick
+            test_strict_skips_relaxed_does_not;
         ] );
       ( "batch",
         [

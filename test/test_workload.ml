@@ -378,8 +378,8 @@ let test_instance_stats_keys () =
    sweep and the native sweep print in it). *)
 let sim_names =
   [
-    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "SkipQueue-co-dedup";
-    "Relaxed SkipQueue-co"; "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-co-elim";
+    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "Relaxed SkipQueue-co";
+    "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-co-elim";
     "Heap"; "FunnelList"; "MultiQueue"; "klsm:256"; "SkipQueue + delete funnel";
     "SkipQueue + reclamation"; "BinQueue(65536)"; "bounded:SkipQueue";
     "bounded:Relaxed SkipQueue"; "bounded:SkipQueue-lf"; "bounded:SkipQueue-co"; "bounded:Heap";
@@ -388,8 +388,8 @@ let sim_names =
 
 let native_names =
   [
-    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "SkipQueue-co-dedup";
-    "Relaxed SkipQueue-co"; "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-co-elim";
+    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "Relaxed SkipQueue-co";
+    "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-co-elim";
     "Heap"; "FunnelList"; "MultiQueue"; "klsm:256"; "bounded:SkipQueue";
     "bounded:Relaxed SkipQueue"; "bounded:SkipQueue-lf"; "bounded:SkipQueue-co"; "bounded:Heap";
     "bounded:MultiQueue";
@@ -407,7 +407,7 @@ let contracts =
     [
       ("SkipQueue", Linearizable, true); ("Relaxed SkipQueue", Relaxed, true);
       ("SkipQueue-lf", Linearizable, false); ("SkipQueue-co", Linearizable, false);
-      ("SkipQueue-co-dedup", Linearizable, true); ("Relaxed SkipQueue-co", Relaxed, false);
+      ("Relaxed SkipQueue-co", Relaxed, false);
       ("SkipQueue-elim", Linearizable, true); ("Relaxed SkipQueue-elim", Relaxed, true);
       ("SkipQueue-co-elim", Linearizable, false); ("Heap", Quiescent, false);
       ("FunnelList", Linearizable, false); ("MultiQueue", Rank_bounded, false);
@@ -472,13 +472,13 @@ let test_every_composition_runs () =
         ])
     QA.
       [
-        Skipqueue; Lf; Co; Co_dedup; Heap; Funnel_list; Multiqueue; Klsm 1; Klsm 64; Bin 256;
+        Skipqueue; Lf; Co; Heap; Funnel_list; Multiqueue; Klsm 1; Klsm 64; Bin 256;
         Delete_funnel; Reclamation;
       ];
-  (* SkipQueue 4 flavors, SkipQueue-co 3, eight single-flavor bases, all
+  (* SkipQueue 4 flavors, SkipQueue-co 3, seven single-flavor bases, all
      twice (bare and bounded), plus the two unboundable ablations. *)
-  check_int "valid compositions" 32 !built;
-  check_int "native-eligible compositions" 28 !native
+  check_int "valid compositions" 30 !built;
+  check_int "native-eligible compositions" 26 !native
 
 let test_registry_bad_spellings () =
   let refused ~backend input expect =
@@ -510,6 +510,9 @@ let test_registry_bad_spellings () =
       );
       ( "nosuchqueue",
         Printf.sprintf {|unknown implementation "nosuchqueue" (known: %s)|}
+          (String.concat ", " (List.sort String.compare sim_names)) );
+      ( "SkipQueue-co-dedup",
+        Printf.sprintf {|unknown implementation "SkipQueue-co-dedup" (known: %s)|}
           (String.concat ", " (List.sort String.compare sim_names)) );
     ];
   refused ~backend:QA.Native "BinQueue(65536)"
