@@ -326,6 +326,8 @@ let () =
       | Some b when Float.is_finite b && b >= 0.0 -> max_minor_words := Some b
       | _ -> usage_error "--max-minor-words %s: must be a finite number at least 0" n);
       parse rest
+    | [ ("--json" | "--sim-runs" | "--label" | "--max-minor-words") as flag ] ->
+      usage_error "%s: needs a value" flag
     | arg :: _ ->
       Printf.eprintf
         "unknown argument %S (known: --json PATH, --sim-only, --sim-runs N, \

@@ -267,7 +267,12 @@ struct
      paper's Delete-min hunt; larger batches share the walk over the
      (possibly long) prefix of marked nodes, which is what the combining
      front end in [Elimination] exploits.  Claims come back in list
-     (ascending-key) order. *)
+     (ascending-key) order.
+
+     Like Fig. 11's loop, a step reads only the stamp (strict mode), the
+     SWAP target and [next]; the walk ends when the pointer is the tail.
+     No key is read: a hunter led back onto the head by a removed node's
+     backward pointer loses the SWAP on the born-marked sentinel. *)
   let hunt t ~want =
     t.hunt_passes <- t.hunt_passes + 1;
     let time = match t.mode with Strict -> R.get_time () | Relaxed -> max_int in
@@ -276,9 +281,8 @@ struct
     let node = ref (read_next t.head 1) in
     let continue = ref (want > 0) in
     while !continue do
-      match read_key !node with
-      | Top -> continue := false
-      | Bottom | Key _ ->
+      if !node == t.tail then continue := false
+      else begin
         let eligible =
           match t.mode with
           | Relaxed -> true
@@ -302,6 +306,7 @@ struct
           t.stale_skips <- t.stale_skips + 1;
           node := read_next !node 1
         end
+      end
     done;
     List.rev !claimed
 

@@ -43,7 +43,7 @@
    join's ticket CAS commits, so a won claim ticket k always finds
    element k in the slab it then reads — joins prepend (newest first),
    which leaves oldest-first positions stable.  Hunters step over dead
-   nodes (claimed = born) with a single read; they no longer queue on the
+   nodes (claimed = born) with one word read; they no longer queue on the
    full bit of a node whose remover is mid-unlink, which is what makes
    the claim path cheaper than the lock-array queue's per-node SWAP hunt
    plus full unlink.  The claim that exhausts the node (claimed reaches
@@ -479,12 +479,12 @@ struct
      won elements' oldest-first slab positions (stable from the end of the
      newest-first append-only slab), so the winner reads the slab AFTER
      the CAS with no lock and no slab write.  Dead nodes (claimed = born)
-     cost a single word read to step over; a lost CAS retries on the same
-     node (some other claim or join committed, so the system made
-     progress).  Only the claim that exhausts the node marks it (through
-     the original SWAP, asserting sole ownership) and schedules physical
-     removal.  Elements pop oldest-first, so within one key delivery is
-     FIFO. *)
+     cost their word read plus [next] to step over; a lost CAS moves on
+     within the node's equal-key run (some other claim or join committed,
+     so the system made progress).  Only the claim that exhausts the node
+     marks it (through the original SWAP, asserting sole ownership) and
+     schedules physical removal.  Elements pop oldest-first, so within one
+     key delivery is FIFO. *)
   (* Slab position helpers: [list_drop]/[list_take] index the bounded slab
      (length <= capacity, so the O(n) walk is cheap and lock-free). *)
   let rec list_drop n l =
@@ -504,45 +504,40 @@ struct
     let dead = ref [] in
     let got = ref 0 in
     let node = ref (read_next t.head 1) in
-    let bk = ref (read_key !node) in
     (* Equal-key run spreading: a lost claim CAS does NOT pin us to the
        node (the plain queue's lost SWAP moves on because the node is
        then taken; here the node may hold more live elements).  Every
        node of the same key is equally minimal, so a loser advances
        within the run — spreading the hunters racing for a hot key over
        the run's words instead of convoying on one line — and only
-       loops back to the run's head once the run ends claimless.  Keys
-       are stable (no node is reused), so the loop caches
-       each step's key read in [bk]. *)
-    let run_start = ref !node in
-    let run_key = ref !bk in
-    let lost_in_run = ref false in
+       loops back once the run ends claimless.  It loops back to the
+       node of its first loss, [lost_at]: every node of the run before
+       it was dead (final) or too young for this hunt when passed.
+
+       Keys are read lazily: the walk stops at the tail by identity, a
+       claim reads the key it returns, and only a hunter tracking a run
+       (from its first loss on) reads each successor's key to see where
+       the run ends.  Keys are stable (no node is reused), so the run's
+       key is read once, at the first loss, and reused.  [lost_at] is the
+       tail while the hunter tracks no run (the walk never stands on the
+       tail), so a loss allocates nothing. *)
+    let lost_at = ref t.tail and run_key = ref Top in
     let continue = ref (want > 0) in
     let advance () =
       let next = read_next !node 1 in
-      let k = read_key next in
-      if bound_compare k !run_key = 0 then begin
-        node := next;
-        bk := k
-      end
-      else if !lost_in_run then begin
+      if !lost_at == t.tail then node := next
+      else if next != t.tail && bound_compare (read_key next) !run_key = 0 then
+        node := next
+      else begin
         (* The run ended and a claim we lost may have left live elements
            behind us: those are still the minimum, so go around again. *)
-        lost_in_run := false;
-        node := !run_start;
-        bk := !run_key
-      end
-      else begin
-        run_start := next;
-        run_key := k;
-        node := next;
-        bk := k
+        node := !lost_at;
+        lost_at := t.tail
       end
     in
     while !continue do
-      match !bk with
-      | Top -> continue := false
-      | Bottom | Key _ -> (
+      if !node == t.tail then continue := false
+      else begin
         (* Deadness first, with ONE word read — before the stamp: most
            steps under contention land on not-yet-unlinked dead nodes,
            and they should cost neither a stamp-line read nor a CAS. *)
@@ -565,7 +560,7 @@ struct
         in
         match try_claim (R.read !node.word) with
         | `Dead ->
-          (* Logically deleted (or a sentinel reached through a backward
+          (* Logically deleted (or the head reached through a backward
              pointer): the claim is lost, as the SWAP loss was — at the
              cost of one word read, no CAS. *)
           t.swap_losses <- t.swap_losses + 1;
@@ -582,11 +577,15 @@ struct
              think time keeps them in phase) would otherwise convoy on
              the same word's line queue indefinitely. *)
           t.swap_losses <- t.swap_losses + 1;
-          lost_in_run := true;
+          if !lost_at == t.tail then begin
+            lost_at := !node;
+            run_key := read_key !node
+          end;
           R.work ((R.self () * 7) land 63);
           advance ()
         | `Claimed (take, claimed_at, born) ->
-          let k = match !bk with Key k -> k | Bottom | Top -> assert false in
+          let bk = if !lost_at == t.tail then read_key !node else !run_key in
+          let k = match bk with Key k -> k | Bottom | Top -> assert false in
           (* Our elements are oldest-first positions claimed_at + 1
              .. claimed_at + take, i.e. stable positions from the END of
              the newest-first slab.  The slab may transiently carry an
@@ -608,9 +607,10 @@ struct
                of the transition, asserted through the original SWAP. *)
             let marked = R.swap !node.deleted true in
             assert (not marked);
-            dead := (!node, !bk) :: !dead
+            dead := (!node, bk) :: !dead
           end;
-          if !got >= want then continue := false else advance ())
+          if !got >= want then continue := false else advance ()
+      end
     done;
     (List.rev !claims, List.rev !dead)
 

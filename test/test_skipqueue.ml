@@ -1,6 +1,7 @@
 (* Tests for the SkipQueue itself: sequential semantics, simulated
    concurrent stress with oracle checking, native-domain stress, the
-   strict/relaxed timestamp distinction, and reclamation safety. *)
+   strict/relaxed timestamp distinction, the hunt's per-step accesses
+   (the coalescing queue's too), and reclamation safety. *)
 
 module Machine = Repro_sim.Machine
 module Sim_rt = Repro_sim.Sim_runtime
@@ -12,6 +13,7 @@ module LF_sim = Repro_skipqueue.Skipqueue_lf.Make (Sim_rt) (Repro_pqueue.Key.Int
 module SQ_native = Repro_skipqueue.Skipqueue.Make (Native_rt) (Repro_pqueue.Key.Int)
 module Oracle = Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
 module SQ_float = Repro_skipqueue.Skipqueue.Make (Sim_rt) (Repro_pqueue.Key.Float)
+module CO_sim = Repro_skipqueue.Skipqueue_co.Make (Sim_rt) (Repro_pqueue.Key.Int)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -343,6 +345,85 @@ let test_stats_counters () =
   check "relaxed hunts recorded" true (relaxed.SQ_sim.hunt_steps > 0);
   check_int "relaxed never stale-skips" 0 relaxed.SQ_sim.stale_skips;
   check "hunt steps >= successful deletes" true (strict.SQ_sim.hunt_steps >= 40)
+
+(* Fig. 11's hunt reads, per node, only the stamp (strict mode), the SWAP
+   target and [next], and stops at the tail by identity.  Leave [k]
+   claimed-but-linked nodes at the front (a [hunt_batch] whose
+   [finish_batch] never runs), then trace the next hunt's accesses: after
+   the head's [next], each marked node costs [Swap; Read] (relaxed) or
+   [Read; Swap; Read] (strict), and the only key read is the claimed
+   node's, after its SWAP is won.  In the coalescing queue a dead node
+   costs its word read plus [next] in either mode, and the winner reads
+   the key after its claim CAS, then the slab, then SWAP-marks the node
+   its claim exhausted. *)
+let test_hunt_cost_per_marked_node () =
+  let open Repro_sim.Memory_model in
+  let kind =
+    Alcotest.testable
+      (fun ppf k ->
+        Format.pp_print_string ppf
+          (match k with Read -> "read" | Write -> "write" | Swap -> "swap"))
+      ( = )
+  in
+  let traced body =
+    let counting = ref false and kinds = ref [] in
+    let tracer = function
+      | Repro_sim.Trace.Accessed { kind; _ } when !counting ->
+        kinds := kind :: !kinds
+      | _ -> ()
+    in
+    let measured f =
+      counting := true;
+      let r = f () in
+      counting := false;
+      r
+    in
+    let (_ : Machine.report) = Machine.run ~tracer (fun () -> body measured) in
+    List.rev !kinds
+  in
+  let claims = Alcotest.(list (pair int int)) in
+  let skipqueue mode k =
+    traced (fun measured ->
+        let q = SQ_sim.create ~mode ~seed:3L () in
+        for i = 1 to k + 2 do
+          ignore (SQ_sim.insert q i i)
+        done;
+        let (_ : int SQ_sim.batch) = SQ_sim.hunt_batch q ~want:k in
+        let b = measured (fun () -> SQ_sim.hunt_batch q ~want:1) in
+        Alcotest.check claims "claims the first unmarked node"
+          [ (k + 1, k + 1) ] (SQ_sim.batch_claims b))
+  in
+  let co mode k =
+    traced (fun measured ->
+        let q = CO_sim.create ~mode ~seed:3L () in
+        for i = 1 to k + 2 do
+          ignore (CO_sim.insert q i i)
+        done;
+        let (_ : int CO_sim.batch) = CO_sim.hunt_batch q ~want:k in
+        let b = measured (fun () -> CO_sim.hunt_batch q ~want:1) in
+        Alcotest.check claims "claims the first live node" [ (k + 1, k + 1) ]
+          (CO_sim.batch_claims b))
+  in
+  let rec repeat n l = if n = 0 then [] else l @ repeat (n - 1) l in
+  List.iter
+    (fun k ->
+      let check name expected actual =
+        Alcotest.check (Alcotest.list kind)
+          (Printf.sprintf "%s, %d marked" name k) expected actual
+      in
+      check "relaxed" ([ Read ] @ repeat k [ Swap; Read ] @ [ Swap; Read; Read ])
+        (skipqueue SQ_sim.Relaxed k);
+      check "strict"
+        ([ Read ] @ repeat k [ Read; Swap; Read ] @ [ Read; Swap; Read; Read ])
+        (skipqueue SQ_sim.Strict k);
+      check "relaxed co"
+        ([ Read ] @ repeat k [ Read; Read ] @ [ Read; Swap; Read; Read; Swap ])
+        (co CO_sim.Relaxed k);
+      check "strict co"
+        ([ Read ] @ repeat k [ Read; Read ]
+        @ [ Read; Read; Swap; Read; Read; Swap ])
+        (co CO_sim.Strict k))
+    [ 0; 1; 5 ]
 
 (* --- reclamation -------------------------------------------------------- *)
 
@@ -688,7 +769,11 @@ let () =
       ( "generic-keys",
         [ Alcotest.test_case "float keys" `Quick test_float_keys ] );
       ( "instrumentation",
-        [ Alcotest.test_case "stats counters" `Quick test_stats_counters ] );
+        [
+          Alcotest.test_case "stats counters" `Quick test_stats_counters;
+          Alcotest.test_case "hunt cost per marked node" `Quick
+            test_hunt_cost_per_marked_node;
+        ] );
       ( "map-view",
         [
           Alcotest.test_case "peek_min" `Quick test_peek_min;
