@@ -76,6 +76,8 @@ struct
     restructures : int; (* batched prefix unlinks performed *)
     restructure_skips : int; (* restructures ceded to the current holder *)
     unlinked : int; (* nodes physically removed by restructures *)
+    searches : int; (* top-down searches from the head, every level's *)
+    resumed_walks : int; (* bottom walks resumed from a lost CAS's predecessor *)
   }
 
   (* Per-processor level stream and search scratch: the predecessor at
@@ -107,6 +109,8 @@ struct
     mutable restructures : int;
     mutable restructure_skips : int;
     mutable unlinked : int;
+    mutable searches : int;
+    mutable resumed_walks : int;
   }
 
   (* Registration order (key, value, next.(0..level-1)) is fixed by
@@ -163,6 +167,8 @@ struct
       restructures = 0;
       restructure_skips = 0;
       unlinked = 0;
+      searches = 0;
+      resumed_walks = 0;
     }
 
   let stats t =
@@ -173,6 +179,8 @@ struct
       restructures = t.restructures;
       restructure_skips = t.restructure_skips;
       unlinked = t.unlinked;
+      searches = t.searches;
+      resumed_walks = t.resumed_walks;
     }
 
   type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
@@ -247,9 +255,48 @@ struct
   let node_key node = R.read node.key
   let is_deleted node = node.level > 0 && (R.read node.next.(0)).marked
 
+  (* Bottom-level walk from [pred] (the head, or a node committed live
+     with a key below [bkey]) whose bottom record was just read as
+     [plink]: commits the LAST LIVE node visited whose key is < [bkey],
+     with the record read from it, into the processor's
+     [preds.(0)]/[plinks.(0)] — the CAS expected value for linking right
+     after it.  [pred] itself stays committed if nothing live follows it,
+     even if [plink] is marked; the insert checks.  The walked link
+     doubles as the liveness bit, so each hop is one shared read.  Returns
+     how many tombstones it stepped over.  Allocates nothing, so an
+     insert whose bottom CAS lost can resume here from its predecessor. *)
+  let walk_bottom t bkey pred plink =
+    let { preds; plinks; _ } = proc t in
+    let clink = ref plink in
+    let cpred = ref pred and cplink = ref plink in
+    let hops = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let cand = !clink.succ in
+      if cand == t.tail then continue := false
+      else begin
+        let cand_link = R.read cand.next.(0) in
+        if cand_link.marked || bound_compare (node_key cand) bkey < 0 then begin
+          clink := cand_link;
+          if cand_link.marked then incr hops
+          else begin
+            cpred := cand;
+            cplink := cand_link
+          end
+        end
+        else continue := false
+      end
+    done;
+    preds.(0) <- !cpred;
+    plinks.(0) <- !cplink;
+    t.marked_hops <- t.marked_hops + !hops;
+    t.insert_marked_hops <- t.insert_marked_hops + !hops;
+    !hops
+
   (* Top-down search: at every level, the LAST LIVE node visited whose key
-     is < [bkey], together with the link record read from it — the CAS
-     expected value for linking right after it.
+     is < [bkey], together with the link record read from it, into the
+     processor's [preds]/[plinks]; the bottom level is {!walk_bottom} from
+     the level-2 predecessor.
 
      Tombstones are traversed no matter what their keys say: a marked
      node's key is dead, and stopping at (or committing) one would either
@@ -257,13 +304,12 @@ struct
      tombstone run that only future delete-mins can clear.  Committing
      only live nodes also means an insert's predecessor was live when its
      record was read — if it is claimed before the insert's CAS, the CAS
-     fails by record inequality and the insert retries.  At the bottom
-     level the walked link doubles as the liveness bit, so the walk costs
-     one shared read per hop; upper levels pay one extra read per hop for
-     the candidate's bottom link.  Also returns how many tombstones the
-     bottom-level walk stepped over. *)
+     fails by record inequality and the insert retries.  Upper levels pay
+     one extra read per hop for the candidate's bottom link.  Returns how
+     many tombstones the bottom-level walk stepped over. *)
   let find_preds t bkey =
     let { preds; plinks; _ } = proc t in
+    t.searches <- t.searches + 1;
     let pred = ref t.head in
     for i = t.max_level downto 2 do
       let clink = ref (R.read !pred.next.(i - 1)) in
@@ -289,31 +335,7 @@ struct
       plinks.(i - 1) <- !cplink;
       pred := !cpred
     done;
-    let clink = ref (R.read !pred.next.(0)) in
-    let cpred = ref !pred and cplink = ref !clink in
-    let hops = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let cand = !clink.succ in
-      if cand == t.tail then continue := false
-      else begin
-        let cand_link = R.read cand.next.(0) in
-        if cand_link.marked || bound_compare (node_key cand) bkey < 0 then begin
-          clink := cand_link;
-          if cand_link.marked then incr hops
-          else begin
-            cpred := cand;
-            cplink := cand_link
-          end
-        end
-        else continue := false
-      end
-    done;
-    preds.(0) <- !cpred;
-    plinks.(0) <- !cplink;
-    t.marked_hops <- t.marked_hops + !hops;
-    t.insert_marked_hops <- t.insert_marked_hops + !hops;
-    (preds, plinks, !hops)
+    walk_bottom t bkey !pred (R.read !pred.next.(0))
 
   (* --- restructure: batched physical deletion ------------------------------ *)
 
@@ -477,12 +499,13 @@ struct
     let bkey = Key key in
     let level = random_level t in
     let node = alloc_node t ~key:bkey ~value:(Some value) ~level in
-    (* Bottom level: the linearization point of the insert. *)
-    let rec link_bottom () =
-      let preds, plinks, hops = find_preds t bkey in
+    let { preds; plinks; _ } = proc t in
+    (* Bottom level: the linearization point of the insert.  [hops] counts
+       the tombstones the walk that committed [preds.(0)] stepped over. *)
+    let rec link_bottom hops =
       let pred = preds.(0) and plink = plinks.(0) in
       if pred == t.head && hops >= t.restructure_threshold && try_restructure t then
-        link_bottom ()
+        search ()
       else if plink.marked then begin
         (* Only the walk's entry node can surface here: it was committed
            live at level 2 but claimed before its bottom link was read.  A
@@ -491,20 +514,28 @@ struct
            unmarked and stranding the new element.  Re-search instead; the
            fresh walk sees the node dead and commits a live predecessor. *)
         t.cas_failures <- t.cas_failures + 1;
-        link_bottom ()
+        search ()
       end
       else begin
         R.write node.next.(0) { succ = plink.succ; marked = false };
-        if R.cas pred.next.(0) plink { succ = node; marked = false } then ()
-        else begin
+        if not (R.cas pred.next.(0) plink { succ = node; marked = false }) then begin
           (* The predecessor's bottom record moved: a racing insert, claim
-             or unlink superseded it.  Re-search. *)
+             or unlink superseded it.  If the fresh record is unmarked the
+             predecessor is still live, its record is a valid expected
+             value, and live nodes are chain-ordered, so walking on from it
+             lands where a search from the head would (DESIGN.md §S19).  A
+             marked record means the predecessor is dead: search again. *)
           t.cas_failures <- t.cas_failures + 1;
-          link_bottom ()
+          let fresh = R.read pred.next.(0) in
+          if fresh.marked then search ()
+          else begin
+            t.resumed_walks <- t.resumed_walks + 1;
+            link_bottom (walk_bottom t bkey pred fresh)
+          end
         end
       end
-    in
-    link_bottom ();
+    and search () = link_bottom (find_preds t bkey) in
+    search ();
     (* Upper levels, best effort.  Stop once the node is claimed (a dormant
        tower would only cost traversals), and skip a level whose successor
        is already a tombstone: a tombstone may sit bottom-earlier than the
@@ -552,7 +583,7 @@ struct
     for i = 2 to level do
       let rec link_level () =
         if not (R.read node.next.(0)).marked then begin
-          let preds, plinks, _ = find_preds t bkey in
+          ignore (find_preds t bkey : int);
           let pred = preds.(i - 1) and plink = plinks.(i - 1) in
           let succ = plink.succ in
           if succ == t.tail || not (is_deleted succ) then begin

@@ -55,7 +55,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       tombstone run that follows it (a marked node's key is dead).  If
       that places it right after the head, in front of at least
       [restructure_threshold] tombstones, it first restructures and, if a
-      pass ran, searches again. *)
+      pass ran, searches again.  A bottom CAS that loses re-reads the
+      predecessor's record: if it is still live the walk resumes from it,
+      otherwise the insert searches again from the head. *)
 
   val delete_min : 'v t -> (K.t * 'v) option
   (** {!try_claim} inside the epoch, then the batched unlink once the walk
@@ -114,6 +116,12 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
     restructures : int;  (** batched prefix unlinks performed *)
     restructure_skips : int;  (** passes ceded to the current holder *)
     unlinked : int;  (** nodes physically removed *)
+    searches : int;
+        (** top-down searches from the head: an insert's first, one per
+            upper level it links, and one per bottom retry that found its
+            predecessor dead or ran a restructure *)
+    resumed_walks : int;
+        (** bottom walks resumed from the live predecessor whose CAS lost *)
   }
 
   val stats : 'v t -> stats

@@ -561,9 +561,16 @@ let ablation_lockfree ~id options =
       in
       let lf = at ~tag:"fig7" "SkipQueue-lf" top in
       let per_op k = stat lf k /. Float.max 1.0 (stat lf "ops") in
+      (* every insert, the prefill's included, runs at least one search *)
+      let inserts =
+        (fig7_load options).Benchmark.initial_size
+        + Repro_util.Stats.count lf.Benchmark.insert_latency
+      in
       ( probe
-        ^ Printf.sprintf "\nlock-free counters @%d procs (fig7): %s\n" top
-            (stats_line lf.Benchmark.queue_stats),
+        ^ Printf.sprintf
+            "\nlock-free counters @%d procs (fig7): %s; full searches per insert %.2f\n" top
+            (stats_line lf.Benchmark.queue_stats)
+            (stat lf "searches" /. float_of_int (max 1 inserts)),
         [
           ( Printf.sprintf "locked/lock-free hottest-line queued cycles @%d procs" probe_procs,
             hottest_ratio ~slow:"SkipQueue" ~fast:"SkipQueue-lf" );

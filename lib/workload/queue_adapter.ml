@@ -353,7 +353,8 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
         counts
           [ ("cas_failures", s.LF.cas_failures); ("marked_hops", s.LF.marked_hops);
             ("insert_marked_hops", s.LF.insert_marked_hops); ("restructures", s.LF.restructures); ("restructure_skips", s.LF.restructure_skips);
-            ("unlinked", s.LF.unlinked); ("pool_returned", ps.LF.returned);
+            ("unlinked", s.LF.unlinked); ("searches", s.LF.searches);
+            ("resumed_walks", s.LF.resumed_walks); ("pool_returned", ps.LF.returned);
             ("pool_recycled", ps.LF.recycled); ("reclaim_pending", rs.LF.Reclaim.pending) ])
 
   let heap_instance ?capacity () =

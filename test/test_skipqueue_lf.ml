@@ -162,6 +162,82 @@ let test_restructure_threshold_honored () =
         (s.LF.unlinked + LF.marked_prefix_len q);
       ok_or_fail (LF.check_invariants q))
 
+(* --- a lost bottom CAS resumes from its predecessor --------------------- *)
+
+(* Two processors start front inserts (keys 5 and 3, below the prefilled
+   10) at the same cycle, so both read the head's bottom link before
+   either CASes it: the insert of 5 wins and the insert of 3 loses.  The
+   loser's retry, traced between its failed CAS and its next one, must
+   re-read only its predecessor's (the head's) bottom link and walk on
+   from there: that read, the winner's link and key, the new node's link
+   write and the CAS on the head.  A retry that searched again from the
+   top would first read all [max_level - 1] upper head links.  The head's
+   cells are registered consecutively (bottom link first), so its upper
+   links are the [max_level - 1] locations after the bottom one, which an
+   empty queue's [peek_min] reads alone.  A tiny [p] keeps every node at
+   level 1, so every Swap in the trace is a bottom-level CAS. *)
+let test_lost_cas_resumes_from_predecessor () =
+  let open Repro_sim.Memory_model in
+  let max_level = 20 in
+  let head_bottom = ref (-1) and measuring = ref false in
+  let accesses = Hashtbl.create 4 in
+  let tracer = function
+    | Repro_sim.Trace.Accessed { proc; location; kind; _ } ->
+      if !head_bottom < 0 then head_bottom := location
+      else if !measuring then
+        Hashtbl.replace accesses proc
+          ((location, kind) :: Option.value ~default:[] (Hashtbl.find_opt accesses proc))
+    | _ -> ()
+  in
+  let (_ : Machine.report) =
+    Machine.run ~tracer (fun () ->
+        let q = LF.create ~p:0.001 ~max_level ~seed:5L () in
+        check "empty" true (LF.peek_min q = None);
+        LF.insert q 10 10;
+        measuring := true;
+        List.iter (fun k -> Machine.spawn (fun () -> LF.insert q k k)) [ 5; 3 ];
+        Machine.spawn (fun () ->
+            Machine.work 1_000_000;
+            Alcotest.(check (list (pair int int)))
+              "both elements linked" [ (3, 3); (5, 5); (10, 10) ] (LF.to_list q);
+            ok_or_fail (LF.check_invariants q)))
+  in
+  let head = !head_bottom in
+  let is_upper_head loc = loc > head && loc < head + max_level in
+  (* A processor's accesses after its first CAS, through its next one. *)
+  let retry trace =
+    let rec after_first_swap = function
+      | [] -> []
+      | (_, Swap) :: rest -> rest
+      | _ :: rest -> after_first_swap rest
+    in
+    let rec upto_swap = function
+      | [] -> None
+      | ((_, Swap) as a) :: _ -> Some [ a ]
+      | a :: rest -> Option.map (List.cons a) (upto_swap rest)
+    in
+    upto_swap (after_first_swap (List.rev trace))
+  in
+  let retries = Hashtbl.fold (fun _ trace acc -> Option.to_list (retry trace) @ acc) accesses [] in
+  let kind =
+    Alcotest.testable
+      (fun ppf k ->
+        Format.pp_print_string ppf
+          (match k with Read -> "read" | Write -> "write" | Swap -> "swap"))
+      ( = )
+  in
+  match retries with
+  | [ retry ] ->
+    check "the retry reads no upper head link" false
+      (List.exists (fun (loc, _) -> is_upper_head loc) retry);
+    Alcotest.(check (list kind))
+      "one bottom walk: the head's link, the winner's link and key, then link and CAS"
+      [ Read; Read; Read; Write; Swap ] (List.map snd retry);
+    Alcotest.(check (list int))
+      "the walk starts at, and the CAS hits, the head's bottom link" [ head; head ]
+      [ fst (List.hd retry); fst (List.nth retry 4) ]
+  | l -> Alcotest.failf "%d inserts retried their bottom CAS, expected 1" (List.length l)
+
 (* --- duplicate-heavy conservation under simulated concurrency ----------- *)
 
 (* Unique instance ids ride on heavily colliding keys; every id must be
@@ -434,6 +510,8 @@ let () =
           Alcotest.test_case "eager-restructure conservation" `Quick
             test_stress_eager_restructure;
           Alcotest.test_case "drain/refill stays bounded" `Quick test_drain_refill_bounded;
+          Alcotest.test_case "lost bottom CAS resumes from its predecessor" `Quick
+            test_lost_cas_resumes_from_predecessor;
         ] );
       ( "determinism",
         [
