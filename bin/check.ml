@@ -144,7 +144,7 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
       jitter;
     }
   in
-  let bounds = { Check.default_bounds with Check.max_rank; mean_rank } in
+  let bounds = { Check.max_rank; mean_rank } in
   let bprofile = { Harness.default_blocking_profile with Harness.jitter } in
   let impls =
     select_impls backends broken blocking ~profile ~capacity:bprofile.Harness.capacity

@@ -14,14 +14,14 @@ type history = {
 
 type verdict = Pass | Fail of string | Skip of string
 
-type bounds = { max_window : int; max_rank : int; mean_rank : float }
+type bounds = { max_rank : int; mean_rank : float }
 
 (* The rank ceilings are sized for the registry's MultiQueue (32 shards,
    2-choice): its expected per-delete rank error is O(shards), so the mean
    must stay below the shard count and no single delete should exceed a
    few multiples of it.  An 80-seed sweep of the default profile observed
    worst mean 19.0 and worst single rank 50. *)
-let default_bounds = { max_window = 8; max_rank = 128; mean_rank = 32.0 }
+let default_bounds = { max_rank = 128; mean_rank = 32.0 }
 
 let of_result = function Ok () -> Pass | Error msg -> Fail msg
 
@@ -40,7 +40,7 @@ let conservation h =
   in
   of_result (O.check_conservation ~initial:[] ~drained h.events)
 
-let strict_conservative h = of_result (O.check_strict h.events)
+let strict h = of_result (O.check_strict h.events)
 let relaxed_conservative h = of_result (O.check_relaxed h.events)
 
 (* --- sequential-spec replay ---------------------------------------------- *)
@@ -101,10 +101,10 @@ let sequential_replay h =
    return a key above (or EMPTY instead of) an element that was fully
    inserted before the start of [d]'s busy period — the maximal interval of
    pairwise-overlapping activity containing [d] — unless a delete that
-   could be serialized before [d] removed it.  Weaker than
-   {!strict_conservative} (which uses [d]'s own invocation as the cut), but
-   it is the condition quiescently-consistent relaxations must still
-   satisfy.
+   could be serialized before [d] removed it.  Weaker than the per-delete
+   condition Definition 1 implies (which uses [d]'s own invocation as the
+   cut), but it is the condition quiescently-consistent relaxations must
+   still satisfy.
 
    [transit_tolerant] additionally exempts any [d] that overlaps another
    in-flight Delete-min: structures like the Hunt heap carry a detached
@@ -194,75 +194,6 @@ let quiescent ?(transit_tolerant = false) h =
       | O.Delete_min _ -> ( match violates e with None -> scan rest | Some m -> Fail m))
   in
   scan h.events
-
-(* --- windowed exhaustive Definition-1 search ------------------------------ *)
-
-(* Wing&Gong-style bounded search.  The Delete-mins, sorted by invocation,
-   decompose into chunks separated in real time (every delete of an earlier
-   chunk responded strictly before every delete of a later one was invoked);
-   Definition 1 forces any serialization to respect that order, so the
-   global search factors exactly into one search per chunk, with earlier
-   chunks' returned elements marked consumed by dropping their insert
-   events.  Chunks wider than [max_window] overlapping deletes are skipped
-   (the factorial search is infeasible there; {!strict_conservative} still
-   covers them). *)
-let strict_exhaustive_windowed ?(bounds = default_bounds) h =
-  let is_delete e = match e.O.op with O.Delete_min _ -> true | O.Insert _ -> false in
-  let deletes =
-    List.sort (fun a b -> compare (a.O.invoked, a.O.responded) (b.O.invoked, b.O.responded))
-      (List.filter is_delete h.events)
-  in
-  let chunks =
-    (* accumulate in reverse; break when the running response horizon
-       strictly precedes the next invocation *)
-    let flush chunk chunks = if chunk = [] then chunks else List.rev chunk :: chunks in
-    let rec go chunk horizon chunks = function
-      | [] -> List.rev (flush chunk chunks)
-      | d :: rest ->
-        if chunk <> [] && horizon < d.O.invoked then
-          go [ d ] d.O.responded (flush chunk chunks) rest
-        else go (d :: chunk) (Int.max horizon d.O.responded) chunks rest
-    in
-    go [] min_int [] deletes
-  in
-  let inserts = List.filter (fun e -> not (is_delete e)) h.events in
-  let consumed_ids chunk =
-    List.filter_map
-      (fun d ->
-        match d.O.op with
-        | O.Delete_min { result = Some (_, id) } -> Some id
-        | O.Delete_min { result = None } | O.Insert _ -> None)
-      chunk
-  in
-  let module Int_set = Set.Make (Int) in
-  let rec check_chunks consumed skipped checked = function
-    | [] ->
-      if checked = 0 && skipped > 0 then
-        Skip (Printf.sprintf "all %d delete windows exceeded the search bound" skipped)
-      else Pass
-    | chunk :: rest ->
-      if List.length chunk > bounds.max_window then
-        check_chunks
-          (Int_set.union consumed (Int_set.of_list (consumed_ids chunk)))
-          (skipped + 1) checked rest
-      else begin
-        let visible_inserts =
-          List.filter
-            (fun e ->
-              match e.O.op with
-              | O.Insert { id; _ } -> not (Int_set.mem id consumed)
-              | O.Delete_min _ -> false)
-            inserts
-        in
-        match O.check_strict_exhaustive ~max_deletes:bounds.max_window (visible_inserts @ chunk) with
-        | Error msg -> Fail msg
-        | Ok () ->
-          check_chunks
-            (Int_set.union consumed (Int_set.of_list (consumed_ids chunk)))
-            skipped (checked + 1) rest
-      end
-  in
-  check_chunks Int_set.empty 0 0 chunks
 
 (* --- rank-error envelope -------------------------------------------------- *)
 
@@ -424,8 +355,7 @@ let for_spec ?(bounds = default_bounds) spec =
     @ [
         ("sequential-replay", sequential_replay);
         ("quiescent", quiescent ~transit_tolerant:false);
-        ("strict (Def 1, conservative)", strict_conservative);
-        ("strict (Def 1, exhaustive windows)", strict_exhaustive_windowed ~bounds);
+        ("strict (Def 1)", strict);
       ]
   | QA.Quiescent ->
     common
@@ -457,15 +387,14 @@ let blocking_suite =
    completion-order replay can attribute: an insert that has linearized
    but not yet completed is not yet live in the replay, so at the default
    6-processor profile a handful of in-flight operations can inflate an
-   observed rank past k itself.  The window bound is kept — it budgets the
-   exhaustive search, not the relaxation. *)
+   observed rank past k itself. *)
 let klsm_margin = 24
 
 let bounds_for ?(bounds = default_bounds) rank_bound =
   match rank_bound with
   | Some k ->
     let ceiling = if k > max_int - klsm_margin then max_int else k + klsm_margin in
-    { bounds with max_rank = ceiling; mean_rank = float_of_int ceiling }
+    { max_rank = ceiling; mean_rank = float_of_int ceiling }
   | None -> bounds
 
 let check_all ?bounds ~rank_bound h =

@@ -3,9 +3,9 @@
     Each checker consumes a {!history} — the events recorded by
     {!History.wrap} plus the post-quiescence drain — and returns a
     {!verdict}.  All checks are sound (a [Fail] is a real violation of the
-    stated property); the exhaustive Definition-1 search is additionally
-    complete within its window bound, the others are deliberately
-    conservative where full linearizability checking would be intractable.
+    stated property); {!strict} is also complete (every history with no
+    Definition-1 serialization fails it), the others are conservative
+    per-delete or per-period conditions.
     {!for_spec} selects the suite an implementation's declared
     {!Repro_workload.Queue_adapter.spec} is held to. *)
 
@@ -34,9 +34,6 @@ type verdict =
   | Skip of string  (** the check does not apply to this history *)
 
 type bounds = {
-  max_window : int;
-      (** largest group of real-time-overlapping Delete-mins the exhaustive
-          search will enumerate (the search is factorial in this) *)
   max_rank : int;  (** rank-envelope per-operation ceiling *)
   mean_rank : float;  (** rank-envelope mean ceiling *)
 }
@@ -69,21 +66,15 @@ val quiescent : ?transit_tolerant:bool -> history -> verdict
     Hunt heap, whose delete-min carries a detached element outside any
     slot, invisible to concurrent operations, until it completes. *)
 
-val strict_conservative : history -> verdict
-(** {!O.check_strict}: per-delete necessary condition for Definition 1. *)
+val strict : history -> verdict
+(** {!O.check_strict}: Definition 1, decided by a greedy serialization of
+    the Delete-mins that is complete — it fails exactly the histories with
+    no Definition-1 serialization, naming the delete that cannot come
+    next. *)
 
 val relaxed_conservative : history -> verdict
 (** {!O.check_relaxed}: the §5.4 contract — concurrent inserts may also
     supply the answer. *)
-
-val strict_exhaustive_windowed : ?bounds:bounds -> history -> verdict
-(** Bounded Wing&Gong-style search for a Definition-1 serialization.
-    Delete-mins factor into windows separated in real time (every earlier
-    delete responded strictly before every later one was invoked); any
-    valid serialization respects that separation, so each window is
-    searched independently via {!O.check_strict_exhaustive}, with elements
-    consumed by earlier windows removed.  Windows wider than
-    [bounds.max_window] are skipped; [Skip] if every window was. *)
 
 val rank_envelope : ?bounds:bounds -> history -> verdict
 (** Statistical contract for [Rank_bounded] implementations: replays in
@@ -122,9 +113,7 @@ val bounds_for : ?bounds:bounds -> int option -> bounds
     implementation's {!Repro_workload.Queue_adapter.impl.rank_bound},
     starting from [bounds] (default {!default_bounds}).  For [Some k] both
     [max_rank] and [mean_rank] are replaced by [k + klsm_margin],
-    saturating at [max_int]; for [None] [bounds] is returned unchanged.
-    [max_window] is never touched — it budgets the exhaustive search, not
-    the relaxation. *)
+    saturating at [max_int]; for [None] [bounds] is returned unchanged. *)
 
 val check_all : ?bounds:bounds -> rank_bound:int option -> history -> (string * verdict) list
 (** [for_spec h.spec] applied to [h] — with the rank-envelope ceilings

@@ -20,8 +20,8 @@ type profile = {
 
 val default_profile : profile
 (** 6 procs x 30 ops, 16 prefilled, half inserts, keys < 256, jitter 24 —
-    small enough that the exhaustive Definition-1 windows usually apply,
-    contended enough to explore real races. *)
+    small enough that a sweep of many seeds runs in seconds, contended
+    enough to explore real races. *)
 
 exception Drain_overtaken of { seed : int64; drain_start : int; last_response : int }
 (** Raised by a run (and passed through the sweeps, never reported as a

@@ -122,15 +122,17 @@ module Make (K : Key.ORDERED) = struct
       sorted drained
     end
 
-  (* Core conservative condition shared by both specifications.
+  (* The §5.4 condition, checked per delete.
 
      For a delete [d] and an element [y]: if [y]'s insert responded before
      [d] was invoked ([y] is fully inserted, so it is in the paper's set I
      for [d]), and no delete that could be serialized before [d] (i.e. one
      invoked before [d] responded) removed [y], then [y] is in I - D for
      *every* admissible serialization, and [d] must return a key <= key(y)
-     — in particular, not EMPTY. *)
-  let check_no_better_available events =
+     — in particular, not EMPTY.  Inserts that overlap [d] are never in
+     that set, so a concurrently inserted smaller element may supply the
+     answer. *)
+  let check_relaxed events =
     let deletes_by_id = Hashtbl.create 64 in
     List.iter
       (fun e ->
@@ -180,107 +182,125 @@ module Make (K : Key.ORDERED) = struct
         | Ok (), Insert _ -> acc)
       (Ok ()) events
 
-  let check_relaxed events = check_no_better_available events
-
-  let check_strict_exhaustive ?(max_deletes = 12) events =
-    let deletes =
-      List.filter (fun e -> match e.op with Delete_min _ -> true | Insert _ -> false)
-        events
-    in
-    if List.length deletes > max_deletes then
-      Error
-        (Printf.sprintf
-           "check_strict_exhaustive: %d deletes exceed the search bound %d"
-           (List.length deletes) max_deletes)
-    else begin
-      let inserts =
-        List.filter_map
-          (fun e ->
-            match e.op with
-            | Insert { key; id } -> Some (key, id, e)
-            | Delete_min _ -> None)
-          events
-      in
-      let module Int_set = Set.Make (Int) in
-      (* [feasible remaining consumed]: can the remaining deletes be
-         serialized?  [consumed] is the set of element ids removed by
-         deletes already serialized. *)
-      let rec feasible remaining consumed =
-        match remaining with
-        | [] -> true
-        | _ ->
-          List.exists
-            (fun d ->
-              (* d may come next only if no other remaining delete wholly
-                 precedes it in real time *)
-              let must_wait =
-                List.exists (fun d' -> d' != d && d'.responded < d.invoked) remaining
-              in
-              if must_wait then false
-              else begin
-                (* elements certainly present when d runs: fully inserted
-                   before d's invocation and not yet consumed *)
-                let definitely_available =
-                  List.filter_map
-                    (fun (key, id, ins) ->
-                      if ins.responded < d.invoked && not (Int_set.mem id consumed)
-                      then Some key
-                      else None)
-                    inserts
-                in
-                let ok =
-                  match d.op with
-                  | Delete_min { result = None } -> definitely_available = []
-                  | Delete_min { result = Some (k, id) } ->
-                    (not (Int_set.mem id consumed))
-                    && List.exists
-                         (fun (_, id', ins) -> id' = id && ins.invoked < d.responded)
-                         inserts
-                    && List.for_all (fun y -> K.compare k y <= 0) definitely_available
-                  | Insert _ -> false
-                in
-                ok
-                &&
-                let consumed' =
-                  match d.op with
-                  | Delete_min { result = Some (_, id) } -> Int_set.add id consumed
-                  | Delete_min { result = None } | Insert _ -> consumed
-                in
-                feasible (List.filter (fun d' -> d' != d) remaining) consumed'
-              end)
-            remaining
-      in
-      if feasible deletes Int_set.empty then Ok ()
-      else Error "no Definition-1 serialization of the Delete-mins exists"
-    end
-
+  (* Definition 1, decided exactly.  A serialization of the Delete-mins is
+     valid when each delete in turn is eligible — no delete still
+     unserialized responded strictly before it was invoked — and legal
+     against the set C of elements the deletes before it consumed: an
+     EMPTY result is legal when no element fully inserted before the
+     delete's invocation is outside C; an element [x] is legal when [x] is
+     outside C, its insert was invoked before the delete responded, and its
+     key is <= every such element.  Consuming more elements only shrinks
+     the set a delete must not skip, so an eligible, legal delete stays
+     legal as C grows (a repeated id is illegal in every order).  Hence
+     taking any eligible legal delete next never loses a serialization
+     (the exchange argument is in DESIGN.md §6), and the greedy below is
+     complete: it fails only when no serialization exists. *)
   let check_strict events =
-    match check_no_better_available events with
-    | Error _ as e -> e
-    | Ok () ->
-      (* Additionally: a returned element's insert must at least have begun
-         before the delete responded (with timestamps it must even have
-         completed before the delete's clock read; the interval version is
-         the strongest sound external check). *)
-      let inserts_by_id = Hashtbl.create 64 in
-      List.iter
-        (fun e ->
-          match e.op with
-          | Insert { id; _ } -> Hashtbl.add inserts_by_id id e
-          | Delete_min _ -> ())
-        events;
-      List.fold_left
-        (fun acc e ->
-          match (acc, e.op) with
-          | Error _, _ -> acc
-          | Ok (), Delete_min { result = Some (key, id) } -> (
-            match Hashtbl.find_opt inserts_by_id id with
-            | Some ins when ins.invoked > e.responded ->
-              Error
-                (Format.asprintf
-                   "element %a returned before its insert was invoked" pp_id
-                   (key, id))
-            | Some _ | None -> Ok ())
-          | Ok (), (Insert _ | Delete_min { result = None }) -> acc)
-        (Ok ()) events
+    let deletes =
+      List.filter (fun e -> match e.op with Delete_min _ -> true | Insert _ -> false) events
+      |> List.sort (fun a b -> compare (a.invoked, a.responded) (b.invoked, b.responded))
+      |> Array.of_list
+    in
+    (* every insert as (responded, key, id), in response order *)
+    let settled =
+      List.filter_map
+        (fun e -> match e.op with Insert { key; id } -> Some (e.responded, key, id) | _ -> None)
+        events
+      |> List.stable_sort (fun (r1, _, _) (r2, _, _) -> Int.compare r1 r2)
+      |> Array.of_list
+    in
+    let insert_invoked = Hashtbl.create 64 in
+    List.iter
+      (fun e ->
+        match e.op with
+        | Insert { id; _ } -> Hashtbl.add insert_invoked id e.invoked
+        | Delete_min _ -> ())
+      events;
+    let consumed = Hashtbl.create 64 in
+    (* the smallest element fully inserted before [d] was invoked and not
+       yet consumed *)
+    let smallest_available d =
+      let rec scan i best =
+        if i = Array.length settled then best
+        else
+          let responded, key, id = settled.(i) in
+          if responded >= d.invoked then best
+          else if Hashtbl.mem consumed id then scan (i + 1) best
+          else
+            match best with
+            | Some (k, _) when K.compare k key <= 0 -> scan (i + 1) best
+            | Some _ | None -> scan (i + 1) (Some (key, id))
+      in
+      scan 0 None
+    in
+    (* [None] when [d] is legal now, else why not *)
+    let illegal d =
+      match (d.op, smallest_available d) with
+      | Delete_min { result = None }, None -> None
+      | Delete_min { result = None }, Some y ->
+        Some (Format.asprintf "returned EMPTY while %a was available" pp_id y)
+      | Delete_min { result = Some ((k, id) as x) }, y -> (
+        let invoked = Hashtbl.find_all insert_invoked id in
+        if Hashtbl.mem consumed id then
+          Some (Format.asprintf "returned %a, which another Delete-min took" pp_id x)
+        else if invoked = [] then
+          Some (Format.asprintf "returned %a, which no insert produced" pp_id x)
+        else if not (List.exists (fun i -> i < d.responded) invoked) then
+          Some (Format.asprintf "returned %a before its insert was invoked" pp_id x)
+        else
+          match y with
+          | Some ((y_key, _) as y) when K.compare y_key k < 0 ->
+            Some (Format.asprintf "returned %a while smaller %a was available" pp_id x pp_id y)
+          | Some _ | None -> None)
+      | Insert _, _ -> assert false
+    in
+    let n = Array.length deletes in
+    let taken = Array.make n false in
+    (* [first]: the earliest-invoked delete not yet serialized *)
+    let rec serialize first =
+      if first = n then Ok ()
+      else begin
+        (* The two earliest responses among the unserialized deletes: a
+           delete is eligible when it was invoked no later than every
+           other one's response. *)
+        let r1 = ref max_int and at1 = ref (-1) and r2 = ref max_int in
+        for i = first to n - 1 do
+          if not taken.(i) then begin
+            let r = deletes.(i).responded in
+            if r < !r1 then begin
+              r2 := !r1;
+              r1 := r;
+              at1 := i
+            end
+            else if r < !r2 then r2 := r
+          end
+        done;
+        (* the first eligible legal delete, else the first eligible one
+           with the reason it is illegal *)
+        let rec pick i stuck =
+          if i = n || deletes.(i).invoked > !r2 then Error stuck
+          else if taken.(i) || deletes.(i).invoked > (if i = !at1 then !r2 else !r1) then
+            pick (i + 1) stuck
+          else
+            match illegal deletes.(i) with
+            | None -> Ok i
+            | Some why -> pick (i + 1) (if stuck = None then Some (i, why) else stuck)
+        in
+        match pick first None with
+        | Ok i ->
+          taken.(i) <- true;
+          (match deletes.(i).op with
+           | Delete_min { result = Some (_, id) } -> Hashtbl.replace consumed id ()
+           | Delete_min { result = None } | Insert _ -> ());
+          let rec next j = if j < n && taken.(j) then next (j + 1) else j in
+          serialize (next first)
+        | Error (Some (i, why)) ->
+          let d = deletes.(i) in
+          Error
+            (Printf.sprintf "no Definition-1 serialization: Delete-min (proc %d, [%d, %d]) %s"
+               d.proc d.invoked d.responded why)
+        | Error None -> Error "no Definition-1 serialization: no Delete-min may come next"
+      end
+    in
+    serialize 0
 end

@@ -7,20 +7,18 @@
     - {!Make.check_conservation}: no element is lost, duplicated, or
       invented — (initial + inserted) = (deleted + drained-at-end), as
       multisets of unique element ids.
-    - {!Make.check_strict}: a conservative necessary condition for the
-      paper's Definition 1 — if an element [y] was completely inserted
-      before a Delete-min [d] was invoked, and no Delete-min that could
-      precede [d] in any serialization removed [y], then [d] must not
-      return an element larger than [y] (and must not return EMPTY).
+    - {!Make.check_strict}: the paper's Definition 1, decided exactly —
+      some order of the Delete-mins that respects their real-time order
+      lets each one return a minimal element of those certainly present
+      (or EMPTY when none is), given the elements the deletes before it
+      consumed.
     - {!Make.check_relaxed}: the weaker condition of the relaxed SkipQueue
       (§5.4) — the returned element must be [min (I - D)] or a smaller
-      element inserted concurrently; this check validates everything
-      {!Make.check_strict} does except that concurrent inserts may also
-      supply the answer.
+      element inserted concurrently — checked per delete, conservatively.
 
-    All checks are sound (a reported violation is a real violation) and
-    deliberately incomplete where full linearizability checking would be
-    NP-hard. *)
+    All checks are sound (a reported violation is a real violation);
+    {!Make.check_strict} is also complete at the interval granularity the
+    timestamps give. *)
 
 module Make (K : Key.ORDERED) : sig
   type op =
@@ -41,22 +39,21 @@ module Make (K : Key.ORDERED) : sig
       processors stopped (must also come out in ascending key order). *)
 
   val check_strict : event list -> (unit, string) result
+  (** Searches for a serialization of the Delete-mins, consistent with
+      their real-time order (a delete that responded strictly before
+      another was invoked comes first), in which every delete returns an
+      element [x] that no earlier delete took, whose insert was invoked
+      before the delete responded, and whose key is <= every element
+      fully inserted (responded) before the delete's invocation and not
+      yet consumed — or returns EMPTY when no such element exists.  An
+      insert that overlaps the delete is optional: its element may or may
+      not be seen.  The search is a greedy serialization, polynomial and
+      complete (DESIGN.md §6); the error names the delete that cannot be
+      serialized next and why. *)
+
   val check_relaxed : event list -> (unit, string) result
 
   val check_well_formed : event list -> (unit, string) result
   (** Per-event sanity: [invoked <= responded]; per-processor operations do
       not overlap; insert ids unique; no element deleted twice. *)
-
-  val check_strict_exhaustive : ?max_deletes:int -> event list -> (unit, string) result
-  (** Exhaustive Definition-1 check for small histories: searches for a
-      serialization of the Delete-min operations, consistent with their
-      real-time order, in which every delete returns a minimal
-      definitely-available element (or EMPTY when none is) given the
-      elements consumed by the deletes serialized before it.  Unlike
-      {!check_strict} the consumed set is globally consistent across the
-      chosen order.  Still conservative at operation boundaries (an
-      element whose insert overlaps the delete is treated as optional).
-      Histories with more than [max_deletes] (default 12) Delete-mins are
-      rejected with an error asking for a smaller history (the search is
-      factorial). *)
 end

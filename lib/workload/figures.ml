@@ -560,7 +560,11 @@ let ablation_lockfree ~id options =
         head_probe options ~what:"fig7" ~key_range:(1 lsl 20) structures
       in
       let lf = at ~tag:"fig7" "SkipQueue-lf" top in
-      let per_op k = stat lf k /. Float.max 1.0 (stat lf "ops") in
+      (* per timed call: the instance's own "ops" also counts the
+         prefill's inserts and the drain *)
+      let per_op k =
+        stat lf k /. float_of_int (max 1 (Repro_util.Stats.count lf.Benchmark.overall_latency))
+      in
       (* every insert, the prefill's included, runs at least one search *)
       let inserts =
         (fig7_load options).Benchmark.initial_size

@@ -439,9 +439,9 @@ let prop_heap_plans_conserve =
       in
       !invariants = Ok () && !inserted = !deleted + !leftover)
 
-(* Small plans with full event recording, validated by the exhaustive
-   Definition-1 serialization search — the strongest end-to-end check the
-   external interface admits. *)
+(* Small plans with full event recording, validated by the complete
+   Definition-1 check — the strongest end-to-end check the external
+   interface admits. *)
 (* The Definition-1 oracle models Insert/Delete-min only, so small plans
    restrict to those two operations. *)
 let small_plan_gen =
@@ -455,13 +455,6 @@ let arbitrary_small_plan = QCheck.make ~print:plan_print small_plan_gen
 
 let small_plan_definition1 ~mode ~name =
   QCheck.Test.make ~name ~count:120 arbitrary_small_plan (fun plan ->
-      let deletes = 
-        List.fold_left
-          (fun acc ops ->
-            acc + List.length (List.filter (fun o -> o = P_delete) ops))
-          0 plan
-      in
-      QCheck.assume (deletes <= 10);
       let events = ref [] in
       let (_ : Machine.report) =
         Machine.run (fun () ->
@@ -503,7 +496,7 @@ let small_plan_definition1 ~mode ~name =
       in
       (* delete results carry value ids; rebuild them as (key, id) *)
       Oracle.check_well_formed !events = Ok ()
-      && Oracle.check_strict_exhaustive ~max_deletes:10 !events = Ok ())
+      && Oracle.check_strict !events = Ok ())
 
 let () =
   Alcotest.run "adversarial"
@@ -541,7 +534,7 @@ let () =
               ~name:"strict skipqueue: exhaustive Definition-1 on small plans";
             (* The relaxed queue's only extra freedom — returning an element
                inserted concurrently with the delete — is precisely what the
-               interval-based exhaustive check treats as optional, so it must
+               interval-based Definition-1 check treats as optional, so it must
                pass the same oracle. *)
             small_plan_definition1 ~mode:SQ.Relaxed
               ~name:"relaxed skipqueue: exhaustive Definition-1 on small plans";

@@ -124,9 +124,9 @@ let test_conservation () =
 
 (* --- strict checks -------------------------------------------------------- *)
 
-let test_strict_conservative () =
+let test_strict_and_relaxed () =
   let bad = hist [ ins ~at:0 1 1; ins ~at:2 9 2; del ~proc:1 ~at:10 (Some (9, 2)) ] in
-  check "returning 9 over settled 1 fails" true (is_fail (Check.strict_conservative bad));
+  check "returning 9 over settled 1 fails" true (is_fail (Check.strict bad));
   check "relaxed also rejects it" true (is_fail (Check.relaxed_conservative bad));
   (* d may return an element smaller than the settled minimum if its
      insert overlaps — relaxed-legal, and strict-conservatively fine too *)
@@ -134,9 +134,10 @@ let test_strict_conservative () =
     hist
       [ ins ~at:0 9 1; ins ~proc:2 ~at:10 ~dur:10 1 2; del ~proc:1 ~at:12 ~dur:2 (Some (1, 2)) ]
   in
-  check "concurrent smaller insert ok" true (is_pass (Check.relaxed_conservative concurrent_smaller))
+  check "concurrent smaller insert ok" true (is_pass (Check.relaxed_conservative concurrent_smaller));
+  check "strict also accepts it" true (is_pass (Check.strict concurrent_smaller))
 
-let test_strict_exhaustive () =
+let test_strict_definition1 () =
   (* Order-dependent but consistent: d2 (returning 1) serializes first. *)
   let consistent =
     [
@@ -147,7 +148,7 @@ let test_strict_exhaustive () =
     ]
   in
   check "overlapping deletes with a valid order pass" true
-    (is_pass (Check.strict_exhaustive_windowed (hist consistent)));
+    (is_pass (Check.strict (hist consistent)));
   (* No order works: whichever delete goes first sees {1, 2}, so EMPTY is
      wrong and so is taking 2 before 1. *)
   let inconsistent =
@@ -159,15 +160,40 @@ let test_strict_exhaustive () =
     ]
   in
   check "no Definition-1 serialization fails" true
-    (is_fail (Check.strict_exhaustive_windowed (hist inconsistent ~drained:[ (1, 1) ])));
-  (* windows wider than the bound are skipped *)
-  let wide =
-    List.init 4 (fun i -> ins ~at:i (i + 1) (i + 1))
-    @ List.init 4 (fun i -> del ~proc:(i + 1) ~at:20 ~dur:10 (Some (i + 1, i + 1)))
+    (is_fail (Check.strict (hist inconsistent ~drained:[ (1, 1) ])))
+
+(* Ten deletes in one real-time window, wider than a factorial search
+   affords, hiding a cycle no per-delete condition sees.  A [10, 20] took
+   3 over 2, excused if B [15, 40] took 2 first; B took 2 over 1 (settled
+   at 12, after A began), excused if C [30, 50] took 1 first; but A
+   responded before C was invoked.  Seven padding deletes overlap all
+   three and return elements inserted concurrently with every delete. *)
+let test_strict_wide_window () =
+  let settled = [ ins ~at:0 2 2; ins ~at:2 3 3; ins ~at:11 1 1 ] in
+  let cycle =
+    [
+      del ~proc:1 ~at:10 ~dur:10 (Some (3, 3));
+      del ~proc:2 ~at:15 ~dur:25 (Some (2, 2));
+      del ~proc:3 ~at:30 ~dur:20 (Some (1, 1));
+    ]
   in
-  let bounds = { Check.default_bounds with Check.max_window = 2 } in
-  check "oversized window skips" true
-    (is_skip (Check.strict_exhaustive_windowed ~bounds (hist wide)))
+  let padding =
+    List.concat
+      (List.init 7 (fun i ->
+           [
+             ins ~proc:(20 + i) ~at:9 ~dur:51 (100 + i) (100 + i);
+             del ~proc:(10 + i) ~at:10 ~dur:40 (Some (100 + i, 100 + i));
+           ]))
+  in
+  let h = hist (settled @ cycle @ padding) in
+  check "each delete passes alone" true (is_pass (Check.relaxed_conservative h));
+  match Check.strict h with
+  | Check.Fail msg ->
+    Alcotest.(check string) "names the stuck delete"
+      "no Definition-1 serialization: Delete-min (proc 1, [10, 20]) returned 3#3 while \
+       smaller 2#2 was available"
+      msg
+  | Check.Pass | Check.Skip _ -> Alcotest.fail "the cycle has no serialization"
 
 let test_rank_envelope () =
   (* deletes in exactly reverse order: ranks 4,3,2,1,0 *)
@@ -184,8 +210,8 @@ let test_rank_envelope () =
 
 let test_for_spec_suites () =
   let names spec = List.map fst (Check.for_spec spec) in
-  check "linearizable runs the exhaustive search" true
-    (List.exists (fun n -> n = "strict (Def 1, exhaustive windows)") (names QA.Linearizable));
+  check "linearizable runs the Definition-1 check" true
+    (List.mem "strict (Def 1)" (names QA.Linearizable));
   check "quiescent spec does not run strict checks" false
     (List.exists
        (fun n -> String.length n >= 6 && String.sub n 0 6 = "strict")
@@ -462,8 +488,9 @@ let () =
           Alcotest.test_case "quiescent" `Quick test_quiescent;
           Alcotest.test_case "quiescent, transit-tolerant" `Quick test_quiescent_transit_tolerant;
           Alcotest.test_case "conservation" `Quick test_conservation;
-          Alcotest.test_case "strict conservative" `Quick test_strict_conservative;
-          Alcotest.test_case "strict exhaustive windows" `Quick test_strict_exhaustive;
+          Alcotest.test_case "strict and relaxed" `Quick test_strict_and_relaxed;
+          Alcotest.test_case "strict Definition 1" `Quick test_strict_definition1;
+          Alcotest.test_case "strict wide window" `Quick test_strict_wide_window;
           Alcotest.test_case "rank envelope" `Quick test_rank_envelope;
           Alcotest.test_case "per-spec suites" `Quick test_for_spec_suites;
           Alcotest.test_case "blocking wakeups" `Quick test_blocking_wakeups;

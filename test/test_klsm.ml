@@ -307,7 +307,6 @@ let test_rank_bound_keying () =
   check_int "envelope ceiling keyed to k" (64 + Check.klsm_margin) b.Check.max_rank;
   check "mean ceiling keyed to k" true
     (b.Check.mean_rank = float_of_int (64 + Check.klsm_margin));
-  check_int "window untouched" Check.default_bounds.Check.max_window b.Check.max_window;
   check "no bound keeps the defaults" true (Check.bounds_for None = Check.default_bounds);
   (* A bound within klsm_margin of max_int saturates instead of wrapping. *)
   List.iter

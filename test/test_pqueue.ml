@@ -1,5 +1,6 @@
 (* Tests for the sequential queues (the MultiQueue's shard heap and the
-   sorted-list model) and the history oracle. *)
+   sorted-list model) and the history oracle, whose greedy Definition-1
+   check is tested against a factorial search over every order. *)
 
 module Rng = Repro_util.Rng
 module Key = Repro_pqueue.Key
@@ -164,7 +165,93 @@ let test_oracle_conservation () =
           ~drained:[ (9, 12); (7, 10) ]
           events))
 
-(* --- exhaustive Definition-1 checker ------------------------------------------ *)
+(* --- Definition 1: the greedy against a factorial reference -------------- *)
+
+(* The reference: searches every order of the Delete-mins consistent with
+   their real-time order, in which every delete returns a minimal
+   definitely-available element (or EMPTY when none is) given the elements
+   consumed by the deletes serialized before it.  Factorial, so histories
+   with more than [max_deletes] (default 12) Delete-mins are refused. *)
+let exhaustive ?(max_deletes = 12) events =
+  let deletes =
+    List.filter
+      (fun e -> match e.Oracle.op with Oracle.Delete_min _ -> true | Oracle.Insert _ -> false)
+      events
+  in
+  if List.length deletes > max_deletes then
+    Error
+      (Printf.sprintf "exhaustive: %d deletes exceed the search bound %d"
+         (List.length deletes) max_deletes)
+  else begin
+    let inserts =
+      List.filter_map
+        (fun e ->
+          match e.Oracle.op with
+          | Oracle.Insert { key; id } -> Some (key, id, e)
+          | Oracle.Delete_min _ -> None)
+        events
+    in
+    let module Int_set = Set.Make (Int) in
+    (* [feasible remaining consumed]: can the remaining deletes be
+       serialized?  [consumed] is the set of element ids removed by
+       deletes already serialized. *)
+    let rec feasible remaining consumed =
+      match remaining with
+      | [] -> true
+      | _ ->
+        List.exists
+          (fun d ->
+            (* d may come next only if no other remaining delete wholly
+               precedes it in real time *)
+            let must_wait =
+              List.exists
+                (fun d' -> d' != d && d'.Oracle.responded < d.Oracle.invoked)
+                remaining
+            in
+            if must_wait then false
+            else begin
+              (* elements certainly present when d runs: fully inserted
+                 before d's invocation and not yet consumed *)
+              let definitely_available =
+                List.filter_map
+                  (fun (key, id, ins) ->
+                    if ins.Oracle.responded < d.Oracle.invoked && not (Int_set.mem id consumed)
+                    then Some key
+                    else None)
+                  inserts
+              in
+              let ok =
+                match d.Oracle.op with
+                | Oracle.Delete_min { result = None } -> definitely_available = []
+                | Oracle.Delete_min { result = Some (k, id) } ->
+                  (not (Int_set.mem id consumed))
+                  && List.exists
+                       (fun (_, id', ins) -> id' = id && ins.Oracle.invoked < d.Oracle.responded)
+                       inserts
+                  && List.for_all (fun y -> k <= y) definitely_available
+                | Oracle.Insert _ -> false
+              in
+              ok
+              &&
+              let consumed' =
+                match d.Oracle.op with
+                | Oracle.Delete_min { result = Some (_, id) } -> Int_set.add id consumed
+                | Oracle.Delete_min { result = None } | Oracle.Insert _ -> consumed
+              in
+              feasible (List.filter (fun d' -> d' != d) remaining) consumed'
+            end)
+          remaining
+    in
+    if feasible deletes Int_set.empty then Ok ()
+    else Error "no Definition-1 serialization of the Delete-mins exists"
+  end
+
+(* Both Definition-1 checks, which must agree; the greedy's verdict. *)
+let definition1 events =
+  let greedy = Oracle.check_strict events in
+  check_bool "greedy agrees with the reference" (Result.is_ok (exhaustive events))
+    (Result.is_ok greedy);
+  greedy
 
 let test_exhaustive_accepts_sequential () =
   let events =
@@ -176,7 +263,7 @@ let test_exhaustive_accepts_sequential () =
       ev 0 (Oracle.Delete_min { result = None }) 8 9;
     ]
   in
-  ok_or_fail (Oracle.check_strict_exhaustive events)
+  ok_or_fail (definition1 events)
 
 let test_exhaustive_rejects_wrong_min () =
   let events =
@@ -186,7 +273,7 @@ let test_exhaustive_rejects_wrong_min () =
       ev 1 (Oracle.Delete_min { result = Some (5, 1) }) 10 11;
     ]
   in
-  check_bool "rejected" true (Result.is_error (Oracle.check_strict_exhaustive events))
+  check_bool "rejected" true (Result.is_error (definition1 events))
 
 let test_exhaustive_rejects_empty_lie () =
   let events =
@@ -198,7 +285,7 @@ let test_exhaustive_rejects_empty_lie () =
   in
   (* The EMPTY delete wholly precedes the successful one, so no order can
      excuse it. *)
-  check_bool "rejected" true (Result.is_error (Oracle.check_strict_exhaustive events))
+  check_bool "rejected" true (Result.is_error (definition1 events))
 
 let test_exhaustive_accepts_racing_assignment () =
   (* Two overlapping deletes hand out the two smallest in "reverse"
@@ -211,7 +298,7 @@ let test_exhaustive_accepts_racing_assignment () =
       ev 2 (Oracle.Delete_min { result = Some (1, 1) }) 10 20;
     ]
   in
-  ok_or_fail (Oracle.check_strict_exhaustive events)
+  ok_or_fail (definition1 events)
 
 let test_exhaustive_respects_real_time_order () =
   (* Same results, but the delete that took the larger element wholly
@@ -224,7 +311,7 @@ let test_exhaustive_respects_real_time_order () =
       ev 2 (Oracle.Delete_min { result = Some (1, 1) }) 30 40;
     ]
   in
-  check_bool "rejected" true (Result.is_error (Oracle.check_strict_exhaustive events))
+  check_bool "rejected" true (Result.is_error (definition1 events))
 
 let test_exhaustive_concurrent_insert_optional () =
   (* An element whose insert overlaps the delete may or may not be seen:
@@ -237,14 +324,15 @@ let test_exhaustive_concurrent_insert_optional () =
       ev 2 (Oracle.Delete_min { result = Some (5, 2) }) 200 210;
     ]
   in
-  ok_or_fail (Oracle.check_strict_exhaustive events)
+  ok_or_fail (definition1 events)
 
 let test_exhaustive_bound () =
   let events =
     List.init 13 (fun i -> ev i (Oracle.Delete_min { result = None }) (10 * i) ((10 * i) + 1))
   in
   check_bool "bound enforced" true
-    (Result.is_error (Oracle.check_strict_exhaustive ~max_deletes:12 events))
+    (Result.is_error (exhaustive ~max_deletes:12 events));
+  ok_or_fail (Oracle.check_strict events)
 
 let prop_exhaustive_agrees_with_conservative =
   (* On random small *sequential* histories generated by replaying a real
@@ -270,8 +358,110 @@ let prop_exhaustive_agrees_with_conservative =
               ev 0 (Oracle.Delete_min { result = Sorted.delete_min model }) invoked (invoked + 1))
           ops
       in
-      Oracle.check_strict_exhaustive events = Ok ()
-      && Oracle.check_strict events = Ok ())
+      exhaustive events = Ok () && Oracle.check_strict events = Ok ())
+
+(* Random histories of at most 8 deletes, most of them legal by
+   construction: every operation gets an interval in a short time range
+   (so stamps collide, and [invoked = responded] occurs) and a
+   linearization point inside it, and replaying the points in order
+   against a multiset gives each delete its result.  Four illegal
+   variants perturb them: two deletes swap results, one delete repeats
+   another's result, an insert moves to start at or after a delete's
+   response, or an insert's response moves to just before a delete's
+   invocation. *)
+let gen_history st =
+  let int n = Random.State.int st n in
+  let interval () =
+    let at = int 20 in
+    (at, at + int 6)
+  in
+  let n_ins = int 9 and n_del = 1 + int 8 in
+  let ops =
+    List.init n_ins (fun i -> `Insert (int 6, i + 1, interval ()))
+    @ List.init n_del (fun i -> `Delete (i, interval ()))
+  in
+  (* linearization point: a time inside the interval, ties broken at random *)
+  let point (inv, resp) = (inv + int (resp - inv + 1), Random.State.bits st) in
+  let ops =
+    List.map (fun op -> match op with `Insert (_, _, iv) | `Delete (_, iv) -> (point iv, op)) ops
+    |> List.sort (fun (p1, _) (p2, _) -> compare p1 p2)
+  in
+  let live = ref [] in
+  let events =
+    List.mapi
+      (fun proc (_, op) ->
+        match op with
+        | `Insert (key, id, (inv, resp)) ->
+          live := (key, id) :: !live;
+          ev proc (Oracle.Insert { key; id }) inv resp
+        | `Delete (_, (inv, resp)) ->
+          let result =
+            match List.sort compare !live with
+            | [] -> None
+            | x :: rest ->
+              live := rest;
+              Some x
+          in
+          ev proc (Oracle.Delete_min { result }) inv resp)
+      ops
+    |> Array.of_list
+  in
+  let pick kind =
+    let idx =
+      List.filter
+        (fun i ->
+          match (events.(i).Oracle.op, kind) with
+          | Oracle.Insert _, `Insert | Oracle.Delete_min _, `Delete -> true
+          | _ -> false)
+        (List.init (Array.length events) Fun.id)
+    in
+    match idx with [] -> None | _ -> Some (List.nth idx (int (List.length idx)))
+  in
+  (match (int 5, pick `Delete, pick `Delete, pick `Insert) with
+   | 1, Some i, Some j, _ when i <> j ->
+     let op_i = events.(i).Oracle.op in
+     events.(i) <- { (events.(i)) with op = events.(j).Oracle.op };
+     events.(j) <- { (events.(j)) with op = op_i }
+   | 2, Some i, Some j, _ when i <> j ->
+     events.(i) <- { (events.(i)) with op = events.(j).Oracle.op }
+   | 3, Some d, _, Some e ->
+     let invoked = events.(d).Oracle.responded + int 2 in
+     let dur = events.(e).Oracle.responded - events.(e).Oracle.invoked in
+     events.(e) <- { (events.(e)) with invoked; responded = invoked + dur }
+   | 4, Some d, _, Some e ->
+     let responded = events.(d).Oracle.invoked - 1 in
+     events.(e) <-
+       { (events.(e)) with responded; invoked = Int.min events.(e).Oracle.invoked responded }
+   | _ -> ());
+  Array.to_list events
+
+let print_history events =
+  String.concat "; "
+    (List.map
+       (fun e ->
+         let op =
+           match e.Oracle.op with
+           | Oracle.Insert { key; id } -> Printf.sprintf "ins %d#%d" key id
+           | Oracle.Delete_min { result = None } -> "del EMPTY"
+           | Oracle.Delete_min { result = Some (key, id) } -> Printf.sprintf "del %d#%d" key id
+         in
+         Printf.sprintf "p%d %s [%d,%d]" e.Oracle.proc op e.Oracle.invoked e.Oracle.responded)
+       events)
+
+let prop_greedy_agrees_with_reference =
+  QCheck.Test.make ~name:"greedy Definition-1 check agrees with the factorial search"
+    ~count:2000 (QCheck.make ~print:print_history gen_history) (fun events ->
+      Result.is_ok (exhaustive events) = Result.is_ok (Oracle.check_strict events))
+
+(* The differential property is only as strong as its mix: the generator
+   must produce both verdicts in bulk. *)
+let test_generator_mix () =
+  let st = Random.State.make [| 27 |] in
+  let legal = ref 0 in
+  for _ = 1 to 2000 do
+    if Result.is_ok (exhaustive (gen_history st)) then incr legal
+  done;
+  check_bool (Printf.sprintf "%d of 2000 legal" !legal) true (!legal > 400 && !legal < 1600)
 
 let () =
   Alcotest.run "pqueue"
@@ -313,5 +503,9 @@ let () =
               test_exhaustive_concurrent_insert_optional;
             test_case "search bound" `Quick test_exhaustive_bound;
           ]
-          @ [ QCheck_alcotest.to_alcotest prop_exhaustive_agrees_with_conservative ] );
+          @ [
+              QCheck_alcotest.to_alcotest prop_exhaustive_agrees_with_conservative;
+              QCheck_alcotest.to_alcotest prop_greedy_agrees_with_reference;
+              Alcotest.test_case "differential mix" `Quick test_generator_mix;
+            ] );
     ]
