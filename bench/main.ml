@@ -1,112 +1,15 @@
-(* Bechamel benchmark suite, plus a simulator-throughput report.
+(* Simulator-throughput report: the host cost of the simulator itself.
 
-   The suite opens with the simulator-throughput group: the fig7 sweep at
-   bench scale timed with the scheduler run-ahead fast path on and off
-   (host seconds per sweep, simulated events/s and accesses/s).
-   `--sim-only` stops there; `--json PATH` writes the numbers for CI
-   artifacts (BENCH_sim.json); `--sim-runs N` sets the repetitions.
+   The fig7 sweep at bench scale, timed with the scheduler run-ahead fast
+   path on and off.  `--json PATH` appends the numbers to a run-history
+   JSON array (CI's BENCH_sim.json artifact) under `--label NAME`;
+   `--sim-runs N` sets the repetitions; `--max-minor-words N` fails the
+   run when the fast-path-on sweep allocates more minor words than N.
+   The simulated-cycle results themselves are bin/experiments.exe's. *)
 
-   Then two bechamel groups:
-
-   - "paper": one Test.make per table/figure of the paper (fig2..fig8 and
-     the ablations).  Each test executes one scaled-down simulator run of
-     that figure's workload (the full-scale regeneration is
-     bin/experiments.exe); bechamel measures the wall-clock cost of the
-     simulation itself.  The simulated-cycle results of the same
-     configurations are `experiments all --scale 0.01 --max-procs 32`.
-
-   - "micro": a single-threaded churn of the binary heap under each
-     MultiQueue shard, and three small simulator runs (SkipQueue and
-     MultiQueue operation mixes, bare scheduling overhead). *)
-
-open Bechamel
-open Toolkit
-
-let quick_options =
-  {
-    Repro_workload.Figures.scale = 0.01;
-    max_procs_log2 = 5;
-    progress = ignore;
-    jobs = 1;
-  }
-
-(* --- one Test.make per paper table/figure -------------------------------- *)
-
-let paper_tests =
-  let make_one (id, runner) =
-    Test.make ~name:id
-      (Staged.stage (fun () ->
-           ignore (Sys.opaque_identity (runner quick_options))))
-  in
-  Test.make_grouped ~name:"paper" (List.map make_one Repro_workload.Figures.all)
-
-(* --- microbenchmarks ------------------------------------------------------ *)
-
-module Seq_heap = Repro_pqueue.Seq_heap.Make (Repro_pqueue.Key.Int)
 module Machine = Repro_sim.Machine
-module Sim = Repro_sim.Sim_runtime
-module SQ = Repro_skipqueue.Skipqueue.Make (Sim) (Repro_pqueue.Key.Int)
 
-let keys = Array.init 1024 (fun i -> (i * 7919) mod 104729)
-
-let micro_tests =
-  let heap_churn =
-    Test.make ~name:"seq-heap churn 1024"
-      (Staged.stage (fun () ->
-           let t = Seq_heap.create () in
-           Array.iter (fun k -> Seq_heap.insert t k k) keys;
-           while Seq_heap.delete_min t <> None do
-             ()
-           done))
-  in
-  let sim_skipqueue =
-    Test.make ~name:"simulated skipqueue, 8 procs x 64 ops"
-      (Staged.stage (fun () ->
-           ignore
-             (Machine.run (fun () ->
-                  let q = SQ.create () in
-                  for p = 0 to 7 do
-                    Machine.spawn (fun () ->
-                        for i = 0 to 63 do
-                          if i land 1 = 0 then
-                            ignore (SQ.insert q ((i * 131) + p) i)
-                          else ignore (SQ.delete_min q)
-                        done)
-                  done))))
-  in
-  let sim_multiqueue =
-    (* Selected by registry name, like the CLI drivers. *)
-    let module QA = Repro_workload.Queue_adapter in
-    let impl = QA.find QA.Sim "MultiQueue" in
-    Test.make ~name:"simulated multiqueue, 8 procs x 64 ops"
-      (Staged.stage (fun () ->
-           ignore
-             (Machine.run (fun () ->
-                  let q = impl.QA.create () in
-                  for p = 0 to 7 do
-                    Machine.spawn (fun () ->
-                        for i = 0 to 63 do
-                          if i land 1 = 0 then q.QA.insert ((i * 131) + p) i
-                          else ignore (q.QA.try_delete_min ())
-                        done)
-                  done))))
-  in
-  let sim_scheduling =
-    Test.make ~name:"simulator overhead, 64 procs x 100 work slices"
-      (Staged.stage (fun () ->
-           ignore
-             (Machine.run (fun () ->
-                  for _ = 1 to 64 do
-                    Machine.spawn (fun () ->
-                        for _ = 1 to 100 do
-                          Machine.work 10
-                        done)
-                  done))))
-  in
-  Test.make_grouped ~name:"micro"
-    [ heap_churn; sim_skipqueue; sim_multiqueue; sim_scheduling ]
-
-(* --- simulator throughput -------------------------------------------------- *)
+let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; Stdlib.exit 2) fmt
 
 (* Host-time cost of the simulator itself on the fig7 sweep at bench scale
    (1% of the ops, processors 1..32) — the configuration the scheduler
@@ -117,9 +20,7 @@ let micro_tests =
    cost per sweep (minor words, promoted words, major collections) — the
    flat-state metric DESIGN.md §S17 tracks — plus the GC's peak heap when
    the sweep ends.
-   Results are byte-identical in both modes; only the host cost moves.
-   [--json PATH] appends the numbers to a run-history JSON array for CI
-   artifacts, so the perf trajectory accumulates across commits. *)
+   Results are byte-identical in both modes; only the host cost moves. *)
 
 let fig7_bench_workload procs =
   {
@@ -191,32 +92,48 @@ let measure_sweep ~runs ~fast_path =
 
 (* [BENCH_sim.json] is an appendable run history: a JSON array with one
    entry per bench invocation, so the perf trajectory accumulates across
-   commits instead of being overwritten. *)
-let append_history path entry =
-  let existing =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      String.trim s
-    end
-    else ""
-  in
-  let body =
-    if existing = "" || existing = "[]" then Printf.sprintf "[\n%s\n]\n" entry
-    else begin
-      (* strip the closing bracket, append *)
-      let upto = String.rindex existing ']' in
-      let prefix = String.trim (String.sub existing 0 upto) in
-      Printf.sprintf "%s,\n%s\n]\n" prefix entry
-    end
-  in
-  let oc = open_out path in
-  output_string oc body;
-  close_out oc
+   commits instead of being overwritten.  [read_history] runs before any
+   sweep, so a file that is not such an array is refused before the
+   measurement, not after it; it returns the array's text up to its
+   closing bracket, or [None] while the array is empty. *)
+let read_history path =
+  if not (Sys.file_exists path) then None
+  else
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error msg -> usage_error "--json %s: %s" path msg
+    | text ->
+      let s = String.trim text in
+      let n = String.length s in
+      if s = "" then None
+      else if s.[0] = '[' && s.[n - 1] = ']' then
+        match String.trim (String.sub s 0 (n - 1)) with "[" -> None | prefix -> Some prefix
+      else usage_error "--json %s: not a JSON array" path
 
-let sim_throughput ~runs ~label ~json =
+let write_history path prefix entry =
+  let body =
+    match prefix with
+    | None -> Printf.sprintf "[\n%s\n]\n" entry
+    | Some prefix -> Printf.sprintf "%s,\n%s\n]\n" prefix entry
+  in
+  Out_channel.with_open_bin path (fun oc -> output_string oc body)
+
+(* A JSON string literal: quote and backslash escaped, bytes below 0x20 as
+   \u00XX, every other byte (UTF-8 included) passed through. *)
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | ('"' | '\\') as c ->
+        Buffer.add_char b '\\';
+        Buffer.add_char b c
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let sim_throughput ~runs ~label ~history =
   let on = measure_sweep ~runs ~fast_path:true in
   let off = measure_sweep ~runs ~fast_path:false in
   let rate n s = float_of_int n /. s in
@@ -233,9 +150,9 @@ let sim_throughput ~runs ~label ~json =
   line "fast path off" off;
   Printf.printf "fast-path speedup: %.2fx (%d simulated events, %d accesses per sweep)\n"
     (off.seconds /. on.seconds) on.events on.accesses;
-  (match json with
+  (match history with
   | None -> ()
-  | Some path ->
+  | Some (path, prefix) ->
     let mode c =
       Printf.sprintf
         {|{ "seconds_per_sweep": %.6f, "events_per_sec": %.0f, "accesses_per_sec": %.0f, "minor_words_per_sweep": %.0f, "promoted_words_per_sweep": %.0f, "major_collections_per_sweep": %.1f, "peak_heap_mb": %.2f }|}
@@ -245,7 +162,7 @@ let sim_throughput ~runs ~label ~json =
     let entry =
       Printf.sprintf
         {|  {
-    "label": %S,
+    "label": %s,
     "benchmark": "fig7 sweep, bench scale (1%% ops, procs 1..32, SkipQueue + Relaxed + lock-free + coalescing + klsm:256)",
     "runs_per_mode": %d,
     "simulated_events_per_sweep": %d,
@@ -254,51 +171,17 @@ let sim_throughput ~runs ~label ~json =
     "fast_path_off": %s,
     "fast_path_speedup": %.3f
   }|}
-        label runs on.events on.accesses (mode on) (mode off)
+        (json_string label) runs on.events on.accesses (mode on) (mode off)
         (off.seconds /. on.seconds)
     in
-    append_history path entry;
+    write_history path prefix entry;
     Printf.printf "appended run %S to %s\n" label path);
   on
 
 (* --- driver ---------------------------------------------------------------- *)
 
-let benchmark tests =
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~stabilize:false
-      ~compaction:false ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  Analyze.all ols Instance.monotonic_clock raw
-
-let print_results results =
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let estimate =
-        match Analyze.OLS.estimates ols with
-        | Some (e :: _) -> e
-        | Some [] | None -> nan
-      in
-      let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
-      rows := (name, estimate, r2) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  Printf.printf "%-55s %18s %8s\n" "benchmark" "ns/run" "r^2";
-  Printf.printf "%s\n" (String.make 83 '-');
-  List.iter
-    (fun (name, est, r2) -> Printf.printf "%-55s %18.0f %8.3f\n" name est r2)
-    rows
-
-let usage_error fmt = Printf.ksprintf (fun msg -> prerr_endline msg; Stdlib.exit 2) fmt
-
 let () =
   let json = ref None in
-  let sim_only = ref false in
   let runs = ref 5 in
   let label = ref "dev" in
   let max_minor_words = ref None in
@@ -306,9 +189,6 @@ let () =
     | [] -> ()
     | "--json" :: path :: rest ->
       json := Some path;
-      parse rest
-    | "--sim-only" :: rest ->
-      sim_only := true;
       parse rest
     | "--sim-runs" :: n :: rest ->
       (match int_of_string_opt n with
@@ -329,15 +209,15 @@ let () =
     | [ ("--json" | "--sim-runs" | "--label" | "--max-minor-words") as flag ] ->
       usage_error "%s: needs a value" flag
     | arg :: _ ->
-      Printf.eprintf
-        "unknown argument %S (known: --json PATH, --sim-only, --sim-runs N, \
-         --label NAME, --max-minor-words N)\n"
-        arg;
-      Stdlib.exit 2
+      usage_error
+        "unknown argument %S (known: --json PATH, --sim-runs N, --label NAME, \
+         --max-minor-words N)"
+        arg
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let on = sim_throughput ~runs:!runs ~label:!label ~json:!json in
-  (match !max_minor_words with
+  let history = Option.map (fun path -> (path, read_history path)) !json in
+  let on = sim_throughput ~runs:!runs ~label:!label ~history in
+  match !max_minor_words with
   (* Written as [not (<=)] so that a non-finite measurement fails too. *)
   | Some budget when not (on.minor_words <= budget) ->
     Printf.eprintf "allocation budget exceeded: %.0f minor words/sweep > %.0f\n"
@@ -346,10 +226,4 @@ let () =
   | Some budget ->
     Printf.printf "allocation budget ok: %.0f minor words/sweep <= %.0f\n"
       on.minor_words budget
-  | None -> ());
-  if !sim_only then Stdlib.exit 0;
-  print_newline ();
-  print_endline "=== bechamel: host-time per benchmark ===";
-  print_endline "(paper/* entries each run one scaled-down simulation of that figure)";
-  let results = benchmark (Test.make_grouped ~name:"" [ paper_tests; micro_tests ]) in
-  print_results results
+  | None -> ()

@@ -29,7 +29,6 @@
 
 open Cmdliner
 module QA = Repro_workload.Queue_adapter
-module Check = Repro_check.Checkers
 module Harness = Repro_check.Harness
 
 let pp_spec = function
@@ -105,16 +104,10 @@ let print_violation ~target ~harness (v : Harness.violation) =
         profile.Harness.ops_per_proc profile.Harness.jitter
     | Plain _ | Blocking -> "")
 
-let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mutant replay
-    blocking quiet jobs =
+let run seeds start_seed backends procs ops jitter broken mutant replay blocking quiet jobs =
   (* A sweep of no seeds would report a pass that checked nothing. *)
   if seeds < 1 then usage_error "--seeds %d: must be at least 1" seeds;
   if jitter < 0 then usage_error "--jitter %d: must be at least 0" jitter;
-  if max_rank < 0 then usage_error "--max-rank %d: must be at least 0" max_rank;
-  (* [mean > nan] is false, so a NaN ceiling would pass every run. *)
-  if not (Float.is_finite mean_rank && mean_rank >= 0.0) then
-    usage_error "--mean-rank %s: must be a finite number at least 0"
-      (if Float.is_nan mean_rank then "nan" else Printf.sprintf "%g" mean_rank);
   (* The blocking harness runs its own fixed profile; only --jitter reaches it. *)
   if blocking && (procs <> None || ops <> None) then
     usage_error
@@ -144,7 +137,6 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
       jitter;
     }
   in
-  let bounds = { Check.max_rank; mean_rank } in
   let bprofile = { Harness.default_blocking_profile with Harness.jitter } in
   let impls =
     select_impls backends broken blocking ~profile ~capacity:bprofile.Harness.capacity
@@ -159,8 +151,8 @@ let run seeds start_seed backends procs ops jitter max_rank mean_rank broken mut
       List.map
         (fun (impl, harness, target, name) ->
           ( (match harness with
-            | Blocking -> Harness.sweep_blocking ~bounds ~profile:bprofile ~jobs impl seed_list
-            | Plain profile -> Harness.sweep_impl ~bounds ~profile ~jobs impl seed_list),
+            | Blocking -> Harness.sweep_blocking ~profile:bprofile ~jobs impl seed_list
+            | Plain profile -> Harness.sweep_impl ~profile ~jobs impl seed_list),
             harness,
             target,
             name ))
@@ -274,19 +266,6 @@ let jitter =
     & info [ "jitter" ] ~docv:"CYCLES"
         ~doc:"Max extra scheduling delay per event (0 randomizes only same-time tie-breaks).")
 
-let max_rank =
-  Arg.(
-    value
-    & opt int Check.default_bounds.Check.max_rank
-    & info [ "max-rank" ] ~docv:"R"
-        ~doc:"Rank-envelope per-operation ceiling for rank-bounded backends.")
-
-let mean_rank =
-  Arg.(
-    value
-    & opt float Check.default_bounds.Check.mean_rank
-    & info [ "mean-rank" ] ~docv:"R" ~doc:"Rank-envelope per-run mean ceiling for rank-bounded backends.")
-
 let broken =
   Arg.(
     value & flag
@@ -339,7 +318,7 @@ let cmd =
   Cmd.v
     (Cmd.info "check" ~doc)
     Term.(
-      const run $ seeds $ start_seed $ backends $ procs $ ops $ jitter $ max_rank $ mean_rank
-      $ broken $ mutant $ replay $ blocking $ quiet $ jobs)
+      const run $ seeds $ start_seed $ backends $ procs $ ops $ jitter $ broken $ mutant $ replay
+      $ blocking $ quiet $ jobs)
 
 let () = Stdlib.exit (Cmd.eval' cmd)

@@ -347,7 +347,27 @@ let capacity_bound h =
 
 (* --- per-spec suites ------------------------------------------------------ *)
 
-let for_spec ?(bounds = default_bounds) spec =
+(* k-LSM histories are held to a ceiling derived from the structure's own
+   rank bound ([impl.rank_bound], carried through the bounded façade and
+   set by the torn-spill mutant), not the MultiQueue-sized defaults: the
+   envelope replaces both rank ceilings with [k + klsm_margin], saturating
+   at [max_int].  The margin absorbs the slack between the structural
+   bound (k elements may be skipped inside the structure) and what the
+   completion-order replay can attribute: an insert that has linearized
+   but not yet completed is not yet live in the replay, so at the default
+   6-processor profile a handful of in-flight operations can inflate an
+   observed rank past k itself. *)
+let klsm_margin = 24
+
+let bounds_for rank_bound =
+  match rank_bound with
+  | Some k ->
+    let ceiling = if k > max_int - klsm_margin then max_int else k + klsm_margin in
+    { max_rank = ceiling; mean_rank = float_of_int ceiling }
+  | None -> default_bounds
+
+let for_spec ~rank_bound spec =
+  let bounds = bounds_for rank_bound in
   let common = [ ("well-formed", well_formed); ("conservation", conservation) ] in
   match spec with
   | QA.Linearizable ->
@@ -378,28 +398,8 @@ let for_spec ?(bounds = default_bounds) spec =
 let blocking_suite =
   [ ("blocking (park/wake)", blocking_wakeups); ("capacity-bound", capacity_bound) ]
 
-(* k-LSM histories are held to a ceiling derived from the structure's own
-   rank bound ([impl.rank_bound], carried through the bounded façade and
-   set by the torn-spill mutant), not the MultiQueue-sized defaults: the
-   envelope replaces both rank ceilings with [k + klsm_margin], saturating
-   at [max_int].  The margin absorbs the slack between the structural
-   bound (k elements may be skipped inside the structure) and what the
-   completion-order replay can attribute: an insert that has linearized
-   but not yet completed is not yet live in the replay, so at the default
-   6-processor profile a handful of in-flight operations can inflate an
-   observed rank past k itself. *)
-let klsm_margin = 24
-
-let bounds_for ?(bounds = default_bounds) rank_bound =
-  match rank_bound with
-  | Some k ->
-    let ceiling = if k > max_int - klsm_margin then max_int else k + klsm_margin in
-    { max_rank = ceiling; mean_rank = float_of_int ceiling }
-  | None -> bounds
-
-let check_all ?bounds ~rank_bound h =
-  let bounds = bounds_for ?bounds rank_bound in
-  let suite = for_spec ~bounds h.spec in
+let check_all ~rank_bound h =
+  let suite = for_spec ~rank_bound h.spec in
   let suite = if h.capacity <> None || h.spans <> [] then suite @ blocking_suite else suite in
   List.map (fun (name, f) -> (name, f h)) suite
 

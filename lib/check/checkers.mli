@@ -98,28 +98,29 @@ val capacity_bound : history -> verdict
     exceed [c].  Conservative (endpoint timestamps cannot give exact
     occupancy), hence sound.  [Skip] when no capacity was in force. *)
 
-val for_spec :
-  ?bounds:bounds -> Repro_workload.Queue_adapter.spec -> (string * (history -> verdict)) list
-(** The named suite a given correctness contract is held to. *)
-
 val klsm_margin : int
 (** Completion-order slack added on top of a k-LSM's structural rank bound
     by {!bounds_for}: an insert that has linearized but not yet completed
     is invisible to the envelope's replay, so a few in-flight operations
     can push an observed rank past k itself. *)
 
-val bounds_for : ?bounds:bounds -> int option -> bounds
+val bounds_for : int option -> bounds
 (** [bounds_for rank_bound] keys the rank-envelope ceilings to the
-    implementation's {!Repro_workload.Queue_adapter.impl.rank_bound},
-    starting from [bounds] (default {!default_bounds}).  For [Some k] both
-    [max_rank] and [mean_rank] are replaced by [k + klsm_margin],
-    saturating at [max_int]; for [None] [bounds] is returned unchanged. *)
+    implementation's {!Repro_workload.Queue_adapter.impl.rank_bound}.  For
+    [Some k] both [max_rank] and [mean_rank] are [k + klsm_margin],
+    saturating at [max_int]; [None] gives {!default_bounds}. *)
 
-val check_all : ?bounds:bounds -> rank_bound:int option -> history -> (string * verdict) list
-(** [for_spec h.spec] applied to [h] — with the rank-envelope ceilings
-    first keyed to the implementation via [bounds_for ?bounds rank_bound]
-    — plus the blocking suite ({!blocking_wakeups}, {!capacity_bound})
-    whenever the history carries a capacity or any parked operation. *)
+val for_spec :
+  rank_bound:int option ->
+  Repro_workload.Queue_adapter.spec ->
+  (string * (history -> verdict)) list
+(** The named suite a given correctness contract is held to, its rank
+    envelope (if any) at [bounds_for rank_bound]. *)
+
+val check_all : rank_bound:int option -> history -> (string * verdict) list
+(** [for_spec ~rank_bound h.spec] applied to [h], plus the blocking suite
+    ({!blocking_wakeups}, {!capacity_bound}) whenever the history carries
+    a capacity or any parked operation. *)
 
 val failures : (string * verdict) list -> (string * string) list
 (** Just the [Fail]s, as [(check-name, message)]. *)

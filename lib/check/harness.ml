@@ -186,7 +186,7 @@ let seeds ~start ~count = List.init count (fun i -> Int64.add start (Int64.of_in
    the seed), so the sweeps fan out over [jobs] domains; results are
    collected in seed order, making the summary identical for any [jobs]
    (see DESIGN.md §S16). *)
-let sweep_with ~run ?bounds ~jobs (impl : QA.impl) seed_list =
+let sweep_with ~run ~jobs (impl : QA.impl) seed_list =
   let per_seed =
     Repro_workload.Jobs.map ~jobs
       (fun seed ->
@@ -200,7 +200,7 @@ let sweep_with ~run ?bounds ~jobs (impl : QA.impl) seed_list =
             List.map
               (fun (check, message) -> { seed; check; message })
               (Checkers.failures
-                 (Checkers.check_all ?bounds ~rank_bound:impl.QA.rank_bound h)) )
+                 (Checkers.check_all ~rank_bound:impl.QA.rank_bound h)) )
         | exception ((Stack_overflow | Out_of_memory | Drain_overtaken _) as e) -> raise e
         | exception e ->
           (0, [ { seed; check = "execution"; message = Printexc.to_string e } ]))
@@ -214,11 +214,11 @@ let sweep_with ~run ?bounds ~jobs (impl : QA.impl) seed_list =
     violations = List.concat_map snd per_seed;
   }
 
-let sweep_impl ?bounds ?profile ?(jobs = 1) impl seed_list =
-  sweep_with ~run:(fun impl seed -> run_one ?profile impl seed) ?bounds ~jobs impl seed_list
+let sweep_impl ?profile ?(jobs = 1) impl seed_list =
+  sweep_with ~run:(fun impl seed -> run_one ?profile impl seed) ~jobs impl seed_list
 
-let sweep ?bounds ?profile ?jobs impls seed_list =
-  List.map (fun impl -> sweep_impl ?bounds ?profile ?jobs impl seed_list) impls
+let sweep ?profile ?jobs impls seed_list =
+  List.map (fun impl -> sweep_impl ?profile ?jobs impl seed_list) impls
 
-let sweep_blocking ?bounds ?profile ?(jobs = 1) impl seed_list =
-  sweep_with ~run:(fun impl seed -> run_blocking ?profile impl seed) ?bounds ~jobs impl seed_list
+let sweep_blocking ?profile ?(jobs = 1) impl seed_list =
+  sweep_with ~run:(fun impl seed -> run_blocking ?profile impl seed) ~jobs impl seed_list

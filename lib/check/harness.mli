@@ -80,7 +80,6 @@ type summary = {
 val seeds : start:int64 -> count:int -> int64 list
 
 val sweep_impl :
-  ?bounds:Checkers.bounds ->
   ?profile:profile ->
   ?jobs:int ->
   Repro_workload.Queue_adapter.impl ->
@@ -92,7 +91,6 @@ val sweep_impl :
     summary is identical for any [jobs]. *)
 
 val sweep :
-  ?bounds:Checkers.bounds ->
   ?profile:profile ->
   ?jobs:int ->
   Repro_workload.Queue_adapter.impl list ->
@@ -100,7 +98,6 @@ val sweep :
   summary list
 
 val sweep_blocking :
-  ?bounds:Checkers.bounds ->
   ?profile:blocking_profile ->
   ?jobs:int ->
   Repro_workload.Queue_adapter.impl ->

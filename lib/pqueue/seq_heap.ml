@@ -6,9 +6,8 @@ module Make (K : Key.ORDERED) = struct
     mutable size : int;
   }
 
-  let create ?(initial_capacity = 16) () =
-    let capacity = Int.max 2 (initial_capacity + 1) in
-    { slots = Array.make capacity None; size = 0 }
+  (* 16 entries, plus the unused slot 0; [grow] doubles from there. *)
+  let create () = { slots = Array.make 17 None; size = 0 }
 
   let length t = t.size
   let is_empty t = t.size = 0

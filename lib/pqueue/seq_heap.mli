@@ -7,7 +7,7 @@
 module Make (K : Key.ORDERED) : sig
   type 'v t
 
-  val create : ?initial_capacity:int -> unit -> 'v t
+  val create : unit -> 'v t
   val length : 'v t -> int
   val is_empty : 'v t -> bool
 

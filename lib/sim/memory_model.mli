@@ -47,10 +47,10 @@ type system
 (** One simulated memory system: the config, the per-node module queues,
     and the line directory — one flat int array with a row per line id,
     [writer; busy_until; sharer words], the sharer set packed 63
-    processors to a word.  The home node is computed ({!home_node}), not
-    stored.  Rows start one sharer word wide and widen, in place, the
-    first time {!access_into} adds a sharer past the current width; the
-    array grows geometrically when an id outruns it.  Registering a line
+    processors to a word.  The home node is computed (the line id modulo
+    [numa_nodes]), not stored.  Rows start one sharer word wide and widen,
+    in place, the first time {!access_into} adds a sharer past the current
+    width; the array grows geometrically when an id outruns it.  Registering a line
     or charging an access otherwise never allocates (DESIGN.md §S17). *)
 
 val make_system : config -> system
@@ -96,9 +96,6 @@ val access_into : scratch -> system -> meta -> proc:int -> now:int -> kind -> un
 
 val access : system -> meta -> proc:int -> now:int -> kind -> charge
 (** Allocating wrapper over {!access_into}, for tests and diagnostics. *)
-
-val home_node : config -> id:int -> int
-val proc_node : config -> proc:int -> int
 
 (** {2 Directory inspection}
 

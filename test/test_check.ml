@@ -209,7 +209,7 @@ let test_rank_envelope () =
   check "mean ceiling fails" true (is_fail (Check.rank_envelope ~bounds:tight_mean h))
 
 let test_for_spec_suites () =
-  let names spec = List.map fst (Check.for_spec spec) in
+  let names spec = List.map fst (Check.for_spec ~rank_bound:None spec) in
   check "linearizable runs the Definition-1 check" true
     (List.mem "strict (Def 1)" (names QA.Linearizable));
   check "quiescent spec does not run strict checks" false

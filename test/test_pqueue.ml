@@ -34,7 +34,7 @@ let test_heap_duplicates () =
   Alcotest.(check (list int)) "rest" [ 2; 2; 2 ] (drain [])
 
 let test_heap_growth () =
-  let h = Heap.create ~initial_capacity:2 () in
+  let h = Heap.create () in
   for i = 1000 downto 1 do
     Heap.insert h i i
   done;
