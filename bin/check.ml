@@ -108,6 +108,7 @@ let run seeds start_seed backends procs ops jitter broken mutant replay blocking
   (* A sweep of no seeds would report a pass that checked nothing. *)
   if seeds < 1 then usage_error "--seeds %d: must be at least 1" seeds;
   if jitter < 0 then usage_error "--jitter %d: must be at least 0" jitter;
+  if jobs < 1 then usage_error "--jobs %d: must be at least 1" jobs;
   (* The blocking harness runs its own fixed profile; only --jitter reaches it. *)
   if blocking && (procs <> None || ops <> None) then
     usage_error
@@ -310,8 +311,8 @@ let jobs =
     & opt int (Repro_workload.Jobs.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Domains sweeping seeds concurrently.  Verdicts are identical for \
-           any value; 1 disables parallelism.")
+          "Domains sweeping seeds concurrently (at least 1).  Verdicts are \
+           identical for any value; 1 disables parallelism.")
 
 let cmd =
   let doc = "sweep schedule seeds over the queue backends and check the recorded histories" in

@@ -10,18 +10,12 @@ open Cmdliner
 let run_native domains_top scale quiet =
   let progress msg = if not quiet then Printf.eprintf "[run] %s\n%!" msg in
   let module QA = Repro_workload.Queue_adapter in
+  (* A bounded façade would park forever here: the sweep's deletes have
+     no producer to wait for. *)
   let impls =
-    List.map (QA.find QA.Native)
-      [
-        "SkipQueue";
-        "Relaxed SkipQueue";
-        "SkipQueue-elim";
-        "SkipQueue-lf";
-        "Heap";
-        "FunnelList";
-        "MultiQueue";
-        "klsm:256";
-      ]
+    QA.registry QA.Native
+    |> List.filter (fun d -> d.QA.bounded = None)
+    |> List.map (QA.make QA.Native)
   in
   let rec domain_counts d = if d > domains_top then [] else d :: domain_counts (2 * d) in
   let workload =
@@ -126,8 +120,8 @@ let output =
 
 let jobs =
   let doc =
-    "Domains running independent sweep points concurrently.  Results are \
-     identical for any value; 1 disables parallelism."
+    "Domains running independent sweep points concurrently (at least 1).  \
+     Results are identical for any value; 1 disables parallelism."
   in
   Arg.(
     value
@@ -165,6 +159,7 @@ let cmd =
           end;
           if max_procs < 1 then usage_error "--max-procs" max_procs;
           if domains < 1 then usage_error "--domains" domains;
+          if jobs < 1 then usage_error "--jobs" jobs;
           let max_procs_log2 =
             let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
             log2 max_procs

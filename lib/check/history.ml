@@ -54,6 +54,16 @@ let record t ~proc ~tag ~key ~id ~invoked ~responded ?(parks = 0)
 
 let length t = t.seq
 
+(* The event in the row starting at [b]. *)
+let event_at buf b =
+  let op =
+    match buf.(b + 2) with
+    | 0 -> O.Insert { key = buf.(b + 3); id = buf.(b + 4) }
+    | 1 -> O.Delete_min { result = Some (buf.(b + 3), buf.(b + 4)) }
+    | _ -> O.Delete_min { result = None }
+  in
+  { O.proc = buf.(b + 1); op; invoked = buf.(b + 5); responded = buf.(b + 6) }
+
 let events t =
   if t.seq = 0 then []
   else begin
@@ -65,14 +75,7 @@ let events t =
       (fun { buf; len } ->
         for row = 0 to len - 1 do
           let b = row * columns in
-          let op =
-            match buf.(b + 2) with
-            | 0 -> O.Insert { key = buf.(b + 3); id = buf.(b + 4) }
-            | 1 -> O.Delete_min { result = Some (buf.(b + 3), buf.(b + 4)) }
-            | _ -> O.Delete_min { result = None }
-          in
-          out.(buf.(b)) <-
-            { O.proc = buf.(b + 1); op; invoked = buf.(b + 5); responded = buf.(b + 6) }
+          out.(buf.(b)) <- event_at buf b
         done)
       t.rows;
     Array.to_list out
@@ -87,23 +90,15 @@ let park_spans t =
     (fun { buf; len } ->
       for row = len - 1 downto 0 do
         let b = row * columns in
-        if buf.(b + 7) > 0 then begin
-          let op =
-            match buf.(b + 2) with
-            | 0 -> O.Insert { key = buf.(b + 3); id = buf.(b + 4) }
-            | 1 -> O.Delete_min { result = Some (buf.(b + 3), buf.(b + 4)) }
-            | _ -> O.Delete_min { result = None }
-          in
+        if buf.(b + 7) > 0 then
           out :=
             {
-              event =
-                { O.proc = buf.(b + 1); op; invoked = buf.(b + 5); responded = buf.(b + 6) };
+              event = event_at buf b;
               parks = buf.(b + 7);
               parked_at = buf.(b + 8);
               woken_at = buf.(b + 9);
             }
             :: !out
-        end
       done)
     t.rows;
   List.sort

@@ -6,23 +6,8 @@ struct
 
   type 'v outcome = Pending | Done of (K.t * 'v) option
   type 'v op = Ins of K.t * 'v | Del
-  type 'v request = {
-    mutable op : 'v op;
-    state : 'v outcome R.shared;
-    mutable fresh : bool; (* [state] not yet used by an operation *)
-  }
-
-  type 'v t = {
-    first : 'v node R.shared;
-    funnel : 'v request Funnel.t;
-    (* Per-processor request scratch: once [Funnel.perform] returns, no
-       token group references the request any more (groups are emptied
-       before [apply] runs), so the next operation of the same processor
-       can reuse the record.  The state cell is re-registered with
-       [R.refresh], drawing the fresh location id the per-op allocation
-       used to draw — bit-identical to allocating anew. *)
-    reqs : 'v request Repro_runtime.Per_proc.t;
-  }
+  type 'v request = { op : 'v op; state : 'v outcome R.shared }
+  type 'v t = { first : 'v node R.shared; funnel : 'v request Funnel.t }
 
   let kind_of req = match req.op with Ins _ -> 0 | Del -> 1
   let is_done req = R.read req.state <> Pending
@@ -98,26 +83,15 @@ struct
             Funnel.create ?layer_widths ?collision_window
               ~apply:(fun batch -> apply (Lazy.force t) batch)
               ~is_done ~kind_of ();
-          reqs =
-            Repro_runtime.Per_proc.create (fun _ ->
-                { op = Del; state = R.shared Pending; fresh = true });
         }
     in
     Lazy.force t
 
-  (* The calling processor's request record.  Its first use takes the
-     state cell as allocated; only a reuse refreshes it, so each operation
-     draws exactly one location id. *)
-  let req_for t op =
-    let req = Repro_runtime.Per_proc.get t.reqs (R.self ()) in
-    req.op <- op;
-    if req.fresh then req.fresh <- false else R.refresh req.state Pending;
-    req
-
-  let insert t key value = Funnel.perform t.funnel (req_for t (Ins (key, value)))
+  let request op = { op; state = R.shared Pending }
+  let insert t key value = Funnel.perform t.funnel (request (Ins (key, value)))
 
   let delete_min t =
-    let req = req_for t Del in
+    let req = request Del in
     Funnel.perform t.funnel req;
     match R.read req.state with
     | Done result -> result

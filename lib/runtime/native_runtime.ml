@@ -72,8 +72,6 @@ let try_acquire m =
   else try_fail_counts.(s) <- try_fail_counts.(s) + 1;
   got
 
-let lock_refresh (_ : lock) = ()
-
 let lock_stats () =
   let sum a = Array.fold_left ( + ) 0 a in
   (sum acq_counts, sum try_fail_counts)

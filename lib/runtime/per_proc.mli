@@ -1,9 +1,9 @@
 (** One value per processor id, created on the processor's first use.
 
     The structures keep host-side state per processor (level streams,
-    search scratch, request records, local buffers).  A table holds one
-    value per id in [\[0, slots)]: [get t id] returns the value for [id],
-    running [init id] the first time that id asks.  Creation is guarded by
+    search scratch, local buffers).  A table holds one value per id in
+    [\[0, slots)]: [get t id] returns the value for [id], running
+    [init id] the first time that id asks.  Creation is guarded by
     a host mutex that is never held across a runtime operation, so the
     table is safe under native domains and invisible to the simulator's
     schedule.

@@ -34,10 +34,12 @@ module type S = sig
       state) and the initializing store of [v] is free of simulated
       charge, exactly like [shared]; on the native runtime it is a plain
       store.  The caller must guarantee quiescent reuse — no other
-      processor can reach the cell (e.g. a node recycled through safe
-      memory reclamation).  This is the hook that lets object pools reuse
-      host storage without perturbing simulated cycle counts: a recycled
-      cell behaves bit-identically to a freshly allocated one. *)
+      processor can reach the cell (a node recycled through safe memory
+      reclamation).  The lock-free SkipQueue's node pool is its one
+      caller.  A recycled cell behaves bit-identically to a freshly
+      allocated one only if a structure refreshes a recycled object's
+      cells in the order its constructor allocated them, so each draws
+      the line id (and home node) a fresh allocation would have. *)
 
   val swap : 'a shared -> 'a -> 'a
   (** Atomic register-to-memory swap: writes the new value and returns the
@@ -58,11 +60,6 @@ module type S = sig
   val lock_create : ?name:string -> unit -> lock
   val acquire : lock -> unit
   val release : lock -> unit
-
-  val lock_refresh : lock -> unit
-  (** Reinitialize a free, unwatched lock as if freshly created (fresh
-      lock-word location on the simulator; no-op natively).  Same
-      quiescent-reuse obligation as {!refresh}. *)
 
   val try_acquire : lock -> bool
   (** Non-blocking acquire: takes the lock and returns [true] if it was

@@ -19,7 +19,7 @@ exception Deadlock of string
 type perturbation = { sched_seed : int64; jitter : int }
 
 type lock = {
-  mutable lock_meta : Memory_model.meta; (* mutable for quiescent refresh *)
+  lock_meta : Memory_model.meta;
   lock_name : string;
   mutable holder : int; (* proc id, or -1 when free *)
   waiting : (int * (unit, unit) Effect.Deep.continuation) Queue.t;
@@ -614,16 +614,6 @@ let lock_create ?(name = "lock") () =
     holder = -1;
     waiting = Queue.create ();
   }
-
-(* Quiescent reuse of a pooled lock: a fresh lock-word location, drawn
-   from the same id counter as [lock_create] so recycled locks are
-   bit-identical to fresh ones.  Only legal while nobody holds or waits
-   on the lock. *)
-let lock_refresh lock =
-  if lock.holder <> -1 || not (Queue.is_empty lock.waiting) then
-    failwith
-      (Printf.sprintf "Machine.lock_refresh: lock %s is in use" lock.lock_name);
-  lock.lock_meta <- alloc_meta ()
 
 let lock_acquire lock =
   let st = state () in

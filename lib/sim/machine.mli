@@ -134,12 +134,6 @@ val lock_try_acquire : lock -> bool
 val lock_release : lock -> unit
 (** Raises [Failure] if the caller does not hold the lock. *)
 
-val lock_refresh : lock -> unit
-(** Reinitialize a pooled lock as if freshly created: a new lock-word
-    location drawn from the same id counter as {!lock_create}, so a
-    recycled lock is bit-identical to a fresh one.  Raises [Failure] if
-    the lock is held or waited on. *)
-
 (** {2 Condition variables}
 
     Monitor-style park/wake, tied to a guarding lock at creation.  Waiters

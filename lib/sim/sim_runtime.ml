@@ -5,9 +5,9 @@ let shared ?name v =
   { v; meta = Machine.alloc_meta () }
 
 (* Quiescent reuse: re-register the cell as a brand-new location.  The
-   fresh line id is drawn from the same counter as [shared], so a pooled
-   cell's refresh consumes exactly the id a fresh allocation would have —
-   recycled structures stay bit-identical to freshly built ones. *)
+   fresh line id is drawn from the same counter as [shared], so a
+   recycled structure stays bit-identical to a freshly built one when its
+   cells are refreshed in the order they were allocated. *)
 let refresh cell v =
   cell.meta <- Machine.alloc_meta ();
   cell.v <- v
@@ -40,7 +40,6 @@ let cas cell expected v =
 type lock = Machine.lock
 
 let lock_create ?name () = Machine.lock_create ?name ()
-let lock_refresh = Machine.lock_refresh
 let acquire = Machine.lock_acquire
 let release = Machine.lock_release
 let try_acquire = Machine.lock_try_acquire

@@ -1,12 +1,13 @@
 (** Free lists of skiplist nodes, one per node height (DESIGN.md §S17).
 
-    The skiplists put a node here only once reclamation guarantees no
-    processor can still reach it, and [insert] takes one back before
-    allocating.  Re-registering a taken node's cells stays with the
-    skiplist, whose [R.refresh] order keeps a recycled node on the line
-    ids a fresh one would draw.  Host-side state behind a host mutex that
-    is never held across a runtime operation, so the pool cannot perturb
-    the simulator's schedule. *)
+    The lock-free SkipQueue is the one user: it puts a node here only once
+    reclamation guarantees no processor can still reach it, and [insert]
+    takes one back before allocating.  Re-registering a taken node's cells
+    stays with the skiplist, which must [R.refresh] them in the order its
+    [make_node] allocated them for a recycled node to draw the line ids a
+    fresh one would.  Host-side state behind a host mutex that is never
+    held across a runtime operation, so the pool cannot perturb the
+    simulator's schedule. *)
 
 type 'n t
 

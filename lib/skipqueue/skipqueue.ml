@@ -50,9 +50,6 @@ struct
     mode : mode;
     reclamation : Reclaim.t option;
     procs : 'v proc Repro_runtime.Per_proc.t;
-    (* Physically removed nodes, fed by the reclamation finalizer (so a
-       pooled node is guaranteed unreachable) and drained by [insert]. *)
-    pool : 'v node Node_pool.t;
     mutable hunt_steps : int;
     mutable swap_losses : int;
     mutable stale_skips : int;
@@ -97,7 +94,6 @@ struct
                   (Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int (id + 1))));
               preds = Array.make max_level head;
             });
-      pool = Node_pool.create ~max_level;
       hunt_steps = 0;
       swap_losses = 0;
       stale_skips = 0;
@@ -112,9 +108,6 @@ struct
       hunt_passes = t.hunt_passes;
     }
 
-  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
-
-  let pool_stats t = Node_pool.stats t.pool
   let proc t = Repro_runtime.Per_proc.get t.procs (R.self ())
 
   let random_level t =
@@ -129,42 +122,17 @@ struct
   let exit t = match t.reclamation with None -> () | Some r -> Reclaim.exit r
 
   (* The finalizer runs only once no processor inside the structure can
-     still hold a pointer to the node (reclamation's guarantee), so the
-     node can go straight onto the free list of its height.  It stays
-     poisoned while pooled: any hunter that could still observe it would
-     trip the invariant checker. *)
+     still hold a pointer to the node (reclamation's guarantee).  The node
+     goes back to the host allocator; poisoning it lets the invariant
+     checker catch a hunter that could still reach it. *)
   let retire t node =
     match t.reclamation with
     | None -> ()
-    | Some r ->
-      Reclaim.retire r (fun () ->
-          node.poisoned <- true;
-          Node_pool.put t.pool ~level:node.level node)
+    | Some r -> Reclaim.retire r (fun () -> node.poisoned <- true)
 
-  (* Node arena: [insert] draws from the free list of the wanted height
-     before allocating.  A recycled node is re-registered cell by cell in
-     {e exactly} the order [make_node] + the [next] patch registers a
-     fresh node's locations, so it consumes the same fresh line ids and
-     the simulation stays bit-identical to one that never recycles. *)
   let alloc_node t ~key ~value ~level =
-    match Node_pool.take t.pool ~level with
-    | Some n ->
-      R.refresh n.key key;
-      R.refresh n.value value;
-      for i = 1 to level do
-        R.lock_refresh n.level_locks.(i - 1)
-      done;
-      R.lock_refresh n.node_lock;
-      R.refresh n.deleted false;
-      R.refresh n.stamp max_int;
-      for i = 1 to level do
-        R.refresh n.next.(i - 1) t.tail
-      done;
-      n.poisoned <- false;
-      n
-    | None ->
-      let n = make_node ~key ~value ~level () in
-      { n with next = Array.init level (fun _ -> R.shared t.tail) }
+    let n = make_node ~key ~value ~level () in
+    { n with next = Array.init level (fun _ -> R.shared t.tail) }
 
   (* Fig. 9's getLock: lock the level-[i] pointer of the rightmost node
      whose key is smaller than [bkey], revalidating after acquisition. *)

@@ -45,7 +45,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       [N] on the queue size.  [seed] drives the per-processor level
       streams.  When [reclamation] is supplied, operations register
       themselves with it and physically deleted nodes are retired to it
-      instead of being dropped on the floor. *)
+      instead of being dropped on the floor; its finalizer poisons a node
+      and leaves the memory to the GC.  Inserts always allocate afresh
+      (only the lock-free queue recycles nodes, DESIGN.md §S17). *)
 
   val insert : 'v t -> K.t -> 'v -> [ `Inserted | `Updated ]
   (** Fig. 10.  If the key is already present its value is overwritten
@@ -135,14 +137,4 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   val stats : 'v t -> op_stats
   (** Cumulative since creation.  Updated with plain (unmodelled) writes —
       costs nothing on the simulator; approximate under native races. *)
-
-  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
-
-  val pool_stats : 'v t -> pool_stats
-  (** The node arena's free-list counters.  Non-zero only when the queue
-      was created with [~reclamation]: the free list is fed exclusively by
-      the reclamation finalizer, whose guarantee (no live pointer to the
-      node exists) is exactly what makes reuse safe.  A recycled node is
-      re-registered location by location in fresh-allocation order, so
-      recycling never changes simulated cycle counts (DESIGN.md §S17). *)
 end

@@ -233,9 +233,7 @@ struct
     if t.broken_premature_free then free_now t node
     else Reclaim.retire t.reclaim (fun () -> free_now t node)
 
-  (* Same fresh-line-id discipline as the locked SkipQueue's [alloc_node]:
-     a pooled node re-registers (key, value, next cells) in exactly
-     [make_node]'s registration order. *)
+  (* A pooled node re-registers its cells in [make_node]'s order. *)
   let alloc_node t ~key ~value ~level =
     match Node_pool.take t.pool ~level with
     | Some n ->

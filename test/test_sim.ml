@@ -816,7 +816,6 @@ let test_outside_run_fails () =
       ("lock_acquire", fun () -> Machine.lock_acquire lock);
       ("lock_try_acquire", fun () -> ignore (Machine.lock_try_acquire lock));
       ("lock_release", fun () -> Machine.lock_release lock);
-      ("lock_refresh", fun () -> Machine.lock_refresh lock);
       ("cond_create", fun () -> ignore (Machine.cond_create lock));
       ("cond_wait", fun () -> Machine.cond_wait cond);
       ("cond_signal", fun () -> Machine.cond_signal cond);

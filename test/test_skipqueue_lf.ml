@@ -424,6 +424,123 @@ let test_trace_fingerprint_deterministic () =
   check "identical reports" true (report_a = report_b);
   check "the workload actually traced" true (String.length trace_a > 0)
 
+(* --- recycling contract --------------------------------------------------- *)
+
+(* The simulator's runtime, logging every cell allocation ([shared]) and
+   re-registration ([refresh]) by a cell id numbered in allocation order.
+   Any other access to a cell closes the current run of the log, so a
+   node's allocation, or a recycled node's refresh, which makes no access
+   in between, is one run. *)
+module Recording = struct
+  include (Sim_rt : Repro_runtime.Runtime_intf.S with type 'a shared := 'a Sim_rt.shared)
+
+  type 'a shared = { cell : 'a Sim_rt.shared; id : int }
+  type entry = Alloc of int | Refresh of int
+
+  let cells = ref 0
+  let closed = ref [] (* finished runs, newest first *)
+  let current = ref [] (* the open run, newest first *)
+
+  let reset () =
+    cells := 0;
+    closed := [];
+    current := []
+
+  let close () =
+    if !current <> [] then begin
+      closed := List.rev !current :: !closed;
+      current := []
+    end
+
+  let runs () =
+    close ();
+    List.rev !closed
+
+  let shared ?name v =
+    let id = !cells in
+    incr cells;
+    current := Alloc id :: !current;
+    { cell = Sim_rt.shared ?name v; id }
+
+  let refresh c v =
+    current := Refresh c.id :: !current;
+    Sim_rt.refresh c.cell v
+
+  let read c =
+    close ();
+    Sim_rt.read c.cell
+
+  let write c v =
+    close ();
+    Sim_rt.write c.cell v
+
+  let swap c v =
+    close ();
+    Sim_rt.swap c.cell v
+
+  let cas c expected v =
+    close ();
+    Sim_rt.cas c.cell expected v
+end
+
+module LF_rec = Repro_skipqueue.Skipqueue_lf.Make (Recording) (Repro_pqueue.Key.Int)
+
+(* A recycled node draws the line ids a fresh one would only if it
+   refreshes its cells in the order [make_node] allocated them.  Churn
+   with eager restructuring and a reclamation pass per restructure, so
+   the pool hands nodes back, then check every refresh run of the log:
+   consecutive cell ids, ascending, all allocated in one run (one node's
+   allocation). *)
+let test_recycled_node_refresh_order () =
+  Recording.reset ();
+  let recycled = ref 0 in
+  let (_ : Machine.report) =
+    Machine.run (fun () ->
+        let q = LF_rec.create ~seed:13L ~restructure_threshold:1 ~collect_every:1 () in
+        for i = 0 to 31 do
+          LF_rec.insert q i i
+        done;
+        for p = 0 to 3 do
+          Machine.spawn (fun () ->
+              for i = 0 to 59 do
+                if (i + p) mod 2 = 0 then ignore (LF_rec.delete_min q)
+                else LF_rec.insert q (100 + (i * 4) + p) i
+              done)
+        done;
+        Machine.spawn (fun () ->
+            Machine.work (1 lsl 40);
+            ok_or_fail (LF_rec.check_invariants q);
+            recycled := (LF_rec.pool_stats q).LF_rec.recycled))
+  in
+  let runs = Recording.runs () in
+  let alloc_run = Hashtbl.create 1024 in
+  List.iteri
+    (fun i run ->
+      List.iter (function Recording.Alloc id -> Hashtbl.replace alloc_run id i | _ -> ()) run)
+    runs;
+  let refresh_runs =
+    List.filter (function Recording.Refresh _ :: _ -> true | _ -> false) runs
+  in
+  check "the churn recycled nodes" true (!recycled > 0);
+  check_int "one refresh run per recycled node" !recycled (List.length refresh_runs);
+  List.iter
+    (fun run ->
+      let ids =
+        List.map
+          (function
+            | Recording.Refresh id -> id
+            | Recording.Alloc id -> Alcotest.failf "cell %d allocated amid a refresh" id)
+          run
+      in
+      let first = List.hd ids in
+      List.iteri
+        (fun i id ->
+          if id <> first + i || Hashtbl.find alloc_run id <> Hashtbl.find alloc_run first then
+            Alcotest.failf "refresh order [%s] is not the allocation order of one node"
+              (String.concat "; " (List.map string_of_int ids)))
+        ids)
+    refresh_runs
+
 (* --- native domains ----------------------------------------------------- *)
 
 let test_native_multiset_stress () =
@@ -517,6 +634,11 @@ let () =
         [
           Alcotest.test_case "trace fingerprint" `Quick
             test_trace_fingerprint_deterministic;
+        ] );
+      ( "recycling",
+        [
+          Alcotest.test_case "recycled nodes refresh in allocation order" `Quick
+            test_recycled_node_refresh_order;
         ] );
       ( "native",
         [
