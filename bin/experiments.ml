@@ -111,7 +111,7 @@ let quiet =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc)
 
 let domains =
-  let doc = "Top of the domain sweep for the 'native' experiment (at least 1)." in
+  let doc = "Top of the domain sweep for the 'native' experiment (1 to 127)." in
   Arg.(value & opt int 4 & info [ "domains" ] ~docv:"N" ~doc)
 
 let output =
@@ -159,6 +159,14 @@ let cmd =
           end;
           if max_procs < 1 then usage_error "--max-procs" max_procs;
           if domains < 1 then usage_error "--domains" domains;
+          (* The sweep doubles up to [domains]; refuse before a run fails
+             mid-spawn with domains already running. *)
+          let max_domains = Repro_runtime.Native_runtime.max_processors in
+          if domains > max_domains then begin
+            Printf.eprintf "--domains %d: the native sweep runs at most %d (OCaml's 128-domain limit)\n"
+              domains max_domains;
+            Stdlib.exit 2
+          end;
           if jobs < 1 then usage_error "--jobs" jobs;
           let max_procs_log2 =
             let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in

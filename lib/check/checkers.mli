@@ -56,25 +56,23 @@ val sequential_replay : history -> verdict
     no two operations overlap in time (otherwise [Skip]) — which the
     fuzzer's single-worker runs guarantee. *)
 
-val quiescent : ?transit_tolerant:bool -> history -> verdict
-(** Quiescent consistency, conservatively: a Delete-min must respect
-    elements fully inserted before the start of its busy period (the
-    maximal run of pairwise-overlapping operations containing it) unless a
-    delete not separated from it by a quiescent point removed them.
-    [transit_tolerant] (default false) additionally exempts deletes that
-    overlap another in-flight delete — the contract of structures like the
-    Hunt heap, whose delete-min carries a detached element outside any
-    slot, invisible to concurrent operations, until it completes. *)
+val quiescent : history -> verdict
+(** Quiescent consistency, conservatively and transit-tolerantly: a
+    Delete-min must respect elements fully inserted before the start of
+    its busy period (the maximal run of pairwise-overlapping operations
+    containing it) unless a delete not separated from it by a quiescent
+    point removed them.  Deletes that overlap another in-flight delete are
+    exempt — the contract of structures like the Hunt heap, whose
+    delete-min carries a detached element outside any slot, invisible to
+    concurrent operations, until it completes. *)
 
 val strict : history -> verdict
 (** {!O.check_strict}: Definition 1, decided by a greedy serialization of
     the Delete-mins that is complete — it fails exactly the histories with
     no Definition-1 serialization, naming the delete that cannot come
-    next. *)
-
-val relaxed_conservative : history -> verdict
-(** {!O.check_relaxed}: the §5.4 contract — concurrent inserts may also
-    supply the answer. *)
+    next.  It is also the §5.4 contract of [Relaxed] implementations: a
+    smaller element inserted concurrently is Definition 1's optional
+    overlapping insert. *)
 
 val rank_envelope : ?bounds:bounds -> history -> verdict
 (** Statistical contract for [Rank_bounded] implementations: replays in
@@ -115,7 +113,9 @@ val for_spec :
   Repro_workload.Queue_adapter.spec ->
   (string * (history -> verdict)) list
 (** The named suite a given correctness contract is held to, its rank
-    envelope (if any) at [bounds_for rank_bound]. *)
+    envelope (if any) at [bounds_for rank_bound].  [Linearizable] and
+    [Relaxed] share one suite — well-formed, conservation and {!strict};
+    a pass implies {!quiescent} and {!sequential_replay}. *)
 
 val check_all : rank_bound:int option -> history -> (string * verdict) list
 (** [for_spec ~rank_bound h.spec] applied to [h], plus the blocking suite

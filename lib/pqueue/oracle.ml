@@ -122,66 +122,6 @@ module Make (K : Key.ORDERED) = struct
       sorted drained
     end
 
-  (* The §5.4 condition, checked per delete.
-
-     For a delete [d] and an element [y]: if [y]'s insert responded before
-     [d] was invoked ([y] is fully inserted, so it is in the paper's set I
-     for [d]), and no delete that could be serialized before [d] (i.e. one
-     invoked before [d] responded) removed [y], then [y] is in I - D for
-     *every* admissible serialization, and [d] must return a key <= key(y)
-     — in particular, not EMPTY.  Inserts that overlap [d] are never in
-     that set, so a concurrently inserted smaller element may supply the
-     answer. *)
-  let check_relaxed events =
-    let deletes_by_id = Hashtbl.create 64 in
-    List.iter
-      (fun e ->
-        match e.op with
-        | Delete_min { result = Some (_, id) } -> Hashtbl.add deletes_by_id id e
-        | _ -> ())
-      events;
-    let violates d =
-      let d_key = match d.op with
-        | Delete_min { result = Some (k, _) } -> Some k
-        | Delete_min { result = None } -> None
-        | Insert _ -> assert false
-      in
-      List.find_map
-        (fun e ->
-          match e.op with
-          | Insert { key = y_key; id = y_id } when e.responded < d.invoked ->
-            let taken_before_d =
-              match Hashtbl.find_opt deletes_by_id y_id with
-              | Some d' -> d'.invoked < d.responded
-              | None -> false
-            in
-            if taken_before_d then None
-            else begin
-              match d_key with
-              | None ->
-                Some
-                  (Format.asprintf
-                     "Delete-min returned EMPTY while %a was available" pp_id
-                     (y_key, y_id))
-              | Some k when K.compare k y_key > 0 ->
-                Some
-                  (Format.asprintf
-                     "Delete-min returned %a while smaller %a was available"
-                     K.pp k pp_id (y_key, y_id))
-              | Some _ -> None
-            end
-          | Insert _ | Delete_min _ -> None)
-        events
-    in
-    List.fold_left
-      (fun acc e ->
-        match (acc, e.op) with
-        | Error _, _ -> acc
-        | Ok (), Delete_min _ -> (
-          match violates e with None -> Ok () | Some msg -> Error msg)
-        | Ok (), Insert _ -> acc)
-      (Ok ()) events
-
   (* Definition 1, decided exactly.  A serialization of the Delete-mins is
      valid when each delete in turn is eligible — no delete still
      unserialized responded strictly before it was invoked — and legal

@@ -11,10 +11,10 @@
       some order of the Delete-mins that respects their real-time order
       lets each one return a minimal element of those certainly present
       (or EMPTY when none is), given the elements the deletes before it
-      consumed.
-    - {!Make.check_relaxed}: the weaker condition of the relaxed SkipQueue
-      (§5.4) — the returned element must be [min (I - D)] or a smaller
-      element inserted concurrently — checked per delete, conservatively.
+      consumed.  At the interval granularity the timestamps give, it is
+      also the relaxed SkipQueue's §5.4 condition ([min (I - D)] or a
+      smaller element inserted concurrently): the concurrent insert is
+      Definition 1's optional overlapping one.
 
     All checks are sound (a reported violation is a real violation);
     {!Make.check_strict} is also complete at the interval granularity the
@@ -50,8 +50,6 @@ module Make (K : Key.ORDERED) : sig
       not be seen.  The search is a greedy serialization, polynomial and
       complete (DESIGN.md §6); the error names the delete that cannot be
       serialized next and why. *)
-
-  val check_relaxed : event list -> (unit, string) result
 
   val check_well_formed : event list -> (unit, string) result
   (** Per-event sanity: [invoked <= responded]; per-processor operations do

@@ -103,8 +103,16 @@ let work n =
 
 let yield () = Domain.cpu_relax ()
 
+let max_processors = 127
+
 let run_processors n body =
   if n <= 0 then invalid_arg "Native_runtime.run_processors";
+  if n > max_processors then
+    invalid_arg
+      (Printf.sprintf
+         "Native_runtime.run_processors: %d domains, at most %d (OCaml's limit of 128 counts \
+          the main domain)"
+         n max_processors);
   let domains = Array.init n (fun i -> Domain.spawn (fun () -> body i)) in
   let failure = ref None in
   Array.iter

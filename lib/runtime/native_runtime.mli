@@ -11,10 +11,16 @@
 
 include Runtime_intf.S
 
+val max_processors : int
+(** 127: OCaml runs at most 128 domains at once, the calling one
+    included. *)
+
 val run_processors : int -> (int -> unit) -> unit
 (** [run_processors n body] spawns [n] domains running [body i] for
     [i = 0..n-1] and joins them all.  Exceptions raised by any body are
-    re-raised after all domains have been joined. *)
+    re-raised after all domains have been joined.  Raises
+    [Invalid_argument] before spawning anything unless
+    [1 <= n <= max_processors]. *)
 
 val reset_clock : unit -> unit
 (** Restarts the shared clock at 0 (between independent tests). *)

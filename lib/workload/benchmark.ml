@@ -28,8 +28,6 @@ type measurement = {
   insert_latency : Stats.t;
   delete_latency : Stats.t;
   overall_latency : Stats.t;
-  insert_histogram : Repro_util.Histogram.t;
-  delete_histogram : Repro_util.Histogram.t;
   rank_error : Stats.t;
   end_time : int;
   final_size : int;
@@ -183,10 +181,6 @@ let run ?(config = Memory_model.default) ?perturb ?fast_path (impl : Queue_adapt
   let insert_stats = Array.init w.procs (fun _ -> Stats.create ()) in
   let delete_stats = Array.init w.procs (fun _ -> Stats.create ()) in
   let rank_stats = Array.init w.procs (fun _ -> Stats.create ()) in
-  (* Histograms tolerate concurrent adds from virtual processors: the
-     simulator serializes them. *)
-  let insert_histogram = Repro_util.Histogram.create ~base:10.0 ~factor:1.3 () in
-  let delete_histogram = Repro_util.Histogram.create ~base:10.0 ~factor:1.3 () in
   let oracle = Rank_oracle.create ~range:w.key_range in
   let dedup = impl.Queue_adapter.dedups in
   let first_op_time = ref max_int in
@@ -206,18 +200,14 @@ let run ?(config = Memory_model.default) ?perturb ?fast_path (impl : Queue_adapt
               calls ~work:Machine.work ~now:Machine.probe_time q w rng p (ops_for w p)
                 ~inserted:(fun key dt ->
                   Rank_oracle.insert ~dedup oracle key;
-                  let dt = float_of_int dt in
-                  Stats.add insert_stats.(p) dt;
-                  Repro_util.Histogram.add insert_histogram dt)
+                  Stats.add insert_stats.(p) (float_of_int dt))
                 ~deleted:(fun result dt ->
                   (match result with
                   | None -> ()
                   | Some (key, _) ->
                     Stats.add rank_stats.(p)
                       (float_of_int (Rank_oracle.delete oracle key)));
-                  let dt = float_of_int dt in
-                  Stats.add delete_stats.(p) dt;
-                  Repro_util.Histogram.add delete_histogram dt);
+                  Stats.add delete_stats.(p) (float_of_int dt));
               let t = Machine.probe_time () in
               if t > !last_op_time then last_op_time := t)
         done;
@@ -241,8 +231,6 @@ let run ?(config = Memory_model.default) ?perturb ?fast_path (impl : Queue_adapt
     insert_latency;
     delete_latency;
     overall_latency = Stats.merge insert_latency delete_latency;
-    insert_histogram;
-    delete_histogram;
     rank_error = merge rank_stats;
     end_time = !last_op_time - !first_op_time;
     final_size = !final_size;

@@ -33,10 +33,6 @@ type measurement = {
   insert_latency : Repro_util.Stats.t;
   delete_latency : Repro_util.Stats.t;
   overall_latency : Repro_util.Stats.t;
-  insert_histogram : Repro_util.Histogram.t;
-      (** log-bucketed latency distribution; tail quantiles via
-          {!Repro_util.Histogram.quantile} *)
-  delete_histogram : Repro_util.Histogram.t;
   rank_error : Repro_util.Stats.t;
       (** per-Delete-min quality: how many live elements were strictly
           smaller than the returned key at completion time, tracked by a

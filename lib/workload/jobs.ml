@@ -34,7 +34,10 @@ let map ?(jobs = 1) f xs =
         worker ()
       end
     in
-    let spawned = Int.min (jobs - 1) (n - 1) in
+    (* OCaml caps live domains at 128, so a [jobs] far above the machine
+       must not become that many spawns. *)
+    let hosted = Domain.recommended_domain_count () - 1 in
+    let spawned = Int.min hosted (Int.min (jobs - 1) (n - 1)) in
     let domains = List.init spawned (fun _ -> Domain.spawn worker) in
     worker ();
     List.iter Domain.join domains;

@@ -12,7 +12,8 @@ val default_jobs : unit -> int
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is observably [List.map f xs] (same results, same
-    order) evaluated by up to [jobs] domains pulling items off a shared
+    order) evaluated by up to [jobs] domains, and at most
+    [Domain.recommended_domain_count ()], pulling items off a shared
     queue.  [jobs <= 1] (the default) runs inline with no domain spawned.
     [f] must not share unsynchronized mutable state across calls; side
     effects (e.g. progress printing) may interleave across items. *)

@@ -238,7 +238,6 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
   module SQ = Repro_skipqueue.Skipqueue.Make (R) (Key)
   module LF = Repro_skipqueue.Skipqueue_lf.Make (R) (Key)
   module CO = Repro_skipqueue.Skipqueue_co.Make (R) (Key)
-  module Elim = Repro_skipqueue.Elimination.Make (R) (Key)
 
   module Heap = Repro_heap.Hunt_heap.Make (R) (Key)
   module FL = Repro_funnel.Funnel_list.Make (R) (Key)
@@ -307,38 +306,34 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
      below both the deleter's published bound and the inserter's own fresh
      observation of the minimum; timed-out deleters combine one shared
      bottom-level hunt.  The front end preserves the backing queue's
-     contract (DESIGN.md §S15). *)
-  let elim_instance ~mode () =
-    let q = Elim.create ~queue:(fun () -> SQ.create ~mode ()) () in
-    instance
-      ~insert:(fun k v -> ignore (Elim.insert q k v))
-      ~try_delete_min:(fun () -> Elim.delete_min q)
-      ~stats:(fun () ->
-        let f = Elim.front_stats q and s = Elim.queue_stats q in
-        counts
-          [ ("eliminated", f.Elim.eliminated); ("fresh_refusals", f.Elim.fresh_refusals);
-            ("served", f.Elim.served); ("handoff_empties", f.Elim.handoff_empties);
-            ("batches", f.Elim.batches); ("timeouts", f.Elim.timeouts);
-            ("collisions", f.Elim.collisions); ("width", f.Elim.width); ("window", f.Elim.window);
-            ("hunt_steps", s.Elim.SQ.hunt_steps); ("swap_losses", s.Elim.SQ.swap_losses);
-            ("stale_skips", s.Elim.SQ.stale_skips); ("hunt_passes", s.Elim.SQ.hunt_passes) ])
+     contract (DESIGN.md §S15).  One builder serves both backings, so
+     both report the same counters.  Over the coalescing queue an
+     eliminated pair never reaches the structure, so it can never also
+     coalesce: strict-below-bound admission keeps the exchanged key
+     distinct from every settled element (see Elimination.BACKING). *)
+  module Elim_over (Q : Repro_skipqueue.Elimination.BACKING with type key = Key.t) = struct
+    module E = Repro_skipqueue.Elimination.Over (R) (Key) (Q)
 
-  (* The same front end over the coalescing queue.  An eliminated pair
-     never reaches the structure, so it can never also coalesce:
-     strict-below-bound admission keeps the exchanged key distinct from
-     every settled element (see Elimination.BACKING). *)
-  let elim_co_instance () =
-    let module E = Repro_skipqueue.Elimination.Over (R) (Key) (CO) in
-    let q = E.create ~queue:(fun () -> CO.create ()) () in
-    instance
-      ~insert:(fun k v -> ignore (E.insert q k v))
-      ~try_delete_min:(fun () -> E.delete_min q)
-      ~stats:(fun () ->
-        let f = E.front_stats q and s = E.queue_stats q in
-        counts
-          [ ("eliminated", f.E.eliminated); ("served", f.E.served); ("batches", f.E.batches);
-            ("timeouts", f.E.timeouts); ("hunt_steps", s.E.SQ.hunt_steps);
-            ("swap_losses", s.E.SQ.swap_losses); ("hunt_passes", s.E.SQ.hunt_passes) ])
+    (* [queue] runs inside [E.create], after the elimination array's
+       cells: simulated line ids follow allocation order. *)
+    let make queue =
+      let q = E.create ~queue () in
+      instance
+        ~insert:(fun k v -> ignore (E.insert q k v))
+        ~try_delete_min:(fun () -> E.delete_min q)
+        ~stats:(fun () ->
+          let f = E.front_stats q and s = E.queue_stats q in
+          counts
+            [ ("eliminated", f.E.eliminated); ("fresh_refusals", f.E.fresh_refusals);
+              ("served", f.E.served); ("handoff_empties", f.E.handoff_empties);
+              ("batches", f.E.batches); ("timeouts", f.E.timeouts);
+              ("collisions", f.E.collisions); ("width", f.E.width); ("window", f.E.window);
+              ("hunt_steps", s.E.SQ.hunt_steps); ("swap_losses", s.E.SQ.swap_losses);
+              ("stale_skips", s.E.SQ.stale_skips); ("hunt_passes", s.E.SQ.hunt_passes) ])
+  end
+
+  module Elim_sq = Elim_over (SQ)
+  module Elim_co = Elim_over (CO)
 
   (* Lock-free SkipQueue (DESIGN.md S19): CAS-linked insert, CAS-marked
      logical deletion (the claim CAS is Delete-min's linearization point),
@@ -462,9 +457,10 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
 
   let create_of ~procs d =
     match d.base with
-    | Skipqueue when d.elim -> elim_instance ~mode:(if d.relaxed then SQ.Relaxed else SQ.Strict)
+    | Skipqueue when d.elim ->
+      fun () -> Elim_sq.make (fun () -> SQ.create ~mode:(if d.relaxed then SQ.Relaxed else SQ.Strict) ())
     | Skipqueue -> fun () -> skipqueue_instance ~mode:(if d.relaxed then SQ.Relaxed else SQ.Strict) ()
-    | Co when d.elim -> elim_co_instance
+    | Co when d.elim -> fun () -> Elim_co.make (fun () -> CO.create ())
     | Co -> co_instance ~mode:(if d.relaxed then CO.Relaxed else CO.Strict)
     | Lf -> lf_instance
     | Heap -> fun () -> heap_instance ()

@@ -85,8 +85,7 @@ let test_quiescent () =
 
 let test_quiescent_transit_tolerant () =
   (* Two overlapping deletes: one may be transporting the missing element,
-     so the transit-tolerant variant exempts both; the strict variant
-     flags the larger return. *)
+     so both are exempt. *)
   let h =
     hist
       [
@@ -97,15 +96,12 @@ let test_quiescent_transit_tolerant () =
       ]
       ~drained:[ (2, 1) ]
   in
-  check "strict quiescent flags it" true (is_fail (Check.quiescent h));
-  check "transit-tolerant exempts overlapped deletes" true
-    (is_pass (Check.quiescent ~transit_tolerant:true h));
+  check "transit-tolerant exempts overlapped deletes" true (is_pass (Check.quiescent h));
   (* A lone delete (no overlapping delete) gets no exemption. *)
   let lone =
     hist [ ins ~at:0 2 1; ins ~at:2 9 2; del ~proc:1 ~at:10 (Some (9, 2)) ] ~drained:[ (2, 1) ]
   in
-  check "lone delete still checked" true
-    (is_fail (Check.quiescent ~transit_tolerant:true lone))
+  check "lone delete still checked" true (is_fail (Check.quiescent lone))
 
 (* --- conservation and drain order ---------------------------------------- *)
 
@@ -127,15 +123,14 @@ let test_conservation () =
 let test_strict_and_relaxed () =
   let bad = hist [ ins ~at:0 1 1; ins ~at:2 9 2; del ~proc:1 ~at:10 (Some (9, 2)) ] in
   check "returning 9 over settled 1 fails" true (is_fail (Check.strict bad));
-  check "relaxed also rejects it" true (is_fail (Check.relaxed_conservative bad));
   (* d may return an element smaller than the settled minimum if its
-     insert overlaps — relaxed-legal, and strict-conservatively fine too *)
+     insert overlaps: the §5.4 allowance is Definition 1's optional
+     overlapping insert *)
   let concurrent_smaller =
     hist
       [ ins ~at:0 9 1; ins ~proc:2 ~at:10 ~dur:10 1 2; del ~proc:1 ~at:12 ~dur:2 (Some (1, 2)) ]
   in
-  check "concurrent smaller insert ok" true (is_pass (Check.relaxed_conservative concurrent_smaller));
-  check "strict also accepts it" true (is_pass (Check.strict concurrent_smaller))
+  check "concurrent smaller insert ok" true (is_pass (Check.strict concurrent_smaller))
 
 let test_strict_definition1 () =
   (* Order-dependent but consistent: d2 (returning 1) serializes first. *)
@@ -167,7 +162,9 @@ let test_strict_definition1 () =
    3 over 2, excused if B [15, 40] took 2 first; B took 2 over 1 (settled
    at 12, after A began), excused if C [30, 50] took 1 first; but A
    responded before C was invoked.  Seven padding deletes overlap all
-   three and return elements inserted concurrently with every delete. *)
+   three and return elements inserted concurrently with every delete.
+   A per-delete §5.4 check passes each delete alone, so the [Relaxed]
+   suite must fail it too. *)
 let test_strict_wide_window () =
   let settled = [ ins ~at:0 2 2; ins ~at:2 3 3; ins ~at:11 1 1 ] in
   let cycle =
@@ -186,7 +183,10 @@ let test_strict_wide_window () =
            ]))
   in
   let h = hist (settled @ cycle @ padding) in
-  check "each delete passes alone" true (is_pass (Check.relaxed_conservative h));
+  check "the relaxed suite fails it" true
+    (List.exists
+       (fun (_, v) -> is_fail v)
+       (Check.check_all ~rank_bound:None { h with Check.spec = QA.Relaxed }));
   match Check.strict h with
   | Check.Fail msg ->
     Alcotest.(check string) "names the stuck delete"
@@ -210,8 +210,12 @@ let test_rank_envelope () =
 
 let test_for_spec_suites () =
   let names spec = List.map fst (Check.for_spec ~rank_bound:None spec) in
-  check "linearizable runs the Definition-1 check" true
-    (List.mem "strict (Def 1)" (names QA.Linearizable));
+  Alcotest.(check (list string))
+    "linearizable runs the Definition-1 check"
+    [ "well-formed"; "conservation"; "strict (Def 1)" ]
+    (names QA.Linearizable);
+  Alcotest.(check (list string))
+    "relaxed shares the linearizable suite" (names QA.Linearizable) (names QA.Relaxed);
   check "quiescent spec does not run strict checks" false
     (List.exists
        (fun n -> String.length n >= 6 && String.sub n 0 6 = "strict")

@@ -92,8 +92,7 @@ let test_oracle_accepts_sequential () =
     ]
   in
   ok_or_fail (Oracle.check_well_formed events);
-  ok_or_fail (Oracle.check_strict events);
-  ok_or_fail (Oracle.check_relaxed events)
+  ok_or_fail (Oracle.check_strict events)
 
 let test_oracle_rejects_wrong_min () =
   let events =
@@ -103,8 +102,7 @@ let test_oracle_rejects_wrong_min () =
       ev 0 (Oracle.Delete_min { result = Some (5, 1) }) 4 5;
     ]
   in
-  check_bool "rejected" true (Result.is_error (Oracle.check_strict events));
-  check_bool "relaxed also rejects" true (Result.is_error (Oracle.check_relaxed events))
+  check_bool "rejected" true (Result.is_error (Oracle.check_strict events))
 
 let test_oracle_rejects_empty_lie () =
   let events =

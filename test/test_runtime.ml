@@ -56,7 +56,13 @@ let test_run_processors_propagates_exception () =
 let test_run_processors_rejects_zero () =
   Alcotest.check_raises "zero processors"
     (Invalid_argument "Native_runtime.run_processors") (fun () ->
-      Native.run_processors 0 (fun _ -> ()))
+      Native.run_processors 0 (fun _ -> ()));
+  (* refused before any spawn: OCaml would fail mid-way, at the 128th *)
+  Alcotest.check_raises "past the domain limit"
+    (Invalid_argument
+       "Native_runtime.run_processors: 128 domains, at most 127 (OCaml's limit of 128 counts the \
+        main domain)") (fun () ->
+      Native.run_processors 128 (fun _ -> failwith "spawned"))
 
 let test_locks_mutual_exclusion () =
   let lock = Native.lock_create () in

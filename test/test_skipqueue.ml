@@ -183,10 +183,7 @@ let stress_sim ~mode ~procs ~ops ~key_range ~seed () =
   ok_or_fail (Oracle.check_well_formed events);
   ok_or_fail
     (Oracle.check_conservation ~initial:!initial ~drained:(List.rev !drained) events);
-  let history = initial_events @ events in
-  match mode with
-  | SQ_sim.Strict -> ok_or_fail (Oracle.check_strict history)
-  | SQ_sim.Relaxed -> ok_or_fail (Oracle.check_relaxed history)
+  ok_or_fail (Oracle.check_strict (initial_events @ events))
 
 let test_stress_strict_small () =
   stress_sim ~mode:SQ_sim.Strict ~procs:8 ~ops:60 ~key_range:100 ~seed:21L ()

@@ -1,10 +1,9 @@
 (* Tests for the utility substrate: PRNG, bit-reversal, statistics,
-   histograms and table rendering. *)
+   table rendering and ASCII plots. *)
 
 module Rng = Repro_util.Rng
 module Bitrev = Repro_util.Bitrev
 module Stats = Repro_util.Stats
-module Histogram = Repro_util.Histogram
 module Table = Repro_util.Table
 module Ascii_plot = Repro_util.Ascii_plot
 
@@ -217,49 +216,6 @@ let test_percentile_errors () =
   Alcotest.check_raises "bad q" (Invalid_argument "Stats.percentile: q outside [0, 1]")
     (fun () -> ignore (Stats.percentile [| 1.0 |] 1.5))
 
-(* --- Histogram ---------------------------------------------------------- *)
-
-let test_histogram_counts () =
-  let h = Histogram.create ~base:1.0 ~factor:2.0 ~buckets:10 () in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 3.0; 100.0 ];
-  check_int "total" 4 (Histogram.count h);
-  let counts = Histogram.bucket_counts h in
-  check_int "bucket 0 gets sub-base" 2 counts.(0);
-  (* 3.0 is in [2,4) = bucket 1 *)
-  check_int "bucket 1" 1 counts.(1)
-
-let test_histogram_quantile_monotone () =
-  let h = Histogram.create () in
-  let rng = Rng.of_seed 2L in
-  for _ = 1 to 1000 do
-    Histogram.add h (Rng.float rng 1000.0)
-  done;
-  let q25 = Histogram.quantile h 0.25 in
-  let q50 = Histogram.quantile h 0.5 in
-  let q99 = Histogram.quantile h 0.99 in
-  check_bool "monotone quantiles" true (q25 <= q50 && q50 <= q99)
-
-let test_histogram_overflow_bucket () =
-  let h = Histogram.create ~base:1.0 ~factor:2.0 ~buckets:3 () in
-  Histogram.add h 1.0e12;
-  check_int "clamped to last bucket" 1 (Histogram.bucket_counts h).(2)
-
-let test_histogram_pp () =
-  let h = Histogram.create () in
-  Alcotest.(check string) "empty histogram" "(empty)" (Format.asprintf "%a" Histogram.pp h);
-  List.iter (Histogram.add h) [ 1.0; 2.0; 500.0 ];
-  let s = Format.asprintf "%a" Histogram.pp h in
-  check_bool "non-empty render" true (String.length s > 5)
-
-let test_histogram_rejects_bad_config () =
-  Alcotest.check_raises "base" (Invalid_argument "Histogram.create: base must be positive")
-    (fun () -> ignore (Histogram.create ~base:0.0 ()));
-  Alcotest.check_raises "factor" (Invalid_argument "Histogram.create: factor must exceed 1")
-    (fun () -> ignore (Histogram.create ~factor:1.0 ()));
-  Alcotest.check_raises "buckets"
-    (Invalid_argument "Histogram.create: need at least one bucket") (fun () ->
-      ignore (Histogram.create ~buckets:0 ()))
-
 (* --- Table -------------------------------------------------------------- *)
 
 let test_table_render () =
@@ -399,14 +355,6 @@ let () =
           Alcotest.test_case "merge" `Quick test_stats_merge_equals_sequential;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
           Alcotest.test_case "percentile errors" `Quick test_percentile_errors;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "counts" `Quick test_histogram_counts;
-          Alcotest.test_case "quantile monotone" `Quick test_histogram_quantile_monotone;
-          Alcotest.test_case "overflow bucket" `Quick test_histogram_overflow_bucket;
-          Alcotest.test_case "pp" `Quick test_histogram_pp;
-          Alcotest.test_case "rejects bad config" `Quick test_histogram_rejects_bad_config;
         ] );
       ( "table",
         [

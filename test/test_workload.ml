@@ -88,21 +88,6 @@ let test_benchmark_insert_ratio_extremes () =
   in
   check_int "all deletes final size" 0 all_del.Benchmark.final_size
 
-let test_benchmark_histograms () =
-  let m = Benchmark.run (QA.Sim.skipqueue ()) tiny_workload in
-  let module H = Repro_util.Histogram in
-  check_int "insert histogram complete"
-    (Stats.count m.Benchmark.insert_latency)
-    (H.count m.Benchmark.insert_histogram);
-  check_int "delete histogram complete"
-    (Stats.count m.Benchmark.delete_latency)
-    (H.count m.Benchmark.delete_histogram);
-  let p50 = H.quantile m.Benchmark.delete_histogram 0.5 in
-  let p99 = H.quantile m.Benchmark.delete_histogram 0.99 in
-  check "p50 <= p99" true (p50 <= p99);
-  check "p50 in plausible range" true
-    (p50 > 10.0 && p50 < 2.0 *. Stats.mean m.Benchmark.delete_latency)
-
 let test_benchmark_more_procs_more_latency () =
   (* Contention must rise with processors for a shared structure. *)
   let del procs =
@@ -342,27 +327,28 @@ let test_registry_instances_work () =
       check (impl.QA.name ^ " runs") true !ok)
     (QA.all QA.Sim)
 
+(* The counter names [impl] reports after a few operations. *)
+let stats_keys impl =
+  let keys = ref [] in
+  let (_ : Machine.report) =
+    Machine.run (fun () ->
+        let q = impl.QA.create () in
+        q.QA.insert_wait 2 20;
+        q.QA.insert 1 10;
+        (match q.QA.delete_min_wait () with
+        | k, _ -> check (impl.QA.name ^ " pops a min") true (k = 1 || k = 2));
+        keys := List.map fst (q.QA.stats ()))
+  in
+  !keys
+
 let test_instance_stats_keys () =
   (* The documented common core of [instance.stats]: every adapter reports
      "ops", "lock_acquisitions" and "lock_try_failures"; the bounded
      façade prepends its own "parks" / "wakes" / "backpressure_stalls". *)
-  let keys_of impl =
-    let keys = ref [] in
-    let (_ : Machine.report) =
-      Machine.run (fun () ->
-          let q = impl.QA.create () in
-          q.QA.insert_wait 2 20;
-          q.QA.insert 1 10;
-          (match q.QA.delete_min_wait () with
-          | k, _ -> check (impl.QA.name ^ " pops a min") true (k = 1 || k = 2));
-          keys := List.map fst (q.QA.stats ()))
-    in
-    !keys
-  in
   let core = [ "ops"; "lock_acquisitions"; "lock_try_failures" ] in
   List.iter
     (fun impl ->
-      let keys = keys_of impl in
+      let keys = stats_keys impl in
       List.iter
         (fun k -> check (impl.QA.name ^ " reports " ^ k) true (List.mem k keys))
         (core
@@ -373,6 +359,14 @@ let test_instance_stats_keys () =
     (QA.all QA.Sim);
   check "registry carries bounded entries" true
     (List.exists (fun i -> i.QA.name = "bounded:SkipQueue") (QA.all QA.Sim))
+
+(* One builder puts the elimination front end over either backing, so
+   both flavors report the same counters. *)
+let test_elim_flavors_same_stats () =
+  let keys_of name = stats_keys (QA.find QA.Sim name) in
+  Alcotest.(check (list string))
+    "SkipQueue-co-elim reports SkipQueue-elim's counters" (keys_of "SkipQueue-elim")
+    (keys_of "SkipQueue-co-elim")
 
 (* The registry, pinned: listing order is part of the contract (the check
    sweep and the native sweep print in it). *)
@@ -568,6 +562,9 @@ let test_jobs_map () =
   Alcotest.(check (list int)) "ordered results" (List.map f xs) (Jobs.map ~jobs:4 f xs);
   Alcotest.(check (list int)) "inline path" (List.map f xs) (Jobs.map ~jobs:1 f xs);
   Alcotest.(check (list int)) "empty" [] (Jobs.map ~jobs:4 f []);
+  (* more jobs than the runtime hosts domains: still [List.map] *)
+  let many = List.init 200 Fun.id in
+  Alcotest.(check (list int)) "jobs:max_int" (List.map f many) (Jobs.map ~jobs:max_int f many);
   match Jobs.map ~jobs:3 (fun x -> if x >= 5 then failwith (string_of_int x) else x) xs with
   | _ -> Alcotest.fail "expected an exception"
   | exception Failure msg ->
@@ -717,7 +714,6 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_benchmark_seed_changes_run;
           Alcotest.test_case "op accounting (all impls)" `Quick test_benchmark_op_accounting;
           Alcotest.test_case "ratio extremes" `Quick test_benchmark_insert_ratio_extremes;
-          Alcotest.test_case "histograms and quantiles" `Quick test_benchmark_histograms;
           Alcotest.test_case "latency rises with procs" `Quick
             test_benchmark_more_procs_more_latency;
           Alcotest.test_case "rejects bad workload" `Quick test_benchmark_rejects_bad_workload;
@@ -744,6 +740,8 @@ let () =
           Alcotest.test_case "specs declared" `Quick test_registry_specs;
           Alcotest.test_case "every entry runs" `Quick test_registry_instances_work;
           Alcotest.test_case "core stats keys" `Quick test_instance_stats_keys;
+          Alcotest.test_case "elimination flavors share counters" `Quick
+            test_elim_flavors_same_stats;
           Alcotest.test_case "names pinned" `Quick test_registry_names_pinned;
           Alcotest.test_case "names round-trip" `Quick test_registry_round_trip;
           Alcotest.test_case "every composition runs" `Quick test_every_composition_runs;
