@@ -58,6 +58,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     pop_lock : R.lock;
     not_full : R.cond; (* tied to pop_lock *)
     not_empty : R.cond; (* tied to pop_lock *)
+    (* Each counter moves under one end's lock in one direction and with
+       no lock in the other, so every update is a [fetch_and_add]. *)
     admitted : int R.shared; (* room credits in use *)
     items : int R.shared; (* item credits; below zero while overdrawn *)
     mutable room_waiter : bool; (* guarded by pop_lock; only push_lock's holder waits *)
@@ -89,12 +91,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
 
   let capacity t = t.capacity
 
-  (* Each counter moves under one end's lock in one direction and with no
-     lock in the other, so it needs a real atomic read-modify-write. *)
-  let rec fetch_add cell d =
-    let v = R.read cell in
-    if R.cas cell v (v + d) then v else fetch_add cell d
-
   let size t = R.read t.items
 
   (* Cross-side notifications: sent under [pop_lock], after the credit
@@ -117,7 +113,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
      caller that holds [pop_lock] says so with [locked].  The mutant
      announced the room already, when it took its item credit. *)
   let return_room ?(locked = false) t =
-    if fetch_add t.admitted (-1) = t.capacity && not t.broken then
+    if R.fetch_and_add t.admitted (-1) = t.capacity && not t.broken then
       if locked then signal_room t
       else begin
         R.acquire t.pop_lock;
@@ -140,7 +136,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
   let insert_wait t k v =
     R.acquire t.push_lock;
     if R.read t.admitted >= t.capacity then wait_room t;
-    ignore (fetch_add t.admitted 1);
+    ignore (R.fetch_and_add t.admitted 1);
     (* MUTANT: announce the item now, under the push lock instead of the
        consumers' pop lock, before the element or its credit exists.  A
        consumer woken here re-tests [items], finds nothing and parks
@@ -148,7 +144,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     if t.broken && R.read t.items <= 0 then R.cond_signal t.not_empty;
     R.release t.push_lock;
     t.backend_insert k v;
-    if fetch_add t.items 1 = 0 && not t.broken then notify_not_empty t
+    if R.fetch_and_add t.items 1 = 0 && not t.broken then notify_not_empty t
 
   (* Take one element; the caller holds [pop_lock] and [block] decides the
      empty behaviour.  An item credit is taken under the lock and the pop
@@ -163,28 +159,37 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
      credits land.  (The hit may instead be an element a credit holder
      has yet to pop; that holder's pop then misses, and [settle] gives
      its credit back.)  A blocking take parks instead: an in-flight
-     credit will wake it. *)
+     credit will wake it.
+
+     The credit is taken speculatively, with one [fetch_and_add (-1)]; when
+     there was none, a [+1] undoes it.  Only [pop_lock]'s holder ever
+     lowers [items], so between the two the count can only grow, and an
+     undo whose old value is [>= 0] proves that a producer credited in
+     between: the holder takes again.  That producer may have seen the
+     transient [-1] instead of [0] and skipped its empty-edge signal; the
+     holder's retry takes the credit it would have announced and chains
+     any surplus (DESIGN.md §18). *)
   let rec take t ~block =
-    let n = R.read t.items in
-    if n > 0 then
-      if R.cas t.items n (n - 1) then begin
-        if t.empty_waiters > 0 && n > 1 then begin
-          (* chain the wake to the next parked consumer *)
-          t.c.wakes <- t.c.wakes + 1;
-          R.cond_signal t.not_empty
-        end;
-        R.release t.pop_lock;
-        (* MUTANT: the room announced with no lock held, before the pop *)
-        if t.broken && R.read t.admitted >= t.capacity then R.cond_signal t.not_full;
-        match t.backend_pop () with
-        | Some _ as got ->
-          return_room t;
-          got
-        | None ->
-          R.acquire t.pop_lock;
-          settle t ~block
-      end
-      else take t ~block (* a producer credited in between *)
+    let n = R.fetch_and_add t.items (-1) in
+    if n > 0 then begin
+      if t.empty_waiters > 0 && n > 1 then begin
+        (* chain the wake to the next parked consumer *)
+        t.c.wakes <- t.c.wakes + 1;
+        R.cond_signal t.not_empty
+      end;
+      R.release t.pop_lock;
+      (* MUTANT: the room announced with no lock held, before the pop *)
+      if t.broken && R.read t.admitted >= t.capacity then R.cond_signal t.not_full;
+      match t.backend_pop () with
+      | Some _ as got ->
+        return_room t;
+        got
+      | None ->
+        R.acquire t.pop_lock;
+        settle t ~block
+    end
+    else if R.fetch_and_add t.items 1 >= 0 then
+      take t ~block (* a producer credited in between *)
     else if block then begin
       t.empty_waiters <- t.empty_waiters + 1;
       t.c.parks <- t.c.parks + 1;
@@ -194,7 +199,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     end
     else begin
       let got = t.backend_pop () in
-      if Option.is_some got then ignore (fetch_add t.items (-1));
+      if Option.is_some got then ignore (R.fetch_and_add t.items (-1));
       R.release t.pop_lock;
       if Option.is_some got then return_room t;
       got
@@ -226,7 +231,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       return_room t;
       got
     | None when n < 0 ->
-      ignore (fetch_add t.items 1);
+      ignore (R.fetch_and_add t.items 1);
       take t ~block
     | None when t.dedups ->
       return_room ~locked:true t;

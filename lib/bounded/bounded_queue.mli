@@ -57,7 +57,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
       elements.  While inserts are in flight a non-blocking take can
       overdraw it below zero, by at most the in-flight inserts plus the
       consumers whose pops are outstanding; it settles as their credits
-      land. *)
+      land.  A take also reads one below the true count for an instant:
+      it takes its credit with a speculative decrement, undone when there
+      was none. *)
 
   val insert_wait : t -> int -> int -> unit
   (** Blocking insert: takes the push lock and, while [capacity]

@@ -49,6 +49,15 @@ module Make (C : CONFIG) = struct
       old
     | Some (Torn_cas | Blind_cas) | None -> S.swap c.cell v
 
+  (* Torn exactly as [swap] is: a read, a scheduler point, a write. *)
+  let fetch_and_add c d =
+    match fault c with
+    | Some Torn_swap ->
+      let old = read c in
+      write c (old + d);
+      old
+    | Some (Torn_cas | Blind_cas) | None -> S.fetch_and_add c.cell d
+
   let cas c expected v =
     match fault c with
     | Some Torn_cas ->

@@ -11,8 +11,9 @@
 
 type fault =
   | Torn_swap
-      (** [swap] decays into a read, a scheduler point, and a write: two
-          racing swaps can both return the old value *)
+      (** [swap] and [fetch_and_add] decay into a read, a scheduler
+          point, and a write: two racing swaps can both return the old
+          value, and two racing adds can lose one increment *)
   | Torn_cas
       (** [cas] decays into a read, a scheduler point, and a compare and
           write: two racing CASes can both succeed *)

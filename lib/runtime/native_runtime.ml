@@ -8,6 +8,7 @@ let read = Atomic.get
 let write = Atomic.set
 let swap = Atomic.exchange
 let cas = Atomic.compare_and_set
+let fetch_and_add = Atomic.fetch_and_add
 
 (* Reinitializing a quiescent cell is just a store natively; the
    distinction from [write] only matters on the simulator. *)

@@ -3,8 +3,9 @@
 
     The paper's algorithms need exactly these primitives: shared memory
     cells with READ / WRITE / atomic SWAP, fair locks, a shared cycle clock
-    ([getTime]), and a way to burn local work cycles.  Two implementations
-    exist:
+    ([getTime]), and a way to burn local work cycles.  The post-paper
+    structures add COMPARE-AND-SWAP, FETCH-AND-ADD and condition
+    variables.  Two implementations exist:
 
     - {!Native_runtime}: real parallelism — OCaml 5 [Atomic] cells,
       [Mutex] locks, domains as processors.
@@ -53,6 +54,13 @@ module type S = sig
       Charged as one atomic read-modify-write step, like {!swap}.  Modern
       relaxed structures (MultiQueues, k-LSM) are written against CAS, so
       any competitor implemented here needs it. *)
+
+  val fetch_and_add : int shared -> int -> int
+  (** [fetch_and_add cell d] atomically adds [d] to the cell and returns
+      its previous value (like [Atomic.fetch_and_add]).  Charged as one
+      atomic read-modify-write step, like {!swap}: a counter moved by it
+      costs one access where a [read]-then-{!cas} retry loop costs two or
+      more.  The bounded façade's credit counters are its callers. *)
 
   type lock
   (** A fair (FIFO under the simulator) mutual-exclusion lock. *)

@@ -37,6 +37,13 @@ let cas cell expected v =
   end
   else false
 
+(* One atomic step, like [swap]: the add lands when the access returns. *)
+let fetch_and_add cell d =
+  Machine.access cell.meta Memory_model.Swap;
+  let old = cell.v in
+  cell.v <- old + d;
+  old
+
 type lock = Machine.lock
 
 let lock_create ?name () = Machine.lock_create ?name ()

@@ -482,6 +482,32 @@ let test_faulty_without_fault_is_sim () =
         (run (Plain.make ~procs:8 d) = run (QA.Sim.make ~procs:8 d)))
     QA.[ plain Skipqueue; plain Lf; plain Co; { (plain Skipqueue) with elim = true }; plain (Klsm 4) ]
 
+(* [Torn_swap] tears [fetch_and_add] as it tears [swap]: two processors
+   adding to the named cell at one instant both read 0 and both write 1,
+   while on an unnamed cell of the same runtime both adds land. *)
+let test_faulty_torn_fetch_and_add () =
+  let module F = Repro_check.Faulty.Make (struct
+    let target = Some { Repro_check.Faulty.fault = Torn_swap; cells = Some "ctr" }
+    let wedged = Exit
+  end) in
+  let torn = ref (-1) and whole = ref (-1) in
+  Repro_check.Faulty.reset ();
+  let (_ : Repro_sim.Machine.report) =
+    Repro_sim.Machine.run (fun () ->
+        let ctr = F.shared ~name:"ctr" 0 and other = F.shared 0 in
+        for _ = 1 to 2 do
+          Repro_sim.Machine.spawn (fun () ->
+              ignore (F.fetch_and_add ctr 1);
+              ignore (F.fetch_and_add other 1))
+        done;
+        Repro_sim.Machine.spawn (fun () ->
+            Repro_sim.Machine.work 100_000;
+            torn := F.read ctr;
+            whole := F.read other))
+  in
+  Alcotest.(check int) "torn add loses an increment" 1 !torn;
+  Alcotest.(check int) "untorn add keeps both" 2 !whole
+
 let () =
   Alcotest.run "check"
     [
@@ -523,5 +549,7 @@ let () =
           Alcotest.test_case "every mutant caught and replays" `Quick test_every_mutant_caught;
           Alcotest.test_case "faulty runtime without a fault is the simulator" `Quick
             test_faulty_without_fault_is_sim;
+          Alcotest.test_case "torn fetch_and_add loses an increment" `Quick
+            test_faulty_torn_fetch_and_add;
         ] );
     ]

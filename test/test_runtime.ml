@@ -89,6 +89,19 @@ let test_swap_transfers_tokens () =
   Alcotest.(check (list int))
     "permutation" (List.sort compare (-1 :: expected)) (List.sort compare all)
 
+let test_fetch_and_add_sums_exactly () =
+  (* Every increment lands, and each returns a distinct previous value. *)
+  let c = Native.shared 0 in
+  let seen = Array.make 2 [] in
+  Native.run_processors 2 (fun p ->
+      for _ = 1 to 10_000 do
+        seen.(p) <- Native.fetch_and_add c 1 :: seen.(p)
+      done);
+  check_int "no lost increments" 20_000 (Native.read c);
+  Alcotest.(check (list int))
+    "previous values distinct" (List.init 20_000 Fun.id)
+    (List.sort compare (List.concat (Array.to_list seen)))
+
 let test_work_is_finite () =
   (* smoke: work must terminate and cost something bounded *)
   Native.work 0;
@@ -210,6 +223,8 @@ let () =
           Alcotest.test_case "rejects zero procs" `Quick test_run_processors_rejects_zero;
           Alcotest.test_case "lock mutual exclusion" `Quick test_locks_mutual_exclusion;
           Alcotest.test_case "swap transfers tokens" `Quick test_swap_transfers_tokens;
+          Alcotest.test_case "fetch_and_add sums exactly" `Quick
+            test_fetch_and_add_sums_exactly;
           Alcotest.test_case "work terminates" `Quick test_work_is_finite;
         ] );
       ( "processor ids",

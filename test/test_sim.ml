@@ -486,6 +486,26 @@ let test_swap_is_atomic_under_contention () =
     (List.init 65 (fun i -> i - 1))
     sorted
 
+let test_fetch_and_add_is_one_swap_access () =
+  (* Each add is one traced access of kind Swap and returns the previous
+     value; the read after them sees both adds. *)
+  let kinds = ref [] in
+  let tracer = function
+    | Repro_sim.Trace.Accessed { kind; _ } -> kinds := kind :: !kinds
+    | _ -> ()
+  in
+  let results = ref [] in
+  let (_ : Machine.report) =
+    Machine.run ~tracer (fun () ->
+        let c = Sim_rt.shared 5 in
+        let a = Sim_rt.fetch_and_add c 3 in
+        let b = Sim_rt.fetch_and_add c (-1) in
+        results := [ a; b; Sim_rt.read c ])
+  in
+  Alcotest.(check (list int)) "previous values, then the sum" [ 5; 8; 7 ] !results;
+  check_bool "Swap, Swap, Read" true
+    (List.rev !kinds = Memory_model.[ Swap; Swap; Read ])
+
 let test_lock_mutual_exclusion () =
   let in_section = ref 0 in
   let max_in_section = ref 0 in
@@ -1233,6 +1253,8 @@ let () =
           Alcotest.test_case "distinct ids" `Quick test_self_ids_distinct;
           Alcotest.test_case "shared cells" `Quick test_shared_cell_read_write;
           Alcotest.test_case "atomic swap" `Quick test_swap_is_atomic_under_contention;
+          Alcotest.test_case "fetch_and_add is one Swap access" `Quick
+            test_fetch_and_add_is_one_swap_access;
           Alcotest.test_case "mutual exclusion" `Quick test_lock_mutual_exclusion;
           Alcotest.test_case "FIFO fairness" `Quick test_lock_fifo_fairness;
           Alcotest.test_case "release by non-holder" `Quick test_release_by_non_holder_fails;

@@ -481,6 +481,10 @@ module Recording = struct
   let cas c expected v =
     close ();
     Sim_rt.cas c.cell expected v
+
+  let fetch_and_add c d =
+    close ();
+    Sim_rt.fetch_and_add c.cell d
 end
 
 module LF_rec = Repro_skipqueue.Skipqueue_lf.Make (Recording) (Repro_pqueue.Key.Int)
