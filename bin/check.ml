@@ -55,10 +55,7 @@ let mutant_names = String.concat ", " (List.map (fun m -> m.Broken.name) Broken.
 let select_impls backends broken blocking ~profile ~capacity =
   let mutant (m : Broken.t) =
     let harness =
-      match m.Broken.harness with
-      | Broken.Plain { procs = None } -> Plain profile
-      | Broken.Plain { procs = Some procs } -> Plain { profile with Harness.procs }
-      | Broken.Blocking -> Blocking
+      match m.Broken.harness with Broken.Plain -> Plain profile | Broken.Blocking -> Blocking
     in
     (m.Broken.impl ~capacity, harness, "--broken " ^ m.Broken.name, m.Broken.name)
   in
@@ -276,8 +273,7 @@ let broken =
            checkers catch every one of them on some seed (fuzzer \
            self-test).  Takes an optional positional mutant name (see \
            $(i,MUTANT)).  $(b,wakeup) is swept under the blocking \
-           harness, $(b,lf-free) with 32 workers whatever $(b,--procs) \
-           says.")
+           harness.")
 
 let mutant =
   Arg.(

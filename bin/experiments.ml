@@ -168,10 +168,19 @@ let cmd =
             Stdlib.exit 2
           end;
           if jobs < 1 then usage_error "--jobs" jobs;
-          let max_procs_log2 =
-            let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-            log2 max_procs
-          in
+          let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+          let max_procs_log2 = log2 max_procs in
+          (* The sweep's top point must fit the simulator's processor
+             limit, less the root and the post-mortem reader; refuse it
+             here rather than fail inside the first run that reaches it. *)
+          let limit = Repro_sim.Memory_model.default.Repro_sim.Memory_model.max_procs - 2 in
+          if max_procs_log2 > log2 limit then begin
+            Printf.eprintf
+              "--max-procs %d: the sweep's top point, %d processors, exceeds the simulator's \
+               limit of %d (--max-procs at most %d)\n"
+              max_procs (1 lsl max_procs_log2) limit ((2 lsl log2 limit) - 1);
+            Stdlib.exit 2
+          end;
           run_figures ids scale max_procs_log2 domains output quiet jobs)
       $ ids $ scale $ max_procs $ domains $ output $ quiet $ jobs)
   in

@@ -1,15 +1,14 @@
 (* The planted mutants: deliberately broken queues that prove the fuzzer
    and the checkers catch real races.  Five are correct structures over a
-   [Faulty] runtime; the premature free and the lost wakeup are flags of
-   their production modules, because no runtime fault reproduces them
-   (DESIGN.md §6). *)
+   [Faulty] runtime; the lost wakeup is a flag of its production module,
+   because no runtime fault reproduces it (DESIGN.md §6). *)
 
 exception Wedged of string
 
 module QA = Repro_workload.Queue_adapter
 module Key = Repro_pqueue.Key.Int
 
-type harness = Plain of { procs : int option } | Blocking
+type harness = Plain | Blocking
 type t = { name : string; harness : harness; impl : capacity:int -> QA.impl }
 
 let wedged what cause =
@@ -81,24 +80,6 @@ let lf_claim =
   impl "BrokenLfClaimSkipQueue" ~insert:Q.insert ~try_delete_min:Q.delete_min (fun () ->
       Q.create ~restructure_threshold:1 ())
 
-(* [broken_premature_free]: the restructurer frees and clobbers unlinked nodes at
-   once instead of after epoch quiescence.  A claimant still holding its
-   victim reads the clobbered sentinel (the structure fails loudly), or a
-   stale traverser walks into a recycled node and loses elements — or
-   loops through the node's new chain position until the watchdog fires.
-   The runtime plants no fault of its own. *)
-let lf_free =
-  let module Q =
-    Repro_skipqueue.Skipqueue_lf.Make
-      (Faulty.Make (struct
-        let target = None
-        let wedged = wedged "premature-free" "stale-edge cycle"
-      end))
-      (Key)
-  in
-  impl "BrokenLfFreeSkipQueue" ~insert:Q.insert ~try_delete_min:Q.delete_min (fun () ->
-      Q.create ~restructure_threshold:1 ~broken_premature_free:true ())
-
 (* Blind CAS on the k-LSM's block list: two concurrent publishes (or a
    publish and a merge) both read one list and the second write drops the
    first's block, whose elements become unreachable from every view.  At
@@ -165,19 +146,13 @@ let wakeup ~capacity =
           ~stats:(fun () -> B.stats b));
   }
 
-(* The premature free needs a claimant to read its victim while a
-   restructurer frees it: six workers reach that window on about one seed
-   in two hundred, thirty-two on about two in three. *)
 let all =
-  let plain ?procs name impl =
-    { name; harness = Plain { procs }; impl = (fun ~capacity:_ -> impl) }
-  in
+  let plain name impl = { name; harness = Plain; impl = (fun ~capacity:_ -> impl) } in
   [
     plain "swap" swap;
     plain "elim" elim;
     { name = "wakeup"; harness = Blocking; impl = wakeup };
     plain "lf-claim" lf_claim;
-    plain ~procs:32 "lf-free" lf_free;
     plain "klsm" klsm;
     plain "co" co;
   ]

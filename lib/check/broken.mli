@@ -15,13 +15,10 @@
     - [co]: the coalescing SkipQueue at capacity 1 with a blind CAS on
       every node's packed lock word ([co.word]).
 
-    Two are flags of their production modules, since no runtime fault
-    reproduces them (DESIGN.md §6):
-    - [lf-free]: the lock-free SkipQueue's [broken_premature_free], which
-      frees and clobbers a node at unlink time;
-    - [wakeup]: the bounded façade's [broken_wakeup], which signals the
-      other end without the waiter's lock, before the credit it
-      announces exists. *)
+    One is a flag of its production module, since no runtime fault
+    reproduces it (DESIGN.md §6): [wakeup], the bounded façade's
+    [broken_wakeup], which signals the other end without the waiter's
+    lock, before the credit it announces exists. *)
 
 exception Wedged of string
 (** Raised from inside the simulation by a {!Faulty} watchdog once a
@@ -29,9 +26,7 @@ exception Wedged of string
     harness reports it as an execution violation for the seed. *)
 
 type harness =
-  | Plain of { procs : int option }
-      (** the mixed-op harness, with [procs] workers when [Some] whatever
-          the profile says ([lf-free] needs 32 to reach its window) *)
+  | Plain  (** the mixed-op harness, under the sweep's profile *)
   | Blocking  (** the blocking producer/consumer harness *)
 
 type t = {
@@ -43,4 +38,4 @@ type t = {
 }
 
 val all : t list
-(** swap, elim, wakeup, lf-claim, lf-free, klsm, co. *)
+(** swap, elim, wakeup, lf-claim, klsm, co. *)

@@ -16,8 +16,7 @@ module Make (C : CONFIG) = struct
   (* Locks, conditions, the clock and the processor calls pass through. *)
   include (S : Repro_runtime.Runtime_intf.S with type 'a shared := 'a S.shared)
 
-  (* [faulty] is fixed at allocation from the cell's name, so a recycled
-     cell ([refresh]) keeps its role. *)
+  (* [faulty] is fixed at allocation from the cell's name. *)
   type 'a shared = { cell : 'a S.shared; faulty : bool }
 
   let shared ?name v =
@@ -28,8 +27,6 @@ module Make (C : CONFIG) = struct
       | Some { cells = Some n; _ } -> name = Some n
     in
     { cell = S.shared ?name v; faulty }
-
-  let refresh c v = S.refresh c.cell v
 
   let read c =
     let n = Domain.DLS.get reads in

@@ -10,10 +10,6 @@ let swap = Atomic.exchange
 let cas = Atomic.compare_and_set
 let fetch_and_add = Atomic.fetch_and_add
 
-(* Reinitializing a quiescent cell is just a store natively; the
-   distinction from [write] only matters on the simulator. *)
-let refresh = Atomic.set
-
 type lock = Mutex.t
 
 let lock_create ?name () =

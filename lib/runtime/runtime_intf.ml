@@ -28,20 +28,6 @@ module type S = sig
   val read : 'a shared -> 'a
   val write : 'a shared -> 'a -> unit
 
-  val refresh : 'a shared -> 'a -> unit
-  (** [refresh cell v] reinitializes [cell] as if it had just been
-      allocated by [shared v]: on the simulator the cell is re-registered
-      as a brand-new memory location (fresh line id, empty coherence
-      state) and the initializing store of [v] is free of simulated
-      charge, exactly like [shared]; on the native runtime it is a plain
-      store.  The caller must guarantee quiescent reuse — no other
-      processor can reach the cell (a node recycled through safe memory
-      reclamation).  The lock-free SkipQueue's node pool is its one
-      caller.  A recycled cell behaves bit-identically to a freshly
-      allocated one only if a structure refreshes a recycled object's
-      cells in the order its constructor allocated them, so each draws
-      the line id (and home node) a fresh allocation would have. *)
-
   val swap : 'a shared -> 'a -> 'a
   (** Atomic register-to-memory swap: writes the new value and returns the
       previous one, in a single atomic step.  The only universal primitive

@@ -1,16 +1,8 @@
-type 'a shared = { mutable v : 'a; mutable meta : Memory_model.meta }
+type 'a shared = { mutable v : 'a; meta : Memory_model.meta }
 
 let shared ?name v =
   ignore name;
   { v; meta = Machine.alloc_meta () }
-
-(* Quiescent reuse: re-register the cell as a brand-new location.  The
-   fresh line id is drawn from the same counter as [shared], so a
-   recycled structure stays bit-identical to a freshly built one when its
-   cells are refreshed in the order they were allocated. *)
-let refresh cell v =
-  cell.meta <- Machine.alloc_meta ();
-  cell.v <- v
 
 let read cell =
   Machine.access cell.meta Memory_model.Read;

@@ -32,24 +32,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     Queue.add (R.get_time (), finalizer) t.garbage.(p);
     t.retired <- t.retired + 1
 
-  let collect ?upto t =
+  let collect t =
     (* The collector reads every processor's entry slot (shared traffic),
-       then reclaims local garbage strictly older than the oldest entry.
-       [upto] bounds the scan to slots/queues [0, upto): exact whenever the
-       caller knows every processor id seen so far is below it, since a
-       never-entered slot reads max_int and a never-retiring processor has
-       an empty queue — it just saves the shared reads. *)
-    let limit =
-      match upto with
-      | None -> Array.length t.slots
-      | Some n -> Int.max 0 (Int.min n (Array.length t.slots))
-    in
+       then reclaims local garbage strictly older than the oldest entry. *)
     let oldest = ref max_int in
-    for p = 0 to limit - 1 do
+    for p = 0 to max_procs - 1 do
       oldest := Int.min !oldest (R.read t.slots.(p))
     done;
     let count = ref 0 in
-    for p = 0 to limit - 1 do
+    for p = 0 to max_procs - 1 do
       let q = t.garbage.(p) in
       let continue = ref true in
       while !continue do

@@ -9,10 +9,12 @@
     currently inside the structure — at that point no live pointer to the
     node can exist.
 
-    "Reclaiming" runs a caller-supplied finalizer; the SkipQueue's
-    finalizer poisons the node so the invariant checker catches any
-    premature reclamation (a reachable poisoned node).  Actual memory is
-    left to the OCaml GC. *)
+    The locked SkipQueue's [?reclamation] option is the one user: the A4
+    ablation ([SkipQueue + reclamation]) measures what the protocol costs.
+    No structure reuses a node, so nothing else needs it.  "Reclaiming"
+    runs a caller-supplied finalizer; the SkipQueue's finalizer poisons
+    the node so the invariant checker catches any premature reclamation
+    (a reachable poisoned node).  Actual memory is left to the OCaml GC. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type t
@@ -31,15 +33,11 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
   (** [retire t finalizer] stamps the retired node with the current time
       and appends it to the calling processor's garbage list. *)
 
-  val collect : ?upto:int -> t -> int
+  val collect : t -> int
   (** One collector pass (the paper dedicates a processor to looping on
       this): computes the oldest entry time among registered processors and
       reclaims every garbage node deleted strictly before it.  Returns the
-      number reclaimed.  [upto] restricts the pass to processor ids in
-      [0, upto) — exact (not merely conservative) when the caller tracks a
-      high-water mark of ids that ever entered, because an untouched slot
-      reads [max_int] and contributes no garbage; it only skips the shared
-      reads of slots that cannot matter. *)
+      number reclaimed. *)
 
   type stats = { retired : int; reclaimed : int; pending : int }
 

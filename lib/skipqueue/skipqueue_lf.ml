@@ -15,9 +15,10 @@
    its own bottom link from {succ; marked = false} to {succ; marked =
    true}; the successful CAS is the linearization point.  Marked nodes
    stay physically linked until {!try_restructure} unlinks the maximal
-   marked prefix with one CAS on the head's bottom link and retires the
-   nodes through the epoch reclamation + node pool of S17, so a traverser
-   that entered before the unlink can still walk them safely.  Only that
+   marked prefix with one CAS on the head's bottom link.  No node is ever
+   reused, so an unlinked node needs no reclamation epoch: a traverser
+   that stood on it before the unlink walks on over its frozen links, and
+   the GC keeps it alive for as long as anyone can reach it.  Only that
    head-adjacent run can be collected, and an insert that links in front
    of it buries it for good; so both walks that start from the head
    restructure once they have stepped over [restructure_threshold] of it
@@ -35,21 +36,19 @@
    prefix unlink (lost elements) or livelocks behind interior tombstone
    runs that only future delete-mins can clear.
 
-   Physical-deletion safety rests on a chain-forward edge discipline:
-   every next pointer ever written points from a node to one that sat
-   later in the bottom chain when the edge was created.  Consequently all
-   in-edges of a collected prefix come from the head (purged before
-   retirement) or from prefix members retired in the same batch, so a
-   traversal entering after the unlink can never reach a retired node,
-   and the epoch guard covers every traversal that entered before it.
-   Upper-level links preserve the discipline by refusing a successor that
-   is already marked (such a tombstone may sit bottom-earlier than the
-   new node; the tower is simply truncated at that level). *)
+   Physical deletion rests on a chain-forward edge discipline: every next
+   pointer ever written points from a node to one that sat later in the
+   bottom chain when the edge was created.  Consequently all in-edges of
+   a collected prefix come from the head (purged by the pass) or from
+   members of the same or an earlier batch, so a traversal entering after
+   the unlink can never reach a collected node: the pass really removes
+   its tombstones, and no walk pays for them again.  Upper-level links
+   preserve the discipline by refusing a successor that is already marked
+   (such a tombstone may sit bottom-earlier than the new node; the tower
+   is simply truncated at that level). *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
 struct
-  module Reclaim = Reclamation.Make (R)
-
   module B = Bound.Make (K)
 
   type bound = B.t = Bottom | Key of K.t | Top
@@ -66,7 +65,6 @@ struct
     value : 'v option R.shared; (* None only in sentinels *)
     level : int;
     next : 'v link R.shared array; (* length = level; index 0 carries the mark *)
-    mutable poisoned : bool; (* set by the reclamation finalizer *)
   }
 
   type stats = {
@@ -90,19 +88,9 @@ struct
     tail : 'v node;
     max_level : int;
     p : float;
-    reclaim : Reclaim.t;
-    broken_premature_free : bool; (* mutant: free at unlink, no quiescence wait *)
     restructure_threshold : int; (* tombstones a head walk hops before restructuring *)
-    collect_every : int; (* reclamation pass every N restructures *)
     restructure_lock : R.lock;
     procs : 'v proc Repro_runtime.Per_proc.t;
-    pool : 'v node Node_pool.t;
-    highwater : int Atomic.t;
-    (* Largest processor id seen by [enter].  A host atomic, bumped
-       monotonically: a plain field could lose a racing update under
-       native domains and [collect ~upto] would then skip the slot of a
-       processor still inside the epoch — an unsafe free. *)
-    mutable since_collect : int;
     mutable cas_failures : int;
     mutable marked_hops : int;
     mutable insert_marked_hops : int;
@@ -113,41 +101,28 @@ struct
     mutable resumed_walks : int;
   }
 
-  (* Registration order (key, value, next.(0..level-1)) is fixed by
-     explicit lets so the pooled-reuse path in [alloc_node] can re-register
-     the same cells in the same order: a recycled node then draws the same
-     fresh line ids a newly allocated one would, and pooling stays
-     invisible to the simulation (S17). *)
-  let make_node ~key ~value ~level ~link () =
+  (* Explicit lets fix the cells' allocation order, and with it their
+     line ids: a record literal would evaluate its fields right to left. *)
+  let make_node ~key ~value ~level ~succ =
     let key = R.shared key in
     let value = R.shared value in
-    let next = Array.init level (fun _ -> R.shared (link ())) in
-    { key; value; level; next; poisoned = false }
+    let next = Array.init level (fun _ -> R.shared { succ; marked = false }) in
+    { key; value; level; next }
 
   let create ?(p = 0.5) ?(max_level = 20) ?(seed = 0x5EEDL) ?(restructure_threshold = 16)
-      ?(collect_every = 4) ?(broken_premature_free = false) () =
+      () =
     if p <= 0.0 || p >= 1.0 then invalid_arg "Skipqueue_lf.create: p outside (0, 1)";
     if max_level < 1 then invalid_arg "Skipqueue_lf.create: max_level < 1";
     if restructure_threshold < 1 then
       invalid_arg "Skipqueue_lf.create: restructure_threshold < 1";
-    if collect_every < 1 then invalid_arg "Skipqueue_lf.create: collect_every < 1";
-    let tail =
-      { key = R.shared Top; value = R.shared None; level = 0; next = [||]; poisoned = false }
-    in
-    let head =
-      make_node ~key:Bottom ~value:None ~level:max_level
-        ~link:(fun () -> { succ = tail; marked = false })
-        ()
-    in
+    let tail = { key = R.shared Top; value = R.shared None; level = 0; next = [||] } in
+    let head = make_node ~key:Bottom ~value:None ~level:max_level ~succ:tail in
     {
       head;
       tail;
       max_level;
       p;
-      reclaim = Reclaim.create ();
-      broken_premature_free;
       restructure_threshold;
-      collect_every;
       restructure_lock = R.lock_create ~name:"sq-lf-restructure" ();
       procs =
         Repro_runtime.Per_proc.create (fun id ->
@@ -158,9 +133,6 @@ struct
               preds = Array.make max_level head;
               plinks = Array.make max_level { succ = tail; marked = false };
             });
-      pool = Node_pool.create ~max_level;
-      highwater = Atomic.make 0;
-      since_collect = 0;
       cas_failures = 0;
       marked_hops = 0;
       insert_marked_hops = 0;
@@ -183,70 +155,12 @@ struct
       resumed_walks = t.resumed_walks;
     }
 
-  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
-
-  let pool_stats t = Node_pool.stats t.pool
-
-  let reclaim_stats t = Reclaim.stats t.reclaim
-
-  (* --- epoch guard -------------------------------------------------------- *)
-
-  let enter t =
-    let p = R.self () in
-    let rec bump () =
-      let cur = Atomic.get t.highwater in
-      if p > cur && not (Atomic.compare_and_set t.highwater cur p) then bump ()
-    in
-    bump ();
-    Reclaim.enter t.reclaim
-
-  let exit t = Reclaim.exit t.reclaim
-
   (* --- per-processor state ------------------------------------------------- *)
 
   let proc t = Repro_runtime.Per_proc.get t.procs (R.self ())
 
   let random_level t =
     Repro_util.Rng.geometric_level (proc t).rng ~p:t.p ~max_level:t.max_level
-
-  (* --- node pool ----------------------------------------------------------- *)
-
-  (* Runs only once no traverser that could still reach the node remains
-     inside the structure (reclamation's guarantee — unless
-     [broken_premature_free], the checker-validation mutant, which runs it
-     right at unlink time and additionally clobbers the node the way a
-     real [free] would, so any use-after-free READ returns garbage instead
-     of stale-but-consistent data). *)
-  let free_now t node =
-    if node.poisoned then failwith "Lockfree_skiplist: node freed twice";
-    if t.broken_premature_free then begin
-      R.write node.key Top;
-      R.write node.value None;
-      for i = 0 to node.level - 1 do
-        R.write node.next.(i) { succ = t.tail; marked = false }
-      done
-    end;
-    node.poisoned <- true;
-    Node_pool.put t.pool ~level:node.level node
-
-  let retire t node =
-    if t.broken_premature_free then free_now t node
-    else Reclaim.retire t.reclaim (fun () -> free_now t node)
-
-  (* A pooled node re-registers its cells in [make_node]'s order. *)
-  let alloc_node t ~key ~value ~level =
-    match Node_pool.take t.pool ~level with
-    | Some n ->
-      if not n.poisoned then failwith "Lockfree_skiplist: pooled node not poisoned";
-      R.refresh n.key key;
-      R.refresh n.value value;
-      for i = 0 to level - 1 do
-        R.refresh n.next.(i) { succ = t.tail; marked = false }
-      done;
-      n.poisoned <- false;
-      n
-    | None ->
-      make_node ~key ~value ~level ~link:(fun () -> { succ = t.tail; marked = false }) ()
 
   (* --- search -------------------------------------------------------------- *)
 
@@ -357,18 +271,18 @@ struct
 
   (* One batched physical-deletion pass; caller holds [restructure_lock].
      Serializing restructures (the try-lock is never waited on, so the
-     CAS-only insert/claim paths stay non-blocking) gives the retire step
-     a clean argument: after the bottom-level unlink and the upper-level
+     CAS-only insert/claim paths stay non-blocking) gives the removal a
+     clean argument: after the bottom-level unlink and the upper-level
      purge below, no head pointer can be re-aimed at a collected node —
      inserts only CAS a *live* predecessor's cells, every prefix member is
      permanently marked, and the only other writer of the head's links is
      the (single) restructurer.  By the chain-forward edge discipline the
      collected nodes' remaining in-edges come from nodes that sat earlier
-     in the chain: other members of this same batch, already-retired nodes
-     (unreachable to fresh traversals by induction), or the head (purged).
-     A traverser that was already past the head when the prefix came off
-     entered the epoch before the retire stamp, so reclamation holds the
-     nodes until it leaves. *)
+     in the chain: other members of this same batch, nodes collected by an
+     earlier pass (unreachable to fresh traversals by induction), or the
+     head (purged).  A traverser that was already past the head when the
+     prefix came off keeps walking the collected nodes' forward links,
+     which still lead to the live chain. *)
   let restructure_locked t =
     let hlink = R.read t.head.next.(0) in
     let prefix = ref [] in
@@ -392,14 +306,8 @@ struct
         for i = t.max_level downto 2 do
           advance_level t i
         done;
-        List.iter (retire t) nodes;
         t.unlinked <- t.unlinked + List.length nodes;
-        t.restructures <- t.restructures + 1;
-        t.since_collect <- t.since_collect + 1;
-        if t.since_collect >= t.collect_every then begin
-          t.since_collect <- 0;
-          ignore (Reclaim.collect ~upto:(Atomic.get t.highwater + 1) t.reclaim)
-        end
+        t.restructures <- t.restructures + 1
       end
       else
         (* An insert landed a new front node between our scan and the CAS;
@@ -419,9 +327,6 @@ struct
       t.restructure_skips <- t.restructure_skips + 1;
       false
     end
-
-  (* Final reclamation sweep for quiescent callers (tests, drains). *)
-  let collect_garbage t = Reclaim.collect ~upto:(Atomic.get t.highwater + 1) t.reclaim
 
   (* --- claim (logical delete-min) ------------------------------------------ *)
 
@@ -457,29 +362,11 @@ struct
     in
     walk (R.read t.head.next.(0)).succ
 
-  (* Read a claimed node's binding.  Safe between the claim and the
-     caller's [exit]: the node cannot be reclaimed while the claimant is
-     inside the epoch — unless the premature-free mutant broke exactly
-     that promise, which the explicit failure below turns into a loud,
-     checkable violation instead of a silent wrong answer. *)
-  let claimed_binding node =
-    match R.read node.key with
-    | Key k -> (
-      match R.read node.value with
-      | Some v -> (k, v)
-      | None ->
-        failwith
-          "Skipqueue-lf: claimed node lost its value in flight (premature free)")
-    | Bottom | Top ->
-      failwith "Skipqueue-lf: claimed node was reclaimed in flight (premature free)"
-
-  let poisoned node = node.poisoned
-
   (* --- insert -------------------------------------------------------------- *)
 
-  (* CAS-link bottom-up, inside the epoch.  Duplicate keys are kept: the
-     new node lands before existing equal keys, so the structure is a
-     multiset ordered by (key, recency) among live nodes.  The new node
+  (* CAS-link bottom-up.  Duplicate keys are kept: the new node lands
+     before existing equal keys, so the structure is a multiset ordered
+     by (key, recency) among live nodes.  The new node
      goes immediately after the last live node with a smaller key — in
      front of any tombstone run that follows it, which keeps live nodes
      chain-ordered without ever linking after a marked predecessor.
@@ -493,10 +380,9 @@ struct
      again.  The walk already read those tombstones; the trigger adds no
      shared reads. *)
   let insert t key value =
-    enter t;
     let bkey = Key key in
     let level = random_level t in
-    let node = alloc_node t ~key:bkey ~value:(Some value) ~level in
+    let node = make_node ~key:bkey ~value:(Some value) ~level ~succ:t.tail in
     let { preds; plinks; _ } = proc t in
     (* Bottom level: the linearization point of the insert.  [hops] counts
        the tombstones the walk that committed [preds.(0)] stepped over. *)
@@ -508,8 +394,9 @@ struct
         (* Only the walk's entry node can surface here: it was committed
            live at level 2 but claimed before its bottom link was read.  A
            marked record is frozen — the CAS below would SUCCEED on the
-           dead (possibly already retired) node, resurrecting its cell as
-           unmarked and stranding the new element.  Re-search instead; the
+           dead (possibly already unlinked) node, clearing the mark of an
+           element a delete-min already returned and, once the node is off
+           the chain, stranding the new element.  Re-search instead; the
            fresh walk sees the node dead and commits a live predecessor. *)
         t.cas_failures <- t.cas_failures + 1;
         search ()
@@ -537,28 +424,28 @@ struct
     (* Upper levels, best effort.  Stop once the node is claimed (a dormant
        tower would only cost traversals), and skip a level whose successor
        is already a tombstone: a tombstone may sit bottom-earlier than the
-       new node, and an edge to it would break the chain-forward discipline
-       the retirement proof needs.  (If the successor is marked only after
-       the check, it was live — hence bottom-later — when observed, and the
-       edge stays forward.) *)
+       new node, and an edge to it would break the chain-forward
+       discipline the restructure's removal argument needs.  (If the
+       successor is marked only after the check, it was live — hence
+       bottom-later — when observed, and the edge stays forward.) *)
     (* The deletion mark lives in the bottom cell, so an upper-level record
        CAS cannot see it: if the node is claimed AND prefix-collected
        between the liveness guard below and the CAS, the CAS would re-link
-       an already retired node into a reachable chain.  Hence the
-       post-CAS validation: re-read the bottom mark and, if set, unlink
-       the node right back out of this level.  The undo restores the
-       predecessor's previous (forward) edge; racing inserts can only
+       an already collected node into a reachable chain, where it would
+       sit off the bottom chain as a tombstone no later pass can remove.
+       Hence the post-CAS validation: re-read the bottom mark and, if set,
+       unlink the node right back out of this level.  The undo restores
+       the predecessor's previous (forward) edge; racing inserts can only
        prepend a LIVE node in front of ours — which, sitting
        bottom-earlier, blocks any collection of ours until it too is
        marked, so finding someone else in the predecessor's cell means the
-       hazard is gone.  The inserter still holds the epoch, so the node
-       cannot be reclaimed before the undo completes. *)
+       hazard is gone. *)
     (* Not the stored successor: that snapshot may itself belong to an
        already collected batch.  Walk to the first currently-live target,
        like the restructurer's own purge — if that target is collected
        later, either a live predecessor still blocks its collection, or
        the (serialized) collecting restructurer re-purges this level
-       before retiring it. *)
+       when it unlinks it. *)
     let unlink_level pred i =
       let rec undo () =
         let plink = R.read pred.next.(i - 1) in
@@ -597,27 +484,25 @@ struct
         end
       in
       link_level ()
-    done;
-    exit t
+    done
 
   (* Claim, then restructure once the claim's walk has hopped
      [restructure_threshold] tombstones (the claimed node counts: it is
-     one more).  The binding is read before leaving the epoch: the claim
-     made the node garbage-eligible, and only the epoch keeps it intact. *)
+     one more).  A claimed node is never written again, so its binding
+     reads the same before or after the pass unlinks it. *)
   let delete_min t =
-    enter t;
-    let result =
-      match try_claim t with
-      | Empty hops ->
-        if hops >= t.restructure_threshold then ignore (try_restructure t);
-        None
-      | Claimed (node, hops) ->
-        let binding = claimed_binding node in
-        if hops + 1 >= t.restructure_threshold then ignore (try_restructure t);
-        Some binding
-    in
-    exit t;
-    result
+    match try_claim t with
+    | Empty hops ->
+      if hops >= t.restructure_threshold then ignore (try_restructure t);
+      None
+    | Claimed (node, hops) ->
+      let binding =
+        match R.read node.key with
+        | Key k -> (k, Option.get (R.read node.value))
+        | Bottom | Top -> assert false (* only interior nodes are claimed *)
+      in
+      if hops + 1 >= t.restructure_threshold then ignore (try_restructure t);
+      Some binding
 
   (* --- read-only views ----------------------------------------------------- *)
 
@@ -668,17 +553,15 @@ struct
 
   let check_invariants t =
     let ( let* ) = Result.bind in
-    (* Bottom level: LIVE keys non-descending (duplicates are kept),
-       nothing poisoned.  Marked nodes may linger anywhere — they are
-       tombstones whose keys are dead, and an insert legitimately places
-       a smaller live key in front of a larger dead one. *)
+    (* Bottom level: LIVE keys non-descending (duplicates are kept).
+       Marked nodes may linger anywhere — they are tombstones whose keys
+       are dead, and an insert legitimately places a smaller live key in
+       front of a larger dead one. *)
     let visited = ref [] in
     let rec check_bottom prev node =
       if node == t.tail then Ok ()
       else if List.memq node !visited then
         Error "bottom chain revisits a node (stale edge cycle)"
-      else if node.poisoned then
-        Error "reachable node is poisoned (reclaimed too early)"
       else begin
         visited := node :: !visited;
         let link = R.read node.next.(0) in
@@ -696,7 +579,7 @@ struct
     let* () = check_bottom Bottom (R.read t.head.next.(0)).succ in
     (* Every node on an upper head chain must sit in the bottom chain:
        nothing is ever unlinked except whole marked prefixes, which leave
-       every level before they are retired. *)
+       every level in the same pass. *)
     let bottom_nodes =
       let rec go acc node =
         if node == t.tail then acc else go (node :: acc) (R.read node.next.(0)).succ

@@ -8,8 +8,9 @@
     physical deletion is batched: once a walk from the head — a
     delete-min's claim or an insert's search — has hopped
     [restructure_threshold] marked nodes, the whole marked prefix is
-    unlinked with one CAS on the head and retired through the epoch
-    reclamation + node pool of DESIGN.md S17.  Spec: linearizable
+    unlinked with one CAS on the head.  Every node is allocated fresh and
+    never reused, so the GC, not an epoch, keeps an unlinked node alive
+    for a traverser still standing on it.  Spec: linearizable
     ([Queue_adapter] registers it as such), multiset semantics (duplicate
     keys kept).
 
@@ -23,8 +24,6 @@
     DESIGN.md S19. *)
 
 module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
-  module Reclaim : module type of Reclamation.Make (R)
-
   type 'v t
 
   val create :
@@ -32,20 +31,13 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
     ?max_level:int ->
     ?seed:int64 ->
     ?restructure_threshold:int ->
-    ?collect_every:int ->
-    ?broken_premature_free:bool ->
     unit ->
     'v t
   (** [restructure_threshold] (default 16): a delete-min walk that hops
       this many logically deleted nodes, or an insert whose search is
       still at the head after hopping this many, triggers the batched
-      physical unlink.  [collect_every] (default 4): reclamation pass
-      cadence, in successful restructures.  [broken_premature_free] wires
-      in the checker-validation mutant that frees and clobbers nodes at
-      unlink time without waiting for epoch quiescence — never set it
-      outside {!Broken}.  Raises [Invalid_argument] when [p] is outside
-      (0, 1) or [max_level], [restructure_threshold] or [collect_every] is
-      below 1. *)
+      physical unlink.  Raises [Invalid_argument] when [p] is outside
+      (0, 1) or [max_level] or [restructure_threshold] is below 1. *)
 
   val insert : 'v t -> K.t -> 'v -> unit
   (** CAS-links bottom-up; linearizes at the successful bottom-level CAS.
@@ -60,35 +52,12 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       otherwise the insert searches again from the head. *)
 
   val delete_min : 'v t -> (K.t * 'v) option
-  (** {!try_claim} inside the epoch, then the batched unlink once the walk
-      hopped [restructure_threshold] tombstones.  [None] is the paper's
-      EMPTY. *)
-
-  (** {1 Claim half of Delete-min} (white-box tests) — wrap it in
-      [enter]/[exit]. *)
-
-  type 'v node
-
-  val enter : 'v t -> unit
-  val exit : 'v t -> unit
-
-  type 'v claim_result =
-    | Claimed of 'v node * int  (** node, marked nodes hopped en route *)
-    | Empty of int
-
-  val try_claim : 'v t -> 'v claim_result
   (** Logical delete-min: walks the bottom level hopping marked nodes and
       claims the first live node by CAS-marking its bottom link — the
-      successful CAS is the linearization point ([Empty] linearizes at the
-      read of the tail-reaching link). *)
-
-  val claimed_binding : 'v node -> K.t * 'v
-  (** Reads a claimed node's key/value.  Safe between the claim and [exit];
-      raises (loudly, for the checker) if the node was reclaimed in flight,
-      which only the [broken_premature_free] mutant can cause. *)
-
-  val poisoned : 'v node -> bool
-  (** Whether reclamation has freed the node into the pool. *)
+      successful CAS is the linearization point ([None], the paper's
+      EMPTY, linearizes at the read of the tail-reaching link).  Then the
+      batched unlink, once the walk hopped [restructure_threshold]
+      tombstones. *)
 
   (** {1 Read-only views} (quiescent or best-effort) *)
 
@@ -102,8 +71,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   val check_invariants : 'v t -> (unit, string) result
   (** Quiescent structural check: live bottom keys non-descending
-      (duplicates allowed) with no poisoned node reachable, and every node
-      on an upper head chain present in the bottom chain.  Reachable
+      (duplicates allowed) with no node visited twice, and every node on
+      an upper head chain present in the bottom chain.  Reachable
       {e marked} nodes are legal anywhere — physical deletion is batched,
       and tombstone keys do not participate in the ordering. *)
 
@@ -125,13 +94,4 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   }
 
   val stats : 'v t -> stats
-
-  type pool_stats = Node_pool.stats = { returned : int; recycled : int; pooled : int }
-
-  val pool_stats : 'v t -> pool_stats
-  val reclaim_stats : 'v t -> Reclaim.stats
-
-  val collect_garbage : 'v t -> int
-  (** One reclamation pass over the processors seen so far (for quiescent
-      callers: tests, drains). *)
 end

@@ -337,20 +337,19 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
 
   (* Lock-free SkipQueue (DESIGN.md S19): CAS-linked insert, CAS-marked
      logical deletion (the claim CAS is Delete-min's linearization point),
-     batched physical unlinking through epoch reclamation. *)
+     batched physical unlinking of the marked prefix. *)
   let lf_instance () =
     let q = LF.create () in
     instance
       ~insert:(fun k v -> LF.insert q k v)
       ~try_delete_min:(fun () -> LF.delete_min q)
       ~stats:(fun () ->
-        let s = LF.stats q and ps = LF.pool_stats q and rs = LF.reclaim_stats q in
+        let s = LF.stats q in
         counts
           [ ("cas_failures", s.LF.cas_failures); ("marked_hops", s.LF.marked_hops);
             ("insert_marked_hops", s.LF.insert_marked_hops); ("restructures", s.LF.restructures); ("restructure_skips", s.LF.restructure_skips);
             ("unlinked", s.LF.unlinked); ("searches", s.LF.searches);
-            ("resumed_walks", s.LF.resumed_walks); ("pool_returned", ps.LF.returned);
-            ("pool_recycled", ps.LF.recycled); ("reclaim_pending", rs.LF.Reclaim.pending) ])
+            ("resumed_walks", s.LF.resumed_walks) ])
 
   let heap_instance ?capacity () =
     let h = Heap.create ?capacity () in

@@ -388,10 +388,7 @@ let test_every_mutant_caught () =
       let impl = m.Broken.impl ~capacity:blocking.Harness.capacity in
       let sweep seeds =
         match m.Broken.harness with
-        | Broken.Plain { procs } ->
-          let p = Harness.default_profile in
-          let profile = { p with Harness.procs = Option.value procs ~default:p.Harness.procs } in
-          Harness.sweep_impl ~profile impl seeds
+        | Broken.Plain -> Harness.sweep_impl impl seeds
         | Broken.Blocking -> Harness.sweep_blocking ~profile:blocking impl seeds
       in
       let s = sweep (Harness.seeds ~start:1L ~count:10) in

@@ -9,7 +9,6 @@ module Native_rt = Repro_runtime.Native_runtime
 module Rng = Repro_util.Rng
 
 module SQ_sim = Repro_skipqueue.Skipqueue.Make (Sim_rt) (Repro_pqueue.Key.Int)
-module LF_sim = Repro_skipqueue.Skipqueue_lf.Make (Sim_rt) (Repro_pqueue.Key.Int)
 module SQ_native = Repro_skipqueue.Skipqueue.Make (Native_rt) (Repro_pqueue.Key.Int)
 module Oracle = Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
 module SQ_float = Repro_skipqueue.Skipqueue.Make (Sim_rt) (Repro_pqueue.Key.Float)
@@ -529,83 +528,6 @@ let test_reclamation_under_churn () =
   | e :: _ -> Alcotest.fail e);
   check "collector reclaimed nodes" true (Option.get !reclaimed > 0)
 
-(* The ABA/recycle adversary, lock-free edition: a claimant HOLDS its
-   victim's node reference inside the epoch while other processors unlink,
-   retire and collect that very node.  The epoch guard must pin it — the
-   binding stays intact and the node unpoisoned for as long as the holder
-   is inside — and once the holder leaves, the same node must complete the
-   delete → reclaim → reuse cycle: poisoned, fed to the pool, recycled by
-   a later insert.  Without the guard this is exactly ABA: the holder
-   would read the recycled node's new identity through its stale
-   reference. *)
-let test_lf_aba_recycle_guard () =
-  let module LF = LF_sim in
-  let errors = ref [] in
-  let poisoned_while_held = ref false in
-  let poisoned_after_exit = ref false in
-  let pool = ref None in
-  let invariants = ref (Ok ()) in
-  let (_ : Machine.report) =
-    Machine.run (fun () ->
-        let q = LF.create ~seed:41L ~restructure_threshold:1 ~collect_every:1 () in
-        for i = 0 to 31 do
-          LF.insert q i i
-        done;
-        let victim = ref None in
-        (* Holder: claims the minimum, then sits inside its epoch while the
-           churners run the unlink/retire/collect machinery underneath. *)
-        Machine.spawn (fun () ->
-            LF.enter q;
-            (match LF.try_claim q with
-            | LF.Claimed (node, _) ->
-              victim := Some node;
-              let k, v = LF.claimed_binding node in
-              if (k, v) <> (0, 0) then
-                errors := Printf.sprintf "claimed (%d,%d), wanted (0,0)" k v :: !errors;
-              Machine.work 5_000_000;
-              (* Long since unlinked and retired by the churners — but the
-                 holder is still inside, so it must not be reclaimed. *)
-              if LF.poisoned node then poisoned_while_held := true;
-              let k', v' = LF.claimed_binding node in
-              if (k', v') <> (k, v) then
-                errors :=
-                  Printf.sprintf "binding changed to (%d,%d) while held" k' v' :: !errors
-            | LF.Empty _ -> errors := "holder found the queue empty" :: !errors);
-            LF.exit q);
-        (* Churners: drain past the victim; threshold 1 makes every walk
-           restructure-eligible, so the marked prefix (the victim included)
-           is unlinked early, and the interleaved collects keep trying to
-           free it while the holder is still inside. *)
-        for p = 0 to 1 do
-          Machine.spawn (fun () ->
-              Machine.work (10_000 + (p * 3_000));
-              for _ = 0 to 15 do
-                ignore (LF.delete_min q);
-                ignore (LF.collect_garbage q);
-                Machine.work 50_000
-              done)
-        done;
-        (* After the holder has exited: the victim must finish the cycle. *)
-        Machine.spawn (fun () ->
-            Machine.work 20_000_000;
-            ignore (LF.collect_garbage q);
-            (match !victim with
-            | Some node -> poisoned_after_exit := LF.poisoned node
-            | None -> ());
-            for i = 100 to 140 do
-              LF.insert q i i
-            done;
-            invariants := LF.check_invariants q;
-            pool := Some (LF.pool_stats q)))
-  in
-  (match !errors with [] -> () | e :: _ -> Alcotest.fail e);
-  check "epoch pinned the held node" false !poisoned_while_held;
-  check "node reclaimed after holder exit" true !poisoned_after_exit;
-  ok_or_fail !invariants;
-  let pool = Option.get !pool in
-  check "victim fed the pool" true (pool.LF.returned > 0);
-  check "later inserts recycled pooled nodes" true (pool.LF.recycled > 0)
-
 (* --- qcheck model ------------------------------------------------------- *)
 
 (* Random op sequences against a replace-on-duplicate map model.  The
@@ -702,34 +624,6 @@ let test_native_stress () =
   in
   check "no lost or invented elements" true (S.equal all_in all_out)
 
-(* --- node pool ------------------------------------------------------------- *)
-
-module Node_pool = Repro_skipqueue.Node_pool
-
-let pool_stats_is label (expected : Node_pool.stats) pool =
-  let s = Node_pool.stats pool in
-  Alcotest.(check (list int))
-    (label ^ ": returned, recycled, pooled")
-    [ expected.returned; expected.recycled; expected.pooled ]
-    [ s.returned; s.recycled; s.pooled ]
-
-let test_node_pool_heights () =
-  let pool = Node_pool.create ~max_level:4 in
-  check "empty pool" true (Node_pool.take pool ~level:1 = None);
-  Node_pool.put pool ~level:1 "a1";
-  Node_pool.put pool ~level:3 "c1";
-  Node_pool.put pool ~level:3 "c2";
-  pool_stats_is "after puts" { returned = 3; recycled = 0; pooled = 3 } pool;
-  check "no node of height 2" true (Node_pool.take pool ~level:2 = None);
-  check "no node of height 4" true (Node_pool.take pool ~level:4 = None);
-  let c = Node_pool.take pool ~level:3 in
-  check "height 3 gives a height-3 node" true (c = Some "c1" || c = Some "c2");
-  check "height 1 gives the height-1 node" true (Node_pool.take pool ~level:1 = Some "a1");
-  check "height 1 is drained" true (Node_pool.take pool ~level:1 = None);
-  pool_stats_is "after takes" { returned = 3; recycled = 2; pooled = 1 } pool;
-  Node_pool.put pool ~level:1 "a2";
-  pool_stats_is "after a second put" { returned = 4; recycled = 2; pooled = 2 } pool
-
 let () =
   Alcotest.run "skipqueue"
     [
@@ -774,10 +668,6 @@ let () =
           Alcotest.test_case "safe reclamation" `Quick test_reclamation_safety;
           Alcotest.test_case "concurrent collector under churn" `Quick
             test_reclamation_under_churn;
-          Alcotest.test_case "lock-free ABA/recycle guard" `Quick
-            test_lf_aba_recycle_guard;
-          Alcotest.test_case "node pool serves the requested height" `Quick
-            test_node_pool_heights;
         ] );
       ( "native",
         [

@@ -1,8 +1,9 @@
 (* Tests for the lock-free SkipQueue backend: sequential multiset
    semantics against a qcheck model, marked-node (tombstone) traversal and
    the batched-restructure threshold, instance-accounting conservation on
-   duplicate-heavy simulated workloads, trace-fingerprint determinism, and
-   a native-domain stress. *)
+   duplicate-heavy simulated workloads, the exact accesses of uncontended
+   operations, trace-fingerprint determinism, and a native-domain
+   stress. *)
 
 module Machine = Repro_sim.Machine
 module Sim_rt = Repro_sim.Sim_runtime
@@ -15,6 +16,14 @@ module LF_native = Repro_skipqueue.Skipqueue_lf.Make (Native_rt) (Repro_pqueue.K
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let ok_or_fail = function Ok () -> () | Error msg -> Alcotest.fail msg
+
+(* Access kinds, for pinning an operation's trace. *)
+let kind =
+  let open Repro_sim.Memory_model in
+  Alcotest.testable
+    (fun ppf k ->
+      Format.pp_print_string ppf (match k with Read -> "read" | Write -> "write" | Swap -> "swap"))
+    ( = )
 
 let in_sim f =
   let result = ref None in
@@ -68,8 +77,7 @@ let test_create_refusals () =
   refuses "p outside (0, 1)" (LF.create ~p:0.0);
   refuses "p outside (0, 1)" (LF.create ~p:1.0);
   refuses "max_level < 1" (LF.create ~max_level:0);
-  refuses "restructure_threshold < 1" (LF.create ~restructure_threshold:0);
-  refuses "collect_every < 1" (LF.create ~collect_every:0)
+  refuses "restructure_threshold < 1" (LF.create ~restructure_threshold:0)
 
 (* --- qcheck multiset model --------------------------------------------- *)
 
@@ -219,13 +227,6 @@ let test_lost_cas_resumes_from_predecessor () =
     upto_swap (after_first_swap (List.rev trace))
   in
   let retries = Hashtbl.fold (fun _ trace acc -> Option.to_list (retry trace) @ acc) accesses [] in
-  let kind =
-    Alcotest.testable
-      (fun ppf k ->
-        Format.pp_print_string ppf
-          (match k with Read -> "read" | Write -> "write" | Swap -> "swap"))
-      ( = )
-  in
   match retries with
   | [ retry ] ->
     check "the retry reads no upper head link" false
@@ -237,6 +238,39 @@ let test_lost_cas_resumes_from_predecessor () =
       "the walk starts at, and the CAS hits, the head's bottom link" [ head; head ]
       [ fst (List.hd retry); fst (List.nth retry 4) ]
   | l -> Alcotest.failf "%d inserts retried their bottom CAS, expected 1" (List.length l)
+
+(* --- the accesses of uncontended operations ------------------------------ *)
+
+(* An operation touches only the structure: an uncontended insert into an
+   empty one-level queue reads the head's bottom link, writes the new
+   node's link and CASes the head's; an uncontended delete-min on the
+   resulting one-element queue reads the head's link and the victim's,
+   CASes the mark in and reads the victim's key and value.  No processor
+   slot is written on entry or exit, and nothing else is charged. *)
+let test_uncontended_accesses () =
+  let open Repro_sim.Memory_model in
+  let kinds = ref [] in
+  let tracer = function
+    | Repro_sim.Trace.Accessed { kind; _ } -> kinds := kind :: !kinds
+    | _ -> ()
+  in
+  let measure f =
+    kinds := [];
+    f ();
+    List.rev !kinds
+  in
+  let insert = ref [] and delete = ref [] in
+  let (_ : Machine.report) =
+    Machine.run ~tracer (fun () ->
+        let q = LF.create ~max_level:1 () in
+        insert := measure (fun () -> LF.insert q 5 50);
+        delete :=
+          measure (fun () -> check "returns the element" true (LF.delete_min q = Some (5, 50))))
+  in
+  Alcotest.(check (list kind)) "insert: head link, new link, CAS" [ Read; Write; Swap ] !insert;
+  Alcotest.(check (list kind))
+    "delete-min: head link, victim link, mark CAS, key, value"
+    [ Read; Read; Swap; Read; Read ] !delete
 
 (* --- duplicate-heavy conservation under simulated concurrency ----------- *)
 
@@ -287,8 +321,7 @@ let stress_conservation ~procs ~ops ~key_range ~threshold ~seed () =
                 drained := kv :: !drained;
                 drain ()
             in
-            drain ();
-            ignore (LF.collect_garbage q)))
+            drain ()))
   in
   check "workers quiesced before the drain" true !quiescent;
   ok_or_fail !invariants;
@@ -307,7 +340,7 @@ let test_stress_duplicates () =
 
 let test_stress_eager_restructure () =
   (* Threshold 1: every delete-min walk is restructure-eligible, so the
-     unlink/retire path races everything constantly. *)
+     unlink path races everything constantly. *)
   stress_conservation ~procs:8 ~ops:50 ~key_range:5 ~threshold:1 ~seed:72L ()
 
 (* --- the tombstone prefix stays bounded ----------------------------------- *)
@@ -424,127 +457,6 @@ let test_trace_fingerprint_deterministic () =
   check "identical reports" true (report_a = report_b);
   check "the workload actually traced" true (String.length trace_a > 0)
 
-(* --- recycling contract --------------------------------------------------- *)
-
-(* The simulator's runtime, logging every cell allocation ([shared]) and
-   re-registration ([refresh]) by a cell id numbered in allocation order.
-   Any other access to a cell closes the current run of the log, so a
-   node's allocation, or a recycled node's refresh, which makes no access
-   in between, is one run. *)
-module Recording = struct
-  include (Sim_rt : Repro_runtime.Runtime_intf.S with type 'a shared := 'a Sim_rt.shared)
-
-  type 'a shared = { cell : 'a Sim_rt.shared; id : int }
-  type entry = Alloc of int | Refresh of int
-
-  let cells = ref 0
-  let closed = ref [] (* finished runs, newest first *)
-  let current = ref [] (* the open run, newest first *)
-
-  let reset () =
-    cells := 0;
-    closed := [];
-    current := []
-
-  let close () =
-    if !current <> [] then begin
-      closed := List.rev !current :: !closed;
-      current := []
-    end
-
-  let runs () =
-    close ();
-    List.rev !closed
-
-  let shared ?name v =
-    let id = !cells in
-    incr cells;
-    current := Alloc id :: !current;
-    { cell = Sim_rt.shared ?name v; id }
-
-  let refresh c v =
-    current := Refresh c.id :: !current;
-    Sim_rt.refresh c.cell v
-
-  let read c =
-    close ();
-    Sim_rt.read c.cell
-
-  let write c v =
-    close ();
-    Sim_rt.write c.cell v
-
-  let swap c v =
-    close ();
-    Sim_rt.swap c.cell v
-
-  let cas c expected v =
-    close ();
-    Sim_rt.cas c.cell expected v
-
-  let fetch_and_add c d =
-    close ();
-    Sim_rt.fetch_and_add c.cell d
-end
-
-module LF_rec = Repro_skipqueue.Skipqueue_lf.Make (Recording) (Repro_pqueue.Key.Int)
-
-(* A recycled node draws the line ids a fresh one would only if it
-   refreshes its cells in the order [make_node] allocated them.  Churn
-   with eager restructuring and a reclamation pass per restructure, so
-   the pool hands nodes back, then check every refresh run of the log:
-   consecutive cell ids, ascending, all allocated in one run (one node's
-   allocation). *)
-let test_recycled_node_refresh_order () =
-  Recording.reset ();
-  let recycled = ref 0 in
-  let (_ : Machine.report) =
-    Machine.run (fun () ->
-        let q = LF_rec.create ~seed:13L ~restructure_threshold:1 ~collect_every:1 () in
-        for i = 0 to 31 do
-          LF_rec.insert q i i
-        done;
-        for p = 0 to 3 do
-          Machine.spawn (fun () ->
-              for i = 0 to 59 do
-                if (i + p) mod 2 = 0 then ignore (LF_rec.delete_min q)
-                else LF_rec.insert q (100 + (i * 4) + p) i
-              done)
-        done;
-        Machine.spawn (fun () ->
-            Machine.work (1 lsl 40);
-            ok_or_fail (LF_rec.check_invariants q);
-            recycled := (LF_rec.pool_stats q).LF_rec.recycled))
-  in
-  let runs = Recording.runs () in
-  let alloc_run = Hashtbl.create 1024 in
-  List.iteri
-    (fun i run ->
-      List.iter (function Recording.Alloc id -> Hashtbl.replace alloc_run id i | _ -> ()) run)
-    runs;
-  let refresh_runs =
-    List.filter (function Recording.Refresh _ :: _ -> true | _ -> false) runs
-  in
-  check "the churn recycled nodes" true (!recycled > 0);
-  check_int "one refresh run per recycled node" !recycled (List.length refresh_runs);
-  List.iter
-    (fun run ->
-      let ids =
-        List.map
-          (function
-            | Recording.Refresh id -> id
-            | Recording.Alloc id -> Alcotest.failf "cell %d allocated amid a refresh" id)
-          run
-      in
-      let first = List.hd ids in
-      List.iteri
-        (fun i id ->
-          if id <> first + i || Hashtbl.find alloc_run id <> Hashtbl.find alloc_run first then
-            Alcotest.failf "refresh order [%s] is not the allocation order of one node"
-              (String.concat "; " (List.map string_of_int ids)))
-        ids)
-    refresh_runs
-
 (* --- native domains ----------------------------------------------------- *)
 
 let test_native_multiset_stress () =
@@ -577,7 +489,6 @@ let test_native_multiset_stress () =
       drain ()
   in
   drain ();
-  ignore (LF_native.collect_garbage q);
   let module S = Set.Make (struct
     type t = int * int
 
@@ -590,8 +501,9 @@ let test_native_multiset_stress () =
   check "no lost or invented elements" true (S.equal all_in all_out)
 
 (* Native processor ids are dense: a domain gives its id back when it
-   exits, so any number of domains spawned one after another stay within
-   the reclamation's processor slots. *)
+   exits, so any number of domains spawned one after another reuse the
+   [Per_proc] slots that hold each processor's level stream and search
+   scratch instead of growing them without bound. *)
 let test_native_many_sequential_domains () =
   let q = LF_native.create ~seed:7L () in
   for i = 1 to 1100 do
@@ -633,16 +545,13 @@ let () =
           Alcotest.test_case "drain/refill stays bounded" `Quick test_drain_refill_bounded;
           Alcotest.test_case "lost bottom CAS resumes from its predecessor" `Quick
             test_lost_cas_resumes_from_predecessor;
+          Alcotest.test_case "uncontended operations touch only the structure" `Quick
+            test_uncontended_accesses;
         ] );
       ( "determinism",
         [
           Alcotest.test_case "trace fingerprint" `Quick
             test_trace_fingerprint_deterministic;
-        ] );
-      ( "recycling",
-        [
-          Alcotest.test_case "recycled nodes refresh in allocation order" `Quick
-            test_recycled_node_refresh_order;
         ] );
       ( "native",
         [
