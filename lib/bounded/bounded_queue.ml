@@ -27,8 +27,9 @@
    - Cross-side notifications ([notify_not_empty], [return_room])
      signal under [pop_lock], and only once the credit they announce
      has landed.  A signal sent without that lock races the waiter's
-     test-then-park window; that bug is available behind
-     [broken_wakeup] as the fuzzer's lost-wakeup mutant.
+     test-then-park window.  So does a [cond_wait] whose release and
+     park are torn apart, which is how the fuzzer's lost-wakeup mutant
+     breaks this façade (a [Torn_wait] runtime, lib/check/faulty.ml).
 
    Edge transitions signal ([items] leaving zero, [admitted] leaving
    [capacity]); consumers chain-signal [not_empty] while credits and
@@ -51,7 +52,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
   type t = {
     capacity : int;
     dedups : bool;
-    broken : bool; (* lost-wakeup mutant (fuzzer self-test only) *)
     backend_insert : int -> int -> unit;
     backend_pop : unit -> (int * int) option;
     push_lock : R.lock;
@@ -67,15 +67,13 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     c : counters;
   }
 
-  let create ~capacity ?(dedups = false) ?(broken_wakeup = false)
-      ?(name = "bounded") ~insert ~try_delete_min () =
+  let create ~capacity ?(dedups = false) ?(name = "bounded") ~insert ~try_delete_min () =
     if capacity < 1 then invalid_arg "Bounded_queue.create: capacity < 1";
     let push_lock = R.lock_create ~name:(name ^ ".push") () in
     let pop_lock = R.lock_create ~name:(name ^ ".pop") () in
     {
       capacity;
       dedups;
-      broken = broken_wakeup;
       backend_insert = insert;
       backend_pop = try_delete_min;
       push_lock;
@@ -110,10 +108,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     end
 
   (* Give back the room of one removed (or never-present) element; a
-     caller that holds [pop_lock] says so with [locked].  The mutant
-     announced the room already, when it took its item credit. *)
+     caller that holds [pop_lock] says so with [locked]. *)
   let return_room ?(locked = false) t =
-    if R.fetch_and_add t.admitted (-1) = t.capacity && not t.broken then
+    if R.fetch_and_add t.admitted (-1) = t.capacity then
       if locked then signal_room t
       else begin
         R.acquire t.pop_lock;
@@ -137,14 +134,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     R.acquire t.push_lock;
     if R.read t.admitted >= t.capacity then wait_room t;
     ignore (R.fetch_and_add t.admitted 1);
-    (* MUTANT: announce the item now, under the push lock instead of the
-       consumers' pop lock, before the element or its credit exists.  A
-       consumer woken here re-tests [items], finds nothing and parks
-       again; the credit then lands with no signal behind it. *)
-    if t.broken && R.read t.items <= 0 then R.cond_signal t.not_empty;
     R.release t.push_lock;
     t.backend_insert k v;
-    if R.fetch_and_add t.items 1 = 0 && not t.broken then notify_not_empty t
+    if R.fetch_and_add t.items 1 = 0 then notify_not_empty t
 
   (* Take one element; the caller holds [pop_lock] and [block] decides the
      empty behaviour.  An item credit is taken under the lock and the pop
@@ -178,8 +170,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
         R.cond_signal t.not_empty
       end;
       R.release t.pop_lock;
-      (* MUTANT: the room announced with no lock held, before the pop *)
-      if t.broken && R.read t.admitted >= t.capacity then R.cond_signal t.not_full;
       match t.backend_pop () with
       | Some _ as got ->
         return_room t;

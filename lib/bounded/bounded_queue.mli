@@ -11,9 +11,10 @@
     while none is available.  The backend is called outside both locks.
     Signals are sent while holding the pop lock, after the credit they
     announce lands, and chained across parked consumers, which is what
-    makes the façade lost-wakeup-free (DESIGN.md §18 gives the argument;
-    the deliberate counterexample is available as [broken_wakeup] for
-    the fuzzer's mutant sweep).
+    makes the façade lost-wakeup-free (DESIGN.md §18 gives the argument).
+    It relies on [cond_wait] releasing the pop lock and parking in one
+    atomic step; the fuzzer's lost-wakeup mutant runs this façade over a
+    runtime whose [cond_wait] tears the two apart.
 
     Ordering contract: the locks order only credit-taking.  Producers'
     backend inserts run concurrently with each other, and so do
@@ -29,7 +30,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
   val create :
     capacity:int ->
     ?dedups:bool ->
-    ?broken_wakeup:bool ->
     ?name:string ->
     insert:(int -> int -> unit) ->
     try_delete_min:(unit -> (int * int) option) ->
@@ -42,11 +42,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
       concurrent take explains as a stale item credit and burns it,
       freeing its room, instead of retrying.  [name] prefixes the internal lock/condition names
       ([name.push], [name.pop], [name.not_full], [name.not_empty]) for
-      traces and deadlock diagnostics.  [broken_wakeup] (default false)
-      plants the classic lost-wakeup bug — cross-side signals sent without
-      the waiter's lock (a producer's under the push lock, a consumer's
-      under none), before the credit they announce exists — for checker
-      self-tests only.  Raises [Invalid_argument] if [capacity < 1]. *)
+      traces and deadlock diagnostics.  Raises [Invalid_argument] if
+      [capacity < 1]. *)
 
   val capacity : t -> int
 

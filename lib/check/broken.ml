@@ -1,7 +1,6 @@
 (* The planted mutants: deliberately broken queues that prove the fuzzer
-   and the checkers catch real races.  Five are correct structures over a
-   [Faulty] runtime; the lost wakeup is a flag of its production module,
-   because no runtime fault reproduces it (DESIGN.md §6). *)
+   and the checkers catch real races.  All six are correct structures
+   over a [Faulty] runtime. *)
 
 exception Wedged of string
 
@@ -117,15 +116,18 @@ let co =
     ~try_delete_min:Q.delete_min
     (fun () -> Q.create ~mode:Q.Strict ~capacity:1 ())
 
-(* [broken_wakeup]: cross-side signals sent without the waiter's lock (a
-   producer's under its push lock, a consumer's under no lock), before the
-   credit they announce exists.  A
-   consumer woken by one finds no credit and parks again, and the credit
-   then lands unannounced; once every consumer is parked and the
+(* Torn condition waits under the bounded façade over the strict
+   SkipQueue: a waiter releases the pop lock 200 cycles before it parks,
+   and a credit's signal sent in that window finds no parked waiter.
+   Once every consumer is parked with the credits landed and the
    producers are done, the simulator's deadlock detector fires. *)
 let wakeup ~capacity =
-  let module Q = Repro_skipqueue.Skipqueue.Make (Repro_sim.Sim_runtime) (Key) in
-  let module B = Repro_bounded.Bounded_queue.Make (Repro_sim.Sim_runtime) in
+  let module R = Faulty.Make (struct
+    let target = Some { Faulty.fault = Torn_wait; cells = None }
+    let wedged = wedged "torn condition wait" "unbounded hunt"
+  end) in
+  let module Q = Repro_skipqueue.Skipqueue.Make (R) (Key) in
+  let module B = Repro_bounded.Bounded_queue.Make (R) in
   {
     QA.name = "BrokenBoundedSkipQueue";
     dedups = true;
@@ -133,9 +135,10 @@ let wakeup ~capacity =
     rank_bound = None;
     create =
       (fun () ->
+        Faulty.reset ();
         let q = Q.create ~mode:Q.Strict () in
         let b =
-          B.create ~capacity ~dedups:true ~broken_wakeup:true ~name:"broken-bounded"
+          B.create ~capacity ~dedups:true ~name:"broken-bounded"
             ~insert:(fun k v -> ignore (Q.insert q k v))
             ~try_delete_min:(fun () -> Q.delete_min q)
             ()

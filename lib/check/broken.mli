@@ -3,7 +3,7 @@
     {!Repro_workload.Queue_adapter.all}; all are simulator-only, and a
     sweep over each must produce violations ([bin/check --broken]).
 
-    Five are correct structures over a {!Faulty} runtime:
+    All six are correct structures over a {!Faulty} runtime:
     - [swap]: the strict SkipQueue with every SWAP torn, so two
       Delete-mins claim one node;
     - [elim]: the elimination front end with every CAS torn (its
@@ -13,12 +13,10 @@
     - [klsm]: the k-LSM at k = 1 with a blind CAS on its block list
       ([klsm-blocks]), so a concurrent publish is overwritten;
     - [co]: the coalescing SkipQueue at capacity 1 with a blind CAS on
-      every node's packed lock word ([co.word]).
-
-    One is a flag of its production module, since no runtime fault
-    reproduces it (DESIGN.md §6): [wakeup], the bounded façade's
-    [broken_wakeup], which signals the other end without the waiter's
-    lock, before the credit it announces exists. *)
+      every node's packed lock word ([co.word]);
+    - [wakeup]: the strict SkipQueue behind the bounded façade with every
+      condition wait torn, so a signal sent while a consumer is between
+      releasing the pop lock and parking is lost. *)
 
 exception Wedged of string
 (** Raised from inside the simulation by a {!Faulty} watchdog once a

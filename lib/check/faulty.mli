@@ -20,12 +20,19 @@ type fault =
   | Blind_cas
       (** [cas] becomes a plain write that always succeeds, whatever the
           cell holds *)
+  | Torn_wait
+      (** [cond_wait] decays into a release of the guarding lock, 200
+          cycles of work, a re-acquire, and only then the atomic
+          release-and-park: a signal sent in that window finds no parked
+          waiter and is lost.  The lost-wakeup mutant's kill rate grows
+          with the window (DESIGN.md §6). *)
 
 type target = {
   fault : fault;
   cells : string option;
-      (** [None]: every cell; [Some n]: only cells allocated with
-          [shared ~name:n] *)
+      (** [None]: every cell and condition; [Some n]: only cells allocated
+          with [shared ~name:n], or conditions created with
+          [cond_create ~name:n] *)
 }
 
 val budget : int

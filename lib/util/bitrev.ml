@@ -16,18 +16,3 @@ let position_of_size s =
   in
   let base = 1 lsl level_bits in
   base + reverse ~bits:level_bits (s - base)
-
-type t = { mutable size : int }
-
-let create () = { size = 0 }
-let size t = t.size
-
-let next t =
-  t.size <- t.size + 1;
-  position_of_size t.size
-
-let prev t =
-  if t.size <= 0 then invalid_arg "Bitrev.prev: counter is empty";
-  let pos = position_of_size t.size in
-  t.size <- t.size - 1;
-  pos

@@ -1,10 +1,10 @@
-(** Bit-reversed counters, as used by the Hunt et al. concurrent heap.
+(** The bit-reversed fill order of the Hunt et al. concurrent heap.
 
     Successive insertions into the heap must target leaves that are as far
     apart as possible so that concurrent bottom-up bubbling paths do not
     share nodes.  Hunt et al. achieve this by allocating the [i]-th slot of
-    each heap level in bit-reversed order of [i].  This module provides both
-    a pure function and the incremental counter from their paper. *)
+    each heap level in bit-reversed order of [i]; this module computes
+    that order. *)
 
 val reverse : bits:int -> int -> int
 (** [reverse ~bits n] reverses the lowest [bits] bits of [n].
@@ -12,26 +12,7 @@ val reverse : bits:int -> int -> int
 
 val position_of_size : int -> int
 (** [position_of_size s] is the (1-based) heap slot holding the [s]-th
-    element under bit-reversed filling — the pure function behind {!next}
-    and {!prev}, and what the concurrent heap computes under its size
-    lock.  Raises [Invalid_argument] when [s <= 0]. *)
-
-type t
-(** An incremental bit-reversed sequence: the [k]-th value of the counter is
-    the position of the [k]-th occupied heap slot. *)
-
-val create : unit -> t
-(** A counter positioned before the first element (heap of size 0). *)
-
-val size : t -> int
-(** Number of [next] minus number of [prev] calls so far, i.e. the heap
-    size this counter mirrors. *)
-
-val next : t -> int
-(** Advance to the next slot and return its (1-based) heap index.  The
-    sequence enumerates each heap level in bit-reversed order:
-    1, 2, 3, 4, 6, 5, 7, 8, 12, 10, 14, ... *)
-
-val prev : t -> int
-(** Undo the latest [next]; returns the index that was vacated.  It is an
-    error to call [prev] on a counter of size 0. *)
+    element under bit-reversed filling, which the concurrent heap computes
+    under its size lock.  Successive sizes enumerate each heap level in
+    bit-reversed order: 1, 2, 3, 4, 6, 5, 7, 8, 12, 10, 14, ...  Raises
+    [Invalid_argument] when [s <= 0]. *)

@@ -128,7 +128,7 @@ end
 let validate who w =
   let fail fmt = Printf.ksprintf invalid_arg ("%s: " ^^ fmt) who in
   if w.procs < 1 then fail "procs < 1";
-  if w.insert_ratio < 0.0 || w.insert_ratio > 1.0 then fail "insert_ratio outside [0, 1]";
+  if not (w.insert_ratio >= 0.0 && w.insert_ratio <= 1.0) then fail "insert_ratio outside [0, 1]";
   if w.key_range < 1 || w.key_range > Queue_adapter.max_key_range then
     fail "key_range %d outside [1, %d]" w.key_range Queue_adapter.max_key_range;
   if w.initial_size < 0 then fail "initial_size < 0";

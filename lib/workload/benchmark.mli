@@ -11,9 +11,9 @@
     points run one call loop, so {!run} and {!native} on the same workload
     issue the same call sequence per processor.  Each raises
     [Invalid_argument "<entry point>: <reason>"] for a workload with
-    [procs < 1], [insert_ratio] outside [0, 1], [key_range] outside
-    [1, {!Queue_adapter.max_key_range}], or a negative [initial_size],
-    [total_ops] or [work_cycles]. *)
+    [procs < 1], an [insert_ratio] outside [0, 1] (or NaN), a [key_range]
+    outside [1, {!Queue_adapter.max_key_range}], or a negative
+    [initial_size], [total_ops] or [work_cycles]. *)
 
 type workload = {
   procs : int;

@@ -124,20 +124,26 @@ type backend = Sim | Native
 (* default_workload concurrency: the MultiQueue and k-LSM are sized for it *)
 let registry_procs = 16
 
+(* The canonical bases, in listing order, the parameterized ones at their
+   registry defaults. *)
+let bases =
+  [ Skipqueue; Lf; Co; Heap; Funnel_list; Multiqueue; Klsm 256; Delete_funnel; Reclamation;
+    Bin 65_536 ]
+
+(* Every valid descriptor over [bases]: each base in each of its flavors,
+   then all of them again behind the façade.  The façade's capacity (1024)
+   is far above what the standard mixed-ops check profile admits, so a
+   bounded: entry behaves as its inner backend under that sweep; capacity
+   pressure is the blocking harness's job. *)
 let registry backend =
-  let relaxed d = { d with relaxed = true } and elim d = { d with elim = true } in
-  let bounded d = { d with bounded = Some default_capacity } in
-  let sq = plain Skipqueue and co = plain Co in
-  (* The façade entries' capacity (1024) is far above what the standard
-     mixed-ops check profile admits, so they behave as their inner backend
-     under that sweep; capacity pressure is the blocking harness's job. *)
-  [
-    sq; relaxed sq; plain Lf; co; relaxed co; elim sq; relaxed (elim sq); elim co;
-    plain Heap; plain Funnel_list; plain Multiqueue; plain (Klsm 256); plain Delete_funnel;
-    plain Reclamation; plain (Bin 65_536); bounded sq; bounded (relaxed sq); bounded (plain Lf);
-    bounded co; bounded (plain Heap); bounded (plain Multiqueue);
-  ]
-  |> List.filter (fun d -> backend = Sim || not (sim_only d.base))
+  List.concat_map
+    (fun bounded ->
+      List.concat_map
+        (fun base ->
+          List.map (fun (relaxed, elim) -> { base; relaxed; elim; bounded }) (flavors base))
+        bases)
+    [ None; Some default_capacity ]
+  |> List.filter (fun d -> Result.is_ok (validate d) && (backend = Sim || not (sim_only d.base)))
 
 let names backend = List.map name (registry backend)
 
@@ -159,9 +165,6 @@ let chop_suffix p s =
   let lp = String.length p and ls = String.length s in
   if ls >= lp && String.sub s (ls - lp) lp = p then Some (String.sub s 0 (ls - lp)) else None
 
-let fixed_bases =
-  [ Skipqueue; Lf; Co; Heap; Funnel_list; Multiqueue; Delete_funnel; Reclamation ]
-
 (* [None] when [n] spells no base at all; [Some (Error _)] when it spells a
    parameterized base with a malformed parameter. *)
 let base_of ~input n =
@@ -176,7 +179,8 @@ let base_of ~input n =
           (Error
              (Printf.sprintf "malformed %s %S in %S (expected %s)" what digits input expected)))
   in
-  match List.find_opt (fun b -> normalize (base_name b) = n) fixed_bases with
+  (* A parameterized base matches here only at its registry default. *)
+  match List.find_opt (fun b -> normalize (base_name b) = n) bases with
   | Some b -> Some (Ok b)
   | None -> (
     match param ~prefix:"klsm:" ~suffix:"" ~what:"k-LSM rank bound"

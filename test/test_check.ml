@@ -433,10 +433,10 @@ let test_broken_elim_caught () =
     (caught_and_replays "torn CAS" (Harness.sweep_impl impl) (Harness.seeds ~start:1L ~count:10))
 
 let test_broken_wakeup_caught () =
-  (* The lost-wakeup mutant signals the other end before the credit it
-     announces exists; some schedule strands a parked processor, which the
-     simulator reports as a deadlock and the harness converts into an
-     execution violation naming the condition. *)
+  (* The lost-wakeup mutant's waiters release the pop lock before they
+     park, so a signal can fall between the two; some schedule strands a
+     parked processor, which the simulator reports as a deadlock and the
+     harness converts into an execution violation naming the condition. *)
   let profile = { small_blocking with Harness.capacity = 4 } in
   let impl = (mutant "wakeup").Broken.impl ~capacity:4 in
   let msg =
@@ -505,6 +505,46 @@ let test_faulty_torn_fetch_and_add () =
   Alcotest.(check int) "torn add loses an increment" 1 !torn;
   Alcotest.(check int) "untorn add keeps both" 2 !whole
 
+(* [Torn_wait] tears [cond_wait] apart: P1 marks itself waiting under the
+   lock and waits, P2 (already queued on the lock) sees the mark, signals
+   and releases.  On the named condition the signal lands while P1 is
+   between its release and its park, so P1 parks for good and the
+   simulator reports a deadlock naming the condition; on another
+   condition of the same runtime the wait is atomic and P2's signal wakes
+   P1. *)
+let test_faulty_torn_cond_wait () =
+  let module F = Repro_check.Faulty.Make (struct
+    let target = Some { Repro_check.Faulty.fault = Torn_wait; cells = Some "gate" }
+    let wedged = Exit
+  end) in
+  let run name =
+    Repro_check.Faulty.reset ();
+    let woken = ref false in
+    match
+      Repro_sim.Machine.run (fun () ->
+          let lock = F.lock_create ~name:"guard" () in
+          let cond = F.cond_create ~name lock and waiting = ref false in
+          Repro_sim.Machine.spawn (fun () ->
+              F.acquire lock;
+              waiting := true;
+              F.work 100;
+              F.cond_wait cond;
+              woken := true;
+              F.release lock);
+          Repro_sim.Machine.spawn (fun () ->
+              F.work 10;
+              F.acquire lock;
+              if !waiting then F.cond_signal cond;
+              F.release lock))
+    with
+    | (_ : Repro_sim.Machine.report) -> Ok !woken
+    | exception Repro_sim.Machine.Deadlock msg -> Error msg
+  in
+  (match run "gate" with
+  | Ok _ -> Alcotest.fail "torn wait completed"
+  | Error msg -> check "deadlock names the condition" true (contains msg "condition \"gate\""));
+  Alcotest.(check (result bool string)) "untorn wait is woken" (Ok true) (run "open")
+
 let () =
   Alcotest.run "check"
     [
@@ -548,5 +588,6 @@ let () =
             test_faulty_without_fault_is_sim;
           Alcotest.test_case "torn fetch_and_add loses an increment" `Quick
             test_faulty_torn_fetch_and_add;
+          Alcotest.test_case "torn cond_wait loses a wakeup" `Quick test_faulty_torn_cond_wait;
         ] );
     ]

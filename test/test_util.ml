@@ -141,36 +141,21 @@ let test_bitrev_involution () =
 
 let test_bitrev_counter_sequence () =
   (* Hunt et al.'s published fill order for the first 12 slots. *)
-  let t = Bitrev.create () in
-  let got = List.init 12 (fun _ -> Bitrev.next t) in
+  let got = List.init 12 (fun i -> Bitrev.position_of_size (i + 1)) in
   Alcotest.(check (list int)) "fill order" [ 1; 2; 3; 4; 6; 5; 7; 8; 12; 10; 14; 9 ] got
 
 let test_bitrev_counter_levels_disjoint () =
   (* Every heap level must be filled exactly once: positions 2^l .. 2^(l+1)-1
      are a permutation. *)
-  let t = Bitrev.create () in
   let seen = Hashtbl.create 64 in
   for s = 1 to 255 do
-    let pos = Bitrev.next t in
+    let pos = Bitrev.position_of_size s in
     check_bool "unseen" true (not (Hashtbl.mem seen pos));
     Hashtbl.add seen pos ();
     (* position lies in the same level as s *)
     let level n = int_of_float (Float.log2 (float_of_int n)) in
     check_int "same level" (level s) (level pos)
   done
-
-let test_bitrev_prev_inverts_next () =
-  let t = Bitrev.create () in
-  let forward = List.init 50 (fun _ -> Bitrev.next t) in
-  let backward = List.init 50 (fun _ -> Bitrev.prev t) in
-  Alcotest.(check (list int)) "prev mirrors next" (List.rev forward) backward;
-  check_int "empty again" 0 (Bitrev.size t)
-
-let test_bitrev_prev_on_empty () =
-  let t = Bitrev.create () in
-  Alcotest.check_raises "prev on empty"
-    (Invalid_argument "Bitrev.prev: counter is empty") (fun () ->
-      ignore (Bitrev.prev t))
 
 (* --- Stats -------------------------------------------------------------- *)
 
@@ -345,8 +330,6 @@ let () =
           Alcotest.test_case "involution" `Quick test_bitrev_involution;
           Alcotest.test_case "counter sequence" `Quick test_bitrev_counter_sequence;
           Alcotest.test_case "levels disjoint" `Quick test_bitrev_counter_levels_disjoint;
-          Alcotest.test_case "prev inverts next" `Quick test_bitrev_prev_inverts_next;
-          Alcotest.test_case "prev on empty" `Quick test_bitrev_prev_on_empty;
         ] );
       ( "stats",
         [

@@ -102,6 +102,7 @@ let bad_workloads =
   [
     ((fun w -> { w with Benchmark.procs = 0 }), "procs < 1");
     ((fun w -> { w with Benchmark.insert_ratio = 1.5 }), "insert_ratio outside [0, 1]");
+    ((fun w -> { w with Benchmark.insert_ratio = Float.nan }), "insert_ratio outside [0, 1]");
     ((fun w -> { w with Benchmark.key_range = 0 }), "key_range 0 outside [1, 1048576]");
     ( (fun w -> { w with Benchmark.key_range = 1 lsl 40 }),
       "key_range 1099511627776 outside [1, 1048576]" );
@@ -372,26 +373,51 @@ let test_elim_flavors_same_stats () =
    sweep and the native sweep print in it). *)
 let sim_names =
   [
-    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "Relaxed SkipQueue-co";
-    "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-co-elim";
-    "Heap"; "FunnelList"; "MultiQueue"; "klsm:256"; "SkipQueue + delete funnel";
-    "SkipQueue + reclamation"; "BinQueue(65536)"; "bounded:SkipQueue";
-    "bounded:Relaxed SkipQueue"; "bounded:SkipQueue-lf"; "bounded:SkipQueue-co"; "bounded:Heap";
-    "bounded:MultiQueue";
+    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-lf";
+    "SkipQueue-co"; "Relaxed SkipQueue-co"; "SkipQueue-co-elim"; "Heap"; "FunnelList";
+    "MultiQueue"; "klsm:256"; "SkipQueue + delete funnel"; "SkipQueue + reclamation";
+    "BinQueue(65536)"; "bounded:SkipQueue"; "bounded:Relaxed SkipQueue"; "bounded:SkipQueue-elim";
+    "bounded:Relaxed SkipQueue-elim"; "bounded:SkipQueue-lf"; "bounded:SkipQueue-co";
+    "bounded:Relaxed SkipQueue-co"; "bounded:SkipQueue-co-elim"; "bounded:Heap";
+    "bounded:FunnelList"; "bounded:MultiQueue"; "bounded:klsm:256"; "bounded:BinQueue(65536)";
   ]
 
 let native_names =
   [
-    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-lf"; "SkipQueue-co"; "Relaxed SkipQueue-co";
-    "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-co-elim";
-    "Heap"; "FunnelList"; "MultiQueue"; "klsm:256"; "bounded:SkipQueue";
-    "bounded:Relaxed SkipQueue"; "bounded:SkipQueue-lf"; "bounded:SkipQueue-co"; "bounded:Heap";
-    "bounded:MultiQueue";
+    "SkipQueue"; "Relaxed SkipQueue"; "SkipQueue-elim"; "Relaxed SkipQueue-elim"; "SkipQueue-lf";
+    "SkipQueue-co"; "Relaxed SkipQueue-co"; "SkipQueue-co-elim"; "Heap"; "FunnelList";
+    "MultiQueue"; "klsm:256"; "bounded:SkipQueue"; "bounded:Relaxed SkipQueue";
+    "bounded:SkipQueue-elim"; "bounded:Relaxed SkipQueue-elim"; "bounded:SkipQueue-lf";
+    "bounded:SkipQueue-co"; "bounded:Relaxed SkipQueue-co"; "bounded:SkipQueue-co-elim";
+    "bounded:Heap"; "bounded:FunnelList"; "bounded:MultiQueue"; "bounded:klsm:256";
   ]
+
+(* The registry is derived, not listed: every modifier combination over
+   the canonical bases that [validate] accepts, unbounded ones first. *)
+let canonical_bases =
+  QA.
+    [
+      Skipqueue; Lf; Co; Heap; Funnel_list; Multiqueue; Klsm 256; Delete_funnel; Reclamation;
+      Bin 65_536;
+    ]
 
 let test_registry_names_pinned () =
   Alcotest.(check (list string)) "simulator names" sim_names (QA.names QA.Sim);
-  Alcotest.(check (list string)) "native names" native_names (QA.names QA.Native)
+  Alcotest.(check (list string)) "native names" native_names (QA.names QA.Native);
+  let accepted =
+    List.concat_map
+      (fun bounded ->
+        List.concat_map
+          (fun base ->
+            List.filter_map
+              (fun (relaxed, elim) ->
+                let d = { QA.base; relaxed; elim; bounded } in
+                if Result.is_ok (QA.validate d) then Some d else None)
+              [ (false, false); (true, false); (false, true); (true, true) ])
+          canonical_bases)
+      [ None; Some 1024 ]
+  in
+  check "simulator registry is every accepted descriptor" true (QA.registry QA.Sim = accepted)
 
 (* Every registry name parses, prints back byte-identical and resolves to
    the contract each implementation has always declared; a bounded: entry
