@@ -33,9 +33,9 @@ module Harness = Repro_check.Harness
 
 let pp_spec = function
   | QA.Linearizable -> "linearizable"
-  | QA.Quiescent -> "quiescent"
+  | QA.Quiescent _ -> "quiescent"
   | QA.Relaxed -> "relaxed"
-  | QA.Rank_bounded -> "rank-bounded"
+  | QA.Rank_bounded _ -> "rank-bounded"
 
 (* How a selected implementation is swept. *)
 type harness = Plain of Harness.profile | Blocking
@@ -161,10 +161,19 @@ let run seeds start_seed backends procs ops jitter broken mutant replay blocking
          processor's start at cycle %d"
         jitter seed last_response drain_start
   in
+  (* The name column is 28 wide, or as wide as the longest selected name
+     when that is longer (the default sweep's "bounded:Relaxed
+     SkipQueue-elim" is 30). *)
+  let width =
+    List.fold_left
+      (fun w ((s : Harness.summary), _, _, _) -> Int.max w (String.length s.Harness.impl))
+      28 summaries
+  in
   List.iter
     (fun ((s : Harness.summary), harness, target, _) ->
       if not quiet then
-        Printf.printf "%-28s %-13s %4d seeds  %7d ops  %s\n" s.Harness.impl (pp_spec s.Harness.spec)
+        Printf.printf "%-*s %-13s %4d seeds  %7d ops  %s\n" width s.Harness.impl
+          (pp_spec s.Harness.spec)
           s.Harness.runs s.Harness.events
           (match s.Harness.violations with
           | [] -> "ok"

@@ -30,13 +30,11 @@ module Torn_cas = Faulty.Make (struct
 end)
 
 (* The mutants report no structure counters of their own. *)
-let impl ?(dedups = false) ?(spec = QA.Linearizable) ?rank_bound name ~insert ~try_delete_min
-    create =
+let impl ?(dedups = false) ?(spec = QA.Linearizable) name ~insert ~try_delete_min create =
   {
     QA.name;
     dedups;
     spec;
-    rank_bound;
     create =
       (fun () ->
         Faulty.reset ();
@@ -83,8 +81,8 @@ let lf_claim =
    publish and a merge) both read one list and the second write drops the
    first's block, whose elements become unreachable from every view.  At
    k = 1 the buffers hold nothing, so every insert publishes.  Conservation
-   catches the loss; so does the k-keyed rank envelope, in whose replay
-   the lost small elements stay live. *)
+   catches the loss; so does the rank check at the declared k = 1, as
+   later deletes skip the lost small elements. *)
 let klsm =
   let module Q =
     Repro_klsm.Klsm.Make
@@ -93,7 +91,7 @@ let klsm =
         let wedged = wedged "blind block-list CAS" "unbounded hunt"
       end))
   in
-  impl ~spec:QA.Rank_bounded ~rank_bound:1 "Broken klsm:1 (blind CAS)"
+  impl ~spec:(QA.spec_of (QA.plain (QA.Klsm 1))) "Broken klsm:1 (blind CAS)"
     ~insert:Q.insert ~try_delete_min:Q.delete_min (fun () -> Q.create ~k:1 ~procs:6 ())
 
 (* Blind CAS on the coalescing queue's packed lock word: a level-lock
@@ -132,7 +130,6 @@ let wakeup ~capacity =
     QA.name = "BrokenBoundedSkipQueue";
     dedups = true;
     spec = QA.Linearizable;
-    rank_bound = None;
     create =
       (fun () ->
         Faulty.reset ();

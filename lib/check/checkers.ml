@@ -14,15 +14,6 @@ type history = {
 
 type verdict = Pass | Fail of string | Skip of string
 
-type bounds = { max_rank : int; mean_rank : float }
-
-(* The rank ceilings are sized for the registry's MultiQueue (32 shards,
-   2-choice): its expected per-delete rank error is O(shards), so the mean
-   must stay below the shard count and no single delete should exceed a
-   few multiples of it.  An 80-seed sweep of the default profile observed
-   worst mean 19.0 and worst single rank 50. *)
-let default_bounds = { max_rank = 128; mean_rank = 32.0 }
-
 let of_result = function Ok () -> Pass | Error msg -> Fail msg
 
 (* --- wrappers over the lib/pqueue oracle --------------------------------- *)
@@ -35,64 +26,29 @@ let conservation h =
      applies — sort the drain before handing it over. *)
   let drained =
     match h.spec with
-    | QA.Rank_bounded -> List.sort compare h.drained
-    | QA.Linearizable | QA.Quiescent | QA.Relaxed -> h.drained
+    | QA.Rank_bounded _ -> List.sort compare h.drained
+    | QA.Linearizable | QA.Quiescent _ | QA.Relaxed -> h.drained
   in
   of_result (O.check_conservation ~initial:[] ~drained h.events)
 
 let strict h = of_result (O.check_strict h.events)
 
-(* --- sequential-spec replay ---------------------------------------------- *)
-
-module Int_map = Map.Make (Int)
-
-(* Applies only to histories with no overlapping operations (e.g. a
-   single-worker fuzz run): every response is then checked against the
-   sequential specification, exactly. *)
-let sequential_replay h =
-  let by_invocation =
-    List.sort (fun a b -> compare (a.O.invoked, a.O.responded) (b.O.invoked, b.O.responded))
-      h.events
-  in
-  let rec overlaps = function
-    | a :: (b :: _ as rest) -> a.O.responded > b.O.invoked || overlaps rest
-    | [] | [ _ ] -> false
-  in
-  if overlaps by_invocation then Skip "history is concurrent"
-  else begin
-    (* live : key -> id list (a singleton under update-in-place) *)
-    let step live e =
-      match e.O.op with
-      | O.Insert { key; id } ->
-        let ids = Option.value ~default:[] (Int_map.find_opt key live) in
-        let ids = if h.dedups then [ id ] else id :: ids in
-        Ok (Int_map.add key ids live)
-      | O.Delete_min { result = None } ->
-        if Int_map.is_empty live then Ok live
-        else
-          Error
-            (Printf.sprintf "sequential Delete-min returned EMPTY with %d live keys"
-               (Int_map.cardinal live))
-      | O.Delete_min { result = Some (key, id) } -> (
-        match Int_map.min_binding_opt live with
-        | None -> Error (Printf.sprintf "sequential Delete-min returned %d from an empty queue" key)
-        | Some (min_key, ids) ->
-          if key <> min_key then
-            Error
-              (Printf.sprintf "sequential Delete-min returned key %d, minimum was %d"
-                 key min_key)
-          else if not (List.mem id ids) then
-            Error (Printf.sprintf "sequential Delete-min returned id %d not live for key %d" id key)
-          else
-            let ids = List.filter (fun i -> i <> id) ids in
-            Ok (if ids = [] then Int_map.remove key live else Int_map.add key ids live))
+(* The mean is taken along the serialization the greedy found: another
+   serialization may have a lower one, so the mean ceiling is a
+   statistical contract, not a decided property. *)
+let ranked { QA.max_rank; mean_rank } h =
+  match O.check_ranked ~max_rank h.events with
+  | Error msg -> Fail msg
+  | Ok ranks ->
+    let count = List.length ranks in
+    let mean =
+      if count = 0 then 0.0 else float_of_int (List.fold_left ( + ) 0 ranks) /. float_of_int count
     in
-    let rec replay live = function
-      | [] -> Pass
-      | e :: rest -> ( match step live e with Ok live -> replay live rest | Error m -> Fail m)
-    in
-    replay Int_map.empty by_invocation
-  end
+    if mean > mean_rank then
+      Fail
+        (Printf.sprintf "mean rank %.2f over %d deletes exceeds %.2f (max seen %d)" mean count
+           mean_rank (List.fold_left Int.max 0 ranks))
+    else Pass
 
 (* --- quiescent consistency ----------------------------------------------- *)
 
@@ -193,54 +149,6 @@ let quiescent h =
       | O.Delete_min _ -> ( match violates e with None -> scan rest | Some m -> Fail m))
   in
   scan h.events
-
-(* --- rank-error envelope -------------------------------------------------- *)
-
-(* Replays the history in completion order against a live multiset and
-   measures each Delete-min's rank error (live elements strictly smaller
-   than the returned key), exactly like the benchmark's host-side oracle: a
-   delete may complete before the insert that fed it, booked as a debt by
-   element id.  The envelope fails on any per-operation rank above
-   [max_rank] or a mean above [mean_rank]. *)
-let rank_envelope ?(bounds = default_bounds) h =
-  let live = Hashtbl.create 256 in (* id -> key *)
-  let debts = Hashtbl.create 16 in
-  let total = ref 0.0 and count = ref 0 and worst = ref 0 in
-  let rank_below key =
-    Hashtbl.fold (fun _ k acc -> if k < key then acc + 1 else acc) live 0
-  in
-  let violation =
-    List.find_map
-      (fun e ->
-        match e.O.op with
-        | O.Insert { key; id } ->
-          if Hashtbl.mem debts id then Hashtbl.remove debts id
-          else Hashtbl.replace live id key;
-          None
-        | O.Delete_min { result = None } -> None
-        | O.Delete_min { result = Some (key, id) } ->
-          let rank = rank_below key in
-          incr count;
-          total := !total +. float_of_int rank;
-          if rank > !worst then worst := rank;
-          if Hashtbl.mem live id then Hashtbl.remove live id
-          else Hashtbl.replace debts id ();
-          if rank > bounds.max_rank then
-            Some
-              (Printf.sprintf "Delete-min of key %d had rank error %d (envelope max %d)"
-                 key rank bounds.max_rank)
-          else None)
-      h.events
-  in
-  match violation with
-  | Some msg -> Fail msg
-  | None ->
-    let mean = if !count = 0 then 0.0 else !total /. float_of_int !count in
-    if mean > bounds.mean_rank then
-      Fail
-        (Printf.sprintf "mean rank error %.2f over %d deletes exceeds envelope %.2f (max seen %d)"
-           mean !count bounds.mean_rank !worst)
-    else Pass
 
 (* --- blocking-aware checks ------------------------------------------------ *)
 
@@ -346,52 +254,30 @@ let capacity_bound h =
 
 (* --- per-spec suites ------------------------------------------------------ *)
 
-(* k-LSM histories are held to a ceiling derived from the structure's own
-   rank bound ([impl.rank_bound], carried through the bounded façade and
-   set by the torn-spill mutant), not the MultiQueue-sized defaults: the
-   envelope replaces both rank ceilings with [k + klsm_margin], saturating
-   at [max_int].  The margin absorbs the slack between the structural
-   bound (k elements may be skipped inside the structure) and what the
-   completion-order replay can attribute: an insert that has linearized
-   but not yet completed is not yet live in the replay, so at the default
-   6-processor profile a handful of in-flight operations can inflate an
-   observed rank past k itself. *)
-let klsm_margin = 24
-
-let bounds_for rank_bound =
-  match rank_bound with
-  | Some k ->
-    let ceiling = if k > max_int - klsm_margin then max_int else k + klsm_margin in
-    { max_rank = ceiling; mean_rank = float_of_int ceiling }
-  | None -> default_bounds
-
 (* [Linearizable] and [Relaxed] share the complete Definition-1 check: at
    the recorder's interval granularity the §5.4 condition is the same
    serialization, a concurrently inserted smaller element being Definition
    1's optional overlapping insert (DESIGN.md §6).  A pass implies
    quiescent consistency, and on a sequential history (dedup keys are
-   unique in the harness) the sequential specification. *)
-let for_spec ~rank_bound spec =
-  let bounds = bounds_for rank_bound in
+   unique in the harness) the sequential specification.  The other two
+   contracts run the same greedy at their declared ceiling; beside it,
+   [quiescent] holds a sequential heap history to the sequential
+   specification too (DESIGN.md §6). *)
+let for_spec spec =
   let common = [ ("well-formed", well_formed); ("conservation", conservation) ] in
   match spec with
   | QA.Linearizable | QA.Relaxed -> common @ [ ("strict (Def 1)", strict) ]
-  | QA.Quiescent ->
-    common
-    @ [
-        ("sequential-replay", sequential_replay);
-        ("quiescent (transit-tolerant)", quiescent);
-        ("rank-envelope", rank_envelope ~bounds);
-      ]
-  | QA.Rank_bounded -> common @ [ ("rank-envelope", rank_envelope ~bounds) ]
+  | QA.Quiescent c ->
+    common @ [ ("quiescent (transit-tolerant)", quiescent); ("rank-bound", ranked c) ]
+  | QA.Rank_bounded c -> common @ [ ("rank-bound", ranked c) ]
 
 (* Spec-independent: parking and capacity are façade properties, layered
    over whatever ordering contract the inner structure claims. *)
 let blocking_suite =
   [ ("blocking (park/wake)", blocking_wakeups); ("capacity-bound", capacity_bound) ]
 
-let check_all ~rank_bound h =
-  let suite = for_spec ~rank_bound h.spec in
+let check_all h =
+  let suite = for_spec h.spec in
   let suite = if h.capacity <> None || h.spans <> [] then suite @ blocking_suite else suite in
   List.map (fun (name, f) -> (name, f h)) suite
 

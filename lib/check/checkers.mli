@@ -4,8 +4,9 @@
     {!History.wrap} plus the post-quiescence drain — and returns a
     {!verdict}.  All checks are sound (a [Fail] is a real violation of the
     stated property); {!strict} is also complete (every history with no
-    Definition-1 serialization fails it), the others are conservative
-    per-delete or per-period conditions.
+    Definition-1 serialization fails it), and so is {!ranked}'s per-delete
+    bound; the others are conservative per-delete or per-period
+    conditions.
     {!for_spec} selects the suite an implementation's declared
     {!Repro_workload.Queue_adapter.spec} is held to. *)
 
@@ -33,28 +34,16 @@ type verdict =
   | Fail of string  (** a definite violation of the checked property *)
   | Skip of string  (** the check does not apply to this history *)
 
-type bounds = {
-  max_rank : int;  (** rank-envelope per-operation ceiling *)
-  mean_rank : float;  (** rank-envelope mean ceiling *)
-}
-
-val default_bounds : bounds
-
 val well_formed : history -> verdict
 (** {!O.check_well_formed}: sane timestamps, per-processor sequentiality,
     unique insert ids, no element deleted twice. *)
 
 val conservation : history -> verdict
 (** {!O.check_conservation}: inserted = deleted + drained as id multisets,
-    and the drain pops in ascending key order.  For [Rank_bounded]
+    and the drain pops in ascending key order.  For [Rank_bounded _]
     implementations the drain is sorted first — their quiescent pops
     sample shard minima, so only the multiset half of the condition is
     part of the contract. *)
-
-val sequential_replay : history -> verdict
-(** Exact replay against the sequential specification.  Applies only when
-    no two operations overlap in time (otherwise [Skip]) — which the
-    fuzzer's single-worker runs guarantee. *)
 
 val quiescent : history -> verdict
 (** Quiescent consistency, conservatively and transit-tolerantly: a
@@ -74,11 +63,12 @@ val strict : history -> verdict
     smaller element inserted concurrently is Definition 1's optional
     overlapping insert. *)
 
-val rank_envelope : ?bounds:bounds -> history -> verdict
-(** Statistical contract for [Rank_bounded] implementations: replays in
-    completion order and fails on any Delete-min whose rank error (live
-    smaller elements) exceeds [bounds.max_rank], or a run mean above
-    [bounds.mean_rank]. *)
+val ranked : Repro_workload.Queue_adapter.ceiling -> history -> verdict
+(** {!O.check_ranked} at [max_rank]: a serialization exists in which no
+    Delete-min skips more than [max_rank] certainly-present smaller
+    elements — {!strict} is the [max_rank = 0] case — and the mean of the
+    skipped counts along the one the greedy found is at most
+    [mean_rank]. *)
 
 val blocking_wakeups : history -> verdict
 (** Blocking-aware sanity over {!history.spans}: every parked operation's
@@ -96,29 +86,15 @@ val capacity_bound : history -> verdict
     exceed [c].  Conservative (endpoint timestamps cannot give exact
     occupancy), hence sound.  [Skip] when no capacity was in force. *)
 
-val klsm_margin : int
-(** Completion-order slack added on top of a k-LSM's structural rank bound
-    by {!bounds_for}: an insert that has linearized but not yet completed
-    is invisible to the envelope's replay, so a few in-flight operations
-    can push an observed rank past k itself. *)
+val for_spec : Repro_workload.Queue_adapter.spec -> (string * (history -> verdict)) list
+(** The named suite a given correctness contract is held to.
+    [Linearizable] and [Relaxed] share one suite — well-formed,
+    conservation and {!strict}; a pass implies {!quiescent} and, on a
+    sequential history, the sequential specification.  [Quiescent c] runs
+    {!quiescent} and [ranked c], [Rank_bounded c] just [ranked c]. *)
 
-val bounds_for : int option -> bounds
-(** [bounds_for rank_bound] keys the rank-envelope ceilings to the
-    implementation's {!Repro_workload.Queue_adapter.impl.rank_bound}.  For
-    [Some k] both [max_rank] and [mean_rank] are [k + klsm_margin],
-    saturating at [max_int]; [None] gives {!default_bounds}. *)
-
-val for_spec :
-  rank_bound:int option ->
-  Repro_workload.Queue_adapter.spec ->
-  (string * (history -> verdict)) list
-(** The named suite a given correctness contract is held to, its rank
-    envelope (if any) at [bounds_for rank_bound].  [Linearizable] and
-    [Relaxed] share one suite — well-formed, conservation and {!strict};
-    a pass implies {!quiescent} and {!sequential_replay}. *)
-
-val check_all : rank_bound:int option -> history -> (string * verdict) list
-(** [for_spec ~rank_bound h.spec] applied to [h], plus the blocking suite
+val check_all : history -> (string * verdict) list
+(** [for_spec h.spec] applied to [h], plus the blocking suite
     ({!blocking_wakeups}, {!capacity_bound}) whenever the history carries
     a capacity or any parked operation. *)
 

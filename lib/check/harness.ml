@@ -199,8 +199,7 @@ let sweep_with ~run ~jobs (impl : QA.impl) seed_list =
           ( List.length h.Checkers.events,
             List.map
               (fun (check, message) -> { seed; check; message })
-              (Checkers.failures
-                 (Checkers.check_all ~rank_bound:impl.QA.rank_bound h)) )
+              (Checkers.failures (Checkers.check_all h)) )
         | exception ((Stack_overflow | Out_of_memory | Drain_overtaken _) as e) -> raise e
         | exception e ->
           (0, [ { seed; check = "execution"; message = Printexc.to_string e } ]))

@@ -342,45 +342,45 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
   (* Emptiness fallback ("spying"): sweep every processor's buffer and
      every block for the global minimum and claim it.  This is what makes
      a quiescent drain complete from any processor — elements parked in
-     foreign insertion buffers are reachable here. *)
+     foreign insertion buffers are reachable here.  It returns EMPTY only
+     when a sweep finds nothing: a lost claim means another delete took
+     that element, so it sweeps again rather than report an EMPTY the
+     live elements contradict. *)
   let full_sweep t =
     t.spy_sweeps <- t.spy_sweeps + 1;
-    let rec attempt tries =
-      if tries > 4 then None
-      else begin
-        let best = ref None in
-        let consider key claim deliver =
-          match !best with
-          | Some (bk, _, _) when bk <= key -> ()
-          | _ -> best := Some (key, claim, deliver)
-        in
-        Repro_runtime.Per_proc.iter
-          (fun ps ->
-            let buf = R.read ps.buf in
-            let len = R.read buf.blen in
-            for i = 0 to len - 1 do
-              if not (R.read buf.btaken.(i)) then
-                consider buf.bkeys.(i) buf.btaken.(i)
-                  (buf.bkeys.(i), buf.bvals.(i))
-            done)
-          t.pstates;
-        List.iter
-          (fun b ->
-            match block_head t b with
-            | None -> ()
-            | Some i -> consider b.keys.(i) b.taken.(i) (b.keys.(i), b.vals.(i)))
-          (R.read t.blocks);
+    let rec attempt () =
+      let best = ref None in
+      let consider key claim deliver =
         match !best with
-        | None -> None
-        | Some (_, claim, deliver) ->
-          if R.cas claim false true then Some deliver
-          else begin
-            t.cas_failures <- t.cas_failures + 1;
-            attempt (tries + 1)
-          end
-      end
+        | Some (bk, _, _) when bk <= key -> ()
+        | _ -> best := Some (key, claim, deliver)
+      in
+      Repro_runtime.Per_proc.iter
+        (fun ps ->
+          let buf = R.read ps.buf in
+          let len = R.read buf.blen in
+          for i = 0 to len - 1 do
+            if not (R.read buf.btaken.(i)) then
+              consider buf.bkeys.(i) buf.btaken.(i)
+                (buf.bkeys.(i), buf.bvals.(i))
+          done)
+        t.pstates;
+      List.iter
+        (fun b ->
+          match block_head t b with
+          | None -> ()
+          | Some i -> consider b.keys.(i) b.taken.(i) (b.keys.(i), b.vals.(i)))
+        (R.read t.blocks);
+      match !best with
+      | None -> None
+      | Some (_, claim, deliver) ->
+        if R.cas claim false true then Some deliver
+        else begin
+          t.cas_failures <- t.cas_failures + 1;
+          attempt ()
+        end
     in
-    attempt 0
+    attempt ()
 
   let rec claim_once t ps tries =
     if tries > 8 then full_sweep t

@@ -122,20 +122,24 @@ module Make (K : Key.ORDERED) = struct
       sorted drained
     end
 
-  (* Definition 1, decided exactly.  A serialization of the Delete-mins is
-     valid when each delete in turn is eligible — no delete still
-     unserialized responded strictly before it was invoked — and legal
-     against the set C of elements the deletes before it consumed: an
-     EMPTY result is legal when no element fully inserted before the
-     delete's invocation is outside C; an element [x] is legal when [x] is
-     outside C, its insert was invoked before the delete responded, and its
-     key is <= every such element.  Consuming more elements only shrinks
-     the set a delete must not skip, so an eligible, legal delete stays
-     legal as C grows (a repeated id is illegal in every order).  Hence
-     taking any eligible legal delete next never loses a serialization
-     (the exchange argument is in DESIGN.md §6), and the greedy below is
-     complete: it fails only when no serialization exists. *)
-  let check_strict events =
+  (* Definition 1, decided exactly, and its rank-relaxed generalization.
+     A serialization of the Delete-mins is valid at rank [max_rank] when
+     each delete in turn is eligible — no delete still unserialized
+     responded strictly before it was invoked — and legal against the set
+     C of elements the deletes before it consumed.  Call an element
+     available to [d] when it is outside C and fully inserted before [d]'s
+     invocation.  An EMPTY result is legal when at most [max_rank]
+     elements are available; an element [x] is legal when [x] is outside
+     C, its insert was invoked before the delete responded, and at most
+     [max_rank] available elements have smaller keys.  At [max_rank = 0]
+     this is Definition 1.  Consuming more elements only lowers these
+     counts, so an eligible, legal delete stays legal as C grows (a
+     repeated id is illegal in every order).  Hence taking any eligible
+     legal delete next never loses a serialization (the exchange argument
+     is in DESIGN.md §6), and the greedy below is complete at every rank:
+     it fails only when no serialization exists. *)
+  let check_ranked ~max_rank events =
+    if max_rank < 0 then invalid_arg "Oracle.check_ranked: max_rank < 0";
     let deletes =
       List.filter (fun e -> match e.op with Delete_min _ -> true | Insert _ -> false) events
       |> List.sort (fun a b -> compare (a.invoked, a.responded) (b.invoked, b.responded))
@@ -157,48 +161,64 @@ module Make (K : Key.ORDERED) = struct
         | Delete_min _ -> ())
       events;
     let consumed = Hashtbl.create 64 in
-    (* the smallest element fully inserted before [d] was invoked and not
-       yet consumed *)
-    let smallest_available d =
-      let rec scan i best =
-        if i = Array.length settled then best
+    (* the elements available to [d] with keys below [below] (all of them
+       when [None]): how many, and the smallest *)
+    let available ?below d =
+      let rec scan i count best =
+        if i = Array.length settled then (count, best)
         else
           let responded, key, id = settled.(i) in
-          if responded >= d.invoked then best
-          else if Hashtbl.mem consumed id then scan (i + 1) best
+          if responded >= d.invoked then (count, best)
+          else if
+            Hashtbl.mem consumed id
+            || match below with Some k -> K.compare key k >= 0 | None -> false
+          then scan (i + 1) count best
           else
             match best with
-            | Some (k, _) when K.compare k key <= 0 -> scan (i + 1) best
-            | Some _ | None -> scan (i + 1) (Some (key, id))
+            | Some (k, _) when K.compare k key <= 0 -> scan (i + 1) (count + 1) best
+            | Some _ | None -> scan (i + 1) (count + 1) (Some (key, id))
       in
-      scan 0 None
+      scan 0 0 None
     in
-    (* [None] when [d] is legal now, else why not *)
-    let illegal d =
-      match (d.op, smallest_available d) with
-      | Delete_min { result = None }, None -> None
-      | Delete_min { result = None }, Some y ->
-        Some (Format.asprintf "returned EMPTY while %a was available" pp_id y)
-      | Delete_min { result = Some ((k, id) as x) }, y -> (
+    let kind = if max_rank = 0 then "Definition-1" else Printf.sprintf "rank-%d" max_rank in
+    (* a count over the rank bound, spelled out above rank 0 *)
+    let over what count =
+      if max_rank = 0 then "" else Printf.sprintf " (%d %s > %d)" count what max_rank
+    in
+    (* [Ok rank] when [d] is legal now, else why not *)
+    let legal d =
+      match d.op with
+      | Delete_min { result = None } -> (
+        match available d with
+        | count, Some y when count > max_rank ->
+          Error
+            (Format.asprintf "returned EMPTY while %a was available%s" pp_id y
+               (over "available" count))
+        | _ -> Ok 0)
+      | Delete_min { result = Some ((k, id) as x) } -> (
         let invoked = Hashtbl.find_all insert_invoked id in
         if Hashtbl.mem consumed id then
-          Some (Format.asprintf "returned %a, which another Delete-min took" pp_id x)
+          Error (Format.asprintf "returned %a, which another Delete-min took" pp_id x)
         else if invoked = [] then
-          Some (Format.asprintf "returned %a, which no insert produced" pp_id x)
+          Error (Format.asprintf "returned %a, which no insert produced" pp_id x)
         else if not (List.exists (fun i -> i < d.responded) invoked) then
-          Some (Format.asprintf "returned %a before its insert was invoked" pp_id x)
+          Error (Format.asprintf "returned %a before its insert was invoked" pp_id x)
         else
-          match y with
-          | Some ((y_key, _) as y) when K.compare y_key k < 0 ->
-            Some (Format.asprintf "returned %a while smaller %a was available" pp_id x pp_id y)
-          | Some _ | None -> None)
-      | Insert _, _ -> assert false
+          match available ~below:k d with
+          | count, Some y when count > max_rank ->
+            Error
+              (Format.asprintf "returned %a while smaller %a was available%s" pp_id x pp_id y
+                 (over "smaller" count))
+          | count, _ -> Ok count)
+      | Insert _ -> assert false
     in
     let n = Array.length deletes in
     let taken = Array.make n false in
-    (* [first]: the earliest-invoked delete not yet serialized *)
-    let rec serialize first =
-      if first = n then Ok ()
+    (* [first]: the earliest-invoked delete not yet serialized; [ranks]:
+       those of the element-returning deletes serialized so far, latest
+       first *)
+    let rec serialize first ranks =
+      if first = n then Ok (List.rev ranks)
       else begin
         (* The two earliest responses among the unserialized deletes: a
            delete is eligible when it was invoked no later than every
@@ -222,25 +242,32 @@ module Make (K : Key.ORDERED) = struct
           else if taken.(i) || deletes.(i).invoked > (if i = !at1 then !r2 else !r1) then
             pick (i + 1) stuck
           else
-            match illegal deletes.(i) with
-            | None -> Ok i
-            | Some why -> pick (i + 1) (if stuck = None then Some (i, why) else stuck)
+            match legal deletes.(i) with
+            | Ok rank -> Ok (i, rank)
+            | Error why -> pick (i + 1) (if stuck = None then Some (i, why) else stuck)
         in
         match pick first None with
-        | Ok i ->
+        | Ok (i, rank) ->
           taken.(i) <- true;
-          (match deletes.(i).op with
-           | Delete_min { result = Some (_, id) } -> Hashtbl.replace consumed id ()
-           | Delete_min { result = None } | Insert _ -> ());
+          let ranks =
+            match deletes.(i).op with
+            | Delete_min { result = Some (_, id) } ->
+              Hashtbl.replace consumed id ();
+              rank :: ranks
+            | Delete_min { result = None } | Insert _ -> ranks
+          in
           let rec next j = if j < n && taken.(j) then next (j + 1) else j in
-          serialize (next first)
+          serialize (next first) ranks
         | Error (Some (i, why)) ->
           let d = deletes.(i) in
           Error
-            (Printf.sprintf "no Definition-1 serialization: Delete-min (proc %d, [%d, %d]) %s"
-               d.proc d.invoked d.responded why)
-        | Error None -> Error "no Definition-1 serialization: no Delete-min may come next"
+            (Printf.sprintf "no %s serialization: Delete-min (proc %d, [%d, %d]) %s" kind d.proc
+               d.invoked d.responded why)
+        | Error None ->
+          Error (Printf.sprintf "no %s serialization: no Delete-min may come next" kind)
       end
     in
-    serialize 0
+    serialize 0 []
+
+  let check_strict events = Result.map ignore (check_ranked ~max_rank:0 events)
 end

@@ -50,6 +50,12 @@ type instance = {
           counters follow the core. *)
 }
 
+(** The rank ceilings a relaxed contract allows: at most [max_rank]
+    certainly-present elements smaller than what a Delete-min returns, and
+    a mean of at most [mean_rank] over a run's element-returning deletes,
+    both along the serialization {!Repro_check.Checkers} finds. *)
+type ceiling = { max_rank : int; mean_rank : float }
+
 (** The correctness contract an implementation claims — which checker
     family {!Repro_check.Harness} (and any other history validator) holds
     its executions to. *)
@@ -59,21 +65,20 @@ type spec =
           elements: the timestamped SkipQueue (Definition 1), its
           lock-free and coalescing variants, the FunnelList and the bin
           queue. *)
-  | Quiescent
+  | Quiescent of ceiling
       (** Quiescently consistent only: operations separated by a quiescent
-          point take effect in order, concurrent ones may reorder freely.
-          The Hunt heap — its delete-min holds the detached replacement
-          element outside any slot, invisible to concurrent operations, so
-          strict (Definition 1) histories are not guaranteed; the schedule
-          fuzzer finds counterexamples. *)
+          point take effect in order, concurrent ones may reorder freely,
+          within the rank ceiling.  The Hunt heap — its delete-min holds
+          the detached replacement element outside any slot, invisible to
+          concurrent operations, so strict (Definition 1) histories are not
+          guaranteed; the schedule fuzzer finds counterexamples. *)
   | Relaxed
       (** The paper's §5.4 contract: Delete-min returns [min (I - D)] or a
           smaller element whose insert overlaps it (every ["Relaxed "]
           flavor). *)
-  | Rank_bounded
-      (** No per-operation ordering promise, only a rank-error envelope:
-          the MultiQueue's statistical one, and the k-LSM's hard bound
-          [k] (carried as {!impl.rank_bound}). *)
+  | Rank_bounded of ceiling
+      (** No ordering promise beyond the rank ceiling: the MultiQueue's
+          statistical one, and the k-LSM's hard bound [k]. *)
 
 type impl = {
   name : string;
@@ -84,9 +89,6 @@ type impl = {
           rank-error oracle mirrors this so duplicate random priorities
           don't read as phantom reordering. *)
   spec : spec;
-  rank_bound : int option;
-      (** [Some k] for a k-LSM, also behind the bounded façade: the
-          structural rank bound the checkers key their envelope to. *)
   create : unit -> instance;
       (** must be called from inside the target runtime's execution context
           (e.g. within [Machine.run] for the simulator) *)
@@ -131,6 +133,12 @@ val plain : base -> descriptor
 
 val name : descriptor -> string
 (** The registry name.  The façade's capacity is not part of it. *)
+
+val spec_of : descriptor -> spec
+(** The contract {!make} declares for the descriptor; a ["bounded:"] one
+    keeps its inner base's.  A [Klsm k] declares the ceiling [k] for both
+    the per-delete rank and the mean; the MultiQueue and the heap declare
+    128 per delete and a mean of 32. *)
 
 val validate : descriptor -> (unit, string) result
 (** [Ok ()] when the descriptor can be built: a positive [k], range and
@@ -181,7 +189,7 @@ module type S = sig
       bounded/blocking façade ({!Repro_bounded.Bounded_queue}): at most
       [capacity] (default 1024) elements admitted, [insert_wait] parks
       under backpressure, [delete_min_wait] parks on empty.  The wrapped
-      implementation keeps its [spec], [dedups] and [rank_bound]; the
+      implementation keeps its [spec] and [dedups]; the
       name becomes ["bounded:" ^ impl.name]. *)
 
   val instance :

@@ -24,6 +24,8 @@ let hist ?(dedups = false) ?(spec = QA.Linearizable) ?(drained = []) ?capacity ?
     events =
   { Check.impl = "test"; dedups; spec; seed = 0L; events; drained; capacity; spans }
 
+let ceiling max_rank = { QA.max_rank; mean_rank = float_of_int max_rank }
+
 let span ?(parks = 1) ~parked_at ~woken_at event =
   { History.event; parks; parked_at; woken_at }
 
@@ -31,9 +33,19 @@ let is_pass = function Check.Pass -> true | Check.Fail _ | Check.Skip _ -> false
 let is_fail = function Check.Fail _ -> true | Check.Pass | Check.Skip _ -> false
 let is_skip = function Check.Skip _ -> true | Check.Pass | Check.Fail _ -> false
 
-(* --- sequential replay --------------------------------------------------- *)
+(* --- sequential replay: a sequential history under the quiescent suite ---- *)
 
+let heap_spec = (QA.find QA.Sim "heap").QA.spec
+
+(* The failing checks' names; the suite must not fail on anything else. *)
+let failing h = List.map fst (Check.failures (Check.check_all h))
+
+(* On a sequential history the heap's suite is the sequential
+   specification: [quiescent] forbids skipping a live element or an EMPTY
+   over one, and the rank check's rule that an insert be invoked before
+   the delete that returns its element forbids taking one not yet in. *)
 let test_sequential_replay () =
+  let hist = hist ~spec:heap_spec in
   let good =
     hist
       [
@@ -44,25 +56,44 @@ let test_sequential_replay () =
         del ~at:8 None;
       ]
   in
-  check "in-order replay passes" true (is_pass (Check.sequential_replay good));
+  Alcotest.(check (list string)) "in-order history passes" [] (failing good);
   let wrong_min =
-    hist [ ins ~at:0 5 1; ins ~at:2 3 2; del ~at:4 (Some (5, 1)) ]
+    hist [ ins ~at:0 5 1; ins ~at:2 3 2; del ~at:4 (Some (5, 1)) ] ~drained:[ (3, 2) ]
   in
-  check "non-minimum fails" true (is_fail (Check.sequential_replay wrong_min));
-  let premature_empty = hist [ ins ~at:0 5 1; del ~at:2 None ] in
-  check "EMPTY with live element fails" true (is_fail (Check.sequential_replay premature_empty));
-  let concurrent = hist [ ins ~at:0 ~dur:10 5 1; del ~proc:1 ~at:4 (Some (5, 1)) ] in
-  check "overlapping ops skip" true (is_skip (Check.sequential_replay concurrent))
+  Alcotest.(check (list string))
+    "non-minimum fails" [ "quiescent (transit-tolerant)" ] (failing wrong_min);
+  let premature_empty = hist [ ins ~at:0 5 1; del ~at:2 None ] ~drained:[ (5, 1) ] in
+  Alcotest.(check (list string))
+    "EMPTY with a live element fails" [ "quiescent (transit-tolerant)" ]
+    (failing premature_empty);
+  let from_the_future = hist [ del ~at:0 (Some (5, 1)); ins ~at:2 5 1 ] in
+  Alcotest.(check (list string))
+    "an element before its insert fails" [ "rank-bound" ] (failing from_the_future)
 
 let test_sequential_replay_dedup () =
-  (* update-in-place: the second insert of key 5 replaces id 1 with id 2 *)
-  let update = [ ins ~at:0 5 1; ins ~at:2 5 2 ] in
-  check "dedup returns the updating id" true
-    (is_pass (Check.sequential_replay (hist ~dedups:true (update @ [ del ~at:4 (Some (5, 2)) ]))));
-  check "dedup overwrote the first id" true
-    (is_fail (Check.sequential_replay (hist ~dedups:true (update @ [ del ~at:4 (Some (5, 1)) ]))));
-  check "without dedup both ids live" true
-    (is_pass (Check.sequential_replay (hist (update @ [ del ~at:4 (Some (5, 1)) ]))))
+  let hist = hist ~spec:heap_spec in
+  (* Both copies of a repeated key stay live in a structure that keeps
+     duplicates, so either may come out first. *)
+  let repeated =
+    hist [ ins ~at:0 5 1; ins ~at:2 5 2; del ~at:4 (Some (5, 1)) ] ~drained:[ (5, 2) ]
+  in
+  Alcotest.(check (list string)) "either copy of a repeated key passes" [] (failing repeated);
+  (* An update-in-place structure would retire the first copy's id; the
+     harness therefore gives a deduplicating structure's inserts distinct
+     keys, so no recorded history repeats one. *)
+  let impl = QA.find QA.Sim "skipqueue" in
+  let h =
+    Harness.run_one
+      ~profile:{ Harness.default_profile with Harness.key_range = 4; ops_per_proc = 20 }
+      impl 5L
+  in
+  let keys =
+    List.filter_map
+      (fun e -> match e.O.op with O.Insert { key; _ } -> Some key | O.Delete_min _ -> None)
+      h.Check.events
+  in
+  check "update-in-place histories repeat no key" true
+    (impl.QA.dedups && List.length (List.sort_uniq compare keys) = List.length keys)
 
 (* --- quiescent consistency ----------------------------------------------- *)
 
@@ -116,7 +147,8 @@ let test_conservation () =
   check "unsorted drain fails for linearizable" true
     (is_fail (Check.conservation (hist events ~drained:unsorted)));
   check "unsorted drain ok for rank-bounded" true
-    (is_pass (Check.conservation (hist ~spec:QA.Rank_bounded events ~drained:unsorted)))
+    (is_pass
+       (Check.conservation (hist ~spec:(QA.Rank_bounded (ceiling 1)) events ~drained:unsorted)))
 
 (* --- strict checks -------------------------------------------------------- *)
 
@@ -186,7 +218,7 @@ let test_strict_wide_window () =
   check "the relaxed suite fails it" true
     (List.exists
        (fun (_, v) -> is_fail v)
-       (Check.check_all ~rank_bound:None { h with Check.spec = QA.Relaxed }));
+       (Check.check_all { h with Check.spec = QA.Relaxed }));
   match Check.strict h with
   | Check.Fail msg ->
     Alcotest.(check string) "names the stuck delete"
@@ -195,34 +227,60 @@ let test_strict_wide_window () =
       msg
   | Check.Pass | Check.Skip _ -> Alcotest.fail "the cycle has no serialization"
 
-let test_rank_envelope () =
-  (* deletes in exactly reverse order: ranks 4,3,2,1,0 *)
-  let events =
-    List.init 5 (fun i -> ins ~at:i (i + 1) (i + 1))
-    @ List.init 5 (fun i -> del ~at:(10 + i) (Some (5 - i, 5 - i)))
+(* The rank check is Definition 1's greedy with each delete allowed to skip
+   up to [max_rank] smaller settled elements. *)
+let test_rank_bound () =
+  (* five settled keys taken in exactly reverse order: ranks 4,3,2,1,0 *)
+  let reverse =
+    hist
+      (List.init 5 (fun i -> ins ~at:i (i + 1) (i + 1))
+      @ List.init 5 (fun i -> del ~at:(10 + (2 * i)) (Some (5 - i, 5 - i))))
   in
-  let h = hist ~spec:QA.Rank_bounded events in
-  check "within envelope passes" true (is_pass (Check.rank_envelope h));
-  let tight = { Check.default_bounds with Check.max_rank = 3 } in
-  check "per-op ceiling fails" true (is_fail (Check.rank_envelope ~bounds:tight h));
-  let tight_mean = { Check.default_bounds with Check.mean_rank = 1.0 } in
-  check "mean ceiling fails" true (is_fail (Check.rank_envelope ~bounds:tight_mean h))
+  check "rank 4 fails at k = 3" true (is_fail (Check.ranked (ceiling 3) reverse));
+  check "rank 4 passes at k = 4" true (is_pass (Check.ranked (ceiling 4) reverse));
+  check "mean 2 over a ceiling of 1.5 fails" true
+    (is_fail (Check.ranked { QA.max_rank = 4; mean_rank = 1.5 } reverse));
+  (* 1 and 2 are settled before the delete; 0's insert overlaps it *)
+  let overlapping =
+    hist
+      [
+        ins ~at:0 1 1;
+        ins ~at:1 2 2;
+        ins ~proc:2 ~at:5 ~dur:20 0 3;
+        del ~proc:1 ~at:10 (Some (2, 2));
+      ]
+  in
+  check "an overlapping smaller insert does not count" true
+    (is_pass (Check.ranked (ceiling 1) overlapping));
+  check "a settled smaller one does" true (is_fail (Check.ranked (ceiling 0) overlapping));
+  let empty = hist [ ins ~at:0 1 1; ins ~at:1 2 2; ins ~at:2 3 3; del ~proc:1 ~at:10 None ] in
+  check "EMPTY over 3 elements fails at k = 2" true (is_fail (Check.ranked (ceiling 2) empty));
+  check "EMPTY over 3 elements passes at k = 3" true (is_pass (Check.ranked (ceiling 3) empty));
+  match Check.ranked (ceiling 3) reverse with
+  | Check.Fail msg ->
+    Alcotest.(check string)
+      "names the rank"
+      "no rank-3 serialization: Delete-min (proc 0, [10, 11]) returned 5#5 while smaller 1#1 \
+       was available (4 smaller > 3)"
+      msg
+  | Check.Pass | Check.Skip _ -> Alcotest.fail "rank 4 passed at k = 3"
 
 let test_for_spec_suites () =
-  let names spec = List.map fst (Check.for_spec ~rank_bound:None spec) in
+  let names spec = List.map fst (Check.for_spec spec) in
   Alcotest.(check (list string))
     "linearizable runs the Definition-1 check"
     [ "well-formed"; "conservation"; "strict (Def 1)" ]
     (names QA.Linearizable);
   Alcotest.(check (list string))
     "relaxed shares the linearizable suite" (names QA.Linearizable) (names QA.Relaxed);
-  check "quiescent spec does not run strict checks" false
-    (List.exists
-       (fun n -> String.length n >= 6 && String.sub n 0 6 = "strict")
-       (names QA.Quiescent));
-  check "rank-bounded runs the envelope only" true
-    (List.mem "rank-envelope" (names QA.Rank_bounded)
-    && not (List.mem "quiescent" (names QA.Rank_bounded)))
+  Alcotest.(check (list string))
+    "quiescent runs the rank check beside quiescence"
+    [ "well-formed"; "conservation"; "quiescent (transit-tolerant)"; "rank-bound" ]
+    (names (QA.Quiescent (ceiling 1)));
+  Alcotest.(check (list string))
+    "rank-bounded runs the rank check only"
+    [ "well-formed"; "conservation"; "rank-bound" ]
+    (names (QA.Rank_bounded (ceiling 1)))
 
 (* --- blocking checks ------------------------------------------------------- *)
 
@@ -279,7 +337,7 @@ let test_harness_records () =
   let h = Harness.run_one ~profile:small_profile impl 3L in
   check "events recorded" true
     (List.length h.Check.events = small_profile.Harness.prefill + (3 * 12));
-  check "spec carried over" true (h.Check.spec = QA.Quiescent);
+  check "spec carried over" true (h.Check.spec = impl.QA.spec);
   check "well-formed" true (is_pass (Check.well_formed h));
   check "conserved" true (is_pass (Check.conservation h))
 
@@ -558,7 +616,7 @@ let () =
           Alcotest.test_case "strict and relaxed" `Quick test_strict_and_relaxed;
           Alcotest.test_case "strict Definition 1" `Quick test_strict_definition1;
           Alcotest.test_case "strict wide window" `Quick test_strict_wide_window;
-          Alcotest.test_case "rank envelope" `Quick test_rank_envelope;
+          Alcotest.test_case "rank bound" `Quick test_rank_bound;
           Alcotest.test_case "per-spec suites" `Quick test_for_spec_suites;
           Alcotest.test_case "blocking wakeups" `Quick test_blocking_wakeups;
           Alcotest.test_case "capacity bound" `Quick test_capacity_bound;

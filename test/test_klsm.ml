@@ -263,7 +263,8 @@ let test_registry_klsm_names () =
   (* ...and any other positive k constructs on the fly. *)
   let i = QA.find QA.Sim "klsm:7" in
   Alcotest.(check string) "on-the-fly name" "klsm:7" i.QA.name;
-  check "on-the-fly spec" true (i.QA.spec = QA.Rank_bounded);
+  check "on-the-fly spec" true
+    (i.QA.spec = QA.Rank_bounded { QA.max_rank = 7; mean_rank = 7.0 });
   Alcotest.(check string)
     "native on-the-fly" "klsm:31" (QA.find QA.Native "klsm:31").QA.name;
   Alcotest.(check string)
@@ -290,31 +291,33 @@ let test_registry_klsm_parse_errors () =
   | exception Invalid_argument msg ->
     check "generic miss lists the registry" true (contains msg "known:")
 
-(* The rank bound travels as [impl.rank_bound] — through the bounded
-   façade and on the k-LSM mutant — and keys the checkers' envelope. *)
+(* The rank bound is the payload of the k-LSM's spec — through the
+   bounded façade and on the k-LSM mutant — with no margin on top, up to
+   the largest k a name can spell. *)
 let test_rank_bound_keying () =
-  let bound name = (QA.find QA.Sim name).QA.rank_bound in
-  check "klsm:256" true (bound "klsm:256" = Some 256);
-  let b64 = QA.find QA.Sim "bounded:klsm:64" in
-  check "bounded:klsm:64 resolves" true
-    (b64.QA.rank_bound = Some 64 && b64.QA.spec = QA.Rank_bounded);
+  let spec name = (QA.find QA.Sim name).QA.spec in
+  let bound k = QA.Rank_bounded { QA.max_rank = k; mean_rank = float_of_int k } in
+  check "klsm:256" true (spec "klsm:256" = bound 256);
+  check "bounded:klsm:64 keeps its bound" true (spec "bounded:klsm:64" = bound 64);
+  check "klsm:max_int" true (spec (Printf.sprintf "klsm:%d" max_int) = bound max_int);
   let module Broken = Repro_check.Broken in
   let mutant = List.find (fun m -> m.Broken.name = "klsm") Broken.all in
-  check "mutant carries k = 1" true ((mutant.Broken.impl ~capacity:0).QA.rank_bound = Some 1);
-  check "MultiQueue has none" true (bound "MultiQueue" = None);
-  let module Check = Repro_check.Checkers in
-  let b = Check.bounds_for (Some 64) in
-  check_int "envelope ceiling keyed to k" (64 + Check.klsm_margin) b.Check.max_rank;
-  check "mean ceiling keyed to k" true
-    (b.Check.mean_rank = float_of_int (64 + Check.klsm_margin));
-  check "no bound keeps the defaults" true (Check.bounds_for None = Check.default_bounds);
-  (* A bound within klsm_margin of max_int saturates instead of wrapping. *)
-  List.iter
-    (fun k ->
-      let b = Check.bounds_for (Some k) in
-      check_int (Printf.sprintf "k = %d saturates" k) max_int b.Check.max_rank;
-      check "mean saturates" true (b.Check.mean_rank = float_of_int max_int))
-    [ max_int; max_int - 1; max_int - Check.klsm_margin + 1 ]
+  check "mutant carries k = 1" true ((mutant.Broken.impl ~capacity:0).QA.spec = bound 1);
+  check "MultiQueue keeps the sampled ceilings" true
+    (spec "MultiQueue" = QA.Rank_bounded { QA.max_rank = 128; mean_rank = 32.0 })
+
+(* Seeds on which the 32-worker rank check once caught klsm:1 answering
+   EMPTY over live elements: its spy sweep gave up after five lost claims
+   instead of sweeping again. *)
+let test_spy_sweep_retries_lost_claims () =
+  let module H = Repro_check.Harness in
+  let profile = { H.default_profile with H.procs = 32 } in
+  let s = H.sweep_impl ~profile (QA.find QA.Sim "klsm:1") [ 5L; 6L; 7L ] in
+  Alcotest.(check (list string))
+    "klsm:1 clean at 32 workers" []
+    (List.map
+       (fun v -> Printf.sprintf "seed %Ld %s: %s" v.H.seed v.H.check v.H.message)
+       s.H.violations)
 
 let () =
   Alcotest.run "klsm"
@@ -331,6 +334,8 @@ let () =
             `Quick test_log_structured_merge;
           Alcotest.test_case "capacity-0 singleton publishes" `Quick
             test_capacity_zero_publishes_singletons;
+          Alcotest.test_case "spy sweep retries lost claims" `Quick
+            test_spy_sweep_retries_lost_claims;
         ] );
       ( "determinism",
         [ Alcotest.test_case "seeded trace fingerprint" `Quick test_trace_determinism ] );
@@ -344,7 +349,7 @@ let () =
           Alcotest.test_case "klsm:<k> names resolve" `Quick test_registry_klsm_names;
           Alcotest.test_case "malformed bounds report precisely" `Quick
             test_registry_klsm_parse_errors;
-          Alcotest.test_case "k extraction and envelope keying" `Quick
+          Alcotest.test_case "k extraction and rank-bound keying" `Quick
             test_rank_bound_keying;
         ] );
     ]
