@@ -10,7 +10,7 @@
    Run with:  dune exec examples/dijkstra.exe *)
 
 module Rng = Repro_util.Rng
-module Q = Repro_skipqueue.Skipqueue.Make (Repro_runtime.Native_runtime) (Repro_pqueue.Key.Int)
+module Q = Repro_skipqueue.Skipqueue.Make (Repro_runtime.Native_runtime)
 
 let nodes = 3_000
 let edges_per_node = 6

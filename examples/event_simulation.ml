@@ -14,7 +14,7 @@
 module Machine = Repro_sim.Machine
 module Sim = Repro_sim.Sim_runtime
 module Rng = Repro_util.Rng
-module Q = Repro_skipqueue.Skipqueue.Make (Sim) (Repro_pqueue.Key.Int)
+module Q = Repro_skipqueue.Skipqueue.Make (Sim)
 
 let stations = 8
 let jobs = 64

@@ -2,11 +2,9 @@
 
    Run with:  dune exec examples/quickstart.exe *)
 
-module Key = Repro_pqueue.Key.Int
-
 (* 1. Native runtime: real OCaml 5 domains. ------------------------------ *)
 module Native = Repro_runtime.Native_runtime
-module Q = Repro_skipqueue.Skipqueue.Make (Native) (Key)
+module Q = Repro_skipqueue.Skipqueue.Make (Native)
 
 let native_demo () =
   print_endline "--- native domains ---";
@@ -30,7 +28,7 @@ let native_demo () =
 (* 2. Simulated runtime: 64 virtual processors, measured in cycles. ------ *)
 module Machine = Repro_sim.Machine
 module Sim = Repro_sim.Sim_runtime
-module SQ = Repro_skipqueue.Skipqueue.Make (Sim) (Key)
+module SQ = Repro_skipqueue.Skipqueue.Make (Sim)
 
 let simulated_demo () =
   print_endline "--- simulated 64-processor ccNUMA ---";

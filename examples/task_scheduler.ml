@@ -41,7 +41,7 @@ let run_backend name (impl : QA.impl) =
   let deadline = Array.make jobs_total 0 in
   let pop_t = Array.make jobs_total (-1) in
   let user = Array.make jobs_total 0 in
-  let front_stats = ref [] in
+  let facade_stats = ref [] in
   let (_ : Machine.report) =
     Machine.run (fun () ->
         let q = impl.QA.create () in
@@ -78,7 +78,7 @@ let run_backend name (impl : QA.impl) =
         (* read the façade counters after quiescence, still in-simulation *)
         Machine.spawn (fun () ->
             Machine.work (1 lsl 50);
-            front_stats := q.QA.stats ()))
+            facade_stats := q.QA.stats ()))
   in
   let missed = ref 0 and total_sojourn = ref 0 and finish = ref 0 in
   let users = Hashtbl.create (2 * jobs_total) in
@@ -89,7 +89,7 @@ let run_backend name (impl : QA.impl) =
     if pop_t.(j) > !finish then finish := pop_t.(j);
     Hashtbl.replace users user.(j) ()
   done;
-  let stat k = try int_of_float (List.assoc k !front_stats) with Not_found -> 0 in
+  let stat k = try int_of_float (List.assoc k !facade_stats) with Not_found -> 0 in
   Printf.printf
     "%-28s %d jobs / %d users: mean sojourn %d cycles, %d deadline misses \
      (%.1f%%), worker parks %d, backpressure stalls %d, makespan %d\n"

@@ -5,7 +5,6 @@
 exception Wedged of string
 
 module QA = Repro_workload.Queue_adapter
-module Key = Repro_pqueue.Key.Int
 
 type harness = Plain | Blocking
 type t = { name : string; harness : harness; impl : capacity:int -> QA.impl }
@@ -48,7 +47,7 @@ let impl ?(dedups = false) ?(spec = QA.Linearizable) name ~insert ~try_delete_mi
    it — one element returned twice, or a second physical removal that
    self-loops a level pointer and wedges the next hunt. *)
 let swap =
-  let module Q = Repro_skipqueue.Skipqueue.Make (Torn_swap) (Key) in
+  let module Q = Repro_skipqueue.Skipqueue.Make (Torn_swap) in
   impl ~dedups:true "BrokenSkipQueue"
     ~insert:(fun q k v -> ignore (Q.insert q k v))
     ~try_delete_min:Q.delete_min
@@ -60,8 +59,8 @@ let swap =
    match one waiter — an element is lost.  One always-active slot and a
    long fast-polling window keep the rendezvous rate high. *)
 let elim =
-  let module SQ = Repro_skipqueue.Skipqueue.Make (Torn_cas) (Key) in
-  let module E = Repro_skipqueue.Elimination.Make (Torn_cas) (Key) in
+  let module SQ = Repro_skipqueue.Skipqueue.Make (Torn_cas) in
+  let module E = Repro_skipqueue.Elimination.Make (Torn_cas) in
   impl ~dedups:true "BrokenElimSkipQueue"
     ~insert:(fun q k v -> ignore (E.insert q k v))
     ~try_delete_min:E.delete_min
@@ -73,7 +72,7 @@ let elim =
    victim's bottom link unmarked and both install the mark (one element
    delivered twice); two torn splices after one predecessor lose a node. *)
 let lf_claim =
-  let module Q = Repro_skipqueue.Skipqueue_lf.Make (Torn_cas) (Key) in
+  let module Q = Repro_skipqueue.Skipqueue_lf.Make (Torn_cas) in
   impl "BrokenLfClaimSkipQueue" ~insert:Q.insert ~try_delete_min:Q.delete_min (fun () ->
       Q.create ~restructure_threshold:1 ())
 
@@ -107,7 +106,6 @@ let co =
         let target = Some { Faulty.fault = Blind_cas; cells = Some "co.word" }
         let wedged = wedged "blind lock-word CAS" "leaked level-lock bit"
       end))
-      (Key)
   in
   impl "BrokenCoSkipQueue"
     ~insert:(fun q k v -> ignore (Q.insert q k v))
@@ -124,7 +122,7 @@ let wakeup ~capacity =
     let target = Some { Faulty.fault = Torn_wait; cells = None }
     let wedged = wedged "torn condition wait" "unbounded hunt"
   end) in
-  let module Q = Repro_skipqueue.Skipqueue.Make (R) (Key) in
+  let module Q = Repro_skipqueue.Skipqueue.Make (R) in
   let module B = Repro_bounded.Bounded_queue.Make (R) in
   {
     QA.name = "BrokenBoundedSkipQueue";

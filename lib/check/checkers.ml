@@ -1,4 +1,4 @@
-module O = Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
+module O = Repro_pqueue.Oracle
 module QA = Repro_workload.Queue_adapter
 
 type history = {

@@ -10,11 +10,13 @@
     {!for_spec} selects the suite an implementation's declared
     {!Repro_workload.Queue_adapter.spec} is held to. *)
 
-module O : module type of Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
+module O = Repro_pqueue.Oracle
 
 type history = {
   impl : string;  (** registry name of the implementation under test *)
-  dedups : bool;  (** {!Repro_workload.Queue_adapter.impl.dedups} *)
+  dedups : bool;
+      (** {!Repro_workload.Queue_adapter.impl.dedups}.  No checker reads
+          it; it stays because pqbench builds this record. *)
   spec : Repro_workload.Queue_adapter.spec;
   seed : int64;  (** the schedule seed, for replay *)
   events : O.event list;  (** in response (completion) order *)

@@ -1,4 +1,4 @@
-module O = Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
+module O = Repro_pqueue.Oracle
 module Machine = Repro_sim.Machine
 
 (* Events are recorded into preallocated per-processor int buffers — ten

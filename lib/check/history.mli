@@ -22,7 +22,7 @@
     The harness uses the element's payload value as its unique identity
     ([O.Insert.id]); callers of {!wrap} must insert unique values. *)
 
-module O : module type of Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
+module O = Repro_pqueue.Oracle
 
 type t
 

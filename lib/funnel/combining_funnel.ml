@@ -10,13 +10,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     mutable group : 'req list;
   }
 
-  type stats = {
-    batches : int;
-    combines : int;
-    collisions_missed : int;
-    largest_batch : int;
-  }
-
   type 'req t = {
     layers : 'req token option R.shared array array;
     collision_window : int;
@@ -30,7 +23,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     rngs : Repro_util.Rng.t Repro_runtime.Per_proc.t; (* per-processor layer-slot streams *)
     mutable stat_batches : int;
     mutable stat_combines : int;
-    mutable stat_missed : int;
     mutable stat_largest : int;
   }
 
@@ -56,17 +48,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
             Repro_util.Rng.of_seed (Int64.of_int (0xF0_0D + id)));
       stat_batches = 0;
       stat_combines = 0;
-      stat_missed = 0;
       stat_largest = 0;
     }
 
   let stats t =
-    {
-      batches = t.stat_batches;
-      combines = t.stat_combines;
-      collisions_missed = t.stat_missed;
-      largest_batch = t.stat_largest;
-    }
+    [
+      ("batches", float_of_int t.stat_batches);
+      ("combines", float_of_int t.stat_combines);
+      ("largest_batch", float_of_int t.stat_largest);
+    ]
 
   let rng_for t = Repro_runtime.Per_proc.get t.rngs (R.self ())
 
@@ -75,10 +65,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
      capture happens only if both are still racing and carry the same kind
      of request. *)
   let try_claim t me peer =
-    if peer.kind <> me.kind then begin
-      t.stat_missed <- t.stat_missed + 1;
-      false
-    end
+    if peer.kind <> me.kind then false
     else begin
       let first, second = if me.id < peer.id then (me, peer) else (peer, me) in
       R.acquire first.lock;
@@ -91,10 +78,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
           t.stat_combines <- t.stat_combines + 1;
           true
         end
-        else begin
-          t.stat_missed <- t.stat_missed + 1;
-          false
-        end
+        else false
       in
       R.release second.lock;
       R.release first.lock;

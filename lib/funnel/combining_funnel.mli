@@ -21,13 +21,6 @@
 module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type 'req t
 
-  type stats = {
-    batches : int;  (** lock acquisitions = groups applied *)
-    combines : int;  (** successful token captures *)
-    collisions_missed : int;  (** swapped out an incompatible/settled token *)
-    largest_batch : int;
-  }
-
   val create :
     ?layer_widths:int list ->
     ?collision_window:int ->
@@ -52,5 +45,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
       became the representative and applied a batch containing it, or the
       request was absorbed and completed by another representative). *)
 
-  val stats : 'req t -> stats
+  val stats : 'req t -> (string * float) list
+  (** Cumulative counters, in this order: [batches] (lock acquisitions =
+      groups applied), [combines] (successful token captures) and
+      [largest_batch] (the most requests one [apply] received). *)
 end

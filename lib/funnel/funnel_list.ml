@@ -1,11 +1,10 @@
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-struct
+module Make (R : Repro_runtime.Runtime_intf.S) = struct
   module Funnel = Combining_funnel.Make (R)
 
-  type 'v node = Nil | Node of { key : K.t; value : 'v; next : 'v node R.shared }
+  type 'v node = Nil | Node of { key : int; value : 'v; next : 'v node R.shared }
 
-  type 'v outcome = Pending | Done of (K.t * 'v) option
-  type 'v op = Ins of K.t * 'v | Del
+  type 'v outcome = Pending | Done of (int * 'v) option
+  type 'v op = Ins of int * 'v | Del
   type 'v request = { op : 'v op; state : 'v outcome R.shared }
   type 'v t = { first : 'v node R.shared; funnel : 'v request Funnel.t }
 
@@ -16,13 +15,13 @@ struct
      runs under the funnel's exclusion lock. *)
   let apply_inserts t bindings =
     let sorted =
-      List.sort (fun (k1, _) (k2, _) -> K.compare k1 k2) bindings
+      List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) bindings
     in
     let rec weave prev_cell current = function
       | [] -> ()
       | (key, value) :: rest -> (
         match current with
-        | Node n when K.compare n.key key <= 0 -> weave n.next (R.read n.next) ((key, value) :: rest)
+        | Node n when n.key <= key -> weave n.next (R.read n.next) ((key, value) :: rest)
         | Nil | Node _ ->
           let cell = R.shared current in
           let node = Node { key; value; next = cell } in
@@ -112,10 +111,10 @@ struct
       | Nil -> Ok ()
       | Node n -> (
         match prev with
-        | Some p when K.compare p n.key > 0 -> Error "funnel list not sorted"
+        | Some p when p > n.key -> Error "funnel list not sorted"
         | Some _ | None -> go (Some n.key) (R.read n.next))
     in
     go None (R.read t.first)
 
-  let funnel_stats t = Funnel.stats t.funnel
+  let stats t = Funnel.stats t.funnel
 end

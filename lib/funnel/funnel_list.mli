@@ -9,25 +9,26 @@
     which is why the structure wins at low concurrency and small sizes
     (Fig. 3). *)
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
+module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type 'v t
 
   val create :
     ?layer_widths:int list -> ?collision_window:int -> unit -> 'v t
 
-  val insert : 'v t -> K.t -> 'v -> unit
+  val insert : 'v t -> int -> 'v -> unit
   (** Keeps duplicates (a plain list has no reason to update in place). *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
+  val delete_min : 'v t -> (int * 'v) option
 
   val size : 'v t -> int
   (** Quiescent use only. *)
 
-  val to_list : 'v t -> (K.t * 'v) list
+  val to_list : 'v t -> (int * 'v) list
   (** Ascending; quiescent use only. *)
 
   val check_invariants : 'v t -> (unit, string) result
   (** Quiescent: ascending key order, length consistent. *)
 
-  val funnel_stats : 'v t -> Combining_funnel.Make(R).stats
+  val stats : 'v t -> (string * float) list
+  (** {!Combining_funnel.Make.stats} of the list's funnel. *)
 end

@@ -1,11 +1,10 @@
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-struct
+module Make (R : Repro_runtime.Runtime_intf.S) = struct
   type tag = Empty | Available | Moving of int (* processor id *)
 
   type 'v slot = {
     lock : R.lock;
     tag : tag R.shared;
-    key : K.t option R.shared; (* None only while Empty *)
+    key : int option R.shared; (* None only while Empty *)
     value : 'v option R.shared;
   }
 
@@ -97,7 +96,7 @@ struct
       let itag = R.read t.slots.(!i).tag in
       (match (ptag, itag) with
       | Available, Moving m when m = pid ->
-        if K.compare (slot_key t !i) (slot_key t parent) < 0 then begin
+        if Int.compare (slot_key t !i) (slot_key t parent) < 0 then begin
           swap_slots t !i parent;
           i := parent
         end
@@ -182,7 +181,7 @@ struct
                     R.release t.slots.(r).lock;
                     l
                   end
-                  else if K.compare (slot_key t r) (slot_key t l) < 0 then begin
+                  else if Int.compare (slot_key t r) (slot_key t l) < 0 then begin
                     R.release t.slots.(l).lock;
                     r
                   end
@@ -192,7 +191,7 @@ struct
                   end
                 end
               in
-              if K.compare (slot_key t child) (slot_key t !i) < 0 then begin
+              if Int.compare (slot_key t child) (slot_key t !i) < 0 then begin
                 swap_slots t child !i;
                 R.release t.slots.(!i).lock;
                 i := child
@@ -232,7 +231,7 @@ struct
           | Available ->
             let parent = i / 2 in
             if parent >= 1 && R.read t.slots.(parent).tag = Available
-               && K.compare (slot_key t parent) (slot_key t i) > 0
+               && Int.compare (slot_key t parent) (slot_key t i) > 0
             then Error (Printf.sprintf "heap order violated at slot %d" i)
             else check (i + 1)
           | Empty -> Error (Printf.sprintf "slot %d should be occupied but is Empty" i)

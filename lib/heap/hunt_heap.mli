@@ -23,7 +23,7 @@
     All lock acquisitions follow tree order (parent before child), so
     insertions and deletions cannot deadlock. *)
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
+module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type 'v t
 
   exception Full
@@ -33,15 +33,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       heaps are array-based and pre-allocated (a disadvantage §1.2 lists
       explicitly). *)
 
-  val insert : 'v t -> K.t -> 'v -> unit
+  val insert : 'v t -> int -> 'v -> unit
   (** Raises {!Full} when all slots are taken.  Duplicate keys allowed. *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
+  val delete_min : 'v t -> (int * 'v) option
 
   val size : 'v t -> int
   (** Current element count (reads the shared size variable). *)
 
-  val to_sorted_list : 'v t -> (K.t * 'v) list
+  val to_sorted_list : 'v t -> (int * 'v) list
   (** Drains the heap (destructive).  Quiescent use only. *)
 
   val check_invariants : 'v t -> (unit, string) result

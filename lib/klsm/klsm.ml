@@ -43,15 +43,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
 
   type pstate = { rng : Rng.t; buf : buffer R.shared }
 
-  type op_stats = {
-    inserts : int;
-    deletes : int;
-    flushes : int;
-    merges : int;
-    spy_sweeps : int;
-    cas_failures : int;
-  }
-
   type t = {
     k : int;
     buffer_capacity : int;
@@ -59,8 +50,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     search_cycles : int;
     blocks : block list R.shared;
     pstates : pstate Repro_runtime.Per_proc.t;
-    mutable inserts : int;
-    mutable deletes : int;
     mutable flushes : int;
     mutable merges : int;
     mutable spy_sweeps : int;
@@ -98,23 +87,12 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
                 (Int64.add seed (Int64.mul 0xD1B54A32D192ED03L (Int64.of_int (id + 1))))
             in
             { rng; buf = R.shared (fresh_buffer capacity) });
-      inserts = 0;
-      deletes = 0;
       flushes = 0;
       merges = 0;
       spy_sweeps = 0;
       cas_failures = 0;
     }
 
-  let stats t =
-    {
-      inserts = t.inserts;
-      deletes = t.deletes;
-      flushes = t.flushes;
-      merges = t.merges;
-      spy_sweeps = t.spy_sweeps;
-      cas_failures = t.cas_failures;
-    }
 
   let pstate_for t = Repro_runtime.Per_proc.get t.pstates (R.self ())
 
@@ -266,8 +244,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
         buf.bvals.(len) <- v;
         R.write buf.blen (len + 1)
       end
-    end;
-    t.inserts <- t.inserts + 1
+    end
 
   (* --- deletion ---------------------------------------------------------- *)
 
@@ -411,15 +388,18 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
         end
     end
 
-  let delete_min t =
-    let ps = pstate_for t in
-    let r = claim_once t ps 0 in
-    t.deletes <- t.deletes + 1;
-    r
+  let delete_min t = claim_once t (pstate_for t) 0
 
   (* --- introspection ------------------------------------------------------ *)
 
-  let block_count t = List.length (R.read t.blocks)
+  let stats t =
+    [
+      ("flushes", float_of_int t.flushes);
+      ("merges", float_of_int t.merges);
+      ("spy_sweeps", float_of_int t.spy_sweeps);
+      ("cas_failures", float_of_int t.cas_failures);
+      ("blocks", float_of_int (List.length (R.read t.blocks)));
+    ]
 
   let live_length t =
     let n = ref 0 in

@@ -57,19 +57,13 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
   val insert : t -> int -> int -> unit
   val delete_min : t -> (int * int) option
 
-  type op_stats = {
-    inserts : int;
-    deletes : int;
-    flushes : int;  (** buffer-to-SLSM publishes *)
-    merges : int;  (** log-structured block merges *)
-    spy_sweeps : int;  (** emptiness-triggered sweeps over foreign buffers *)
-    cas_failures : int;  (** lost claim / publish / pivot races *)
-  }
-
-  val stats : t -> op_stats
-
-  val block_count : t -> int
-  (** Blocks currently published in the SLSM (reads the list head only). *)
+  val stats : t -> (string * float) list
+  (** Cumulative counters, in this order: [flushes] (buffer-to-SLSM
+      publishes), [merges] (log-structured block merges), [spy_sweeps]
+      (emptiness-triggered sweeps over foreign buffers) and [cas_failures]
+      (lost claim / publish / pivot races); then the gauge [blocks]
+      (blocks currently published in the SLSM, one read of the list
+      head). *)
 
   val live_length : t -> int
   (** Unclaimed elements across all buffers and blocks.  Reads every claim

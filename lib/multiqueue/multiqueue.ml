@@ -1,14 +1,13 @@
 module Rng = Repro_util.Rng
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-struct
-  module Heap = Repro_pqueue.Seq_heap.Make (K)
+module Make (R : Repro_runtime.Runtime_intf.S) = struct
+  module Heap = Repro_pqueue.Seq_heap
 
   type 'v shard = {
     lock : R.lock;
     heap : 'v Heap.t;
-    top : K.t option R.shared;  (* cached minimum, readable without the lock *)
-    mutable published : K.t option;  (* last value written to [top]; only
+    top : int option R.shared;  (* cached minimum, readable without the lock *)
+    mutable published : int option;  (* last value written to [top]; only
                                         touched while holding [lock] *)
   }
 
@@ -22,23 +21,12 @@ struct
     mutable del_left : int;
   }
 
-  type op_stats = {
-    inserts : int;
-    deletes : int;
-    lock_failures : int;
-    empty_pops : int;
-    full_sweeps : int;
-    resticks : int;
-  }
-
   type 'v t = {
     shards : 'v shard array;
     choice : int;
     stickiness : int;
     heap_cycles_per_level : int;
     pstates : pstate Repro_runtime.Per_proc.t;
-    mutable inserts : int;
-    mutable deletes : int;
     mutable lock_failures : int;
     mutable empty_pops : int;
     mutable full_sweeps : int;
@@ -78,8 +66,6 @@ struct
               del_shards = Array.make choice 0;
               del_left = 0;
             });
-      inserts = 0;
-      deletes = 0;
       lock_failures = 0;
       empty_pops = 0;
       full_sweeps = 0;
@@ -90,14 +76,13 @@ struct
   let length t = Array.fold_left (fun n s -> n + Heap.length s.heap) 0 t.shards
 
   let stats t =
-    {
-      inserts = t.inserts;
-      deletes = t.deletes;
-      lock_failures = t.lock_failures;
-      empty_pops = t.empty_pops;
-      full_sweeps = t.full_sweeps;
-      resticks = t.resticks;
-    }
+    [
+      ("shards", float_of_int (shards t));
+      ("lock_failures", float_of_int t.lock_failures);
+      ("empty_pops", float_of_int t.empty_pops);
+      ("full_sweeps", float_of_int t.full_sweeps);
+      ("resticks", float_of_int t.resticks);
+    ]
 
   let pstate_for t = Repro_runtime.Per_proc.get t.pstates (R.self ())
 
@@ -126,7 +111,7 @@ struct
   let opt_key_equal a b =
     match (a, b) with
     | None, None -> true
-    | Some x, Some y -> K.compare x y = 0
+    | Some x, Some y -> Int.equal x y
     | _ -> false
 
   let publish s top =
@@ -140,7 +125,7 @@ struct
     charge_heap_walk t (Heap.length s.heap);
     Heap.insert s.heap k v;
     match s.published with
-    | Some m when K.compare m k <= 0 -> ()
+    | Some m when m <= k -> ()
     | _ -> publish s (Some k)
 
   let locked_pop t s =
@@ -183,8 +168,7 @@ struct
       end
     in
     attempt 0;
-    ps.ins_left <- ps.ins_left - 1;
-    t.inserts <- t.inserts + 1
+    ps.ins_left <- ps.ins_left - 1
 
   (* Definitive fallback: walk every shard under its (blocking) lock.  Only
      reached when the sampled minima all read empty or the try-locks kept
@@ -215,7 +199,7 @@ struct
       | None -> ()
       | Some k as top -> (
         match !best_key with
-        | Some bk when K.compare bk k <= 0 -> ()
+        | Some bk when bk <= k -> ()
         | _ ->
           best := idx;
           best_key := top)
@@ -252,6 +236,5 @@ struct
     in
     let r = attempt 0 in
     ps.del_left <- ps.del_left - 1;
-    t.deletes <- t.deletes + 1;
     r
 end

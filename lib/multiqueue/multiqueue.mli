@@ -21,7 +21,7 @@
     native backend, where the real heap operations already cost real
     time). *)
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
+module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type 'v t
 
   val create :
@@ -54,31 +54,26 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       - [seed]: per-processor sampling streams are derived from it
         deterministically. *)
 
-  val insert : 'v t -> K.t -> 'v -> unit
+  val insert : 'v t -> int -> 'v -> unit
   (** Pushes into the processor's sticky shard, redirecting to a fresh
       random shard whenever the try-lock fails.  Never blocks.  Duplicate
       keys are allowed (the shard heaps keep duplicates). *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
+  val delete_min : 'v t -> (int * 'v) option
   (** Pops the minimum of the best of [choice] sampled shards.  Returns
       [None] only after a full (blocking, shard-at-a-time) sweep found
       every shard empty; concurrent inserts may of course land just after
       their shard was swept — the usual relaxed-emptiness caveat. *)
 
-  val shards : 'v t -> int
-
   val length : 'v t -> int
   (** Sum of shard sizes, read without locks — exact only at
       quiescence. *)
 
-  type op_stats = {
-    inserts : int;
-    deletes : int;
-    lock_failures : int;  (** try-locks that lost and redirected *)
-    empty_pops : int;  (** locked a shard that had drained meanwhile *)
-    full_sweeps : int;  (** Delete-mins that fell back to scanning all shards *)
-    resticks : int;  (** sticky shard sets re-rolled (expiry or failure) *)
-  }
-
-  val stats : 'v t -> op_stats
+  val stats : 'v t -> (string * float) list
+  (** The gauge [shards] (the shard count), then cumulative counters, in
+      this order: [lock_failures] (try-locks that lost and redirected),
+      [empty_pops] (locked a shard that had drained meanwhile),
+      [full_sweeps] (Delete-mins that fell back to scanning all shards)
+      and [resticks] (sticky shard sets re-rolled, on expiry or
+      failure). *)
 end

@@ -3,19 +3,17 @@
     model: the FunnelList, heap and MultiQueue tests replay their
     operations against it. *)
 
-module Make (K : Key.ORDERED) : sig
-  type 'v t
+type 'v t
 
-  val create : unit -> 'v t
-  val length : 'v t -> int
-  val is_empty : 'v t -> bool
+val create : unit -> 'v t
+val length : 'v t -> int
+val is_empty : 'v t -> bool
 
-  val insert : 'v t -> K.t -> 'v -> unit
-  (** Keeps duplicates; equal keys sit adjacently in insertion order. *)
+val insert : 'v t -> int -> 'v -> unit
+(** Keeps duplicates; equal keys sit adjacently in insertion order. *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
-  val peek_min : 'v t -> (K.t * 'v) option
+val delete_min : 'v t -> (int * 'v) option
+val peek_min : 'v t -> (int * 'v) option
 
-  val to_list : 'v t -> (K.t * 'v) list
-  val check_invariants : 'v t -> (unit, string) result
-end
+val to_list : 'v t -> (int * 'v) list
+val check_invariants : 'v t -> (unit, string) result

@@ -2,9 +2,7 @@
     below every key (the head's), [Top] above every key (the tail's).
     Shared by the three skiplists. *)
 
-module Make (K : Repro_pqueue.Key.ORDERED) : sig
-  type t = Bottom | Key of K.t | Top
+type t = Bottom | Key of int | Top
 
-  val compare : t -> t -> int
-  (** Sentinels around the keys, which [K.compare] orders. *)
-end
+val compare : t -> t -> int
+(** Sentinels around the keys, which [Int.compare] orders. *)

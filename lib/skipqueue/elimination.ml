@@ -6,33 +6,21 @@
    ({!Skipqueue_co}). *)
 
 module type BACKING = sig
-  type key
   type 'v t
   type 'v batch
 
-  type op_stats = {
-    hunt_steps : int;
-    swap_losses : int;
-    stale_skips : int;
-    hunt_passes : int;
-  }
-
-  val insert : 'v t -> key -> 'v -> [ `Inserted | `Updated ]
-  val first_bound : 'v t -> [ `Empty | `Min_at_most of key ]
+  val insert : 'v t -> int -> 'v -> [ `Inserted | `Updated ]
+  val first_bound : 'v t -> [ `Empty | `Min_at_most of int ]
   val hunt_batch : 'v t -> want:int -> 'v batch
-  val batch_claims : 'v batch -> (key * 'v) list
+  val batch_claims : 'v batch -> (int * 'v) list
   val finish_batch : 'v t -> 'v batch -> unit
   val size : 'v t -> int
-  val to_list : 'v t -> (key * 'v) list
+  val to_list : 'v t -> (int * 'v) list
   val check_invariants : 'v t -> (unit, string) result
-  val stats : 'v t -> op_stats
+  val stats : 'v t -> (string * float) list
 end
 
-module Over
-    (R : Repro_runtime.Runtime_intf.S)
-    (K : Repro_pqueue.Key.ORDERED)
-    (Q : BACKING with type key = K.t) =
-struct
+module Over (R : Repro_runtime.Runtime_intf.S) (Q : BACKING) = struct
   module SQ = Q
 
   (* Published by a deleter: only an insert whose key is strictly below
@@ -45,7 +33,7 @@ struct
      without reading the contended head line at all, and is trivially
      sound.  Deleters observe a real bound only every [bound_every]-th
      publish. *)
-  type bound = Unbounded | At_most of K.t | Closed
+  type bound = Unbounded | At_most of int | Closed
 
   (* The per-waiter rendezvous cell.  Every transition out of [Pending]
      is a CAS, and each delete allocates a fresh cell, so the physical
@@ -55,22 +43,10 @@ struct
        Pending -> Withdrawn    the waiter timed out
        Reserved -> Got r       the combiner delivers (plain write: after
                                Reserved only the combiner touches it) *)
-  type 'v answer = Pending | Reserved | Got of (K.t * 'v) option | Withdrawn
+  type 'v answer = Pending | Reserved | Got of (int * 'v) option | Withdrawn
 
   type 'v waiter = { bound : bound; answer : 'v answer R.shared }
   type 'v slot = Free | Waiting of 'v waiter
-
-  type front_stats = {
-    eliminated : int;
-    fresh_refusals : int;
-    served : int;
-    handoff_empties : int;
-    batches : int;
-    timeouts : int;
-    collisions : int;
-    width : int;
-    window : int;
-  }
 
   (* Per-processor state: the slot-choice stream, and the adaptive state
      after the elimination-backoff stacks of Hendler, Shavit & Yerushalmi:
@@ -92,7 +68,7 @@ struct
     locals : local Repro_runtime.Per_proc.t;
     (* Host-side counters and width/window mirrors: free on the simulator,
        approximate under native races; mirrors track the last adapted
-       values so [front_stats] can run outside a runtime context. *)
+       values so [stats] can run outside a runtime context. *)
     mutable width_now : int;
     mutable window_now : int;
     mutable stat_eliminated : int;
@@ -202,7 +178,7 @@ struct
      cannot be present. *)
   let key_within key = function
     | Unbounded -> true
-    | At_most b -> K.compare key b < 0
+    | At_most b -> key < b
     | Closed -> false
 
   (* --- the direct (combining) path ------------------------------------ *)
@@ -376,21 +352,19 @@ struct
       then Ok ()
       else Error "elimination slot still occupied at quiescence"
 
-  let front_stats t =
-    {
-      eliminated = t.stat_eliminated;
-      fresh_refusals = t.stat_fresh_refusals;
-      served = t.stat_served;
-      handoff_empties = t.stat_handoff_empties;
-      batches = t.stat_batches;
-      timeouts = t.stat_timeouts;
-      collisions = t.stat_collisions;
-      width = t.width_now;
-      window = t.window_now;
-    }
-
-  let queue_stats t = SQ.stats t.q
+  let stats t =
+    [
+      ("eliminated", float_of_int t.stat_eliminated);
+      ("fresh_refusals", float_of_int t.stat_fresh_refusals);
+      ("served", float_of_int t.stat_served);
+      ("handoff_empties", float_of_int t.stat_handoff_empties);
+      ("batches", float_of_int t.stat_batches);
+      ("timeouts", float_of_int t.stat_timeouts);
+      ("collisions", float_of_int t.stat_collisions);
+      ("width", float_of_int t.width_now);
+      ("window", float_of_int t.window_now);
+    ]
+    @ SQ.stats t.q
 end
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-  Over (R) (K) (Skipqueue.Make (R) (K))
+module Make (R : Repro_runtime.Runtime_intf.S) = Over (R) (Skipqueue.Make (R))

@@ -65,8 +65,7 @@
     SkipQueue's Delete-min split (first_bound, hunt_batch / batch_claims /
     finish_batch) plus the plain entry points.  Construction is not part
     of it: {!Over.create} is handed the queue.  {!Skipqueue.Make} and
-    {!Skipqueue_co.Make} both satisfy it directly: each exports the [key]
-    alias itself.
+    {!Skipqueue_co.Make} both satisfy it directly.
 
     The front end's correctness argument needs one property beyond the
     signature: an eliminated key is strictly below the published {e and}
@@ -74,34 +73,22 @@
     rendezvoused element can never be a duplicate of (and in particular
     can never {e coalesce} with) anything in the structure. *)
 module type BACKING = sig
-  type key
   type 'v t
   type 'v batch
 
-  type op_stats = {
-    hunt_steps : int;
-    swap_losses : int;
-    stale_skips : int;
-    hunt_passes : int;
-  }
-
-  val insert : 'v t -> key -> 'v -> [ `Inserted | `Updated ]
-  val first_bound : 'v t -> [ `Empty | `Min_at_most of key ]
+  val insert : 'v t -> int -> 'v -> [ `Inserted | `Updated ]
+  val first_bound : 'v t -> [ `Empty | `Min_at_most of int ]
   val hunt_batch : 'v t -> want:int -> 'v batch
-  val batch_claims : 'v batch -> (key * 'v) list
+  val batch_claims : 'v batch -> (int * 'v) list
   val finish_batch : 'v t -> 'v batch -> unit
   val size : 'v t -> int
-  val to_list : 'v t -> (key * 'v) list
+  val to_list : 'v t -> (int * 'v) list
   val check_invariants : 'v t -> (unit, string) result
-  val stats : 'v t -> op_stats
+  val stats : 'v t -> (string * float) list
 end
 
-module Over
-    (R : Repro_runtime.Runtime_intf.S)
-    (K : Repro_pqueue.Key.ORDERED)
-    (Q : BACKING with type key = K.t) : sig
-  module SQ :
-    BACKING with type key = K.t and type 'v t = 'v Q.t and type 'v batch = 'v Q.batch
+module Over (R : Repro_runtime.Runtime_intf.S) (Q : BACKING) : sig
+  module SQ : BACKING with type 'v t = 'v Q.t and type 'v batch = 'v Q.batch
 
   type 'v t
 
@@ -135,21 +122,21 @@ module Over
       - [adaptive] (default [true]): when [false], width and window stay
         fixed at their initial values. *)
 
-  val insert : 'v t -> K.t -> 'v -> [ `Inserted | `Updated ]
+  val insert : 'v t -> int -> 'v -> [ `Inserted | `Updated ]
   (** One slot peeked; on a bound-respecting rendezvous (key strictly
       below both the published bound and a freshly observed one) the
       binding is handed to the waiting deleter and the call returns
       [`Inserted] — correct, since a key strictly below every settled
       element cannot be present.  Otherwise {!SQ.insert}. *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
+  val delete_min : 'v t -> (int * 'v) option
   (** Publish-poll-withdraw as described above; the direct path combines.
       [None] is the paper's EMPTY. *)
 
   val size : 'v t -> int
   (** {!SQ.size} of the backing queue.  Quiescent use only. *)
 
-  val to_list : 'v t -> (K.t * 'v) list
+  val to_list : 'v t -> (int * 'v) list
   (** {!SQ.to_list} of the backing queue.  Quiescent use only. *)
 
   val check_invariants : 'v t -> (unit, string) result
@@ -158,29 +145,20 @@ module Over
 
   (** {2 Instrumentation} *)
 
-  type front_stats = {
-    eliminated : int;  (** insert/delete rendezvous (structure untouched) *)
-    fresh_refusals : int;
-        (** rendezvous attempts admitted by the published bound but
-            refused by the inserter's own fresh bound read (stale or
-            equal-key matches) *)
-    served : int;  (** deletes answered out of a combiner's batch *)
-    handoff_empties : int;  (** waiters handed the batch's EMPTY *)
-    batches : int;  (** combined hunts that served at least one waiter *)
-    timeouts : int;  (** published deleters that withdrew *)
-    collisions : int;  (** publish attempts that found the slot taken *)
-    width : int;  (** last adapted per-processor width view *)
-    window : int;  (** last adapted per-processor poll budget *)
-  }
-
-  val front_stats : 'v t -> front_stats
+  val stats : 'v t -> (string * float) list
   (** Cumulative since creation; host-side counters, free on the
-      simulator, approximate under native races. *)
-
-  val queue_stats : 'v t -> SQ.op_stats
-  (** {!SQ.stats} of the backing queue. *)
+      simulator, approximate under native races.  The front end's, in
+      this order: [eliminated] (insert/delete rendezvous, structure
+      untouched), [fresh_refusals] (rendezvous attempts admitted by the
+      published bound but refused by the inserter's own fresh bound read:
+      stale or equal-key matches), [served] (deletes answered out of a
+      combiner's batch), [handoff_empties] (waiters handed the batch's
+      EMPTY), [batches] (combined hunts that served at least one waiter),
+      [timeouts] (published deleters that withdrew), [collisions] (publish
+      attempts that found the slot taken), [width] and [window] (the last
+      adapted per-processor width view and poll budget); then {!SQ.stats}
+      of the backing queue. *)
 end
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) :
-  module type of Over (R) (K) (Skipqueue.Make (R) (K))
+module Make (R : Repro_runtime.Runtime_intf.S) : module type of Over (R) (Skipqueue.Make (R))
 (** The front end over the paper's locked SkipQueue. *)

@@ -55,8 +55,10 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     t.reclaimed <- t.reclaimed + !count;
     !count
 
-  type stats = { retired : int; reclaimed : int; pending : int }
-
   let stats (t : t) =
-    { retired = t.retired; reclaimed = t.reclaimed; pending = t.retired - t.reclaimed }
+    [
+      ("retired", float_of_int t.retired);
+      ("reclaimed", float_of_int t.reclaimed);
+      ("pending", float_of_int (t.retired - t.reclaimed));
+    ]
 end

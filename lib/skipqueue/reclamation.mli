@@ -39,7 +39,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) : sig
       reclaims every garbage node deleted strictly before it.  Returns the
       number reclaimed. *)
 
-  type stats = { retired : int; reclaimed : int; pending : int }
-
-  val stats : t -> stats
+  val stats : t -> (string * float) list
+  (** Cumulative counters, in this order: [retired] (nodes handed to
+      {!retire}), [reclaimed] (finalizers run by {!collect}) and [pending]
+      (their difference: retired nodes still awaiting a pass). *)
 end

@@ -1,18 +1,12 @@
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-struct
+module Make (R : Repro_runtime.Runtime_intf.S) = struct
   module Reclaim = Reclamation.Make (R)
-
-  (* Alias making the module a valid [Elimination.BACKING]. *)
-  type key = K.t
 
   type mode = Strict | Relaxed
 
   (* Keys extended with sentinels for the head (-oo) and tail (+oo). *)
-  module B = Bound.Make (K)
+  type bound = Bound.t = Bottom | Key of int | Top
 
-  type bound = B.t = Bottom | Key of K.t | Top
-
-  let bound_compare = B.compare
+  let bound_compare = Bound.compare
 
   type 'v node = {
     key : bound R.shared;
@@ -24,14 +18,6 @@ struct
     deleted : bool R.shared; (* the SWAP target of Delete-min *)
     stamp : int R.shared; (* completion timestamp; max_int while in flight *)
     mutable poisoned : bool; (* set by the reclamation finalizer *)
-  }
-
-  type op_stats = {
-    hunt_steps : int;
-    swap_losses : int;
-    stale_skips : int;
-    hunt_passes : int; (* bottom-level hunt invocations; a [hunt_batch]
-                          performs one however many it claims *)
   }
 
   (* Per-processor state: the level stream, derived deterministically
@@ -101,12 +87,12 @@ struct
     }
 
   let stats t =
-    {
-      hunt_steps = t.hunt_steps;
-      swap_losses = t.swap_losses;
-      stale_skips = t.stale_skips;
-      hunt_passes = t.hunt_passes;
-    }
+    [
+      ("hunt_steps", float_of_int t.hunt_steps);
+      ("swap_losses", float_of_int t.swap_losses);
+      ("stale_skips", float_of_int t.stale_skips);
+      ("hunt_passes", float_of_int t.hunt_passes);
+    ]
 
   let proc t = Repro_runtime.Per_proc.get t.procs (R.self ())
 
@@ -278,7 +264,7 @@ struct
     done;
     List.rev !claimed
 
-  type 'v claim = { cnode : 'v node; ckey : K.t; cvalue : 'v }
+  type 'v claim = { cnode : 'v node; ckey : int; cvalue : 'v }
   type 'v batch = 'v claim list
 
   let claim_of_node node =

@@ -22,15 +22,12 @@
     [Repro_sim.Sim_runtime] for simulated executions or
     [Repro_runtime.Native_runtime] for real domains. *)
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
+module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type 'v t
 
   type mode = Strict | Relaxed
 
   module Reclaim : module type of Reclamation.Make (R)
-
-  type key = K.t
-  (** Alias making the module a valid {!Elimination.BACKING}. *)
 
   val create :
     ?mode:mode ->
@@ -46,31 +43,31 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       streams.  When [reclamation] is supplied, operations register
       themselves with it and physically deleted nodes are retired to it
       instead of being dropped on the floor; its finalizer poisons a node
-      and leaves the memory to the GC.  Inserts always allocate afresh
-      (only the lock-free queue recycles nodes, DESIGN.md §S17). *)
+      and leaves the memory to the GC.  Inserts always allocate afresh;
+      no queue here recycles nodes. *)
 
-  val insert : 'v t -> K.t -> 'v -> [ `Inserted | `Updated ]
+  val insert : 'v t -> int -> 'v -> [ `Inserted | `Updated ]
   (** Fig. 10.  If the key is already present its value is overwritten
       in place ([`Updated]).  As in the paper's code, an update racing
       with a Delete-min that has already claimed the node is lost (the
       claimant returns the previous value); with the benchmarks' random
       priorities such collisions are vanishingly rare. *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
+  val delete_min : 'v t -> (int * 'v) option
   (** Fig. 11.  [None] is the paper's EMPTY. *)
 
-  val peek_min : 'v t -> (K.t * 'v) option
+  val peek_min : 'v t -> (int * 'v) option
   (** First unmarked binding on the bottom level, without claiming it.
       Under concurrency the answer may be stale by the time it returns
       (peek-then-act is inherently racy); useful for monitoring. *)
 
-  val delete : 'v t -> K.t -> 'v option
+  val delete : 'v t -> int -> 'v option
   (** Regular skiplist delete of a specific key (the SkipList operation the
       queue is built from).  Competes fairly with [delete_min]: both must
       win the SWAP on the node's [deleted] flag, so no element is removed
       twice. *)
 
-  val find : 'v t -> K.t -> 'v option
+  val find : 'v t -> int -> 'v option
   (** Lock-free read-only search; returns the value of an unmarked node
       with this key, if any. *)
 
@@ -78,7 +75,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   (** Number of unmarked nodes, counted by a bottom-level traversal.
       Accurate only at quiescence. *)
 
-  val to_list : 'v t -> (K.t * 'v) list
+  val to_list : 'v t -> (int * 'v) list
   (** Ascending bindings of unmarked nodes.  Quiescent use only. *)
 
   val check_invariants : 'v t -> (unit, string) result
@@ -95,7 +92,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       generalized from one victim to a batch; [delete_min] above is
       exactly [hunt_batch ~want:1] followed by [finish_batch]. *)
 
-  val first_bound : 'v t -> [ `Empty | `Min_at_most of K.t ]
+  val first_bound : 'v t -> [ `Empty | `Min_at_most of int ]
   (** Key of the first bottom-level node (marked or not) — a valid lower
       bound on every element that was completely inserted and unclaimed at
       the moment of the read: the bottom level is sorted, and any marked
@@ -114,7 +111,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       pass.  Enters the reclamation critical section: the caller {e must}
       follow with [finish_batch], even on an empty batch. *)
 
-  val batch_claims : 'v batch -> (K.t * 'v) list
+  val batch_claims : 'v batch -> (int * 'v) list
   (** The claimed bindings, in claim (ascending-key) order. *)
 
   val finish_batch : 'v t -> 'v batch -> unit
@@ -123,18 +120,14 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   (** {2 Instrumentation} *)
 
-  type op_stats = {
-    hunt_steps : int;  (** bottom-level nodes examined by delete_mins *)
-    swap_losses : int;  (** marked nodes stepped over (lost races) *)
-    stale_skips : int;  (** nodes skipped because their timestamp was too young *)
-    hunt_passes : int;
-        (** bottom-level hunt invocations: one per [delete_min], one per
-            [hunt_batch] call however many claims it makes — which is how
-            the tests pin that a batch (the elimination combiner's) shares
-            a single pass *)
-  }
-
-  val stats : 'v t -> op_stats
-  (** Cumulative since creation.  Updated with plain (unmodelled) writes —
-      costs nothing on the simulator; approximate under native races. *)
+  val stats : 'v t -> (string * float) list
+  (** Cumulative counters since creation, in this order: [hunt_steps]
+      (bottom-level nodes examined by delete_mins), [swap_losses] (marked
+      nodes stepped over: lost races), [stale_skips] (nodes skipped
+      because their timestamp was too young) and [hunt_passes]
+      (bottom-level hunt invocations: one per [delete_min], one per
+      [hunt_batch] call however many claims it makes — which is how the
+      tests pin that a batch, the elimination combiner's, shares a single
+      pass).  Updated with plain (unmodelled) writes — costs nothing on
+      the simulator; approximate under native races. *)
 end

@@ -59,20 +59,14 @@
    Definition-1 strictness is preserved (§S21 discusses why the checkers
    cannot tell coalescing from the flat layout). *)
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-struct
+module Make (R : Repro_runtime.Runtime_intf.S) = struct
   module W = Co_lockword
-
-  (* Alias making the module a valid [Elimination.BACKING]. *)
-  type key = K.t
 
   type mode = Strict | Relaxed
 
-  module B = Bound.Make (K)
+  type bound = Bound.t = Bottom | Key of int | Top
 
-  type bound = B.t = Bottom | Key of K.t | Top
-
-  let bound_compare = B.compare
+  let bound_compare = Bound.compare
 
   type 'v node = {
     key : bound R.shared;
@@ -91,18 +85,6 @@ struct
            didn't already pay. *)
     deleted : bool R.shared; (* the SWAP target, set once at count = 0 *)
     stamp : int R.shared; (* completion timestamp; max_int while in flight *)
-  }
-
-  type op_stats = {
-    hunt_steps : int;
-    swap_losses : int;
-    stale_skips : int;
-    hunt_passes : int;
-  }
-
-  type co_stats = {
-    coalesced_inserts : int; (* inserts absorbed into an existing node *)
-    node_splits : int; (* fresh links forced by a full live node *)
   }
 
   (* Per-processor level stream and [find_preds] scratch, as in the base
@@ -201,15 +183,14 @@ struct
     }
 
   let stats t =
-    {
-      hunt_steps = t.hunt_steps;
-      swap_losses = t.swap_losses;
-      stale_skips = t.stale_skips;
-      hunt_passes = t.hunt_passes;
-    }
-
-  let co_stats t =
-    { coalesced_inserts = t.coalesced_inserts; node_splits = t.node_splits }
+    [
+      ("hunt_steps", float_of_int t.hunt_steps);
+      ("swap_losses", float_of_int t.swap_losses);
+      ("stale_skips", float_of_int t.stale_skips);
+      ("hunt_passes", float_of_int t.hunt_passes);
+      ("coalesced_inserts", float_of_int t.coalesced_inserts);
+      ("node_splits", float_of_int t.node_splits);
+    ]
 
   let proc t = Repro_runtime.Per_proc.get t.procs (R.self ())
 
@@ -615,7 +596,7 @@ struct
     (List.rev !claims, List.rev !dead)
 
   type 'v batch = {
-    bclaims : (K.t * 'v) list;
+    bclaims : (int * 'v) list;
     bdead : ('v node * bound) list;
   }
 

@@ -25,13 +25,10 @@
     older node shares its key, so no smaller settled element is ever
     skipped), [Relaxed] stays §5.4-relaxed. *)
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
+module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type 'v t
 
   type mode = Strict | Relaxed
-
-  type key = K.t
-  (** Alias making the module a valid {!Elimination.BACKING}. *)
 
   val create :
     ?mode:mode -> ?p:float -> ?max_level:int -> ?seed:int64 -> ?capacity:int -> unit -> 'v t
@@ -39,12 +36,12 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       (default 4) bounds a node's multiset; it must not exceed
       {!Co_lockword.count_capacity} for the chosen [max_level]. *)
 
-  val insert : 'v t -> K.t -> 'v -> [ `Inserted | `Updated ]
+  val insert : 'v t -> int -> 'v -> [ `Inserted | `Updated ]
   (** Joins the first live equal-key node when possible; links a fresh
       node after every equal-key node otherwise.  Always [`Inserted]: the
       type is {!Elimination.BACKING}'s. *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
+  val delete_min : 'v t -> (int * 'v) option
   (** Claims one element of the first eligible node with a single
       lock-free ticket CAS (FIFO within a key); unlinks the node only on
       the claim that exhausts it. *)
@@ -52,7 +49,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
   val size : 'v t -> int
   (** Number of live {e elements} (counts, not nodes).  Quiescent use. *)
 
-  val to_list : 'v t -> (K.t * 'v) list
+  val to_list : 'v t -> (int * 'v) list
   (** Ascending bindings; within one key, insertion (delivery) order.
       Quiescent use only. *)
 
@@ -66,33 +63,23 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       may be satisfied by several elements of one coalesced node in a
       single hunt pass. *)
 
-  val first_bound : 'v t -> [ `Empty | `Min_at_most of K.t ]
+  val first_bound : 'v t -> [ `Empty | `Min_at_most of int ]
 
   type 'v batch
 
   val hunt_batch : 'v t -> want:int -> 'v batch
-  val batch_claims : 'v batch -> (K.t * 'v) list
+  val batch_claims : 'v batch -> (int * 'v) list
   val finish_batch : 'v t -> 'v batch -> unit
 
   (** {2 Instrumentation} *)
 
-  type op_stats = {
-    hunt_steps : int;  (** bottom-level claim attempts by delete-mins *)
-    swap_losses : int;
-        (** dead nodes stepped over plus claim CASes lost to a
-            concurrent commit on the same word *)
-    stale_skips : int;  (** nodes skipped for a too-young timestamp *)
-    hunt_passes : int;  (** hunt invocations (one per batch) *)
-  }
-
-  val stats : 'v t -> op_stats
-
-  type co_stats = {
-    coalesced_inserts : int;
-        (** multiset inserts absorbed into an existing node's slab *)
-    node_splits : int;
-        (** fresh equal-key links forced by a live node at capacity *)
-  }
-
-  val co_stats : 'v t -> co_stats
+  val stats : 'v t -> (string * float) list
+  (** Cumulative counters since creation, in this order: [hunt_steps]
+      (bottom-level claim attempts by delete-mins), [swap_losses] (dead
+      nodes stepped over plus claim CASes lost to a concurrent commit on
+      the same word), [stale_skips] (nodes skipped for a too-young
+      timestamp), [hunt_passes] (hunt invocations, one per batch),
+      [coalesced_inserts] (multiset inserts absorbed into an existing
+      node's slab) and [node_splits] (fresh equal-key links forced by a
+      live node at capacity). *)
 end

@@ -47,13 +47,10 @@
    (such a tombstone may sit bottom-earlier than the new node; the tower
    is simply truncated at that level). *)
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) =
-struct
-  module B = Bound.Make (K)
+module Make (R : Repro_runtime.Runtime_intf.S) = struct
+  type bound = Bound.t = Bottom | Key of int | Top
 
-  type bound = B.t = Bottom | Key of K.t | Top
-
-  let bound_compare = B.compare
+  let bound_compare = Bound.compare
 
   (* The marked reference.  Never mutated: every state change writes a
      fresh record, so a CAS whose expected record was superseded — by a
@@ -65,17 +62,6 @@ struct
     value : 'v option R.shared; (* None only in sentinels *)
     level : int;
     next : 'v link R.shared array; (* length = level; index 0 carries the mark *)
-  }
-
-  type stats = {
-    cas_failures : int; (* claim/link CAS attempts lost to a race *)
-    marked_hops : int; (* bottom-level tombstones stepped over, all walks *)
-    insert_marked_hops : int; (* ... of which by insert searches *)
-    restructures : int; (* batched prefix unlinks performed *)
-    restructure_skips : int; (* restructures ceded to the current holder *)
-    unlinked : int; (* nodes physically removed by restructures *)
-    searches : int; (* top-down searches from the head, every level's *)
-    resumed_walks : int; (* bottom walks resumed from a lost CAS's predecessor *)
   }
 
   (* Per-processor level stream and search scratch: the predecessor at
@@ -144,16 +130,16 @@ struct
     }
 
   let stats t =
-    {
-      cas_failures = t.cas_failures;
-      marked_hops = t.marked_hops;
-      insert_marked_hops = t.insert_marked_hops;
-      restructures = t.restructures;
-      restructure_skips = t.restructure_skips;
-      unlinked = t.unlinked;
-      searches = t.searches;
-      resumed_walks = t.resumed_walks;
-    }
+    [
+      ("cas_failures", float_of_int t.cas_failures);
+      ("marked_hops", float_of_int t.marked_hops);
+      ("insert_marked_hops", float_of_int t.insert_marked_hops);
+      ("restructures", float_of_int t.restructures);
+      ("restructure_skips", float_of_int t.restructure_skips);
+      ("unlinked", float_of_int t.unlinked);
+      ("searches", float_of_int t.searches);
+      ("resumed_walks", float_of_int t.resumed_walks);
+    ]
 
   (* --- per-processor state ------------------------------------------------- *)
 

@@ -23,7 +23,7 @@
     linked as tombstones until the batched unlink.  Design and proofs:
     DESIGN.md S19. *)
 
-module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : sig
+module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type 'v t
 
   val create :
@@ -39,7 +39,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       physical unlink.  Raises [Invalid_argument] when [p] is outside
       (0, 1) or [max_level] or [restructure_threshold] is below 1. *)
 
-  val insert : 'v t -> K.t -> 'v -> unit
+  val insert : 'v t -> int -> 'v -> unit
   (** CAS-links bottom-up; linearizes at the successful bottom-level CAS.
       Duplicate keys are kept (multiset); a new node lands before existing
       equal keys.  Only LIVE nodes are kept in key order: the new node goes
@@ -51,7 +51,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
       predecessor's record: if it is still live the walk resumes from it,
       otherwise the insert searches again from the head. *)
 
-  val delete_min : 'v t -> (K.t * 'v) option
+  val delete_min : 'v t -> (int * 'v) option
   (** Logical delete-min: walks the bottom level hopping marked nodes and
       claims the first live node by CAS-marking its bottom link — the
       successful CAS is the linearization point ([None], the paper's
@@ -61,9 +61,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   (** {1 Read-only views} (quiescent or best-effort) *)
 
-  val peek_min : 'v t -> (K.t * 'v) option
+  val peek_min : 'v t -> (int * 'v) option
   val size : 'v t -> int
-  val to_list : 'v t -> (K.t * 'v) list
+  val to_list : 'v t -> (int * 'v) list
 
   val marked_prefix_len : 'v t -> int
   (** Length of the logically deleted prefix still physically linked at the
@@ -78,20 +78,16 @@ module Make (R : Repro_runtime.Runtime_intf.S) (K : Repro_pqueue.Key.ORDERED) : 
 
   (** {1 Introspection} *)
 
-  type stats = {
-    cas_failures : int;  (** claim/link CAS attempts lost to a race *)
-    marked_hops : int;  (** bottom-level tombstones stepped over, every walk *)
-    insert_marked_hops : int;  (** the share of [marked_hops] stepped over by inserts *)
-    restructures : int;  (** batched prefix unlinks performed *)
-    restructure_skips : int;  (** passes ceded to the current holder *)
-    unlinked : int;  (** nodes physically removed *)
-    searches : int;
-        (** top-down searches from the head: an insert's first, one per
-            upper level it links, and one per bottom retry that found its
-            predecessor dead or ran a restructure *)
-    resumed_walks : int;
-        (** bottom walks resumed from the live predecessor whose CAS lost *)
-  }
-
-  val stats : 'v t -> stats
+  val stats : 'v t -> (string * float) list
+  (** Cumulative counters since creation, in this order: [cas_failures]
+      (claim/link CAS attempts lost to a race), [marked_hops]
+      (bottom-level tombstones stepped over, every walk),
+      [insert_marked_hops] (the share of [marked_hops] stepped over by
+      inserts), [restructures] (batched prefix unlinks performed),
+      [restructure_skips] (passes ceded to the current holder), [unlinked]
+      (nodes physically removed), [searches] (top-down searches from the
+      head: an insert's first, one per upper level it links, and one per
+      bottom retry that found its predecessor dead or ran a restructure)
+      and [resumed_walks] (bottom walks resumed from the live predecessor
+      whose CAS lost). *)
 end

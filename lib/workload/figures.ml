@@ -642,7 +642,7 @@ let scheduler ~id options =
     let deadline = Array.make jobs_total 0 in
     let pop_t = Array.make jobs_total (-1) in
     let user = Array.make jobs_total 0 in
-    let front_stats = ref [] in
+    let facade_stats = ref [] in
     let split total parts p = (total / parts) + (if p < total mod parts then 1 else 0) in
     let offset total parts p = (p * (total / parts)) + Int.min p (total mod parts) in
     let (_ : Machine.report) =
@@ -682,7 +682,7 @@ let scheduler ~id options =
              lock statistics requires the simulation context) *)
           Machine.spawn (fun () ->
               Machine.work (1 lsl 50);
-              front_stats := q.QA.stats ()))
+              facade_stats := q.QA.stats ()))
     in
     let lat = Stats.create () in
     let missed = ref 0 and users = Hashtbl.create (2 * jobs_total) in
@@ -694,7 +694,7 @@ let scheduler ~id options =
       if pop_t.(j) > !finish then finish := pop_t.(j);
       Hashtbl.replace users user.(j) ()
     done;
-    let stat k = try List.assoc k !front_stats with Not_found -> 0.0 in
+    let stat k = try List.assoc k !facade_stats with Not_found -> 0.0 in
     ( consumers,
       object
         method latency = Stats.mean lat

@@ -244,20 +244,16 @@ end
 let facade ~insert_wait ~try_delete_min ~delete_min_wait ~stats =
   { insert = insert_wait; insert_wait; try_delete_min; delete_min_wait; stats }
 
-let counts f = List.map (fun (k, v) -> (k, float_of_int v)) f
-
-module Key = Repro_pqueue.Key.Int
-
 module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
-  module SQ = Repro_skipqueue.Skipqueue.Make (R) (Key)
-  module LF = Repro_skipqueue.Skipqueue_lf.Make (R) (Key)
-  module CO = Repro_skipqueue.Skipqueue_co.Make (R) (Key)
+  module SQ = Repro_skipqueue.Skipqueue.Make (R)
+  module LF = Repro_skipqueue.Skipqueue_lf.Make (R)
+  module CO = Repro_skipqueue.Skipqueue_co.Make (R)
 
-  module Heap = Repro_heap.Hunt_heap.Make (R) (Key)
-  module FL = Repro_funnel.Funnel_list.Make (R) (Key)
+  module Heap = Repro_heap.Hunt_heap.Make (R)
+  module FL = Repro_funnel.Funnel_list.Make (R)
   module Funnel = Repro_funnel.Combining_funnel.Make (R)
   module Bins = Repro_funnel.Bin_queue.Make (R)
-  module MQ = Repro_multiqueue.Multiqueue.Make (R) (Key)
+  module MQ = Repro_multiqueue.Multiqueue.Make (R)
   module KL = Repro_klsm.Klsm.Make (R)
   module Bounded = Repro_bounded.Bounded_queue.Make (R)
 
@@ -286,8 +282,10 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
       stats =
         (fun () ->
           let acq, fail = R.lock_stats () in
-          counts [ ("ops", !ops); ("lock_acquisitions", acq - base_acq); ("lock_try_failures", fail - base_fail) ]
-          @ stats ());
+          ("ops", float_of_int !ops)
+          :: ("lock_acquisitions", float_of_int (acq - base_acq))
+          :: ("lock_try_failures", float_of_int (fail - base_fail))
+          :: stats ());
     }
 
   let skipqueue_instance ~mode ?p ?max_level () =
@@ -295,11 +293,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
     instance
       ~insert:(fun k v -> ignore (SQ.insert q k v))
       ~try_delete_min:(fun () -> SQ.delete_min q)
-      ~stats:(fun () ->
-        let s = SQ.stats q in
-        counts
-          [ ("hunt_steps", s.SQ.hunt_steps); ("swap_losses", s.SQ.swap_losses);
-            ("stale_skips", s.SQ.stale_skips); ("hunt_passes", s.SQ.hunt_passes) ])
+      ~stats:(fun () -> SQ.stats q)
 
   (* Coalescing SkipQueue (DESIGN.md §S21): duplicate-key multiset nodes
      behind one packed lock word. *)
@@ -308,25 +302,21 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
     instance
       ~insert:(fun k v -> ignore (CO.insert q k v))
       ~try_delete_min:(fun () -> CO.delete_min q)
-      ~stats:(fun () ->
-        let s = CO.stats q and c = CO.co_stats q in
-        counts
-          [ ("hunt_steps", s.CO.hunt_steps); ("swap_losses", s.CO.swap_losses);
-            ("stale_skips", s.CO.stale_skips); ("hunt_passes", s.CO.hunt_passes);
-            ("coalesced_inserts", c.CO.coalesced_inserts); ("node_splits", c.CO.node_splits) ])
+      ~stats:(fun () -> CO.stats q)
 
   (* Elimination–combining front end (Calciu, Mendes & Herlihy):
      rendezvous in an adaptive array when the inserted key is strictly
      below both the deleter's published bound and the inserter's own fresh
      observation of the minimum; timed-out deleters combine one shared
      bottom-level hunt.  The front end preserves the backing queue's
-     contract (DESIGN.md §S15).  One builder serves both backings, so
-     both report the same counters.  Over the coalescing queue an
-     eliminated pair never reaches the structure, so it can never also
-     coalesce: strict-below-bound admission keeps the exchanged key
-     distinct from every settled element (see Elimination.BACKING). *)
-  module Elim_over (Q : Repro_skipqueue.Elimination.BACKING with type key = Key.t) = struct
-    module E = Repro_skipqueue.Elimination.Over (R) (Key) (Q)
+     contract (DESIGN.md §S15).  One builder serves both backings; each
+     reports the front end's counters, then its backing's.  Over the
+     coalescing queue an eliminated pair never reaches the structure, so
+     it can never also coalesce: strict-below-bound admission keeps the
+     exchanged key distinct from every settled element (see
+     Elimination.BACKING). *)
+  module Elim_over (Q : Repro_skipqueue.Elimination.BACKING) = struct
+    module E = Repro_skipqueue.Elimination.Over (R) (Q)
 
     (* [queue] runs inside [E.create], after the elimination array's
        cells: simulated line ids follow allocation order. *)
@@ -335,15 +325,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
       instance
         ~insert:(fun k v -> ignore (E.insert q k v))
         ~try_delete_min:(fun () -> E.delete_min q)
-        ~stats:(fun () ->
-          let f = E.front_stats q and s = E.queue_stats q in
-          counts
-            [ ("eliminated", f.E.eliminated); ("fresh_refusals", f.E.fresh_refusals);
-              ("served", f.E.served); ("handoff_empties", f.E.handoff_empties);
-              ("batches", f.E.batches); ("timeouts", f.E.timeouts);
-              ("collisions", f.E.collisions); ("width", f.E.width); ("window", f.E.window);
-              ("hunt_steps", s.E.SQ.hunt_steps); ("swap_losses", s.E.SQ.swap_losses);
-              ("stale_skips", s.E.SQ.stale_skips); ("hunt_passes", s.E.SQ.hunt_passes) ])
+        ~stats:(fun () -> E.stats q)
   end
 
   module Elim_sq = Elim_over (SQ)
@@ -357,13 +339,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
     instance
       ~insert:(fun k v -> LF.insert q k v)
       ~try_delete_min:(fun () -> LF.delete_min q)
-      ~stats:(fun () ->
-        let s = LF.stats q in
-        counts
-          [ ("cas_failures", s.LF.cas_failures); ("marked_hops", s.LF.marked_hops);
-            ("insert_marked_hops", s.LF.insert_marked_hops); ("restructures", s.LF.restructures); ("restructure_skips", s.LF.restructure_skips);
-            ("unlinked", s.LF.unlinked); ("searches", s.LF.searches);
-            ("resumed_walks", s.LF.resumed_walks) ])
+      ~stats:(fun () -> LF.stats q)
 
   let heap_instance ?capacity () =
     let h = Heap.create ?capacity () in
@@ -371,11 +347,8 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
 
   let funnel_list_instance () =
     let q = FL.create () in
-    instance ~insert:(FL.insert q) ~try_delete_min:(fun () -> FL.delete_min q) ~stats:(fun () ->
-        let s = FL.funnel_stats q in
-        counts
-          [ ("batches", s.Funnel.batches); ("combines", s.Funnel.combines);
-            ("largest_batch", s.Funnel.largest_batch) ])
+    instance ~insert:(FL.insert q) ~try_delete_min:(fun () -> FL.delete_min q)
+      ~stats:(fun () -> FL.stats q)
 
   let bin_instance ~range () =
     let q = Bins.create ~range () in
@@ -386,20 +359,13 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
 
   let multiqueue_instance ~procs () =
     let q = MQ.create ?heap_cycles_per_level:walk_charge ~procs () in
-    instance ~insert:(MQ.insert q) ~try_delete_min:(fun () -> MQ.delete_min q) ~stats:(fun () ->
-        let s = MQ.stats q in
-        counts
-          [ ("shards", MQ.shards q); ("lock_failures", s.MQ.lock_failures);
-            ("empty_pops", s.MQ.empty_pops); ("full_sweeps", s.MQ.full_sweeps);
-            ("resticks", s.MQ.resticks) ])
+    instance ~insert:(MQ.insert q) ~try_delete_min:(fun () -> MQ.delete_min q)
+      ~stats:(fun () -> MQ.stats q)
 
   let klsm_instance ~k ~procs () =
     let q = KL.create ?search_cycles:walk_charge ~k ~procs () in
-    instance ~insert:(KL.insert q) ~try_delete_min:(fun () -> KL.delete_min q) ~stats:(fun () ->
-        let s = KL.stats q in
-        counts
-          [ ("flushes", s.KL.flushes); ("merges", s.KL.merges); ("spy_sweeps", s.KL.spy_sweeps);
-            ("cas_failures", s.KL.cas_failures); ("blocks", KL.block_count q) ])
+    instance ~insert:(KL.insert q) ~try_delete_min:(fun () -> KL.delete_min q)
+      ~stats:(fun () -> KL.stats q)
 
   (* Ablation A1: Delete-mins regulated by a combining funnel in front of
      the SkipQueue (§5 "We tried using a funnel to regulate access of
@@ -440,11 +406,7 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
     instance
       ~insert:(fun k v -> ignore (SQ.insert q k v))
       ~try_delete_min:(fun () -> SQ.delete_min q)
-      ~stats:(fun () ->
-        let s = SQ.Reclaim.stats recl in
-        counts
-          [ ("retired", s.SQ.Reclaim.retired); ("reclaimed", s.SQ.Reclaim.reclaimed);
-            ("pending", s.SQ.Reclaim.pending) ])
+      ~stats:(fun () -> SQ.Reclaim.stats recl)
 
   (* Bounded/blocking façade over any implementation (lib/bounded).  The
      façade's end locks guard only its room and item credits; it calls the

@@ -9,7 +9,7 @@
 module Machine = Repro_sim.Machine
 module Sim_rt = Repro_sim.Sim_runtime
 module Bounded = Repro_bounded.Bounded_queue.Make (Repro_sim.Sim_runtime)
-module SQ = Repro_skipqueue.Skipqueue.Make (Repro_sim.Sim_runtime) (Repro_pqueue.Key.Int)
+module SQ = Repro_skipqueue.Skipqueue.Make (Repro_sim.Sim_runtime)
 module Rng = Repro_util.Rng
 
 let check = Alcotest.(check bool)

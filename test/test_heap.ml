@@ -6,9 +6,9 @@ module Machine = Repro_sim.Machine
 module Sim_rt = Repro_sim.Sim_runtime
 module Native_rt = Repro_runtime.Native_runtime
 module Rng = Repro_util.Rng
-module H_sim = Repro_heap.Hunt_heap.Make (Sim_rt) (Repro_pqueue.Key.Int)
-module H_native = Repro_heap.Hunt_heap.Make (Native_rt) (Repro_pqueue.Key.Int)
-module Oracle = Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
+module H_sim = Repro_heap.Hunt_heap.Make (Sim_rt)
+module H_native = Repro_heap.Hunt_heap.Make (Native_rt)
+module Oracle = Repro_pqueue.Oracle
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -92,7 +92,7 @@ let test_random_vs_model () =
 (* qcheck: arbitrary op sequences against the sequential sorted list from
    lib/pqueue.  Keys compare only (under duplicate keys either id is a
    correct answer); the final drains must agree as key multisets too. *)
-module Model = Repro_pqueue.Sorted_list.Make (Repro_pqueue.Key.Int)
+module Model = Repro_pqueue.Sorted_list
 
 let qcheck_matches_model =
   let gen = QCheck.(list_of_size Gen.(int_range 0 200) (int_range (-1) 60)) in

@@ -3,10 +3,9 @@
    check is tested against a factorial search over every order. *)
 
 module Rng = Repro_util.Rng
-module Key = Repro_pqueue.Key
-module Heap = Repro_pqueue.Seq_heap.Make (Key.Int)
-module Sorted = Repro_pqueue.Sorted_list.Make (Key.Int)
-module Oracle = Repro_pqueue.Oracle.Make (Key.Int)
+module Heap = Repro_pqueue.Seq_heap
+module Sorted = Repro_pqueue.Sorted_list
+module Oracle = Repro_pqueue.Oracle
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -8,14 +8,14 @@ module Sim_rt = Repro_sim.Sim_runtime
 module Native_rt = Repro_runtime.Native_runtime
 module Rng = Repro_util.Rng
 
-module SQ_sim = Repro_skipqueue.Skipqueue.Make (Sim_rt) (Repro_pqueue.Key.Int)
-module SQ_native = Repro_skipqueue.Skipqueue.Make (Native_rt) (Repro_pqueue.Key.Int)
-module Oracle = Repro_pqueue.Oracle.Make (Repro_pqueue.Key.Int)
-module SQ_float = Repro_skipqueue.Skipqueue.Make (Sim_rt) (Repro_pqueue.Key.Float)
-module CO_sim = Repro_skipqueue.Skipqueue_co.Make (Sim_rt) (Repro_pqueue.Key.Int)
+module SQ_sim = Repro_skipqueue.Skipqueue.Make (Sim_rt)
+module SQ_native = Repro_skipqueue.Skipqueue.Make (Native_rt)
+module Oracle = Repro_pqueue.Oracle
+module CO_sim = Repro_skipqueue.Skipqueue_co.Make (Sim_rt)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let stat name stats = int_of_float (List.assoc name stats)
 
 let ok_or_fail = function Ok () -> () | Error msg -> Alcotest.fail msg
 
@@ -232,15 +232,16 @@ let test_relaxed_may_take_concurrent_insert () =
   in
   check "relaxed takes the smaller key" true (!result = Some (5, 5))
 
-(* --- other key types ------------------------------------------------------ *)
+(* --- negative keys --------------------------------------------------------- *)
 
-let test_float_keys () =
+let test_negative_keys () =
   in_sim (fun () ->
-      let q = SQ_float.create () in
-      List.iter (fun k -> ignore (SQ_float.insert q k ())) [ 3.14; 0.5; 2.71; -1.0 ];
-      check "negative min first" true (SQ_float.delete_min q = Some (-1.0, ()));
-      check "then 0.5" true (SQ_float.delete_min q = Some (0.5, ()));
-      match SQ_float.check_invariants q with
+      let q = SQ_sim.create () in
+      List.iter (fun k -> ignore (SQ_sim.insert q k k)) [ 314; -50; 271; min_int; 0 ];
+      check "negative min first" true (SQ_sim.delete_min q = Some (min_int, min_int));
+      check "then -50" true (SQ_sim.delete_min q = Some (-50, -50));
+      check "then 0" true (SQ_sim.delete_min q = Some (0, 0));
+      match SQ_sim.check_invariants q with
       | Ok () -> ()
       | Error e -> Alcotest.fail e)
 
@@ -337,10 +338,10 @@ let test_stats_counters () =
   exercise SQ_sim.Strict strict_stats;
   exercise SQ_sim.Relaxed relaxed_stats;
   let strict = Option.get !strict_stats and relaxed = Option.get !relaxed_stats in
-  check "strict hunts recorded" true (strict.SQ_sim.hunt_steps > 0);
-  check "relaxed hunts recorded" true (relaxed.SQ_sim.hunt_steps > 0);
-  check_int "relaxed never stale-skips" 0 relaxed.SQ_sim.stale_skips;
-  check "hunt steps >= successful deletes" true (strict.SQ_sim.hunt_steps >= 40)
+  check "strict hunts recorded" true (stat "hunt_steps" strict > 0);
+  check "relaxed hunts recorded" true (stat "hunt_steps" relaxed > 0);
+  check_int "relaxed never stale-skips" 0 (stat "stale_skips" relaxed);
+  check "hunt steps >= successful deletes" true (stat "hunt_steps" strict >= 40)
 
 (* Fig. 11's hunt reads, per node, only the stamp (strict mode), the SWAP
    target and [next], and stops at the tail by identity.  Leave [k]
@@ -458,8 +459,8 @@ let test_reclamation_safety () =
   match !stats with
   | None -> Alcotest.fail "collector never ran"
   | Some s ->
-    check_int "everything retired got reclaimed" 40 s.SQ_sim.Reclaim.reclaimed;
-    check_int "nothing pending" 0 s.SQ_sim.Reclaim.pending
+    check_int "everything retired got reclaimed" 40 (stat "reclaimed" s);
+    check_int "nothing pending" 0 (stat "pending" s)
 
 let test_reclamation_under_churn () =
   (* Seeded churn with reclamation active: deletions retire nodes and
@@ -521,7 +522,7 @@ let test_reclamation_under_churn () =
             (match SQ_sim.check_invariants q with
             | Ok () -> ()
             | Error e -> errors := e :: !errors);
-            reclaimed := Some (SQ_sim.Reclaim.stats recl).SQ_sim.Reclaim.reclaimed))
+            reclaimed := Some (stat "reclaimed" (SQ_sim.Reclaim.stats recl))))
   in
   (match !errors with
   | [] -> ()
@@ -648,8 +649,8 @@ let () =
           Alcotest.test_case "relaxed takes completed insert" `Quick
             test_relaxed_may_take_concurrent_insert;
         ] );
-      ( "generic-keys",
-        [ Alcotest.test_case "float keys" `Quick test_float_keys ] );
+      ( "keys",
+        [ Alcotest.test_case "negative keys" `Quick test_negative_keys ] );
       ( "instrumentation",
         [
           Alcotest.test_case "stats counters" `Quick test_stats_counters;

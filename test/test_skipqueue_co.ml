@@ -10,10 +10,11 @@ module Sim_rt = Repro_sim.Sim_runtime
 module Rng = Repro_util.Rng
 module QA = Repro_workload.Queue_adapter
 module LW = Repro_skipqueue.Co_lockword
-module CO = Repro_skipqueue.Skipqueue_co.Make (Sim_rt) (Repro_pqueue.Key.Int)
+module CO = Repro_skipqueue.Skipqueue_co.Make (Sim_rt)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let stat name stats = int_of_float (List.assoc name stats)
 
 let ok_or_fail = function Ok () -> () | Error msg -> Alcotest.fail msg
 
@@ -159,9 +160,9 @@ let test_join_then_split_at_capacity () =
       check "first equal-key insert links" true (CO.insert q 5 10 = `Inserted);
       check "second joins the live node" true (CO.insert q 5 11 = `Inserted);
       check "third splits past capacity" true (CO.insert q 5 12 = `Inserted);
-      let c = CO.co_stats q in
-      check_int "one coalesced insert" 1 c.CO.coalesced_inserts;
-      check_int "one capacity split" 1 c.CO.node_splits;
+      let c = CO.stats q in
+      check_int "one coalesced insert" 1 (stat "coalesced_inserts" c);
+      check_int "one capacity split" 1 (stat "node_splits" c);
       ignore (CO.insert q 3 30);
       check_int "size counts elements" 4 (CO.size q);
       ok_or_fail (CO.check_invariants q);
@@ -285,7 +286,7 @@ let run_pinned ?(mode = CO.Strict) () =
         done;
         Machine.spawn (fun () ->
             Machine.work (1 lsl 55);
-            stats := Some (CO.co_stats q, CO.stats q);
+            stats := Some (CO.stats q);
             let populated = CO.check_invariants q in
             let rec go () =
               match CO.delete_min q with
@@ -304,10 +305,10 @@ let run_pinned ?(mode = CO.Strict) () =
   (Option.get !stats, !deleted)
 
 let test_pinned_join_and_link () =
-  let (s, _), deleted = run_pinned () in
-  check "schedule exercised the join path" true (s.CO.coalesced_inserts > 0);
-  check "schedule exercised the capacity-split path" true (s.CO.node_splits > 0);
-  let (s', _), deleted' = run_pinned () in
+  let s, deleted = run_pinned () in
+  check "schedule exercised the join path" true (stat "coalesced_inserts" s > 0);
+  check "schedule exercised the capacity-split path" true (stat "node_splits" s > 0);
+  let s', deleted' = run_pinned () in
   check "pinned seed replays bit-identically" true
     (s = s' && deleted = deleted')
 
@@ -318,10 +319,10 @@ let test_pinned_join_and_link () =
    young), a relaxed one never reads a stamp and so never skips; both
    deliver every element exactly once. *)
 let test_strict_skips_relaxed_does_not () =
-  let (_, strict), _ = run_pinned ~mode:CO.Strict () in
-  check "strict mode skipped a too-young node" true (strict.CO.stale_skips > 0);
-  let (_, relaxed), _ = run_pinned ~mode:CO.Relaxed () in
-  check_int "relaxed mode never skips" 0 relaxed.CO.stale_skips
+  let strict, _ = run_pinned ~mode:CO.Strict () in
+  check "strict mode skipped a too-young node" true (stat "stale_skips" strict > 0);
+  let relaxed, _ = run_pinned ~mode:CO.Relaxed () in
+  check_int "relaxed mode never skips" 0 (stat "stale_skips" relaxed)
 
 (* --- batch hunt ---------------------------------------------------------- *)
 
@@ -334,8 +335,8 @@ let test_one_node_fulfils_batch () =
         ignore (CO.insert q 5 i)
       done;
       ignore (CO.insert q 9 99);
-      check_int "all five coalesced" 4 (CO.co_stats q).CO.coalesced_inserts;
-      let before = (CO.stats q).CO.hunt_passes in
+      check_int "all five coalesced" 4 (stat "coalesced_inserts" (CO.stats q));
+      let before = stat "hunt_passes" (CO.stats q) in
       let batch = CO.hunt_batch q ~want:4 in
       let claims = CO.batch_claims batch in
       CO.finish_batch q batch;
@@ -344,7 +345,7 @@ let test_one_node_fulfils_batch () =
         [ (5, 1); (5, 2); (5, 3); (5, 4) ]
         claims;
       check_int "one hunt pass for the whole batch" (before + 1)
-        ((CO.stats q).CO.hunt_passes);
+        (stat "hunt_passes" (CO.stats q));
       check "fifth element still queued" true (CO.delete_min q = Some (5, 5));
       check "then the next key" true (CO.delete_min q = Some (9, 99));
       ok_or_fail (CO.check_invariants q))

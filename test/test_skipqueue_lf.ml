@@ -10,11 +10,12 @@ module Sim_rt = Repro_sim.Sim_runtime
 module Native_rt = Repro_runtime.Native_runtime
 module Bounded = Repro_bounded.Bounded_queue.Make (Sim_rt)
 module Rng = Repro_util.Rng
-module LF = Repro_skipqueue.Skipqueue_lf.Make (Sim_rt) (Repro_pqueue.Key.Int)
-module LF_native = Repro_skipqueue.Skipqueue_lf.Make (Native_rt) (Repro_pqueue.Key.Int)
+module LF = Repro_skipqueue.Skipqueue_lf.Make (Sim_rt)
+module LF_native = Repro_skipqueue.Skipqueue_lf.Make (Native_rt)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let stat name stats = int_of_float (List.assoc name stats)
 let ok_or_fail = function Ok () -> () | Error msg -> Alcotest.fail msg
 
 (* Access kinds, for pinning an operation's trace. *)
@@ -142,7 +143,7 @@ let test_tombstones_persist_below_threshold () =
         check "drains ascending" true (LF.delete_min q = Some (i, i))
       done;
       check_int "tombstones still linked" 8 (LF.marked_prefix_len q);
-      check_int "no restructure fired" 0 (LF.stats q).LF.restructures;
+      check_int "no restructure fired" 0 (stat "restructures" (LF.stats q));
       check "peek skips the tombstones" true (LF.peek_min q = Some (8, 8));
       check_int "size counts live nodes only" 12 (LF.size q);
       ok_or_fail (LF.check_invariants q);
@@ -165,9 +166,9 @@ let test_restructure_threshold_honored () =
         check "prefix stays under the threshold" true (LF.marked_prefix_len q <= 4)
       done;
       let s = LF.stats q in
-      check "restructures fired" true (s.LF.restructures > 0);
+      check "restructures fired" true (stat "restructures" s > 0);
       check_int "every node either unlinked or still in the prefix" 32
-        (s.LF.unlinked + LF.marked_prefix_len q);
+        (stat "unlinked" s + LF.marked_prefix_len q);
       ok_or_fail (LF.check_invariants q))
 
 (* --- a lost bottom CAS resumes from its predecessor --------------------- *)
@@ -348,7 +349,7 @@ let test_stress_eager_restructure () =
 (* Claimed nodes still physically linked: every claim marked one node, and
    every node a restructure unlinked had been claimed.  [claims] counts
    the delete-mins that returned an element. *)
-let linked_tombstones q ~claims = claims - (LF.stats q).LF.unlinked
+let linked_tombstones q ~claims = claims - stat "unlinked" (LF.stats q)
 
 let test_alternating_prefix_bounded () =
   (* One processor alternating insert / delete-min: every insert walks
@@ -368,9 +369,9 @@ let test_alternating_prefix_bounded () =
       check "every tombstone is in the prefix" true
         (linked_tombstones q ~claims:500 = LF.marked_prefix_len q);
       let s = LF.stats q in
-      check "inserts restructured" true (s.LF.restructures > 0);
+      check "inserts restructured" true (stat "restructures" s > 0);
       check "insert hops are counted" true
-        (s.LF.insert_marked_hops > 0 && s.LF.insert_marked_hops <= s.LF.marked_hops);
+        (stat "insert_marked_hops" s > 0 && stat "insert_marked_hops" s <= stat "marked_hops" s);
       ok_or_fail (LF.check_invariants q))
 
 (* The EDF scheduler's shape: producers refill a bounded façade in bursts,

@@ -197,7 +197,7 @@ let test_probe_rejects_bad_input () =
 (* [choice = shards] compares every shard, so the MultiQueue is exact
    sequentially.  The adapter builds the MultiQueue at its defaults only,
    so this configuration goes through the exported instance builder. *)
-module MQ = Repro_multiqueue.Multiqueue.Make (Repro_sim.Sim_runtime) (Repro_pqueue.Key.Int)
+module MQ = Repro_multiqueue.Multiqueue.Make (Repro_sim.Sim_runtime)
 
 let four_way_multiqueue =
   {
@@ -344,31 +344,65 @@ let stats_keys impl =
   in
   !keys
 
+(* Every registry entry's counter names, in order.  pqbench reads a
+   missing counter as 0, so a dropped or renamed one would silently zero a
+   per-layer metric; the table is the contract.  Every adapter reports the
+   core "ops", "lock_acquisitions" and "lock_try_failures", the bounded
+   façade prepends its own three, and the structure's counters follow. *)
+let core = [ "ops"; "lock_acquisitions"; "lock_try_failures" ]
+let hunt = [ "hunt_steps"; "swap_losses"; "stale_skips"; "hunt_passes" ]
+let coalescing = [ "coalesced_inserts"; "node_splits" ]
+
+let front =
+  [ "eliminated"; "fresh_refusals"; "served"; "handoff_empties"; "batches"; "timeouts";
+    "collisions"; "width"; "window" ]
+
+let structure_keys =
+  [
+    ("SkipQueue", hunt);
+    ("Relaxed SkipQueue", hunt);
+    ("SkipQueue-elim", front @ hunt);
+    ("Relaxed SkipQueue-elim", front @ hunt);
+    ( "SkipQueue-lf",
+      [ "cas_failures"; "marked_hops"; "insert_marked_hops"; "restructures"; "restructure_skips";
+        "unlinked"; "searches"; "resumed_walks" ] );
+    ("SkipQueue-co", hunt @ coalescing);
+    ("Relaxed SkipQueue-co", hunt @ coalescing);
+    ("SkipQueue-co-elim", front @ hunt @ coalescing);
+    ("Heap", []);
+    ("FunnelList", [ "batches"; "combines"; "largest_batch" ]);
+    ("MultiQueue", [ "shards"; "lock_failures"; "empty_pops"; "full_sweeps"; "resticks" ]);
+    ("klsm:256", [ "flushes"; "merges"; "spy_sweeps"; "cas_failures"; "blocks" ]);
+    ("SkipQueue + delete funnel", []);
+    ("SkipQueue + reclamation", [ "retired"; "reclaimed"; "pending" ]);
+    ("BinQueue(65536)", []);
+  ]
+
 let test_instance_stats_keys () =
-  (* The documented common core of [instance.stats]: every adapter reports
-     "ops", "lock_acquisitions" and "lock_try_failures"; the bounded
-     façade prepends its own "parks" / "wakes" / "backpressure_stalls". *)
-  let core = [ "ops"; "lock_acquisitions"; "lock_try_failures" ] in
   List.iter
     (fun impl ->
-      let keys = stats_keys impl in
-      List.iter
-        (fun k -> check (impl.QA.name ^ " reports " ^ k) true (List.mem k keys))
-        (core
-        @
-        if String.length impl.QA.name >= 8 && String.sub impl.QA.name 0 8 = "bounded:"
-        then [ "parks"; "wakes"; "backpressure_stalls" ]
-        else []))
+      let name = impl.QA.name in
+      let expected =
+        match String.starts_with ~prefix:"bounded:" name with
+        | true ->
+          [ "parks"; "wakes"; "backpressure_stalls" ]
+          @ core
+          @ List.assoc (String.sub name 8 (String.length name - 8)) structure_keys
+        | false -> core @ List.assoc name structure_keys
+      in
+      Alcotest.(check (list string)) (name ^ " counters") expected (stats_keys impl))
     (QA.all QA.Sim);
   check "registry carries bounded entries" true
     (List.exists (fun i -> i.QA.name = "bounded:SkipQueue") (QA.all QA.Sim))
 
 (* One builder puts the elimination front end over either backing, so
-   both flavors report the same counters. *)
+   both flavors report the front end's counters and the base hunt's; the
+   coalescing backing adds its own two. *)
 let test_elim_flavors_same_stats () =
   let keys_of name = stats_keys (QA.find QA.Sim name) in
   Alcotest.(check (list string))
-    "SkipQueue-co-elim reports SkipQueue-elim's counters" (keys_of "SkipQueue-elim")
+    "SkipQueue-co-elim reports SkipQueue-elim's counters, then the coalescing ones"
+    (keys_of "SkipQueue-elim" @ coalescing)
     (keys_of "SkipQueue-co-elim")
 
 (* The registry, pinned: listing order is part of the contract (the check
