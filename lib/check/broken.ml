@@ -1,5 +1,5 @@
 (* The planted mutants: deliberately broken queues that prove the fuzzer
-   and the checkers catch real races.  All six are correct structures
+   and the checkers catch real races.  All seven are correct structures
    over a [Faulty] runtime. *)
 
 exception Wedged of string
@@ -93,24 +93,36 @@ let klsm =
   impl ~spec:(QA.spec_of (QA.plain (QA.Klsm 1))) "Broken klsm:1 (blind CAS)"
     ~insert:Q.insert ~try_delete_min:Q.delete_min (fun () -> Q.create ~k:1 ~procs:6 ())
 
-(* Blind CAS on the coalescing queue's packed lock word: a level-lock
-   acquire succeeds on a held lock, a release re-asserts a bit released in
-   between, a claim overwrites a concurrent claim's ticket.  Two holders
-   splice one pointer (conservation, or [Co_lockword]'s double-release
-   check), a leaked bit wedges the next acquirer (watchdog), one ticket is
-   delivered twice.  Capacity 1 sends every delete down the unlink path. *)
-let co =
+(* The coalescing queue at capacity 1 (every delete goes down the unlink
+   path) over a runtime that plants [fault] on its packed lock words. *)
+let co_over fault name ~cause =
   let module Q =
     Repro_skipqueue.Skipqueue_co.Make
       (Faulty.Make (struct
-        let target = Some { Faulty.fault = Blind_cas; cells = Some "co.word" }
-        let wedged = wedged "blind lock-word CAS" "leaked level-lock bit"
+        let target = Some { Faulty.fault; cells = Some "co.word" }
+        let wedged = wedged cause "leaked level-lock bit"
       end))
   in
-  impl "BrokenCoSkipQueue"
+  impl name
     ~insert:(fun q k v -> ignore (Q.insert q k v))
     ~try_delete_min:Q.delete_min
     (fun () -> Q.create ~mode:Q.Strict ~capacity:1 ())
+
+(* Blind CAS on the packed lock word, which reaches the acquires, the
+   joins' admissions and the claims (a release is a fetch-and-add): a
+   level-lock acquire succeeds on a held lock, a claim overwrites a
+   concurrent claim's ticket or a concurrent release.  Two holders splice
+   one pointer (conservation, or [Co_lockword]'s double-release check), a
+   leaked bit wedges the next acquirer (watchdog), one ticket is delivered
+   twice. *)
+let co = co_over Blind_cas "BrokenCoSkipQueue" ~cause:"blind lock-word CAS"
+
+(* Torn fetch-and-add on the packed lock word, which reaches exactly the
+   releases (acquires and claims stay CASes): a release reads the word,
+   lets a claim or another bit's acquire commit, then writes its stale
+   word less its bit.  The lost claim delivers its element twice; the
+   lost acquire leaves a second holder to take the bit. *)
+let co_release = co_over Torn_swap "BrokenCoReleaseSkipQueue" ~cause:"torn lock-word release"
 
 (* Torn condition waits under the bounded façade over the strict
    SkipQueue: a waiter releases the pop lock 200 cycles before it parks,
@@ -153,4 +165,5 @@ let all =
     plain "lf-claim" lf_claim;
     plain "klsm" klsm;
     plain "co" co;
+    plain "co-release" co_release;
   ]

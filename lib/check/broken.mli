@@ -3,7 +3,7 @@
     {!Repro_workload.Queue_adapter.all}; all are simulator-only, and a
     sweep over each must produce violations ([bin/check --broken]).
 
-    All six are correct structures over a {!Faulty} runtime:
+    All seven are correct structures over a {!Faulty} runtime:
     - [swap]: the strict SkipQueue with every SWAP torn, so two
       Delete-mins claim one node;
     - [elim]: the elimination front end with every CAS torn (its
@@ -13,7 +13,11 @@
     - [klsm]: the k-LSM at k = 1 with a blind CAS on its block list
       ([klsm-blocks]), so a concurrent publish is overwritten;
     - [co]: the coalescing SkipQueue at capacity 1 with a blind CAS on
-      every node's packed lock word ([co.word]);
+      every node's packed lock word ([co.word]): acquires, admissions and
+      claims, not the fetch-and-add releases;
+    - [co-release]: the same queue with every release of the packed lock
+      word torn (its fetch-and-add decays into a read and a write), so a
+      claim or an acquire committed in between is overwritten;
     - [wakeup]: the strict SkipQueue behind the bounded façade with every
       condition wait torn, so a signal sent while a consumer is between
       releasing the pop lock and parking is lost. *)
@@ -36,4 +40,4 @@ type t = {
 }
 
 val all : t list
-(** swap, elim, wakeup, lf-claim, klsm, co. *)
+(** swap, elim, wakeup, lf-claim, klsm, co, co-release. *)

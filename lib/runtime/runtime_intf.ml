@@ -46,7 +46,8 @@ module type S = sig
       its previous value (like [Atomic.fetch_and_add]).  Charged as one
       atomic read-modify-write step, like {!swap}: a counter moved by it
       costs one access where a [read]-then-{!cas} retry loop costs two or
-      more.  The bounded façade's credit counters are its callers. *)
+      more.  The bounded façade's credit counters and the coalescing
+      SkipQueue's lock-bit releases are its callers. *)
 
   type lock
   (** A fair (FIFO under the simulator) mutual-exclusion lock. *)

@@ -69,6 +69,7 @@ let unlock_level l w i =
 
 (* ---- full-node lock ---- *)
 
+let full_bit l = l.full_bit
 let full_locked l w = w land l.full_bit <> 0
 
 let lock_full l w =

@@ -7,10 +7,14 @@
     pointer locks of Fig. 9's [getLock], the next bit is the full-node
     insert/delete lock (Fig. 10/11's node lock), and the high bits hold the
     node's element accounting.  Packing everything into one word means
-    every lock acquisition, release and count update for a node is a CAS
-    on the {e same} shared cell — on the simulator's flat memory model,
-    one memory line — which is precisely what makes the layout's
-    head-line behaviour measurable against the lock-array SkipQueue.
+    every lock acquisition, release and count update for a node is one
+    atomic step on the {e same} shared cell — on the simulator's flat
+    memory model, one memory line — which is precisely what makes the
+    layout's head-line behaviour measurable against the lock-array
+    SkipQueue.  Acquisitions, admissions and claims are CASes, because
+    each must test the word first; a release is one fetch-and-add of the
+    negated {!level_bit} or {!full_bit}, because only the holder clears
+    its bit.
 
     The accounting is two monotone tickets rather than a live count:
     [born] counts elements ever admitted, [claimed] counts elements ever
@@ -22,8 +26,11 @@
     as every join and lock transition, which totally orders them.
 
     This module is pure integer arithmetic: no runtime, no shared cells.
-    The skiplist composes these functions inside CAS retry loops; the
-    qcheck suite round-trips the encoding independently of any structure.
+    The skiplist composes the acquire and ticket functions inside CAS
+    retry loops, and passes the old word a release's fetch-and-add
+    returns through [unlock_level] / [unlock_full] to check it; the
+    qcheck suite round-trips the encoding independently of any
+    structure.
 
     Discipline violations — acquiring a held lock bit, releasing a free
     one, claiming past the born ticket, overflowing a ticket field —
@@ -58,6 +65,10 @@ val empty : int
 
 (** {2 Level locks} *)
 
+val level_bit : layout -> int -> int
+(** [level_bit l i]: the mask of level [i]'s lock bit.  Raises
+    [Invalid_argument] if [i] is outside [\[1, max_level\]]. *)
+
 val level_locked : layout -> int -> int -> bool
 (** [level_locked l w i]: is level [i]'s lock bit set in [w]?  Raises
     [Invalid_argument] if [i] is outside [\[1, max_level\]]. *)
@@ -71,6 +82,9 @@ val unlock_level : layout -> int -> int -> int
     release, or a torn update lost the bit). *)
 
 (** {2 Full-node lock} *)
+
+val full_bit : layout -> int
+(** The mask of the full-lock bit. *)
 
 val full_locked : layout -> int -> bool
 val lock_full : layout -> int -> int

@@ -12,10 +12,11 @@
    - The per-level lock array and the whole-node lock collapse into one
      packed word ({!Co_lockword}): low [max_level] bits are the level
      locks, the next bit the full-node insert/delete lock, the high bits
-     the two element tickets.  Every acquisition/release is a CAS retry
-     loop on that single cell, so all of a node's lock traffic charges one
-     memory line in the simulator's flat model — the property the
-     duplicate-heavy figure measures against the lock-array layout.
+     the two element tickets.  Every acquisition is a CAS retry loop on
+     that single cell and every release one fetch-and-add of the negated
+     bit, so all of a node's lock traffic charges one memory line in the
+     simulator's flat model — the property the duplicate-heavy figure
+     measures against the lock-array layout.
 
    Lock protocol: identical in shape to Fig. 9-11 — getLock walks with
    revalidation at each level, insert links bottom-up while holding the
@@ -221,10 +222,14 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       R.acquire node.sentinel_locks.(i - 1)
     else acquire_level_packed t node i
 
-  let rec release_level_packed t node i =
-    let w = R.read node.word in
-    let w' = W.unlock_level t.layout w i in
-    if not (R.cas node.word w w') then release_level_packed t node i
+  (* A release is one blind fetch-and-add: only the holder clears its
+     bit, and acquirers only CAS from a clear bit, so subtracting the set
+     bit cannot borrow and leaves every other field as it stands — the
+     transition a successful CAS would make.  The old word still goes
+     through the discipline check, so a double release raises. *)
+  let release_level_packed t node i =
+    let w = R.fetch_and_add node.word (-W.level_bit t.layout i) in
+    ignore (W.unlock_level t.layout w i)
 
   let release_level t node i =
     if Array.length node.sentinel_locks > 0 then
@@ -246,11 +251,11 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     (not (W.full_locked t.layout w))
     && R.cas node.word w (W.lock_full t.layout w)
 
-  (* Release the full bit, leaving the count alone. *)
-  let rec release_full t node =
-    let w = R.read node.word in
-    let w' = W.unlock_full t.layout w in
-    if not (R.cas node.word w w') then release_full t node
+  (* Release the full bit, leaving the tickets alone: one fetch-and-add,
+     as [release_level_packed]. *)
+  let release_full t node =
+    let w = R.fetch_and_add node.word (-W.full_bit t.layout) in
+    ignore (W.unlock_full t.layout w)
 
   (* Release the full bit and admit one element in the same CAS: a join's
      admission and its lock release are one atomic word transition.  The

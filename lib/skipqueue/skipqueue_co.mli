@@ -7,9 +7,10 @@
     per-level pointer locks of Fig. 9, the next bit the full-node
     insert/delete lock of Figs. 10-11, the high bits two monotone tickets
     ([born | claimed]) whose difference is the live count.  Acquisition
-    and release are CAS retry loops on that single shared cell, so every
-    lock operation for a node charges the same memory line in the
-    simulator — while a delete-min's claim is a single lock-free CAS
+    is a CAS retry loop on that single shared cell and release one
+    fetch-and-add of the negated bit, so every lock operation for a node
+    charges the same memory line in the simulator — while a delete-min's
+    claim is a single lock-free CAS
     advancing the claimed ticket, which also names the claimed element's
     slab position.
 

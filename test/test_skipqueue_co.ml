@@ -1,16 +1,19 @@
 (* Tests for the coalescing SkipQueue (DESIGN.md §S21) and its packed
    lock word: qcheck encode/decode round-trips with the locking-discipline
-   violations, sequential join/split/FIFO semantics, qcheck multiset
-   conservation, a seed-pinned schedule exercising both the join and the
-   link-after path, the strict/relaxed timestamp switch, and one coalesced
-   node fulfilling a whole batch hunt in a single pass. *)
+   violations, sequential join/split/FIFO semantics, the traced accesses
+   of a release, qcheck multiset conservation, a seed-pinned schedule
+   exercising both the join and the link-after path, the strict/relaxed
+   timestamp switch, one coalesced node fulfilling a whole batch hunt in
+   a single pass, and a two-domain native stress. *)
 
 module Machine = Repro_sim.Machine
 module Sim_rt = Repro_sim.Sim_runtime
+module Native_rt = Repro_runtime.Native_runtime
 module Rng = Repro_util.Rng
 module QA = Repro_workload.Queue_adapter
 module LW = Repro_skipqueue.Co_lockword
 module CO = Repro_skipqueue.Skipqueue_co.Make (Sim_rt)
+module CO_native = Repro_skipqueue.Skipqueue_co.Make (Native_rt)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -187,6 +190,53 @@ let test_reinsert_after_node_drained () =
       ok_or_fail (CO.check_invariants q);
       check "fresh node delivers" true (CO.delete_min q = Some (7, 72)))
 
+(* --- the accesses of a release ------------------------------------------ *)
+
+(* Only a lock bit's holder clears it, so a release is one fetch-and-add
+   with no look at the word first.  An uncontended strict insert of 2
+   after the one-level element node holding 1 takes that predecessor's
+   level bit (a read and a CAS of its word), splices, releases the bit,
+   then releases the full bit the new node was born holding.  Each
+   release must be a single Swap with no read of its line before it:
+   the predecessor's word sees [Read; Swap; Swap], the new node's word
+   [Swap] alone. *)
+let test_release_is_one_swap () =
+  let open Repro_sim.Memory_model in
+  let kind =
+    Alcotest.testable
+      (fun ppf k ->
+        Format.pp_print_string ppf
+          (match k with Read -> "read" | Write -> "write" | Swap -> "swap"))
+      ( = )
+  in
+  let measuring = ref false and accesses = ref [] in
+  let tracer = function
+    | Repro_sim.Trace.Accessed { location; kind; _ } when !measuring ->
+      accesses := (location, kind) :: !accesses
+    | _ -> ()
+  in
+  let (_ : Machine.report) =
+    Machine.run ~tracer (fun () ->
+        let q = CO.create ~mode:CO.Strict ~max_level:1 () in
+        ignore (CO.insert q 1 10);
+        measuring := true;
+        ignore (CO.insert q 2 20);
+        measuring := false;
+        ok_or_fail (CO.check_invariants q))
+  in
+  let trace = List.rev !accesses in
+  let on line = List.filter_map (fun (l, k) -> if l = line then Some k else None) trace in
+  match List.filter_map (fun (l, k) -> if k = Swap then Some l else None) trace with
+  | [ acquired; released; born_held ] ->
+    check "the predecessor's bit is released on the word it was taken on" true
+      (acquired = released);
+    check "the new node's full bit is released on its own word" true (born_held <> acquired);
+    Alcotest.(check (list kind))
+      "predecessor's word: acquire read, acquire CAS, release" [ Read; Swap; Swap ]
+      (on acquired);
+    Alcotest.(check (list kind)) "new node's word: release" [ Swap ] (on born_held)
+  | l -> Alcotest.failf "%d swaps in the insert, expected 3" (List.length l)
+
 (* --- qcheck multiset-model agreement ------------------------------------- *)
 
 type scenario = { procs : int; ops : int; range : int; seed : int }
@@ -350,6 +400,38 @@ let test_one_node_fulfils_batch () =
       check "then the next key" true (CO.delete_min q = Some (9, 99));
       ok_or_fail (CO.check_invariants q))
 
+(* --- native domains ------------------------------------------------------ *)
+
+(* Two domains, duplicate-heavy keys, capacity 4: joins, claims, unlinks
+   and the fetch-and-add releases race on real words.  After the drain
+   every inserted element has come out exactly once. *)
+let test_native_two_domains () =
+  let procs = 2 and ops = 50_000 in
+  let q = CO_native.create ~mode:CO_native.Strict ~capacity:4 ~seed:11L () in
+  let inserted = Array.make procs [] and deleted = Array.make procs [] in
+  Native_rt.run_processors procs (fun p ->
+      let rng = Rng.of_seed (Int64.of_int (2000 + p)) in
+      for i = 0 to ops - 1 do
+        if Rng.int rng 100 < 55 then begin
+          let kv = (Rng.int rng 64, (p * 1_000_000) + i) in
+          inserted.(p) <- kv :: inserted.(p);
+          ignore (CO_native.insert q (fst kv) (snd kv))
+        end
+        else
+          match CO_native.delete_min q with
+          | Some kv -> deleted.(p) <- kv :: deleted.(p)
+          | None -> ()
+      done);
+  ok_or_fail (CO_native.check_invariants q);
+  let rec drain acc =
+    match CO_native.delete_min q with Some kv -> drain (kv :: acc) | None -> acc
+  in
+  let drained = drain [] in
+  ok_or_fail (CO_native.check_invariants q);
+  let all a = List.concat (Array.to_list a) in
+  check "every inserted element came out exactly once" true
+    (List.sort compare (all inserted) = List.sort compare (drained @ all deleted))
+
 (* --- registry ------------------------------------------------------------- *)
 
 let test_registry_names () =
@@ -382,6 +464,7 @@ let () =
             test_join_then_split_at_capacity;
           Alcotest.test_case "re-insert after a node drains" `Quick
             test_reinsert_after_node_drained;
+          Alcotest.test_case "a release is one swap" `Quick test_release_is_one_swap;
         ] );
       ( "model",
         [
@@ -402,6 +485,8 @@ let () =
           Alcotest.test_case "one coalesced node fulfils a batch" `Quick
             test_one_node_fulfils_batch;
         ] );
+      ( "native",
+        [ Alcotest.test_case "two domains conserve the multiset" `Quick test_native_two_domains ] );
       ( "registry",
         [ Alcotest.test_case "co names registered" `Quick test_registry_names ] );
     ]
