@@ -157,6 +157,13 @@ let cmd =
               (if Float.is_nan scale then "nan" else Printf.sprintf "%g" scale);
             Stdlib.exit 2
           end;
+          (* Above it the scheduler runs out of job tags, and far above it
+             the operation counts overflow [int_of_float]. *)
+          if scale > Repro_workload.Figures.max_scale then begin
+            Printf.eprintf "--scale %g: must be at most %g, the largest scale every experiment honours\n"
+              scale Repro_workload.Figures.max_scale;
+            Stdlib.exit 2
+          end;
           if max_procs < 1 then usage_error "--max-procs" max_procs;
           if domains < 1 then usage_error "--domains" domains;
           (* The sweep doubles up to [domains]; refuse before a run fails

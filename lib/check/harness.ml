@@ -18,8 +18,12 @@ let default_profile =
    retiring the overwritten element's id — which id-exact conservation
    (rightly) rejects.  For those implementations the harness makes every
    inserted key unique by appending a host-side counter tag in the low
-   bits; raw-key order is preserved, ties are broken by insertion order. *)
-let tag_bits = 16
+   bits; raw-key order is preserved, ties are broken by insertion order.
+   The tag is sized for the run's worst-case insert count, and never
+   narrower than 16 bits. *)
+let tag_bits ~inserts =
+  let rec width n = if n = 0 then 0 else 1 + width (n lsr 1) in
+  Int.max 16 (width inserts)
 
 (* [Rng.of_seed] of [seed] mixed with stream [i]; each processor role
    uses its own [mix] constant. *)
@@ -29,9 +33,10 @@ exception Drain_overtaken of { seed : int64; drain_start : int; last_response : 
 
 (* One perturbed execution: [workers hq key] runs on the root processor
    and spawns the workload on [hq], the recorded instance, passing every
-   raw priority through [key] (the tag above, when [impl] dedups).  A
-   drain processor then empties the queue at quiescence, far in the
-   future and unrecorded, and the run's history is returned.
+   raw priority through [key] (the tag above, sized for [inserts] calls,
+   when [impl] dedups).  A drain processor then empties the queue at
+   quiescence, far in the future and unrecorded, and the run's history
+   is returned.
 
    A jitter can delay a worker past the drain's start.  The drain then
    races live operations: its "drained at quiescence" set is not, and in
@@ -41,15 +46,14 @@ exception Drain_overtaken of { seed : int64; drain_start : int; last_response : 
    its outcome, and [Drain_overtaken] is raised instead.  A drain that
    finds every other processor finished or parked (a mutant's stranded
    waiters) starts at quiescence, even if it wakes them. *)
-let execute ~who ~jitter ~capacity (impl : QA.impl) seed workers =
+let execute ~jitter ~capacity ~inserts (impl : QA.impl) seed workers =
   let history = History.create () in
   let drained = ref [] in
   let drain_start = ref max_int in
-  let tag = ref 0 in
+  let tag = ref 0 and tag_bits = tag_bits ~inserts in
   let key raw =
     if impl.QA.dedups then begin
       incr tag;
-      if !tag >= 1 lsl tag_bits then invalid_arg (who ^ ": too many inserts for key tagging");
       (raw lsl tag_bits) lor !tag
     end
     else raw
@@ -94,7 +98,9 @@ let execute ~who ~jitter ~capacity (impl : QA.impl) seed workers =
 
 let run_one ?(profile = default_profile) (impl : QA.impl) seed =
   if profile.procs < 1 then invalid_arg "Harness.run_one: procs < 1";
-  execute ~who:"Harness.run_one" ~jitter:profile.jitter ~capacity:None impl seed
+  execute ~jitter:profile.jitter ~capacity:None
+    ~inserts:(profile.prefill + (profile.procs * profile.ops_per_proc))
+    impl seed
     (fun hq key ->
       (* prefill on the root processor, strictly before any worker *)
       let rng0 = Rng.of_seed (Int64.logxor seed 0x5851F42D4C957F2DL) in
@@ -149,8 +155,8 @@ let run_blocking ?(profile = default_blocking_profile) (impl : QA.impl) seed =
   let total = profile.producers * profile.items_per_producer in
   let quota c = (total / profile.consumers) + (if c < total mod profile.consumers then 1 else 0) in
   (* the drain must find nothing: the quotas are exact *)
-  execute ~who:"Harness.run_blocking" ~jitter:profile.jitter
-    ~capacity:(Some profile.capacity) impl seed (fun hq key ->
+  execute ~jitter:profile.jitter ~capacity:(Some profile.capacity) ~inserts:total impl seed
+    (fun hq key ->
       for p = 0 to profile.producers - 1 do
         Machine.spawn (fun () ->
             let rng = stream seed (p + 1) 0x9E3779B97F4A7C15L in

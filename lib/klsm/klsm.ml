@@ -10,10 +10,10 @@
    block views hold the element, only one claim can win.
 
    Rank-error budget (see the .mli): a normal delete never reads foreign
-   insertion buffers (worst case (procs-1) * buffer_capacity invisible
+   insertion buffers (worst case (procs-1) * capacity invisible
    smaller elements) and picks among SLSM block heads whose conservative
    rank estimate is at most [shared_relax]; it always weighs its own
-   buffer's minimum against the shared candidate.  The default split
+   buffer's minimum against the shared candidate.  The split
    [(procs-1) * capacity + shared_relax = k] makes the structural error at
    claim time at most k. *)
 
@@ -45,9 +45,8 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
 
   type t = {
     k : int;
-    buffer_capacity : int;
+    capacity : int;  (* per-processor buffer slots *)
     shared_relax : int;
-    search_cycles : int;
     blocks : block list R.shared;
     pstates : pstate Repro_runtime.Per_proc.t;
     mutable flushes : int;
@@ -64,21 +63,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       blen = R.shared 0;
     }
 
-  let create ?(seed = 0x5EEDL) ?(search_cycles = 2) ?buffer_capacity ~k ~procs () =
+  let create ?(seed = 0x5EEDL) ~k ~procs () =
     if k < 1 then invalid_arg "Klsm.create: k < 1";
     if procs < 1 then invalid_arg "Klsm.create: procs < 1";
-    let capacity =
-      match buffer_capacity with
-      | Some c ->
-        if c < 0 then invalid_arg "Klsm.create: buffer_capacity < 0" else c
-      | None -> Int.min 256 (k / (2 * Int.max 1 (procs - 1)))
-    in
-    let shared_relax = Int.max 0 (k - ((procs - 1) * capacity)) in
+    let capacity = Int.min 256 (k / (2 * Int.max 1 (procs - 1))) in
+    let shared_relax = k - ((procs - 1) * capacity) in
     {
       k;
-      buffer_capacity = capacity;
+      capacity;
       shared_relax;
-      search_cycles;
       blocks = R.shared ~name:"klsm-blocks" [];
       pstates =
         Repro_runtime.Per_proc.create (fun id ->
@@ -96,13 +89,14 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
 
   let pstate_for t = Repro_runtime.Per_proc.get t.pstates (R.self ())
 
-  (* Simulated charge standing in for the host-side binary searches and
-     merge walks (host arrays cost no simulated memory traffic). *)
-  let charge_search t len =
-    if t.search_cycles > 0 then begin
-      let rec levels n = if n <= 1 then 1 else 1 + levels (n / 2) in
-      R.work (t.search_cycles * levels (len + 1))
-    end
+  (* The host-side binary searches and merge walks, which the runtime
+     cannot observe (host arrays cost no memory traffic), charged per
+     search level. *)
+  let cycles_per_level = 2
+
+  let charge_search len =
+    let rec levels n = if n <= 1 then 1 else 1 + levels (n / 2) in
+    R.charge (cycles_per_level * levels (len + 1))
 
   (* --- SLSM block publication and log-structured merging ---------------- *)
 
@@ -120,9 +114,9 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
   (* Merge two blocks into one, compacting away entries observed taken:
      an observed-taken entry is already some claimant's answer, so the
      merged view may drop it; live entries keep their (aliased) cells. *)
-  let merge_blocks t b1 b2 =
+  let merge_blocks b1 b2 =
     let n1 = block_size b1 and n2 = block_size b2 in
-    charge_search t (n1 + n2);
+    charge_search (n1 + n2);
     let keys = Array.make (n1 + n2) 0 in
     let vals = Array.make (n1 + n2) 0 in
     let taken = Array.make (n1 + n2) (R.shared false) in
@@ -169,7 +163,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
        expected value must be the very list read, not a rebuilt cons. *)
     match R.read t.blocks with
     | (b1 :: b2 :: rest) as cur when block_size b1 >= block_size b2 ->
-      let merged = merge_blocks t b1 b2 in
+      let merged = merge_blocks b1 b2 in
       if R.cas t.blocks cur (merged :: rest) then begin
         t.merges <- t.merges + 1;
         maybe_merge t
@@ -203,7 +197,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
         | 0 -> Int.compare a b
         | c -> c)
       idxs;
-    charge_search t len;
+    charge_search len;
     let n = Array.length idxs in
     if n > 0 then
       publish_block t
@@ -213,7 +207,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
           taken = Array.map (fun i -> buf.btaken.(i)) idxs;
           first = R.shared 0;
         };
-    R.write ps.buf (fresh_buffer t.buffer_capacity);
+    R.write ps.buf (fresh_buffer t.capacity);
     t.flushes <- t.flushes + 1
 
   (* --- insertion --------------------------------------------------------- *)
@@ -228,11 +222,11 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
 
   let insert t k v =
     let ps = pstate_for t in
-    if t.buffer_capacity = 0 then publish_block t (singleton_block k v)
+    if t.capacity = 0 then publish_block t (singleton_block k v)
     else begin
       let buf = R.read ps.buf in
       let len = R.read buf.blen in
-      if len >= t.buffer_capacity then begin
+      if len >= t.capacity then begin
         flush t ps buf;
         let buf = R.read ps.buf in
         buf.bkeys.(0) <- k;
@@ -265,10 +259,10 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
      between each block's pivot and its lower bound for [key].  Entries
      taken mid-block are still counted, so the estimate only over-counts —
      an eligible head truly has rank <= shared_relax. *)
-  let estimate_rank t blocks key =
+  let estimate_rank blocks key =
     List.fold_left
       (fun acc b ->
-        charge_search t (block_size b);
+        charge_search (block_size b);
         acc + Int.max 0 (lower_bound b.keys key - R.read b.first))
       0 blocks
 
@@ -297,7 +291,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
         List.filter
           (fun ((_, _, k) as h) ->
             (match min_head with Some m -> h == m | None -> false)
-            || estimate_rank t blocks k <= t.shared_relax)
+            || estimate_rank blocks k <= t.shared_relax)
           heads
       in
       let eligible = match eligible with [] -> heads | e -> e in

@@ -36,23 +36,15 @@
 module Make (R : Repro_runtime.Runtime_intf.S) : sig
   type t
 
-  val create :
-    ?seed:int64 ->
-    ?search_cycles:int ->
-    ?buffer_capacity:int ->
-    k:int ->
-    procs:int ->
-    unit ->
-    t
+  val create : ?seed:int64 -> k:int -> procs:int -> unit -> t
   (** [create ~k ~procs ()] builds a k-LSM with rank-error bound [k]
-      (>= 1) sized for [procs] processors.  [buffer_capacity] overrides
-      the default per-processor buffer split [min 256 (k / (2 * (procs -
-      1)))]; capacity 0 publishes every insert as a singleton block.
-      [search_cycles] is the simulated charge per binary-search level
-      during rank estimation and merges (host arrays cost no simulated
-      memory traffic; default 2 — set 0 on the native runtime, where the
-      walks cost real time).  [seed] feeds the per-processor streams for
-      the relaxed choice. *)
+      (>= 1) sized for [procs] (>= 1) processors.  Each processor's buffer
+      holds [min 256 (k / (2 * (procs - 1)))] elements (its [procs = 1]
+      divisor is 1); a capacity of 0 publishes every insert as a
+      singleton block.  The host-side binary searches of rank estimation
+      and merging are billed through [R.charge] at 2 cycles per level,
+      which the simulator charges and the native runtime ignores.  [seed]
+      feeds the per-processor streams for the relaxed choice. *)
 
   val insert : t -> int -> int -> unit
   val delete_min : t -> (int * int) option

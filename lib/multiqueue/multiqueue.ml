@@ -23,9 +23,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
 
   type 'v t = {
     shards : 'v shard array;
-    choice : int;
-    stickiness : int;
-    heap_cycles_per_level : int;
     pstates : pstate Repro_runtime.Per_proc.t;
     mutable lock_failures : int;
     mutable empty_pops : int;
@@ -33,14 +30,20 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     mutable resticks : int;
   }
 
-  let create ?(shard_factor = 2) ?shards ?(choice = 2) ?(stickiness = 8)
-      ?(heap_cycles_per_level = 11) ?(seed = 0x5EEDL) ~procs () =
+  (* The configuration of "Engineering MultiQueues": c = 2 shards per
+     processor, two-choice Delete-mins, and sampled shards reused for 8
+     operations.  With at least 2 shards, the 2 samples are always
+     distinct. *)
+  let shards_per_proc = 2
+  let choice = 2
+  let sticky_ops = 8
+
+  (* About one local fetch per heap level of the sequential walk. *)
+  let cycles_per_level = 11
+
+  let create ?(seed = 0x5EEDL) ~procs () =
     if procs < 1 then invalid_arg "Multiqueue.create: procs < 1";
-    if shard_factor < 1 then invalid_arg "Multiqueue.create: shard_factor < 1";
-    if stickiness < 1 then invalid_arg "Multiqueue.create: stickiness < 1";
-    let n = match shards with Some n -> n | None -> shard_factor * procs in
-    if n < 1 then invalid_arg "Multiqueue.create: shards < 1";
-    let choice = Int.max 1 (Int.min choice n) in
+    let n = shards_per_proc * procs in
     {
       shards =
         Array.init n (fun i ->
@@ -50,9 +53,6 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
               top = R.shared ~name:(Printf.sprintf "mq-top-%d" i) None;
               published = None;
             });
-      choice;
-      stickiness;
-      heap_cycles_per_level;
       pstates =
         Repro_runtime.Per_proc.create (fun id ->
             let rng =
@@ -89,7 +89,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
   (* Draw [choice] distinct shard indices into [ps.del_shards]. *)
   let resample_deletes t ps =
     let n = shards t in
-    for i = 0 to t.choice - 1 do
+    for i = 0 to choice - 1 do
       let rec fresh () =
         let c = Rng.int ps.rng n in
         let rec dup j = j < i && (ps.del_shards.(j) = c || dup (j + 1)) in
@@ -97,16 +97,14 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       in
       ps.del_shards.(i) <- fresh ()
     done;
-    ps.del_left <- t.stickiness;
+    ps.del_left <- sticky_ops;
     t.resticks <- t.resticks + 1
 
-  (* Local work standing in for the sequential heap walk: one unit per heap
-     level.  Zero-cost when [heap_cycles_per_level] is 0 (native). *)
-  let charge_heap_walk t len =
-    if t.heap_cycles_per_level > 0 then begin
-      let rec levels n = if n <= 1 then 1 else 1 + levels (n / 2) in
-      R.work (t.heap_cycles_per_level * levels (len + 1))
-    end
+  (* The sequential heap walk, which the runtime cannot observe, charged
+     per heap level. *)
+  let charge_heap_walk len =
+    let rec levels n = if n <= 1 then 1 else 1 + levels (n / 2) in
+    R.charge (cycles_per_level * levels (len + 1))
 
   let opt_key_equal a b =
     match (a, b) with
@@ -121,15 +119,15 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     end
 
   (* Both locked-section bodies run while holding [s.lock]. *)
-  let locked_insert t s k v =
-    charge_heap_walk t (Heap.length s.heap);
+  let locked_insert s k v =
+    charge_heap_walk (Heap.length s.heap);
     Heap.insert s.heap k v;
     match s.published with
     | Some m when m <= k -> ()
     | _ -> publish s (Some k)
 
-  let locked_pop t s =
-    charge_heap_walk t (Heap.length s.heap);
+  let locked_pop s =
+    charge_heap_walk (Heap.length s.heap);
     match Heap.delete_min s.heap with
     | None ->
       publish s None;
@@ -142,7 +140,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
     let ps = pstate_for t in
     if ps.ins_left <= 0 then begin
       ps.ins_shard <- Rng.int ps.rng (shards t);
-      ps.ins_left <- t.stickiness;
+      ps.ins_left <- sticky_ops;
       t.resticks <- t.resticks + 1
     end;
     let max_tries = (2 * shards t) + 2 in
@@ -152,18 +150,18 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
         (* Pathological contention: fall back to blocking, which the
            simulator's FIFO locks make wait-free. *)
         R.acquire s.lock;
-        locked_insert t s k v;
+        locked_insert s k v;
         R.release s.lock
       end
       else if R.try_acquire s.lock then begin
-        locked_insert t s k v;
+        locked_insert s k v;
         R.release s.lock
       end
       else begin
         t.lock_failures <- t.lock_failures + 1;
         t.resticks <- t.resticks + 1;
         ps.ins_shard <- Rng.int ps.rng (shards t);
-        ps.ins_left <- t.stickiness;
+        ps.ins_left <- sticky_ops;
         attempt (tries + 1)
       end
     in
@@ -181,7 +179,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
       else begin
         let s = t.shards.(i) in
         R.acquire s.lock;
-        let popped = locked_pop t s in
+        let popped = locked_pop s in
         R.release s.lock;
         match popped with Some _ as r -> r | None -> go (i + 1)
       end
@@ -193,7 +191,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
   let best_sample t ps =
     let best = ref (-1) in
     let best_key = ref None in
-    for i = 0 to t.choice - 1 do
+    for i = 0 to choice - 1 do
       let idx = ps.del_shards.(i) in
       match R.read t.shards.(idx).top with
       | None -> ()
@@ -218,7 +216,7 @@ module Make (R : Repro_runtime.Runtime_intf.S) = struct
         | Some idx ->
           let s = t.shards.(idx) in
           if R.try_acquire s.lock then begin
-            let popped = locked_pop t s in
+            let popped = locked_pop s in
             R.release s.lock;
             match popped with
             | Some _ as r -> r

@@ -105,6 +105,13 @@ module type S = sig
   (** [work n] performs [n] cycles of processor-local computation (the
       benchmark's "local work" between queue operations). *)
 
+  val charge : int -> unit
+  (** [charge n] bills [n] cycles for host-side computation the runtime
+      cannot observe, such as the MultiQueue's sequential heap walks and
+      the k-LSM's binary searches over plain arrays.  The simulator
+      charges them as {!work}; natively it does nothing, because there
+      the walk itself already took real time. *)
+
   val self : unit -> int
   (** Identifier of the calling (virtual) processor.  Ids are dense: no
       two live processors share one, and every id is below the number of

@@ -51,5 +51,6 @@ let cond_wait = Machine.cond_wait
 let cond_signal = Machine.cond_signal
 let get_time = Machine.get_time
 let work = Machine.work
+let charge = Machine.work
 let self = Machine.self
 let yield () = Machine.work 1

@@ -1,36 +1,33 @@
-type scale = Linear | Log2 | Log10
-
 type series = { label : string; marker : char; points : (float * float) list }
 
-let apply_scale scale v =
-  match scale with
-  | Linear -> Some v
-  | Log2 -> if v > 0.0 then Some (Float.log2 v) else None
-  | Log10 -> if v > 0.0 then Some (log10 v) else None
+(* The one layout every caller uses: the paper's log-log latency curves,
+   processors on a log2 axis against cycles on a log10 axis. *)
+let width = 64
+let height = 16
+let x_label = "processors"
+let y_label = "cycles (log10)"
 
-let plottable scale_x scale_y (x, y) =
+type scale = Log2 | Log10
+
+let apply_scale scale v =
+  if v <= 0.0 then None
+  else Some (match scale with Log2 -> Float.log2 v | Log10 -> log10 v)
+
+let plottable (x, y) =
   if not (Float.is_finite x && Float.is_finite y) then None
   else
-    match (apply_scale scale_x x, apply_scale scale_y y) with
+    match (apply_scale Log2 x, apply_scale Log10 y) with
     | Some sx, Some sy when Float.is_finite sx && Float.is_finite sy -> Some (sx, sy)
     | _ -> None
 
 let axis_text scale v =
-  let raw =
-    match scale with Linear -> v | Log2 -> Float.pow 2.0 v | Log10 -> Float.pow 10.0 v
-  in
+  let raw = match scale with Log2 -> Float.pow 2.0 v | Log10 -> Float.pow 10.0 v in
   if Float.abs raw >= 10_000.0 || (Float.abs raw < 0.01 && raw <> 0.0) then
     Printf.sprintf "%.1e" raw
   else Printf.sprintf "%g" raw
 
-let render ?(width = 72) ?(height = 20) ?(x_scale = Linear) ?(y_scale = Linear)
-    ?(x_label = "") ?(y_label = "") series =
-  if width < 16 || height < 4 then invalid_arg "Ascii_plot.render: canvas too small";
-  let scaled =
-    List.map
-      (fun s -> (s, List.filter_map (plottable x_scale y_scale) s.points))
-      series
-  in
+let render series =
+  let scaled = List.map (fun s -> (s, List.filter_map plottable s.points)) series in
   let all_points = List.concat_map snd scaled in
   if all_points = [] then invalid_arg "Ascii_plot.render: nothing to plot";
   let xs = List.map fst all_points and ys = List.map snd all_points in
@@ -57,11 +54,9 @@ let render ?(width = 72) ?(height = 20) ?(x_scale = Linear) ?(y_scale = Linear)
   in
   List.iter rasterize scaled;
   let buf = Buffer.create ((width + 16) * (height + 4)) in
-  if y_label <> "" then begin
-    Buffer.add_string buf y_label;
-    Buffer.add_char buf '\n'
-  end;
-  let top_tick = axis_text y_scale max_y and bottom_tick = axis_text y_scale min_y in
+  Buffer.add_string buf y_label;
+  Buffer.add_char buf '\n';
+  let top_tick = axis_text Log10 max_y and bottom_tick = axis_text Log10 min_y in
   let margin = Int.max (String.length top_tick) (String.length bottom_tick) in
   Array.iteri
     (fun row line ->
@@ -75,13 +70,13 @@ let render ?(width = 72) ?(height = 20) ?(x_scale = Linear) ?(y_scale = Linear)
   Buffer.add_string buf (String.make (margin + 2) ' ');
   Buffer.add_string buf (String.make width '-');
   Buffer.add_char buf '\n';
-  let left_tick = axis_text x_scale min_x and right_tick = axis_text x_scale max_x in
+  let left_tick = axis_text Log2 min_x and right_tick = axis_text Log2 max_x in
   Buffer.add_string buf (String.make (margin + 2) ' ');
   Buffer.add_string buf left_tick;
   let pad = width - String.length left_tick - String.length right_tick in
   Buffer.add_string buf (String.make (Int.max 1 pad) ' ');
   Buffer.add_string buf right_tick;
-  if x_label <> "" then Buffer.add_string buf ("  " ^ x_label);
+  Buffer.add_string buf ("  " ^ x_label);
   Buffer.add_char buf '\n';
   List.iter
     (fun s ->

@@ -1,25 +1,16 @@
 (** Terminal line charts for the experiment harness.
 
-    Renders multiple (x, y) series on a shared pair of axes with
-    single-character markers — enough to eyeball the paper's figures
-    (crossovers, divergence, saturation) straight from the terminal.
-    Axes can be linear or log2/log10; points are nearest-cell rasterised
-    and collisions show the later series' marker. *)
-
-type scale = Linear | Log2 | Log10
+    Renders multiple (x, y) series on a shared pair of log axes with
+    single-character markers — enough to eyeball the paper's log-log
+    latency figures (crossovers, divergence, saturation) straight from the
+    terminal.  Points are nearest-cell rasterised and collisions show the
+    later series' marker. *)
 
 type series = { label : string; marker : char; points : (float * float) list }
 
-val render :
-  ?width:int ->
-  ?height:int ->
-  ?x_scale:scale ->
-  ?y_scale:scale ->
-  ?x_label:string ->
-  ?y_label:string ->
-  series list ->
-  string
-(** [render series] draws all series on one canvas (default 72x20,
-    linear axes).  Non-positive values on a log axis, NaNs and infinities
-    are skipped.  Returns a multi-line string ending in a legend.
-    Raises [Invalid_argument] if no series has a plottable point. *)
+val render : series list -> string
+(** [render series] draws all series on one 64x16 canvas: processors on a
+    log2 x axis, cycles on a log10 y axis.  Non-positive values, NaNs and
+    infinities are skipped.  Returns a multi-line string ending in a
+    legend.  Raises [Invalid_argument] if no series has a plottable
+    point. *)

@@ -170,7 +170,7 @@ let calls ~work ~now ~inserted ~deleted (q : Queue_adapter.instance) w rng p ops
 
 let merge arr = Array.fold_left Stats.merge (Stats.create ()) arr
 
-let run ?(config = Memory_model.default) ?perturb ?fast_path (impl : Queue_adapter.impl) w =
+let run ?(config = Memory_model.default) ?fast_path (impl : Queue_adapter.impl) w =
   validate "Benchmark.run" w;
   let limit = config.Memory_model.max_procs - 2 in
   if w.procs > limit then
@@ -188,7 +188,7 @@ let run ?(config = Memory_model.default) ?perturb ?fast_path (impl : Queue_adapt
   let final_size = ref 0 in
   let queue_stats = ref [] in
   let report =
-    Machine.run ~config ?perturb ?fast_path (fun () ->
+    Machine.run ~config ?fast_path (fun () ->
         let q = impl.Queue_adapter.create () in
         prefill q w (Rng.of_seed w.seed) ~first_id:1_000_000_000
           ~inserted:(Rank_oracle.insert ~dedup oracle);

@@ -49,17 +49,13 @@ type measurement = {
 
 val run :
   ?config:Repro_sim.Memory_model.config ->
-  ?perturb:Repro_sim.Machine.perturbation ->
   ?fast_path:bool ->
   Queue_adapter.impl ->
   workload ->
   measurement
-(** Deterministic: equal [config], [perturb], [impl], [workload] (and
-    therefore seed) give byte-equal measurements.  [config] overrides the
-    default memory model — used by the model-sensitivity ablation;
-    [perturb] switches the simulator into schedule-exploration mode (see
-    {!Repro_sim.Machine.perturbation}) — used by the history fuzzer;
-    [fast_path] (default [true]) is {!Repro_sim.Machine.run}'s scheduler
+(** Deterministic: equal [config], [impl], [workload] (and therefore
+    seed) give byte-equal measurements.  [config] overrides the default
+    memory model — used by the model-sensitivity ablation; [fast_path] (default [true]) is {!Repro_sim.Machine.run}'s scheduler
     run-ahead toggle — measurements are identical either way (the
     simulator-throughput bench measures the host-time difference).
     Raises [Invalid_argument] before building anything when [procs]

@@ -55,8 +55,7 @@ let latency_plot ~series of_measurement ~title =
     { Plot.label; marker = markers.(i mod Array.length markers); points }
   in
   title ^ "\n"
-  ^ Plot.render ~width:64 ~height:16 ~x_scale:Plot.Log2 ~y_scale:Plot.Log10 ~x_label:"processors"
-      ~y_label:"cycles (log10)" (List.mapi curve series)
+  ^ Plot.render (List.mapi curve series)
 
 let del m = Stats.mean m.Benchmark.delete_latency
 let ins m = Stats.mean m.Benchmark.insert_latency
@@ -618,10 +617,14 @@ let ablation_lockfree ~id options =
    Deadline keys are made unique (deadline in the high bits, a job counter
    in the low 20) so the SkipQueue's update-in-place on duplicate keys
    cannot merge two jobs; EDF order is preserved, ties break by arrival. *)
+let scheduler_jobs = 6_000
+let job_tag_bits = 20
+let max_scale = float_of_int (1 lsl job_tag_bits) /. float_of_int scheduler_jobs
+
 let scheduler ~id options =
   let user_space = 2_000_000 in
-  let jobs_total = scaled options 6_000 in
-  if jobs_total > 1 lsl 20 then invalid_arg "scheduler: more jobs than tag bits";
+  let jobs_total = scaled options scheduler_jobs in
+  if jobs_total > 1 lsl job_tag_bits then invalid_arg "scheduler: more jobs than tag bits";
   (* Small enough that the burst surplus hits the bound early — producers
      outproduce 2-3x at every sweep point, so backpressure is what holds
      the backlog (and the sojourn times) down. *)
@@ -661,7 +664,7 @@ let scheduler ~id options =
                   user.(j) <- Rng.int rng user_space;
                   insert_t.(j) <- now;
                   deadline.(j) <- now + slack;
-                  q.QA.insert_wait (((now + slack) lsl 20) lor j) j;
+                  q.QA.insert_wait (((now + slack) lsl job_tag_bits) lor j) j;
                   (* bursts of 8 arrivals, then a lull *)
                   if (i + 1) mod 8 = 0 then Machine.work (1_000 + Rng.int rng 2_000)
                   else Machine.work (1 + Rng.int rng 32)

@@ -33,6 +33,11 @@ type options = {
           {!Jobs.map}); results are identical for any value *)
 }
 
+val max_scale : float
+(** The largest {!options.scale} every experiment honours: the
+    ["scheduler"] tags each of its [6000 * scale] jobs in 20 key bits, so
+    about 174.8. *)
+
 val all : (string * (options -> result)) list
 (** Every runner, keyed by id, in presentation order:
 

@@ -222,7 +222,6 @@ let parse input = parse_with ~unknown:(unknown Sim input) input
 (* ---- construction ------------------------------------------------------- *)
 
 module type HOST = sig
-  val walk_charges : bool
   val spawn : ((unit -> unit) -> unit) option
 end
 
@@ -354,16 +353,13 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
     let q = Bins.create ~range () in
     instance ~insert:(Bins.insert q) ~try_delete_min:(fun () -> Bins.delete_min q) ~stats:(fun () -> [])
 
-  (* Natively the walks cost real time; no simulated charge on top. *)
-  let walk_charge = if H.walk_charges then None else Some 0
-
   let multiqueue_instance ~procs () =
-    let q = MQ.create ?heap_cycles_per_level:walk_charge ~procs () in
+    let q = MQ.create ~procs () in
     instance ~insert:(MQ.insert q) ~try_delete_min:(fun () -> MQ.delete_min q)
       ~stats:(fun () -> MQ.stats q)
 
   let klsm_instance ~k ~procs () =
-    let q = KL.create ?search_cycles:walk_charge ~k ~procs () in
+    let q = KL.create ~k ~procs () in
     instance ~insert:(KL.insert q) ~try_delete_min:(fun () -> KL.delete_min q)
       ~stats:(fun () -> KL.stats q)
 
@@ -467,10 +463,10 @@ module Over (R : Repro_runtime.Runtime_intf.S) (H : HOST) = struct
 end
 
 module Sim =
-  Over (Repro_sim.Sim_runtime) (struct let walk_charges = true let spawn = Some Repro_sim.Machine.spawn end)
+  Over (Repro_sim.Sim_runtime) (struct let spawn = Some Repro_sim.Machine.spawn end)
 
 module Native =
-  Over (Repro_runtime.Native_runtime) (struct let walk_charges = false let spawn = None end)
+  Over (Repro_runtime.Native_runtime) (struct let spawn = None end)
 
 let make backend d =
   match backend with

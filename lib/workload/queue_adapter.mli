@@ -156,10 +156,6 @@ val parse : string -> (descriptor, string) result
 
 (** What the runtimes differ in beyond {!Repro_runtime.Runtime_intf.S}. *)
 module type HOST = sig
-  val walk_charges : bool
-  (** Charge the MultiQueue's heap walks and the k-LSM's searches
-      simulated cycles.  [false] natively, where they cost real time. *)
-
   val spawn : ((unit -> unit) -> unit) option
   (** Start an extra processor (the reclamation collector).  [None]
       natively, which also refuses the other simulator-only bases. *)

@@ -341,6 +341,18 @@ let test_harness_records () =
   check "well-formed" true (is_pass (Check.well_formed h));
   check "conserved" true (is_pass (Check.conservation h))
 
+(* More inserts than a 16-bit tag holds: the SkipQueue updates in place,
+   so its keys are tagged, and the tag must widen to keep each one
+   unique. *)
+let test_harness_wide_tags () =
+  let profile =
+    { Harness.procs = 1; ops_per_proc = 1 lsl 16; prefill = 16; insert_ratio = 1.0; key_range = 256; jitter = 0 }
+  in
+  let s = Harness.sweep_impl ~profile (QA.find QA.Sim "skipqueue") [ 1L ] in
+  Alcotest.(check (list string))
+    "65552 tagged inserts check clean" []
+    (List.map (fun v -> v.Harness.check ^ ": " ^ v.Harness.message) s.Harness.violations)
+
 let test_mini_sweep_clean () =
   let impls =
     List.map (QA.find QA.Sim)
@@ -514,7 +526,6 @@ let test_faulty_without_fault_is_sim () =
         let wedged = Exit
       end))
       (struct
-        let walk_charges = true
         let spawn = Some Repro_sim.Machine.spawn
       end)
   in
@@ -625,6 +636,7 @@ let () =
         [
           Alcotest.test_case "deterministic per seed" `Quick test_harness_deterministic;
           Alcotest.test_case "records full histories" `Quick test_harness_records;
+          Alcotest.test_case "tags widen past 2^16 inserts" `Quick test_harness_wide_tags;
           Alcotest.test_case "mini sweep clean" `Quick test_mini_sweep_clean;
           Alcotest.test_case "bounded lock-free overdraw seeds clean" `Quick
             test_bounded_lf_overdraw_seeds;

@@ -131,7 +131,8 @@ let rank_envelope_prop =
 let test_flush_boundary () =
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = KL.create ~buffer_capacity:8 ~k:64 ~procs:2 () in
+        (* k = 16 at 2 processors: 16 / (2 * 1) = 8 buffer slots. *)
+        let q = KL.create ~k:16 ~procs:2 () in
         (* Exactly [capacity] inserts stay buffered: no flush, no block. *)
         for i = 1 to 8 do
           KL.insert q (100 - i) i
@@ -164,7 +165,8 @@ let test_log_structured_merge () =
      scan linear in the flush count.) *)
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = KL.create ~buffer_capacity:8 ~k:64 ~procs:2 () in
+        let q = KL.create ~k:16 ~procs:2 () in
+        (* 8 buffer slots, so 257 inserts flush 32 times. *)
         for i = 1 to 257 do
           KL.insert q i i
         done;

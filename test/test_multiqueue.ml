@@ -1,8 +1,9 @@
 (* Tests for the relaxed MultiQueue (lib/multiqueue) on the simulator
    backend: no element is ever lost or duplicated under concurrency, the
-   choice = shards configuration degenerates to an exact queue, emptiness
-   is definitive at quiescence, and the rank error of the 2-choice
-   configuration stays within its expected O(shards) envelope. *)
+   one-processor queue (2 shards, both compared: choice = shards)
+   degenerates to an exact queue, emptiness is definitive at quiescence,
+   and the rank error of the 2-choice configuration stays within its
+   expected O(shards) envelope. *)
 
 module Machine = Repro_sim.Machine
 module Rng = Repro_util.Rng
@@ -55,13 +56,14 @@ let test_no_lost_or_duplicated_items () =
     "multiset conserved" (sort !inserted)
     (sort (!deleted @ !drained))
 
-(* choice = shards compares every cached top, so a sequential execution
+(* At [procs = 1] the 2 sampled shards are all the shards (choice =
+   shards), so every cached top is compared and a sequential execution
    must return keys in exactly sorted order (rank error zero). *)
 let test_choice_equals_shards_is_exact () =
   let out = ref [] in
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = MQ.create ~procs:1 ~shards:4 ~choice:4 ~stickiness:1 ~seed:9L () in
+        let q = MQ.create ~procs:1 ~seed:9L () in
         let rng = Rng.of_seed 11L in
         for i = 0 to 199 do
           MQ.insert q (Rng.int rng 100_000) i
@@ -79,15 +81,15 @@ let test_choice_equals_shards_is_exact () =
   check_int "all 200 drained" 200 (List.length keys);
   check "drained in sorted order" true (keys = List.sort compare keys)
 
-(* Sequential 2-choice drain over 8 shards: the mean rank error (number
-   of live keys strictly smaller than the popped one) must stay within a
-   generous O(shards) envelope, and the reference multiset must empty
-   out exactly. *)
+(* Sequential 2-choice drain over the 8 shards of [procs = 4]: the mean
+   rank error (number of live keys strictly smaller than the popped one)
+   must stay within a generous O(shards) envelope, and the reference
+   multiset must empty out exactly. *)
 let test_rank_error_within_envelope () =
   let ranks = ref [] and leftover = ref (-1) in
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        let q = MQ.create ~procs:1 ~shards:8 ~choice:2 ~seed:3L () in
+        let q = MQ.create ~procs:4 ~seed:3L () in
         let live = ref [] in
         let rng = Rng.of_seed 17L in
         for i = 0 to 999 do
@@ -142,7 +144,7 @@ let test_empty_is_definitive_and_queue_reusable () =
 
 (* --- qcheck properties --------------------------------------------------- *)
 
-(* choice = shards with stickiness 1 compares every cached top, so any
+(* At [procs = 1] choice = shards: every cached top is compared, so any
    random single-processor op sequence must match a duplicate-keeping
    sorted-list model key-for-key (values of tied keys may associate
    differently). *)
@@ -154,9 +156,7 @@ let qcheck_exact_config_matches_model =
       let ok = ref false in
       let (_ : Machine.report) =
         Machine.run (fun () ->
-            let q =
-              MQ.create ~procs:1 ~shards:4 ~choice:4 ~stickiness:1 ~seed:9L ()
-            in
+            let q = MQ.create ~procs:1 ~seed:9L () in
             let m = Model.create () in
             List.iteri
               (fun i op ->
@@ -192,7 +192,7 @@ let qcheck_rank_envelope =
       let ok = ref false in
       let (_ : Machine.report) =
         Machine.run (fun () ->
-            let q = MQ.create ~procs:1 ~shards:8 ~choice:2 ~seed:3L () in
+            let q = MQ.create ~procs:4 ~seed:3L () in
             List.iteri (fun i k -> MQ.insert q k i) keys;
             let live = ref keys in
             let rec remove_one k = function
@@ -222,18 +222,16 @@ let qcheck_rank_envelope =
       !ok)
 
 let test_shard_sizing () =
-  let s_default = ref 0 and s_explicit = ref 0 and rejected = ref false in
+  let shards = ref 0 and rejected = ref false in
   let (_ : Machine.report) =
     Machine.run (fun () ->
-        s_default := stat "shards" (MQ.stats (MQ.create ~procs:16 ()));
-        s_explicit := stat "shards" (MQ.stats (MQ.create ~shards:5 ~procs:16 ()));
-        match MQ.create ~shard_factor:0 ~procs:1 () with
+        shards := stat "shards" (MQ.stats (MQ.create ~procs:16 ()));
+        match MQ.create ~procs:0 () with
         | (_ : int MQ.t) -> ()
         | exception Invalid_argument _ -> rejected := true)
   in
-  check_int "shard_factor * procs by default" 32 !s_default;
-  check_int "explicit shards override" 5 !s_explicit;
-  check "shard_factor < 1 rejected" true !rejected
+  check_int "2 shards per processor" 32 !shards;
+  check "procs < 1 rejected" true !rejected
 
 let () =
   Alcotest.run "multiqueue"

@@ -1,5 +1,5 @@
 (* Tests for the native runtime primitives (the simulator backend has its
-   own suite in test_sim.ml). *)
+   own suite in test_sim.ml), and for [charge] on both runtimes. *)
 
 module Native = Repro_runtime.Native_runtime
 
@@ -107,6 +107,32 @@ let test_work_is_finite () =
   Native.work 0;
   Native.work 1_000_000;
   check "done" true true
+
+(* --- charge ---------------------------------------------------------------- *)
+
+(* On the simulator [charge n] is [n] cycles of local work: the clock
+   moves by exactly [n] and no memory access is traced.  Natively it
+   returns at once. *)
+let test_charge_on_simulator () =
+  let module Machine = Repro_sim.Machine in
+  let accessed = ref 0 and by_charges = ref (-1) and advanced = ref [] in
+  let tracer = function Repro_sim.Trace.Accessed _ -> incr accessed | _ -> () in
+  let (_ : Machine.report) =
+    Machine.run ~tracer (fun () ->
+        List.iter
+          (fun n ->
+            let before = Machine.probe_time () in
+            Repro_sim.Sim_runtime.charge n;
+            advanced := (Machine.probe_time () - before) :: !advanced)
+          [ 1; 11; 2_000 ];
+        by_charges := !accessed;
+        (* the sink does see a real access *)
+        ignore (Repro_sim.Sim_runtime.read (Repro_sim.Sim_runtime.shared 0)))
+  in
+  Alcotest.(check (list int)) "clock advances by exactly n" [ 1; 11; 2_000 ] (List.rev !advanced);
+  check_int "no memory access traced for charges" 0 !by_charges;
+  check_int "the read is traced" 1 !accessed;
+  Native.charge 1_000_000
 
 (* --- dense processor ids -------------------------------------------------- *)
 
@@ -226,6 +252,8 @@ let () =
           Alcotest.test_case "fetch_and_add sums exactly" `Quick
             test_fetch_and_add_sums_exactly;
           Alcotest.test_case "work terminates" `Quick test_work_is_finite;
+          Alcotest.test_case "charge is local work on the simulator" `Quick
+            test_charge_on_simulator;
         ] );
       ( "processor ids",
         [

@@ -248,7 +248,7 @@ let test_plot_renders_markers () =
 
 let test_plot_log_scales_skip_nonpositive () =
   let out =
-    Ascii_plot.render ~x_scale:Ascii_plot.Log2 ~y_scale:Ascii_plot.Log10
+    Ascii_plot.render
       [
         {
           Ascii_plot.label = "s";

@@ -194,22 +194,6 @@ let test_probe_rejects_bad_input () =
 
 (* --- rank-error metric ----------------------------------------------------- *)
 
-(* [choice = shards] compares every shard, so the MultiQueue is exact
-   sequentially.  The adapter builds the MultiQueue at its defaults only,
-   so this configuration goes through the exported instance builder. *)
-module MQ = Repro_multiqueue.Multiqueue.Make (Repro_sim.Sim_runtime)
-
-let four_way_multiqueue =
-  {
-    (QA.Sim.make ~procs:1 (QA.plain QA.Multiqueue)) with
-    QA.create =
-      (fun () ->
-        let q = MQ.create ~shards:4 ~choice:4 ~procs:1 () in
-        QA.Sim.instance ~insert:(MQ.insert q)
-          ~try_delete_min:(fun () -> MQ.delete_min q)
-          ~stats:(fun () -> []));
-  }
-
 let test_rank_error_sequential_exact () =
   (* With one processor every structure — even the relaxed ones — returns
      the true minimum, so the oracle must read exactly zero. *)
@@ -227,7 +211,8 @@ let test_rank_error_sequential_exact () =
       QA.Sim.skipqueue ();
       QA.Sim.relaxed_skipqueue ();
       QA.Sim.hunt_heap ();
-      four_way_multiqueue;
+      (* One processor's 2 shards are both compared: exact. *)
+      QA.Sim.make ~procs:1 (QA.plain QA.Multiqueue);
     ]
 
 let test_rank_error_orders_relaxations () =
